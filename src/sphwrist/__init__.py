@@ -11,8 +11,6 @@ from .dynamics import (
     WristMotion,
     assemble_system,
     body_motion,
-    default_bodies,
-    default_motor,
     power_balance_residual,
     reflected_motor_torque,
     solve_state,
@@ -48,10 +46,10 @@ __all__ = [
     "GRAVITY", "JointAngles", "JointState", "MotorSpec", "PeakRecord", "TimeSeries",
     "TimedOrientation", "ToolOrientation", "TrajectorySpec", "WristError",
     "WristGeometry", "WristMotion", "assemble_system", "body_motion",
-    "central_difference", "chain_frames", "default_bodies", "default_config",
-    "default_motor", "dh_rotation", "elementary_rotation", "force_sweep",
-    "forward_kinematics", "generate", "inverse_kinematics", "leg2_tool_axis",
-    "load_config", "motor_feasibility", "pan_tilt_from_vector",
+    "central_difference", "chain_frames", "default_config", "dh_rotation",
+    "elementary_rotation", "force_sweep", "forward_kinematics", "generate",
+    "inverse_kinematics", "leg2_tool_axis", "load_config", "motor_feasibility",
+    "pan_tilt_from_vector",
     "power_balance_residual", "reflected_motor_torque", "solve_state",
     "solve_trajectory", "solve_wrenches", "sweep_peaks", "traj_circle",
     "traj_semicircle", "trajectory_joint_profiles", "unwrap_angles",

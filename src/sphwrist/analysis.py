@@ -115,10 +115,13 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     return curve
 
 
-def motor_feasibility(peaks: PeakRecord, motor: MotorSpec) -> FeasibilityReport:
-    """Classify each actuator's peak torque and shaft speed against one motor."""
+def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:
+    """Classify each actuator's peak torque and shaft speed against its motor.
+
+    ``motors`` is one MotorSpec for both actuators or a pair, one per actuator.
+    """
     actuators = []
-    for i in range(2):
+    for i, motor in enumerate(_motor_pair(motors)):
         torque = float(peaks.max_torques[i])
         if torque <= motor.continuous_torque:
             torque_class = TORQUE_CONTINUOUS_OK

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics, trajectory
-from .config import Config, default_config, load_config
+from .config import default_config, load_config
 from .errors import WristError
 from .kinematics import (
     ToolOrientation,
@@ -42,20 +42,19 @@ def _parse_floats(text, n=None):
     return parts
 
 
-def _load(args) -> Config:
-    return load_config(args.config) if args.config else default_config()
-
-
-def _spec_from_args(args, config: Config) -> trajectory.TrajectorySpec:
-    kind = trajectory.KIND_CIRCLE if args.traj == "circle" else trajectory.KIND_SEMICIRCLE
-    gamma = math.radians(args.gamma) if args.gamma is not None else None
+def _spec(args, radius, gamma_deg, kind=trajectory.KIND_CIRCLE) -> trajectory.TrajectorySpec:
     return trajectory.TrajectorySpec(
         kind=kind,
-        radius=args.radius,
-        tool_speed=args.speed if args.speed is not None else config.tool_speed,
-        gamma=gamma,
-        sample_count=args.samples if args.samples is not None else config.sample_count,
+        radius=radius,
+        tool_speed=args.speed,
+        gamma=math.radians(gamma_deg) if gamma_deg is not None else None,
+        sample_count=args.samples,
     )
+
+
+def _traj_spec(args) -> trajectory.TrajectorySpec:
+    kind = trajectory.KIND_CIRCLE if args.traj == "circle" else trajectory.KIND_SEMICIRCLE
+    return _spec(args, args.radius, args.gamma, kind)
 
 
 def _profiles(spec, config):
@@ -65,8 +64,7 @@ def _profiles(spec, config):
     return states
 
 
-def cmd_ik(args):
-    config = _load(args)
+def cmd_ik(args, config):
     if args.v is not None:
         orientation = ToolOrientation.normalized(_parse_floats(args.v, 3))
         pan, tilt = pan_tilt_from_vector(orientation)
@@ -83,8 +81,7 @@ def cmd_ik(args):
     return 0
 
 
-def cmd_fk(args):
-    config = _load(args)
+def cmd_fk(args, config):
     v = forward_kinematics(math.radians(args.theta1), math.radians(args.theta3), config.geometry).v
     print(f"v = {_fmt(v[0])}, {_fmt(v[1])}, {_fmt(v[2])}")
     return 0
@@ -98,9 +95,8 @@ _PROFILE_HEADER = (
 )
 
 
-def cmd_traj(args):
-    config = _load(args)
-    states = _profiles(_spec_from_args(args, config), config)
+def cmd_traj(args, config):
+    states = _profiles(_traj_spec(args), config)
     rows = [
         [s.t, *s.angles.theta, *s.rates, *s.accels]
         for s in states
@@ -110,13 +106,9 @@ def cmd_traj(args):
     return 0
 
 
-def cmd_dynamics(args):
-    config = _load(args)
-    spec = _spec_from_args(args, config)
-    states = _profiles(spec, config)
-    lever = args.lc if args.lc is not None else config.geometry.tool_length
-    fc = args.fc if args.fc is not None else 0.0
-    load = dynamics.CuttingLoad((fc, fc, fc), lever)
+def cmd_dynamics(args, config):
+    states = _profiles(_traj_spec(args), config)
+    load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
     _, solutions = dynamics.solve_trajectory(states, config.geometry, config.bodies, config.gravity, load)
     rows = []
     shaft_peak = [0.0, 0.0]
@@ -143,27 +135,13 @@ _SWEEP_HEADER = (
 )
 
 
-def _grid_specs(args, config):
-    gammas = _parse_floats(args.gamma)
+def _grid_specs(args):
     radii = _parse_floats(args.radius)
-    count = args.samples if args.samples is not None else config.sample_count
-    speed = args.speed if args.speed is not None else config.tool_speed
-    return [
-        trajectory.TrajectorySpec(
-            kind=trajectory.KIND_CIRCLE,
-            radius=r,
-            tool_speed=speed,
-            gamma=math.radians(g),
-            sample_count=count,
-        )
-        for g in gammas
-        for r in radii
-    ]
+    return [_spec(args, r, g) for g in _parse_floats(args.gamma) for r in radii]
 
 
-def cmd_sweep(args):
-    config = _load(args)
-    specs = _grid_specs(args, config)
+def cmd_sweep(args, config):
+    specs = _grid_specs(args)
     records = analysis.sweep_peaks(specs, config.geometry, config.bodies, config.motors)
     rows = [
         [math.degrees(rec.gamma), rec.radius, *rec.max_rates, *rec.max_accels, *rec.max_torques, *rec.max_powers]
@@ -174,39 +152,27 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_force_sweep(args):
-    config = _load(args)
-    spec = trajectory.TrajectorySpec(
-        kind=trajectory.KIND_CIRCLE,
-        radius=args.radius,
-        tool_speed=args.speed if args.speed is not None else config.tool_speed,
-        gamma=math.radians(args.gamma),
-        sample_count=args.samples if args.samples is not None else config.sample_count,
-    )
-    lever = args.lc if args.lc is not None else config.geometry.tool_length
-    curve = analysis.force_sweep(spec, _parse_floats(args.fc), lever, config.geometry, config.bodies, config.motors)
+def cmd_force_sweep(args, config):
+    spec = _spec(args, args.radius, args.gamma)
+    curve = analysis.force_sweep(spec, _parse_floats(args.fc), args.lc, config.geometry, config.bodies, config.motors)
     rows = [[fc, *rec.max_torques, *rec.max_powers] for fc, rec in curve]
     write_csv(args.out, ["Fc_N", "T1_Nm", "T2_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
-def cmd_motor_check(args):
-    config = _load(args)
-    specs = _grid_specs(args, config)
-    fc = args.fc if args.fc is not None else 0.0
-    lever = args.lc if args.lc is not None else config.geometry.tool_length
-    load = dynamics.CuttingLoad((fc, fc, fc), lever)
-    records = analysis.sweep_peaks(specs, config.geometry, config.bodies, config.motors, load)
-    worst = np.array([max(rec.max_torques[i] for rec in records) for i in range(2)])
-    rates = np.array([max(rec.max_rates[i] for rec in records) for i in range(2)])
-    peaks = analysis.PeakRecord(None, 0.0, np.concatenate([rates, [0.0, 0.0]]),
-                                np.zeros(4), worst, np.zeros(2))
-    for i in range(2):
-        report = analysis.motor_feasibility(peaks, config.motors[i])
-        a = report.actuators[i]
+def cmd_motor_check(args, config):
+    load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
+    records = analysis.sweep_peaks(_grid_specs(args), config.geometry, config.bodies, config.motors, load)
+    # The grid's envelope: each field's maximum over all records.
+    envelope = analysis.PeakRecord(None, 0.0, *(
+        np.max([getattr(rec, field) for rec in records], axis=0)
+        for field in ("max_rates", "max_accels", "max_torques", "max_powers")
+    ))
+    report = analysis.motor_feasibility(envelope, config.motors)
+    for i, a in enumerate(report.actuators):
         print(
-            f"actuator {i + 1}: peak_torque_Nm = {_fmt(worst[i])} torque = {a.torque_class}"
+            f"actuator {i + 1}: peak_torque_Nm = {_fmt(envelope.max_torques[i])} torque = {a.torque_class}"
             f" speed = {a.speed_class} continuous_margin_Nm = {_fmt(a.continuous_margin)}"
         )
     return 0
@@ -249,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="actuator torque/power time-series CSV")
     add_traj_args(p)
-    p.add_argument("--fc", type=float, help="cutting-force component magnitude, N")
+    p.add_argument("--fc", type=float, default=0.0, help="cutting-force component magnitude, N")
     p.add_argument("--lc", type=float, help="cutting lever arm, m")
     p.add_argument("--out", default="dynamics_series.csv")
     p.set_defaults(func=cmd_dynamics)
@@ -271,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("motor-check", help="feasibility report over a grid")
     add_traj_args(p, grid=True)
-    p.add_argument("--fc", type=float, help="cutting-force component magnitude, N")
+    p.add_argument("--fc", type=float, default=0.0, help="cutting-force component magnitude, N")
     p.add_argument("--lc", type=float, help="cutting lever arm, m")
     p.set_defaults(func=cmd_motor_check)
 
@@ -281,7 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config) if args.config else default_config()
+        # Unset run options take their values from the config (ik and fk have none).
+        for name, value in (("speed", config.tool_speed), ("samples", config.sample_count),
+                            ("lc", config.geometry.tool_length)):
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
+        return args.func(args, config)
     except WristError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -6,18 +6,15 @@ offending key.
 """
 
 import importlib.resources
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BODY_NAMES, BodyParams, MotorSpec
+from .dynamics import BODY_NAMES, FORCE_POINT_NAMES, GRAVITY, BodyParams, MotorSpec
 from .errors import ConfigError, WristError
 from .rotation import WristGeometry
-
-DEFAULT_SAMPLE_COUNT = 1001
-DEFAULT_TOOL_SPEED = 1.0
+from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED
 
 
 @dataclass(frozen=True)
@@ -87,11 +84,10 @@ def _build_body(entries: _Entries, name: str) -> BodyParams:
     prefix = f"body.{name}"
     ixx, iyy, izz, ixy, ixz, iyz = entries.take(f"{prefix}.inertia", 6)
     inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
-    point_prefix = f"{prefix}.point."
     points = {
-        key[len(point_prefix):]: entries.take(key, 3)
-        for key in list(entries.entries)
-        if key.startswith(point_prefix)
+        point: entries.take(f"{prefix}.point.{point}", 3)
+        for point in FORCE_POINT_NAMES[name]
+        if f"{prefix}.point.{point}" in entries.entries
     }
     try:
         return BodyParams(
@@ -115,7 +111,6 @@ def _build_motor(entries: _Entries, index: int) -> MotorSpec:
             max_speed=entries.scalar(f"{prefix}.max_speed"),
             max_torque=entries.scalar(f"{prefix}.max_torque"),
             continuous_torque=entries.scalar(f"{prefix}.continuous_torque"),
-            rated_power=entries.scalar(f"{prefix}.rated_power"),
         )
     except WristError as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
@@ -127,18 +122,20 @@ def config_from_text(text: str) -> Config:
         geometry = WristGeometry(
             alpha=entries.take("geometry.alpha", 5),
             home_thetas=entries.take("geometry.home_thetas", 4),
-            tool_length=entries.scalar("geometry.tool_length", 0.11),
-            mount_yaw=entries.scalar("geometry.mount_yaw", math.pi / 4.0),
+            tool_length=entries.scalar("geometry.tool_length", WristGeometry.tool_length),
+            mount_yaw=entries.scalar("geometry.mount_yaw", WristGeometry.mount_yaw),
         )
     except WristError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
     bodies = [_build_body(entries, name) for name in BODY_NAMES]
     motors = (_build_motor(entries, 1), _build_motor(entries, 2))
-    gravity = np.asarray(entries.take("gravity", 3, (0.0, 0.0, -9.81)), dtype=float)
+    gravity = np.asarray(entries.take("gravity", 3, GRAVITY), dtype=float)
+    if not np.all(np.isfinite(gravity)):
+        raise ConfigError("key 'gravity' must be finite")
 
-    sample_count = entries.scalar("defaults.sample_count", float(DEFAULT_SAMPLE_COUNT))
-    if sample_count != int(sample_count) or int(sample_count) < 3:
+    sample_count = entries.scalar("defaults.sample_count", DEFAULT_SAMPLE_COUNT)
+    if not np.isfinite(sample_count) or sample_count != int(sample_count) or sample_count < 3:
         raise ConfigError("key 'defaults.sample_count' must be an integer >= 3")
     tool_speed = entries.scalar("defaults.tool_speed", DEFAULT_TOOL_SPEED)
     if not (np.isfinite(tool_speed) and tool_speed > 0.0):

@@ -15,12 +15,11 @@ Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError
+from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from .kinematics import JointState
 from .rotation import WristGeometry, chain_frames, cross3
 
@@ -30,6 +29,15 @@ RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
+
+# The joint interaction points the assembly reads, per body; a point left
+# out sits at the wrist center.
+FORCE_POINT_NAMES = {
+    "terminal": ("joint_proximal1", "joint_distal"),
+    "distal": (),
+    "proximal-1": ("joint_base",),
+    "proximal-2": ("joint_base",),
+}
 
 
 def _as_vector(name, value, length=3):
@@ -84,19 +92,17 @@ class BodyParams:
 class MotorSpec:
     """Catalog data of one actuator, referred to the output shaft."""
 
-    rotor_inertia: float = 0.00262
-    reduction_ratio: float = 1.0
-    nominal_speed: float = 2500.0 * math.pi / 30.0
-    max_speed: float = 6500.0 * math.pi / 30.0
-    max_torque: float = 74.0
-    continuous_torque: float = 23.0
-    rated_power: float = 800.0
+    rotor_inertia: float
+    reduction_ratio: float
+    nominal_speed: float
+    max_speed: float
+    max_torque: float
+    continuous_torque: float
 
     def __post_init__(self):
         if not (np.isfinite(self.rotor_inertia) and self.rotor_inertia >= 0.0):
             raise InvalidInputError("motor rotor_inertia must be non-negative")
-        for name in ("reduction_ratio", "nominal_speed", "max_speed",
-                     "max_torque", "continuous_torque", "rated_power"):
+        for name in ("reduction_ratio", "nominal_speed", "max_speed", "max_torque", "continuous_torque"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise InvalidInputError(f"motor {name} must be positive")
@@ -124,16 +130,11 @@ class CuttingLoad:
         f.setflags(write=False)
         object.__setattr__(self, "f_c", f)
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.f_c == 0.0))
-
 
 @dataclass(frozen=True)
 class BodyMotion:
     """World-frame rigid-body motion of one link about the wrist center."""
 
-    name: str
     R: np.ndarray
     omega: np.ndarray
     omega_dot: np.ndarray
@@ -182,7 +183,7 @@ def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMoti
         r = R @ p.com_offset
         v = cross3(omega, r)
         a = cross3(omega_dot, r) + cross3(omega, v)
-        motions[name] = BodyMotion(name, R, omega, omega_dot, r, v, a)
+        motions[name] = BodyMotion(R, omega, omega_dot, r, v, a)
 
     add("proximal-1", frames1[1], dth[0] * e1, ddth[0] * e1)
     add("terminal", frames1[2],
@@ -246,7 +247,6 @@ class AssembledSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    labels: tuple
     actuated_rates: np.ndarray
 
 
@@ -359,12 +359,8 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
             b[newton] -= f_cut
             b[euler] -= m_cut
 
-    labels = []
-    for key, sl in UNKNOWN_SLICES.items():
-        n = sl.stop - sl.start
-        labels.extend([key] if n == 1 else [f"{key}[{i}]" for i in range(n)])
     rates = np.array([motion.state.rates[0], motion.state.rates[1]])
-    return AssembledSystem(A, b, tuple(labels), rates)
+    return AssembledSystem(A, b, rates)
 
 
 @dataclass(frozen=True)
@@ -444,50 +440,18 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
 
 def solve_trajectory(states, geometry: WristGeometry, bodies,
                      gravity=GRAVITY, load: CuttingLoad | None = None):
-    """Per-sample solves along a joint-state series, in input order."""
+    """Per-sample solves along a joint-state series, in input order.
+
+    A failing sample is named by its index and time; the category is kept.
+    """
     motions = []
     solutions = []
-    for state in states:
-        motion, solution = solve_state(state, geometry, bodies, gravity, load)
+    for i, state in enumerate(states):
+        try:
+            motion, solution = solve_state(state, geometry, bodies, gravity, load)
+        except WristError as exc:
+            raise type(exc)(f"sample {i} (t = {state.t:.6g} s): {exc}") from exc
         motions.append(motion)
         solutions.append(solution)
     return motions, solutions
 
-
-def default_bodies():
-    """Plausible link parameters for a wrist of this size class."""
-    return [
-        BodyParams(
-            name="terminal",
-            mass=0.80,
-            com_offset=(0.0, 0.03, 0.05),
-            inertia=np.diag([2.4e-3, 2.0e-3, 1.1e-3]),
-            force_points={"joint_proximal1": (0.0, 0.08, 0.0), "joint_distal": (0.0, 0.0, -0.07)},
-        ),
-        BodyParams(
-            name="distal",
-            mass=0.45,
-            com_offset=(0.0, 0.055, -0.035),
-            inertia=np.diag([1.2e-3, 8.0e-4, 1.0e-3]),
-            force_points={"joint_terminal": (0.0, 0.0, -0.07)},
-        ),
-        BodyParams(
-            name="proximal-1",
-            mass=0.60,
-            com_offset=(0.0, 0.045, 0.05),
-            inertia=np.diag([1.4e-3, 1.1e-3, 8.0e-4]),
-            force_points={"joint_base": (0.0, 0.06, 0.0), "joint_terminal": (0.0, 0.0, 0.08)},
-        ),
-        BodyParams(
-            name="proximal-2",
-            mass=0.65,
-            com_offset=(0.0, 0.05, 0.055),
-            inertia=np.diag([1.5e-3, 1.2e-3, 9.0e-4]),
-            force_points={"joint_base": (0.0, 0.06, 0.0)},
-        ),
-    ]
-
-
-def default_motor() -> MotorSpec:
-    """Catalog values of the harmonic-drive actuator used for both joints."""
-    return MotorSpec()

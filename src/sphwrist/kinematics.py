@@ -26,12 +26,6 @@ ROUND_TRIP_TOL = 1e-9
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
 
-# Tool axis constants: the tool direction coincides with the last leg-1 axis,
-# which sits at a right angle to the terminal's drive axis.
-_BETA1 = 0.0
-_BETA2 = 0.0
-_GAMMA = math.pi / 2.0
-
 
 @dataclass(frozen=True)
 class ToolOrientation:
@@ -182,7 +176,8 @@ def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) ->
     a0, a1, a2, a3, a4 = geometry.alpha
     u = geometry.base_axes.T @ orientation.v
     ux, uy, uz = u
-    cg = math.cos(_GAMMA)
+    # The tool axis sits at the twist a3 from the terminal's drive axis.
+    cg = math.cos(a3)
 
     # Leg-1 drive angle from the cone condition of the terminal's drive axis.
     qa = uz * math.cos(a1) + uy * math.sin(a1) - cg
@@ -192,12 +187,11 @@ def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) ->
 
     # Terminal angle from the tool components in the leg-1 elbow frame.
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    pa = math.sin(_BETA2)
-    pb = math.sin(a3) * math.cos(_BETA1) * math.cos(_BETA2) - math.cos(a3) * math.sin(_BETA1) * math.cos(_BETA2)
+    sa3 = math.sin(a3)
     pd = ux * c1 + uy * s1
     pe = -ux * s1 * math.cos(a1) + uy * c1 * math.cos(a1) + uz * math.sin(a1)
-    sin3 = pa * pe + pb * pd
-    cos3 = pa * pd - pb * pe
+    sin3 = sa3 * pd
+    cos3 = -sa3 * pe
     if math.hypot(sin3, cos3) < SINGULAR_GUARD:
         raise SingularConfigurationError("terminal angle is indeterminate")
     theta3 = math.atan2(sin3, cos3)

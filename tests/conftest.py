@@ -3,22 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from sphwrist import WristGeometry, default_bodies, default_motor
+from sphwrist import default_config
 
 
 @pytest.fixture(scope="session")
-def geometry():
-    return WristGeometry()
+def config():
+    return default_config()
 
 
 @pytest.fixture(scope="session")
-def bodies():
-    return default_bodies()
+def geometry(config):
+    return config.geometry
 
 
 @pytest.fixture(scope="session")
-def motor():
-    return default_motor()
+def bodies(config):
+    return config.bodies
+
+
+@pytest.fixture(scope="session")
+def motor(config):
+    return config.motors[0]
 
 
 def symmetric_rel(a, b):

@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import symmetric_rel
 from sphwrist import (
-    MotorSpec,
     PeakRecord,
     TrajectorySpec,
     force_sweep,
@@ -112,7 +112,7 @@ def test_motor_feasibility_speed_classes(motor):
     assert motor_feasibility(peak_record((1.0, 1.0), rates=(100.0, 100.0)), motor).actuators[0].speed_class == SPEED_OK
     assert motor_feasibility(peak_record((1.0, 1.0), rates=(300.0, 300.0)), motor).actuators[0].speed_class == SPEED_OVER_NOMINAL
     assert motor_feasibility(peak_record((1.0, 1.0), rates=(700.0, 700.0)), motor).actuators[0].speed_class == SPEED_OVER_MAX
-    geared = MotorSpec(reduction_ratio=3.0)
+    geared = replace(motor, reduction_ratio=3.0)
     assert motor_feasibility(peak_record((1.0, 1.0), rates=(100.0, 100.0)), geared).actuators[0].speed_class == SPEED_OVER_NOMINAL
 
 

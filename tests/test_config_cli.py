@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
 from sphwrist.cli import main
 from sphwrist.config import config_from_text, default_config, default_config_text, load_config
 from sphwrist.errors import ConfigError
+from sphwrist.trajectory import KIND_CIRCLE
 
 
 def test_default_config_contents():
@@ -16,13 +18,27 @@ def test_default_config_contents():
         assert m.max_torque == 74.0
         assert m.continuous_torque == 23.0
         assert m.rotor_inertia == 0.00262
-        assert m.rated_power == 800.0
         assert m.nominal_speed == pytest.approx(2500.0 * math.pi / 30.0)
         assert m.max_speed == pytest.approx(6500.0 * math.pi / 30.0)
     np.testing.assert_allclose(config.gravity, [0.0, 0.0, -9.81])
     assert config.sample_count == 1001
     assert config.tool_speed == 1.0
     np.testing.assert_allclose(config.geometry.alpha, np.full(5, math.pi / 2.0))
+
+
+def test_code_defaults_match_default_config():
+    # WristGeometry(), the TrajectorySpec defaults and GRAVITY restate
+    # default.cfg for callers that build them without a config.
+    config = default_config()
+    geometry = WristGeometry()
+    for name in ("alpha", "home_thetas"):
+        assert np.array_equal(getattr(geometry, name), getattr(config.geometry, name))
+    assert geometry.tool_length == config.geometry.tool_length
+    assert geometry.mount_yaw == config.geometry.mount_yaw
+    spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=0.5)
+    assert spec.tool_speed == config.tool_speed
+    assert spec.sample_count == config.sample_count
+    assert np.array_equal(GRAVITY, config.gravity)
 
 
 def test_config_negative_mass_names_key():
@@ -47,8 +63,29 @@ def test_config_omitted_tool_speed_defaults_to_one():
 def test_config_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="mystery"):
         config_from_text(default_config_text() + "\nmystery.key = 1.0\n")
+    # Only the points the assembly reads are accepted, so a misspelled or
+    # misplaced point cannot silently sit at the wrist center.
+    for key in ("body.terminal.point.joint_proximal", "body.distal.point.joint_base"):
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            config_from_text(default_config_text() + f"\n{key} = 0.0, 0.06, 0.0\n")
     with pytest.raises(ConfigError, match="duplicate"):
         config_from_text(default_config_text() + "\ngravity = 0, 0, -9.81\n")
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("defaults.sample_count = 1001", "defaults.sample_count = nan", "defaults.sample_count"),
+    ("defaults.sample_count = 1001", "defaults.sample_count = inf", "defaults.sample_count"),
+    ("gravity = 0.0, 0.0, -9.81", "gravity = nan, 0, 0", "gravity"),
+])
+def test_config_non_finite_values_named(tmp_path, capsys, old, new, key):
+    text = default_config_text().replace(old, new)
+    with pytest.raises(ConfigError, match=key):
+        config_from_text(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "--config", str(path), "fk", "--theta1", "0", "--theta3", "0")
+    assert code == 1
+    assert err.startswith("error[config-error]") and key in err
 
 
 def test_config_parse_errors_carry_line_numbers(tmp_path):
@@ -152,6 +189,14 @@ def test_cli_dynamics_no_load_not_flagged(tmp_path, capsys):
                            "--radius", "0.25", "--samples", "101", "--out", str(out_file))
     assert code == 0
     assert "exceeds-continuous = no" in out
+
+
+def test_cli_dynamics_names_failing_sample(tmp_path, capsys):
+    # The semicircle's midpoint is a wrist singularity the solve gate rejects.
+    code, _, err = run_cli(capsys, "dynamics", "--traj", "semicircle", "--radius", "0.25",
+                           "--out", str(tmp_path / "dyn.csv"))
+    assert code == 1
+    assert err.startswith("error[model-inconsistency]: sample 500 (t = ")
 
 
 def test_cli_sweep_emits_reference_grid(tmp_path, capsys):

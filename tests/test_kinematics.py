@@ -113,6 +113,27 @@ def test_randomized_round_trips_both_legs(geometry):
     assert worst_leg2 < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [
+    (math.pi / 2, math.pi / 3, math.pi / 2, math.pi / 2, math.pi / 2),
+    (math.pi / 2, math.pi / 2, math.pi / 2, 1.3, math.pi / 2),
+    (math.pi / 2, math.pi / 2, math.pi / 2, 1.8, math.pi / 2),
+])
+def test_round_trip_non_default_geometry(alpha):
+    # Directions reached by random leg-1 pairs are reachable by construction;
+    # the inverse must close both legs on them whatever the twists.
+    geom = WristGeometry(alpha=alpha)
+    rng = np.random.default_rng(5)
+    worst_fk = 0.0
+    worst_leg2 = 0.0
+    for t1, t3 in rng.uniform(-math.pi, math.pi, size=(2000, 2)):
+        v = forward_kinematics(t1, t3, geom).v
+        theta = inverse_kinematics(ToolOrientation(v), geom).theta
+        worst_fk = max(worst_fk, np.linalg.norm(forward_kinematics(theta[0], theta[2], geom).v - v))
+        worst_leg2 = max(worst_leg2, np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geom) - v))
+    assert worst_fk < 1e-9
+    assert worst_leg2 < 1e-9
+
+
 def test_unreachable_orientation():
     # With the first twist reduced to 60 degrees, directions closer than 30
     # degrees to the drive axis have no elbow-axis solution (the solution
