@@ -2,52 +2,23 @@
 
 from .analysis import FeasibilityReport, PeakRecord, force_sweep, motor_feasibility, sweep_peaks
 from .config import Config, default_config, load_config
-from .dynamics import (
-    GRAVITY,
-    BodyParams,
-    CuttingLoad,
-    DynamicsSolution,
-    MotorSpec,
-    WristMotion,
-    assemble_system,
-    body_motion,
-    power_balance_residual,
-    reflected_motor_torque,
-    solve_state,
-    solve_trajectory,
-    solve_wrenches,
-)
+from .dynamics import (GRAVITY, BodyParams, CuttingLoad, DynamicsSolution, MotorSpec, WristMotion, assemble_system,
+                       body_motion, power_balance_residual, reflected_motor_torque, solve_state, solve_trajectory,
+                       solve_wrenches)
 from .errors import WristError
-from .kinematics import (
-    JointAngles,
-    JointState,
-    ToolOrientation,
-    forward_kinematics,
-    inverse_kinematics,
-    leg2_tool_axis,
-    pan_tilt_from_vector,
-    trajectory_joint_profiles,
-    vector_from_pan_tilt,
-)
-from .rotation import (
-    TimeSeries,
-    WristGeometry,
-    central_difference,
-    chain_frames,
-    dh_rotation,
-    elementary_rotation,
-    unwrap_angles,
-    wrap_angle,
-)
+from .kinematics import (JointAngles, JointProfile, JointState, ToolOrientation, forward_kinematics,
+                         inverse_kinematics, leg2_tool_axis, pan_tilt_from_vector, trajectory_joint_profiles,
+                         vector_from_pan_tilt)
+from .rotation import WristGeometry, central_difference, chain_frames, dh_rotation, unwrap_angles, wrap_angle
 from .trajectory import TimedOrientation, TrajectorySpec, generate, traj_circle, traj_semicircle
 
 __all__ = [
     "BodyParams", "Config", "CuttingLoad", "DynamicsSolution", "FeasibilityReport",
-    "GRAVITY", "JointAngles", "JointState", "MotorSpec", "PeakRecord", "TimeSeries",
+    "GRAVITY", "JointAngles", "JointProfile", "JointState", "MotorSpec", "PeakRecord",
     "TimedOrientation", "ToolOrientation", "TrajectorySpec", "WristError",
     "WristGeometry", "WristMotion", "assemble_system", "body_motion",
     "central_difference", "chain_frames", "default_config", "dh_rotation",
-    "elementary_rotation", "force_sweep", "forward_kinematics", "generate",
+    "force_sweep", "forward_kinematics", "generate",
     "inverse_kinematics", "leg2_tool_axis", "load_config", "motor_feasibility",
     "pan_tilt_from_vector",
     "power_balance_residual", "reflected_motor_torque", "solve_state",

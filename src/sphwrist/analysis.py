@@ -12,7 +12,7 @@ from .dynamics import (
     solve_trajectory,
 )
 from .errors import InvalidInputError
-from .kinematics import trajectory_joint_profiles
+from .kinematics import JointProfile, trajectory_joint_profiles
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -62,29 +62,40 @@ def _motor_pair(motors):
     return motors
 
 
-def _peaks_for_spec(spec: TrajectorySpec, geometry, bodies, motors, gravity, load):
+def profile_for_spec(spec: TrajectorySpec, geometry) -> JointProfile:
+    """Joint profile along the generated path of one trajectory spec."""
     samples = generate(spec)
-    dt = samples[1].t - samples[0].t
-    states = trajectory_joint_profiles([s.orientation for s in samples], dt, geometry)
-    _, solutions = solve_trajectory(states, geometry, bodies, gravity, load)
+    return trajectory_joint_profiles([s.orientation for s in samples], samples[1].t - samples[0].t, geometry)
 
-    motor1, motor2 = _motor_pair(motors)
-    n = len(states)
-    rates = np.array([s.rates for s in states])
-    accels = np.array([s.accels for s in states])
-    shaft = np.empty((n, 2))
-    for i, (state, sol) in enumerate(zip(states, solutions)):
-        shaft[i, 0] = reflected_motor_torque(sol.tau[0], state.accels[0], motor1)
-        shaft[i, 1] = reflected_motor_torque(sol.tau[1], state.accels[1], motor2)
-    power = shaft * rates[:, :2]
+
+def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GRAVITY,
+                     load: CuttingLoad | None = None):
+    """Joint torques and output-shaft torques of both actuators, each (N, 2).
+
+    One Newton-Euler solve per sample; the shaft torque adds each motor's
+    reflected rotor inertia.
+    """
+    _, solutions = solve_trajectory(profile, geometry, bodies, gravity, load)
+    tau = np.array([sol.tau for sol in solutions])
+    shaft = np.column_stack([reflected_motor_torque(tau[:, i], profile.accels[:, i], motor)
+                             for i, motor in enumerate(_motor_pair(motors))])
+    return tau, shaft
+
+
+def _peak_record(spec, profile, geometry, bodies, motors, gravity, load):
+    _, shaft = actuator_torques(profile, geometry, bodies, motors, gravity, load)
     return PeakRecord(
         gamma=spec.gamma,
         radius=spec.radius,
-        max_rates=np.max(np.abs(rates), axis=0),
-        max_accels=np.max(np.abs(accels), axis=0),
+        max_rates=np.max(np.abs(profile.rates), axis=0),
+        max_accels=np.max(np.abs(profile.accels), axis=0),
         max_torques=np.max(np.abs(shaft), axis=0),
-        max_powers=np.max(np.abs(power), axis=0),
+        max_powers=np.max(np.abs(shaft * profile.rates[:, :2]), axis=0),
     )
+
+
+def _spec_error(spec, exc):
+    return type(exc)(f"spec (kind={spec.kind}, gamma={spec.gamma}, R={spec.radius}): {exc}")
 
 
 def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None, gravity=GRAVITY):
@@ -92,9 +103,10 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
     records = []
     for spec in specs:
         try:
-            records.append(_peaks_for_spec(spec, geometry, bodies, motors, gravity, load))
+            profile = profile_for_spec(spec, geometry)
+            records.append(_peak_record(spec, profile, geometry, bodies, motors, gravity, load))
         except Exception as exc:
-            raise type(exc)(f"spec (kind={spec.kind}, gamma={spec.gamma}, R={spec.radius}): {exc}") from exc
+            raise _spec_error(spec, exc) from exc
     return records
 
 
@@ -102,17 +114,19 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     """Peak-torque curve versus cutting-force magnitude at fixed lever arm.
 
     The three cutting-force components are set equal to each value in
-    ``fc_values``.
+    ``fc_values``.  The joint profile is built once; only the dynamics are
+    solved per force value.
     """
     fc_values = [float(f) for f in fc_values]
     if any(f < 0.0 or not np.isfinite(f) for f in fc_values):
         raise InvalidInputError("cutting-force magnitudes must be non-negative")
-    curve = []
-    for fc in fc_values:
-        load = CuttingLoad((fc, fc, fc), lc)
-        record = sweep_peaks([base_spec], geometry, bodies, motors, load, gravity)[0]
-        curve.append((fc, record))
-    return curve
+    try:
+        profile = profile_for_spec(base_spec, geometry)
+        return [(fc, _peak_record(base_spec, profile, geometry, bodies, motors, gravity,
+                                  CuttingLoad((fc, fc, fc), lc)))
+                for fc in fc_values]
+    except Exception as exc:
+        raise _spec_error(base_spec, exc) from exc
 
 
 def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:

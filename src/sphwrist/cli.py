@@ -13,15 +13,9 @@ import numpy as np
 
 from . import analysis, dynamics, trajectory
 from .config import default_config, load_config
-from .errors import WristError
-from .kinematics import (
-    ToolOrientation,
-    inverse_kinematics,
-    forward_kinematics,
-    pan_tilt_from_vector,
-    trajectory_joint_profiles,
-    vector_from_pan_tilt,
-)
+from .errors import FileIOError, InvalidInputError, WristError
+from .kinematics import (ToolOrientation, forward_kinematics, inverse_kinematics, pan_tilt_from_vector,
+                         vector_from_pan_tilt)
 
 
 def _fmt(x: float) -> str:
@@ -31,14 +25,20 @@ def _fmt(x: float) -> str:
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FileIOError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _parse_floats(text, n=None):
-    parts = [float(p) for p in str(text).split(",")]
+def _parse_floats(option, text, n=None):
+    try:
+        parts = [float(p) for p in str(text).split(",")]
+    except ValueError:
+        raise InvalidInputError(f"{option} must be a comma-separated list of numbers, got {text!r}") from None
     if n is not None and len(parts) != n:
-        raise WristError(f"expected {n} comma-separated values, got {len(parts)}")
+        raise InvalidInputError(f"{option} expects {n} comma-separated values, got {len(parts)}")
     return parts
 
 
@@ -57,16 +57,9 @@ def _traj_spec(args) -> trajectory.TrajectorySpec:
     return _spec(args, args.radius, args.gamma, kind)
 
 
-def _profiles(spec, config):
-    samples = trajectory.generate(spec)
-    dt = samples[1].t - samples[0].t
-    states = trajectory_joint_profiles([s.orientation for s in samples], dt, config.geometry)
-    return states
-
-
 def cmd_ik(args, config):
     if args.v is not None:
-        orientation = ToolOrientation.normalized(_parse_floats(args.v, 3))
+        orientation = ToolOrientation.normalized(_parse_floats("--v", args.v, 3))
         pan, tilt = pan_tilt_from_vector(orientation)
     elif args.pan is not None and args.tilt is not None:
         pan, tilt = math.radians(args.pan), math.radians(args.tilt)
@@ -96,31 +89,22 @@ _PROFILE_HEADER = (
 
 
 def cmd_traj(args, config):
-    states = _profiles(_traj_spec(args), config)
-    rows = [
-        [s.t, *s.angles.theta, *s.rates, *s.accels]
-        for s in states
-    ]
+    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
+    rows = np.column_stack([profile.t, profile.theta, profile.rates, profile.accels]).tolist()
     write_csv(args.out, _PROFILE_HEADER, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
     return 0
 
 
 def cmd_dynamics(args, config):
-    states = _profiles(_traj_spec(args), config)
+    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
     load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
-    _, solutions = dynamics.solve_trajectory(states, config.geometry, config.bodies, config.gravity, load)
-    rows = []
-    shaft_peak = [0.0, 0.0]
-    for state, sol in zip(states, solutions):
-        shaft = [
-            dynamics.reflected_motor_torque(sol.tau[i], state.accels[i], config.motors[i])
-            for i in range(2)
-        ]
-        shaft_peak = [max(shaft_peak[i], abs(shaft[i])) for i in range(2)]
-        rows.append([state.t, sol.tau[0], sol.tau[1], shaft[0], shaft[1], sol.power[0], sol.power[1]])
+    tau, shaft = analysis.actuator_torques(profile, config.geometry, config.bodies, config.motors,
+                                           config.gravity, load)
+    rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]]).tolist()
     write_csv(args.out, ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} samples to {args.out}")
+    shaft_peak = np.max(np.abs(shaft), axis=0)
     for i in range(2):
         flag = "yes" if shaft_peak[i] > config.motors[i].continuous_torque else "no"
         print(f"tau{i + 1}_shaft_peak_Nm = {_fmt(shaft_peak[i])} exceeds-continuous = {flag}")
@@ -136,8 +120,8 @@ _SWEEP_HEADER = (
 
 
 def _grid_specs(args):
-    radii = _parse_floats(args.radius)
-    return [_spec(args, r, g) for g in _parse_floats(args.gamma) for r in radii]
+    radii = _parse_floats("--radius", args.radius)
+    return [_spec(args, r, g) for g in _parse_floats("--gamma", args.gamma) for r in radii]
 
 
 def cmd_sweep(args, config):
@@ -154,7 +138,7 @@ def cmd_sweep(args, config):
 
 def cmd_force_sweep(args, config):
     spec = _spec(args, args.radius, args.gamma)
-    curve = analysis.force_sweep(spec, _parse_floats(args.fc), args.lc, config.geometry, config.bodies, config.motors)
+    curve = analysis.force_sweep(spec, _parse_floats("--fc", args.fc), args.lc, config.geometry, config.bodies, config.motors)
     rows = [[fc, *rec.max_torques, *rec.max_powers] for fc, rec in curve]
     write_csv(args.out, ["Fc_N", "T1_Nm", "T2_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")

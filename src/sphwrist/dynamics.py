@@ -395,9 +395,9 @@ def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
     return DynamicsSolution(tau, reactions, residual, power)
 
 
-def reflected_motor_torque(tau_joint: float, joint_accel: float, motor: MotorSpec) -> float:
-    """Output-shaft torque including the reflected rotor inertia."""
-    if not (np.isfinite(tau_joint) and np.isfinite(joint_accel)):
+def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
+    """Output-shaft torque including the reflected rotor inertia, elementwise."""
+    if not (np.all(np.isfinite(tau_joint)) and np.all(np.isfinite(joint_accel))):
         raise InvalidInputError("torque and acceleration must be finite")
     return tau_joint + motor.rotor_inertia * motor.reduction_ratio ** 2 * joint_accel
 

@@ -45,3 +45,7 @@ class InvalidSpecError(WristError):
 
 class ConfigError(WristError):
     category = "config-error"
+
+
+class FileIOError(WristError):
+    category = "io-error"

@@ -18,11 +18,9 @@ from .errors import (
     SingularConfigurationError,
     SingularOrientationError,
     UnreachableOrientationError,
-    WristError,
 )
-from .rotation import TimeSeries, WristGeometry, central_difference, chain_frames, cross3, unwrap_angles, wrap_angle
+from .rotation import WristGeometry, central_difference, chain_frames, unwrap_angles, wrap_angle
 
-ROUND_TRIP_TOL = 1e-9
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
 
@@ -99,6 +97,35 @@ class JointState:
         object.__setattr__(self, "accels", accels)
 
 
+@dataclass(frozen=True)
+class JointProfile:
+    """Joint states along a sampled path, as arrays: ``t`` (N,) and
+    ``theta``/``rates``/``accels`` (N, 4).
+
+    Indexing, and iteration through it, yield one ``JointState`` per sample.
+    """
+
+    t: np.ndarray
+    theta: np.ndarray
+    rates: np.ndarray
+    accels: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.t)
+        for name, shape in (("t", (n,)), ("theta", (n, 4)), ("rates", (n, 4)), ("accels", (n, 4))):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != shape or not np.all(np.isfinite(values)):
+                raise InvalidInputError(f"profile {name} must hold finite values of shape {shape}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> JointState:
+        return JointState(JointAngles(self.theta[i]), self.rates[i], self.accels[i], float(self.t[i]))
+
+
 def vector_from_pan_tilt(phi1: float, phi2: float) -> ToolOrientation:
     """Unit tool direction from pan (azimuth) and tilt (elevation) angles."""
     if not (np.isfinite(phi1) and np.isfinite(phi2)):
@@ -119,36 +146,30 @@ def pan_tilt_from_vector(orientation: ToolOrientation):
     return phi1, phi2
 
 
-def _principal_from_half_tangent(num: float, den: float) -> float:
-    # theta = 2*atan(num/den) up to a 2*pi shift; atan2 keeps it finite when
-    # den crosses zero, wrap_angle restores the principal value.
-    return wrap_angle(2.0 * math.atan2(num, den))
-
-
-def _quadratic_branch(a: float, b: float, c: float, sign: float) -> float:
+def _quadratic_branch(a, b, c, sign: float):
     """Principal angle whose half-tangent is the selected root of
-    a*T^2 + b*T + c = 0 (root (-b + sign*sqrt(disc)) / (2a)).
+    a*T^2 + b*T + c = 0 (root (-b + sign*sqrt(disc)) / (2a)), elementwise.
 
     Cancellation-free: the conjugate form is used whenever -b and the root
     term have opposite signs, which also keeps the branch continuous as ``a``
-    passes through zero.
+    passes through zero.  Returns the angles and the two guard checks.
     """
-    scale = max(abs(a), abs(b), abs(c))
-    if scale < SINGULAR_GUARD:
-        raise SingularConfigurationError("orientation is on a joint axis; the angle is indeterminate")
-    if max(abs(a), abs(b)) < SINGULAR_GUARD:
-        raise UnreachableOrientationError("orientation lies outside the reachable cone")
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     disc = b * b - 4.0 * a * c
-    if disc < -1e-12 * max(1.0, scale * scale):
-        raise UnreachableOrientationError("orientation lies outside the reachable cone")
-    s = math.sqrt(max(disc, 0.0))
-    if sign >= 0.0:
-        if b <= 0.0:
-            return _principal_from_half_tangent(-b + s, 2.0 * a)
-        return _principal_from_half_tangent(-2.0 * c, b + s)
-    if b >= 0.0:
-        return _principal_from_half_tangent(-b - s, 2.0 * a)
-    return _principal_from_half_tangent(2.0 * c, s - b)
+    checks = [
+        (scale < SINGULAR_GUARD, SingularConfigurationError,
+         "orientation is on a joint axis; the angle is indeterminate"),
+        ((np.maximum(np.abs(a), np.abs(b)) < SINGULAR_GUARD)
+         | (disc < -1e-12 * np.maximum(1.0, scale * scale)),
+         UnreachableOrientationError, "orientation lies outside the reachable cone"),
+    ]
+    s = np.sqrt(np.maximum(disc, 0.0))
+    direct = sign * b <= 0.0
+    num = np.where(direct, -b + sign * s, -2.0 * sign * c)
+    den = np.where(direct, 2.0 * a, s + sign * b)
+    # theta = 2*atan(num/den) up to a 2*pi shift; atan2 keeps it finite when
+    # den crosses zero, wrap_angle restores the principal value.
+    return wrap_angle(2.0 * np.arctan2(num, den)), checks
 
 
 def forward_kinematics(theta1: float, theta3: float, geometry: WristGeometry) -> ToolOrientation:
@@ -166,16 +187,18 @@ def leg2_tool_axis(theta2: float, theta4: float, geometry: WristGeometry) -> np.
     return axes[2]
 
 
-def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) -> JointAngles:
-    """All four joint angles for a tool direction, single working branch.
+def _joint_angles(v, geometry: WristGeometry) -> np.ndarray:
+    """Closed-form inverse kinematics of (3,) or (N, 3) world-frame tool
+    directions; returns (4,) or (N, 4) joint angles on the working branch.
 
     Solves the leg-1 pair from the cone condition about the first drive axis,
     then the leg-2 pair from the loop-closure cone about the second drive
-    axis.  Raises if the direction is unreachable or lies on a drive axis.
+    axis.  Raises if a direction is unreachable or lies on a drive axis; for
+    (N, 3) input the error names the lowest failing sample.
     """
     a0, a1, a2, a3, a4 = geometry.alpha
-    u = geometry.base_axes.T @ orientation.v
-    ux, uy, uz = u
+    u = v @ geometry.base_axes
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
     # The tool axis sits at the twist a3 from the terminal's drive axis.
     cg = math.cos(a3)
 
@@ -183,86 +206,103 @@ def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) ->
     qa = uz * math.cos(a1) + uy * math.sin(a1) - cg
     qb = 2.0 * ux * math.sin(a1)
     qc = uz * math.cos(a1) - uy * math.sin(a1) - cg
-    theta1 = _quadratic_branch(qa, qb, qc, +1.0)
+    theta1, checks = _quadratic_branch(qa, qb, qc, +1.0)
 
     # Terminal angle from the tool components in the leg-1 elbow frame.
-    c1, s1 = math.cos(theta1), math.sin(theta1)
+    c1, s1 = np.cos(theta1), np.sin(theta1)
     sa3 = math.sin(a3)
     pd = ux * c1 + uy * s1
     pe = -ux * s1 * math.cos(a1) + uy * c1 * math.cos(a1) + uz * math.sin(a1)
     sin3 = sa3 * pd
     cos3 = -sa3 * pe
-    if math.hypot(sin3, cos3) < SINGULAR_GUARD:
-        raise SingularConfigurationError("terminal angle is indeterminate")
-    theta3 = math.atan2(sin3, cos3)
+    checks.append((np.hypot(sin3, cos3) < SINGULAR_GUARD, SingularConfigurationError,
+                   "terminal angle is indeterminate"))
+    theta3 = np.arctan2(sin3, cos3)
 
     # Leg-2 drive angle from the loop-closure cone about the second drive axis.
     qa2 = ux * math.sin(a0) * math.cos(a2) + uy * math.sin(a2) + uz * math.cos(a0) * math.cos(a2) - math.cos(a4)
     qb2 = 2.0 * (ux * math.cos(a0) * math.sin(a2) - uz * math.sin(a0) * math.sin(a2))
     qc2 = ux * math.sin(a0) * math.cos(a2) - uy * math.sin(a2) + uz * math.cos(a0) * math.cos(a2) - math.cos(a4)
-    theta2 = _quadratic_branch(qa2, qb2, qc2, -1.0)
+    theta2, checks2 = _quadratic_branch(qa2, qb2, qc2, -1.0)
+    checks += checks2
+    checks.append((abs(math.sin(a4)) < SINGULAR_GUARD, SingularConfigurationError, "distal axis twist is degenerate"))
 
     # Distal angle from the tool components in the leg-2 elbow frame.
-    if abs(math.sin(a4)) < SINGULAR_GUARD:
-        raise SingularConfigurationError("distal axis twist is degenerate")
-    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c2, s2 = np.cos(theta2), np.sin(theta2)
     s4 = ux * c2 * math.cos(a0) + uy * s2 - uz * c2 * math.sin(a0)
     c4a = -ux * (math.sin(a0) * math.sin(a2) - s2 * math.cos(a0) * math.cos(a2))
     c4b = -uy * c2 * math.cos(a2)
     c4d = -uz * (math.cos(a0) * math.sin(a2) + s2 * math.sin(a0) * math.cos(a2))
     c4 = c4a + c4b + c4d
-    if math.hypot(s4, c4) < SINGULAR_GUARD:
-        raise SingularConfigurationError("distal angle is indeterminate")
-    theta4 = math.atan2(s4, c4)
+    checks.append((np.hypot(s4, c4) < SINGULAR_GUARD, SingularConfigurationError,
+                   "distal angle is indeterminate"))
+    theta4 = np.arctan2(s4, c4)
 
-    return JointAngles(np.array([theta1, theta2, theta3, theta4]))
+    # Report the lowest failing sample; there, the first check that fails.
+    failed = np.array([np.broadcast_to(mask, ux.shape) for mask, _, _ in checks]).reshape(len(checks), -1)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        _, error, message = checks[int(np.argmax(failed[:, i]))]
+        raise error(f"sample {i}: {message}" if u.ndim > 1 else message)
+    return np.stack([theta1, theta2, theta3, theta4], axis=-1)
+
+
+def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) -> JointAngles:
+    """All four joint angles for a tool direction, single working branch.
+
+    The one-sample case of the profile stage's inverse kinematics; raises if
+    the direction is unreachable or lies on a drive axis.
+    """
+    return JointAngles(_joint_angles(orientation.v, geometry))
 
 
 def _closure_axes(theta, geometry):
-    _, axes1 = chain_frames((theta[0], theta[2]), geometry, "leg-1")
-    _, axes2 = chain_frames((theta[1], theta[3]), geometry, "leg-2")
+    _, axes1 = chain_frames(theta[:, [0, 2]], geometry, "leg-1")
+    _, axes2 = chain_frames(theta[:, [1, 3]], geometry, "leg-2")
     return axes1, axes2
 
 
 def _solve_passive(b1, b2, rhs):
-    # Normal-equation solve of [b1, b2] x = rhs; minimum-norm when the
-    # passive axes momentarily align (a genuine wrist singularity), which is
-    # also the correct compatible answer there.
-    g11 = b1 @ b1
-    g12 = b1 @ b2
-    g22 = b2 @ b2
+    # Row-wise normal-equation solve of [b1, b2] x = rhs; minimum-norm where
+    # the passive axes momentarily align (a genuine wrist singularity), which
+    # is also the correct compatible answer there.
+    g11 = np.sum(b1 * b1, axis=1)
+    g12 = np.sum(b1 * b2, axis=1)
+    g22 = np.sum(b2 * b2, axis=1)
     det = g11 * g22 - g12 * g12
-    if det <= 1e-12 * max(g11, g22) ** 2:
-        x, *_ = np.linalg.lstsq(np.column_stack([b1, b2]), rhs, rcond=None)
-        return float(x[0]), float(x[1])
-    r1 = b1 @ rhs
-    r2 = b2 @ rhs
-    return (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+    singular = det <= 1e-12 * np.maximum(g11, g22) ** 2
+    det = np.where(singular, 1.0, det)
+    r1 = np.sum(b1 * rhs, axis=1)
+    r2 = np.sum(b2 * rhs, axis=1)
+    x = np.column_stack([(g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det])
+    for i in np.flatnonzero(singular):
+        x[i], *_ = np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)
+    return x
 
 
-def _closure_rates_from_axes(axes1, axes2, rate1, rate2):
+def _closure_rates_from_axes(axes1, axes2, drive):
     e1, e3, e5 = axes1
     e2, e4, _ = axes2
-    rhs = cross3(rate2 * e2 - rate1 * e1, e5)
-    r3, r4 = _solve_passive(cross3(e3, e5), -cross3(e4, e5), rhs)
-    return np.array([rate1, rate2, r3, r4])
+    rate1, rate2 = drive[:, :1], drive[:, 1:]
+    rhs = np.cross(rate2 * e2 - rate1 * e1, e5)
+    return np.hstack([drive, _solve_passive(np.cross(e3, e5), -np.cross(e4, e5), rhs)])
 
 
-def _closure_accels_from_axes(axes1, axes2, rates, accel1, accel2):
+def _closure_accels_from_axes(axes1, axes2, rates, drive):
     e1, e3, e5 = axes1
     e2, e4, _ = axes2
-    d1, d2, d3, d4 = rates
-    v_dot = cross3(d1 * e1 + d3 * e3, e5)
-    e3_dot = d1 * cross3(e1, e3)
-    e4_dot = d2 * cross3(e2, e4)
+    d1, d2, d3, d4 = (rates[:, k:k + 1] for k in range(4))
+    accel1, accel2 = drive[:, :1], drive[:, 1:]
+    v_dot = np.cross(d1 * e1 + d3 * e3, e5)
+    e3_dot = d1 * np.cross(e1, e3)
+    e4_dot = d2 * np.cross(e2, e4)
     rhs = (
-        accel2 * cross3(e2, e5) - accel1 * cross3(e1, e5)
-        + d2 * cross3(e2, v_dot) - d1 * cross3(e1, v_dot)
-        - d3 * (cross3(e3_dot, e5) + cross3(e3, v_dot))
-        + d4 * (cross3(e4_dot, e5) + cross3(e4, v_dot))
+        accel2 * np.cross(e2, e5) - accel1 * np.cross(e1, e5)
+        + d2 * np.cross(e2, v_dot) - d1 * np.cross(e1, v_dot)
+        - d3 * (np.cross(e3_dot, e5) + np.cross(e3, v_dot))
+        + d4 * (np.cross(e4_dot, e5) + np.cross(e4, v_dot))
     )
-    a3, a4 = _solve_passive(cross3(e3, e5), -cross3(e4, e5), rhs)
-    return np.array([accel1, accel2, a3, a4])
+    return np.hstack([drive, _solve_passive(np.cross(e3, e5), -np.cross(e4, e5), rhs)])
 
 
 def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: WristGeometry) -> np.ndarray:
@@ -272,8 +312,8 @@ def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: Wri
     passive rates exactly, keeping downstream dynamics workless at the ideal
     joints.
     """
-    axes1, axes2 = _closure_axes(angles.theta, geometry)
-    return _closure_rates_from_axes(axes1, axes2, rate1, rate2)
+    axes1, axes2 = _closure_axes(angles.theta[None], geometry)
+    return _closure_rates_from_axes(axes1, axes2, np.array([[rate1, rate2]], dtype=float))[0]
 
 
 def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2: float,
@@ -283,19 +323,20 @@ def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2
     Differentiates the rate-closure identity; ``rates`` must already satisfy
     it.
     """
-    axes1, axes2 = _closure_axes(angles.theta, geometry)
-    return _closure_accels_from_axes(axes1, axes2, rates, accel1, accel2)
+    axes1, axes2 = _closure_axes(angles.theta[None], geometry)
+    drive = np.array([[accel1, accel2]], dtype=float)
+    return _closure_accels_from_axes(axes1, axes2, np.reshape(rates, (1, 4)), drive)[0]
 
 
-def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry):
+def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
     """Joint angles, rates, and accelerations along a sampled orientation path.
 
-    Angles come from per-sample inverse kinematics, unwrapped for continuity.
-    The actuated rates and accelerations come from central differencing of
-    the unwrapped series; the passive ones follow from loop closure, so every
-    returned state is exactly consistent for the dynamics stage (the
-    differencing error lands in the actuated coordinates only, still second
-    order).
+    Angles come from inverse kinematics over all samples, unwrapped for
+    continuity.  The actuated rates and accelerations come from central
+    differencing of the unwrapped series; the passive ones follow from loop
+    closure, so every sample is exactly consistent for the dynamics stage
+    (the differencing error lands in the actuated coordinates only, still
+    second order).
     """
     orientations = list(orientations)
     if len(orientations) < 3:
@@ -303,14 +344,7 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry):
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError("dt must be positive")
 
-    theta = np.empty((len(orientations), 4))
-    for i, orientation in enumerate(orientations):
-        try:
-            theta[i] = inverse_kinematics(orientation, geometry).theta
-        except WristError as exc:
-            raise type(exc)(f"sample {i}: {exc}") from exc
-
-    theta = unwrap_angles(theta, axis=0)
+    theta = unwrap_angles(_joint_angles(np.array([o.v for o in orientations]), geometry), axis=0)
     jumps = np.abs(np.diff(theta, axis=0))
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]
@@ -319,14 +353,9 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry):
             " the path crosses a singularity"
         )
 
-    drive = central_difference(TimeSeries(dt, theta[:, :2])).values
-    drive_accel = central_difference(TimeSeries(dt, drive)).values
-
-    states = []
-    for i in range(theta.shape[0]):
-        angles = JointAngles(theta[i])
-        axes1, axes2 = _closure_axes(theta[i], geometry)
-        rates = _closure_rates_from_axes(axes1, axes2, drive[i, 0], drive[i, 1])
-        accels = _closure_accels_from_axes(axes1, axes2, rates, drive_accel[i, 0], drive_accel[i, 1])
-        states.append(JointState(angles, rates, accels, i * dt))
-    return states
+    drive = central_difference(theta[:, :2], dt)
+    drive_accel = central_difference(drive, dt)
+    axes1, axes2 = _closure_axes(theta, geometry)
+    rates = _closure_rates_from_axes(axes1, axes2, drive)
+    accels = _closure_accels_from_axes(axes1, axes2, rates, drive_accel)
+    return JointProfile(np.arange(len(theta)) * dt, theta, rates, accels)

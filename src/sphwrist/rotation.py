@@ -19,25 +19,6 @@ def _require_finite(name, value):
         raise InvalidInputError(f"{name} must be finite")
 
 
-def elementary_rotation(axis, angle: float) -> np.ndarray:
-    """Right-handed rotation about the X or Z axis.
-
-    ``axis`` accepts "x"/"z" in any case, with or without an "-axis" suffix.
-    """
-    _require_finite("angle", angle)
-    key = str(axis).lower().removesuffix("-axis")
-    c, s = math.cos(angle), math.sin(angle)
-    if key == "x":
-        return np.array([[1.0, 0.0, 0.0],
-                         [0.0, c, -s],
-                         [0.0, s, c]])
-    if key == "z":
-        return np.array([[c, -s, 0.0],
-                         [s, c, 0.0],
-                         [0.0, 0.0, 1.0]])
-    raise InvalidInputError(f"unknown rotation axis {axis!r}")
-
-
 def _rot_y(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s],
@@ -45,12 +26,19 @@ def _rot_y(angle: float) -> np.ndarray:
                      [-s, 0.0, c]])
 
 
-def dh_rotation(theta: float, alpha: float) -> np.ndarray:
+def dh_rotation(theta, alpha: float) -> np.ndarray:
     """Frame step for a zero-offset joint: rotate about Z by theta, then about
-    the new X by alpha."""
+    the new X by alpha.  Broadcasts over ``theta``: shape (...) gives (..., 3, 3)."""
+    theta = np.asarray(theta, dtype=float)
     _require_finite("theta", theta)
     _require_finite("alpha", alpha)
-    return elementary_rotation("z", theta) @ elementary_rotation("x", alpha)
+    c, s = np.cos(theta), np.sin(theta)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    R = np.empty(theta.shape + (3, 3))
+    R[..., 0, 0], R[..., 0, 1], R[..., 0, 2] = c, -s * ca, s * sa
+    R[..., 1, 0], R[..., 1, 1], R[..., 1, 2] = s, c * ca, -c * sa
+    R[..., 2, 0], R[..., 2, 1], R[..., 2, 2] = 0.0, sa, ca
+    return R
 
 
 def cross3(a, b) -> np.ndarray:
@@ -135,61 +123,47 @@ class WristGeometry:
 def chain_frames(thetas, geometry: WristGeometry, leg):
     """Frame orientations and joint axes along one leg, in the world frame.
 
+    ``thetas`` holds one joint pair, shape (2,), or one per sample, (N, 2).
     Returns ``(frames, axes)``: three orientation matrices (fixed base frame
-    of the leg, then one per joint step) and their third columns.  Leg 1
-    carries the joint pair (theta1, theta3); leg 2 carries (theta2, theta4).
+    of the leg, then one per joint step), each (..., 3, 3), and their third
+    columns, each (..., 3).  Leg 1 carries the joint pair (theta1, theta3);
+    leg 2 carries (theta2, theta4).
     """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    if thetas.shape != (2,):
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim == 0 or thetas.shape[-1] != 2:
         raise InvalidInputError("each leg carries exactly 2 joint angles")
     _require_finite("thetas", thetas)
     key = str(leg).removeprefix("leg-")
     alpha = geometry.alpha
-    base = geometry.base_axes
     if key == "1":
-        f0 = base
-        f1 = f0 @ dh_rotation(thetas[0], alpha[1])
-        f2 = f1 @ dh_rotation(thetas[1], alpha[3])
+        f0 = geometry.base_axes
+        twists = alpha[1], alpha[3]
     elif key == "2":
-        f0 = base @ _rot_y(alpha[0])
-        f1 = f0 @ dh_rotation(thetas[0], alpha[2])
-        f2 = f1 @ dh_rotation(thetas[1], alpha[4])
+        f0 = geometry.base_axes @ _rot_y(alpha[0])
+        twists = alpha[2], alpha[4]
     else:
         raise InvalidInputError(f"unknown leg {leg!r}")
-    frames = [f0, f1, f2]
-    axes = [f[:, 2].copy() for f in frames]
-    return frames, axes
+    f1 = f0 @ dh_rotation(thetas[..., 0], twists[0])
+    f2 = f1 @ dh_rotation(thetas[..., 1], twists[1])
+    frames = (np.broadcast_to(f0, f1.shape), f1, f2)
+    return frames, tuple(f[..., 2] for f in frames)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled scalar or vector series."""
+def central_difference(values, dt: float) -> np.ndarray:
+    """Second-order time derivative estimate of a uniformly sampled series.
 
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidInputError("dt must be positive")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape[0] < 3:
-            raise InvalidInputError("need at least 3 samples")
-        _require_finite("values", values)
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def central_difference(series: TimeSeries) -> TimeSeries:
-    """Second-order time derivative estimate of a sampled series.
-
-    Central stencils on interior points, one-sided second-order stencils at
-    the two ends; output length equals input length.
+    ``values`` has samples along its first axis.  Central stencils on
+    interior points, one-sided second-order stencils at the two ends; output
+    shape equals input shape.
     """
-    v = series.values
-    dt = series.dt
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError("dt must be positive")
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.shape[0] < 3:
+        raise InvalidInputError("need at least 3 samples")
+    _require_finite("values", v)
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-    return TimeSeries(dt, out)
+    return out

@@ -5,6 +5,7 @@ Both paths move the tool tip at constant speed, so the path angle advances at
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class TrajectorySpec:
             raise InvalidSpecError("radius must be positive")
         if not (np.isfinite(self.tool_speed) and self.tool_speed > 0.0):
             raise InvalidSpecError("tool_speed must be positive")
-        if self.sample_count < 3:
-            raise InvalidSpecError("sample_count must be at least 3")
+        if not (isinstance(self.sample_count, numbers.Integral) and self.sample_count >= 3):
+            raise InvalidSpecError("sample_count must be an integer of at least 3")
         if self.kind == KIND_CIRCLE:
             if self.gamma is None or not np.isfinite(self.gamma):
                 raise InvalidSpecError("circle-XY requires a cone angle gamma")

@@ -255,3 +255,30 @@ def test_cli_invalid_gamma_category(tmp_path, capsys):
                            "--radius", "0.1", "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "error[invalid-spec]" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("sweep", "--gamma", "a", "--radius", "0.1"), "--gamma"),
+    (("sweep", "--gamma", "45", "--radius", "0.1,,"), "--radius"),
+    (("sweep", "--gamma", "", "--radius", "0.1"), "--gamma"),
+    (("motor-check", "--gamma", "45", "--radius", "x"), "--radius"),
+    (("force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,ten"), "--fc"),
+    (("ik", "--v", "1,2"), "--v"),
+    (("ik", "--v", "1,b,0"), "--v"),
+])
+def test_cli_bad_number_list_names_option(capsys, argv, option):
+    # Parsing fails before any output file is opened.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error[invalid-input]: ") and option in err
+    assert err.count("\n") == 1
+
+
+def test_cli_unwritable_output_path(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "x.csv"
+    code, _, err = run_cli(capsys, "traj", "--traj", "circle", "--gamma", "45", "--radius", "0.25",
+                           "--samples", "11", "--out", str(path))
+    assert code == 1
+    assert err.startswith("error[io-error]: ") and str(path) in err
+    assert "Traceback" not in err

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unit_vector, symmetric_rel
 from sphwrist import (
     JointAngles,
+    JointProfile,
+    JointState,
     ToolOrientation,
     WristGeometry,
     forward_kinematics,
@@ -14,6 +18,7 @@ from sphwrist import (
     pan_tilt_from_vector,
     trajectory_joint_profiles,
     vector_from_pan_tilt,
+    wrap_angle,
 )
 from sphwrist.errors import (
     BranchJumpError,
@@ -22,8 +27,9 @@ from sphwrist.errors import (
     SingularConfigurationError,
     SingularOrientationError,
     UnreachableOrientationError,
+    WristError,
 )
-from sphwrist.kinematics import closure_accels, closure_rates
+from sphwrist.kinematics import _joint_angles, closure_accels, closure_rates
 
 
 def test_pan_tilt_to_vector_trivials():
@@ -281,3 +287,88 @@ def test_rate_convergence_against_finer_reference(geometry):
     e_coarse = np.max(np.abs(coarse - ref[::20]))
     e_fine = np.max(np.abs(fine - ref[::10]))
     assert 3.2 < e_coarse / e_fine < 4.8
+
+
+def _profile(geometry, spec):
+    from sphwrist.trajectory import generate
+    samples = generate(spec)
+    return samples, trajectory_joint_profiles([s.orientation for s in samples],
+                                              samples[1].t - samples[0].t, geometry)
+
+
+@pytest.mark.parametrize("kind", ["circle", "semicircle"])
+def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
+    # The profile runs IK and loop closure over all samples at once; each row
+    # must equal the one-sample calls.  The semicircle's midpoint (sample 500)
+    # is a closure singularity, where both closure solves take the min-norm
+    # fallback.
+    from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE, TrajectorySpec
+    if kind == "circle":
+        spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=math.radians(45.0), sample_count=1001)
+    else:
+        spec = TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001)
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: fallbacks.append(a) or lstsq(*a, **k))
+    samples, profile = _profile(geometry, spec)
+    assert len(fallbacks) == (2 if kind == "semicircle" else 0)
+
+    assert len(profile) == 1001 and profile.theta.shape == (1001, 4)
+    np.testing.assert_allclose(profile.t, [s.t for s in samples], rtol=1e-12, atol=0.0)
+    for i, sample in enumerate(samples):
+        theta = inverse_kinematics(sample.orientation, geometry).theta
+        np.testing.assert_allclose(wrap_angle(profile.theta[i] - theta), 0.0, atol=1e-12)
+        angles = JointAngles(profile.theta[i])
+        rates = closure_rates(angles, profile.rates[i, 0], profile.rates[i, 1], geometry)
+        np.testing.assert_allclose(rates, profile.rates[i], rtol=0.0, atol=1e-12)
+        accels = closure_accels(angles, rates, profile.accels[i, 0], profile.accels[i, 1], geometry)
+        np.testing.assert_allclose(accels, profile.accels[i], rtol=0.0, atol=1e-12)
+    assert len(fallbacks) == (4 if kind == "semicircle" else 0)
+
+    state = profile[500]
+    assert isinstance(state, JointState)
+    assert state.t == profile.t[500]
+    np.testing.assert_array_equal(state.angles.theta, profile.theta[500])
+    assert [s.t for s in profile] == list(profile.t)
+
+
+def test_profile_error_names_lowest_failing_sample(geometry):
+    # Sample 3 lies outside the reachable cone, sample 1 on the leg-2 drive
+    # axis; the lower index is reported with its own category.
+    geom = WristGeometry(alpha=[math.pi / 2, math.pi / 3, math.pi / 2, math.pi / 2, math.pi / 2])
+    good = ToolOrientation.normalized([0.2, -0.3, -0.9])
+    on_axis = ToolOrientation(geom.base_axes[:, 0])
+    t = geom.base_axes[:, 2] * math.cos(math.radians(20.0)) + np.array([0.0, 0.0, math.sin(math.radians(20.0))])
+    unreachable = ToolOrientation.normalized(t)
+    with pytest.raises(UnreachableOrientationError, match="^sample 3: "):
+        trajectory_joint_profiles([good, good, good, unreachable, on_axis], 0.01, geom)
+    with pytest.raises(SingularConfigurationError, match="^sample 1: "):
+        trajectory_joint_profiles([good, on_axis, good, unreachable, good], 0.01, geom)
+    with pytest.raises(UnreachableOrientationError, match="^orientation lies outside"):
+        inverse_kinematics(unreachable, geom)
+
+
+def test_joint_profile_validation():
+    with pytest.raises(InvalidInputError):
+        JointProfile(np.zeros(3), np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
+    with pytest.raises(InvalidInputError):
+        JointProfile(np.zeros(3), np.full((3, 4), np.nan), np.zeros((3, 4)), np.zeros((3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)), min_size=1, max_size=40))
+def test_batched_ik_matches_single_calls(pairs):
+    # Directions reached by leg-1 joint pairs are reachable by construction.
+    geometry = WristGeometry()
+    v = np.array([forward_kinematics(t1, t3, geometry).v for t1, t3 in pairs])
+    try:
+        batch = _joint_angles(v, geometry)
+    except WristError as exc:
+        i = int(str(exc).split(":")[0].removeprefix("sample "))
+        with pytest.raises(type(exc)):
+            inverse_kinematics(ToolOrientation(v[i]), geometry)
+        return
+    assert batch.shape == (len(pairs), 4)
+    for row, direction in zip(batch, v):
+        np.testing.assert_allclose(row, inverse_kinematics(ToolOrientation(direction), geometry).theta,
+                                   rtol=0.0, atol=1e-12)

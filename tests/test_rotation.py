@@ -3,47 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sphwrist import (
-    TimeSeries,
-    WristGeometry,
-    central_difference,
-    chain_frames,
-    dh_rotation,
-    elementary_rotation,
-    unwrap_angles,
-    wrap_angle,
-)
+from sphwrist import WristGeometry, central_difference, chain_frames, dh_rotation, unwrap_angles, wrap_angle
 from sphwrist.errors import InvalidInputError
 from sphwrist.rotation import cross3, is_rotation
-
-
-def test_elementary_identity():
-    np.testing.assert_allclose(elementary_rotation("z", 0.0), np.eye(3), atol=1e-15)
-
-
-def test_elementary_quarter_turn_z():
-    R = elementary_rotation("Z-axis", math.pi / 2.0)
-    np.testing.assert_allclose(R @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)
-
-
-def test_elementary_half_turn_x():
-    R = elementary_rotation("X-axis", math.pi)
-    np.testing.assert_allclose(R @ [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], atol=1e-15)
-
-
-def test_elementary_rejects_bad_axis_and_nonfinite():
-    with pytest.raises(InvalidInputError):
-        elementary_rotation("y", 0.1)
-    with pytest.raises(InvalidInputError):
-        elementary_rotation("z", math.nan)
 
 
 def test_rotations_are_orthonormal():
     rng = np.random.default_rng(7)
     for _ in range(200):
         theta, alpha = rng.uniform(-10, 10, size=2)
-        for R in (elementary_rotation("x", theta), elementary_rotation("z", alpha),
-                  dh_rotation(theta, alpha)):
+        for R in (dh_rotation(theta, 0.0), dh_rotation(0.0, alpha), dh_rotation(theta, alpha)):
             assert is_rotation(R, tol=1e-12)
 
 
@@ -52,8 +21,19 @@ def test_dh_identity():
 
 
 def test_dh_pure_twist():
-    np.testing.assert_allclose(dh_rotation(0.0, math.pi / 2.0),
-                               elementary_rotation("x", math.pi / 2.0), atol=1e-15)
+    # A quarter turn about X: y -> z, z -> -y.
+    expected = np.array([[1.0, 0.0, 0.0],
+                         [0.0, 0.0, -1.0],
+                         [0.0, 1.0, 0.0]])
+    np.testing.assert_allclose(dh_rotation(0.0, math.pi / 2.0), expected, atol=1e-15)
+
+
+def test_dh_broadcasts_over_theta():
+    thetas = np.linspace(-3.0, 3.0, 7).reshape(7, 1) + np.zeros((7, 2))
+    R = dh_rotation(thetas, 0.4)
+    assert R.shape == (7, 2, 3, 3)
+    for index in np.ndindex(7, 2):
+        np.testing.assert_allclose(R[index], dh_rotation(thetas[index], 0.4), rtol=0.0, atol=1e-15)
 
 
 def test_dh_quarter_quarter_matches_hand_product():
@@ -98,11 +78,27 @@ def test_chain_frames_outputs_valid(geometry):
             np.testing.assert_allclose(e, R[:, 2], atol=1e-15)
 
 
+def test_chain_frames_batch_rows_match_single_calls(geometry):
+    thetas = np.random.default_rng(9).uniform(-math.pi, math.pi, size=(40, 2))
+    for leg in ("leg-1", "leg-2"):
+        frames, axes = chain_frames(thetas, geometry, leg)
+        assert [f.shape for f in frames] == [(40, 3, 3)] * 3
+        assert [e.shape for e in axes] == [(40, 3)] * 3
+        for i, row in enumerate(thetas):
+            frames_i, axes_i = chain_frames(row, geometry, leg)
+            for batch, single in zip(frames + axes, frames_i + axes_i):
+                np.testing.assert_allclose(batch[i], single, rtol=0.0, atol=1e-15)
+
+
 def test_chain_frames_bad_inputs(geometry):
     with pytest.raises(InvalidInputError):
         chain_frames((0.0, 0.0, 0.0), geometry, 1)
     with pytest.raises(InvalidInputError):
         chain_frames((0.0, 0.0), geometry, 3)
+    with pytest.raises(InvalidInputError):
+        chain_frames(np.zeros((4, 3)), geometry, 1)
+    with pytest.raises(InvalidInputError, match="finite"):
+        chain_frames([[0.0, 0.0], [math.nan, 0.0]], geometry, 1)
 
 
 def test_geometry_defaults_and_validation():
@@ -120,24 +116,21 @@ def test_geometry_defaults_and_validation():
 
 def test_central_difference_constant_and_linear():
     t = np.arange(11) * 0.1
-    const = central_difference(TimeSeries(0.1, np.ones_like(t)))
-    np.testing.assert_allclose(const.values, 0.0, atol=1e-14)
-    ramp = central_difference(TimeSeries(0.1, 5.0 * t))
-    np.testing.assert_allclose(ramp.values, 5.0, atol=1e-12)
+    np.testing.assert_allclose(central_difference(np.ones_like(t), 0.1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(central_difference(5.0 * t, 0.1), 5.0, atol=1e-12)
 
 
 def test_central_difference_exact_on_quadratic():
     # Second-order stencils (interior and one-sided) differentiate a
     # quadratic exactly, ends included.
     t = np.arange(9) * 0.25
-    series = TimeSeries(0.25, 3.0 * t * t - 2.0 * t + 1.0)
-    np.testing.assert_allclose(central_difference(series).values, 6.0 * t - 2.0, atol=1e-12)
+    np.testing.assert_allclose(central_difference(3.0 * t * t - 2.0 * t + 1.0, 0.25), 6.0 * t - 2.0, atol=1e-12)
 
 
 def test_central_difference_sine_convergence():
     def max_err(dt):
         t = np.arange(0.0, 1.0 + dt / 2, dt)
-        d = central_difference(TimeSeries(dt, np.sin(t))).values
+        d = central_difference(np.sin(t), dt)
         return np.max(np.abs(d - np.cos(t)))
 
     e1, e2 = max_err(1e-3), max_err(5e-4)
@@ -148,18 +141,18 @@ def test_central_difference_sine_convergence():
 def test_central_difference_vector_series():
     t = np.arange(5) * 0.5
     values = np.column_stack([t, t ** 2])
-    d = central_difference(TimeSeries(0.5, values)).values
+    d = central_difference(values, 0.5)
     assert d.shape == values.shape
     np.testing.assert_allclose(d[:, 0], 1.0, atol=1e-12)
 
 
 def test_series_validation():
     with pytest.raises(InvalidInputError):
-        TimeSeries(0.0, np.zeros(5))
+        central_difference(np.zeros(5), 0.0)
     with pytest.raises(InvalidInputError):
-        TimeSeries(0.1, np.zeros(2))
+        central_difference(np.zeros(2), 0.1)
     with pytest.raises(InvalidInputError):
-        TimeSeries(0.1, np.array([1.0, np.inf, 2.0]))
+        central_difference(np.array([1.0, np.inf, 2.0]), 0.1)
 
 
 def test_wrap_angle_principal_interval():

@@ -66,6 +66,8 @@ def test_duration_times_speed_equals_span_times_radius():
     dict(kind=KIND_CIRCLE, radius=0.0, gamma=0.5),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, tool_speed=0.0),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, sample_count=2),
+    dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, sample_count=5.5),
+    dict(kind=KIND_SEMICIRCLE, radius=0.1, sample_count=math.nan),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.0),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=math.pi / 2.0),
     dict(kind=KIND_CIRCLE, radius=0.1),
