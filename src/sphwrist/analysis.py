@@ -9,9 +9,9 @@ from .dynamics import (
     CuttingLoad,
     MotorSpec,
     reflected_motor_torque,
-    solve_trajectory,
+    virtual_work_torques,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, WristError
 from .kinematics import JointProfile, trajectory_joint_profiles
 from .trajectory import TrajectorySpec, generate
 
@@ -72,11 +72,10 @@ def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GR
                      load: CuttingLoad | None = None):
     """Joint torques and output-shaft torques of both actuators, each (N, 2).
 
-    One Newton-Euler solve per sample; the shaft torque adds each motor's
-    reflected rotor inertia.
+    Joint torques by virtual work over the whole profile; the shaft torque
+    adds each motor's reflected rotor inertia.
     """
-    _, solutions = solve_trajectory(profile, geometry, bodies, gravity, load)
-    tau = np.array([sol.tau for sol in solutions])
+    tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
     shaft = np.column_stack([reflected_motor_torque(tau[:, i], profile.accels[:, i], motor)
                              for i, motor in enumerate(_motor_pair(motors))])
     return tau, shaft
@@ -94,7 +93,8 @@ def _peak_record(spec, profile, geometry, bodies, motors, gravity, load):
     )
 
 
-def _spec_error(spec, exc):
+def _spec_error(spec, exc: WristError) -> WristError:
+    # Every WristError subclass takes one message, so the category is kept.
     return type(exc)(f"spec (kind={spec.kind}, gamma={spec.gamma}, R={spec.radius}): {exc}")
 
 
@@ -105,7 +105,7 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
         try:
             profile = profile_for_spec(spec, geometry)
             records.append(_peak_record(spec, profile, geometry, bodies, motors, gravity, load))
-        except Exception as exc:
+        except WristError as exc:
             raise _spec_error(spec, exc) from exc
     return records
 
@@ -125,7 +125,7 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
         return [(fc, _peak_record(base_spec, profile, geometry, bodies, motors, gravity,
                                   CuttingLoad((fc, fc, fc), lc)))
                 for fc in fc_values]
-    except Exception as exc:
+    except WristError as exc:
         raise _spec_error(base_spec, exc) from exc
 
 

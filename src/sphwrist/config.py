@@ -28,12 +28,6 @@ class Config:
     sample_count: int
     tool_speed: float
 
-    def body(self, name: str) -> BodyParams:
-        for b in self.bodies:
-            if b.name == name:
-                return b
-        raise ConfigError(f"no body named {name!r}")
-
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a dict of float lists."""

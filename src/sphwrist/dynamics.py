@@ -13,6 +13,12 @@ solution resolves it, and the actuator torques are invariant to that choice.
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
+
+The studies take their actuator torques from ``virtual_work_torques``: the
+principle of virtual work over a whole joint profile at once, with the
+velocity field of each actuator from loop closure.  It gives the same
+torques without the reactions; the per-sample Newton-Euler solve stays as
+the reactions API and as the independent check on it.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from .kinematics import JointState
+from .kinematics import JointProfile, JointState, _closure_rates_from_axes, _closure_singular
 from .rotation import WristGeometry, chain_frames, cross3
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -256,12 +262,16 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
+def _cutting_wrench(e3, e5, load: CuttingLoad, cross):
+    # ``cross`` is cross3 for one sample's axes, np.cross for (N, 3) stacks.
+    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross(e3, e5)
+    tip = load.lever * e5
+    return f, cross(tip, f)
+
+
 def cutting_wrench(motion: WristMotion, load: CuttingLoad):
     """World-frame force at the tool tip and its moment about the center."""
-    e3, e5 = motion.axes["e3"], motion.axes["e5"]
-    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross3(e3, e5)
-    tip = load.lever * e5
-    return f, cross3(tip, f)
+    return _cutting_wrench(motion.axes["e3"], motion.axes["e5"], load, cross3)
 
 
 def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> AssembledSystem:
@@ -455,3 +465,78 @@ def solve_trajectory(states, geometry: WristGeometry, bodies,
         solutions.append(solution)
     return motions, solutions
 
+
+def _body_tensor_product(R, tensor, v):
+    # World-frame (tensor @ v) per sample, for a symmetric tensor held
+    # constant in the body frame: R (N, 3, 3), v (N, 3).
+    return np.einsum("nij,nj->ni", R, np.einsum("nji,nj->ni", R, v) @ tensor)
+
+
+def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
+                         gravity=GRAVITY, load: CuttingLoad | None = None) -> np.ndarray:
+    """Actuator joint torques of every sample of a profile, (N, 2), by virtual work.
+
+    Each body's moment about the wrist center, inertial less gravity (and
+    less the cutting moment on the terminal), is M_b = I_O w_dot + w x I_O w
+    - r x m g.  The ideal joints do no work, so for a unit rate of actuator k,
+    with w_b^(k) each body's angular velocity then (from loop closure),
+    tau_k = sum_b w_b^(k) . M_b.  Grouped by joint j with axis e_j and
+    unit-rate u_kj: tau_k = sum_j u_kj e_j . (sum of M_b over the bodies j
+    carries).  The torques equal those of the Newton-Euler solve, without
+    its reactions.
+
+    Raises for the lowest failing sample, named by index and time: legs that
+    do not close the loop (inconsistent-state), or passive axes that align,
+    where ideal joints cannot realize a general motion (model-inconsistency).
+    The Newton-Euler gate rejects such a sample too, unless its loads happen
+    to do no work on the self-motion there (at rest with the tool
+    horizontal, for one).
+    """
+    params = _index_bodies(bodies)
+    gravity = _as_vector("gravity", gravity)
+    load = load if load is not None else CuttingLoad()
+    th, dth, ddth = profile.theta, profile.rates, profile.accels
+
+    frames1, axes1 = chain_frames(th[:, [0, 2]], geometry, "leg-1")
+    frames2, axes2 = chain_frames(th[:, [1, 3]], geometry, "leg-2")
+    e1, e3, e5 = axes1
+    e2, e4, e6 = axes2
+
+    closure = np.linalg.norm(e5 - e6, axis=1)
+    open_loop = closure > CLOSURE_TOL
+    failed = open_loop | _closure_singular(axes1, axes2)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if open_loop[i]:
+            error, message = InconsistentStateError, (
+                f"legs disagree on the tool axis by {closure[i]:.2e}; joint angles do not close the loop")
+        else:
+            error, message = ModelInconsistencyError, (
+                "the passive joint axes align; ideal joints cannot realize the motion at this sample")
+        raise error(f"sample {i} (t = {profile.t[i]:.6g} s): {message}")
+
+    d1, d2, d3, d4 = (dth[:, k:k + 1] for k in range(4))
+    a1, a2, a3, a4 = (ddth[:, k:k + 1] for k in range(4))
+    motion = {
+        "proximal-1": (frames1[1], d1 * e1, a1 * e1),
+        "terminal": (frames1[2], d1 * e1 + d3 * e3, a1 * e1 + a3 * e3 + d1 * d3 * np.cross(e1, e3)),
+        "proximal-2": (frames2[1], d2 * e2, a2 * e2),
+        "distal": (frames2[2], d2 * e2 + d4 * e4, a2 * e2 + a4 * e4 + d2 * d4 * np.cross(e2, e4)),
+    }
+    moment = {}
+    for name, (R, omega, omega_dot) in motion.items():
+        p = params[name]
+        c = p.com_offset
+        inertia_o = p.inertia + p.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
+        moment[name] = (_body_tensor_product(R, inertia_o, omega_dot)
+                        + np.cross(omega, _body_tensor_product(R, inertia_o, omega))
+                        - np.cross(R @ c, p.mass * gravity))
+    moment["terminal"] = moment["terminal"] - _cutting_wrench(e3, e5, load, np.cross)[1]
+
+    q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
+    tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
+                           np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
+    for k, drive in enumerate(np.eye(2)):
+        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (len(th), 1)))[:, 2:]
+        tau[:, k] += np.sum(passive * q_passive, axis=1)
+    return tau

@@ -262,30 +262,50 @@ def _closure_axes(theta, geometry):
     return axes1, axes2
 
 
-def _solve_passive(b1, b2, rhs):
-    # Row-wise normal-equation solve of [b1, b2] x = rhs; minimum-norm where
-    # the passive axes momentarily align (a genuine wrist singularity), which
-    # is also the correct compatible answer there.
+def _passive_columns(axes1, axes2):
+    # Tool-axis velocity per unit rate of the terminal joint (leg 1) and,
+    # negated, of the distal joint (leg 2); loop closure solves
+    # [b1, b2] x = rhs for those two rates.
+    _, e3, e5 = axes1
+    _, e4, _ = axes2
+    return np.cross(e3, e5), -np.cross(e4, e5)
+
+
+def _passive_singular(b1, b2):
+    # Rows where the Gram matrix of the passive columns is singular: the
+    # passive axes momentarily align (a genuine wrist singularity).
     g11 = np.sum(b1 * b1, axis=1)
     g12 = np.sum(b1 * b2, axis=1)
     g22 = np.sum(b2 * b2, axis=1)
-    det = g11 * g22 - g12 * g12
-    singular = det <= 1e-12 * np.maximum(g11, g22) ** 2
-    det = np.where(singular, 1.0, det)
-    r1 = np.sum(b1 * rhs, axis=1)
-    r2 = np.sum(b2 * rhs, axis=1)
-    x = np.column_stack([(g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det])
+    return g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
+
+
+def _closure_singular(axes1, axes2) -> np.ndarray:
+    """Rows of stacked leg axes (as ``chain_frames`` returns them) where the
+    passive rates are not determined by the actuated ones."""
+    return _passive_singular(*_passive_columns(axes1, axes2))
+
+
+def _solve_passive(b1, b2, rhs):
+    # Row-wise solve of [b1, b2] x = rhs by Cramer's rule against the normal
+    # n = b1 x b2, which keeps full accuracy next to a singularity, where the
+    # normal equations square the conditioning.  Minimum-norm on the singular
+    # rows, which is also the correct compatible answer there.
+    singular = _passive_singular(b1, b2)
+    n = np.cross(b1, b2)
+    nn = np.where(singular, 1.0, np.sum(n * n, axis=1))
+    x = np.column_stack([np.sum(np.cross(rhs, b2) * n, axis=1), np.sum(np.cross(b1, rhs) * n, axis=1)]) / nn[:, None]
     for i in np.flatnonzero(singular):
         x[i], *_ = np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)
     return x
 
 
 def _closure_rates_from_axes(axes1, axes2, drive):
-    e1, e3, e5 = axes1
-    e2, e4, _ = axes2
+    e1, _, e5 = axes1
+    e2, _, _ = axes2
     rate1, rate2 = drive[:, :1], drive[:, 1:]
     rhs = np.cross(rate2 * e2 - rate1 * e1, e5)
-    return np.hstack([drive, _solve_passive(np.cross(e3, e5), -np.cross(e4, e5), rhs)])
+    return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
 
 
 def _closure_accels_from_axes(axes1, axes2, rates, drive):
@@ -302,7 +322,7 @@ def _closure_accels_from_axes(axes1, axes2, rates, drive):
         - d3 * (np.cross(e3_dot, e5) + np.cross(e3, v_dot))
         + d4 * (np.cross(e4_dot, e5) + np.cross(e4, v_dot))
     )
-    return np.hstack([drive, _solve_passive(np.cross(e3, e5), -np.cross(e4, e5), rhs)])
+    return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
 
 
 def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: WristGeometry) -> np.ndarray:

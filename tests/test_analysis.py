@@ -20,8 +20,9 @@ from sphwrist.analysis import (
     TORQUE_INFEASIBLE,
     TORQUE_INTERMITTENT,
 )
-from sphwrist.errors import InvalidInputError
-from sphwrist.trajectory import KIND_CIRCLE
+from sphwrist import analysis
+from sphwrist.errors import InvalidInputError, ModelInconsistencyError
+from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
 def circle_spec(gamma_deg, radius, n=301):
@@ -58,6 +59,30 @@ def test_sweep_peaks_order_and_error_context(geometry, bodies, motor):
     recs = sweep_peaks(specs, geometry, bodies, motor)
     assert [r.radius for r in recs] == [0.25, 0.1]
     assert recs[1].max_rates[0] > recs[0].max_rates[0]
+    # A failing spec is named ahead of the failing sample; the category stays.
+    singular = TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001)
+    with pytest.raises(ModelInconsistencyError) as info:
+        sweep_peaks([specs[0], singular], geometry, bodies, motor)
+    assert str(info.value).startswith("spec (kind=semicircle-YZ, gamma=None, R=0.25): sample 500 (t = ")
+
+
+@pytest.mark.parametrize("study", ["sweep", "force-sweep"])
+def test_studies_pass_other_exceptions_through(geometry, bodies, motor, monkeypatch, study):
+    # Only WristErrors get the spec prefix; an exception whose constructor
+    # takes other arguments propagates as raised.
+    raised = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def fail(spec, geometry):
+        raise raised
+
+    monkeypatch.setattr(analysis, "profile_for_spec", fail)
+    spec = circle_spec(45.0, 0.15, 51)
+    with pytest.raises(UnicodeDecodeError) as info:
+        if study == "sweep":
+            sweep_peaks([spec], geometry, bodies, motor)
+        else:
+            force_sweep(spec, [0.0], 0.11, geometry, bodies, motor)
+    assert info.value is raised
 
 
 def test_force_sweep_zero_force_matches_no_load(geometry, bodies, motor):

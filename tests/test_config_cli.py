@@ -107,7 +107,7 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "params.cfg"
     path.write_text(default_config_text())
     config = load_config(path)
-    assert config.body("distal").mass == 0.45
+    assert next(b for b in config.bodies if b.name == "distal").mass == 0.45
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -192,11 +192,13 @@ def test_cli_dynamics_no_load_not_flagged(tmp_path, capsys):
 
 
 def test_cli_dynamics_names_failing_sample(tmp_path, capsys):
-    # The semicircle's midpoint is a wrist singularity the solve gate rejects.
+    # The semicircle's midpoint is a wrist singularity: no ideal-joint torques
+    # realize the motion there.
     code, _, err = run_cli(capsys, "dynamics", "--traj", "semicircle", "--radius", "0.25",
                            "--out", str(tmp_path / "dyn.csv"))
     assert code == 1
-    assert err.startswith("error[model-inconsistency]: sample 500 (t = ")
+    assert err.startswith("error[model-inconsistency]: sample 500 (t = 0.261799 s): ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_sweep_emits_reference_grid(tmp_path, capsys):

@@ -3,18 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sphwrist import (
     GRAVITY,
     BodyParams,
     CuttingLoad,
     JointAngles,
+    JointProfile,
     JointState,
     ToolOrientation,
     TrajectorySpec,
     assemble_system,
     body_motion,
     chain_frames,
+    default_config,
+    forward_kinematics,
     generate,
     inverse_kinematics,
     power_balance_residual,
@@ -23,9 +28,11 @@ from sphwrist import (
     solve_trajectory,
     solve_wrenches,
     trajectory_joint_profiles,
+    virtual_work_torques,
 )
 from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS
-from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError
+from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
+from sphwrist.kinematics import _closure_axes, _closure_singular, _joint_angles, closure_accels, closure_rates
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -277,3 +284,135 @@ def test_residuals_along_circle(geometry, bodies):
     states = circle_states(geometry, 60.0, 0.05, 301)
     _, sols = solve_trajectory(states, geometry, bodies)
     assert max(s.residual for s in sols) < 1e-8
+
+
+# --- virtual-work torques against the Newton-Euler oracle -------------------
+# Power balance is the rate-weighted sum of the virtual-work equations, so it
+# cannot check them; the Newton-Euler solve can.
+
+def semicircle_states(geometry, radius, n):
+    samples = generate(TrajectorySpec(kind=KIND_SEMICIRCLE, radius=radius, sample_count=n))
+    return trajectory_joint_profiles([s.orientation for s in samples], samples[1].t - samples[0].t, geometry)
+
+
+def profile_rows(profile, rows):
+    return JointProfile(profile.t[rows], profile.theta[rows], profile.rates[rows], profile.accels[rows])
+
+
+def column_rel(a, b):
+    """Largest difference in each torque column, against that column's largest magnitude."""
+    return np.max(np.abs(a - b), axis=0) / np.max(np.abs(b), axis=0)
+
+
+def virtual_work_rejections(profile, geometry, bodies):
+    """Virtual-work torques on the samples it accepts, those samples, and the
+    ones it rejects; each call names the lowest rejected sample, which is
+    dropped before the next."""
+    keep = np.arange(len(profile))
+    rejected = []
+    while True:
+        try:
+            return virtual_work_torques(profile_rows(profile, keep), geometry, bodies), keep, rejected
+        except ModelInconsistencyError as exc:
+            i = int(keep[int(str(exc).split()[1])])
+            rejected.append(i)
+            keep = keep[keep != i]
+
+
+@pytest.mark.parametrize("trajectory, load", [
+    (("circle", 45.0, 0.15), None),
+    (("circle", 45.0, 0.15), CuttingLoad((100.0, 100.0, 100.0), 0.11)),
+    (("circle", 30.0, 0.05), None),
+    (("semicircle", None, 0.25), None),
+])
+def test_virtual_work_matches_newton_euler(geometry, bodies, trajectory, load):
+    kind, gamma, radius = trajectory
+    if kind == "circle":
+        profile = circle_states(geometry, gamma, radius, 301)
+    else:
+        # Sample 500 is the singular midpoint, where neither path has torques.
+        profile = semicircle_states(geometry, radius, 1001)
+        profile = profile_rows(profile, np.arange(len(profile)) != 500)
+    _, sols = solve_trajectory(profile, geometry, bodies, GRAVITY, load)
+    tau_ne = np.array([s.tau for s in sols])
+    tau_vw = virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
+    assert tau_vw.shape == (len(profile), 2)
+    assert np.all(column_rel(tau_vw, tau_ne) < 1e-10)
+
+
+@pytest.mark.parametrize("n", [101, 999, 1000, 1001, 2001])
+def test_virtual_work_rejects_what_the_gate_rejects(geometry, bodies, n):
+    profile = semicircle_states(geometry, 0.25, n)
+    tau_ne = np.full((n, 2), np.nan)
+    gate = []
+    for i, state in enumerate(profile):
+        try:
+            tau_ne[i] = solve_state(state, geometry, bodies)[1].tau
+        except ModelInconsistencyError:
+            gate.append(i)
+    tau_vw, kept, rejected = virtual_work_rejections(profile, geometry, bodies)
+    assert rejected == gate
+    assert gate == ([] if n % 2 == 0 else [n // 2])
+    assert np.all(column_rel(tau_vw, tau_ne[kept]) < 1e-10)
+
+
+def test_virtual_work_names_the_failing_sample(geometry, bodies):
+    profile = semicircle_states(geometry, 0.25, 1001)
+    with pytest.raises(ModelInconsistencyError, match=r"^sample 500 \(t = 0\.261799 s\): "):
+        virtual_work_torques(profile, geometry, bodies)
+    # Legs that do not close the loop are named as such, as in body_motion.
+    theta = profile.theta.copy()
+    theta[300:, 3] += 1e-3
+    broken = JointProfile(profile.t, theta, profile.rates, profile.accels)
+    with pytest.raises(InconsistentStateError, match=r"^sample 300 \(t = "):
+        virtual_work_torques(broken, geometry, bodies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.lists(st.tuples(*[st.floats(-math.pi, math.pi)] * 2, *[st.floats(-20.0, 20.0)] * 2,
+                               *[st.floats(-500.0, 500.0)] * 2), min_size=1, max_size=6),
+    f_c=st.tuples(*[st.floats(-200.0, 200.0)] * 3),
+    lever=st.floats(0.0, 0.3),
+)
+# A singular sample at rest, which the gate accepts, next to a sample 1e-5 rad
+# from it, where a normal-equation closure solve lost six digits.
+@example(samples=[(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (1e-5, 1.0, 0.0, 0.0, 0.0, 0.0)], f_c=(0.0, 0.0, 0.0), lever=0.0)
+@example(samples=[(1e-6, 1.0, 0.7, -1.3, 3.0, 2.0)], f_c=(50.0, -20.0, 10.0), lever=0.11)
+def test_virtual_work_matches_solve_state(samples, f_c, lever):
+    # Directions reached by leg-1 joint pairs are reachable by construction;
+    # random actuated rates and accelerations, completed by loop closure.
+    config = default_config()
+    geometry, bodies = config.geometry, config.bodies
+    v = np.array([forward_kinematics(t1, t3, geometry).v for t1, t3, *_ in samples])
+    try:
+        theta = _joint_angles(v, geometry)
+    except WristError:
+        assume(False)
+    rates, accels = [], []
+    for th, (_, _, r1, r2, a1, a2) in zip(theta, samples):
+        rates.append(closure_rates(JointAngles(th), r1, r2, geometry))
+        accels.append(closure_accels(JointAngles(th), rates[-1], a1, a2, geometry))
+    profile = JointProfile(0.01 * np.arange(len(samples)), theta, rates, accels)
+    load = CuttingLoad(f_c, lever)
+    singular = _closure_singular(*_closure_axes(theta, geometry))
+
+    tau_ne, accepted = [], []
+    for i, state in enumerate(profile):
+        try:
+            tau_ne.append(solve_state(state, geometry, bodies, config.gravity, load)[1].tau)
+            accepted.append(i)
+        except ModelInconsistencyError:
+            assert singular[i]
+    # The gate also accepts a singular sample whose loads do no work on the
+    # self-motion (at rest with the tool horizontal, gravity has no moment
+    # about the vertical); virtual work rejects every singular sample.
+    if singular.any():
+        with pytest.raises(ModelInconsistencyError, match=rf"^sample {int(np.argmax(singular))} "):
+            virtual_work_torques(profile, geometry, bodies, config.gravity, load)
+    kept = [i for i in accepted if not singular[i]]
+    assume(kept)
+    tau_vw = virtual_work_torques(profile_rows(profile, kept), geometry, bodies, config.gravity, load)
+    tau_ne = np.array([tau for i, tau in zip(accepted, tau_ne) if not singular[i]])
+    scale = np.max(np.abs(tau_ne), axis=1, keepdims=True)
+    assert np.all(np.abs(tau_vw - tau_ne) <= 1e-9 * scale)
