@@ -10,11 +10,11 @@ from .kinematics import (JointAngles, JointProfile, JointState, ToolOrientation,
                          inverse_kinematics, leg2_tool_axis, pan_tilt_from_vector, trajectory_joint_profiles,
                          vector_from_pan_tilt)
 from .rotation import WristGeometry, central_difference, chain_frames, dh_rotation, unwrap_angles, wrap_angle
-from .trajectory import TimedOrientation, TrajectorySpec, generate, traj_circle, traj_semicircle
+from .trajectory import OrientationPath, TimedOrientation, TrajectorySpec, generate, traj_circle, traj_semicircle
 
 __all__ = [
     "BodyParams", "Config", "CuttingLoad", "DynamicsSolution", "FeasibilityReport",
-    "GRAVITY", "JointAngles", "JointProfile", "JointState", "MotorSpec", "PeakRecord",
+    "GRAVITY", "JointAngles", "JointProfile", "JointState", "MotorSpec", "OrientationPath", "PeakRecord",
     "TimedOrientation", "ToolOrientation", "TrajectorySpec", "WristError",
     "WristGeometry", "WristMotion", "assemble_system", "body_motion",
     "central_difference", "chain_frames", "default_config", "dh_rotation",

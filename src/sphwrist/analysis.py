@@ -64,8 +64,8 @@ def _motor_pair(motors):
 
 def profile_for_spec(spec: TrajectorySpec, geometry) -> JointProfile:
     """Joint profile along the generated path of one trajectory spec."""
-    samples = generate(spec)
-    return trajectory_joint_profiles([s.orientation for s in samples], samples[1].t - samples[0].t, geometry)
+    path = generate(spec)
+    return trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
 
 
 def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GRAVITY,

@@ -22,9 +22,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _finite_output(header, rows) -> np.ndarray:
+    """``rows`` as a 2-D float array, checked once for finite values; the
+    error names the column and the first row of a non-finite entry."""
+    rows = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InvalidInputError(f"output {header[col]} is {rows[row, col]} at row {row};"
+                                " the inputs overflow double precision")
+    return rows
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    lines.extend(",".join(_fmt(x) for x in row) for row in _finite_output(header, rows).tolist())
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -90,7 +102,7 @@ _PROFILE_HEADER = (
 
 def cmd_traj(args, config):
     profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
-    rows = np.column_stack([profile.t, profile.theta, profile.rates, profile.accels]).tolist()
+    rows = np.column_stack([profile.t, profile.theta, profile.rates, profile.accels])
     write_csv(args.out, _PROFILE_HEADER, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
     return 0
@@ -101,7 +113,7 @@ def cmd_dynamics(args, config):
     load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
     tau, shaft = analysis.actuator_torques(profile, config.geometry, config.bodies, config.motors,
                                            config.gravity, load)
-    rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]]).tolist()
+    rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]])
     write_csv(args.out, ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} samples to {args.out}")
     shaft_peak = np.max(np.abs(shaft), axis=0)
@@ -153,6 +165,7 @@ def cmd_motor_check(args, config):
         np.max([getattr(rec, field) for rec in records], axis=0)
         for field in ("max_rates", "max_accels", "max_torques", "max_powers")
     ))
+    _finite_output(["T1_Nm", "T2_Nm"], [envelope.max_torques])
     report = analysis.motor_feasibility(envelope, config.motors)
     for i, a in enumerate(report.actuators):
         print(
@@ -231,13 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else default_config()
-        # Unset run options take their values from the config (ik and fk have none).
-        for name, value in (("speed", config.tool_speed), ("samples", config.sample_count),
-                            ("lc", config.geometry.tool_length)):
-            if getattr(args, name, value) is None:
-                setattr(args, name, value)
-        return args.func(args, config)
+        # Overflow and invalid-operation warnings stay silent: every non-finite
+        # value still ends in a categorised error, from a stage's own check or
+        # from the output check.
+        with np.errstate(all="ignore"):
+            config = load_config(args.config) if args.config else default_config()
+            # Unset run options take their values from the config (ik and fk have none).
+            for name, value in (("speed", config.tool_speed), ("samples", config.sample_count),
+                                ("lc", config.geometry.tool_length)):
+                if getattr(args, name, value) is None:
+                    setattr(args, name, value)
+            return args.func(args, config)
     except WristError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -409,7 +409,8 @@ def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
     """Output-shaft torque including the reflected rotor inertia, elementwise."""
     if not (np.all(np.isfinite(tau_joint)) and np.all(np.isfinite(joint_accel))):
         raise InvalidInputError("torque and acceleration must be finite")
-    return tau_joint + motor.rotor_inertia * motor.reduction_ratio ** 2 * joint_accel
+    # np.square overflows to inf where float ** 2 raises OverflowError.
+    return tau_joint + motor.rotor_inertia * np.square(motor.reduction_ratio) * joint_accel
 
 
 def power_balance_residual(state: JointState, solution: DynamicsSolution, motion: WristMotion,

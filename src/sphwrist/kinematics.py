@@ -52,6 +52,22 @@ class ToolOrientation:
         return cls(v / n)
 
 
+def _unit_directions(v) -> np.ndarray:
+    """Read-only (N, 3) float copy of stacked tool directions, checked with
+    the ``ToolOrientation`` rules; the error names the lowest failing sample."""
+    v = np.array(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
+    finite = np.all(np.isfinite(v), axis=1)
+    bad = ~finite | ~(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = "finite" if not finite[i] else "unit length"
+        raise InvalidInputError(f"sample {i}: tool orientation must be {problem}")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class JointAngles:
     """The four joint angles (leg 1: first and third; leg 2: second and fourth)."""
@@ -351,6 +367,10 @@ def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
     """Joint angles, rates, and accelerations along a sampled orientation path.
 
+    ``orientations`` is an (N, 3) array of unit world-frame tool directions,
+    such as an ``OrientationPath``'s ``v``, checked here with the
+    ``ToolOrientation`` rules; or a sequence of ``ToolOrientation``.
+
     Angles come from inverse kinematics over all samples, unwrapped for
     continuity.  The actuated rates and accelerations come from central
     differencing of the unwrapped series; the passive ones follow from loop
@@ -358,13 +378,16 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     (the differencing error lands in the actuated coordinates only, still
     second order).
     """
-    orientations = list(orientations)
-    if len(orientations) < 3:
+    if isinstance(orientations, np.ndarray):
+        v = _unit_directions(orientations)
+    else:
+        v = np.array([o.v for o in orientations])
+    if len(v) < 3:
         raise InvalidInputError("need at least 3 samples to differentiate")
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError("dt must be positive")
 
-    theta = unwrap_angles(_joint_angles(np.array([o.v for o in orientations]), geometry), axis=0)
+    theta = unwrap_angles(_joint_angles(v, geometry), axis=0)
     jumps = np.abs(np.diff(theta, axis=0))
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]

@@ -1,7 +1,8 @@
 """Generators for the two benchmark tool-orientation paths.
 
 Both paths move the tool tip at constant speed, so the path angle advances at
-``tool_speed / radius``.  Orientations are emitted in the world frame.
+``tool_speed / radius``.  Each generator returns one ``OrientationPath``:
+sample times and world-frame tool directions as arrays.
 """
 
 import math
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .kinematics import ToolOrientation
+from .errors import InvalidInputError, InvalidSpecError
+from .kinematics import ToolOrientation, _unit_directions
 
 KIND_SEMICIRCLE = "semicircle-YZ"
 KIND_CIRCLE = "circle-XY"
@@ -40,8 +41,10 @@ class TrajectorySpec:
         if not (isinstance(self.sample_count, numbers.Integral) and self.sample_count >= 3):
             raise InvalidSpecError("sample_count must be an integer of at least 3")
         if self.kind == KIND_CIRCLE:
-            if self.gamma is None or not np.isfinite(self.gamma):
+            if self.gamma is None:
                 raise InvalidSpecError("circle-XY requires a cone angle gamma")
+            if not np.isfinite(self.gamma):
+                raise InvalidSpecError(f"gamma must be finite, got {self.gamma}")
             if not 0.0 < self.gamma < math.pi / 2.0:
                 raise InvalidSpecError("gamma must lie strictly between 0 and pi/2")
 
@@ -52,7 +55,37 @@ class TimedOrientation:
     orientation: ToolOrientation
 
 
-def traj_semicircle(spec: TrajectorySpec):
+@dataclass(frozen=True)
+class OrientationPath:
+    """Tool orientations along a sampled path, as arrays: times ``t`` (N,) and
+    unit world-frame directions ``v`` (N, 3), read-only.
+
+    Indexing, and iteration through it, yield one ``TimedOrientation`` per
+    sample.
+    """
+
+    t: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        v = _unit_directions(self.v)
+        t = np.array(self.t, dtype=float)
+        if t.shape != (len(v),):
+            raise InvalidInputError(f"path times must have shape {(len(v),)}, got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise InvalidInputError(f"sample {int(np.argmax(~np.isfinite(t)))}: time must be finite")
+        t.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> TimedOrientation:
+        return TimedOrientation(float(self.t[i]), ToolOrientation(self.v[i]))
+
+
+def traj_semicircle(spec: TrajectorySpec) -> OrientationPath:
     """Semicircular sweep in the vertical YZ plane.
 
     The path angle runs from pi/6 to 5*pi/6; total duration is
@@ -62,16 +95,11 @@ def traj_semicircle(spec: TrajectorySpec):
         raise InvalidSpecError(f"expected {KIND_SEMICIRCLE!r}, got {spec.kind!r}")
     rate = spec.tool_speed / spec.radius
     delta = np.linspace(math.pi / 6.0, 5.0 * math.pi / 6.0, spec.sample_count)
-    return [
-        TimedOrientation(
-            (d - delta[0]) / rate,
-            ToolOrientation(np.array([0.0, -math.sin(d), -math.cos(d)])),
-        )
-        for d in delta
-    ]
+    v = np.column_stack([np.zeros_like(delta), -np.sin(delta), -np.cos(delta)])
+    return OrientationPath((delta - delta[0]) / rate, v)
 
 
-def traj_circle(spec: TrajectorySpec):
+def traj_circle(spec: TrajectorySpec) -> OrientationPath:
     """Full circle in the horizontal XY plane at constant cone angle gamma.
 
     The path angle runs from 0 to 2*pi; total duration is
@@ -82,16 +110,11 @@ def traj_circle(spec: TrajectorySpec):
     rate = spec.tool_speed / spec.radius
     sg, cg = math.sin(spec.gamma), math.cos(spec.gamma)
     delta = np.linspace(0.0, 2.0 * math.pi, spec.sample_count)
-    return [
-        TimedOrientation(
-            d / rate,
-            ToolOrientation(np.array([sg * math.cos(d), sg * math.sin(d), -cg])),
-        )
-        for d in delta
-    ]
+    v = np.column_stack([sg * np.cos(delta), sg * np.sin(delta), np.full_like(delta, -cg)])
+    return OrientationPath(delta / rate, v)
 
 
-def generate(spec: TrajectorySpec):
+def generate(spec: TrajectorySpec) -> OrientationPath:
     """Dispatch on the trajectory kind."""
     if spec.kind == KIND_SEMICIRCLE:
         return traj_semicircle(spec)

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sphwrist
 from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
 from sphwrist.cli import main
 from sphwrist.config import config_from_text, default_config, default_config_text, load_config
@@ -284,3 +294,83 @@ def test_cli_unwritable_output_path(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error[io-error]: ") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("dynamics", "--traj", "circle", "--gamma", "45", "--radius", "0.1", "--speed", "1e150"),
+     "output P1_W is inf at row 0"),
+    (("traj", "--radius", "1e-300", "--gamma", "45"), "profile accels must hold finite values"),
+    (("dynamics", "--radius", "0.1", "--gamma", "45", "--fc", "1e200", "--lc", "1e200"),
+     "torque and acceleration must be finite"),
+])
+def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
+    # A separate interpreter, so that numpy warnings reach stderr as they
+    # would from the command line.
+    out = tmp_path / "x.csv"
+    src = str(Path(sphwrist.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "sphwrist.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[invalid-input]: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("dynamics", "--gamma", "45", "--radius", "0.1", "--samples", "21"), "tau1_shaft_Nm"),
+    (("motor-check", "--gamma", "45", "--radius", "0.1", "--samples", "21"), "T1_Nm"),
+])
+def test_cli_reflected_inertia_overflow_is_one_error(tmp_path, monkeypatch, capsys, argv, column):
+    # The square of this ratio overflows; the shaft torque becomes inf.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "ratio.cfg"
+    path.write_text(default_config_text().replace("motor.1.reduction_ratio = 1.0", "motor.1.reduction_ratio = 1e200"))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 1 and out == "" and not any(tmp_path.glob("*.csv"))
+    assert err == f"error[invalid-input]: output {column} is inf at row 0; the inputs overflow double precision\n"
+
+
+def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--gamma", "45,nan", "--radius", "0.1", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err == "error[invalid-spec]: gamma must be finite, got nan\n"
+
+
+# Wide draws: tiny, huge, negative and non-finite values, plus ordinary ones.
+_WIDE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-300, 1e300, -1e-300, -1e300, 5e-324, 1.7e308, 0.0, -0.0]),
+    st.floats(min_value=-200.0, max_value=200.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["traj", "dynamics"]),
+    kind=st.sampled_from(["circle", "semicircle"]),
+    samples=st.integers(min_value=3, max_value=41),
+    values=st.fixed_dictionaries({}, optional={name: _WIDE for name in ("radius", "gamma", "speed", "fc", "lc")}),
+)
+@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "speed": 1e150})
+@example(command="traj", kind="circle", samples=11, values={"radius": 1e-300, "gamma": 45.0})
+@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "fc": 1e200, "lc": 1e200})
+def test_cli_any_numbers_end_in_output_or_one_error(tmp_path_factory, command, kind, samples, values):
+    out = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    values = {"radius": 0.1, **values}
+    if command == "traj":
+        values = {k: v for k, v in values.items() if k not in ("fc", "lc")}
+    argv = [command, "--traj", kind, "--samples", str(samples), "--out", str(out)]
+    argv += [f"--{name}={value!r}" for name, value in values.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = stderr.getvalue()
+    if code == 1:
+        assert err.startswith("error[") and err.count("\n") == 1, err
+        return
+    assert code == 0 and err == ""
+    csv = out.read_text()
+    text = csv + stdout.getvalue().replace(str(out), "")
+    assert "inf" not in text and "nan" not in text
+    assert len(csv.splitlines()) == samples + 1

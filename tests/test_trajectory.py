@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sphwrist import TrajectorySpec, generate, traj_circle, traj_semicircle
-from sphwrist.errors import InvalidSpecError
+from sphwrist import (OrientationPath, TimedOrientation, ToolOrientation, TrajectorySpec, generate, traj_circle,
+                      traj_semicircle, trajectory_joint_profiles)
+from sphwrist.errors import InvalidInputError, InvalidSpecError
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -84,3 +85,117 @@ def test_kind_mismatch_rejected():
         traj_semicircle(circle)
     with pytest.raises(InvalidSpecError):
         traj_circle(semizirc)
+
+
+def test_nan_gamma_is_named_apart_from_a_missing_one():
+    with pytest.raises(InvalidSpecError, match="requires a cone angle gamma"):
+        TrajectorySpec(kind=KIND_CIRCLE, radius=0.1)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(InvalidSpecError, match="gamma must be finite"):
+            TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=gamma)
+
+
+# --- the array path -----------------------------------------------------------
+
+def reference_path(spec):
+    """The two paths sample by sample with math.sin/math.cos."""
+    rate = spec.tool_speed / spec.radius
+    if spec.kind == KIND_CIRCLE:
+        delta = np.linspace(0.0, 2.0 * math.pi, spec.sample_count)
+        sg, cg = math.sin(spec.gamma), math.cos(spec.gamma)
+        return ([float(d / rate) for d in delta],
+                [[sg * math.cos(d), sg * math.sin(d), -cg] for d in delta])
+    delta = np.linspace(math.pi / 6.0, 5.0 * math.pi / 6.0, spec.sample_count)
+    return ([float((d - delta[0]) / rate) for d in delta],
+            [[0.0, -math.sin(d), -math.cos(d)] for d in delta])
+
+
+@pytest.mark.parametrize("n", [101, 1001])
+@pytest.mark.parametrize("kind", [KIND_CIRCLE, KIND_SEMICIRCLE])
+def test_path_equals_sample_by_sample_reference_bit_for_bit(kind, n):
+    spec = TrajectorySpec(kind=kind, radius=0.15, tool_speed=0.7, gamma=0.8 if kind == KIND_CIRCLE else None,
+                          sample_count=n)
+    path = generate(spec)
+    t, v = reference_path(spec)
+    assert path.t.tolist() == t
+    assert path.v.tolist() == v
+    assert np.signbit(path.v).tolist() == np.signbit(v).tolist()
+
+
+def test_path_items_index_and_iterate():
+    spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=0.6, sample_count=7)
+    path = generate(spec)
+    assert isinstance(path, OrientationPath) and len(path) == 7
+    items = list(path)
+    assert len(items) == 7
+    for i, item in enumerate(items):
+        assert isinstance(item, TimedOrientation) and isinstance(item.orientation, ToolOrientation)
+        assert type(item.t) is float and item.t == path.t[i]
+        assert np.array_equal(item.orientation.v, path.v[i])
+    for i, j in ((-1, 6), (-7, 0)):
+        assert path[i].t == items[j].t
+        assert np.array_equal(path[i].orientation.v, items[j].orientation.v)
+    for i in (7, -8):
+        with pytest.raises(IndexError):
+            path[i]
+    assert not path.t.flags.writeable and not path.v.flags.writeable
+
+
+def test_path_does_not_alias_its_inputs():
+    t = np.array([0.0, 1.0, 2.0])
+    v = np.array([[0.0, 0.0, 1.0]] * 3)
+    path = OrientationPath(t, v)
+    t[0] = 5.0
+    v[0] = [1.0, 0.0, 0.0]
+    assert path.t[0] == 0.0 and path.v[0].tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.0, 0.6, 0.6], "sample 2: tool orientation must be unit length"),
+    ([0.0, math.nan, 1.0], "sample 2: tool orientation must be finite"),
+    ([math.inf, 0.0, 0.0], "sample 2: tool orientation must be finite"),
+])
+def test_path_rejects_the_lowest_bad_row(row, message):
+    v = np.array([[0.0, 0.0, -1.0]] * 6)
+    v[2] = row
+    v[4] = [0.0, 0.0, 2.0]
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        OrientationPath(np.arange(6.0), v)
+
+
+def test_path_rejects_wrong_shapes_and_times():
+    v = np.array([[0.0, 0.0, -1.0]] * 4)
+    for bad in (v[:, :2], v.reshape(-1), v[None]):
+        with pytest.raises(InvalidInputError, match=r"must be an \(N, 3\) array"):
+            OrientationPath(np.arange(len(bad), dtype=float), bad)
+    with pytest.raises(InvalidInputError, match=r"times must have shape \(4,\)"):
+        OrientationPath(np.arange(5.0), v)
+    with pytest.raises(InvalidInputError, match="^sample 1: time must be finite$"):
+        OrientationPath([0.0, math.inf, 2.0, math.nan], v)
+
+
+@pytest.mark.parametrize("kind", [KIND_CIRCLE, KIND_SEMICIRCLE])
+def test_profiles_from_the_path_array_equal_the_object_call(geometry, kind):
+    spec = TrajectorySpec(kind=kind, radius=0.25, gamma=0.7 if kind == KIND_CIRCLE else None, sample_count=1001)
+    path = generate(spec)
+    dt = path.t[1] - path.t[0]
+    assert dt == path[1].t - path[0].t
+    a = trajectory_joint_profiles(path.v, dt, geometry)
+    b = trajectory_joint_profiles([s.orientation for s in path], path[1].t - path[0].t, geometry)
+    for name in ("t", "theta", "rates", "accels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_profiles_check_the_direction_array(geometry):
+    v = np.array(generate(TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=0.7, sample_count=9)).v)
+    v[5] = [0.0, 0.0, 1.1]
+    v[3, 1] = math.nan
+    with pytest.raises(InvalidInputError, match="^sample 3: tool orientation must be finite$"):
+        trajectory_joint_profiles(v, 0.01, geometry)
+    v[3, 1] = 0.5
+    with pytest.raises(InvalidInputError, match="^sample 3: tool orientation must be unit length$"):
+        trajectory_joint_profiles(v, 0.01, geometry)
+    with pytest.raises(InvalidInputError, match=r"must be an \(N, 3\) array"):
+        trajectory_joint_profiles(v[:, :2], 0.01, geometry)
+    with pytest.raises(InvalidInputError, match="at least 3 samples"):
+        trajectory_joint_profiles(v[:2], 0.01, geometry)
