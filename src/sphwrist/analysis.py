@@ -8,6 +8,7 @@ from .dynamics import (
     GRAVITY,
     CuttingLoad,
     MotorSpec,
+    _load_free_torques,
     reflected_motor_torque,
     virtual_work_torques,
 )
@@ -76,13 +77,16 @@ def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GR
     adds each motor's reflected rotor inertia.
     """
     tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
-    shaft = np.column_stack([reflected_motor_torque(tau[:, i], profile.accels[:, i], motor)
-                             for i, motor in enumerate(_motor_pair(motors))])
-    return tau, shaft
+    return tau, _shaft_torques(profile, tau, motors)
 
 
-def _peak_record(spec, profile, geometry, bodies, motors, gravity, load):
-    _, shaft = actuator_torques(profile, geometry, bodies, motors, gravity, load)
+def _shaft_torques(profile, tau, motors):
+    return np.column_stack([reflected_motor_torque(tau[:, i], profile.accels[:, i], motor)
+                            for i, motor in enumerate(_motor_pair(motors))])
+
+
+def _peak_record(spec, profile, tau, motors):
+    shaft = _shaft_torques(profile, tau, motors)
     return PeakRecord(
         gamma=spec.gamma,
         radius=spec.radius,
@@ -104,7 +108,8 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
     for spec in specs:
         try:
             profile = profile_for_spec(spec, geometry)
-            records.append(_peak_record(spec, profile, geometry, bodies, motors, gravity, load))
+            tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
+            records.append(_peak_record(spec, profile, tau, motors))
         except WristError as exc:
             raise _spec_error(spec, exc) from exc
     return records
@@ -114,16 +119,16 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     """Peak-torque curve versus cutting-force magnitude at fixed lever arm.
 
     The three cutting-force components are set equal to each value in
-    ``fc_values``.  The joint profile is built once; only the dynamics are
-    solved per force value.
+    ``fc_values``.  The joint profile and its load-free torques are computed
+    once; each force value adds only its affine cutting term.
     """
     fc_values = [float(f) for f in fc_values]
     if any(f < 0.0 or not np.isfinite(f) for f in fc_values):
         raise InvalidInputError("cutting-force magnitudes must be non-negative")
     try:
         profile = profile_for_spec(base_spec, geometry)
-        return [(fc, _peak_record(base_spec, profile, geometry, bodies, motors, gravity,
-                                  CuttingLoad((fc, fc, fc), lc)))
+        load_free = _load_free_torques(profile, geometry, bodies, gravity)
+        return [(fc, _peak_record(base_spec, profile, load_free.with_load(CuttingLoad((fc, fc, fc), lc)), motors))
                 for fc in fc_values]
     except WristError as exc:
         raise _spec_error(base_spec, exc) from exc

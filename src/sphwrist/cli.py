@@ -35,8 +35,10 @@ def _finite_output(header, rows) -> np.ndarray:
 
 
 def write_csv(path, header, rows):
+    # One % operation per row; "%.12g" gives the same text as _fmt.
+    row_format = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in _finite_output(header, rows).tolist())
+    lines.extend(row_format % tuple(row) for row in _finite_output(header, rows).tolist())
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -175,8 +177,17 @@ def cmd_motor_check(args, config):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ``InvalidInputError``, so that they end in one
+    ``error[invalid-input]`` line like every other bad input; ``--help``
+    still exits 0.  Subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sphwrist",
         description="Kinematics, inverse dynamics, and actuator studies for the 2-DOF spherical wrist",
     )
@@ -242,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Overflow and invalid-operation warnings stay silent: every non-finite
         # value still ends in a categorised error, from a stage's own check or
         # from the output check.

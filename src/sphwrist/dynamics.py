@@ -22,12 +22,13 @@ the reactions API and as the independent check on it.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from .kinematics import JointProfile, JointState, _closure_rates_from_axes, _closure_singular
-from .rotation import WristGeometry, chain_frames, cross3
+from .rotation import WristGeometry, chain_frames, cross3, cross_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -262,16 +263,11 @@ def _skew(v):
                      [-v[1], v[0], 0.0]])
 
 
-def _cutting_wrench(e3, e5, load: CuttingLoad, cross):
-    # ``cross`` is cross3 for one sample's axes, np.cross for (N, 3) stacks.
-    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross(e3, e5)
-    tip = load.lever * e5
-    return f, cross(tip, f)
-
-
 def cutting_wrench(motion: WristMotion, load: CuttingLoad):
     """World-frame force at the tool tip and its moment about the center."""
-    return _cutting_wrench(motion.axes["e3"], motion.axes["e5"], load, cross3)
+    e3, e5 = motion.axes["e3"], motion.axes["e5"]
+    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross3(e3, e5)
+    return f, cross3(load.lever * e5, f)
 
 
 def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> AssembledSystem:
@@ -473,6 +469,33 @@ def _body_tensor_product(R, tensor, v):
     return np.einsum("nij,nj->ni", R, np.einsum("nji,nj->ni", R, v) @ tensor)
 
 
+class _LoadFreeTorques(NamedTuple):
+    """Virtual-work torques of a profile without a cutting load, plus the
+    terms that add one.
+
+    ``tau0`` (N, 2) are the joint torques under inertia and gravity alone.
+    ``g`` (N, 2, 3) holds, per actuator k, ``e5 x w_k``, with ``w_k`` the
+    terminal's angular velocity per unit rate of actuator k: a world-frame
+    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``e3`` and
+    ``e5`` (N, 3) turn a ``CuttingLoad`` into that world-frame force.
+    """
+
+    tau0: np.ndarray
+    g: np.ndarray
+    e3: np.ndarray
+    e5: np.ndarray
+
+    def with_load(self, load: CuttingLoad | None = None) -> np.ndarray:
+        """Joint torques (N, 2) under ``load``: the torques are affine in it.
+        Without a load they are ``tau0`` itself."""
+        if load is None:
+            return self.tau0
+        # World frame: (e3, e5, e3 x e5) is orthonormal only for a terminal
+        # twist of pi/2.
+        f = load.f_c[0] * self.e3 + load.f_c[1] * self.e5 + load.f_c[2] * cross_rows(self.e3, self.e5)
+        return self.tau0 + load.lever * np.einsum("nkj,nj->nk", self.g, f)
+
+
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
                          gravity=GRAVITY, load: CuttingLoad | None = None) -> np.ndarray:
     """Actuator joint torques of every sample of a profile, (N, 2), by virtual work.
@@ -484,7 +507,8 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     tau_k = sum_b w_b^(k) . M_b.  Grouped by joint j with axis e_j and
     unit-rate u_kj: tau_k = sum_j u_kj e_j . (sum of M_b over the bodies j
     carries).  The torques equal those of the Newton-Euler solve, without
-    its reactions.
+    its reactions.  The cutting moment l e5 x f is linear in the tip force,
+    so it is added last (``_LoadFreeTorques.with_load``).
 
     Raises for the lowest failing sample, named by index and time: legs that
     do not close the loop (inconsistent-state), or passive axes that align,
@@ -493,9 +517,15 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     to do no work on the self-motion there (at rest with the tool
     horizontal, for one).
     """
+    return _load_free_torques(profile, geometry, bodies, gravity).with_load(load)
+
+
+def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
+                      gravity=GRAVITY) -> _LoadFreeTorques:
+    """The load-free pass of ``virtual_work_torques``, with the same errors;
+    a study over many loads makes it once per profile."""
     params = _index_bodies(bodies)
     gravity = _as_vector("gravity", gravity)
-    load = load if load is not None else CuttingLoad()
     th, dth, ddth = profile.theta, profile.rates, profile.accels
 
     frames1, axes1 = chain_frames(th[:, [0, 2]], geometry, "leg-1")
@@ -520,9 +550,9 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     a1, a2, a3, a4 = (ddth[:, k:k + 1] for k in range(4))
     motion = {
         "proximal-1": (frames1[1], d1 * e1, a1 * e1),
-        "terminal": (frames1[2], d1 * e1 + d3 * e3, a1 * e1 + a3 * e3 + d1 * d3 * np.cross(e1, e3)),
+        "terminal": (frames1[2], d1 * e1 + d3 * e3, a1 * e1 + a3 * e3 + d1 * d3 * cross_rows(e1, e3)),
         "proximal-2": (frames2[1], d2 * e2, a2 * e2),
-        "distal": (frames2[2], d2 * e2 + d4 * e4, a2 * e2 + a4 * e4 + d2 * d4 * np.cross(e2, e4)),
+        "distal": (frames2[2], d2 * e2 + d4 * e4, a2 * e2 + a4 * e4 + d2 * d4 * cross_rows(e2, e4)),
     }
     moment = {}
     for name, (R, omega, omega_dot) in motion.items():
@@ -530,14 +560,15 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
         c = p.com_offset
         inertia_o = p.inertia + p.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
         moment[name] = (_body_tensor_product(R, inertia_o, omega_dot)
-                        + np.cross(omega, _body_tensor_product(R, inertia_o, omega))
-                        - np.cross(R @ c, p.mass * gravity))
-    moment["terminal"] = moment["terminal"] - _cutting_wrench(e3, e5, load, np.cross)[1]
+                        + cross_rows(omega, _body_tensor_product(R, inertia_o, omega))
+                        - cross_rows(R @ c, p.mass * gravity))
 
     q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
     tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
                            np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
+    g = np.empty((len(th), 2, 3))
     for k, drive in enumerate(np.eye(2)):
         passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (len(th), 1)))[:, 2:]
         tau[:, k] += np.sum(passive * q_passive, axis=1)
-    return tau
+        g[:, k] = cross_rows(e5, drive[0] * e1 + passive[:, :1] * e3)
+    return _LoadFreeTorques(tau, g, e3, e5)

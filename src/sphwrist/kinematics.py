@@ -130,8 +130,11 @@ class JointProfile:
         n = len(self.t)
         for name, shape in (("t", (n,)), ("theta", (n, 4)), ("rates", (n, 4)), ("accels", (n, 4))):
             values = np.array(getattr(self, name), dtype=float)
-            if values.shape != shape or not np.all(np.isfinite(values)):
-                raise InvalidInputError(f"profile {name} must hold finite values of shape {shape}")
+            if values.shape != shape:
+                raise InvalidInputError(f"profile {name} must have shape {shape}, got {values.shape}")
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise InvalidInputError(f"sample {np.argwhere(~finite)[0][0]}: profile {name} must hold finite values")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 

@@ -48,6 +48,14 @@ def cross3(a, b) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
+def cross_rows(a, b) -> np.ndarray:
+    """Row-wise cross product of two (N, 3) stacks, either of which may be
+    one 3-vector: np.cross's arithmetic without most of its call overhead."""
+    a0, a1, a2 = np.transpose(a)
+    b0, b1, b2 = np.transpose(b)
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     """Check orthonormality and det(R) = +1 entrywise within ``tol``."""
     R = np.asarray(R, dtype=float)

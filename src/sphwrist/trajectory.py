@@ -38,6 +38,10 @@ class TrajectorySpec:
             raise InvalidSpecError("radius must be positive")
         if not (np.isfinite(self.tool_speed) and self.tool_speed > 0.0):
             raise InvalidSpecError("tool_speed must be positive")
+        # A full circle spans 2 pi of path angle; its duration must be finite.
+        if not (np.isfinite(self.rate) and self.rate > 0.0 and np.isfinite(2.0 * math.pi / self.rate)):
+            raise InvalidSpecError(f"path rate tool_speed / radius = {self.rate:.6g} rad/s"
+                                   " overflows or underflows double precision")
         if not (isinstance(self.sample_count, numbers.Integral) and self.sample_count >= 3):
             raise InvalidSpecError("sample_count must be an integer of at least 3")
         if self.kind == KIND_CIRCLE:
@@ -47,6 +51,11 @@ class TrajectorySpec:
                 raise InvalidSpecError(f"gamma must be finite, got {self.gamma}")
             if not 0.0 < self.gamma < math.pi / 2.0:
                 raise InvalidSpecError("gamma must lie strictly between 0 and pi/2")
+
+    @property
+    def rate(self) -> float:
+        """Path-angle rate ``tool_speed / radius``, rad/s."""
+        return self.tool_speed / self.radius
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,9 @@ def traj_semicircle(spec: TrajectorySpec) -> OrientationPath:
     """
     if spec.kind != KIND_SEMICIRCLE:
         raise InvalidSpecError(f"expected {KIND_SEMICIRCLE!r}, got {spec.kind!r}")
-    rate = spec.tool_speed / spec.radius
     delta = np.linspace(math.pi / 6.0, 5.0 * math.pi / 6.0, spec.sample_count)
     v = np.column_stack([np.zeros_like(delta), -np.sin(delta), -np.cos(delta)])
-    return OrientationPath((delta - delta[0]) / rate, v)
+    return OrientationPath((delta - delta[0]) / spec.rate, v)
 
 
 def traj_circle(spec: TrajectorySpec) -> OrientationPath:
@@ -107,11 +115,10 @@ def traj_circle(spec: TrajectorySpec) -> OrientationPath:
     """
     if spec.kind != KIND_CIRCLE:
         raise InvalidSpecError(f"expected {KIND_CIRCLE!r}, got {spec.kind!r}")
-    rate = spec.tool_speed / spec.radius
     sg, cg = math.sin(spec.gamma), math.cos(spec.gamma)
     delta = np.linspace(0.0, 2.0 * math.pi, spec.sample_count)
     v = np.column_stack([sg * np.cos(delta), sg * np.sin(delta), np.full_like(delta, -cg)])
-    return OrientationPath(delta / rate, v)
+    return OrientationPath(delta / spec.rate, v)
 
 
 def generate(spec: TrajectorySpec) -> OrientationPath:

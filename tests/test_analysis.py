@@ -109,6 +109,16 @@ def test_force_sweep_monotone_in_force_and_lever(geometry, bodies, motor):
         np.testing.assert_array_less(peaks_by_lever[0.11][i], peaks_by_lever[0.15][i])
 
 
+def test_force_sweep_names_the_failing_sample(geometry, bodies, motor):
+    # The load-free pass raises before any load is applied, as one pass per
+    # force value did.
+    singular = TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001)
+    with pytest.raises(ModelInconsistencyError) as info:
+        force_sweep(singular, [0.0, 50.0], 0.11, geometry, bodies, motor)
+    assert str(info.value) == ("spec (kind=semicircle-YZ, gamma=None, R=0.25): sample 500 (t = 0.261799 s): "
+                               "the passive joint axes align; ideal joints cannot realize the motion at this sample")
+
+
 def test_force_sweep_rejects_negative_force(geometry, bodies, motor):
     with pytest.raises(InvalidInputError):
         force_sweep(circle_spec(45.0, 0.15, 51), [-5.0], 0.1, geometry, bodies, motor)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import sphwrist
 from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
-from sphwrist.cli import main
+from sphwrist.cli import main, write_csv
 from sphwrist.config import config_from_text, default_config, default_config_text, load_config
 from sphwrist.errors import ConfigError
 from sphwrist.trajectory import KIND_CIRCLE
@@ -287,6 +288,20 @@ def test_cli_bad_number_list_names_option(capsys, argv, option):
     assert err.count("\n") == 1
 
 
+def test_write_csv_matches_per_value_format(tmp_path):
+    # Row-at-a-time formatting against formatting each value on its own.
+    rng = np.random.default_rng(0)
+    rows = [[-0.0, 5e-324, 1e-300, 1.7e308, 3, -12],
+            [0.0, -5e-324, 123456789012345, 1e16, 0.1, 2.5]]
+    rows += (rng.standard_normal((200, 6)) * 10.0 ** rng.integers(-300, 300, (200, 6))).tolist()
+    header = [f"c{i}" for i in range(6)]
+    path = tmp_path / "x.csv"
+    write_csv(path, header, rows)
+    expected = [",".join(header)] + [",".join(format(float(x), ".12g") for x in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[1] == "-0,4.94065645841e-324,1e-300,1.7e+308,3,-12"
+
+
 def test_cli_unwritable_output_path(tmp_path, capsys):
     path = tmp_path / "missing-dir" / "x.csv"
     code, _, err = run_cli(capsys, "traj", "--traj", "circle", "--gamma", "45", "--radius", "0.25",
@@ -294,6 +309,27 @@ def test_cli_unwritable_output_path(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error[io-error]: ") and str(path) in err
     assert "Traceback" not in err
+
+
+def run_module(*argv):
+    """``python -m sphwrist.cli`` in a separate interpreter."""
+    src = str(Path(sphwrist.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "sphwrist.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def test_cli_usage_errors_end_in_one_error_line(capsys):
+    proc = run_module("traj", "--radius", "abc")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error[invalid-input]: sphwrist traj: argument --radius: invalid float value: 'abc'\n"
+    for argv in [("traj",), (), ("bogus",), ("traj", "--radius", "0.1", "--traj", "line"),
+                 ("sweep", "--gamma", "45", "--radius", "0.1", "--extra", "1")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[invalid-input]: sphwrist") and err.count("\n") == 1, err
+    proc = run_module("traj", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: sphwrist traj ")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -307,9 +343,7 @@ def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
     # A separate interpreter, so that numpy warnings reach stderr as they
     # would from the command line.
     out = tmp_path / "x.csv"
-    src = str(Path(sphwrist.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "sphwrist.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    proc = run_module(*argv, "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error[invalid-input]: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
@@ -374,3 +408,60 @@ def test_cli_any_numbers_end_in_output_or_one_error(tmp_path_factory, command, k
     text = csv + stdout.getvalue().replace(str(out), "")
     assert "inf" not in text and "nan" not in text
     assert len(csv.splitlines()) == samples + 1
+
+
+def _number_list(values):
+    return ",".join(repr(v) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["sweep", "force-sweep", "motor-check"]),
+    samples=st.integers(min_value=3, max_value=41),
+    # Wide draws mixed with values of the paper's range, so that whole
+    # lists of valid values, and so finished studies, are drawn too.
+    gammas=st.lists(_WIDE | st.floats(1.0, 89.0), min_size=1, max_size=3),
+    radii=st.lists(_WIDE | st.floats(0.02, 1.0), min_size=1, max_size=3),
+    forces=st.lists(_WIDE | st.floats(0.0, 300.0), min_size=1, max_size=4),
+    lever=st.none() | _WIDE | st.floats(0.0, 0.5),
+)
+@example(command="force-sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0, 1e300], lever=1e300)
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[1e-300, 0.1], forces=[0.0], lever=None)
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[0.25, 0.1], forces=[0.0], lever=None)
+@example(command="motor-check", samples=11, gammas=[45.0], radii=[1e300], forces=[1e200], lever=1e200)
+def test_cli_number_lists_end_in_output_or_one_error(tmp_path_factory, command, samples, gammas, radii, forces,
+                                                     lever):
+    # force-sweep takes one cone angle and radius and a list of forces;
+    # sweep and motor-check take lists of cone angles and radii, and
+    # motor-check one force.
+    out = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    argv = [command, "--samples", str(samples)]
+    if command == "force-sweep":
+        argv += [f"--gamma={gammas[0]!r}", f"--radius={radii[0]!r}", f"--fc={_number_list(forces)}"]
+        rows = len(forces)
+    else:
+        argv += [f"--gamma={_number_list(gammas)}", f"--radius={_number_list(radii)}"]
+        rows = len(gammas) * len(radii)
+    if command == "motor-check":
+        argv.append(f"--fc={forces[0]!r}")
+    else:
+        argv += ["--out", str(out)]
+    if lever is not None and command != "sweep":
+        argv.append(f"--lc={lever!r}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = stderr.getvalue()
+    if code == 1:
+        assert err.startswith("error[") and err.count("\n") == 1, err
+        return
+    assert code == 0 and err == ""
+    text = stdout.getvalue().replace(str(out), "")
+    if command == "motor-check":
+        assert len(text.splitlines()) == 2
+    else:
+        csv = out.read_text()
+        assert len(csv.splitlines()) == rows + 1
+        text += csv
+    assert not re.search(r"\b(inf|nan)\b", text), text

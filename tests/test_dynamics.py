@@ -30,9 +30,10 @@ from sphwrist import (
     trajectory_joint_profiles,
     virtual_work_torques,
 )
-from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS
+from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS, _load_free_torques
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from sphwrist.kinematics import _closure_axes, _closure_singular, _joint_angles, closure_accels, closure_rates
+from sphwrist.kinematics import (_closure_axes, _closure_rates_from_axes, _closure_singular, _joint_angles,
+                                 closure_accels, closure_rates)
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -338,6 +339,60 @@ def test_virtual_work_matches_newton_euler(geometry, bodies, trajectory, load):
     tau_vw = virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
     assert tau_vw.shape == (len(profile), 2)
     assert np.all(column_rel(tau_vw, tau_ne) < 1e-10)
+
+
+def loaded_virtual_work_reference(profile, geometry, bodies, gravity, load):
+    """Virtual-work torques with the cutting moment inside the terminal's
+    moment, one full pass per load: the form the affine split replaced."""
+    params = {b.name: b for b in bodies}
+    th, dth, ddth = profile.theta, profile.rates, profile.accels
+    frames1, axes1 = chain_frames(th[:, [0, 2]], geometry, "leg-1")
+    frames2, axes2 = chain_frames(th[:, [1, 3]], geometry, "leg-2")
+    e1, e3, e5 = axes1
+    e2, e4, _ = axes2
+    d1, d2, d3, d4 = (dth[:, k:k + 1] for k in range(4))
+    a1, a2, a3, a4 = (ddth[:, k:k + 1] for k in range(4))
+    motion = {
+        "proximal-1": (frames1[1], d1 * e1, a1 * e1),
+        "terminal": (frames1[2], d1 * e1 + d3 * e3, a1 * e1 + a3 * e3 + d1 * d3 * np.cross(e1, e3)),
+        "proximal-2": (frames2[1], d2 * e2, a2 * e2),
+        "distal": (frames2[2], d2 * e2 + d4 * e4, a2 * e2 + a4 * e4 + d2 * d4 * np.cross(e2, e4)),
+    }
+    moment = {}
+    for name, (R, omega, omega_dot) in motion.items():
+        p = params[name]
+        c = p.com_offset
+        inertia_o = p.inertia + p.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
+        world = R @ inertia_o @ np.transpose(R, (0, 2, 1))
+        moment[name] = (np.einsum("nij,nj->ni", world, omega_dot)
+                        + np.cross(omega, np.einsum("nij,nj->ni", world, omega))
+                        - np.cross(R @ c, p.mass * gravity))
+    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * np.cross(e3, e5)
+    moment["terminal"] = moment["terminal"] - np.cross(load.lever * e5, f)
+    q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
+    tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
+                           np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
+    for k, drive in enumerate(np.eye(2)):
+        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (len(th), 1)))[:, 2:]
+        tau[:, k] += np.sum(passive * q_passive, axis=1)
+    return tau
+
+
+def test_cutting_load_is_one_affine_term(geometry, bodies):
+    profile = circle_states(geometry, 45.0, 0.15, 301)
+    load_free = _load_free_torques(profile, geometry, bodies, GRAVITY)
+    # A force along the tool does no work: g_k . e5 is 0 up to rounding.
+    along_tool = np.einsum("nkj,nj->nk", load_free.g, load_free.e5)
+    assert np.all(np.abs(along_tool) <= 4.0 * np.finfo(float).eps * np.linalg.norm(load_free.g, axis=2))
+    np.testing.assert_array_equal(load_free.with_load(CuttingLoad()), load_free.tau0)
+    for fc, lc in ((50.0, 0.11), (150.0, 0.06), (-20.0, 0.3)):
+        load = CuttingLoad((fc, fc, fc), lc)
+        tau = load_free.with_load(load)
+        np.testing.assert_array_equal(tau, virtual_work_torques(profile, geometry, bodies, GRAVITY, load))
+        reference = loaded_virtual_work_reference(profile, geometry, bodies, GRAVITY, load)
+        assert np.all(column_rel(tau, reference) < 1e-10)
+        _, sols = solve_trajectory(profile, geometry, bodies, GRAVITY, load)
+        assert np.all(column_rel(tau, np.array([s.tau for s in sols])) < 1e-10)
 
 
 @pytest.mark.parametrize("n", [101, 999, 1000, 1001, 2001])

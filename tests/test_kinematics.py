@@ -349,10 +349,16 @@ def test_profile_error_names_lowest_failing_sample(geometry):
 
 
 def test_joint_profile_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^profile rates must have shape \(3, 4\), got \(2, 4\)$"):
         JointProfile(np.zeros(3), np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^sample 0: profile theta must hold finite values$"):
         JointProfile(np.zeros(3), np.full((3, 4), np.nan), np.zeros((3, 4)), np.zeros((3, 4)))
+    # The lowest failing sample is named, whichever joint column it is in.
+    accels = np.zeros((6, 4))
+    accels[4, 0] = np.inf
+    accels[2, 3] = -np.inf
+    with pytest.raises(InvalidInputError, match="^sample 2: profile accels must hold finite values$"):
+        JointProfile(np.zeros(6), np.zeros((6, 4)), np.zeros((6, 4)), accels)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from sphwrist import WristGeometry, central_difference, chain_frames, dh_rotation, unwrap_angles, wrap_angle
 from sphwrist.errors import InvalidInputError
-from sphwrist.rotation import cross3, is_rotation
+from sphwrist.rotation import cross3, cross_rows, is_rotation
 
 
 def test_rotations_are_orthonormal():
@@ -179,3 +179,11 @@ def test_cross3_matches_numpy():
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         np.testing.assert_allclose(cross3(a, b), np.cross(a, b), atol=1e-15)
+
+
+def test_cross_rows_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-5, 5, (50, 1)), rng.normal(size=(50, 3))
+    assert np.array_equal(cross_rows(a, b), np.cross(a, b))
+    assert np.array_equal(cross_rows(a, b[0]), np.cross(a, b[0]))
+    assert np.array_equal(cross_rows(a[0], b), np.cross(a[0], b))

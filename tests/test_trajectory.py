@@ -78,6 +78,20 @@ def test_invalid_specs(kwargs):
         TrajectorySpec(**kwargs)
 
 
+@pytest.mark.parametrize("kind", [KIND_CIRCLE, KIND_SEMICIRCLE])
+@pytest.mark.parametrize("tool_speed, radius, rate", [
+    (1e300, 1e-300, "inf"),        # overflows: every sample time would be 0
+    (1e-300, 1e300, "0"),          # underflows: the duration would be inf
+    (1e-10, 1.7e298, "5.88235e-309"),  # subnormal: the duration still overflows
+])
+def test_path_rate_out_of_range_is_named(kind, tool_speed, radius, rate):
+    with pytest.raises(InvalidSpecError, match=rf"^path rate tool_speed / radius = {rate} rad/s "):
+        TrajectorySpec(kind=kind, radius=radius, tool_speed=tool_speed, gamma=0.5)
+    # Extreme values whose ratio stays in range still make a path.
+    spec = TrajectorySpec(kind=kind, radius=radius, tool_speed=radius, gamma=0.5, sample_count=5)
+    assert spec.rate == 1.0 and generate(spec).t[-1] > 0.0
+
+
 def test_kind_mismatch_rejected():
     circle = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=0.5)
     semizirc = TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.1)
