@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import BODY_NAMES, FORCE_POINT_NAMES, GRAVITY, BodyParams, MotorSpec
 from .errors import ConfigError, WristError
 from .rotation import WristGeometry
-from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED
+from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED, MAX_SAMPLE_COUNT
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def config_from_text(text: str) -> Config:
         raise ConfigError("key 'gravity' must be finite")
 
     sample_count = entries.scalar("defaults.sample_count", DEFAULT_SAMPLE_COUNT)
-    if not np.isfinite(sample_count) or sample_count != int(sample_count) or sample_count < 3:
-        raise ConfigError("key 'defaults.sample_count' must be an integer >= 3")
+    if not (np.isfinite(sample_count) and sample_count == int(sample_count) and 3 <= sample_count <= MAX_SAMPLE_COUNT):
+        raise ConfigError(f"key 'defaults.sample_count' must be an integer from 3 to {MAX_SAMPLE_COUNT}")
     tool_speed = entries.scalar("defaults.tool_speed", DEFAULT_TOOL_SPEED)
     if not (np.isfinite(tool_speed) and tool_speed > 0.0):
         raise ConfigError("key 'defaults.tool_speed' must be positive")
@@ -151,8 +151,15 @@ def default_config() -> Config:
 
 
 def load_config(path) -> Config:
-    """Load and validate a configuration file."""
+    """Load and validate a configuration file (UTF-8 text)."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: byte {exc.object[exc.start]:#04x}"
+                          f" at offset {exc.start}") from exc
+    return config_from_text(text)

@@ -8,8 +8,11 @@ frictionless planar joint (one normal force through the wrist center plus
 two in-plane moments).  That wrench set closes every load path of the real
 mechanism while staying workless, so for loop-consistent joint states the
 24-equation system is solvable to rounding error.  It carries one internal
-self-stress (24 equations, 25 unknowns); the minimum-norm least-squares
-solution resolves it, and the actuator torques are invariant to that choice.
+self-stress (24 equations, 25 unknowns); the minimum-norm solution resolves
+it, and the actuator torques are invariant to that choice.  The solve takes
+it from a QR factorization of the transposed matrix and falls back to SVD
+least squares where the equations are nearly rank-deficient
+(``solve_wrenches``).
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
@@ -21,7 +24,9 @@ torques without the reactions; the per-sample Newton-Euler solve stays as
 the reactions API and as the independent check on it.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +39,13 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
+# The QR solve hands a sample to lstsq when the smallest diagonal entry of R
+# is at most this fraction of the largest.  The equations are then too close
+# to rank-deficient for the QR solution to be trusted to the residual gate's
+# accuracy, and lstsq's rank decision applies, as it always did.  At the
+# R = 0.25 m semicircle's singular midpoint the ratio is 1e-16; at the samples
+# either side it is 1.7e-3.
+QR_RANK_TOL = 1e-8
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 
@@ -51,7 +63,7 @@ def _as_vector(name, value, length=3):
     v = np.asarray(value, dtype=float).reshape(-1)
     if v.shape != (length,):
         raise InvalidInputError(f"{name} must be a {length}-vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInputError(f"{name} must be finite")
     return v
 
@@ -93,6 +105,14 @@ class BodyParams:
         object.__setattr__(self, "com_offset", com)
         object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "force_points", points)
+
+    @cached_property
+    def inertia_center(self) -> np.ndarray:
+        """Inertia about the wrist center (parallel-axis theorem), read-only."""
+        c = self.com_offset
+        inertia = self.inertia + self.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
+        inertia.setflags(write=False)
+        return inertia
 
 
 @dataclass(frozen=True)
@@ -169,15 +189,14 @@ def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMoti
     """
     params = _index_bodies(bodies)
     th = state.angles.theta
-    dth = state.rates
-    ddth = state.accels
+    d1, d2, d3, d4 = state.rates.tolist()
+    a1, a2, a3, a4 = state.accels.tolist()
 
-    frames1, axes1 = chain_frames((th[0], th[2]), geometry, "leg-1")
-    frames2, axes2 = chain_frames((th[1], th[3]), geometry, "leg-2")
-    e1, e3, e5 = axes1
-    e2, e4, e6 = axes2
+    frames1, (e1, e3, e5) = chain_frames(th[[0, 2]], geometry, "leg-1")
+    frames2, (e2, e4, e6) = chain_frames(th[[1, 3]], geometry, "leg-2")
 
-    closure = float(np.linalg.norm(e5 - e6))
+    gap = e5 - e6
+    closure = math.sqrt(gap @ gap)
     if closure > CLOSURE_TOL:
         raise InconsistentStateError(
             f"legs disagree on the tool axis by {closure:.2e}; joint angles do not close the loop"
@@ -186,20 +205,16 @@ def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMoti
     motions = {}
 
     def add(name, R, omega, omega_dot):
-        p = params[name]
-        r = R @ p.com_offset
+        r = R @ params[name].com_offset
         v = cross3(omega, r)
-        a = cross3(omega_dot, r) + cross3(omega, v)
-        motions[name] = BodyMotion(R, omega, omega_dot, r, v, a)
+        motions[name] = BodyMotion(R, omega, omega_dot, r, v, cross3(omega_dot, r) + cross3(omega, v))
 
-    add("proximal-1", frames1[1], dth[0] * e1, ddth[0] * e1)
-    add("terminal", frames1[2],
-        dth[0] * e1 + dth[2] * e3,
-        ddth[0] * e1 + ddth[2] * e3 + dth[0] * dth[2] * cross3(e1, e3))
-    add("proximal-2", frames2[1], dth[1] * e2, ddth[1] * e2)
-    add("distal", frames2[2],
-        dth[1] * e2 + dth[3] * e4,
-        ddth[1] * e2 + ddth[3] * e4 + dth[1] * dth[3] * cross3(e2, e4))
+    w1, w1_dot = d1 * e1, a1 * e1
+    w2, w2_dot = d2 * e2, a2 * e2
+    add("proximal-1", frames1[1], w1, w1_dot)
+    add("terminal", frames1[2], w1 + d3 * e3, w1_dot + a3 * e3 + d1 * d3 * cross3(e1, e3))
+    add("proximal-2", frames2[1], w2, w2_dot)
+    add("distal", frames2[2], w2 + d4 * e4, w2_dot + a4 * e4 + d2 * d4 * cross3(e2, e4))
 
     axes = {"e1": e1, "e2": e2, "e3": e3, "e4": e4, "e5": e5, "e6": e6}
     return WristMotion(motions, axes, state, closure)
@@ -214,12 +229,19 @@ def _index_bodies(bodies):
 
 
 def _transverse_basis(axis, seed):
-    t1 = seed - np.dot(seed, axis) * axis
-    n = np.linalg.norm(t1)
+    """(3, 2) columns: the unit vector normal to ``axis`` in its plane with
+    ``seed``, then ``axis`` cross that vector."""
+    ax, ay, az = axis.tolist()
+    sx, sy, sz = seed.tolist()
+    d = sx * ax + sy * ay + sz * az
+    tx, ty, tz = sx - d * ax, sy - d * ay, sz - d * az
+    n = math.hypot(tx, ty, tz)
     if n < 1e-9:
         raise InconsistentStateError("cannot build a transverse moment basis; axes are aligned")
-    t1 = t1 / n
-    return t1, cross3(axis, t1)
+    tx, ty, tz = tx / n, ty / n, tz / n
+    return np.array([[tx, ay * tz - az * ty],
+                     [ty, az * tx - ax * tz],
+                     [tz, ax * ty - ay * tx]])
 
 
 UNKNOWN_SLICES = {
@@ -258,9 +280,49 @@ class AssembledSystem:
 
 
 def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y],
+                     [z, 0.0, -x],
+                     [-y, x, 0.0]])
+
+
+# The joint wrenches: action on the first body listed, reaction on the
+# second.  A force enters each body's force balance as +-I and its moment
+# balance about the center as +-skew(point), at the point named on the
+# carrying body (the center where that body names none).
+_JOINT_FORCES = (
+    # (unknowns, carrying body, point, ((body, sign), ...))
+    ("terminal_revolute_force", "terminal", "joint_proximal1", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_force", "terminal", "joint_distal", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_force", "proximal-1", "joint_base", (("proximal-1", 1.0),)),
+    ("base2_force", "proximal-2", "joint_base", (("proximal-2", 1.0),)),
+)
+# A revolute joint carries the two moments transverse to its axis; the planar
+# joint the two in its plane, transverse to its normal e4.  Each basis is
+# built from the joint axis and a seed axis (``_transverse_basis``).
+_JOINT_MOMENTS = (
+    # (unknowns, joint axis, seed axis, ((body, sign), ...))
+    ("terminal_revolute_moment", "e3", "e5", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_moment", "e5", "e3", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_moment", "e1", "e3", (("proximal-1", 1.0),)),
+    ("base2_moment", "e2", "e4", (("proximal-2", 1.0),)),
+    ("planar_moment", "e4", "e2", (("distal", 1.0), ("proximal-2", -1.0))),
+)
+
+
+def _newton_template():
+    # The constant part of the matrix: the force balances' +-I blocks.
+    A = np.zeros((N_EQUATIONS, N_UNKNOWNS))
+    for force, _, _, ends in _JOINT_FORCES:
+        for body, sign in ends:
+            A[_ROWS[body][0], UNKNOWN_SLICES[force]] = sign * np.eye(3)
+    A.setflags(write=False)
+    return A
+
+
+_NEWTON_TEMPLATE = _newton_template()
+_CENTER = np.zeros(3)
+_CENTER.setflags(write=False)
 
 
 def cutting_wrench(motion: WristMotion, load: CuttingLoad):
@@ -279,94 +341,42 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     """
     params = _index_bodies(bodies)
     gravity = _as_vector("gravity", gravity)
-    load = load if load is not None else CuttingLoad()
 
-    e1, e2, e3, e4 = (motion.axes[k] for k in ("e1", "e2", "e3", "e4"))
-    e5 = motion.axes["e5"]
-    R_t = motion.bodies["terminal"].R
-    R_p1 = motion.bodies["proximal-1"].R
-
-    p_t3 = R_t @ params["terminal"].force_points.get("joint_proximal1", np.zeros(3))
-    p_tool = R_t @ params["terminal"].force_points.get("joint_distal", np.zeros(3))
-    p_b1 = R_p1 @ params["proximal-1"].force_points.get("joint_base", np.zeros(3))
-    p_b2 = motion.bodies["proximal-2"].R @ params["proximal-2"].force_points.get("joint_base", np.zeros(3))
-
-    t31, t32 = _transverse_basis(e3, e5)
-    m51, m52 = _transverse_basis(e5, e3)
-    u11, u12 = _transverse_basis(e1, e3)
-    u21, u22 = _transverse_basis(e2, e4)
-    q1, q2 = _transverse_basis(e4, e2)
-
-    A = np.zeros((N_EQUATIONS, N_UNKNOWNS))
-    b = np.zeros(N_EQUATIONS)
-
-    def put_force(rows, col_slice, sign, point):
-        newton, euler = rows
-        A[newton, col_slice] += sign * np.eye(3)
-        A[euler, col_slice] += sign * _skew(point)
-
-    def put_moment(rows, col, sign, axis):
-        A[rows[1], col] += sign * axis
-
-    rows_t = _ROWS["terminal"]
-    rows_d = _ROWS["distal"]
-    rows_p1 = _ROWS["proximal-1"]
-    rows_p2 = _ROWS["proximal-2"]
+    axes = motion.axes
     s = UNKNOWN_SLICES
 
-    # proximal-1 <-> terminal revolute (about e3) at p_t3
-    put_force(rows_t, s["terminal_revolute_force"], +1.0, p_t3)
-    put_force(rows_p1, s["terminal_revolute_force"], -1.0, p_t3)
-    put_moment(rows_t, s["terminal_revolute_moment"].start, +1.0, t31)
-    put_moment(rows_t, s["terminal_revolute_moment"].start + 1, +1.0, t32)
-    put_moment(rows_p1, s["terminal_revolute_moment"].start, -1.0, t31)
-    put_moment(rows_p1, s["terminal_revolute_moment"].start + 1, -1.0, t32)
+    A = _NEWTON_TEMPLATE.copy()
+    for force, carrier, point, ends in _JOINT_FORCES:
+        skew = _skew(motion.bodies[carrier].R @ params[carrier].force_points.get(point, _CENTER))
+        for body, sign in ends:
+            A[_ROWS[body][1], s[force]] = sign * skew
+    for moment, axis, seed, ends in _JOINT_MOMENTS:
+        basis = _transverse_basis(axes[axis], axes[seed])
+        for body, sign in ends:
+            A[_ROWS[body][1], s[moment]] = sign * basis
+    # The actuator torques about the drive axes, and the planar joint's
+    # normal force, which acts through the center.
+    A[_ROWS["proximal-1"][1], s["tau1"].start] = axes["e1"]
+    A[_ROWS["proximal-2"][1], s["tau2"].start] = axes["e2"]
+    A[_ROWS["distal"][0], s["planar_force"].start] = axes["e4"]
+    A[_ROWS["proximal-2"][0], s["planar_force"].start] = -axes["e4"]
 
-    # distal <-> terminal revolute (about the tool axis e5) at p_tool
-    put_force(rows_t, s["tool_revolute_force"], +1.0, p_tool)
-    put_force(rows_d, s["tool_revolute_force"], -1.0, p_tool)
-    put_moment(rows_t, s["tool_revolute_moment"].start, +1.0, m51)
-    put_moment(rows_t, s["tool_revolute_moment"].start + 1, +1.0, m52)
-    put_moment(rows_d, s["tool_revolute_moment"].start, -1.0, m51)
-    put_moment(rows_d, s["tool_revolute_moment"].start + 1, -1.0, m52)
-
-    # base <-> proximal-1 actuated revolute (about e1) at p_b1
-    put_force(rows_p1, s["base1_force"], +1.0, p_b1)
-    put_moment(rows_p1, s["base1_moment"].start, +1.0, u11)
-    put_moment(rows_p1, s["base1_moment"].start + 1, +1.0, u12)
-    put_moment(rows_p1, s["tau1"].start, +1.0, e1)
-
-    # base <-> proximal-2 actuated revolute (about e2) at p_b2
-    put_force(rows_p2, s["base2_force"], +1.0, p_b2)
-    put_moment(rows_p2, s["base2_moment"].start, +1.0, u21)
-    put_moment(rows_p2, s["base2_moment"].start + 1, +1.0, u22)
-    put_moment(rows_p2, s["tau2"].start, +1.0, e2)
-
-    # distal <-> proximal-2 planar joint: normal force through the center,
-    # two in-plane moments.
-    A[rows_d[0], s["planar_force"].start] += e4
-    A[rows_p2[0], s["planar_force"].start] -= e4
-    put_moment(rows_d, s["planar_moment"].start, +1.0, q1)
-    put_moment(rows_d, s["planar_moment"].start + 1, +1.0, q2)
-    put_moment(rows_p2, s["planar_moment"].start, -1.0, q1)
-    put_moment(rows_p2, s["planar_moment"].start + 1, -1.0, q2)
-
-    f_cut, m_cut = cutting_wrench(motion, load)
+    b = np.empty(N_EQUATIONS)
     for name in BODY_NAMES:
         p = params[name]
         m = motion.bodies[name]
         newton, euler = _ROWS[name]
-        inertia_o = m.R @ (p.inertia + p.mass * (
-            np.dot(p.com_offset, p.com_offset) * np.eye(3) - np.outer(p.com_offset, p.com_offset)
-        )) @ m.R.T
-        b[newton] = p.mass * m.a_com - p.mass * gravity
-        b[euler] = inertia_o @ m.omega_dot + cross3(m.omega, inertia_o @ m.omega) - cross3(m.r_com, p.mass * gravity)
-        if name == "terminal":
-            b[newton] -= f_cut
-            b[euler] -= m_cut
+        inertia_o = m.R @ p.inertia_center @ m.R.T
+        weight = p.mass * gravity
+        b[newton] = p.mass * m.a_com - weight
+        b[euler] = inertia_o @ m.omega_dot + cross3(m.omega, inertia_o @ m.omega) - cross3(m.r_com, weight)
+    if load is not None:
+        f_cut, m_cut = cutting_wrench(motion, load)
+        newton, euler = _ROWS["terminal"]
+        b[newton] -= f_cut
+        b[euler] -= m_cut
 
-    rates = np.array([motion.state.rates[0], motion.state.rates[1]])
-    return AssembledSystem(A, b, rates)
+    return AssembledSystem(A, b, motion.state.rates[:2].copy())
 
 
 @dataclass(frozen=True)
@@ -380,15 +390,27 @@ class DynamicsSolution:
 
 
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
-    """Minimum-norm least-squares solve with a hard consistency gate.
+    """Minimum-norm solve with a hard consistency gate.
 
-    The actuator torques are unique; the self-stress component of the
-    reactions is fixed by the minimum-norm choice.
+    With the QR factorization A^T = Q R, the minimum-norm solution of a
+    full-row-rank system is x = Q R^-T b.  When the diagonal of R shows the
+    equations nearly rank-deficient (``QR_RANK_TOL``), the SVD least-squares
+    solution is taken instead.  Either way the relative residual of x must
+    stay below ``RESIDUAL_GATE``.  The actuator torques are unique; the
+    self-stress component of the reactions is fixed by the minimum-norm
+    choice.
     """
-    x, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    r = system.matrix @ x - system.rhs
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    residual = float(np.linalg.norm(r)) / rhs_norm if rhs_norm > 0.0 else float(np.linalg.norm(r))
+    A, rhs = system.matrix, system.rhs
+    q, r = np.linalg.qr(A.T)
+    diag = np.abs(np.diagonal(r))
+    if diag.min() > QR_RANK_TOL * diag.max():
+        x = q @ np.linalg.solve(r.T, rhs)
+    else:
+        x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    res = A @ x - rhs
+    res_norm = math.sqrt(res.dot(res))
+    rhs_norm = math.sqrt(rhs.dot(rhs))
+    residual = res_norm / rhs_norm if rhs_norm > 0.0 else res_norm
     if residual >= RESIDUAL_GATE:
         raise ModelInconsistencyError(
             f"relative solve residual {residual:.2e} exceeds {RESIDUAL_GATE:.0e}; "
@@ -415,26 +437,26 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
 
     Independent check on the wrench solve: actuator power plus gravity and
     cutting power must equal d(KE)/dt, with everything evaluated analytically
-    from the motion terms.
+    from the motion terms.  The kinetic energy is split about each center of
+    mass, not about the wrist center as in the assembly.
     """
     params = _index_bodies(bodies)
     gravity = _as_vector("gravity", gravity)
-    load = load if load is not None else CuttingLoad()
 
-    ke_rate = 0.0
-    p_gravity = 0.0
+    ke_rate = p_gravity = 0.0
     for name in BODY_NAMES:
         p = params[name]
         m = motion.bodies[name]
         inertia_c = m.R @ p.inertia @ m.R.T
-        ke_rate += float(m.omega @ (inertia_c @ m.omega_dot) + p.mass * (m.v_com @ m.a_com))
-        p_gravity += float(p.mass * (gravity @ m.v_com))
+        ke_rate += m.omega @ (inertia_c @ m.omega_dot) + p.mass * (m.v_com @ m.a_com)
+        p_gravity += p.mass * (gravity @ m.v_com)
 
-    f_cut, _ = cutting_wrench(motion, load)
-    tip_velocity = cross3(motion.bodies["terminal"].omega, load.lever * motion.axes["e5"])
-    p_cut = float(f_cut @ tip_velocity)
-    p_act = float(solution.tau @ np.array([state.rates[0], state.rates[1]]))
-    return abs(p_act + p_gravity + p_cut - ke_rate) / max(1.0, abs(ke_rate))
+    p_cut = 0.0
+    if load is not None:
+        f_cut, _ = cutting_wrench(motion, load)
+        p_cut = f_cut @ cross3(motion.bodies["terminal"].omega, load.lever * motion.axes["e5"])
+    p_act = solution.tau @ state.rates[:2]
+    return float(abs(p_act + p_gravity + p_cut - ke_rate) / max(1.0, abs(ke_rate)))
 
 
 def solve_state(state: JointState, geometry: WristGeometry, bodies,
@@ -557,11 +579,9 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     moment = {}
     for name, (R, omega, omega_dot) in motion.items():
         p = params[name]
-        c = p.com_offset
-        inertia_o = p.inertia + p.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
-        moment[name] = (_body_tensor_product(R, inertia_o, omega_dot)
-                        + cross_rows(omega, _body_tensor_product(R, inertia_o, omega))
-                        - cross_rows(R @ c, p.mass * gravity))
+        moment[name] = (_body_tensor_product(R, p.inertia_center, omega_dot)
+                        + cross_rows(omega, _body_tensor_product(R, p.inertia_center, omega))
+                        - cross_rows(R @ p.com_offset, p.mass * gravity))
 
     q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
     tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),

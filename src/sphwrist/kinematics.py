@@ -19,7 +19,7 @@ from .errors import (
     SingularOrientationError,
     UnreachableOrientationError,
 )
-from .rotation import WristGeometry, central_difference, chain_frames, unwrap_angles, wrap_angle
+from .rotation import WristGeometry, central_difference, chain_frames, cross_rows, unwrap_angles, wrap_angle
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
@@ -78,7 +78,7 @@ class JointAngles:
         theta = np.asarray(self.theta, dtype=float).reshape(-1)
         if theta.shape != (4,):
             raise InvalidInputError("expected 4 joint angles")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise InvalidInputError("joint angles must be finite")
         theta = theta.copy()
         theta.setflags(write=False)
@@ -103,7 +103,7 @@ class JointState:
         accels = np.asarray(self.accels, dtype=float).reshape(-1)
         if rates.shape != (4,) or accels.shape != (4,):
             raise InvalidInputError("rates and accels must hold 4 entries")
-        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(accels)) and np.isfinite(self.t)):
+        if not (np.isfinite(rates).all() and np.isfinite(accels).all() and math.isfinite(self.t)):
             raise InvalidInputError("joint state entries must be finite")
         rates = rates.copy()
         accels = accels.copy()
@@ -287,7 +287,7 @@ def _passive_columns(axes1, axes2):
     # [b1, b2] x = rhs for those two rates.
     _, e3, e5 = axes1
     _, e4, _ = axes2
-    return np.cross(e3, e5), -np.cross(e4, e5)
+    return cross_rows(e3, e5), -cross_rows(e4, e5)
 
 
 def _passive_singular(b1, b2):
@@ -311,9 +311,10 @@ def _solve_passive(b1, b2, rhs):
     # normal equations square the conditioning.  Minimum-norm on the singular
     # rows, which is also the correct compatible answer there.
     singular = _passive_singular(b1, b2)
-    n = np.cross(b1, b2)
+    n = cross_rows(b1, b2)
     nn = np.where(singular, 1.0, np.sum(n * n, axis=1))
-    x = np.column_stack([np.sum(np.cross(rhs, b2) * n, axis=1), np.sum(np.cross(b1, rhs) * n, axis=1)]) / nn[:, None]
+    x = np.column_stack([np.sum(cross_rows(rhs, b2) * n, axis=1),
+                         np.sum(cross_rows(b1, rhs) * n, axis=1)]) / nn[:, None]
     for i in np.flatnonzero(singular):
         x[i], *_ = np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)
     return x
@@ -323,7 +324,7 @@ def _closure_rates_from_axes(axes1, axes2, drive):
     e1, _, e5 = axes1
     e2, _, _ = axes2
     rate1, rate2 = drive[:, :1], drive[:, 1:]
-    rhs = np.cross(rate2 * e2 - rate1 * e1, e5)
+    rhs = cross_rows(rate2 * e2 - rate1 * e1, e5)
     return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
 
 
@@ -332,14 +333,14 @@ def _closure_accels_from_axes(axes1, axes2, rates, drive):
     e2, e4, _ = axes2
     d1, d2, d3, d4 = (rates[:, k:k + 1] for k in range(4))
     accel1, accel2 = drive[:, :1], drive[:, 1:]
-    v_dot = np.cross(d1 * e1 + d3 * e3, e5)
-    e3_dot = d1 * np.cross(e1, e3)
-    e4_dot = d2 * np.cross(e2, e4)
+    v_dot = cross_rows(d1 * e1 + d3 * e3, e5)
+    e3_dot = d1 * cross_rows(e1, e3)
+    e4_dot = d2 * cross_rows(e2, e4)
     rhs = (
-        accel2 * np.cross(e2, e5) - accel1 * np.cross(e1, e5)
-        + d2 * np.cross(e2, v_dot) - d1 * np.cross(e1, v_dot)
-        - d3 * (np.cross(e3_dot, e5) + np.cross(e3, v_dot))
-        + d4 * (np.cross(e4_dot, e5) + np.cross(e4, v_dot))
+        accel2 * cross_rows(e2, e5) - accel1 * cross_rows(e1, e5)
+        + d2 * cross_rows(e2, v_dot) - d1 * cross_rows(e1, v_dot)
+        - d3 * (cross_rows(e3_dot, e5) + cross_rows(e3, v_dot))
+        + d4 * (cross_rows(e4_dot, e5) + cross_rows(e4, v_dot))
     )
     return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
 

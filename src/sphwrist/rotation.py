@@ -6,6 +6,7 @@ call concurrently.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ ROTATION_TOL = 1e-12
 
 
 def _require_finite(name, value):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise InvalidInputError(f"{name} must be finite")
 
 
@@ -31,7 +32,8 @@ def dh_rotation(theta, alpha: float) -> np.ndarray:
     the new X by alpha.  Broadcasts over ``theta``: shape (...) gives (..., 3, 3)."""
     theta = np.asarray(theta, dtype=float)
     _require_finite("theta", theta)
-    _require_finite("alpha", alpha)
+    if not math.isfinite(alpha):
+        raise InvalidInputError("alpha must be finite")
     c, s = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(alpha), math.sin(alpha)
     R = np.empty(theta.shape + (3, 3))
@@ -43,9 +45,9 @@ def dh_rotation(theta, alpha: float) -> np.ndarray:
 
 def cross3(a, b) -> np.ndarray:
     """Cross product of two 3-vectors (much cheaper than np.cross for singles)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def cross_rows(a, b) -> np.ndarray:
@@ -127,6 +129,16 @@ class WristGeometry:
                          [c, 0.0, s],
                          [0.0, 1.0, 0.0]])
 
+    @cached_property
+    def _legs(self) -> dict:
+        """Per leg key: its fixed base frame (read-only) and its two twists."""
+        base = self.base_axes
+        a0, a1, a2, a3, a4 = self.alpha.tolist()
+        legs = {"1": (base, (a1, a3)), "2": (base @ _rot_y(a0), (a2, a4))}
+        for f0, _ in legs.values():
+            f0.setflags(write=False)
+        return legs
+
 
 def chain_frames(thetas, geometry: WristGeometry, leg):
     """Frame orientations and joint axes along one leg, in the world frame.
@@ -141,19 +153,13 @@ def chain_frames(thetas, geometry: WristGeometry, leg):
     if thetas.ndim == 0 or thetas.shape[-1] != 2:
         raise InvalidInputError("each leg carries exactly 2 joint angles")
     _require_finite("thetas", thetas)
-    key = str(leg).removeprefix("leg-")
-    alpha = geometry.alpha
-    if key == "1":
-        f0 = geometry.base_axes
-        twists = alpha[1], alpha[3]
-    elif key == "2":
-        f0 = geometry.base_axes @ _rot_y(alpha[0])
-        twists = alpha[2], alpha[4]
-    else:
-        raise InvalidInputError(f"unknown leg {leg!r}")
+    try:
+        f0, twists = geometry._legs[str(leg).removeprefix("leg-")]
+    except KeyError:
+        raise InvalidInputError(f"unknown leg {leg!r}") from None
     f1 = f0 @ dh_rotation(thetas[..., 0], twists[0])
     f2 = f1 @ dh_rotation(thetas[..., 1], twists[1])
-    frames = (np.broadcast_to(f0, f1.shape), f1, f2)
+    frames = (f0 if f1.ndim == 2 else np.broadcast_to(f0, f1.shape), f1, f2)
     return frames, tuple(f[..., 2] for f in frames)
 
 

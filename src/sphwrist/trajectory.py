@@ -19,6 +19,10 @@ KIND_CIRCLE = "circle-XY"
 
 DEFAULT_SAMPLE_COUNT = 1001
 DEFAULT_TOOL_SPEED = 1.0
+# A thousand times the paper's sample count.  A run holds about 1.4 kB per
+# sample at its peak (the traj command at 50,001 samples), so this bound
+# keeps one path under about 1.4 GB.
+MAX_SAMPLE_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,8 @@ class TrajectorySpec:
         if not (np.isfinite(self.rate) and self.rate > 0.0 and np.isfinite(2.0 * math.pi / self.rate)):
             raise InvalidSpecError(f"path rate tool_speed / radius = {self.rate:.6g} rad/s"
                                    " overflows or underflows double precision")
-        if not (isinstance(self.sample_count, numbers.Integral) and self.sample_count >= 3):
-            raise InvalidSpecError("sample_count must be an integer of at least 3")
+        if not (isinstance(self.sample_count, numbers.Integral) and 3 <= self.sample_count <= MAX_SAMPLE_COUNT):
+            raise InvalidSpecError(f"sample_count must be an integer from 3 to {MAX_SAMPLE_COUNT}")
         if self.kind == KIND_CIRCLE:
             if self.gamma is None:
                 raise InvalidSpecError("circle-XY requires a cone angle gamma")

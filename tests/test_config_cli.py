@@ -99,6 +99,12 @@ def test_config_non_finite_values_named(tmp_path, capsys, old, new, key):
     assert err.startswith("error[config-error]") and key in err
 
 
+def test_config_sample_count_bounded():
+    text = default_config_text().replace("defaults.sample_count = 1001", "defaults.sample_count = 1e12")
+    with pytest.raises(ConfigError, match="'defaults.sample_count' must be an integer from 3 to 1000000"):
+        config_from_text(text)
+
+
 def test_config_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match="line 2"):
         config_from_text("gravity = 0, 0, -9.81\nnot a key value line\n")
@@ -106,6 +112,23 @@ def test_config_parse_errors_carry_line_numbers(tmp_path):
         config_from_text("gravity = a, b, c\n")
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_config_not_utf8_is_one_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"gravity = 0,0,-9.81\n\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text: byte 0xff at offset 20"):
+        load_config(path)
+    code, out, err = run_cli(capsys, "--config", str(path), "fk", "--theta1", "0", "--theta3", "0")
+    assert (code, out) == (1, "")
+    assert err == f"error[config-error]: config file {path} is not UTF-8 text: byte 0xff at offset 20\n"
+
+
+def test_config_directory_is_one_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "fk", "--theta1", "0", "--theta3", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[config-error]: cannot read config file {tmp_path}: ")
+    assert "not found" not in err and err.count("\n") == 1
 
 
 def test_config_wrong_arity_named():
@@ -300,6 +323,19 @@ def test_write_csv_matches_per_value_format(tmp_path):
     expected = [",".join(header)] + [",".join(format(float(x), ".12g") for x in row) for row in rows]
     assert path.read_text() == "\n".join(expected) + "\n"
     assert path.read_text().splitlines()[1] == "-0,4.94065645841e-324,1e-300,1.7e+308,3,-12"
+
+
+def test_cli_huge_sample_count_is_one_error(tmp_path, capsys, monkeypatch):
+    # The spec rejects the count before any path is generated.
+    def fail(spec):
+        raise AssertionError("generated a path")
+    monkeypatch.setattr(sphwrist.trajectory, "traj_circle", fail)
+    monkeypatch.setattr(sphwrist.trajectory, "traj_semicircle", fail)
+    code, out, err = run_cli(capsys, "traj", "--gamma", "45", "--radius", "0.1",
+                             "--samples", "1000000000000", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == "error[invalid-spec]: sample_count must be an integer from 3 to 1000000\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_unwritable_output_path(tmp_path, capsys):

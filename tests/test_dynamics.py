@@ -30,7 +30,7 @@ from sphwrist import (
     trajectory_joint_profiles,
     virtual_work_torques,
 )
-from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS, _load_free_torques
+from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS, RESIDUAL_GATE, UNKNOWN_SLICES, _load_free_torques
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from sphwrist.kinematics import (_closure_axes, _closure_rates_from_axes, _closure_singular, _joint_angles,
                                  closure_accels, closure_rates)
@@ -235,6 +235,63 @@ def test_residual_gate_trips_at_exact_singularity(geometry, bodies):
     for k in (499, 501):
         _, sol = solve_state(states[k], geometry, bodies)
         assert sol.residual < 1e-8
+
+
+def reachable_state(geometry, t1, t3, drive_rates=(0.0, 0.0), drive_accels=(0.0, 0.0)):
+    # The direction reached by a leg-1 joint pair is reachable by
+    # construction; the passive rates and accelerations follow from closure.
+    angles = JointAngles(_joint_angles(forward_kinematics(t1, t3, geometry).v, geometry))
+    rates = closure_rates(angles, *drive_rates, geometry)
+    return JointState(angles, rates, closure_accels(angles, rates, *drive_accels, geometry), 0.0)
+
+
+def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
+    # The QR minimum-norm solve against the SVD least-squares solve on the
+    # same systems: the same gate decision, and the same torques and
+    # reactions to 1e-10 of their largest magnitude.
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in range(120):
+        t1, t3 = rng.uniform(-math.pi, math.pi, 2)
+        state = reachable_state(geometry, t1, t3, rng.uniform(-20.0, 20.0, 2), rng.uniform(-500.0, 500.0, 2))
+        load = CuttingLoad(rng.uniform(-200.0, 200.0, 3), rng.uniform(0.0, 0.3)) if k % 2 else None
+        cases.append((state, load))
+    semicircle = semicircle_states(geometry, 0.25, 1001)
+    cases += [(semicircle[i], None) for i in (499, 500, 501)]
+    # Singular, but the loads do no work on the self-motion: the gate accepts.
+    cases.append((reachable_state(geometry, 0.0, 1.0), None))
+
+    accepted = []
+    for state, load in cases:
+        system = assemble_system(body_motion(state, geometry, bodies), bodies, GRAVITY, load)
+        x, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
+        residual = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
+        try:
+            solution = solve_wrenches(system)
+        except ModelInconsistencyError:
+            assert residual >= RESIDUAL_GATE
+            accepted.append(False)
+            continue
+        assert residual < RESIDUAL_GATE
+        accepted.append(True)
+        tau = x[[UNKNOWN_SLICES["tau1"].start, UNKNOWN_SLICES["tau2"].start]]
+        assert np.max(np.abs(solution.tau - tau)) <= 1e-10 * np.max(np.abs(tau))
+        for key, columns in UNKNOWN_SLICES.items():
+            error = np.max(np.abs(np.atleast_1d(solution.reactions[key]) - x[columns]))
+            assert error <= 1e-10 * np.max(np.abs(x)), key
+    assert accepted == [True] * 120 + [True, False, True, True]
+    np.testing.assert_allclose(solution.tau, (0.0598, 0.0901), atol=5e-5)
+
+    # Only the singular sample falls back to lstsq.
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    for state, _ in cases[120:123]:
+        try:
+            solve_state(state, geometry, bodies)
+        except ModelInconsistencyError:
+            pass
+    assert len(calls) == 1
 
 
 def test_reflected_motor_torque_cases(motor):

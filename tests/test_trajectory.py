@@ -6,7 +6,7 @@ import pytest
 from sphwrist import (OrientationPath, TimedOrientation, ToolOrientation, TrajectorySpec, generate, traj_circle,
                       traj_semicircle, trajectory_joint_profiles)
 from sphwrist.errors import InvalidInputError, InvalidSpecError
-from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
+from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE, MAX_SAMPLE_COUNT
 
 
 def test_semicircle_midpoint_and_first_sample():
@@ -69,6 +69,8 @@ def test_duration_times_speed_equals_span_times_radius():
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, sample_count=2),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, sample_count=5.5),
     dict(kind=KIND_SEMICIRCLE, radius=0.1, sample_count=math.nan),
+    dict(kind=KIND_SEMICIRCLE, radius=0.1, sample_count=MAX_SAMPLE_COUNT + 1),
+    dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.5, sample_count=10**12),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=0.0),
     dict(kind=KIND_CIRCLE, radius=0.1, gamma=math.pi / 2.0),
     dict(kind=KIND_CIRCLE, radius=0.1),
@@ -76,6 +78,12 @@ def test_duration_times_speed_equals_span_times_radius():
 def test_invalid_specs(kwargs):
     with pytest.raises(InvalidSpecError):
         TrajectorySpec(**kwargs)
+
+
+def test_largest_sample_count_is_a_valid_spec():
+    # Only the spec is built: nothing of that size is allocated.
+    assert TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.1, sample_count=MAX_SAMPLE_COUNT).sample_count \
+        == MAX_SAMPLE_COUNT
 
 
 @pytest.mark.parametrize("kind", [KIND_CIRCLE, KIND_SEMICIRCLE])
