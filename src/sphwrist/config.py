@@ -153,10 +153,14 @@ def default_config() -> Config:
 def load_config(path) -> Config:
     """Load and validate a configuration file (UTF-8 text)."""
     path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    # A directory, FIFO or device is refused before it is opened: reading
+    # /dev/zero, say, would never end.
+    if not path.is_file():
+        raise ConfigError(f"cannot read config file {path}: not a regular file")
     try:
         text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -39,24 +39,41 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# The QR solve hands a sample to lstsq when the smallest diagonal entry of R
-# is at most this fraction of the largest.  The equations are then too close
-# to rank-deficient for the QR solution to be trusted to the residual gate's
-# accuracy, and lstsq's rank decision applies, as it always did.  At the
-# R = 0.25 m semicircle's singular midpoint the ratio is 1e-16; at the samples
-# either side it is 1.7e-3.
+# solve_wrenches hands a sample to lstsq when the smallest diagonal entry of
+# R is at most this fraction of the largest: the equations are then too near
+# rank-deficient for the QR solution, and lstsq's rank decision applies.  The
+# ratio is 1e-16 at the R = 0.25 m semicircle's singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 
+# The joint wrenches: action on the first body listed, reaction on the
+# second.  A force enters each body's force balance as +-I and its moment
+# balance about the center as +-skew(point), at the point named on the
+# carrying body (the center where that body names none).
+_JOINT_FORCES = (
+    # (unknowns, carrying body, point, ((body, sign), ...))
+    ("terminal_revolute_force", "terminal", "joint_proximal1", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_force", "terminal", "joint_distal", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_force", "proximal-1", "joint_base", (("proximal-1", 1.0),)),
+    ("base2_force", "proximal-2", "joint_base", (("proximal-2", 1.0),)),
+)
+# A revolute joint carries the two moments transverse to its axis; the planar
+# joint the two in its plane, transverse to its normal e4.  Each basis is
+# built from the joint axis and a seed axis (``_transverse_basis``).
+_JOINT_MOMENTS = (
+    # (unknowns, joint axis, seed axis, ((body, sign), ...))
+    ("terminal_revolute_moment", "e3", "e5", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_moment", "e5", "e3", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_moment", "e1", "e3", (("proximal-1", 1.0),)),
+    ("base2_moment", "e2", "e4", (("proximal-2", 1.0),)),
+    ("planar_moment", "e4", "e2", (("distal", 1.0), ("proximal-2", -1.0))),
+)
+
 # The joint interaction points the assembly reads, per body; a point left
 # out sits at the wrist center.
-FORCE_POINT_NAMES = {
-    "terminal": ("joint_proximal1", "joint_distal"),
-    "distal": (),
-    "proximal-1": ("joint_base",),
-    "proximal-2": ("joint_base",),
-}
+FORCE_POINT_NAMES = {name: tuple(point for _, carrier, point, _ in _JOINT_FORCES if carrier == name)
+                     for name in BODY_NAMES}
 
 
 def _as_vector(name, value, length=3):
@@ -284,30 +301,6 @@ def _skew(v):
     return np.array([[0.0, -z, y],
                      [z, 0.0, -x],
                      [-y, x, 0.0]])
-
-
-# The joint wrenches: action on the first body listed, reaction on the
-# second.  A force enters each body's force balance as +-I and its moment
-# balance about the center as +-skew(point), at the point named on the
-# carrying body (the center where that body names none).
-_JOINT_FORCES = (
-    # (unknowns, carrying body, point, ((body, sign), ...))
-    ("terminal_revolute_force", "terminal", "joint_proximal1", (("terminal", 1.0), ("proximal-1", -1.0))),
-    ("tool_revolute_force", "terminal", "joint_distal", (("terminal", 1.0), ("distal", -1.0))),
-    ("base1_force", "proximal-1", "joint_base", (("proximal-1", 1.0),)),
-    ("base2_force", "proximal-2", "joint_base", (("proximal-2", 1.0),)),
-)
-# A revolute joint carries the two moments transverse to its axis; the planar
-# joint the two in its plane, transverse to its normal e4.  Each basis is
-# built from the joint axis and a seed axis (``_transverse_basis``).
-_JOINT_MOMENTS = (
-    # (unknowns, joint axis, seed axis, ((body, sign), ...))
-    ("terminal_revolute_moment", "e3", "e5", (("terminal", 1.0), ("proximal-1", -1.0))),
-    ("tool_revolute_moment", "e5", "e3", (("terminal", 1.0), ("distal", -1.0))),
-    ("base1_moment", "e1", "e3", (("proximal-1", 1.0),)),
-    ("base2_moment", "e2", "e4", (("proximal-2", 1.0),)),
-    ("planar_moment", "e4", "e2", (("distal", 1.0), ("proximal-2", -1.0))),
-)
 
 
 def _newton_template():
