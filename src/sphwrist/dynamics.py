@@ -9,22 +9,26 @@ two in-plane moments).  That wrench set closes every load path of the real
 mechanism while staying workless, so for loop-consistent joint states the
 24-equation system is solvable to rounding error.  It carries one internal
 self-stress (24 equations, 25 unknowns); the minimum-norm solution resolves
-it, and the actuator torques are invariant to that choice.  The solve takes
-it from a QR factorization of the transposed matrix and falls back to SVD
-least squares where the equations are nearly rank-deficient
-(``solve_wrenches``).
+it, and the actuator torques are invariant to that choice.
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 
+Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
+``_solve``): one QR factorization of each transposed matrix gives its
+minimum-norm solution, and nearly rank-deficient rows fall back to SVD least
+squares.  The one-state calls are the n = 1 case.  ``solve_state`` on a row
+of a ``JointProfile`` solves the row's aligned block of ``NE_BLOCK`` rows
+and keeps it on the profile for the block's other rows.
+
 The studies take their actuator torques from ``virtual_work_torques``: the
-principle of virtual work over a whole joint profile at once, with the
-velocity field of each actuator from loop closure.  It gives the same
-torques without the reactions; the per-sample Newton-Euler solve stays as
-the reactions API and as the independent check on it.
+principle of virtual work over a whole joint profile at once, on the same
+motion, with the velocity field of each actuator from loop closure.  It
+gives the same torques without the reactions; the Newton-Euler solve stays
+as the reactions API and as the independent check on it.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -33,19 +37,24 @@ import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from .kinematics import JointProfile, JointState, _closure_rates_from_axes, _closure_singular
-from .rotation import WristGeometry, chain_frames, cross3, cross_rows
+from .rotation import WristGeometry, cross_rows, leg_frames
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# solve_wrenches hands a sample to lstsq when the smallest diagonal entry of
-# R is at most this fraction of the largest: the equations are then too near
+# A row goes to lstsq when the smallest diagonal entry of its R is at most
+# this fraction of the largest: the equations are then too near
 # rank-deficient for the QR solution, and lstsq's rank decision applies.  The
 # ratio is 1e-16 at the R = 0.25 m semicircle's singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
+# Rows of a profile that solve_state solves together and keeps on the
+# profile.  Peak memory grows with the block: about 1 MB at 32 rows, 2 MB
+# for a whole 1001-sample profile.
+NE_BLOCK = 32
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
+AXIS_NAMES = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 # The joint wrenches: action on the first body listed, reaction on the
 # second.  A force enters each body's force balance as +-I and its moment
@@ -60,7 +69,7 @@ _JOINT_FORCES = (
 )
 # A revolute joint carries the two moments transverse to its axis; the planar
 # joint the two in its plane, transverse to its normal e4.  Each basis is
-# built from the joint axis and a seed axis (``_transverse_basis``).
+# built from the joint axis and a seed axis (see ``_assemble``).
 _JOINT_MOMENTS = (
     # (unknowns, joint axis, seed axis, ((body, sign), ...))
     ("terminal_revolute_moment", "e3", "e5", (("terminal", 1.0), ("proximal-1", -1.0))),
@@ -175,90 +184,92 @@ class CuttingLoad:
         object.__setattr__(self, "f_c", f)
 
 
-@dataclass(frozen=True)
-class BodyMotion:
-    """World-frame rigid-body motion of one link about the wrist center."""
+def _tip_force(load: CuttingLoad, e3, e5):
+    # World-frame tip force from stacked axes (n, 3); (e3, e5, e3 x e5) is
+    # orthonormal only for a terminal twist of pi/2.
+    return load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross_rows(e3, e5)
+
+
+_BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center force_points")
+
+
+def _body_table(bodies) -> _BodyTable:
+    # The links' parameters stacked in BODY_NAMES order, and each joint
+    # force's point on its carrying body (the center where it names none).
+    given = {b.name: b for b in bodies}
+    missing = [n for n in BODY_NAMES if n not in given]
+    if missing:
+        raise InvalidInputError(f"missing body parameters for {missing}")
+    params = tuple(given[n] for n in BODY_NAMES)
+    return _BodyTable(params, *(np.array([getattr(p, f) for p in params])
+                                for f in ("mass", "com_offset", "inertia", "inertia_center")),
+                      np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
+
+
+# World-frame rigid-body motion of one link about the wrist center.
+BodyMotion = namedtuple("BodyMotion", "R omega omega_dot r_com v_com a_com")
+
+
+class WristMotion(NamedTuple):
+    """World-frame motion of the links at n joint states, in ``BODY_NAMES``
+    order: frames ``R`` (n, 4, 3, 3); ``omega``, ``omega_dot``, ``r_com``,
+    ``v_com``, ``a_com`` (n, 4, 3); axes e1..e6 ``joint_axes`` (n, 6, 3); the
+    legs' disagreement |e5 - e6| ``closure`` (n,).  For one ``state``,
+    ``bodies`` and ``axes`` read it by name."""
 
     R: np.ndarray
     omega: np.ndarray
     omega_dot: np.ndarray
     r_com: np.ndarray
-    v_com: np.ndarray
-    a_com: np.ndarray
+    v_com: np.ndarray | None
+    a_com: np.ndarray | None
+    joint_axes: np.ndarray
+    closure: np.ndarray
+    state: JointState | None = None
+
+    @property
+    def bodies(self) -> dict:
+        return {name: BodyMotion(*(a[0, b] for a in self[:6])) for b, name in enumerate(BODY_NAMES)}
+
+    @property
+    def axes(self) -> dict:
+        return dict(zip(AXIS_NAMES, self.joint_axes[0]))
 
 
-@dataclass(frozen=True)
-class WristMotion:
-    """Per-body motions plus the joint axes, for one joint state."""
+def _motion(theta, rates, accels, geometry: WristGeometry, table: _BodyTable, com_motion=True) -> WristMotion:
+    """Motion of every link at n joint states, (n, 4) each.  Each proximal
+    link spins about its fixed drive axis; the terminal and the distal
+    compound their leg's two joint rates (the distal's spin about the planar
+    normal comes from the leg-2 chain).  ``com_motion`` false leaves out
+    ``v_com`` and ``a_com``."""
+    # Body order: the legs' elbow-side links (terminal, distal), then their
+    # drive links (proximal-1, proximal-2).
+    f0, f1, f2 = leg_frames(theta, geometry)
+    R = np.concatenate([f2, f1], axis=1)
+    del f1, f2  # R keeps the only copy, which lowers the peak memory of a pass
+    drive, elbow, tool = np.broadcast_to(f0[..., 2], R[:, 2:, :, 2].shape), R[:, 2:, :, 2], R[:, :2, :, 2]
+    drive_rate, elbow_rate = rates[:, :2, None], rates[:, 2:, None]
+    w, w_dot = drive_rate * drive, accels[:, :2, None] * drive
+    omega = np.concatenate([w + elbow_rate * elbow, w], axis=1)
+    omega_dot = np.concatenate([w_dot + accels[:, 2:, None] * elbow
+                                + drive_rate * elbow_rate * cross_rows(drive, elbow), w_dot], axis=1)
+    r = (R @ table.com[:, :, None])[..., 0]
+    v = cross_rows(omega, r) if com_motion else None
+    a = cross_rows(omega_dot, r) + cross_rows(omega, v) if com_motion else None
+    axes = np.concatenate([drive, elbow, tool], axis=1)
+    return WristMotion(R, omega, omega_dot, r, v, a, axes, np.linalg.norm(tool[:, 0] - tool[:, 1], axis=1))
 
-    bodies: dict
-    axes: dict
-    state: JointState
-    closure_error: float
+
+def _open_loop_message(closure):
+    return f"legs disagree on the tool axis by {closure:.2e}; joint angles do not close the loop"
 
 
 def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMotion:
-    """Angular velocity/acceleration and center-of-mass motion of every link.
-
-    Each proximal link spins about its fixed drive axis; the terminal and the
-    distal compound their leg's two joint rates, including the distal's spin
-    about the planar-joint normal, which the leg-2 chain resolves directly.
-    """
-    params = _index_bodies(bodies)
-    th = state.angles.theta
-    d1, d2, d3, d4 = state.rates.tolist()
-    a1, a2, a3, a4 = state.accels.tolist()
-
-    frames1, (e1, e3, e5) = chain_frames(th[[0, 2]], geometry, "leg-1")
-    frames2, (e2, e4, e6) = chain_frames(th[[1, 3]], geometry, "leg-2")
-
-    gap = e5 - e6
-    closure = math.sqrt(gap @ gap)
-    if closure > CLOSURE_TOL:
-        raise InconsistentStateError(
-            f"legs disagree on the tool axis by {closure:.2e}; joint angles do not close the loop"
-        )
-
-    motions = {}
-
-    def add(name, R, omega, omega_dot):
-        r = R @ params[name].com_offset
-        v = cross3(omega, r)
-        motions[name] = BodyMotion(R, omega, omega_dot, r, v, cross3(omega_dot, r) + cross3(omega, v))
-
-    w1, w1_dot = d1 * e1, a1 * e1
-    w2, w2_dot = d2 * e2, a2 * e2
-    add("proximal-1", frames1[1], w1, w1_dot)
-    add("terminal", frames1[2], w1 + d3 * e3, w1_dot + a3 * e3 + d1 * d3 * cross3(e1, e3))
-    add("proximal-2", frames2[1], w2, w2_dot)
-    add("distal", frames2[2], w2 + d4 * e4, w2_dot + a4 * e4 + d2 * d4 * cross3(e2, e4))
-
-    axes = {"e1": e1, "e2": e2, "e3": e3, "e4": e4, "e5": e5, "e6": e6}
-    return WristMotion(motions, axes, state, closure)
-
-
-def _index_bodies(bodies):
-    params = {b.name: b for b in bodies}
-    missing = [n for n in BODY_NAMES if n not in params]
-    if missing:
-        raise InvalidInputError(f"missing body parameters for {missing}")
-    return params
-
-
-def _transverse_basis(axis, seed):
-    """(3, 2) columns: the unit vector normal to ``axis`` in its plane with
-    ``seed``, then ``axis`` cross that vector."""
-    ax, ay, az = axis.tolist()
-    sx, sy, sz = seed.tolist()
-    d = sx * ax + sy * ay + sz * az
-    tx, ty, tz = sx - d * ax, sy - d * ay, sz - d * az
-    n = math.hypot(tx, ty, tz)
-    if n < 1e-9:
-        raise InconsistentStateError("cannot build a transverse moment basis; axes are aligned")
-    tx, ty, tz = tx / n, ty / n, tz / n
-    return np.array([[tx, ay * tz - az * ty],
-                     [ty, az * tx - ax * tz],
-                     [tz, ax * ty - ay * tx]])
+    """Angular velocity/acceleration and center-of-mass motion of every link."""
+    motion = _motion(state.angles.theta[None], state.rates[None], state.accels[None], geometry, _body_table(bodies))
+    if motion.closure[0] > CLOSURE_TOL:
+        raise InconsistentStateError(_open_loop_message(motion.closure[0]))
+    return motion._replace(state=state)
 
 
 UNKNOWN_SLICES = {
@@ -279,12 +290,10 @@ UNKNOWN_SLICES = {
 N_UNKNOWNS = 25
 N_EQUATIONS = 24
 
-_ROWS = {
-    "terminal": (slice(0, 3), slice(3, 6)),
-    "distal": (slice(6, 9), slice(9, 12)),
-    "proximal-1": (slice(12, 15), slice(15, 18)),
-    "proximal-2": (slice(18, 21), slice(21, 24)),
-}
+# Per body, its force-balance and moment-balance rows, six per body in
+# BODY_NAMES order.
+_ROWS = {name: (slice(6 * b, 6 * b + 3), slice(6 * b + 3, 6 * b + 6)) for b, name in enumerate(BODY_NAMES)}
+_TAU = [UNKNOWN_SLICES["tau1"].start, UNKNOWN_SLICES["tau2"].start]
 
 
 @dataclass(frozen=True)
@@ -296,33 +305,74 @@ class AssembledSystem:
     actuated_rates: np.ndarray
 
 
-def _skew(v):
-    x, y, z = v.tolist()
-    return np.array([[0.0, -z, y],
-                     [z, 0.0, -x],
-                     [-y, x, 0.0]])
-
-
-def _newton_template():
-    # The constant part of the matrix: the force balances' +-I blocks.
+def _matrix(values):
+    """One sample's matrix from its values: the joint forces' world points
+    (4 x 3), the moment bases (5 x 3 x 2), then e1, e2 and e4."""
+    points, bases, (e1, e2, e4) = values[:12].reshape(4, 3), values[12:42].reshape(5, 3, 2), values[42:].reshape(3, 3)
     A = np.zeros((N_EQUATIONS, N_UNKNOWNS))
-    for force, _, _, ends in _JOINT_FORCES:
+    s = UNKNOWN_SLICES
+    for (force, _, _, ends), point in zip(_JOINT_FORCES, points):
         for body, sign in ends:
-            A[_ROWS[body][0], UNKNOWN_SLICES[force]] = sign * np.eye(3)
-    A.setflags(write=False)
+            A[_ROWS[body][0], s[force]] = sign * np.eye(3)
+            A[_ROWS[body][1], s[force]] = sign * cross_rows(point, np.eye(3)).T
+    for (moment, _, _, ends), basis in zip(_JOINT_MOMENTS, bases):
+        for body, sign in ends:
+            A[_ROWS[body][1], s[moment]] = sign * basis
+    A[_ROWS["proximal-1"][1], s["tau1"].start] = e1
+    A[_ROWS["proximal-2"][1], s["tau2"].start] = e2
+    A[_ROWS["distal"][0], s["planar_force"].start] = e4
+    A[_ROWS["proximal-2"][0], s["planar_force"].start] = -e4
     return A
 
 
-_NEWTON_TEMPLATE = _newton_template()
-_CENTER = np.zeros(3)
-_CENTER.setflags(write=False)
+# The matrix is a template plus each value at its entries, signed; _assemble
+# writes them for all samples at once.  Where they go is read off _matrix
+# given the values 2, 3, ..., which its template entries (0, +-1) cannot take.
+_NEWTON_TEMPLATE = _matrix(np.zeros(51))
+_NEWTON_TEMPLATE.setflags(write=False)
+_SYMBOLS = (_matrix(np.arange(2.0, 53.0)) - _NEWTON_TEMPLATE).ravel()
+_ENTRY_DST = np.flatnonzero(_SYMBOLS)
+_ENTRY_SRC = np.abs(_SYMBOLS[_ENTRY_DST]).astype(int) - 2
+_ENTRY_SIGN = np.sign(_SYMBOLS[_ENTRY_DST])
+_FORCE_CARRIERS = [BODY_NAMES.index(carrier) for _, carrier, _, _ in _JOINT_FORCES]
+_MOMENT_AXES = [AXIS_NAMES.index(axis) for _, axis, _, _ in _JOINT_MOMENTS]
+_MOMENT_SEEDS = [AXIS_NAMES.index(seed) for _, _, seed, _ in _JOINT_MOMENTS]
+_ALIGNED_MESSAGE = "cannot build a transverse moment basis; axes are aligned"
 
 
-def cutting_wrench(motion: WristMotion, load: CuttingLoad):
-    """World-frame force at the tool tip and its moment about the center."""
-    e3, e5 = motion.axes["e3"], motion.axes["e5"]
-    f = load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross3(e3, e5)
-    return f, cross3(load.lever * e5, f)
+def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None):
+    """The (n, 24, 25) matrices and (n, 24) right-hand sides of n motions,
+    and the (n,) rows where a joint's axes align, so that its moment basis
+    cannot be built."""
+    n = len(m.closure)
+    # Each moment basis: the unit vector normal to the joint axis in its plane
+    # with the seed axis, then the axis cross that vector.
+    axis, seed = m.joint_axes[:, _MOMENT_AXES], m.joint_axes[:, _MOMENT_SEEDS]
+    normal = seed - np.sum(seed * axis, axis=2, keepdims=True) * axis
+    length = np.sqrt(np.sum(normal * normal, axis=2))
+    aligned = length < 1e-9
+    normal /= np.where(aligned, 1.0, length)[..., None]
+    basis = np.stack([normal, cross_rows(axis, normal)], axis=3)
+    points = (m.R[:, _FORCE_CARRIERS] @ table.force_points[:, :, None])[..., 0]
+    values = np.concatenate([points.reshape(n, -1), basis.reshape(n, -1), m.joint_axes[:, [0, 1, 3]].reshape(n, -1)],
+                            axis=1)
+    A = np.repeat(_NEWTON_TEMPLATE[None], n, axis=0)
+    A.reshape(n, -1)[:, _ENTRY_DST] = values[:, _ENTRY_SRC] * _ENTRY_SIGN
+
+    # Force balances m a - m g, moment balances about the center
+    # I_O w_dot + w x I_O w - r x m g, less the cutting wrench on the terminal.
+    inertia = m.R @ table.inertia_center @ m.R.transpose(0, 1, 3, 2)
+    weight = table.mass[:, None] * gravity
+    b = np.empty((n, 4, 6))
+    b[..., :3] = table.mass[:, None] * m.a_com - weight
+    b[..., 3:] = ((inertia @ m.omega_dot[..., None])[..., 0]
+                  + cross_rows(m.omega, (inertia @ m.omega[..., None])[..., 0]) - cross_rows(m.r_com, weight))
+    if load is not None:
+        e5 = m.joint_axes[:, 4]
+        f = _tip_force(load, m.joint_axes[:, 2], e5)
+        b[:, 0, :3] -= f
+        b[:, 0, 3:] -= cross_rows(load.lever * e5, f)
+    return A, b.reshape(n, N_EQUATIONS), aligned.any(axis=1)
 
 
 def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> AssembledSystem:
@@ -332,44 +382,10 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     once, with opposite signs on the two bodies it couples.  The right-hand
     side carries the inertial terms, gravity, and the cutting wrench.
     """
-    params = _index_bodies(bodies)
-    gravity = _as_vector("gravity", gravity)
-
-    axes = motion.axes
-    s = UNKNOWN_SLICES
-
-    A = _NEWTON_TEMPLATE.copy()
-    for force, carrier, point, ends in _JOINT_FORCES:
-        skew = _skew(motion.bodies[carrier].R @ params[carrier].force_points.get(point, _CENTER))
-        for body, sign in ends:
-            A[_ROWS[body][1], s[force]] = sign * skew
-    for moment, axis, seed, ends in _JOINT_MOMENTS:
-        basis = _transverse_basis(axes[axis], axes[seed])
-        for body, sign in ends:
-            A[_ROWS[body][1], s[moment]] = sign * basis
-    # The actuator torques about the drive axes, and the planar joint's
-    # normal force, which acts through the center.
-    A[_ROWS["proximal-1"][1], s["tau1"].start] = axes["e1"]
-    A[_ROWS["proximal-2"][1], s["tau2"].start] = axes["e2"]
-    A[_ROWS["distal"][0], s["planar_force"].start] = axes["e4"]
-    A[_ROWS["proximal-2"][0], s["planar_force"].start] = -axes["e4"]
-
-    b = np.empty(N_EQUATIONS)
-    for name in BODY_NAMES:
-        p = params[name]
-        m = motion.bodies[name]
-        newton, euler = _ROWS[name]
-        inertia_o = m.R @ p.inertia_center @ m.R.T
-        weight = p.mass * gravity
-        b[newton] = p.mass * m.a_com - weight
-        b[euler] = inertia_o @ m.omega_dot + cross3(m.omega, inertia_o @ m.omega) - cross3(m.r_com, weight)
-    if load is not None:
-        f_cut, m_cut = cutting_wrench(motion, load)
-        newton, euler = _ROWS["terminal"]
-        b[newton] -= f_cut
-        b[euler] -= m_cut
-
-    return AssembledSystem(A, b, motion.state.rates[:2].copy())
+    A, b, aligned = _assemble(motion, _body_table(bodies), _as_vector("gravity", gravity), load)
+    if aligned[0]:
+        raise InconsistentStateError(_ALIGNED_MESSAGE)
+    return AssembledSystem(A[0], b[0], motion.state.rates[:2].copy())
 
 
 @dataclass(frozen=True)
@@ -382,38 +398,48 @@ class DynamicsSolution:
     power: np.ndarray
 
 
+def _solve(A, b, rows):
+    """Minimum-norm solutions x (n, 25) and relative residuals |Ax - b| / |b|
+    (n,) of the systems in ``rows`` (n,) bool; the others are left NaN.
+    With A^T = Q R, a full-row-rank system has x = Q R^-T b; where R's
+    diagonal shows the equations nearly rank-deficient (``QR_RANK_TOL``),
+    SVD least squares gives x instead."""
+    q, r = np.linalg.qr(A.transpose(0, 2, 1))
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
+    qr_rows = rows & full
+    x = np.full((len(b), N_UNKNOWNS), np.nan)
+    x[qr_rows] = (q[qr_rows] @ np.linalg.solve(r[qr_rows].transpose(0, 2, 1), b[qr_rows][..., None]))[..., 0]
+    for i in np.flatnonzero(rows & ~full):
+        x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+    res = (A @ x[..., None])[..., 0] - b
+    rhs_norm = np.sqrt(np.sum(b * b, axis=1))
+    return x, np.sqrt(np.sum(res * res, axis=1)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
+
+
+def _gate_message(residual):
+    return (f"relative solve residual {residual:.2e} exceeds {RESIDUAL_GATE:.0e}; "
+            "the joint state or body parameters are inconsistent with the joint model")
+
+
+def _solution(x, residual, actuated_rates) -> DynamicsSolution:
+    tau = x[_TAU]
+    reactions = {key: (x[sl].copy() if sl.stop - sl.start > 1 else float(x[sl.start]))
+                 for key, sl in UNKNOWN_SLICES.items()}
+    return DynamicsSolution(tau, reactions, float(residual), tau * actuated_rates)
+
+
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
     """Minimum-norm solve with a hard consistency gate.
 
-    With the QR factorization A^T = Q R, the minimum-norm solution of a
-    full-row-rank system is x = Q R^-T b.  When the diagonal of R shows the
-    equations nearly rank-deficient (``QR_RANK_TOL``), the SVD least-squares
-    solution is taken instead.  Either way the relative residual of x must
-    stay below ``RESIDUAL_GATE``.  The actuator torques are unique; the
-    self-stress component of the reactions is fixed by the minimum-norm
-    choice.
+    The relative residual of the solution (see ``_solve``) must stay below
+    ``RESIDUAL_GATE``.  The actuator torques are unique; the self-stress
+    component of the reactions is fixed by the minimum-norm choice.
     """
-    A, rhs = system.matrix, system.rhs
-    q, r = np.linalg.qr(A.T)
-    diag = np.abs(np.diagonal(r))
-    if diag.min() > QR_RANK_TOL * diag.max():
-        x = q @ np.linalg.solve(r.T, rhs)
-    else:
-        x, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    res = A @ x - rhs
-    res_norm = math.sqrt(res.dot(res))
-    rhs_norm = math.sqrt(rhs.dot(rhs))
-    residual = res_norm / rhs_norm if rhs_norm > 0.0 else res_norm
-    if residual >= RESIDUAL_GATE:
-        raise ModelInconsistencyError(
-            f"relative solve residual {residual:.2e} exceeds {RESIDUAL_GATE:.0e}; "
-            "the joint state or body parameters are inconsistent with the joint model"
-        )
-    tau = np.array([x[UNKNOWN_SLICES["tau1"].start], x[UNKNOWN_SLICES["tau2"].start]])
-    reactions = {key: (x[sl].copy() if sl.stop - sl.start > 1 else float(x[sl.start]))
-                 for key, sl in UNKNOWN_SLICES.items()}
-    power = tau * system.actuated_rates
-    return DynamicsSolution(tau, reactions, residual, power)
+    x, residual = _solve(system.matrix[None], system.rhs[None], np.ones(1, dtype=bool))
+    if residual[0] >= RESIDUAL_GATE:
+        raise ModelInconsistencyError(_gate_message(residual[0]))
+    return _solution(x[0], residual[0], system.actuated_rates)
 
 
 def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
@@ -433,31 +459,65 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     from the motion terms.  The kinetic energy is split about each center of
     mass, not about the wrist center as in the assembly.
     """
-    params = _index_bodies(bodies)
+    table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
-
-    ke_rate = p_gravity = 0.0
-    for name in BODY_NAMES:
-        p = params[name]
-        m = motion.bodies[name]
-        inertia_c = m.R @ p.inertia @ m.R.T
-        ke_rate += m.omega @ (inertia_c @ m.omega_dot) + p.mass * (m.v_com @ m.a_com)
-        p_gravity += p.mass * (gravity @ m.v_com)
-
+    inertia = motion.R @ table.inertia @ motion.R.transpose(0, 1, 3, 2)
+    ke_rate = float(np.sum(motion.omega * (inertia @ motion.omega_dot[..., None])[..., 0])
+                    + np.sum(table.mass[:, None] * motion.v_com * motion.a_com))
+    p_gravity = float(np.sum(table.mass[:, None] * motion.v_com * gravity))
     p_cut = 0.0
     if load is not None:
-        f_cut, _ = cutting_wrench(motion, load)
-        p_cut = f_cut @ cross3(motion.bodies["terminal"].omega, load.lever * motion.axes["e5"])
-    p_act = solution.tau @ state.rates[:2]
-    return float(abs(p_act + p_gravity + p_cut - ke_rate) / max(1.0, abs(ke_rate)))
+        e3, e5 = motion.joint_axes[:, 2], motion.joint_axes[:, 4]
+        p_cut = float(np.sum(_tip_force(load, e3, e5) * cross_rows(motion.omega[:, 0], load.lever * e5)))
+    p_act = float(solution.tau @ state.rates[:2])
+    return abs(p_act + p_gravity + p_cut - ke_rate) / max(1.0, abs(ke_rate))
+
+
+def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
+    """Read-only motion, solutions x (n, 25) and residuals (n,) of n joint
+    states, and per row None or the (error class, message) that the
+    one-state calls raise for it, checked in their order."""
+    m = _motion(theta, rates, accels, geometry, table)
+    A, b, aligned = _assemble(m, table, gravity, load)
+    open_loop = m.closure > CLOSURE_TOL
+    x, residual = _solve(A, b, ~(open_loop | aligned))
+    errors = tuple((InconsistentStateError, _open_loop_message(c)) if o
+                   else (InconsistentStateError, _ALIGNED_MESSAGE) if al
+                   else (ModelInconsistencyError, _gate_message(r)) if r >= RESIDUAL_GATE else None
+                   for o, c, al, r in zip(open_loop.tolist(), m.closure.tolist(), aligned.tolist(), residual.tolist()))
+    for array in m[:-1]:
+        array.setflags(write=False)
+    return m, x, residual, errors
 
 
 def solve_state(state: JointState, geometry: WristGeometry, bodies,
                 gravity=GRAVITY, load: CuttingLoad | None = None):
-    """Motion, assembly, and solve for one joint state."""
-    motion = body_motion(state, geometry, bodies)
-    solution = solve_wrenches(assemble_system(motion, bodies, gravity, load))
-    return motion, solution
+    """Motion, assembly, and solve for one joint state.
+
+    A state indexed from a ``JointProfile`` is solved with the rest of its
+    aligned block of ``NE_BLOCK`` rows.  The profile keeps that one block,
+    with the inputs it was solved for (geometry, bodies and load by
+    identity, gravity by value), for the block's other rows.
+    """
+    table = _body_table(bodies)
+    gravity = _as_vector("gravity", gravity)
+    profile, i = state.row or (None, 0)
+    k, start = i % NE_BLOCK, i - i % NE_BLOCK
+    key = (start, gravity.tobytes(), geometry, *table.params, load)
+    block = getattr(profile, "_ne_block", None)
+    if block is None or block[0][:2] != key[:2] or any(a is not b for a, b in zip(block[0][2:], key[2:])):
+        if profile is None:
+            rows = state.angles.theta[None], state.rates[None], state.accels[None]
+        else:
+            rows = (a[start:start + NE_BLOCK] for a in (profile.theta, profile.rates, profile.accels))
+        block = (key, *_solve_rows(*rows, geometry, table, gravity, load))
+        if profile is not None:
+            # One store of an immutable tuple: concurrent callers each see a whole block.
+            object.__setattr__(profile, "_ne_block", block)
+    _, m, x, residual, errors = block
+    if errors[k] is not None:
+        raise errors[k][0](errors[k][1])
+    return WristMotion(*(a[k:k + 1] for a in m[:-1]), state), _solution(x[k], residual[k], state.rates[:2])
 
 
 def solve_trajectory(states, geometry: WristGeometry, bodies,
@@ -505,10 +565,7 @@ class _LoadFreeTorques(NamedTuple):
         Without a load they are ``tau0`` itself."""
         if load is None:
             return self.tau0
-        # World frame: (e3, e5, e3 x e5) is orthonormal only for a terminal
-        # twist of pi/2.
-        f = load.f_c[0] * self.e3 + load.f_c[1] * self.e5 + load.f_c[2] * cross_rows(self.e3, self.e5)
-        return self.tau0 + load.lever * np.einsum("nkj,nj->nk", self.g, f)
+        return self.tau0 + load.lever * np.einsum("nkj,nj->nk", self.g, _tip_force(load, self.e3, self.e5))
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -539,49 +596,36 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
                       gravity=GRAVITY) -> _LoadFreeTorques:
     """The load-free pass of ``virtual_work_torques``, with the same errors;
     a study over many loads makes it once per profile."""
-    params = _index_bodies(bodies)
+    table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
-    th, dth, ddth = profile.theta, profile.rates, profile.accels
+    m = _motion(profile.theta, profile.rates, profile.accels, geometry, table, com_motion=False)
+    e1, e2, e3, e4, e5, _ = (m.joint_axes[:, k] for k in range(6))
+    axes1, axes2 = (e1, e3, e5), (e2, e4, m.joint_axes[:, 5])
 
-    frames1, axes1 = chain_frames(th[:, [0, 2]], geometry, "leg-1")
-    frames2, axes2 = chain_frames(th[:, [1, 3]], geometry, "leg-2")
-    e1, e3, e5 = axes1
-    e2, e4, e6 = axes2
-
-    closure = np.linalg.norm(e5 - e6, axis=1)
-    open_loop = closure > CLOSURE_TOL
+    open_loop = m.closure > CLOSURE_TOL
     failed = open_loop | _closure_singular(axes1, axes2)
     if failed.any():
         i = int(np.argmax(failed))
         if open_loop[i]:
-            error, message = InconsistentStateError, (
-                f"legs disagree on the tool axis by {closure[i]:.2e}; joint angles do not close the loop")
+            error, message = InconsistentStateError, _open_loop_message(m.closure[i])
         else:
             error, message = ModelInconsistencyError, (
                 "the passive joint axes align; ideal joints cannot realize the motion at this sample")
         raise error(f"sample {i} (t = {profile.t[i]:.6g} s): {message}")
 
-    d1, d2, d3, d4 = (dth[:, k:k + 1] for k in range(4))
-    a1, a2, a3, a4 = (ddth[:, k:k + 1] for k in range(4))
-    motion = {
-        "proximal-1": (frames1[1], d1 * e1, a1 * e1),
-        "terminal": (frames1[2], d1 * e1 + d3 * e3, a1 * e1 + a3 * e3 + d1 * d3 * cross_rows(e1, e3)),
-        "proximal-2": (frames2[1], d2 * e2, a2 * e2),
-        "distal": (frames2[2], d2 * e2 + d4 * e4, a2 * e2 + a4 * e4 + d2 * d4 * cross_rows(e2, e4)),
-    }
-    moment = {}
-    for name, (R, omega, omega_dot) in motion.items():
-        p = params[name]
-        moment[name] = (_body_tensor_product(R, p.inertia_center, omega_dot)
-                        + cross_rows(omega, _body_tensor_product(R, p.inertia_center, omega))
-                        - cross_rows(R @ p.com_offset, p.mass * gravity))
+    terminal, distal, proximal1, proximal2 = (
+        _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])
+        + cross_rows(m.omega[:, b], _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega[:, b]))
+        - cross_rows(m.r_com[:, b], table.mass[b] * gravity)
+        for b in range(len(BODY_NAMES)))
 
-    q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
-    tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
-                           np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
-    g = np.empty((len(th), 2, 3))
+    q_passive = np.column_stack([np.sum(e3 * terminal, axis=1), np.sum(e4 * distal, axis=1)])
+    tau = np.column_stack([np.sum(e1 * (proximal1 + terminal), axis=1),
+                           np.sum(e2 * (proximal2 + distal), axis=1)])
+    n = len(profile)
+    g = np.empty((n, 2, 3))
     for k, drive in enumerate(np.eye(2)):
-        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (len(th), 1)))[:, 2:]
+        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (n, 1)))[:, 2:]
         tau[:, k] += np.sum(passive * q_passive, axis=1)
         g[:, k] = cross_rows(e5, drive[0] * e1 + passive[:, :1] * e3)
     return _LoadFreeTorques(tau, g, e3, e5)

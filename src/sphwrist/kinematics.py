@@ -7,7 +7,8 @@ conversion to the leg-1 joint frame happens through
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,14 @@ from .rotation import WristGeometry, central_difference, chain_frames, cross_row
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance from values already checked, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -91,12 +100,14 @@ class JointAngles:
 
 @dataclass(frozen=True)
 class JointState:
-    """Joint angles with first and second time derivatives at time ``t``."""
+    """Joint angles with first and second time derivatives at time ``t``;
+    ``row`` is ``(profile, index)`` for a row of a ``JointProfile``."""
 
     angles: JointAngles
     rates: np.ndarray
     accels: np.ndarray
     t: float
+    row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = np.asarray(self.rates, dtype=float).reshape(-1)
@@ -118,7 +129,9 @@ class JointProfile:
     """Joint states along a sampled path, as arrays: ``t`` (N,) and
     ``theta``/``rates``/``accels`` (N, 4).
 
-    Indexing, and iteration through it, yield one ``JointState`` per sample.
+    Indexing, and iteration through it, yield one ``JointState`` per sample,
+    a read-only view of its row; ``dynamics.solve_state`` keeps one solved
+    block of rows on the profile (``_ne_block``).
     """
 
     t: np.ndarray
@@ -142,7 +155,9 @@ class JointProfile:
         return len(self.t)
 
     def __getitem__(self, i) -> JointState:
-        return JointState(JointAngles(self.theta[i]), self.rates[i], self.accels[i], float(self.t[i]))
+        i = range(len(self.t))[operator.index(i)]
+        return _unchecked(JointState, angles=_unchecked(JointAngles, theta=self.theta[i]), rates=self.rates[i],
+                          accels=self.accels[i], t=float(self.t[i]), row=(self, i))
 
 
 def vector_from_pan_tilt(phi1: float, phi2: float) -> ToolOrientation:

@@ -34,28 +34,32 @@ def dh_rotation(theta, alpha: float) -> np.ndarray:
     _require_finite("theta", theta)
     if not math.isfinite(alpha):
         raise InvalidInputError("alpha must be finite")
+    return _dh(theta, math.cos(alpha), math.sin(alpha))
+
+
+def _dh(theta, ca, sa):
+    # dh_rotation from the twist's cosine and sine, which broadcast with theta.
     c, s = np.cos(theta), np.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    R = np.empty(theta.shape + (3, 3))
+    c_ca = c * ca
+    R = np.empty(c_ca.shape + (3, 3))
     R[..., 0, 0], R[..., 0, 1], R[..., 0, 2] = c, -s * ca, s * sa
-    R[..., 1, 0], R[..., 1, 1], R[..., 1, 2] = s, c * ca, -c * sa
+    R[..., 1, 0], R[..., 1, 1], R[..., 1, 2] = s, c_ca, -c * sa
     R[..., 2, 0], R[..., 2, 1], R[..., 2, 2] = 0.0, sa, ca
     return R
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors (much cheaper than np.cross for singles)."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def cross_rows(a, b) -> np.ndarray:
-    """Row-wise cross product of two (N, 3) stacks, either of which may be
-    one 3-vector: np.cross's arithmetic without most of its call overhead."""
-    a0, a1, a2 = np.transpose(a)
-    b0, b1, b2 = np.transpose(b)
-    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """Cross product along the last axis of two (..., 3) stacks, either of which
+    may be one 3-vector: np.cross's arithmetic without most of its overhead."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    first = a1 * b2 - a2 * b1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
@@ -130,13 +134,17 @@ class WristGeometry:
                          [0.0, 1.0, 0.0]])
 
     @cached_property
-    def _legs(self) -> dict:
-        """Per leg key: its fixed base frame (read-only) and its two twists."""
+    def _legs(self):
+        """Both legs' fixed base frames (2, 3, 3), and the cosines and sines
+        (2, 2) of their twists, per leg the first then the second joint step;
+        read-only."""
         base = self.base_axes
         a0, a1, a2, a3, a4 = self.alpha.tolist()
-        legs = {"1": (base, (a1, a3)), "2": (base @ _rot_y(a0), (a2, a4))}
-        for f0, _ in legs.values():
-            f0.setflags(write=False)
+        twists = ((a1, a3), (a2, a4))
+        legs = (np.array([base, base @ _rot_y(a0)]), np.array([[math.cos(a) for a in pair] for pair in twists]),
+                np.array([[math.sin(a) for a in pair] for pair in twists]))
+        for array in legs:
+            array.setflags(write=False)
         return legs
 
 
@@ -153,14 +161,24 @@ def chain_frames(thetas, geometry: WristGeometry, leg):
     if thetas.ndim == 0 or thetas.shape[-1] != 2:
         raise InvalidInputError("each leg carries exactly 2 joint angles")
     _require_finite("thetas", thetas)
-    try:
-        f0, twists = geometry._legs[str(leg).removeprefix("leg-")]
-    except KeyError:
-        raise InvalidInputError(f"unknown leg {leg!r}") from None
-    f1 = f0 @ dh_rotation(thetas[..., 0], twists[0])
-    f2 = f1 @ dh_rotation(thetas[..., 1], twists[1])
+    k = {"1": 0, "2": 1}.get(str(leg).removeprefix("leg-"))
+    if k is None:
+        raise InvalidInputError(f"unknown leg {leg!r}")
+    f0, cos, sin = (array[k] for array in geometry._legs)
+    f1 = f0 @ _dh(thetas[..., 0], cos[0], sin[0])
+    f2 = f1 @ _dh(thetas[..., 1], cos[1], sin[1])
     frames = (f0 if f1.ndim == 2 else np.broadcast_to(f0, f1.shape), f1, f2)
     return frames, tuple(f[..., 2] for f in frames)
+
+
+def leg_frames(theta, geometry: WristGeometry):
+    """Both legs' frames at N joint states ``theta`` (N, 4), as ``chain_frames``
+    gives them per leg, legs stacked on axis 1: the base frames (2, 3, 3),
+    then (N, 2, 3, 3) after the first and after the second joint step."""
+    _require_finite("theta", theta)
+    f0, cos, sin = geometry._legs
+    f1 = f0 @ _dh(theta[:, :2], cos[:, 0], sin[:, 0])
+    return f0, f1, f1 @ _dh(theta[:, 2:], cos[:, 1], sin[:, 1])
 
 
 def central_difference(values, dt: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .kinematics import ToolOrientation, _unit_directions
+from .kinematics import ToolOrientation, _unchecked, _unit_directions
 
 KIND_SEMICIRCLE = "semicircle-YZ"
 KIND_CIRCLE = "circle-XY"
@@ -95,7 +95,7 @@ class OrientationPath:
         return len(self.t)
 
     def __getitem__(self, i) -> TimedOrientation:
-        return TimedOrientation(float(self.t[i]), ToolOrientation(self.v[i]))
+        return TimedOrientation(float(self.t[i]), _unchecked(ToolOrientation, v=self.v[i]))
 
 
 def traj_semicircle(spec: TrajectorySpec) -> OrientationPath:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,8 @@ from sphwrist import (
     trajectory_joint_profiles,
     virtual_work_torques,
 )
-from sphwrist.dynamics import N_EQUATIONS, N_UNKNOWNS, RESIDUAL_GATE, UNKNOWN_SLICES, _load_free_torques
+from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, UNKNOWN_SLICES, _body_table,
+                               _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from sphwrist.kinematics import (_closure_axes, _closure_rates_from_axes, _closure_singular, _joint_angles,
                                  closure_accels, closure_rates)
@@ -122,6 +125,32 @@ def test_body_motion_orientation_rate_oracle(geometry, bodies):
             w_hat = r_dot @ m.R.T
             omega_fd = np.array([w_hat[2, 1], w_hat[0, 2], w_hat[1, 0]])
             np.testing.assert_allclose(omega_fd, m.omega, atol=5e-4)
+
+
+def test_motion_matches_frame_differences_at_second_order(geometry, bodies):
+    # The motion that the Newton-Euler assembly and virtual work share,
+    # against central differences of its own frames and center-of-mass
+    # velocities: skew(omega) = dR/dt R^T and a_com = dv_com/dt for all four
+    # links.  Halving the step quarters both errors.
+    table = _body_table(bodies)
+
+    def errors(n):
+        profile = circle_states(geometry, 45.0, 0.25, n)
+        m = _motion(profile.theta, profile.rates, profile.accels, geometry, table)
+        dt = profile.t[1] - profile.t[0]
+        w = (m.R[2:] - m.R[:-2]) / (2.0 * dt) @ np.swapaxes(m.R[1:-1], -1, -2)
+        omega = np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
+        a_com = (m.v_com[2:] - m.v_com[:-2]) / (2.0 * dt)
+        # Per interior sample and link; rows 2k of the finer profile sit at
+        # the times of rows k of the coarser one.
+        return (np.linalg.norm(omega - m.omega[1:-1], axis=-1),
+                np.linalg.norm(w + np.swapaxes(w, -1, -2), axis=(-2, -1)),
+                np.linalg.norm(a_com - m.a_com[1:-1], axis=-1))
+
+    coarse, fine = errors(201), errors(401)
+    for name, e_coarse, e_fine in zip(("omega", "skew", "a_com"), coarse, fine):
+        ratio = np.max(e_coarse) / np.max(e_fine[1::2])
+        assert 3.8 < ratio < 4.2, (name, ratio)
 
 
 def test_body_motion_closure_violation(geometry, bodies):
@@ -528,3 +557,94 @@ def test_virtual_work_matches_solve_state(samples, f_c, lever):
     tau_ne = np.array([tau for i, tau in zip(accepted, tau_ne) if not singular[i]])
     scale = np.max(np.abs(tau_ne), axis=1, keepdims=True)
     assert np.all(np.abs(tau_vw - tau_ne) <= 1e-9 * scale)
+
+
+# --- profile rows: solved in blocks, kept on the profile ---------------------
+
+def standalone(state):
+    """An equal JointState that does not come from a profile."""
+    return JointState(JointAngles(state.angles.theta.copy()), state.rates.copy(), state.accels.copy(), state.t)
+
+
+def solve_fields(geometry, bodies, state, gravity=GRAVITY, load=None):
+    """Every output of solve_state (torques, residual, powers, each reaction
+    and each motion field), flattened, or the error's type and message."""
+    try:
+        motion, solution = solve_state(state, geometry, bodies, gravity, load)
+    except WristError as exc:
+        return type(exc), str(exc)
+    return [np.ravel(f) for f in (solution.tau, solution.residual, solution.power, *solution.reactions.values(),
+                                  *motion[:-1])]
+
+
+def field_check(expected):
+    """A check that outputs equal ``expected``, each field to 1e-12 of its
+    largest magnitude, or that they are the same error."""
+    if isinstance(expected, tuple):
+        return lambda actual: actual == expected
+    values = np.concatenate(expected)
+    tolerance = 1e-12 * np.concatenate([np.full(f.size, np.max(np.abs(f))) for f in expected])
+    return lambda actual: bool(np.all(np.abs(np.concatenate(actual) - values) <= tolerance))
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
+def test_profile_rows_match_standalone_states(geometry, bodies, load):
+    profile = semicircle_states(geometry, 0.25, 1001)
+    expected = [solve_fields(geometry, bodies, standalone(state), GRAVITY, load) for state in profile]
+    assert [i for i, e in enumerate(expected) if isinstance(e, tuple)] == [500]
+    assert expected[500][0] is ModelInconsistencyError
+    checks = [field_check(e) for e in expected]
+    orders = (range(1001), range(1000, -1, -1), np.random.default_rng(11).permutation(1001))
+    for order in orders:
+        for i in order:
+            assert checks[i](solve_fields(geometry, bodies, profile[i], GRAVITY, load)), i
+    # The profile keeps one block: the one holding the last row asked for.
+    assert profile._ne_block[0][0] == order[-1] - order[-1] % NE_BLOCK
+
+
+def test_profile_block_follows_its_inputs(geometry, bodies):
+    profile = semicircle_states(geometry, 0.25, 1001)
+    row = profile[37]
+    heavier = [replace(b, mass=2.0 * b.mass) if b.name == "distal" else b for b in bodies]
+    load = CuttingLoad((50.0, -20.0, 10.0), 0.11)
+    gravity = GRAVITY.copy()
+    cases = [(bodies, gravity, None), (heavier, gravity, None), (bodies, gravity, load),
+             (bodies, gravity, CuttingLoad((50.0, -20.0, 10.0), 0.2)), (bodies, gravity.copy(), None)]
+    for kept_bodies, kept_gravity, kept_load in cases:
+        expected = solve_fields(geometry, kept_bodies, standalone(row), kept_gravity, kept_load)
+        assert field_check(expected)(solve_fields(geometry, kept_bodies, row, kept_gravity, kept_load))
+    # The same gravity array, changed in place between two rows of one block.
+    solve_state(row, geometry, bodies, gravity)
+    gravity[:] = (1.0, -2.0, -9.0)
+    for state in (row, profile[38]):
+        expected = solve_fields(geometry, bodies, standalone(state), gravity)
+        assert field_check(expected)(solve_fields(geometry, bodies, state, gravity))
+    assert not field_check(expected)(solve_fields(geometry, bodies, profile[38]))
+
+
+def test_profile_rows_from_threads(geometry, bodies):
+    # Threads that share one profile, and so its kept block, each get the
+    # torques of the rows they ask for.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    rows = [i for i in range(0, 1001, 4) if i != 500]
+    expected = {i: solve_state(standalone(profile[i]), geometry, bodies)[1].tau for i in rows}
+    wrong = []
+
+    def solve_rows(order):
+        for i in order:
+            if not np.array_equal(solve_state(profile[i], geometry, bodies)[1].tau, expected[i]):
+                wrong.append(i)
+
+    threads = [threading.Thread(target=solve_rows, args=(np.random.default_rng(k).permutation(rows),))
+               for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

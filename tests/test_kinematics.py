@@ -332,6 +332,29 @@ def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
     assert [s.t for s in profile] == list(profile.t)
 
 
+def test_profile_rows_are_read_only_views(geometry):
+    # A row is built without checking again what the profile checked once;
+    # it equals the checked constructor's state and cannot be written.
+    from sphwrist.trajectory import KIND_CIRCLE, TrajectorySpec
+    _, profile = _profile(geometry, TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=0.6, sample_count=11))
+    for i, j in ((0, 0), (7, 7), (-1, 10), (-11, 0)):
+        row = profile[i]
+        checked = JointState(JointAngles(profile.theta[j]), profile.rates[j], profile.accels[j], float(profile.t[j]))
+        assert type(row) is JointState and type(row.angles) is JointAngles
+        assert type(row.t) is float and row.t == checked.t
+        assert row.row[0] is profile and row.row[1] == j and checked.row is None
+        for name in ("rates", "accels"):
+            assert np.array_equal(getattr(row, name), getattr(checked, name))
+        assert np.array_equal(row.angles.theta, checked.angles.theta)
+        for values in (row.angles.theta, row.rates, row.accels):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+    for i in (11, -12):
+        with pytest.raises(IndexError):
+            profile[i]
+    assert np.array_equal([s.rates for s in profile], profile.rates)
+
+
 def test_profile_error_names_lowest_failing_sample(geometry):
     # Sample 3 lies outside the reachable cone, sample 1 on the leg-2 drive
     # axis; the lower index is reported with its own category.

@@ -5,7 +5,7 @@ import pytest
 
 from sphwrist import WristGeometry, central_difference, chain_frames, dh_rotation, unwrap_angles, wrap_angle
 from sphwrist.errors import InvalidInputError
-from sphwrist.rotation import cross3, cross_rows, is_rotation
+from sphwrist.rotation import cross_rows, is_rotation
 
 
 def test_rotations_are_orthonormal():
@@ -174,16 +174,12 @@ def test_unwrap_never_jumps_more_than_pi():
     np.testing.assert_allclose(np.diff(unwrapped), np.diff(smooth), atol=1e-12)
 
 
-def test_cross3_matches_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        np.testing.assert_allclose(cross3(a, b), np.cross(a, b), atol=1e-15)
-
-
 def test_cross_rows_equals_numpy_bit_for_bit():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-5, 5, (50, 1)), rng.normal(size=(50, 3))
     assert np.array_equal(cross_rows(a, b), np.cross(a, b))
     assert np.array_equal(cross_rows(a, b[0]), np.cross(a, b[0]))
     assert np.array_equal(cross_rows(a[0], b), np.cross(a[0], b))
+    # Stacks of any depth, along the last axis.
+    stack_a, stack_b = a[:48].reshape(12, 4, 3), b[:48].reshape(12, 4, 3)
+    assert np.array_equal(cross_rows(stack_a, stack_b), np.cross(stack_a, stack_b))

@@ -163,6 +163,16 @@ def test_path_items_index_and_iterate():
     assert not path.t.flags.writeable and not path.v.flags.writeable
 
 
+def test_path_rows_are_read_only_views():
+    path = generate(TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.1, sample_count=5))
+    for i, j in ((1, 1), (-1, 4)):
+        orientation = path[i].orientation
+        assert np.array_equal(orientation.v, ToolOrientation(path.v[j]).v)
+        with pytest.raises(ValueError):
+            orientation.v[0] = 1.0
+    assert path.v[4, 0] == 0.0
+
+
 def test_path_does_not_alias_its_inputs():
     t = np.array([0.0, 1.0, 2.0])
     v = np.array([[0.0, 0.0, 1.0]] * 3)
