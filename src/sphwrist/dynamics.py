@@ -49,8 +49,8 @@ CLOSURE_TOL = 1e-6
 # ratio is 1e-16 at the R = 0.25 m semicircle's singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
-# profile.  Peak memory grows with the block: about 1 MB at 32 rows, 2 MB
-# for a whole 1001-sample profile.
+# profile: a larger block costs less time per row and more memory (the
+# stacked QR alone holds about 0.5 MB of arrays at 32 rows).
 NE_BLOCK = 32
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")

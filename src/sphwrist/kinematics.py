@@ -27,7 +27,8 @@ ORIENTATION_GUARD = 1e-9
 
 
 def _unchecked(cls, **fields):
-    """A frozen dataclass instance from values already checked, unchecked."""
+    """An instance of a frozen dataclass from values its checks already passed,
+    without running them again."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

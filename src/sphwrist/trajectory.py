@@ -7,6 +7,7 @@ sample times and world-frame tool directions as arrays.
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,7 @@ class OrientationPath:
         return len(self.t)
 
     def __getitem__(self, i) -> TimedOrientation:
+        i = operator.index(i)
         return TimedOrientation(float(self.t[i]), _unchecked(ToolOrientation, v=self.v[i]))
 
 

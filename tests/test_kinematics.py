@@ -352,6 +352,8 @@ def test_profile_rows_are_read_only_views(geometry):
     for i in (11, -12):
         with pytest.raises(IndexError):
             profile[i]
+    with pytest.raises(TypeError):
+        profile[0:1]
     assert np.array_equal([s.rates for s in profile], profile.rates)
 
 

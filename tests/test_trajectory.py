@@ -171,6 +171,8 @@ def test_path_rows_are_read_only_views():
         with pytest.raises(ValueError):
             orientation.v[0] = 1.0
     assert path.v[4, 0] == 0.0
+    with pytest.raises(TypeError):
+        path[0:1]
 
 
 def test_path_does_not_alias_its_inputs():
