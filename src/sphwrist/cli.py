@@ -6,6 +6,7 @@ fixed number format so identical inputs produce byte-identical files.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -186,6 +187,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidInputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="sphwrist",

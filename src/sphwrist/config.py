@@ -5,6 +5,7 @@ numbers or comma-separated number lists.  Validation failures always name the
 offending key.
 """
 
+import functools
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,10 +20,10 @@ from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED, MAX_SAMPLE_COU
 
 @dataclass(frozen=True)
 class Config:
-    """Fully validated run configuration."""
+    """Fully validated run configuration, read-only all the way down."""
 
     geometry: WristGeometry
-    bodies: list
+    bodies: tuple
     motors: tuple
     gravity: np.ndarray
     sample_count: int
@@ -92,7 +93,7 @@ def _build_body(entries: _Entries, name: str) -> BodyParams:
             force_points=points,
         )
     except WristError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+        raise ConfigError(f"body.{exc}") from exc
 
 
 def _build_motor(entries: _Entries, index: int) -> MotorSpec:
@@ -107,7 +108,7 @@ def _build_motor(entries: _Entries, index: int) -> MotorSpec:
             continuous_torque=entries.scalar(f"{prefix}.continuous_torque"),
         )
     except WristError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+        raise ConfigError(f"{prefix}.{exc}") from exc
 
 
 def config_from_text(text: str) -> Config:
@@ -120,13 +121,14 @@ def config_from_text(text: str) -> Config:
             mount_yaw=entries.scalar("geometry.mount_yaw", WristGeometry.mount_yaw),
         )
     except WristError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
+        raise ConfigError(f"geometry.{exc}") from exc
 
-    bodies = [_build_body(entries, name) for name in BODY_NAMES]
+    bodies = tuple(_build_body(entries, name) for name in BODY_NAMES)
     motors = (_build_motor(entries, 1), _build_motor(entries, 2))
     gravity = np.asarray(entries.take("gravity", 3, GRAVITY), dtype=float)
     if not np.all(np.isfinite(gravity)):
         raise ConfigError("key 'gravity' must be finite")
+    gravity.setflags(write=False)
 
     sample_count = entries.scalar("defaults.sample_count", DEFAULT_SAMPLE_COUNT)
     if not (np.isfinite(sample_count) and sample_count == int(sample_count) and 3 <= sample_count <= MAX_SAMPLE_COUNT):
@@ -145,8 +147,9 @@ def default_config_text() -> str:
     return importlib.resources.files("sphwrist").joinpath("default.cfg").read_text()
 
 
+@functools.cache
 def default_config() -> Config:
-    """The shipped parameter set."""
+    """The shipped parameter set, parsed once: one shared, read-only ``Config``."""
     return config_from_text(default_config_text())
 
 

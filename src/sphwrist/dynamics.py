@@ -31,6 +31,7 @@ as the reactions API and as the independent check on it.
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ from .kinematics import JointProfile, JointState, _closure_rates_from_axes, _clo
 from .rotation import WristGeometry, cross_rows, leg_frames
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
@@ -94,7 +96,7 @@ def _as_vector(name, value, length=3):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyParams:
     """Mass, geometry, and inertia of one link, in its own body frame.
 
@@ -113,16 +115,16 @@ class BodyParams:
         if self.name not in BODY_NAMES:
             raise InvalidInputError(f"unknown body name {self.name!r}")
         if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise InvalidInputError(f"{self.name}: mass must be positive")
+            raise InvalidInputError(f"{self.name}.mass must be positive")
         com = _as_vector(f"{self.name}.com_offset", self.com_offset)
         inertia = np.asarray(self.inertia, dtype=float)
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
-            raise InvalidInputError(f"{self.name}: inertia must be a finite 3x3 tensor")
+            raise InvalidInputError(f"{self.name}.inertia must be a finite 3x3 tensor")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12 * max(1.0, np.max(np.abs(inertia))):
-            raise InvalidInputError(f"{self.name}: inertia must be symmetric")
+            raise InvalidInputError(f"{self.name}.inertia must be symmetric")
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
-            raise InvalidInputError(f"{self.name}: inertia must be positive-definite")
-        points = {k: _as_vector(f"{self.name}.force_points[{k}]", v) for k, v in self.force_points.items()}
+            raise InvalidInputError(f"{self.name}.inertia must be positive-definite")
+        points = {k: _as_vector(f"{self.name}.point.{k}", v) for k, v in self.force_points.items()}
         com.setflags(write=False)
         inertia = inertia.copy()
         inertia.setflags(write=False)
@@ -130,7 +132,7 @@ class BodyParams:
             v.setflags(write=False)
         object.__setattr__(self, "com_offset", com)
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "force_points", points)
+        object.__setattr__(self, "force_points", MappingProxyType(points))
 
     @cached_property
     def inertia_center(self) -> np.ndarray:
@@ -154,11 +156,11 @@ class MotorSpec:
 
     def __post_init__(self):
         if not (np.isfinite(self.rotor_inertia) and self.rotor_inertia >= 0.0):
-            raise InvalidInputError("motor rotor_inertia must be non-negative")
+            raise InvalidInputError("rotor_inertia must be non-negative")
         for name in ("reduction_ratio", "nominal_speed", "max_speed", "max_torque", "continuous_torque"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
-                raise InvalidInputError(f"motor {name} must be positive")
+                raise InvalidInputError(f"{name} must be positive")
         if self.max_torque < self.continuous_torque:
             raise InvalidInputError("max_torque must be at least continuous_torque")
         if self.max_speed < self.nominal_speed:
@@ -191,19 +193,28 @@ def _tip_force(load: CuttingLoad, e3, e5):
 
 
 _BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center force_points")
+_last_body_table = ((), None)  # the last bodies given to _body_table and their table, stored as one tuple
 
 
 def _body_table(bodies) -> _BodyTable:
     # The links' parameters stacked in BODY_NAMES order, and each joint
     # force's point on its carrying body (the center where it names none).
+    # The same BodyParams objects (== is identity for them) get the last table.
+    global _last_body_table
+    bodies = tuple(bodies)
+    key, table = _last_body_table
+    if key == bodies and table is not None:
+        return table
     given = {b.name: b for b in bodies}
     missing = [n for n in BODY_NAMES if n not in given]
     if missing:
         raise InvalidInputError(f"missing body parameters for {missing}")
     params = tuple(given[n] for n in BODY_NAMES)
-    return _BodyTable(params, *(np.array([getattr(p, f) for p in params])
-                                for f in ("mass", "com_offset", "inertia", "inertia_center")),
-                      np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
+    table = _BodyTable(params, *(np.array([getattr(p, f) for p in params])
+                                 for f in ("mass", "com_offset", "inertia", "inertia_center")),
+                       np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
+    _last_body_table = (bodies, table)
+    return table
 
 
 # World-frame rigid-body motion of one link about the wrist center.
@@ -526,8 +537,7 @@ def solve_trajectory(states, geometry: WristGeometry, bodies,
 
     A failing sample is named by its index and time; the category is kept.
     """
-    motions = []
-    solutions = []
+    motions, solutions = [], []
     for i, state in enumerate(states):
         try:
             motion, solution = solve_state(state, geometry, bodies, gravity, load)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import sphwrist
 from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
-from sphwrist.cli import main, write_csv
-from sphwrist.config import config_from_text, default_config, default_config_text, load_config
+from sphwrist.cli import build_parser, main, write_csv
+from sphwrist.config import (config_from_text, default_config, default_config_text, load_config,
+                             parse_config_text)
 from sphwrist.errors import ConfigError
 from sphwrist.trajectory import KIND_CIRCLE
 
@@ -147,6 +148,80 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(default_config_text())
     config = load_config(path)
     assert next(b for b in config.bodies if b.name == "distal").mass == 0.45
+
+
+def test_default_config_is_one_shared_read_only_config(tmp_path):
+    config = default_config()
+    assert default_config() is config
+    assert isinstance(config.bodies, tuple)
+    with pytest.raises(ValueError):
+        config.gravity[2] = 0.0
+    with pytest.raises(TypeError):
+        config.bodies[0].force_points["joint_distal"] = np.zeros(3)
+    arrays = [config.gravity, config.geometry.alpha, config.geometry.home_thetas]
+    for body in config.bodies:
+        arrays += [body.com_offset, body.inertia, body.inertia_center, *body.force_points.values()]
+    assert not any(a.flags.writeable for a in arrays)
+    # load_config reads its file again on every call.
+    path = tmp_path / "params.cfg"
+    path.write_text(default_config_text())
+    assert load_config(path).bodies[1].mass == 0.45
+    path.write_text(default_config_text().replace("body.distal.mass = 0.45", "body.distal.mass = 0.5"))
+    assert load_config(path).bodies[1].mass == 0.5
+    assert default_config().bodies[1].mass == 0.45
+
+
+_DEFAULT_ENTRIES = parse_config_text(default_config_text())
+# A value is the rest of its line, so drawn text holds no line break.
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.floats(max_value=0.0, exclude_max=True)
+
+
+@st.composite
+def _bad_entry(draw):
+    """A key of default.cfg and a bad value for it: one of its numbers
+    replaced by nan, an infinity, zero, a negative number or text, or the
+    wrong number of values."""
+    key = draw(st.sampled_from(sorted(_DEFAULT_ENTRIES)))
+    values = [repr(v) for v in _DEFAULT_ENTRIES[key]]
+    kind = draw(st.sampled_from(["number", "text", "count"]))
+    if kind == "count":
+        drawn = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8)
+        return key, [repr(v) for v in draw(drawn.filter(lambda v: len(v) != len(values)))]
+    i = draw(st.integers(0, len(values) - 1))
+    values[i] = repr(draw(_BAD_NUMBERS)) if kind == "number" else draw(_LINE_TEXT)
+    return key, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=_bad_entry())
+@example(entry=("body.terminal.mass", ["-0.0"]))
+@example(entry=("motor.2.continuous_torque", ["inf"]))
+@example(entry=("geometry.alpha", ["nan"] * 5))
+@example(entry=("body.terminal.point.joint_distal", ["0.0", "#", "-0.07"]))
+@example(entry=("gravity", []))
+def test_config_bad_values_name_their_key(tmp_path_factory, entry):
+    key, values = entry
+    lines = [f"{key} = {', '.join(values)}" if line.partition("=")[0].strip() == key else line
+             for line in default_config_text().splitlines()]
+    text = "\n".join(lines) + "\n"
+    try:
+        config_from_text(text)
+        rejected = None
+    except ConfigError as exc:
+        rejected = str(exc)
+        assert key in rejected, rejected
+    path = tmp_path_factory.mktemp("fuzz") / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(path), "fk", "--theta1", "10", "--theta3", "20"])
+    err = stderr.getvalue()
+    if rejected is not None:
+        assert (code, stdout.getvalue(), err) == (1, "", f"error[config-error]: {rejected}\n")
+    else:
+        assert code == 0 and err == "" or code == 1 and err.count("\n") == 1 and "config-error" not in err, err
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -371,6 +446,33 @@ def test_cli_usage_errors_end_in_one_error_line(capsys):
     proc = run_module("traj", "--help")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: sphwrist traj ")
+
+
+def test_cli_reused_parser_matches_a_fresh_interpreter(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a usage error, --help and two
+    # runs through that one parser print and write what a fresh
+    # interpreter does for each command.
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "100")  # --help wraps to the terminal width
+    argv = ("traj", "--radius", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error[invalid-input]: sphwrist traj: argument --radius: invalid float value: 'abc'\n"
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    proc = run_module("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    for argv in [("traj", "--gamma", "45", "--radius", "0.1", "--samples", "51"),
+                 ("sweep", "--gamma", "30,45", "--radius", "0.25,0.1", "--samples", "51")]:
+        here, fresh = tmp_path / f"{argv[0]}_here.csv", tmp_path / f"{argv[0]}_fresh.csv"
+        code, out, err = run_cli(capsys, *argv, "--out", str(here))
+        proc = run_module(*argv, "--out", str(fresh))
+        assert (code, err) == (proc.returncode, proc.stderr) == (0, "")
+        assert out.replace(str(here), "OUT") == proc.stdout.replace(str(fresh), "OUT")
+        assert here.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -32,6 +32,7 @@ from sphwrist import (
     trajectory_joint_profiles,
     virtual_work_torques,
 )
+from sphwrist import dynamics
 from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, UNKNOWN_SLICES, _body_table,
                                _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
@@ -80,6 +81,16 @@ def test_motor_spec_validation(motor):
 def test_cutting_load_validation():
     with pytest.raises(InvalidInputError):
         CuttingLoad((1.0, 0.0, 0.0), -0.1)
+
+
+def test_gravity_default_is_read_only():
+    # GRAVITY is the default gravity of the public functions; a write to it
+    # would change every later call that takes the default.
+    with pytest.raises(ValueError):
+        GRAVITY[2] = 0.0
+    with pytest.raises(ValueError):
+        np.add(GRAVITY, 1.0, out=GRAVITY)
+    assert GRAVITY.tolist() == [0.0, 0.0, -9.81]
 
 
 # --- body motion --------------------------------------------------------------
@@ -620,6 +631,62 @@ def test_profile_block_follows_its_inputs(geometry, bodies):
         expected = solve_fields(geometry, bodies, standalone(state), gravity)
         assert field_check(expected)(solve_fields(geometry, bodies, state, gravity))
     assert not field_check(expected)(solve_fields(geometry, bodies, profile[38]))
+
+
+def test_body_table_follows_its_bodies(geometry, bodies, monkeypatch):
+    # _body_table keeps the last table it built, keyed by its BodyParams
+    # objects; bodies that alternate between calls each get their own table.
+    profile = circle_states(geometry, 45.0, 0.1, 41)
+    state = standalone(profile[7])
+    heavier = tuple(replace(b, mass=2.0 * b.mass) if b.name == "distal" else b for b in bodies)
+
+    def outputs(kept_bodies):
+        motion, solution = solve_state(state, geometry, kept_bodies)
+        return (virtual_work_torques(profile, geometry, kept_bodies), solution.tau, solution.residual,
+                *solution.reactions.values(), power_balance_residual(state, solution, motion, kept_bodies))
+
+    expected = {}
+    for name, kept_bodies in (("default", bodies), ("heavier", heavier)):
+        monkeypatch.setattr(dynamics, "_last_body_table", ((), None))
+        expected[name] = outputs(kept_bodies)
+    assert not np.array_equal(expected["default"][0], expected["heavier"][0])
+    sequence = [("default", bodies), ("heavier", heavier), ("default", bodies), ("heavier", list(heavier)),
+                ("heavier", heavier), ("default", list(bodies))]
+    for name, kept_bodies in sequence:
+        assert all(np.array_equal(a, b) for a, b in zip(outputs(kept_bodies), expected[name], strict=True)), name
+    assert _body_table(list(bodies)) is _body_table(tuple(bodies)) is _body_table(bodies)
+    assert _body_table(heavier) is not _body_table(bodies)
+
+
+def test_body_table_from_threads(geometry, bodies):
+    # Threads that alternate two bodies tuples each get the table and the
+    # torques of the bodies they pass, while they replace the kept table.
+    state = standalone(circle_states(geometry, 45.0, 0.1, 41)[7])
+    heavier = tuple(replace(b, mass=2.0 * b.mass) if b.name == "distal" else b for b in bodies)
+    cases = [(kept, solve_state(state, geometry, kept)[1].tau) for kept in (bodies, heavier)]
+    wrong = []
+
+    def run(first):
+        for k in range(300):
+            kept, tau = cases[(first + k) % 2]
+            table = _body_table(kept)
+            if table.params[1] is not kept[1] or table.mass[1] != kept[1].mass:
+                wrong.append("table")
+            if not np.array_equal(solve_state(state, geometry, kept)[1].tau, tau):
+                wrong.append("tau")
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_profile_rows_from_threads(geometry, bodies):
