@@ -24,7 +24,7 @@ SPEED_OVER_NOMINAL = "over-nominal"
 SPEED_OVER_MAX = "over-max"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakRecord:
     """Per-trajectory absolute maxima of joint kinematics and actuator loads.
 

@@ -18,7 +18,7 @@ from .rotation import WristGeometry
 from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED, MAX_SAMPLE_COUNT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Config:
     """Fully validated run configuration, read-only all the way down."""
 

@@ -30,14 +30,14 @@ as the reactions API and as the independent check on it.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from .kinematics import JointProfile, JointState, _closure_rates_from_axes, _closure_singular
+from .kinematics import JointProfile, JointState, _axis_stack, _closure_rates_from_axes, _passive_closure
 from .rotation import WristGeometry, cross_rows, leg_frames
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -102,7 +102,8 @@ class BodyParams:
 
     ``com_offset`` points from the wrist center to the center of mass;
     ``force_points`` name the joint interaction points the same way.
-    ``inertia`` is taken about the center of mass.
+    ``inertia`` is taken about the center of mass; ``inertia_center``, about
+    the wrist center (parallel-axis theorem), is computed once and read-only.
     """
 
     name: str
@@ -125,22 +126,17 @@ class BodyParams:
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
             raise InvalidInputError(f"{self.name}.inertia must be positive-definite")
         points = {k: _as_vector(f"{self.name}.point.{k}", v) for k, v in self.force_points.items()}
-        com.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error raised below
+            inertia_center = inertia + self.mass * (np.dot(com, com) * np.eye(3) - np.outer(com, com))
+        if not np.all(np.isfinite(inertia_center)):
+            raise InvalidInputError(f"{self.name}.com_offset gives a non-finite inertia about the wrist center")
         inertia = inertia.copy()
-        inertia.setflags(write=False)
-        for v in points.values():
+        for v in (com, inertia, inertia_center, *points.values()):
             v.setflags(write=False)
         object.__setattr__(self, "com_offset", com)
         object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "inertia_center", inertia_center)
         object.__setattr__(self, "force_points", MappingProxyType(points))
-
-    @cached_property
-    def inertia_center(self) -> np.ndarray:
-        """Inertia about the wrist center (parallel-axis theorem), read-only."""
-        c = self.com_offset
-        inertia = self.inertia + self.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
-        inertia.setflags(write=False)
-        return inertia
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ class MotorSpec:
             raise InvalidInputError("max_speed must be at least nominal_speed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CuttingLoad:
     """Cutting force at the tool tip.
 
@@ -193,28 +189,25 @@ def _tip_force(load: CuttingLoad, e3, e5):
 
 
 _BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center force_points")
-_last_body_table = ((), None)  # the last bodies given to _body_table and their table, stored as one tuple
 
 
 def _body_table(bodies) -> _BodyTable:
     # The links' parameters stacked in BODY_NAMES order, and each joint
     # force's point on its carrying body (the center where it names none).
+    return _table_of(tuple(bodies))
+
+
+@lru_cache(maxsize=1)
+def _table_of(bodies: tuple) -> _BodyTable:
     # The same BodyParams objects (== is identity for them) get the last table.
-    global _last_body_table
-    bodies = tuple(bodies)
-    key, table = _last_body_table
-    if key == bodies and table is not None:
-        return table
     given = {b.name: b for b in bodies}
     missing = [n for n in BODY_NAMES if n not in given]
     if missing:
         raise InvalidInputError(f"missing body parameters for {missing}")
     params = tuple(given[n] for n in BODY_NAMES)
-    table = _BodyTable(params, *(np.array([getattr(p, f) for p in params])
-                                 for f in ("mass", "com_offset", "inertia", "inertia_center")),
-                       np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
-    _last_body_table = (bodies, table)
-    return table
+    return _BodyTable(params, *(np.array([getattr(p, f) for p in params])
+                                for f in ("mass", "com_offset", "inertia", "inertia_center")),
+                      np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
 
 
 # World-frame rigid-body motion of one link about the wrist center.
@@ -256,9 +249,10 @@ def _motion(theta, rates, accels, geometry: WristGeometry, table: _BodyTable, co
     # Body order: the legs' elbow-side links (terminal, distal), then their
     # drive links (proximal-1, proximal-2).
     f0, f1, f2 = leg_frames(theta, geometry)
+    axes = _axis_stack(f0, f1, f2)
     R = np.concatenate([f2, f1], axis=1)
     del f1, f2  # R keeps the only copy, which lowers the peak memory of a pass
-    drive, elbow, tool = np.broadcast_to(f0[..., 2], R[:, 2:, :, 2].shape), R[:, 2:, :, 2], R[:, :2, :, 2]
+    drive, elbow, tool = axes[:, :2], axes[:, 2:4], axes[:, 4:]
     drive_rate, elbow_rate = rates[:, :2, None], rates[:, 2:, None]
     w, w_dot = drive_rate * drive, accels[:, :2, None] * drive
     omega = np.concatenate([w + elbow_rate * elbow, w], axis=1)
@@ -267,7 +261,6 @@ def _motion(theta, rates, accels, geometry: WristGeometry, table: _BodyTable, co
     r = (R @ table.com[:, :, None])[..., 0]
     v = cross_rows(omega, r) if com_motion else None
     a = cross_rows(omega_dot, r) + cross_rows(omega, v) if com_motion else None
-    axes = np.concatenate([drive, elbow, tool], axis=1)
     return WristMotion(R, omega, omega_dot, r, v, a, axes, np.linalg.norm(tool[:, 0] - tool[:, 1], axis=1))
 
 
@@ -307,7 +300,7 @@ _ROWS = {name: (slice(6 * b, 6 * b + 3), slice(6 * b + 3, 6 * b + 6)) for b, nam
 _TAU = [UNKNOWN_SLICES["tau1"].start, UNKNOWN_SLICES["tau2"].start]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Linear Newton-Euler system for one sample."""
 
@@ -316,35 +309,6 @@ class AssembledSystem:
     actuated_rates: np.ndarray
 
 
-def _matrix(values):
-    """One sample's matrix from its values: the joint forces' world points
-    (4 x 3), the moment bases (5 x 3 x 2), then e1, e2 and e4."""
-    points, bases, (e1, e2, e4) = values[:12].reshape(4, 3), values[12:42].reshape(5, 3, 2), values[42:].reshape(3, 3)
-    A = np.zeros((N_EQUATIONS, N_UNKNOWNS))
-    s = UNKNOWN_SLICES
-    for (force, _, _, ends), point in zip(_JOINT_FORCES, points):
-        for body, sign in ends:
-            A[_ROWS[body][0], s[force]] = sign * np.eye(3)
-            A[_ROWS[body][1], s[force]] = sign * cross_rows(point, np.eye(3)).T
-    for (moment, _, _, ends), basis in zip(_JOINT_MOMENTS, bases):
-        for body, sign in ends:
-            A[_ROWS[body][1], s[moment]] = sign * basis
-    A[_ROWS["proximal-1"][1], s["tau1"].start] = e1
-    A[_ROWS["proximal-2"][1], s["tau2"].start] = e2
-    A[_ROWS["distal"][0], s["planar_force"].start] = e4
-    A[_ROWS["proximal-2"][0], s["planar_force"].start] = -e4
-    return A
-
-
-# The matrix is a template plus each value at its entries, signed; _assemble
-# writes them for all samples at once.  Where they go is read off _matrix
-# given the values 2, 3, ..., which its template entries (0, +-1) cannot take.
-_NEWTON_TEMPLATE = _matrix(np.zeros(51))
-_NEWTON_TEMPLATE.setflags(write=False)
-_SYMBOLS = (_matrix(np.arange(2.0, 53.0)) - _NEWTON_TEMPLATE).ravel()
-_ENTRY_DST = np.flatnonzero(_SYMBOLS)
-_ENTRY_SRC = np.abs(_SYMBOLS[_ENTRY_DST]).astype(int) - 2
-_ENTRY_SIGN = np.sign(_SYMBOLS[_ENTRY_DST])
 _FORCE_CARRIERS = [BODY_NAMES.index(carrier) for _, carrier, _, _ in _JOINT_FORCES]
 _MOMENT_AXES = [AXIS_NAMES.index(axis) for _, axis, _, _ in _JOINT_MOMENTS]
 _MOMENT_SEEDS = [AXIS_NAMES.index(seed) for _, _, seed, _ in _JOINT_MOMENTS]
@@ -365,10 +329,23 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
     normal /= np.where(aligned, 1.0, length)[..., None]
     basis = np.stack([normal, cross_rows(axis, normal)], axis=3)
     points = (m.R[:, _FORCE_CARRIERS] @ table.force_points[:, :, None])[..., 0]
-    values = np.concatenate([points.reshape(n, -1), basis.reshape(n, -1), m.joint_axes[:, [0, 1, 3]].reshape(n, -1)],
-                            axis=1)
-    A = np.repeat(_NEWTON_TEMPLATE[None], n, axis=0)
-    A.reshape(n, -1)[:, _ENTRY_DST] = values[:, _ENTRY_SRC] * _ENTRY_SIGN
+    # skew[j] @ x = points[j] x x, written entry by entry so that its zeros stay +0.
+    skew = np.zeros((n, len(_JOINT_FORCES), 3, 3))
+    skew[..., [2, 0, 1], [1, 2, 0]] = points
+    skew[..., [1, 2, 0], [2, 0, 1]] = -points
+    A = np.zeros((n, N_EQUATIONS, N_UNKNOWNS))
+    s = UNKNOWN_SLICES
+    for j, (force, _, _, ends) in enumerate(_JOINT_FORCES):
+        for body, sign in ends:
+            A[:, _ROWS[body][0], s[force]] = sign * np.eye(3)
+            A[:, _ROWS[body][1], s[force]] = sign * skew[:, j]
+    for j, (moment, _, _, ends) in enumerate(_JOINT_MOMENTS):
+        for body, sign in ends:
+            A[:, _ROWS[body][1], s[moment]] = sign * basis[:, j]
+    A[:, _ROWS["proximal-1"][1], s["tau1"].start] = m.joint_axes[:, 0]
+    A[:, _ROWS["proximal-2"][1], s["tau2"].start] = m.joint_axes[:, 1]
+    A[:, _ROWS["distal"][0], s["planar_force"].start] = m.joint_axes[:, 3]
+    A[:, _ROWS["proximal-2"][0], s["planar_force"].start] = -m.joint_axes[:, 3]
 
     # Force balances m a - m g, moment balances about the center
     # I_O w_dot + w x I_O w - r x m g, less the cutting wrench on the terminal.
@@ -399,7 +376,7 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     return AssembledSystem(A[0], b[0], motion.state.rates[:2].copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsSolution:
     """Actuator torques, joint reactions, solve residual, and actuator powers."""
 
@@ -516,7 +493,7 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     k, start = i % NE_BLOCK, i - i % NE_BLOCK
     key = (start, gravity.tobytes(), geometry, *table.params, load)
     block = getattr(profile, "_ne_block", None)
-    if block is None or block[0][:2] != key[:2] or any(a is not b for a, b in zip(block[0][2:], key[2:])):
+    if block is None or block[0] != key:
         if profile is None:
             rows = state.angles.theta[None], state.rates[None], state.accels[None]
         else:
@@ -610,10 +587,10 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     gravity = _as_vector("gravity", gravity)
     m = _motion(profile.theta, profile.rates, profile.accels, geometry, table, com_motion=False)
     e1, e2, e3, e4, e5, _ = (m.joint_axes[:, k] for k in range(6))
-    axes1, axes2 = (e1, e3, e5), (e2, e4, m.joint_axes[:, 5])
+    passive = _passive_closure(m.joint_axes)  # b1, b2 and the singular rows
 
     open_loop = m.closure > CLOSURE_TOL
-    failed = open_loop | _closure_singular(axes1, axes2)
+    failed = open_loop | passive[2]
     if failed.any():
         i = int(np.argmax(failed))
         if open_loop[i]:
@@ -635,7 +612,7 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     n = len(profile)
     g = np.empty((n, 2, 3))
     for k, drive in enumerate(np.eye(2)):
-        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (n, 1)))[:, 2:]
-        tau[:, k] += np.sum(passive * q_passive, axis=1)
-        g[:, k] = cross_rows(e5, drive[0] * e1 + passive[:, :1] * e3)
+        rates = _closure_rates_from_axes(m.joint_axes, passive, np.tile(drive, (n, 1)))[:, 2:]
+        tau[:, k] += np.sum(rates * q_passive, axis=1)
+        g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
     return _LoadFreeTorques(tau, g, e3, e5)

@@ -20,7 +20,8 @@ from .errors import (
     SingularOrientationError,
     UnreachableOrientationError,
 )
-from .rotation import WristGeometry, central_difference, chain_frames, cross_rows, unwrap_angles, wrap_angle
+from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, leg_frames, unwrap_angles,
+                       wrap_angle)
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
@@ -35,7 +36,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToolOrientation:
     """Unit direction of the tool axis in the world frame."""
 
@@ -78,7 +79,7 @@ def _unit_directions(v) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointAngles:
     """The four joint angles (leg 1: first and third; leg 2: second and fourth)."""
 
@@ -99,7 +100,7 @@ class JointAngles:
         return JointAngles(wrap_angle(self.theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """Joint angles with first and second time derivatives at time ``t``;
     ``row`` is ``(profile, index)`` for a row of a ``JointProfile``."""
@@ -108,7 +109,7 @@ class JointState:
     rates: np.ndarray
     accels: np.ndarray
     t: float
-    row: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    row: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         rates = np.asarray(self.rates, dtype=float).reshape(-1)
@@ -125,7 +126,7 @@ class JointState:
         object.__setattr__(self, "accels", accels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointProfile:
     """Joint states along a sampled path, as arrays: ``t`` (N,) and
     ``theta``/``rates``/``accels`` (N, 4).
@@ -291,42 +292,32 @@ def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) ->
     return JointAngles(_joint_angles(orientation.v, geometry))
 
 
-def _closure_axes(theta, geometry):
-    _, axes1 = chain_frames(theta[:, [0, 2]], geometry, "leg-1")
-    _, axes2 = chain_frames(theta[:, [1, 3]], geometry, "leg-2")
-    return axes1, axes2
+def _axis_stack(f0, f1, f2) -> np.ndarray:
+    """Axes e1..e6 (n, 6, 3) from ``leg_frames`` output: the two drive axes,
+    the two elbow axes, then the two tool axes, leg 1's before leg 2's."""
+    return np.concatenate([np.broadcast_to(f0[..., 2], f1.shape[:-1]), f1[..., 2], f2[..., 2]], axis=1)
 
 
-def _passive_columns(axes1, axes2):
-    # Tool-axis velocity per unit rate of the terminal joint (leg 1) and,
-    # negated, of the distal joint (leg 2); loop closure solves
-    # [b1, b2] x = rhs for those two rates.
-    _, e3, e5 = axes1
-    _, e4, _ = axes2
-    return cross_rows(e3, e5), -cross_rows(e4, e5)
-
-
-def _passive_singular(b1, b2):
-    # Rows where the Gram matrix of the passive columns is singular: the
-    # passive axes momentarily align (a genuine wrist singularity).
+def _passive_closure(axes):
+    """Loop closure's passive columns b1, b2 (n, 3) at axes (n, 6, 3): the
+    tool-axis velocity per unit rate of the terminal joint and, negated, of
+    the distal joint, for closure to solve [b1, b2] x = rhs.  Also the rows
+    where their Gram determinant vanishes (a type-II singularity: the passive
+    axes align, and the actuated rates do not fix the passive ones)."""
+    e3, e4, e5 = axes[:, 2], axes[:, 3], axes[:, 4]
+    b1, b2 = cross_rows(e3, e5), -cross_rows(e4, e5)
     g11 = np.sum(b1 * b1, axis=1)
     g12 = np.sum(b1 * b2, axis=1)
     g22 = np.sum(b2 * b2, axis=1)
-    return g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
+    return b1, b2, g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
 
 
-def _closure_singular(axes1, axes2) -> np.ndarray:
-    """Rows of stacked leg axes (as ``chain_frames`` returns them) where the
-    passive rates are not determined by the actuated ones."""
-    return _passive_singular(*_passive_columns(axes1, axes2))
-
-
-def _solve_passive(b1, b2, rhs):
+def _solve_passive(passive, rhs):
     # Row-wise solve of [b1, b2] x = rhs by Cramer's rule against the normal
     # n = b1 x b2, which keeps full accuracy next to a singularity, where the
     # normal equations square the conditioning.  Minimum-norm on the singular
     # rows, which is also the correct compatible answer there.
-    singular = _passive_singular(b1, b2)
+    b1, b2, singular = passive
     n = cross_rows(b1, b2)
     nn = np.where(singular, 1.0, np.sum(n * n, axis=1))
     x = np.column_stack([np.sum(cross_rows(rhs, b2) * n, axis=1),
@@ -336,17 +327,15 @@ def _solve_passive(b1, b2, rhs):
     return x
 
 
-def _closure_rates_from_axes(axes1, axes2, drive):
-    e1, _, e5 = axes1
-    e2, _, _ = axes2
+def _closure_rates_from_axes(axes, passive, drive):
+    e1, e2, e5 = axes[:, 0], axes[:, 1], axes[:, 4]
     rate1, rate2 = drive[:, :1], drive[:, 1:]
     rhs = cross_rows(rate2 * e2 - rate1 * e1, e5)
-    return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
+    return np.hstack([drive, _solve_passive(passive, rhs)])
 
 
-def _closure_accels_from_axes(axes1, axes2, rates, drive):
-    e1, e3, e5 = axes1
-    e2, e4, _ = axes2
+def _closure_accels_from_axes(axes, passive, rates, drive):
+    e1, e2, e3, e4, e5 = (axes[:, k] for k in range(5))
     d1, d2, d3, d4 = (rates[:, k:k + 1] for k in range(4))
     accel1, accel2 = drive[:, :1], drive[:, 1:]
     v_dot = cross_rows(d1 * e1 + d3 * e3, e5)
@@ -358,7 +347,7 @@ def _closure_accels_from_axes(axes1, axes2, rates, drive):
         - d3 * (cross_rows(e3_dot, e5) + cross_rows(e3, v_dot))
         + d4 * (cross_rows(e4_dot, e5) + cross_rows(e4, v_dot))
     )
-    return np.hstack([drive, _solve_passive(*_passive_columns(axes1, axes2), rhs)])
+    return np.hstack([drive, _solve_passive(passive, rhs)])
 
 
 def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: WristGeometry) -> np.ndarray:
@@ -368,8 +357,8 @@ def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: Wri
     passive rates exactly, keeping downstream dynamics workless at the ideal
     joints.
     """
-    axes1, axes2 = _closure_axes(angles.theta[None], geometry)
-    return _closure_rates_from_axes(axes1, axes2, np.array([[rate1, rate2]], dtype=float))[0]
+    axes = _axis_stack(*leg_frames(angles.theta[None], geometry))
+    return _closure_rates_from_axes(axes, _passive_closure(axes), np.array([[rate1, rate2]], dtype=float))[0]
 
 
 def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2: float,
@@ -379,9 +368,9 @@ def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2
     Differentiates the rate-closure identity; ``rates`` must already satisfy
     it.
     """
-    axes1, axes2 = _closure_axes(angles.theta[None], geometry)
+    axes = _axis_stack(*leg_frames(angles.theta[None], geometry))
     drive = np.array([[accel1, accel2]], dtype=float)
-    return _closure_accels_from_axes(axes1, axes2, np.reshape(rates, (1, 4)), drive)[0]
+    return _closure_accels_from_axes(axes, _passive_closure(axes), np.reshape(rates, (1, 4)), drive)[0]
 
 
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
@@ -418,7 +407,8 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
 
     drive = central_difference(theta[:, :2], dt)
     drive_accel = central_difference(drive, dt)
-    axes1, axes2 = _closure_axes(theta, geometry)
-    rates = _closure_rates_from_axes(axes1, axes2, drive)
-    accels = _closure_accels_from_axes(axes1, axes2, rates, drive_accel)
+    axes = _axis_stack(*leg_frames(theta, geometry))
+    passive = _passive_closure(axes)
+    rates = _closure_rates_from_axes(axes, passive, drive)
+    accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
     return JointProfile(np.arange(len(theta)) * dt, theta, rates, accels)

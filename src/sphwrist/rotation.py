@@ -92,7 +92,7 @@ def _default_home():
     return np.array([-math.pi / 2.0, math.pi / 2.0, math.pi / 2.0, -math.pi / 2.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WristGeometry:
     """Joint-axis twists, home configuration, and base mounting of the wrist.
 

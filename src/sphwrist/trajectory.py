@@ -69,7 +69,7 @@ class TimedOrientation:
     orientation: ToolOrientation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationPath:
     """Tool orientations along a sampled path, as arrays: times ``t`` (N,) and
     unit world-frame directions ``v`` (N, 3), read-only.

@@ -201,14 +201,17 @@ def _bad_entry(draw):
 @example(entry=("geometry.alpha", ["nan"] * 5))
 @example(entry=("body.terminal.point.joint_distal", ["0.0", "#", "-0.07"]))
 @example(entry=("gravity", []))
+@example(entry=("body.distal.com_offset", ["-1e300", "0.055", "-0.035"]))
 def test_config_bad_values_name_their_key(tmp_path_factory, entry):
     key, values = entry
     lines = [f"{key} = {', '.join(values)}" if line.partition("=")[0].strip() == key else line
              for line in default_config_text().splitlines()]
     text = "\n".join(lines) + "\n"
     try:
-        config_from_text(text)
+        config = config_from_text(text)
         rejected = None
+        # Values that pass one by one must not overflow together.
+        assert all(np.isfinite(b.inertia_center).all() for b in config.bodies)
     except ConfigError as exc:
         rejected = str(exc)
         assert key in rejected, rejected

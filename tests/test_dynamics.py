@@ -29,15 +29,17 @@ from sphwrist import (
     solve_state,
     solve_trajectory,
     solve_wrenches,
+    sweep_peaks,
     trajectory_joint_profiles,
     virtual_work_torques,
 )
-from sphwrist import dynamics
+from sphwrist import dynamics, kinematics
 from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, UNKNOWN_SLICES, _body_table,
                                _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from sphwrist.kinematics import (_closure_axes, _closure_rates_from_axes, _closure_singular, _joint_angles,
+from sphwrist.kinematics import (_axis_stack, _closure_rates_from_axes, _joint_angles, _passive_closure,
                                  closure_accels, closure_rates)
+from sphwrist.rotation import leg_frames
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -446,7 +448,8 @@ def loaded_virtual_work_reference(profile, geometry, bodies, gravity, load):
     frames1, axes1 = chain_frames(th[:, [0, 2]], geometry, "leg-1")
     frames2, axes2 = chain_frames(th[:, [1, 3]], geometry, "leg-2")
     e1, e3, e5 = axes1
-    e2, e4, _ = axes2
+    e2, e4, e6 = axes2
+    axes = np.stack([e1, e2, e3, e4, e5, e6], axis=1)
     d1, d2, d3, d4 = (dth[:, k:k + 1] for k in range(4))
     a1, a2, a3, a4 = (ddth[:, k:k + 1] for k in range(4))
     motion = {
@@ -470,7 +473,7 @@ def loaded_virtual_work_reference(profile, geometry, bodies, gravity, load):
     tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
                            np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
     for k, drive in enumerate(np.eye(2)):
-        passive = _closure_rates_from_axes(axes1, axes2, np.tile(drive, (len(th), 1)))[:, 2:]
+        passive = _closure_rates_from_axes(axes, _passive_closure(axes), np.tile(drive, (len(th), 1)))[:, 2:]
         tau[:, k] += np.sum(passive * q_passive, axis=1)
     return tau
 
@@ -547,7 +550,7 @@ def test_virtual_work_matches_solve_state(samples, f_c, lever):
         accels.append(closure_accels(JointAngles(th), rates[-1], a1, a2, geometry))
     profile = JointProfile(0.01 * np.arange(len(samples)), theta, rates, accels)
     load = CuttingLoad(f_c, lever)
-    singular = _closure_singular(*_closure_axes(theta, geometry))
+    _, _, singular = _passive_closure(_axis_stack(*leg_frames(theta, geometry)))
 
     tau_ne, accepted = [], []
     for i, state in enumerate(profile):
@@ -633,7 +636,7 @@ def test_profile_block_follows_its_inputs(geometry, bodies):
     assert not field_check(expected)(solve_fields(geometry, bodies, profile[38]))
 
 
-def test_body_table_follows_its_bodies(geometry, bodies, monkeypatch):
+def test_body_table_follows_its_bodies(geometry, bodies):
     # _body_table keeps the last table it built, keyed by its BodyParams
     # objects; bodies that alternate between calls each get their own table.
     profile = circle_states(geometry, 45.0, 0.1, 41)
@@ -647,7 +650,7 @@ def test_body_table_follows_its_bodies(geometry, bodies, monkeypatch):
 
     expected = {}
     for name, kept_bodies in (("default", bodies), ("heavier", heavier)):
-        monkeypatch.setattr(dynamics, "_last_body_table", ((), None))
+        dynamics._table_of.cache_clear()
         expected[name] = outputs(kept_bodies)
     assert not np.array_equal(expected["default"][0], expected["heavier"][0])
     sequence = [("default", bodies), ("heavier", heavier), ("default", bodies), ("heavier", list(heavier)),
@@ -656,6 +659,42 @@ def test_body_table_follows_its_bodies(geometry, bodies, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(outputs(kept_bodies), expected[name], strict=True)), name
     assert _body_table(list(bodies)) is _body_table(tuple(bodies)) is _body_table(bodies)
     assert _body_table(heavier) is not _body_table(bodies)
+
+
+def test_array_dataclasses_compare_by_identity(geometry, bodies, motor):
+    # Frozen dataclasses that hold arrays compare and hash by identity: an
+    # equal-valued copy is a different object, and == never reaches numpy's
+    # elementwise comparison.
+    path = generate(TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=5))
+    profile = trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
+    motion, solution = solve_state(profile[1], geometry, bodies)
+    spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=11)
+    objects = [geometry, CuttingLoad(np.ones(3), 0.1), ToolOrientation(path.v[0]), JointAngles(profile.theta[0]),
+               profile[1], profile, path, solution, assemble_system(motion, bodies),
+               sweep_peaks([spec], geometry, bodies, motor)[0], default_config()]
+    for obj in objects:
+        twin = replace(obj)
+        assert obj == obj and not obj != obj and hash(obj) == hash(obj), type(obj)
+        assert twin != obj and not twin == obj and len({obj, twin}) == 2, type(obj)
+
+
+def test_one_closure_solve_per_pass(geometry, bodies, monkeypatch):
+    # The profile stage and the load-free torque pass each build the leg
+    # frames once and test the passive Gram determinant once; neither goes
+    # through the one-leg chain_frames.
+    calls = []
+    for module in (kinematics, dynamics):
+        for name in ("leg_frames", "_passive_closure", "chain_frames"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=101)
+    path = generate(spec)
+    profile = trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
+    assert calls == ["leg_frames", "_passive_closure"]
+    calls.clear()
+    virtual_work_torques(profile, geometry, bodies, GRAVITY, CuttingLoad(np.full(3, 50.0), 0.11))
+    assert calls == ["leg_frames", "_passive_closure"]
 
 
 def test_body_table_from_threads(geometry, bodies):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit_vector, symmetric_rel
@@ -119,11 +119,16 @@ def test_randomized_round_trips_both_legs(geometry):
     assert worst_leg2 < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [
+# Twists other than the default pi/2: a reduced first twist, then a terminal
+# twist below and above pi/2.
+REDUCED_TWISTS = [
     (math.pi / 2, math.pi / 3, math.pi / 2, math.pi / 2, math.pi / 2),
     (math.pi / 2, math.pi / 2, math.pi / 2, 1.3, math.pi / 2),
     (math.pi / 2, math.pi / 2, math.pi / 2, 1.8, math.pi / 2),
-])
+]
+
+
+@pytest.mark.parametrize("alpha", REDUCED_TWISTS)
 def test_round_trip_non_default_geometry(alpha):
     # Directions reached by random leg-1 pairs are reachable by construction;
     # the inverse must close both legs on them whatever the twists.
@@ -138,6 +143,39 @@ def test_round_trip_non_default_geometry(alpha):
         worst_leg2 = max(worst_leg2, np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geom) - v))
     assert worst_fk < 1e-9
     assert worst_leg2 < 1e-9
+
+
+_UNIT_DIRECTIONS = (st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-6)
+                    .map(lambda v: np.array(v) / math.hypot(*v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.sampled_from([None, *REDUCED_TWISTS]), directions=st.lists(_UNIT_DIRECTIONS, min_size=1, max_size=8))
+@example(alpha=None, directions=[np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)])  # on the leg-1 drive axis
+@example(alpha=REDUCED_TWISTS[0], directions=[np.array([0.0, 0.0, -1.0]), np.array([1.0, 1.0, 0.1]) / math.sqrt(2.01)])
+def test_ik_fk_round_trip_or_categorised_error(alpha, directions):
+    # Any unit direction either closes both legs to 1e-9 with finite angles
+    # or is refused as unreachable or singular; the stacked inverse names the
+    # lowest failing sample with the error its single call raises.
+    geometry = WristGeometry() if alpha is None else WristGeometry(alpha=alpha)
+    expected, failure = [], None
+    for i, v in enumerate(directions):
+        try:
+            theta = inverse_kinematics(ToolOrientation(v), geometry).theta
+        except (UnreachableOrientationError, SingularConfigurationError) as exc:
+            failure = failure or (i, exc)
+            continue
+        assert np.all(np.isfinite(theta))
+        assert np.linalg.norm(forward_kinematics(theta[0], theta[2], geometry).v - v) < 1e-9
+        assert np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geometry) - v) < 1e-9
+        expected.append(theta)
+    if failure is None:
+        np.testing.assert_allclose(_joint_angles(np.array(directions), geometry), expected, rtol=0.0, atol=1e-12)
+    else:
+        i, exc = failure
+        with pytest.raises(type(exc)) as stacked:
+            _joint_angles(np.array(directions), geometry)
+        assert stacked.type is type(exc) and str(stacked.value) == f"sample {i}: {exc}"
 
 
 def test_unreachable_orientation():
