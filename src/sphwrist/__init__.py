@@ -4,7 +4,7 @@ from .analysis import FeasibilityReport, PeakRecord, force_sweep, motor_feasibil
 from .config import Config, default_config, load_config
 from .dynamics import (GRAVITY, BodyParams, CuttingLoad, DynamicsSolution, MotorSpec, WristMotion, assemble_system,
                        body_motion, power_balance_residual, reflected_motor_torque, solve_state, solve_trajectory,
-                       solve_wrenches, virtual_work_torques)
+                       solve_wrenches, verify_profile, virtual_work_torques)
 from .errors import WristError
 from .kinematics import (JointAngles, JointProfile, JointState, ToolOrientation, forward_kinematics,
                          inverse_kinematics, leg2_tool_axis, pan_tilt_from_vector, trajectory_joint_profiles,
@@ -24,5 +24,5 @@ __all__ = [
     "power_balance_residual", "reflected_motor_torque", "solve_state",
     "solve_trajectory", "solve_wrenches", "sweep_peaks", "traj_circle",
     "traj_semicircle", "trajectory_joint_profiles", "unwrap_angles",
-    "vector_from_pan_tilt", "virtual_work_torques", "wrap_angle",
+    "vector_from_pan_tilt", "verify_profile", "virtual_work_torques", "wrap_angle",
 ]

@@ -99,7 +99,9 @@ def _peak_record(spec, profile, tau, motors):
 
 def _spec_error(spec, exc: WristError) -> WristError:
     # Every WristError subclass takes one message, so the category is kept.
-    return type(exc)(f"spec (kind={spec.kind}, gamma={spec.gamma}, R={spec.radius}): {exc}")
+    # The spec holds gamma in radians; the message names it in degrees, as the CLI takes it.
+    gamma = "None" if spec.gamma is None else f"{np.degrees(spec.gamma):.12g} deg"
+    return type(exc)(f"spec (kind={spec.kind}, gamma={gamma}, R={spec.radius}): {exc}")
 
 
 def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None, gravity=GRAVITY):

@@ -15,11 +15,14 @@ Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
-``_solve``): one QR factorization of each transposed matrix gives its
-minimum-norm solution, and nearly rank-deficient rows fall back to SVD least
-squares.  The one-state calls are the n = 1 case.  ``solve_state`` on a row
-of a ``JointProfile`` solves the row's aligned block of ``NE_BLOCK`` rows
-and keeps it on the profile for the block's other rows.
+``_solve``, ``_power_balance_rows``): the Householder reflectors of one raw
+QR factorization of each transposed matrix give its minimum-norm solution,
+and nearly rank-deficient rows fall back to SVD least squares.  The
+one-state calls are the n = 1 case.  ``solve_state`` on a row of a
+``JointProfile`` solves the row's aligned block of ``NE_BLOCK`` rows, with
+each row's power-balance terms, and keeps it on the profile for the block's
+other rows and for ``power_balance_residual``.  ``verify_profile`` makes the
+same block passes over a whole profile.
 
 The studies take their actuator torques from ``virtual_work_torques``: the
 principle of virtual work over a whole joint profile at once, on the same
@@ -51,9 +54,10 @@ CLOSURE_TOL = 1e-6
 # ratio is 1e-16 at the R = 0.25 m semicircle's singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
-# profile: a larger block costs less time per row and more memory (the
-# stacked QR alone holds about 0.5 MB of arrays at 32 rows).
-NE_BLOCK = 32
+# profile, with their power-balance terms: a larger block costs less time
+# per row and more memory (the matrices and their raw QR reflectors hold
+# about 0.6 MB at 64 rows).
+NE_BLOCK = 64
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 AXIS_NAMES = ("e1", "e2", "e3", "e4", "e5", "e6")
@@ -389,15 +393,31 @@ class DynamicsSolution:
 def _solve(A, b, rows):
     """Minimum-norm solutions x (n, 25) and relative residuals |Ax - b| / |b|
     (n,) of the systems in ``rows`` (n,) bool; the others are left NaN.
-    With A^T = Q R, a full-row-rank system has x = Q R^-T b; where R's
-    diagonal shows the equations nearly rank-deficient (``QR_RANK_TOL``),
-    SVD least squares gives x instead."""
-    q, r = np.linalg.qr(A.transpose(0, 2, 1))
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    With A^T = Q R, a full-row-rank system has x = Q [y; 0], R^T y = b.  The
+    raw QR gives R and Q's 24 Householder reflectors in one (n, 24, 25)
+    array h: R^T is the lower triangle of h's first 24 columns, and
+    reflector j is I - tau_j v v^T with v = (0, ..., 0, 1, h[j, j+1:]).  So y
+    comes from a forward substitution on h, and x from the reflectors applied
+    to [y; 0] last to first (Golub & Van Loan, Matrix Computations, 5.1-5.2).
+    Where R's diagonal shows the equations nearly rank-deficient
+    (``QR_RANK_TOL``), SVD least squares gives x instead."""
+    h, tau = np.linalg.qr(A.transpose(0, 2, 1), mode="raw")
+    diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
     full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
     qr_rows = rows & full
-    x = np.full((len(b), N_UNKNOWNS), np.nan)
-    x[qr_rows] = (q[qr_rows] @ np.linalg.solve(r[qr_rows].transpose(0, 2, 1), b[qr_rows][..., None]))[..., 0]
+    z = np.zeros((len(b), N_UNKNOWNS))
+    r = b.copy()
+    # Rows left out may divide by a zero pivot; their x is replaced below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(N_EQUATIONS):
+            z[:, j] = r[:, j] / h[:, j, j]
+            r[:, j + 1:] -= z[:, j, None] * h[:, j + 1:, j]
+        for j in range(N_EQUATIONS - 1, -1, -1):
+            v = h[:, j, j + 1:]
+            w = tau[:, j] * (z[:, j] + np.sum(v * z[:, j + 1:], axis=1))
+            z[:, j] -= w
+            z[:, j + 1:] -= w[:, None] * v
+    x = np.where(qr_rows[:, None], z, np.nan)
     for i in np.flatnonzero(rows & ~full):
         x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
     res = (A @ x[..., None])[..., 0] - b
@@ -438,33 +458,69 @@ def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
     return tau_joint + motor.rotor_inertia * np.square(motor.reduction_ratio) * joint_accel
 
 
+def _power_balance_rows(motion: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None):
+    """Kinetic-energy rate and the power of gravity plus the cutting load,
+    (n,) each, of n motions.  The kinetic energy is split about each center
+    of mass, not about the wrist center as in the assembly."""
+    n = len(motion.R)
+    inertia = motion.R @ table.inertia @ motion.R.transpose(0, 1, 3, 2)
+    ke_rate = (np.sum((motion.omega * (inertia @ motion.omega_dot[..., None])[..., 0]).reshape(n, -1), axis=1)
+               + np.sum((table.mass[:, None] * motion.v_com * motion.a_com).reshape(n, -1), axis=1))
+    p_ext = np.sum((table.mass[:, None] * motion.v_com * gravity).reshape(n, -1), axis=1)
+    if load is not None:
+        e3, e5 = motion.joint_axes[:, 2], motion.joint_axes[:, 4]
+        p_ext = p_ext + np.sum(_tip_force(load, e3, e5) * cross_rows(motion.omega[:, 0], load.lever * e5), axis=1)
+    return ke_rate, p_ext
+
+
+def _balance(p_act, ke_rate, p_ext):
+    return np.abs(p_act + p_ext - ke_rate) / np.maximum(1.0, np.abs(ke_rate))
+
+
 def power_balance_residual(state: JointState, solution: DynamicsSolution, motion: WristMotion,
                            bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> float:
     """Relative mismatch between supplied power and the kinetic-energy rate.
 
     Independent check on the wrench solve: actuator power plus gravity and
     cutting power must equal d(KE)/dt, with everything evaluated analytically
-    from the motion terms.  The kinetic energy is split about each center of
-    mass, not about the wrist center as in the assembly.
+    from the motion terms (``_power_balance_rows``).  A motion that
+    ``solve_state`` returned for a profile row reads those terms from the
+    block kept on the profile, when the block still holds the motion's arrays
+    and was solved for this gravity, these bodies and this load.  The
+    actuator power always comes from ``solution.tau`` and ``state.rates``.
     """
     table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
-    inertia = motion.R @ table.inertia @ motion.R.transpose(0, 1, 3, 2)
-    ke_rate = float(np.sum(motion.omega * (inertia @ motion.omega_dot[..., None])[..., 0])
-                    + np.sum(table.mass[:, None] * motion.v_com * motion.a_com))
-    p_gravity = float(np.sum(table.mass[:, None] * motion.v_com * gravity))
-    p_cut = 0.0
-    if load is not None:
-        e3, e5 = motion.joint_axes[:, 2], motion.joint_axes[:, 4]
-        p_cut = float(np.sum(_tip_force(load, e3, e5) * cross_rows(motion.omega[:, 0], load.lever * e5)))
-    p_act = float(solution.tau @ state.rates[:2])
-    return abs(p_act + p_gravity + p_cut - ke_rate) / max(1.0, abs(ke_rate))
+    profile, i = (motion.state.row if motion.state is not None else None) or (None, 0)
+    block = getattr(profile, "_ne_block", None)
+    if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
+            and block[0][3:] == (*table.params, load)
+            and all(a.base is owner for a, owner in zip(motion[:-1], block[1].owners))):
+        k = i % NE_BLOCK
+        ke_rate, p_ext = block[1].ke_rate[k], block[1].p_ext[k]
+    else:
+        ke_rate, p_ext = (terms[0] for terms in _power_balance_rows(motion, table, gravity, load))
+    tau, rates = solution.tau, state.rates
+    return float(_balance(tau[0] * rates[0] + tau[1] * rates[1], ke_rate, p_ext))
 
 
-def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
-    """Read-only motion, solutions x (n, 25) and residuals (n,) of n joint
-    states, and per row None or the (error class, message) that the
-    one-state calls raise for it, checked in their order."""
+class _Rows(NamedTuple):
+    """One array pass of the oracle over n joint states (``_solve_rows``)."""
+
+    motion: WristMotion
+    owners: tuple
+    x: np.ndarray
+    residual: np.ndarray
+    errors: tuple
+    ke_rate: np.ndarray
+    p_ext: np.ndarray
+
+
+def _solve_rows(theta, rates, accels, geometry, table, gravity, load) -> _Rows:
+    """Read-only motion (with the arrays that own its memory), solutions x
+    (n, 25), residuals (n,), per row None or the (error class, message) that
+    the one-state calls raise for it, checked in their order, and the
+    power-balance terms of ``_power_balance_rows``."""
     m = _motion(theta, rates, accels, geometry, table)
     A, b, aligned = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
@@ -475,7 +531,8 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
                    for o, c, al, r in zip(open_loop.tolist(), m.closure.tolist(), aligned.tolist(), residual.tolist()))
     for array in m[:-1]:
         array.setflags(write=False)
-    return m, x, residual, errors
+    owners = tuple(a if a.base is None else a.base for a in m[:-1])
+    return _Rows(m, owners, x, residual, errors, *_power_balance_rows(m, table, gravity, load))
 
 
 def solve_state(state: JointState, geometry: WristGeometry, bodies,
@@ -485,7 +542,8 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     A state indexed from a ``JointProfile`` is solved with the rest of its
     aligned block of ``NE_BLOCK`` rows.  The profile keeps that one block,
     with the inputs it was solved for (geometry, bodies and load by
-    identity, gravity by value), for the block's other rows.
+    identity, gravity by value), for the block's other rows and for
+    ``power_balance_residual``.
     """
     table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
@@ -498,14 +556,46 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
             rows = state.angles.theta[None], state.rates[None], state.accels[None]
         else:
             rows = (a[start:start + NE_BLOCK] for a in (profile.theta, profile.rates, profile.accels))
-        block = (key, *_solve_rows(*rows, geometry, table, gravity, load))
+        block = (key, _solve_rows(*rows, geometry, table, gravity, load))
         if profile is not None:
             # One store of an immutable tuple: concurrent callers each see a whole block.
             object.__setattr__(profile, "_ne_block", block)
-    _, m, x, residual, errors = block
+    m, _, x, residual, errors, _, _ = block[1]
     if errors[k] is not None:
         raise errors[k][0](errors[k][1])
     return WristMotion(*(a[k:k + 1] for a in m[:-1]), state), _solution(x[k], residual[k], state.rates[:2])
+
+
+class ProfileCheck(NamedTuple):
+    """The Newton-Euler oracle over every row of a profile: relative solve
+    ``residual`` (N,), ``balance`` (N,) as ``power_balance_residual`` gives
+    it (NaN where the row fails), and per row None or the (error class,
+    message) that ``solve_state`` raises for it."""
+
+    residual: np.ndarray
+    balance: np.ndarray
+    errors: tuple
+
+
+def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
+                   gravity=GRAVITY, load: CuttingLoad | None = None) -> ProfileCheck:
+    """``solve_state`` and ``power_balance_residual`` on every row of a
+    profile, in the same aligned blocks of ``NE_BLOCK`` rows, without keeping
+    a block on the profile."""
+    table = _body_table(bodies)
+    gravity = _as_vector("gravity", gravity)
+    n = len(profile)
+    residual, balance, errors = np.empty(n), np.empty(n), []
+    for start in range(0, n, NE_BLOCK):
+        rows = slice(start, start + NE_BLOCK)
+        block = _solve_rows(profile.theta[rows], profile.rates[rows], profile.accels[rows],
+                            geometry, table, gravity, load)
+        tau, rates = block.x[:, _TAU], profile.rates[rows]
+        residual[rows] = block.residual
+        balance[rows] = _balance(tau[:, 0] * rates[:, 0] + tau[:, 1] * rates[:, 1], block.ke_rate, block.p_ext)
+        errors += block.errors
+    balance[[e is not None for e in errors]] = np.nan
+    return ProfileCheck(residual, balance, tuple(errors))
 
 
 def solve_trajectory(states, geometry: WristGeometry, bodies,

@@ -401,7 +401,8 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]
         raise BranchJumpError(
-            f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between samples {i} and {i + 1};"
+            f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between samples {i} (t = {i * dt:.6g} s)"
+            f" and {i + 1} (t = {(i + 1) * dt:.6g} s);"
             " the path crosses a singularity"
         )
 

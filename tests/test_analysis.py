@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,16 @@ def test_force_sweep_names_the_failing_sample(geometry, bodies, motor):
         force_sweep(singular, [0.0, 50.0], 0.11, geometry, bodies, motor)
     assert str(info.value) == ("spec (kind=semicircle-YZ, gamma=None, R=0.25): sample 500 (t = 0.261799 s): "
                                "the passive joint axes align; ideal joints cannot realize the motion at this sample")
+
+
+def test_spec_errors_name_gamma_in_degrees(geometry, bodies, motor):
+    # The CLI takes gamma in degrees, so a failing spec names it that way, with the unit.
+    spec = circle_spec(89.99999, 0.1, 1001)
+    expected = "spec (kind=circle-XY, gamma=89.99999 deg, R=0.1): sample 0 (t = 0 s): the passive joint axes align"
+    with pytest.raises(ModelInconsistencyError, match=re.escape(expected)):
+        sweep_peaks([circle_spec(45.0, 0.1, 51), spec], geometry, bodies, motor)
+    with pytest.raises(ModelInconsistencyError, match=re.escape(expected)):
+        force_sweep(spec, [0.0, 50.0], 0.11, geometry, bodies, motor)
 
 
 def test_force_sweep_rejects_negative_force(geometry, bodies, motor):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sphwrist import (
     JointState,
     ToolOrientation,
     TrajectorySpec,
+    WristMotion,
     assemble_system,
     body_motion,
     chain_frames,
@@ -31,6 +33,7 @@ from sphwrist import (
     solve_wrenches,
     sweep_peaks,
     trajectory_joint_profiles,
+    verify_profile,
     virtual_work_torques,
 )
 from sphwrist import dynamics, kinematics
@@ -334,6 +337,124 @@ def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
         except ModelInconsistencyError:
             pass
     assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), picks=st.tuples(st.integers(0, 69), st.integers(0, 69)))
+def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
+    # Random full-row-rank (n, 24, 25) stacks: the raw-Householder solve gives
+    # lstsq's minimum-norm solution to 1e-12 of its largest entry.  One row
+    # repeats an equation, so its R has a zero pivot and it goes to lstsq; a
+    # row left out of ``rows`` stays NaN.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, N_EQUATIONS, N_UNKNOWNS))
+    b = rng.standard_normal((n, N_EQUATIONS))
+    deficient, left_out = picks[0] % n, picks[1] % n
+    A[deficient, -1] = A[deficient, 0]
+    rows = np.ones(n, dtype=bool)
+    if left_out != deficient:
+        rows[left_out] = False
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        x, residual = dynamics._solve(A, b, rows)
+    assert lstsq.call_count == 1
+    for i in range(n):
+        if not rows[i]:
+            assert np.isnan(x[i]).all() and np.isnan(residual[i])
+            continue
+        expected, *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+        assert np.max(np.abs(x[i] - expected)) <= 1e-12 * np.max(np.abs(expected)), i
+        if i != deficient:
+            assert residual[i] < 1e-12
+
+
+def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
+    # Every row of the R = 0.25 m semicircle in one stack: the raw solve and
+    # lstsq put the same rows through the gate, and only the singular
+    # midpoint fails it.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    table = _body_table(bodies)
+    A, b, aligned = dynamics._assemble(_motion(profile.theta, profile.rates, profile.accels, geometry, table),
+                                       table, GRAVITY, None)
+    assert not aligned.any()
+    _, residual = dynamics._solve(A, b, np.ones(len(b), dtype=bool))
+    x = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(A, b)])
+    lstsq_residual = np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=1) / np.linalg.norm(b, axis=1)
+    assert np.flatnonzero(residual >= RESIDUAL_GATE).tolist() == [500]
+    assert np.flatnonzero(lstsq_residual >= RESIDUAL_GATE).tolist() == [500]
+
+
+def balance_passes(monkeypatch):
+    """The row counts of the balance passes made from here on."""
+    calls = []
+    original = dynamics._power_balance_rows
+    monkeypatch.setattr(dynamics, "_power_balance_rows", lambda m, *a: calls.append(len(m.R)) or original(m, *a))
+    return calls
+
+
+def own_copy(motion):
+    """The same motion in arrays of its own, which no kept block holds."""
+    return WristMotion(*(a.copy() for a in motion[:-1]), motion.state)
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
+def test_balance_read_from_the_block(geometry, bodies, monkeypatch, load):
+    # A motion that solve_state returned reads its balance terms from the
+    # kept block, bit for bit the n = 1 pass on the same motion; verify_profile
+    # gives every row's residual, balance and error as the row calls do.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    check = verify_profile(profile, geometry, bodies, GRAVITY, load)
+    assert not hasattr(profile, "_ne_block")
+    assert [i for i, error in enumerate(check.errors) if error is not None] == [500]
+    calls = balance_passes(monkeypatch)
+    residual, kept, alone = [], [], []
+    for state in profile:
+        try:
+            motion, solution = solve_state(state, geometry, bodies, GRAVITY, load)
+        except WristError as exc:
+            assert check.errors[state.row[1]] == (type(exc), str(exc))
+            residual.append(check.residual[state.row[1]])
+            kept.append(math.nan)
+            alone.append(math.nan)
+            continue
+        residual.append(solution.residual)
+        kept.append(power_balance_residual(state, solution, motion, bodies, GRAVITY, load))
+        alone.append(power_balance_residual(state, solution, own_copy(motion), bodies, GRAVITY, load))
+    # One pass per block, and one n = 1 pass per copied motion.
+    assert [c for c in calls if c > 1] == [min(NE_BLOCK, 1001 - s) for s in range(0, 1001, NE_BLOCK)]
+    assert calls.count(1) == 1000
+    np.testing.assert_array_equal(kept, alone)
+    np.testing.assert_array_equal(check.balance, kept)
+    np.testing.assert_array_equal(check.residual, residual)
+    assert np.nanmax(kept) < 1e-6
+
+
+def test_balance_falls_back_to_one_row(geometry, bodies, monkeypatch):
+    # Another gravity, load or bodies than the kept block's, a motion that
+    # is not a view of it, or a block no longer kept: the n = 1 pass.  The
+    # actuator power always comes from the solution passed.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    state = profile[100]
+    motion, solution = solve_state(state, geometry, bodies)
+    calls = balance_passes(monkeypatch)
+    value = power_balance_residual(state, solution, motion, bodies)
+    assert calls == [] and value < 1e-12
+    assert power_balance_residual(state, replace(solution, tau=1.01 * solution.tau), motion, bodies) > 1e-3
+    assert calls == []
+    heavier = [replace(b, mass=2.0 * b.mass) if b.name == "distal" else b for b in bodies]
+    for kept_bodies, gravity, load in [(bodies, GRAVITY, CuttingLoad((100.0, 100.0, 100.0), 0.11)),
+                                       (heavier, GRAVITY, None), (bodies, (0.0, 0.0, -9.0), None)]:
+        calls.clear()
+        other = power_balance_residual(state, solution, motion, kept_bodies, gravity, load)
+        assert calls == [1] and other > 1e-6
+        assert other == power_balance_residual(state, solution, own_copy(motion), kept_bodies, gravity, load)
+    calls.clear()
+    assert power_balance_residual(state, solution, body_motion(state, geometry, bodies), bodies) \
+        == pytest.approx(value, abs=1e-15)
+    assert calls == [1]
+    solve_state(profile[300], geometry, bodies)
+    calls.clear()
+    assert power_balance_residual(state, solution, motion, bodies) == value
+    assert calls == [1]
 
 
 def test_reflected_motor_torque_cases(motor):

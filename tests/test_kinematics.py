@@ -230,8 +230,11 @@ def test_profiles_branch_jump(geometry):
     # Stepping past the leg-1 drive axis (pan 45 deg) at shallow tilt flips
     # the working branch between samples.
     orients = [vector_from_pan_tilt(math.radians(p), math.radians(3.0)) for p in (25.0, 35.0, 55.0)]
-    with pytest.raises(BranchJumpError):
+    with pytest.raises(BranchJumpError) as info:
         trajectory_joint_profiles(orients, 0.01, geometry)
+    # Both samples are named by index and time.
+    assert str(info.value) == ("joint 1 jumps 2.555 rad between samples 1 (t = 0.01 s) and 2 (t = 0.02 s);"
+                               " the path crosses a singularity")
 
 
 def _circle_states(geometry, gamma, radius, n):
