@@ -108,7 +108,8 @@ def _build_motor(entries: _Entries, index: int) -> MotorSpec:
             continuous_torque=entries.scalar(f"{prefix}.continuous_torque"),
         )
     except WristError as exc:
-        raise ConfigError(f"{prefix}.{exc}") from exc
+        # "max_speed must be at least nominal_speed": either key may hold the bad value, so both get the prefix.
+        raise ConfigError(f"{prefix}.{exc}".replace(" at least ", f" at least {prefix}.")) from exc
 
 
 def config_from_text(text: str) -> Config:

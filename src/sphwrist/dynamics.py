@@ -15,14 +15,18 @@ Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
-``_solve``, ``_power_balance_rows``): the Householder reflectors of one raw
-QR factorization of each transposed matrix give its minimum-norm solution,
-and nearly rank-deficient rows fall back to SVD least squares.  The
-one-state calls are the n = 1 case.  ``solve_state`` on a row of a
-``JointProfile`` solves the row's aligned block of ``NE_BLOCK`` rows, with
-each row's power-balance terms, and keeps it on the profile for the block's
-other rows and for ``power_balance_residual``.  ``verify_profile`` makes the
-same block passes over a whole profile.
+``_solve``, ``_power_balance_rows``).  On a profile, the link frames, joint
+axes and passive loop-closure terms are the ones the profile stage kept
+(``kinematics._profile_kinematics``), read whole or one block of rows at a
+time; only a one-state call or a profile built some other way computes
+them.  The Householder reflectors of one raw QR factorization of each
+transposed matrix give its minimum-norm solution, and nearly rank-deficient
+rows fall back to SVD least squares.  The one-state calls are the n = 1
+case.  ``solve_state`` on a row of a ``JointProfile`` solves the row's
+aligned block of ``NE_BLOCK`` rows, with each row's power-balance terms, and
+keeps it on the profile for the block's other rows and for
+``power_balance_residual``.  ``verify_profile`` makes the same block passes
+over a whole profile.
 
 The studies take their actuator torques from ``virtual_work_torques``: the
 principle of virtual work over a whole joint profile at once, on the same
@@ -40,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from .kinematics import JointProfile, JointState, _axis_stack, _closure_rates_from_axes, _passive_closure
-from .rotation import WristGeometry, cross_rows, leg_frames
+from .kinematics import JointProfile, JointState, _frames, _profile_kinematics, _solve_passive
+from .rotation import WristGeometry, cross_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 GRAVITY.setflags(write=False)
@@ -244,25 +248,28 @@ class WristMotion(NamedTuple):
         return dict(zip(AXIS_NAMES, self.joint_axes[0]))
 
 
-def _motion(theta, rates, accels, geometry: WristGeometry, table: _BodyTable, com_motion=True) -> WristMotion:
-    """Motion of every link at n joint states, (n, 4) each.  Each proximal
-    link spins about its fixed drive axis; the terminal and the distal
-    compound their leg's two joint rates (the distal's spin about the planar
-    normal comes from the leg-2 chain).  ``com_motion`` false leaves out
-    ``v_com`` and ``a_com``."""
+def _motion(rates, accels, f1, f2, axes, table: _BodyTable, com_motion=True) -> WristMotion:
+    """Motion of every link at n joint states: ``rates`` and ``accels``
+    (n, 4), at the states' frames ``f1``, ``f2`` and axes e1..e6
+    (``kinematics._Kinematics``).  Each proximal link spins about its fixed
+    drive axis; the terminal and the distal compound their leg's two joint
+    rates (the distal's spin about the planar normal comes from the leg-2
+    chain).  ``com_motion`` false leaves out ``v_com`` and ``a_com``."""
     # Body order: the legs' elbow-side links (terminal, distal), then their
     # drive links (proximal-1, proximal-2).
-    f0, f1, f2 = leg_frames(theta, geometry)
-    axes = _axis_stack(f0, f1, f2)
     R = np.concatenate([f2, f1], axis=1)
-    del f1, f2  # R keeps the only copy, which lowers the peak memory of a pass
     drive, elbow, tool = axes[:, :2], axes[:, 2:4], axes[:, 4:]
     drive_rate, elbow_rate = rates[:, :2, None], rates[:, 2:, None]
     w, w_dot = drive_rate * drive, accels[:, :2, None] * drive
     omega = np.concatenate([w + elbow_rate * elbow, w], axis=1)
     omega_dot = np.concatenate([w_dot + accels[:, 2:, None] * elbow
                                 + drive_rate * elbow_rate * cross_rows(drive, elbow), w_dot], axis=1)
-    r = (R @ table.com[:, :, None])[..., 0]
+    n = len(R)
+    r = np.empty((n, len(BODY_NAMES), 3))
+    for b, com in enumerate(table.com):
+        # One (3n, 3) @ (3,) product per link, not n 3x3 products: the same
+        # bits in about half the time.
+        r[:, b] = (R[:, b].reshape(-1, 3) @ com).reshape(n, 3)
     v = cross_rows(omega, r) if com_motion else None
     a = cross_rows(omega_dot, r) + cross_rows(omega, v) if com_motion else None
     return WristMotion(R, omega, omega_dot, r, v, a, axes, np.linalg.norm(tool[:, 0] - tool[:, 1], axis=1))
@@ -274,7 +281,8 @@ def _open_loop_message(closure):
 
 def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMotion:
     """Angular velocity/acceleration and center-of-mass motion of every link."""
-    motion = _motion(state.angles.theta[None], state.rates[None], state.accels[None], geometry, _body_table(bodies))
+    motion = _motion(state.rates[None], state.accels[None], *_frames(state.angles.theta[None], geometry),
+                     _body_table(bodies))
     if motion.closure[0] > CLOSURE_TOL:
         raise InconsistentStateError(_open_loop_message(motion.closure[0]))
     return motion._replace(state=state)
@@ -516,12 +524,13 @@ class _Rows(NamedTuple):
     p_ext: np.ndarray
 
 
-def _solve_rows(theta, rates, accels, geometry, table, gravity, load) -> _Rows:
+def _solve_rows(rates, accels, f1, f2, axes, table, gravity, load) -> _Rows:
     """Read-only motion (with the arrays that own its memory), solutions x
     (n, 25), residuals (n,), per row None or the (error class, message) that
     the one-state calls raise for it, checked in their order, and the
-    power-balance terms of ``_power_balance_rows``."""
-    m = _motion(theta, rates, accels, geometry, table)
+    power-balance terms of ``_power_balance_rows``, at n joint states given
+    as ``_motion`` takes them."""
+    m = _motion(rates, accels, f1, f2, axes, table)
     A, b, aligned = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
     x, residual = _solve(A, b, ~(open_loop | aligned))
@@ -531,6 +540,9 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load) -> _Rows:
                    for o, c, al, r in zip(open_loop.tolist(), m.closure.tolist(), aligned.tolist(), residual.tolist()))
     for array in m[:-1]:
         array.setflags(write=False)
+    # joint_axes may be a view of a profile's kept axes, whose owner every
+    # block of that profile shares; the arrays _motion allocates (R, omega and
+    # the others) are this block's own, and tell it from the rest.
     owners = tuple(a if a.base is None else a.base for a in m[:-1])
     return _Rows(m, owners, x, residual, errors, *_power_balance_rows(m, table, gravity, load))
 
@@ -553,10 +565,11 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     block = getattr(profile, "_ne_block", None)
     if block is None or block[0] != key:
         if profile is None:
-            rows = state.angles.theta[None], state.rates[None], state.accels[None]
+            rows = state.rates[None], state.accels[None], *_frames(state.angles.theta[None], geometry)
         else:
-            rows = (a[start:start + NE_BLOCK] for a in (profile.theta, profile.rates, profile.accels))
-        block = (key, _solve_rows(*rows, geometry, table, gravity, load))
+            span = slice(start, start + NE_BLOCK)
+            rows = profile.rates[span], profile.accels[span], *_profile_kinematics(profile, geometry, span)[:3]
+        block = (key, _solve_rows(*rows, table, gravity, load))
         if profile is not None:
             # One store of an immutable tuple: concurrent callers each see a whole block.
             object.__setattr__(profile, "_ne_block", block)
@@ -584,12 +597,13 @@ def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
     a block on the profile."""
     table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
+    kinematics = _profile_kinematics(profile, geometry)[:3]
     n = len(profile)
     residual, balance, errors = np.empty(n), np.empty(n), []
     for start in range(0, n, NE_BLOCK):
         rows = slice(start, start + NE_BLOCK)
-        block = _solve_rows(profile.theta[rows], profile.rates[rows], profile.accels[rows],
-                            geometry, table, gravity, load)
+        block = _solve_rows(profile.rates[rows], profile.accels[rows], *(a[rows] for a in kinematics),
+                            table, gravity, load)
         tau, rates = block.x[:, _TAU], profile.rates[rows]
         residual[rows] = block.residual
         balance[rows] = _balance(tau[:, 0] * rates[:, 0] + tau[:, 1] * rates[:, 1], block.ke_rate, block.p_ext)
@@ -675,12 +689,12 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     a study over many loads makes it once per profile."""
     table = _body_table(bodies)
     gravity = _as_vector("gravity", gravity)
-    m = _motion(profile.theta, profile.rates, profile.accels, geometry, table, com_motion=False)
-    e1, e2, e3, e4, e5, _ = (m.joint_axes[:, k] for k in range(6))
-    passive = _passive_closure(m.joint_axes)  # b1, b2 and the singular rows
+    f1, f2, axes, passive = _profile_kinematics(profile, geometry)
+    m = _motion(profile.rates, profile.accels, f1, f2, axes, table, com_motion=False)
+    e1, e2, e3, e4, e5, _ = (axes[:, k] for k in range(6))
 
     open_loop = m.closure > CLOSURE_TOL
-    failed = open_loop | passive[2]
+    failed = open_loop | passive.singular
     if failed.any():
         i = int(np.argmax(failed))
         if open_loop[i]:
@@ -688,7 +702,8 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
         else:
             error, message = ModelInconsistencyError, (
                 "the passive joint axes align; ideal joints cannot realize the motion at this sample")
-        raise error(f"sample {i} (t = {profile.t[i]:.6g} s): {message}")
+        v = ", ".join(format(c, ".6g") for c in e5[i].tolist())
+        raise error(f"sample {i} (t = {profile.t[i]:.6g} s, v = ({v})): {message}")
 
     terminal, distal, proximal1, proximal2 = (
         _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])
@@ -702,7 +717,8 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     n = len(profile)
     g = np.empty((n, 2, 3))
     for k, drive in enumerate(np.eye(2)):
-        rates = _closure_rates_from_axes(m.joint_axes, passive, np.tile(drive, (n, 1)))[:, 2:]
+        # The passive rates per unit rate of actuator k, by loop closure.
+        rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
         tau[:, k] += np.sum(rates * q_passive, axis=1)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
     return _LoadFreeTorques(tau, g, e3, e5)

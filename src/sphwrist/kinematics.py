@@ -4,11 +4,19 @@ Tool orientations live in the world frame (the frame the trajectories and
 gravity are written in).  The two actuated axes are horizontal there; the
 conversion to the leg-1 joint frame happens through
 ``WristGeometry.base_axes``.
+
+The profile stage (``trajectory_joint_profiles``) makes the one kinematic
+pass over a path: the links' frames and joint axes from one ``leg_frames``
+call, and the passive loop-closure terms with their type-II singularity
+test.  The profile keeps them, read-only and tagged with the geometry
+object, and the dynamics passes read them through ``_profile_kinematics``
+instead of building them again.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,7 +141,10 @@ class JointProfile:
 
     Indexing, and iteration through it, yield one ``JointState`` per sample,
     a read-only view of its row; ``dynamics.solve_state`` keeps one solved
-    block of rows on the profile (``_ne_block``).
+    block of rows on the profile (``_ne_block``).  A profile from
+    ``trajectory_joint_profiles`` also keeps the frames, axes and passive
+    closure of its pass (``_kinematics``, tagged with the geometry object),
+    which the torque and Newton-Euler passes read (``_profile_kinematics``).
     """
 
     t: np.ndarray
@@ -298,28 +309,40 @@ def _axis_stack(f0, f1, f2) -> np.ndarray:
     return np.concatenate([np.broadcast_to(f0[..., 2], f1.shape[:-1]), f1[..., 2], f2[..., 2]], axis=1)
 
 
-def _passive_closure(axes):
-    """Loop closure's passive columns b1, b2 (n, 3) at axes (n, 6, 3): the
-    tool-axis velocity per unit rate of the terminal joint and, negated, of
-    the distal joint, for closure to solve [b1, b2] x = rhs.  Also the rows
-    where their Gram determinant vanishes (a type-II singularity: the passive
-    axes align, and the actuated rates do not fix the passive ones)."""
+class _PassiveClosure(NamedTuple):
+    """Loop closure's passive columns ``b1``, ``b2`` (n, 3) at n joint states:
+    the tool-axis velocity per unit rate of the terminal joint and, negated,
+    of the distal joint, for closure to solve [b1, b2] x = rhs.  Their
+    ``normal`` b1 x b2 (n, 3) and its squared norm ``normal_sq`` (n,), 1 on
+    the ``singular`` rows (n,), where the Gram determinant of b1, b2 vanishes
+    (a type-II singularity: the passive axes align, and the actuated rates do
+    not fix the passive ones)."""
+
+    b1: np.ndarray
+    b2: np.ndarray
+    singular: np.ndarray
+    normal: np.ndarray
+    normal_sq: np.ndarray
+
+
+def _passive_closure(axes) -> _PassiveClosure:
+    """The passive closure terms at axes e1..e6 (n, 6, 3)."""
     e3, e4, e5 = axes[:, 2], axes[:, 3], axes[:, 4]
     b1, b2 = cross_rows(e3, e5), -cross_rows(e4, e5)
     g11 = np.sum(b1 * b1, axis=1)
     g12 = np.sum(b1 * b2, axis=1)
     g22 = np.sum(b2 * b2, axis=1)
-    return b1, b2, g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
+    singular = g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
+    normal = cross_rows(b1, b2)
+    return _PassiveClosure(b1, b2, singular, normal, np.where(singular, 1.0, np.sum(normal * normal, axis=1)))
 
 
-def _solve_passive(passive, rhs):
+def _solve_passive(passive: _PassiveClosure, rhs):
     # Row-wise solve of [b1, b2] x = rhs by Cramer's rule against the normal
     # n = b1 x b2, which keeps full accuracy next to a singularity, where the
     # normal equations square the conditioning.  Minimum-norm on the singular
     # rows, which is also the correct compatible answer there.
-    b1, b2, singular = passive
-    n = cross_rows(b1, b2)
-    nn = np.where(singular, 1.0, np.sum(n * n, axis=1))
+    b1, b2, singular, n, nn = passive
     x = np.column_stack([np.sum(cross_rows(rhs, b2) * n, axis=1),
                          np.sum(cross_rows(b1, rhs) * n, axis=1)]) / nn[:, None]
     for i in np.flatnonzero(singular):
@@ -373,6 +396,42 @@ def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2
     return _closure_accels_from_axes(axes, _passive_closure(axes), np.reshape(rates, (1, 4)), drive)[0]
 
 
+class _Kinematics(NamedTuple):
+    """The kinematic terms of n joint states that every pass over them reads:
+    both legs' frames after the first joint step ``f1`` and after the second
+    ``f2`` (n, 2, 3, 3) each, as ``leg_frames`` gives them; axes e1..e6
+    ``axes`` (n, 6, 3) (``_axis_stack``); and the ``passive`` closure terms."""
+
+    f1: np.ndarray
+    f2: np.ndarray
+    axes: np.ndarray
+    passive: _PassiveClosure
+
+
+def _frames(theta, geometry: WristGeometry):
+    """The frames f1, f2 (n, 2, 3, 3) and axes e1..e6 (n, 6, 3) at joint
+    states theta (n, 4), from one ``leg_frames`` call."""
+    f0, f1, f2 = leg_frames(theta, geometry)
+    return f1, f2, _axis_stack(f0, f1, f2)
+
+
+def _kinematics_at(theta, geometry: WristGeometry) -> _Kinematics:
+    f1, f2, axes = _frames(theta, geometry)
+    return _Kinematics(f1, f2, axes, _passive_closure(axes))
+
+
+def _profile_kinematics(profile: JointProfile, geometry: WristGeometry, rows=slice(None)) -> _Kinematics:
+    """The kinematic terms of a profile's ``rows``: views of the read-only
+    arrays that ``trajectory_joint_profiles`` keeps on the profile for its
+    ``geometry`` object, or, for any other profile or geometry object,
+    computed from the rows' angles."""
+    kept = getattr(profile, "_kinematics", None)
+    if kept is None or kept[0] is not geometry:
+        return _kinematics_at(profile.theta[rows], geometry)
+    f1, f2, axes, passive = kept[1]
+    return _Kinematics(f1[rows], f2[rows], axes[rows], _PassiveClosure(*(a[rows] for a in passive)))
+
+
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
     """Joint angles, rates, and accelerations along a sampled orientation path.
 
@@ -408,8 +467,11 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
 
     drive = central_difference(theta[:, :2], dt)
     drive_accel = central_difference(drive, dt)
-    axes = _axis_stack(*leg_frames(theta, geometry))
-    passive = _passive_closure(axes)
+    f1, f2, axes, passive = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)
     accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
-    return JointProfile(np.arange(len(theta)) * dt, theta, rates, accels)
+    profile = JointProfile(np.arange(len(theta)) * dt, theta, rates, accels)
+    for array in (f1, f2, axes, *passive):
+        array.setflags(write=False)
+    object.__setattr__(profile, "_kinematics", (geometry, kinematics))
+    return profile

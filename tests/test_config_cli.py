@@ -202,6 +202,8 @@ def _bad_entry(draw):
 @example(entry=("body.terminal.point.joint_distal", ["0.0", "#", "-0.07"]))
 @example(entry=("gravity", []))
 @example(entry=("body.distal.com_offset", ["-1e300", "0.055", "-0.035"]))
+# A valid number above max_speed: the error names the key that holds it.
+@example(entry=("motor.1.nominal_speed", ["700"]))
 def test_config_bad_values_name_their_key(tmp_path_factory, entry):
     key, values = entry
     lines = [f"{key} = {', '.join(values)}" if line.partition("=")[0].strip() == key else line
@@ -314,7 +316,7 @@ def test_cli_dynamics_names_failing_sample(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dynamics", "--traj", "semicircle", "--radius", "0.25",
                            "--out", str(tmp_path / "dyn.csv"))
     assert code == 1
-    assert err.startswith("error[model-inconsistency]: sample 500 (t = 0.261799 s): ")
+    assert err.startswith("error[model-inconsistency]: sample 500 (t = 0.261799 s, v = (")
     assert len(err.splitlines()) == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -36,12 +37,12 @@ from sphwrist import (
     verify_profile,
     virtual_work_torques,
 )
-from sphwrist import dynamics, kinematics
+from sphwrist import cli, dynamics, kinematics, rotation
 from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, UNKNOWN_SLICES, _body_table,
                                _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from sphwrist.kinematics import (_axis_stack, _closure_rates_from_axes, _joint_angles, _passive_closure,
-                                 closure_accels, closure_rates)
+                                 _profile_kinematics, closure_accels, closure_rates)
 from sphwrist.rotation import leg_frames
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -152,7 +153,7 @@ def test_motion_matches_frame_differences_at_second_order(geometry, bodies):
 
     def errors(n):
         profile = circle_states(geometry, 45.0, 0.25, n)
-        m = _motion(profile.theta, profile.rates, profile.accels, geometry, table)
+        m = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
         dt = profile.t[1] - profile.t[0]
         w = (m.R[2:] - m.R[:-2]) / (2.0 * dt) @ np.swapaxes(m.R[1:-1], -1, -2)
         omega = np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
@@ -373,8 +374,8 @@ def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
     # midpoint fails it.
     profile = semicircle_states(geometry, 0.25, 1001)
     table = _body_table(bodies)
-    A, b, aligned = dynamics._assemble(_motion(profile.theta, profile.rates, profile.accels, geometry, table),
-                                       table, GRAVITY, None)
+    motion = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
+    A, b, aligned = dynamics._assemble(motion, table, GRAVITY, None)
     assert not aligned.any()
     _, residual = dynamics._solve(A, b, np.ones(len(b), dtype=bool))
     x = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(A, b)])
@@ -633,9 +634,14 @@ def test_virtual_work_rejects_what_the_gate_rejects(geometry, bodies, n):
 
 
 def test_virtual_work_names_the_failing_sample(geometry, bodies):
+    # The error names the sample's index, time and tool direction (leg 1's
+    # tool axis e5), which is the path's direction there.
     profile = semicircle_states(geometry, 0.25, 1001)
-    with pytest.raises(ModelInconsistencyError, match=r"^sample 500 \(t = 0\.261799 s\): "):
+    with pytest.raises(ModelInconsistencyError) as info:
         virtual_work_torques(profile, geometry, bodies)
+    message = re.match(r"sample 500 \(t = 0\.261799 s, v = \((\S+), (\S+), (\S+)\)\): ", str(info.value))
+    path = generate(TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001))
+    assert message and np.max(np.abs(np.array(message.groups(), dtype=float) - path.v[500])) <= 1e-6
     # Legs that do not close the loop are named as such, as in body_motion.
     theta = profile.theta.copy()
     theta[300:, 3] += 1e-3
@@ -671,7 +677,7 @@ def test_virtual_work_matches_solve_state(samples, f_c, lever):
         accels.append(closure_accels(JointAngles(th), rates[-1], a1, a2, geometry))
     profile = JointProfile(0.01 * np.arange(len(samples)), theta, rates, accels)
     load = CuttingLoad(f_c, lever)
-    _, _, singular = _passive_closure(_axis_stack(*leg_frames(theta, geometry)))
+    singular = _passive_closure(_axis_stack(*leg_frames(theta, geometry))).singular
 
     tau_ne, accepted = [], []
     for i, state in enumerate(profile):
@@ -799,23 +805,101 @@ def test_array_dataclasses_compare_by_identity(geometry, bodies, motor):
         assert twin != obj and not twin == obj and len({obj, twin}) == 2, type(obj)
 
 
-def test_one_closure_solve_per_pass(geometry, bodies, monkeypatch):
-    # The profile stage and the load-free torque pass each build the leg
-    # frames once and test the passive Gram determinant once; neither goes
-    # through the one-leg chain_frames.
+def count_calls(monkeypatch, *names):
+    """The calls made from here on to the named sphwrist functions, by name,
+    through every module that binds them."""
     calls = []
-    for module in (kinematics, dynamics):
-        for name in ("leg_frames", "_passive_closure", "chain_frames"):
+    for module in (rotation, kinematics, dynamics):
+        for name in names:
             if hasattr(module, name):
                 original = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+def test_one_closure_solve_per_pass(geometry, bodies, monkeypatch):
+    # The profile stage builds the leg frames once and tests the passive Gram
+    # determinant once, without the one-leg chain_frames; the load-free torque
+    # pass on its profile reads them and makes neither call.  On a bare
+    # profile, the pass makes each call once.
+    calls = count_calls(monkeypatch, "leg_frames", "_passive_closure", "chain_frames")
     spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=101)
     path = generate(spec)
     profile = trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
     assert calls == ["leg_frames", "_passive_closure"]
     calls.clear()
-    virtual_work_torques(profile, geometry, bodies, GRAVITY, CuttingLoad(np.full(3, 50.0), 0.11))
+    load = CuttingLoad(np.full(3, 50.0), 0.11)
+    virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
+    assert calls == []
+    virtual_work_torques(profile_rows(profile, slice(None)), geometry, bodies, GRAVITY, load)
     assert calls == ["leg_frames", "_passive_closure"]
+
+
+def test_one_kinematic_pass_per_profile(geometry, bodies, monkeypatch, tmp_path):
+    # Each study builds the leg frames once per profile: the 12-point grid
+    # once per spec, a force sweep once, and verify_profile not beyond the
+    # profile stage.
+    calls = count_calls(monkeypatch, "leg_frames")
+    assert cli.main(["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.15,0.1,0.05", "--samples", "101",
+                     "--out", str(tmp_path / "peaks.csv")]) == 0
+    assert calls == ["leg_frames"] * 12
+    calls.clear()
+    assert cli.main(["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,25,50,75,100,125,150",
+                     "--samples", "101", "--out", str(tmp_path / "force.csv")]) == 0
+    assert calls == ["leg_frames"]
+    calls.clear()
+    check = verify_profile(semicircle_states(geometry, 0.25, 1001), geometry, bodies)
+    assert calls == ["leg_frames"]
+    assert [i for i, error in enumerate(check.errors) if error is not None] == [500]
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
+def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
+    # A profile that keeps its kinematics and a bare copy, which computes
+    # them per pass, give the same torques, rows, residuals and balances, bit
+    # for bit, and the same errors.
+    def outputs(profile):
+        try:
+            tau = [virtual_work_torques(profile, geometry, bodies, GRAVITY, load)]
+        except WristError as exc:
+            tau = [type(exc), str(exc)]
+        rows = [solve_fields(geometry, bodies, state, GRAVITY, load) for state in profile]
+        return tau, rows, verify_profile(profile, geometry, bodies, GRAVITY, load)
+
+    for kept in (circle_states(geometry, 60.0, 0.05, 301), semicircle_states(geometry, 0.25, 1001)):
+        bare = profile_rows(kept, slice(None))
+        assert not hasattr(bare, "_kinematics")
+        (tau, rows, check), (bare_tau, bare_rows, bare_check) = outputs(kept), outputs(bare)
+        assert all(a is b or np.array_equal(a, b) for a, b in zip(tau, bare_tau, strict=True))
+        for row, bare_row in zip(rows, bare_rows, strict=True):
+            assert all(a is b or np.array_equal(a, b) for a, b in zip(row, bare_row, strict=True))
+        np.testing.assert_array_equal(check.residual, bare_check.residual)
+        np.testing.assert_array_equal(check.balance, bare_check.balance)
+        assert check.errors == bare_check.errors
+
+
+def test_kept_kinematics_follow_the_geometry_object(geometry, bodies, monkeypatch):
+    # The kept arrays are read for the geometry object the profile was built
+    # with; an equal-valued copy computes them again, to the same bits.
+    profile = circle_states(geometry, 45.0, 0.1, 101)
+    f1, f2, axes, passive = _profile_kinematics(profile, geometry)
+    for array in (f1, f2, axes, *passive):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    calls = count_calls(monkeypatch, "leg_frames")
+    tau = virtual_work_torques(profile, geometry, bodies)
+    assert calls == []
+    np.testing.assert_array_equal(virtual_work_torques(profile, replace(geometry), bodies), tau)
+    assert calls == ["leg_frames"]
+    # Motions of two blocks read views of the same kept axes; the balance
+    # still tells them apart by the arrays each block owns.
+    first, solution = solve_state(profile[0], geometry, bodies)
+    second, _ = solve_state(profile[NE_BLOCK], geometry, bodies)
+    assert first.joint_axes.base is second.joint_axes.base is axes.base
+    passes = balance_passes(monkeypatch)
+    assert power_balance_residual(profile[0], solution, first, bodies) < 1e-12
+    assert passes == [1]
 
 
 def test_body_table_from_threads(geometry, bodies):

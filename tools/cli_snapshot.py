@@ -1,0 +1,122 @@
+"""Snapshot the CLI's outputs on a fixed command set, or compare two snapshots.
+
+    PYTHONPATH=src python tools/cli_snapshot.py DIR [--samples N]
+    python tools/cli_snapshot.py --compare A B
+
+A snapshot runs every command below in this process through
+``sphwrist.cli.main``, from inside DIR, and writes per command NAME the
+files NAME.stdout, NAME.stderr, NAME.exit and, for commands that write one,
+NAME.csv.  The inputs are the paper's study (the benchmark's seed 0).  The
+sphwrist package is the one on the import path, so setting PYTHONPATH to
+another checkout's src snapshots that checkout.
+
+``--compare`` lists the files that differ between two snapshot directories
+or are in only one, with, for a CSV, the number of differing cells and the
+largest absolute difference per column.  It exits 0 when every file is
+byte-identical, else 1.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import traceback
+from pathlib import Path
+
+GAMMAS = ("30", "45", "60")
+RADII = ("0.25", "0.15", "0.10", "0.05")
+GRID = ["--gamma", ",".join(GAMMAS), "--radius", ",".join(RADII)]
+FORCES = "0,25,50,75,100,125,150"
+
+
+def commands(samples=None):
+    """``(name, argv)`` for every command of a snapshot; each study writes
+    NAME.csv, except motor-check, which writes no file."""
+    studies = [(f"traj_{g}_{r}", ["traj", "--gamma", g, "--radius", r]) for g in GAMMAS for r in RADII]
+    studies += [
+        ("traj_semicircle", ["traj", "--traj", "semicircle", "--radius", "0.25"]),
+        ("dynamics_circle", ["dynamics", "--gamma", "45", "--radius", "0.15"]),
+        ("dynamics_circle_load", ["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--lc", "0.15"]),
+        ("dynamics_semicircle", ["dynamics", "--traj", "semicircle", "--radius", "0.25"]),
+        ("sweep", ["sweep", *GRID]),
+        ("force_sweep", ["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", FORCES, "--lc", "0.11"]),
+        ("motor_check", ["motor-check", *GRID]),
+        ("motor_check_load", ["motor-check", *GRID, "--fc", "150", "--lc", "0.11"]),
+    ]
+    extra = [] if samples is None else ["--samples", str(samples)]
+    return [("fk", ["fk", "--theta1", "-80", "--theta3", "70"]), ("ik", ["ik", "--pan", "20", "--tilt", "-55"])] + [
+        (name, [*argv, *extra, *([] if argv[0] == "motor-check" else ["--out", f"{name}.csv"])])
+        for name, argv in studies]
+
+
+def snapshot(directory: Path, samples=None):
+    from sphwrist import cli
+
+    directory.mkdir(parents=True, exist_ok=True)
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, argv in commands(samples):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = str(cli.main(argv))
+                except Exception:  # a traceback is an outcome the snapshot records
+                    traceback.print_exc()
+                    code = "exception"
+            Path(f"{name}.stdout").write_text(out.getvalue())
+            Path(f"{name}.stderr").write_text(err.getvalue())
+            Path(f"{name}.exit").write_text(code + "\n")
+    finally:
+        os.chdir(home)
+
+
+def csv_differences(a: Path, b: Path) -> str:
+    """What differs between two CSV files: their shape, or per differing
+    column the count of differing cells and the largest absolute difference."""
+    rows_a = [line.split(",") for line in a.read_text().splitlines()]
+    rows_b = [line.split(",") for line in b.read_text().splitlines()]
+    if rows_a[:1] != rows_b[:1] or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return f"header or shape differs ({len(rows_a)} against {len(rows_b)} lines)"
+    columns = []
+    for j, name in enumerate(rows_a[0]):
+        cells = [(x[j], y[j]) for x, y in zip(rows_a[1:], rows_b[1:]) if x[j] != y[j]]
+        if cells:
+            largest = max(abs(float(x) - float(y)) for x, y in cells)
+            columns.append(f"{name}: {len(cells)} cells, max |diff| {largest:.3g}")
+    return "; ".join(columns)
+
+
+def compare(a: Path, b: Path) -> int:
+    names_a = {p.name for p in a.iterdir() if p.is_file()}
+    names_b = {p.name for p in b.iterdir() if p.is_file()}
+    differing = 0
+    for name in sorted(names_a ^ names_b):
+        differing += 1
+        print(f"only in {a if name in names_a else b}: {name}")
+    for name in sorted(names_a & names_b):
+        if (a / name).read_bytes() != (b / name).read_bytes():
+            differing += 1
+            detail = f": {csv_differences(a / name, b / name)}" if name.endswith(".csv") else ""
+            print(f"differs: {name}{detail}")
+    print(f"{len(names_a | names_b)} files, {differing} differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("directory", nargs="?", type=Path, help="snapshot directory to write")
+    parser.add_argument("--samples", type=int, help="samples per trajectory (the config's count if unset)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="compare two snapshots")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.directory is None:
+        parser.error("give a snapshot directory or --compare A B")
+    snapshot(args.directory, args.samples)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
