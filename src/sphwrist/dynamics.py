@@ -35,6 +35,8 @@ gives the same torques without the reactions; the Newton-Euler solve stays
 as the reactions API and as the independent check on it.
 """
 
+import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from .kinematics import JointProfile, JointState, _frames, _profile_kinematics, _solve_passive
+from .kinematics import (JointProfile, JointState, _frames, _profile_kinematics, _sample_label, _solve_passive,
+                         _unchecked)
 from .rotation import WristGeometry, cross_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -95,11 +98,20 @@ FORCE_POINT_NAMES = {name: tuple(point for _, carrier, point, _ in _JOINT_FORCES
                      for name in BODY_NAMES}
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_vector(name, value, length=3):
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (length,):
-        raise InvalidInputError(f"{name} must be a {length}-vector")
-    if not np.isfinite(v).all():
+    # A float array of the right shape, such as the gravity of every call,
+    # is only viewed; its finiteness is read on every call, so a vector
+    # changed in place is still checked.
+    if type(value) is np.ndarray and value.dtype == _FLOAT and value.shape == (length,):
+        v = value.view()
+    else:
+        v = np.asarray(value, dtype=float).reshape(-1)
+        if v.shape != (length,):
+            raise InvalidInputError(f"{name} must be a {length}-vector")
+    if not all(map(math.isfinite, v.tolist())):
         raise InvalidInputError(f"{name} must be finite")
     return v
 
@@ -390,7 +402,11 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
 
 @dataclass(frozen=True, eq=False)
 class DynamicsSolution:
-    """Actuator torques, joint reactions, solve residual, and actuator powers."""
+    """Actuator torques, joint reactions, solve residual, and actuator powers.
+
+    ``reactions`` maps each unknown of ``UNKNOWN_SLICES`` to its value: a
+    float for a scalar, and for a vector a read-only view of the solve's
+    solution array, which a caller copies to change."""
 
     tau: np.ndarray
     reactions: dict
@@ -408,7 +424,8 @@ def _solve(A, b, rows):
     comes from a forward substitution on h, and x from the reflectors applied
     to [y; 0] last to first (Golub & Van Loan, Matrix Computations, 5.1-5.2).
     Where R's diagonal shows the equations nearly rank-deficient
-    (``QR_RANK_TOL``), SVD least squares gives x instead."""
+    (``QR_RANK_TOL``), SVD least squares gives x instead.  x is read-only:
+    a solution's vector reactions are views of it (``_solution``)."""
     h, tau = np.linalg.qr(A.transpose(0, 2, 1), mode="raw")
     diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
     full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
@@ -428,6 +445,7 @@ def _solve(A, b, rows):
     x = np.where(qr_rows[:, None], z, np.nan)
     for i in np.flatnonzero(rows & ~full):
         x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+    x.setflags(write=False)
     res = (A @ x[..., None])[..., 0] - b
     rhs_norm = np.sqrt(np.sum(b * b, axis=1))
     return x, np.sqrt(np.sum(res * res, axis=1)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
@@ -438,11 +456,18 @@ def _gate_message(residual):
             "the joint state or body parameters are inconsistent with the joint model")
 
 
+# Where each reaction sits in x: a slice for a vector, an index for a scalar.
+_REACTIONS = tuple((key, sl if sl.stop - sl.start > 1 else sl.start) for key, sl in UNKNOWN_SLICES.items())
+
+
 def _solution(x, residual, actuated_rates) -> DynamicsSolution:
+    # x (25,) is a row of _solve's read-only x: the vector reactions are
+    # views of it, the scalar ones floats.
+    values = x.tolist()
+    reactions = {key: x[at] if type(at) is slice else values[at] for key, at in _REACTIONS}
     tau = x[_TAU]
-    reactions = {key: (x[sl].copy() if sl.stop - sl.start > 1 else float(x[sl.start]))
-                 for key, sl in UNKNOWN_SLICES.items()}
-    return DynamicsSolution(tau, reactions, float(residual), tau * actuated_rates)
+    return _unchecked(DynamicsSolution, tau=tau, reactions=reactions, residual=float(residual),
+                      power=tau * actuated_rates)
 
 
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
@@ -485,6 +510,16 @@ def _balance(p_act, ke_rate, p_ext):
     return np.abs(p_act + p_ext - ke_rate) / np.maximum(1.0, np.abs(ke_rate))
 
 
+def _row_balance(p_act: float, ke_rate: float, p_ext: float) -> float:
+    # _balance on floats, in the same operations; np.maximum keeps a NaN,
+    # which max() would drop.
+    scale = abs(ke_rate)
+    return abs(p_act + p_ext - ke_rate) / (1.0 if scale <= 1.0 else scale)
+
+
+_BASE = operator.attrgetter("base")
+
+
 def power_balance_residual(state: JointState, solution: DynamicsSolution, motion: WristMotion,
                            bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> float:
     """Relative mismatch between supplied power and the kinetic-energy rate.
@@ -503,13 +538,14 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     block = getattr(profile, "_ne_block", None)
     if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
             and block[0][3:] == (*table.params, load)
-            and all(a.base is owner for a, owner in zip(motion[:-1], block[1].owners))):
+            and all(map(operator.is_, map(_BASE, motion[:-1]), block[1].owners))):
         k = i % NE_BLOCK
         ke_rate, p_ext = block[1].ke_rate[k], block[1].p_ext[k]
     else:
         ke_rate, p_ext = (terms[0] for terms in _power_balance_rows(motion, table, gravity, load))
     tau, rates = solution.tau, state.rates
-    return float(_balance(tau[0] * rates[0] + tau[1] * rates[1], ke_rate, p_ext))
+    p_act = float(tau[0]) * float(rates[0]) + float(tau[1]) * float(rates[1])
+    return _row_balance(p_act, float(ke_rate), float(p_ext))
 
 
 class _Rows(NamedTuple):
@@ -576,7 +612,8 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     m, _, x, residual, errors, _, _ = block[1]
     if errors[k] is not None:
         raise errors[k][0](errors[k][1])
-    return WristMotion(*(a[k:k + 1] for a in m[:-1]), state), _solution(x[k], residual[k], state.rates[:2])
+    row = slice(k, k + 1)
+    return WristMotion(*[a[row] for a in m[:-1]], state), _solution(x[k], residual[k], state.rates[:2])
 
 
 class ProfileCheck(NamedTuple):
@@ -616,17 +653,27 @@ def solve_trajectory(states, geometry: WristGeometry, bodies,
                      gravity=GRAVITY, load: CuttingLoad | None = None):
     """Per-sample solves along a joint-state series, in input order.
 
-    A failing sample is named by its index and time; the category is kept.
+    A failing sample is named by its index, time and tool direction (leg 1's
+    tool axis, as ``virtual_work_torques`` names it); the category is kept.
     """
     motions, solutions = [], []
     for i, state in enumerate(states):
         try:
             motion, solution = solve_state(state, geometry, bodies, gravity, load)
         except WristError as exc:
-            raise type(exc)(f"sample {i} (t = {state.t:.6g} s): {exc}") from exc
+            raise type(exc)(f"{_sample_label(i, state.t, _tool_axis(state, geometry))}: {exc}") from exc
         motions.append(motion)
         solutions.append(solution)
     return motions, solutions
+
+
+def _tool_axis(state: JointState, geometry: WristGeometry) -> np.ndarray:
+    # Leg 1's tool axis e5 at one state: from its profile's kept axes for a
+    # profile row, else from the state's frames.
+    profile, i = state.row or (None, 0)
+    if profile is None:
+        return _frames(state.angles.theta[None], geometry)[2][0, 4]
+    return _profile_kinematics(profile, geometry, slice(i, i + 1)).axes[0, 4]
 
 
 def _body_tensor_product(R, tensor, v):
@@ -702,8 +749,7 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
         else:
             error, message = ModelInconsistencyError, (
                 "the passive joint axes align; ideal joints cannot realize the motion at this sample")
-        v = ", ".join(format(c, ".6g") for c in e5[i].tolist())
-        raise error(f"sample {i} (t = {profile.t[i]:.6g} s, v = ({v})): {message}")
+        raise error(f"{_sample_label(i, profile.t[i], e5[i])}: {message}")
 
     terminal, distal, proximal1, proximal2 = (
         _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])

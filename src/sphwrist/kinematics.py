@@ -39,9 +39,19 @@ def _unchecked(cls, **fields):
     """An instance of a frozen dataclass from values its checks already passed,
     without running them again."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
+
+
+def _sample_label(i, t, v) -> str:
+    """``sample <i> (t = <t> s, v = (x, y, z))``, each number ``.6g``: how a
+    per-sample error of the profile stage or the dynamics names the sample's
+    index, time and tool direction."""
+    return f"sample {i} (t = {t:.6g} s, v = ({', '.join(format(c, '.6g') for c in np.asarray(v).tolist())}))"
+
+
+def _index_label(i) -> str:
+    return f"sample {i}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +149,9 @@ class JointProfile:
     """Joint states along a sampled path, as arrays: ``t`` (N,) and
     ``theta``/``rates``/``accels`` (N, 4).
 
-    Indexing, and iteration through it, yield one ``JointState`` per sample,
-    a read-only view of its row; ``dynamics.solve_state`` keeps one solved
-    block of rows on the profile (``_ne_block``).  A profile from
+    Indexing and iteration yield one ``JointState`` per sample, a read-only
+    view of its row; ``dynamics.solve_state`` keeps one solved block of rows
+    on the profile (``_ne_block``).  A profile from
     ``trajectory_joint_profiles`` also keeps the frames, axes and passive
     closure of its pass (``_kinematics``, tagged with the geometry object),
     which the torque and Newton-Euler passes read (``_profile_kinematics``).
@@ -153,16 +163,7 @@ class JointProfile:
     accels: np.ndarray
 
     def __post_init__(self):
-        n = len(self.t)
-        for name, shape in (("t", (n,)), ("theta", (n, 4)), ("rates", (n, 4)), ("accels", (n, 4))):
-            values = np.array(getattr(self, name), dtype=float)
-            if values.shape != shape:
-                raise InvalidInputError(f"profile {name} must have shape {shape}, got {values.shape}")
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise InvalidInputError(f"sample {np.argwhere(~finite)[0][0]}: profile {name} must hold finite values")
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        self.__dict__.update(_profile_arrays(self.t, self.theta, self.rates, self.accels))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -171,6 +172,30 @@ class JointProfile:
         i = range(len(self.t))[operator.index(i)]
         return _unchecked(JointState, angles=_unchecked(JointAngles, theta=self.theta[i]), rates=self.rates[i],
                           accels=self.accels[i], t=float(self.t[i]), row=(self, i))
+
+    def __iter__(self):
+        for i, (t, theta, rates, accels) in enumerate(zip(self.t.tolist(), self.theta, self.rates, self.accels)):
+            yield _unchecked(JointState, angles=_unchecked(JointAngles, theta=theta), rates=rates, accels=accels,
+                             t=t, row=(self, i))
+
+
+def _profile_arrays(t, theta, rates, accels, label=_index_label) -> dict:
+    """The fields of a ``JointProfile`` as read-only float copies, after its
+    shape and finiteness checks; a non-finite value is reported at its
+    lowest sample, named by ``label(i)``."""
+    n = len(t)
+    arrays = {}
+    for name, values, shape in (("t", t, (n,)), ("theta", theta, (n, 4)), ("rates", rates, (n, 4)),
+                                ("accels", accels, (n, 4))):
+        values = np.array(values, dtype=float)
+        if values.shape != shape:
+            raise InvalidInputError(f"profile {name} must have shape {shape}, got {values.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvalidInputError(f"{label(int(np.argwhere(~finite)[0][0]))}: profile {name} must hold finite values")
+        values.setflags(write=False)
+        arrays[name] = values
+    return arrays
 
 
 def vector_from_pan_tilt(phi1: float, phi2: float) -> ToolOrientation:
@@ -234,14 +259,14 @@ def leg2_tool_axis(theta2: float, theta4: float, geometry: WristGeometry) -> np.
     return axes[2]
 
 
-def _joint_angles(v, geometry: WristGeometry) -> np.ndarray:
+def _joint_angles(v, geometry: WristGeometry, label=_index_label) -> np.ndarray:
     """Closed-form inverse kinematics of (3,) or (N, 3) world-frame tool
     directions; returns (4,) or (N, 4) joint angles on the working branch.
 
     Solves the leg-1 pair from the cone condition about the first drive axis,
     then the leg-2 pair from the loop-closure cone about the second drive
     axis.  Raises if a direction is unreachable or lies on a drive axis; for
-    (N, 3) input the error names the lowest failing sample.
+    (N, 3) input the error names the lowest failing sample by ``label(i)``.
     """
     a0, a1, a2, a3, a4 = geometry.alpha
     u = v @ geometry.base_axes
@@ -290,7 +315,7 @@ def _joint_angles(v, geometry: WristGeometry) -> np.ndarray:
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         _, error, message = checks[int(np.argmax(failed[:, i]))]
-        raise error(f"sample {i}: {message}" if u.ndim > 1 else message)
+        raise error(f"{label(i)}: {message}" if u.ndim > 1 else message)
     return np.stack([theta1, theta2, theta3, theta4], axis=-1)
 
 
@@ -444,7 +469,9 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     differencing of the unwrapped series; the passive ones follow from loop
     closure, so every sample is exactly consistent for the dynamics stage
     (the differencing error lands in the actuated coordinates only, still
-    second order).
+    second order).  An IK failure or a non-finite profile value names its
+    lowest sample with the sample's time and tool direction
+    (``_sample_label``).
     """
     if isinstance(orientations, np.ndarray):
         v = _unit_directions(orientations)
@@ -455,7 +482,10 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError("dt must be positive")
 
-    theta = unwrap_angles(_joint_angles(v, geometry), axis=0)
+    def label(i):
+        return _sample_label(i, i * dt, v[i])
+
+    theta = unwrap_angles(_joint_angles(v, geometry, label), axis=0)
     jumps = np.abs(np.diff(theta, axis=0))
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]
@@ -470,7 +500,7 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     f1, f2, axes, passive = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)
     accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
-    profile = JointProfile(np.arange(len(theta)) * dt, theta, rates, accels)
+    profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * dt, theta, rates, accels, label))
     for array in (f1, f2, axes, *passive):
         array.setflags(write=False)
     object.__setattr__(profile, "_kinematics", (geometry, kinematics))

@@ -75,8 +75,8 @@ class OrientationPath:
     """Tool orientations along a sampled path, as arrays: times ``t`` (N,) and
     unit world-frame directions ``v`` (N, 3), read-only.
 
-    Indexing, and iteration through it, yield one ``TimedOrientation`` per
-    sample.
+    Indexing and iteration yield one ``TimedOrientation`` per sample, whose
+    direction is a read-only view of its row.
     """
 
     t: np.ndarray
@@ -98,7 +98,11 @@ class OrientationPath:
 
     def __getitem__(self, i) -> TimedOrientation:
         i = operator.index(i)
-        return TimedOrientation(float(self.t[i]), _unchecked(ToolOrientation, v=self.v[i]))
+        return _unchecked(TimedOrientation, t=float(self.t[i]), orientation=_unchecked(ToolOrientation, v=self.v[i]))
+
+    def __iter__(self):
+        for t, v in zip(self.t.tolist(), self.v):
+            yield _unchecked(TimedOrientation, t=t, orientation=_unchecked(ToolOrientation, v=v))
 
 
 def traj_semicircle(spec: TrajectorySpec) -> OrientationPath:

@@ -320,6 +320,16 @@ def test_cli_dynamics_names_failing_sample(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_profile_error_names_time_and_direction(tmp_path, capsys):
+    # A non-finite profile value is named as a failing torque sample is:
+    # index, time and tool direction.
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, "traj", "--radius", "1e-300", "--gamma", "45", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err == ("error[invalid-input]: sample 0 (t = 0 s, v = (0.707107, 0, -0.707107)): "
+                   "profile accels must hold finite values\n")
+
+
 def test_cli_sweep_emits_reference_grid(tmp_path, capsys):
     out_file = tmp_path / "peaks.csv"
     code, _, _ = run_cli(capsys, "sweep", "--gamma", "30,45,60",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -741,6 +742,120 @@ def test_profile_rows_match_standalone_states(geometry, bodies, load):
             assert checks[i](solve_fields(geometry, bodies, profile[i], GRAVITY, load)), i
     # The profile keeps one block: the one holding the last row asked for.
     assert profile._ne_block[0][0] == order[-1] - order[-1] % NE_BLOCK
+
+
+def test_reactions_are_read_only_views_of_the_solve(geometry, bodies):
+    # The vector reactions are views of the solved x, which cannot be
+    # written, and hold the bits of a copy of it; the scalar ones are floats.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    for i in (3, 499, 501, 1000):
+        motion, solution = solve_state(profile[i], geometry, bodies)
+        x = profile._ne_block[1].x
+        assert not x.flags.writeable
+        row = x[i % NE_BLOCK]
+        copied = {key: row[sl].copy() if sl.stop - sl.start > 1 else float(row[sl.start])
+                  for key, sl in UNKNOWN_SLICES.items()}
+        alone = solve_wrenches(assemble_system(body_motion(standalone(profile[i]), geometry, bodies), bodies))
+        assert list(solution.reactions) == list(copied) == list(alone.reactions)
+        for key, value in solution.reactions.items():
+            assert type(value) is type(copied[key]) is type(alone.reactions[key])
+            if isinstance(value, float):
+                assert value.hex() == copied[key].hex()
+                continue
+            assert value.tobytes() == copied[key].tobytes()
+            assert value.base is x and not value.flags.writeable and not alone.reactions[key].flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+        assert solution.tau.tobytes() == np.array([copied["tau1"], copied["tau2"]]).tobytes()
+        assert solution.power.tobytes() == (solution.tau * profile.rates[i, :2]).tobytes()
+
+
+def test_gravity_is_checked_on_every_call(geometry, bodies):
+    # A float (3,) gravity is only viewed, but its values are checked on
+    # every call: NaN or inf written in place is caught, with the message
+    # of any other bad gravity.  Other shapes and dtypes take the general
+    # conversion, as before.
+    profile = semicircle_states(geometry, 0.25, 65)
+    state = profile[3]
+    gravity = GRAVITY.copy()
+    motion, solution = solve_state(state, geometry, bodies, gravity)
+    balance = power_balance_residual(state, solution, motion, bodies, gravity)
+    for bad in (math.nan, math.inf, -math.inf):
+        gravity[1] = bad
+        for call in (lambda: solve_state(state, geometry, bodies, gravity),
+                     lambda: power_balance_residual(state, solution, motion, bodies, gravity),
+                     lambda: verify_profile(profile, geometry, bodies, gravity)):
+            with pytest.raises(InvalidInputError, match="^gravity must be finite$"):
+                call()
+    strided = np.zeros(6)
+    strided[::2] = GRAVITY
+    strided[2] = math.nan
+    with pytest.raises(InvalidInputError, match="^gravity must be finite$"):
+        solve_state(state, geometry, bodies, strided[::2])
+    for shape in ((2,), (4,), (2, 3), ()):
+        with pytest.raises(InvalidInputError, match="^gravity must be a 3-vector$"):
+            solve_state(state, geometry, bodies, np.zeros(shape))
+    for bad in (np.array([0.0, math.nan, -9.81], dtype=object), np.array([0.0, 0.0, -np.inf], dtype=">f8"),
+                np.array([0.0, 0.0, np.inf], dtype=np.float32)):
+        with pytest.raises(InvalidInputError, match="^gravity must be finite$"):
+            solve_state(state, geometry, bodies, bad)
+    for same in (np.array([0, 0, -9.81], dtype=object), np.array([0.0, 0.0, -9.81], dtype=">f8"),
+                 GRAVITY.reshape(1, 3), [0.0, 0.0, -9.81]):
+        motion, solution = solve_state(state, geometry, bodies, same)
+        assert power_balance_residual(state, solution, motion, bodies, same) == balance
+
+
+def test_row_balance_equals_the_array_form():
+    # Power balance on one row runs on floats: the same operations as the
+    # array form, with a NaN kept where np.maximum keeps it.
+    values = [0.0, -0.0, 0.5, 1.0, -1.0, 2.5, -3e300, 1.7e308, 5e-324, math.inf, -math.inf, math.nan]
+    for p_act, ke_rate, p_ext in itertools.product(values, repeat=3):
+        row = dynamics._row_balance(p_act, ke_rate, p_ext)
+        with np.errstate(all="ignore"):
+            array = dynamics._balance(np.array([p_act]), np.array([ke_rate]), np.array([p_ext]))
+        assert type(row) is float
+        assert (math.isnan(row) and math.isnan(array[0])) or row.hex() == float(array[0]).hex(), \
+            (p_act, ke_rate, p_ext)
+
+
+def test_power_balance_keeps_nan(geometry, bodies):
+    profile = semicircle_states(geometry, 0.25, 65)
+    state = profile[3]
+    motion, solution = solve_state(state, geometry, bodies)
+    assert math.isnan(power_balance_residual(state, replace(solution, tau=np.array([math.nan, 1.0])), motion, bodies))
+    assert power_balance_residual(state, replace(solution, tau=np.array([1.0, math.inf])), motion, bodies) == math.inf
+
+
+def test_solve_trajectory_names_the_failing_sample(geometry, bodies):
+    # As the virtual-work error does: index, time and leg 1's tool axis,
+    # read from the profile's kept axes for a profile row and from the
+    # state's own frames for a standalone state; the category is kept.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    with pytest.raises(ModelInconsistencyError) as info:
+        solve_trajectory(profile, geometry, bodies)
+    with pytest.raises(ModelInconsistencyError) as virtual_work:
+        virtual_work_torques(profile, geometry, bodies)
+    prefix = re.match(r"sample 500 \(t = 0\.261799 s, v = \((\S+), (\S+), (\S+)\)\): ", str(info.value))
+    assert prefix and str(virtual_work.value).startswith(prefix.group())
+    assert str(info.value) == f"{prefix.group()}{_gate_message_of(profile[500], geometry, bodies)}"
+    path = generate(TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001))
+    assert np.max(np.abs(np.array(prefix.groups(), dtype=float) - path.v[500])) <= 1e-6
+    states = [standalone(s) for s in list(profile)[490:510]]
+    with pytest.raises(ModelInconsistencyError) as alone:
+        solve_trajectory(states, geometry, bodies)
+    message = re.match(r"sample 10 \(t = 0\.261799 s, v = \((\S+), (\S+), (\S+)\)\): ", str(alone.value))
+    assert message and np.max(np.abs(np.array(message.groups(), dtype=float) - path.v[500])) <= 1e-6
+    theta = profile.theta.copy()
+    theta[300:, 3] += 1e-3
+    broken = JointProfile(profile.t, theta, profile.rates, profile.accels)
+    with pytest.raises(InconsistentStateError, match=r"^sample 300 \(t = \S+ s, v = \(\S+, \S+, \S+\)\): legs "):
+        solve_trajectory(broken, geometry, bodies)
+
+
+def _gate_message_of(state, geometry, bodies):
+    with pytest.raises(ModelInconsistencyError) as info:
+        solve_state(state, geometry, bodies)
+    return str(info.value)
 
 
 def test_profile_block_follows_its_inputs(geometry, bodies):

@@ -398,18 +398,49 @@ def test_profile_rows_are_read_only_views(geometry):
     assert np.array_equal([s.rates for s in profile], profile.rates)
 
 
+def test_profile_iteration_equals_indexing(geometry):
+    # Iteration builds each row from the arrays' row views, as indexing does:
+    # the same bits, the same (profile, index) row, views that cannot be
+    # written; negative indices and out-of-range ones behave as before.
+    from sphwrist.trajectory import KIND_CIRCLE, TrajectorySpec
+    _, profile = _profile(geometry, TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=0.6, sample_count=11))
+    rows = list(profile)
+    assert len(rows) == len(profile) == 11
+    for i, row in enumerate(rows):
+        for indexed in (profile[i], profile[i - 11]):
+            assert type(row) is type(indexed) is JointState and type(row.angles) is type(indexed.angles)
+            assert type(row.t) is float and row.t.hex() == indexed.t.hex() == float(profile.t[i]).hex()
+            assert row.row[0] is indexed.row[0] is profile and row.row[1] == indexed.row[1] == i
+            for a, b, whole in ((row.angles.theta, indexed.angles.theta, profile.theta),
+                                (row.rates, indexed.rates, profile.rates), (row.accels, indexed.accels, profile.accels)):
+                assert a.tobytes() == b.tobytes() == whole[i].tobytes()
+                assert a.base is whole and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+    for i in (11, -12):
+        with pytest.raises(IndexError):
+            profile[i]
+    assert [s.row[1] for s in profile] == list(range(11))
+    assert list(JointProfile(np.zeros(0), np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4)))) == []
+
+
 def test_profile_error_names_lowest_failing_sample(geometry):
     # Sample 3 lies outside the reachable cone, sample 1 on the leg-2 drive
-    # axis; the lower index is reported with its own category.
+    # axis; the lower index is reported with its own category, its time and
+    # its tool direction.
     geom = WristGeometry(alpha=[math.pi / 2, math.pi / 3, math.pi / 2, math.pi / 2, math.pi / 2])
     good = ToolOrientation.normalized([0.2, -0.3, -0.9])
     on_axis = ToolOrientation(geom.base_axes[:, 0])
     t = geom.base_axes[:, 2] * math.cos(math.radians(20.0)) + np.array([0.0, 0.0, math.sin(math.radians(20.0))])
     unreachable = ToolOrientation.normalized(t)
-    with pytest.raises(UnreachableOrientationError, match="^sample 3: "):
+    with pytest.raises(UnreachableOrientationError) as info:
         trajectory_joint_profiles([good, good, good, unreachable, on_axis], 0.01, geom)
-    with pytest.raises(SingularConfigurationError, match="^sample 1: "):
+    assert str(info.value) == ("sample 3 (t = 0.03 s, v = (0.664463, 0.664463, 0.34202)): "
+                               "orientation lies outside the reachable cone")
+    with pytest.raises(SingularConfigurationError) as info:
         trajectory_joint_profiles([good, on_axis, good, unreachable, good], 0.01, geom)
+    assert str(info.value) == ("sample 1 (t = 0.01 s, v = (-0.707107, 0.707107, 0)): "
+                               "orientation is on a joint axis; the angle is indeterminate")
     with pytest.raises(UnreachableOrientationError, match="^orientation lies outside"):
         inverse_kinematics(unreachable, geom)
 

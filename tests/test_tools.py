@@ -1,3 +1,4 @@
+import csv
 import os
 import shutil
 import subprocess
@@ -23,11 +24,29 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert set(exits.values()) == {"0\n"}
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
-    assert len(list(a.glob("*.csv"))) == 17
+    assert len(list(a.glob("*.csv"))) == 21
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
+    # The per-row API on the two semicircles, with and without a load: one
+    # row per sample, every number %.17g, only the midpoint failing.
+    for name in ("api_semicircle_0.25", "api_semicircle_0.25_load", "api_semicircle_0.1337",
+                 "api_semicircle_0.1337_load"):
+        rows = list(csv.reader((a / f"{name}.csv").open()))
+        header, rows = rows[0], rows[1:]
+        assert header[:8] == ["sample", "t", "tau[0]", "tau[1]", "power[0]", "power[1]", "residual", "balance"]
+        assert len(header) == 34 and header[-1] == "error" and len(rows) == 21
+        assert [row[0] for row in rows] == [str(i) for i in range(21)]
+        failed = [row for row in rows if row[-1]]
+        assert [row[0] for row in failed] == ["10"]
+        assert failed[0][-1].startswith("error[model-inconsistency]: relative solve residual ")
+        assert set(failed[0][2:-1]) == {""}
+        for row in rows[:10]:
+            assert all(repr(float(cell)) == repr(float("%.17g" % float(cell))) for cell in row[1:-1])
+            assert float(row[7]) < 1e-6
+        assert (a / f"{name}.stderr").read_text().startswith(
+            f"error[model-inconsistency]: sample 10 (t = {float(failed[0][1]):.6g} s, v = (")
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "83 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "91 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -35,7 +54,9 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     cells[-1] = repr(float(cells[-1]) + 0.5)
     lines[3] = ",".join(cells)
     (b / "sweep.csv").write_text("\n".join(lines) + "\n")
+    error = (b / "api_semicircle_0.25.csv").read_text().replace("relative solve residual", "relative solver residual")
+    (b / "api_semicircle_0.25.csv").write_text(error)
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
-    assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5",
-                                           "83 files, 2 differ"]
+    assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "91 files, 3 differ"]

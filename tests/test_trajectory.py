@@ -175,6 +175,25 @@ def test_path_rows_are_read_only_views():
         path[0:1]
 
 
+def test_path_iteration_equals_indexing():
+    # Iteration builds each item from the direction array's row views, as
+    # indexing does: the same bits and views that cannot be written.
+    path = generate(TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=0.6, sample_count=9))
+    items = list(path)
+    assert len(items) == len(path) == 9
+    for i, item in enumerate(items):
+        for indexed in (path[i], path[i - 9]):
+            assert type(item) is type(indexed) is TimedOrientation
+            assert type(item.orientation) is type(indexed.orientation) is ToolOrientation
+            assert type(item.t) is float and item.t.hex() == indexed.t.hex() == float(path.t[i]).hex()
+            assert item.orientation.v.tobytes() == indexed.orientation.v.tobytes() == path.v[i].tobytes()
+            assert item.orientation.v.base is path.v and not item.orientation.v.flags.writeable
+            assert item == TimedOrientation(indexed.t, item.orientation)
+    for i in (9, -10):
+        with pytest.raises(IndexError):
+            path[i]
+
+
 def test_path_does_not_alias_its_inputs():
     t = np.array([0.0, 1.0, 2.0])
     v = np.array([[0.0, 0.0, 1.0]] * 3)

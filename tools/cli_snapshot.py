@@ -1,4 +1,4 @@
-"""Snapshot the CLI's outputs on a fixed command set, or compare two snapshots.
+"""Snapshot the CLI's and the per-row API's outputs on a fixed set of inputs, or compare two snapshots.
 
     PYTHONPATH=src python tools/cli_snapshot.py DIR [--samples N]
     python tools/cli_snapshot.py --compare A B
@@ -6,18 +6,24 @@
 A snapshot runs every command below in this process through
 ``sphwrist.cli.main``, from inside DIR, and writes per command NAME the
 files NAME.stdout, NAME.stderr, NAME.exit and, for commands that write one,
-NAME.csv.  The inputs are the paper's study (the benchmark's seed 0).  The
-sphwrist package is the one on the import path, so setting PYTHONPATH to
-another checkout's src snapshots that checkout.
+NAME.csv.  The inputs are the paper's study (the benchmark's seed 0).  It
+then runs the per-row Newton-Euler API (``solve_state`` and
+``power_balance_residual`` on every row of a semicircle profile) on each
+case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
+per sample with every number as ``%.17g`` and a failing row's error line,
+and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
+The sphwrist package is the one on the import path, so setting PYTHONPATH
+to another checkout's src snapshots that checkout.
 
 ``--compare`` lists the files that differ between two snapshot directories
 or are in only one, with, for a CSV, the number of differing cells and the
-largest absolute difference per column.  It exits 0 when every file is
-byte-identical, else 1.
+largest absolute difference per numeric column.  It exits 0 when every file
+is byte-identical, else 1.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import os
 import sys
@@ -28,6 +34,13 @@ GAMMAS = ("30", "45", "60")
 RADII = ("0.25", "0.15", "0.10", "0.05")
 GRID = ["--gamma", ",".join(GAMMAS), "--radius", ",".join(RADII)]
 FORCES = "0,25,50,75,100,125,150"
+# (name, semicircle radius in m, cutting force components in N and lever in m, or None).
+API_CASES = (
+    ("api_semicircle_0.25", 0.25, None),
+    ("api_semicircle_0.25_load", 0.25, ((150.0, 150.0, 150.0), 0.11)),
+    ("api_semicircle_0.1337", 0.1337, None),
+    ("api_semicircle_0.1337_load", 0.1337, ((150.0, 150.0, 150.0), 0.11)),
+)
 
 
 def commands(samples=None):
@@ -68,23 +81,74 @@ def snapshot(directory: Path, samples=None):
             Path(f"{name}.stdout").write_text(out.getvalue())
             Path(f"{name}.stderr").write_text(err.getvalue())
             Path(f"{name}.exit").write_text(code + "\n")
+        for name, radius, load in API_CASES:
+            api_rows(name, radius, load, samples)
     finally:
         os.chdir(home)
 
 
+def api_rows(name, radius, load, samples=None):
+    """Write NAME.csv and NAME.stderr for one semicircle of the per-row API."""
+    import numpy as np
+
+    import sphwrist
+    from sphwrist.dynamics import UNKNOWN_SLICES
+    from sphwrist.trajectory import KIND_SEMICIRCLE
+
+    config = sphwrist.default_config()
+    spec = sphwrist.TrajectorySpec(kind=KIND_SEMICIRCLE, radius=radius, tool_speed=config.tool_speed,
+                                   sample_count=config.sample_count if samples is None else samples)
+    path = sphwrist.generate(spec)
+    profile = sphwrist.trajectory_joint_profiles(path.v, path[1].t - path[0].t, config.geometry)
+    load = None if load is None else sphwrist.CuttingLoad(*load)
+    args = config.geometry, config.bodies, config.gravity, load
+    reactions = [(key, sl.stop - sl.start) for key, sl in UNKNOWN_SLICES.items()]
+    header = ["sample", "t", "tau[0]", "tau[1]", "power[0]", "power[1]", "residual", "balance",
+              *(key if width == 1 else f"{key}_{j}" for key, width in reactions for j in range(width)), "error"]
+    with open(f"{name}.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, state in enumerate(profile):
+            try:
+                motion, solution = sphwrist.solve_state(state, *args)
+                balance = sphwrist.power_balance_residual(state, solution, motion, *args[1:])
+            except sphwrist.WristError as exc:
+                writer.writerow([i, "%.17g" % state.t, *[""] * (len(header) - 3), f"error[{exc.category}]: {exc}"])
+                continue
+            values = [state.t, *solution.tau, *solution.power, solution.residual, balance,
+                      *(x for key, _ in reactions for x in np.ravel(solution.reactions[key]))]
+            writer.writerow([i, *("%.17g" % v for v in values), ""])
+    try:
+        sphwrist.solve_trajectory(profile, *args)
+        line = ""
+    except sphwrist.WristError as exc:
+        line = f"error[{exc.category}]: {exc}\n"
+    Path(f"{name}.stderr").write_text(line)
+
+
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def csv_differences(a: Path, b: Path) -> str:
     """What differs between two CSV files: their shape, or per differing
-    column the count of differing cells and the largest absolute difference."""
-    rows_a = [line.split(",") for line in a.read_text().splitlines()]
-    rows_b = [line.split(",") for line in b.read_text().splitlines()]
+    column the count of differing cells and, where both cells of every
+    differing pair are numbers, the largest absolute difference."""
+    rows_a = list(csv.reader(io.StringIO(a.read_text())))
+    rows_b = list(csv.reader(io.StringIO(b.read_text())))
     if rows_a[:1] != rows_b[:1] or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return f"header or shape differs ({len(rows_a)} against {len(rows_b)} lines)"
     columns = []
     for j, name in enumerate(rows_a[0]):
-        cells = [(x[j], y[j]) for x, y in zip(rows_a[1:], rows_b[1:]) if x[j] != y[j]]
+        cells = [(_float(x[j]), _float(y[j])) for x, y in zip(rows_a[1:], rows_b[1:]) if x[j] != y[j]]
         if cells:
-            largest = max(abs(float(x) - float(y)) for x, y in cells)
-            columns.append(f"{name}: {len(cells)} cells, max |diff| {largest:.3g}")
+            detail = f"{name}: {len(cells)} cells"
+            if all(x is not None and y is not None for x, y in cells):
+                detail += f", max |diff| {max(abs(x - y) for x, y in cells):.3g}"
+            columns.append(detail)
     return "; ".join(columns)
 
 
