@@ -36,7 +36,6 @@ as the reactions API and as the independent check on it.
 """
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,19 +97,10 @@ FORCE_POINT_NAMES = {name: tuple(point for _, carrier, point, _ in _JOINT_FORCES
                      for name in BODY_NAMES}
 
 
-_FLOAT = np.dtype(float)
-
-
 def _as_vector(name, value, length=3):
-    # A float array of the right shape, such as the gravity of every call,
-    # is only viewed; its finiteness is read on every call, so a vector
-    # changed in place is still checked.
-    if type(value) is np.ndarray and value.dtype == _FLOAT and value.shape == (length,):
-        v = value.view()
-    else:
-        v = np.asarray(value, dtype=float).reshape(-1)
-        if v.shape != (length,):
-            raise InvalidInputError(f"{name} must be a {length}-vector")
+    v = np.asarray(value, dtype=float).reshape(-1)
+    if v.shape != (length,):
+        raise InvalidInputError(f"{name} must be a {length}-vector")
     if not all(map(math.isfinite, v.tolist())):
         raise InvalidInputError(f"{name} must be finite")
     return v
@@ -517,8 +507,6 @@ def _row_balance(p_act: float, ke_rate: float, p_ext: float) -> float:
     return abs(p_act + p_ext - ke_rate) / (1.0 if scale <= 1.0 else scale)
 
 
-_BASE = operator.attrgetter("base")
-
 
 def power_balance_residual(state: JointState, solution: DynamicsSolution, motion: WristMotion,
                            bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> float:
@@ -538,7 +526,7 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     block = getattr(profile, "_ne_block", None)
     if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
             and block[0][3:] == (*table.params, load)
-            and all(map(operator.is_, map(_BASE, motion[:-1]), block[1].owners))):
+            and all(a.base is owner for a, owner in zip(motion[:-1], block[1].owners))):
         k = i % NE_BLOCK
         ke_rate, p_ext = block[1].ke_rate[k], block[1].p_ext[k]
     else:
@@ -612,8 +600,7 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     m, _, x, residual, errors, _, _ = block[1]
     if errors[k] is not None:
         raise errors[k][0](errors[k][1])
-    row = slice(k, k + 1)
-    return WristMotion(*[a[row] for a in m[:-1]], state), _solution(x[k], residual[k], state.rates[:2])
+    return WristMotion(*(a[k:k + 1] for a in m[:-1]), state), _solution(x[k], residual[k], state.rates[:2])
 
 
 class ProfileCheck(NamedTuple):

@@ -771,10 +771,9 @@ def test_reactions_are_read_only_views_of_the_solve(geometry, bodies):
 
 
 def test_gravity_is_checked_on_every_call(geometry, bodies):
-    # A float (3,) gravity is only viewed, but its values are checked on
-    # every call: NaN or inf written in place is caught, with the message
-    # of any other bad gravity.  Other shapes and dtypes take the general
-    # conversion, as before.
+    # Gravity's values are checked on every call: NaN or inf written in
+    # place is caught, with the message of any other bad gravity, for every
+    # shape and dtype the conversion accepts.
     profile = semicircle_states(geometry, 0.25, 65)
     state = profile[3]
     gravity = GRAVITY.copy()
