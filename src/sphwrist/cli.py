@@ -80,7 +80,7 @@ def cmd_ik(args, config):
         pan, tilt = math.radians(args.pan), math.radians(args.tilt)
         orientation = vector_from_pan_tilt(pan, tilt)
     else:
-        raise WristError("provide either --v x,y,z or both --pan and --tilt (degrees)")
+        raise InvalidInputError("provide either --v x,y,z or both --pan and --tilt (degrees)")
     angles = inverse_kinematics(orientation, config.geometry)
     print(f"pan_deg = {_fmt(math.degrees(pan))}")
     print(f"tilt_deg = {_fmt(math.degrees(tilt))}")

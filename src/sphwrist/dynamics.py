@@ -35,7 +35,6 @@ gives the same torques without the reactions; the Newton-Euler solve stays
 as the reactions API and as the independent check on it.
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
+from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, frozen_vector
 from .kinematics import (JointProfile, JointState, _frames, _profile_kinematics, _sample_label, _solve_passive,
                          _unchecked)
 from .rotation import WristGeometry, cross_rows
@@ -97,15 +96,6 @@ FORCE_POINT_NAMES = {name: tuple(point for _, carrier, point, _ in _JOINT_FORCES
                      for name in BODY_NAMES}
 
 
-def _as_vector(name, value, length=3):
-    v = np.asarray(value, dtype=float).reshape(-1)
-    if v.shape != (length,):
-        raise InvalidInputError(f"{name} must be a {length}-vector")
-    if not all(map(math.isfinite, v.tolist())):
-        raise InvalidInputError(f"{name} must be finite")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class BodyParams:
     """Mass, geometry, and inertia of one link, in its own body frame.
@@ -127,22 +117,21 @@ class BodyParams:
             raise InvalidInputError(f"unknown body name {self.name!r}")
         if not (np.isfinite(self.mass) and self.mass > 0.0):
             raise InvalidInputError(f"{self.name}.mass must be positive")
-        com = _as_vector(f"{self.name}.com_offset", self.com_offset)
-        inertia = np.asarray(self.inertia, dtype=float)
+        com = frozen_vector(f"{self.name}.com_offset", self.com_offset, 3)
+        inertia = np.array(self.inertia, dtype=float)
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
             raise InvalidInputError(f"{self.name}.inertia must be a finite 3x3 tensor")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12 * max(1.0, np.max(np.abs(inertia))):
             raise InvalidInputError(f"{self.name}.inertia must be symmetric")
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
             raise InvalidInputError(f"{self.name}.inertia must be positive-definite")
-        points = {k: _as_vector(f"{self.name}.point.{k}", v) for k, v in self.force_points.items()}
+        points = {k: frozen_vector(f"{self.name}.point.{k}", v, 3) for k, v in self.force_points.items()}
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error raised below
             inertia_center = inertia + self.mass * (np.dot(com, com) * np.eye(3) - np.outer(com, com))
         if not np.all(np.isfinite(inertia_center)):
             raise InvalidInputError(f"{self.name}.com_offset gives a non-finite inertia about the wrist center")
-        inertia = inertia.copy()
-        for v in (com, inertia, inertia_center, *points.values()):
-            v.setflags(write=False)
+        inertia.setflags(write=False)
+        inertia_center.setflags(write=False)
         object.__setattr__(self, "com_offset", com)
         object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "inertia_center", inertia_center)
@@ -185,11 +174,9 @@ class CuttingLoad:
     lever: float = 0.0
 
     def __post_init__(self):
-        f = _as_vector("f_c", self.f_c)
+        object.__setattr__(self, "f_c", frozen_vector("f_c", self.f_c, 3))
         if not (np.isfinite(self.lever) and self.lever >= 0.0):
             raise InvalidInputError("lever must be non-negative")
-        f.setflags(write=False)
-        object.__setattr__(self, "f_c", f)
 
 
 def _tip_force(load: CuttingLoad, e3, e5):
@@ -384,7 +371,7 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     once, with opposite signs on the two bodies it couples.  The right-hand
     side carries the inertial terms, gravity, and the cutting wrench.
     """
-    A, b, aligned = _assemble(motion, _body_table(bodies), _as_vector("gravity", gravity), load)
+    A, b, aligned = _assemble(motion, _body_table(bodies), frozen_vector("gravity", gravity, 3), load)
     if aligned[0]:
         raise InconsistentStateError(_ALIGNED_MESSAGE)
     return AssembledSystem(A[0], b[0], motion.state.rates[:2].copy())
@@ -521,7 +508,7 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     actuator power always comes from ``solution.tau`` and ``state.rates``.
     """
     table = _body_table(bodies)
-    gravity = _as_vector("gravity", gravity)
+    gravity = frozen_vector("gravity", gravity, 3)
     profile, i = (motion.state.row if motion.state is not None else None) or (None, 0)
     block = getattr(profile, "_ne_block", None)
     if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
@@ -582,7 +569,7 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     ``power_balance_residual``.
     """
     table = _body_table(bodies)
-    gravity = _as_vector("gravity", gravity)
+    gravity = frozen_vector("gravity", gravity, 3)
     profile, i = state.row or (None, 0)
     k, start = i % NE_BLOCK, i - i % NE_BLOCK
     key = (start, gravity.tobytes(), geometry, *table.params, load)
@@ -620,7 +607,7 @@ def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
     profile, in the same aligned blocks of ``NE_BLOCK`` rows, without keeping
     a block on the profile."""
     table = _body_table(bodies)
-    gravity = _as_vector("gravity", gravity)
+    gravity = frozen_vector("gravity", gravity, 3)
     kinematics = _profile_kinematics(profile, geometry)[:3]
     n = len(profile)
     residual, balance, errors = np.empty(n), np.empty(n), []
@@ -722,7 +709,7 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     """The load-free pass of ``virtual_work_torques``, with the same errors;
     a study over many loads makes it once per profile."""
     table = _body_table(bodies)
-    gravity = _as_vector("gravity", gravity)
+    gravity = frozen_vector("gravity", gravity, 3)
     f1, f2, axes, passive = _profile_kinematics(profile, geometry)
     m = _motion(profile.rates, profile.accels, f1, f2, axes, table, com_motion=False)
     e1, e2, e3, e4, e5, _ = (axes[:, k] for k in range(6))

@@ -1,4 +1,9 @@
-"""Exception types with stable machine-parsable categories for the CLI."""
+"""Exception types with stable machine-parsable categories for the CLI, and
+the one intake check of the value types' stored vectors."""
+
+import math
+
+import numpy as np
 
 
 class WristError(Exception):
@@ -9,6 +14,19 @@ class WristError(Exception):
 
 class InvalidInputError(WristError):
     category = "invalid-input"
+
+
+def frozen_vector(name, value, length) -> np.ndarray:
+    """``value`` as a read-only float copy of shape (length,), checked to be
+    finite: how every value type stores a vector it is given, so that no
+    later write to the caller's array reaches it."""
+    v = np.array(value, dtype=float).ravel()
+    if v.shape != (length,):
+        raise InvalidInputError(f"{name} must be a {length}-vector")
+    if not all(map(math.isfinite, v.tolist())):
+        raise InvalidInputError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
 
 
 class OutOfRangeError(WristError):

@@ -27,6 +27,7 @@ from .errors import (
     SingularConfigurationError,
     SingularOrientationError,
     UnreachableOrientationError,
+    frozen_vector,
 )
 from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, leg_frames, unwrap_angles,
                        wrap_angle)
@@ -62,24 +63,21 @@ class ToolOrientation:
     v: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        if v.shape != (3,):
-            raise InvalidInputError("tool orientation must be a 3-vector")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("tool orientation must be finite")
+        v = frozen_vector("tool orientation", self.v, 3)
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise InvalidInputError("tool orientation must be unit length")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
     @classmethod
     def normalized(cls, v) -> "ToolOrientation":
-        v = np.asarray(v, dtype=float).reshape(-1)
-        n = np.linalg.norm(v)
-        if not np.isfinite(n) or n < 1e-12:
+        v = frozen_vector("tool orientation", v, 3)
+        # Scaled by the largest |component| first, so the norm cannot overflow.
+        scale = np.max(np.abs(v))
+        u = v / scale if scale > 0.0 else v
+        n = np.linalg.norm(u)
+        if scale * n < 1e-12:
             raise InvalidInputError("cannot normalize a near-zero vector")
-        return cls(v / n)
+        return cls(u / n)
 
 
 def _unit_directions(v) -> np.ndarray:
@@ -105,14 +103,7 @@ class JointAngles:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float).reshape(-1)
-        if theta.shape != (4,):
-            raise InvalidInputError("expected 4 joint angles")
-        if not np.isfinite(theta).all():
-            raise InvalidInputError("joint angles must be finite")
-        theta = theta.copy()
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", frozen_vector("joint angles", self.theta, 4))
 
     def wrapped(self) -> "JointAngles":
         """Copy with every angle reduced to (-pi, pi]."""
@@ -131,18 +122,10 @@ class JointState:
     row: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float).reshape(-1)
-        accels = np.asarray(self.accels, dtype=float).reshape(-1)
-        if rates.shape != (4,) or accels.shape != (4,):
-            raise InvalidInputError("rates and accels must hold 4 entries")
-        if not (np.isfinite(rates).all() and np.isfinite(accels).all() and math.isfinite(self.t)):
-            raise InvalidInputError("joint state entries must be finite")
-        rates = rates.copy()
-        accels = accels.copy()
-        rates.setflags(write=False)
-        accels.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "accels", accels)
+        object.__setattr__(self, "rates", frozen_vector("rates", self.rates, 4))
+        object.__setattr__(self, "accels", frozen_vector("accels", self.accels, 4))
+        if not math.isfinite(self.t):
+            raise InvalidInputError("t must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,11 +482,8 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     jumps = np.abs(np.diff(theta, axis=0))
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]
-        raise BranchJumpError(
-            f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between samples {i} (t = {i * dt:.6g} s)"
-            f" and {i + 1} (t = {(i + 1) * dt:.6g} s);"
-            " the path crosses a singularity"
-        )
+        raise BranchJumpError(f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between {label(i)} and {label(i + 1)};"
+                              " the path crosses a singularity")
 
     drive = central_difference(theta[:, :2], dt)
     drive_accel = central_difference(drive, dt)

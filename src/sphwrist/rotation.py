@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, frozen_vector
 
 ROTATION_TOL = 1e-12
 
@@ -109,21 +109,11 @@ class WristGeometry:
     mount_yaw: float = math.pi / 4.0
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
-        home = np.asarray(self.home_thetas, dtype=float).reshape(-1)
-        if alpha.shape != (5,):
-            raise InvalidInputError("alpha must hold 5 angles")
-        if home.shape != (4,):
-            raise InvalidInputError("home_thetas must hold 4 angles")
-        _require_finite("alpha", alpha)
-        _require_finite("home_thetas", home)
+        object.__setattr__(self, "alpha", frozen_vector("alpha", self.alpha, 5))
+        object.__setattr__(self, "home_thetas", frozen_vector("home_thetas", self.home_thetas, 4))
         _require_finite("mount_yaw", self.mount_yaw)
         if not (np.isfinite(self.tool_length) and self.tool_length > 0.0):
             raise InvalidInputError("tool_length must be positive")
-        alpha.setflags(write=False)
-        home.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "home_thetas", home)
 
     @property
     def base_axes(self) -> np.ndarray:

@@ -257,9 +257,17 @@ def test_cli_ik_vertical_axis_is_singular(capsys):
 
 
 def test_cli_ik_missing_arguments(capsys):
-    code, _, err = run_cli(capsys, "ik")
-    assert code != 0
-    assert "error[" in err
+    for argv in (("ik",), ("ik", "--pan", "20"), ("ik", "--tilt", "-45")):
+        assert run_cli(capsys, *argv) == (
+            1, "", "error[invalid-input]: provide either --v x,y,z or both --pan and --tilt (degrees)\n")
+
+
+def test_cli_ik_v_is_checked_finite_and_scaled(capsys):
+    assert run_cli(capsys, "ik", "--v", "nan,0,1") == (1, "", "error[invalid-input]: tool orientation must be finite\n")
+    # Components whose plain norm overflows give the same answer as their
+    # scaled-down direction.
+    huge = run_cli(capsys, "ik", "--v", "0,-1e308,-1e308")
+    assert huge[0] == 0 and huge == run_cli(capsys, "ik", "--v", "0,-1,-1")
 
 
 def test_cli_fk_home(capsys):

@@ -20,6 +20,7 @@ from sphwrist import (
     JointState,
     ToolOrientation,
     TrajectorySpec,
+    WristGeometry,
     WristMotion,
     assemble_system,
     body_motion,
@@ -98,6 +99,35 @@ def test_gravity_default_is_read_only():
     with pytest.raises(ValueError):
         np.add(GRAVITY, 1.0, out=GRAVITY)
     assert GRAVITY.tolist() == [0.0, 0.0, -9.81]
+
+
+def test_value_types_store_read_only_copies_of_caller_arrays(bodies):
+    # Every array a value type is given is copied in: a later write to the
+    # caller's array reaches neither the stored array nor what was built from it.
+    alpha, home = np.full(5, math.pi / 2.0), np.array([-1.0, 1.0, 1.0, -1.0]) * (math.pi / 2.0)
+    v, theta, rates, accels = np.array([0.0, 0.6, -0.8]), np.full(4, 0.1), np.full(4, 0.2), np.full(4, 0.3)
+    com, inertia, point, f_c = np.array([0.0, 0.01, 0.02]), np.eye(3) * 1e-3, np.array([0.0, 0.0, 0.05]), np.ones(3)
+    geometry = WristGeometry(alpha=alpha, home_thetas=home)
+    state = JointState(JointAngles(theta), rates, accels, 0.0)
+    terminal = BodyParams("terminal", 1.0, com, inertia, {"joint_proximal1": point})
+    given = (terminal, *bodies[1:])
+    stored = [(alpha, geometry.alpha), (home, geometry.home_thetas), (v, ToolOrientation(v).v),
+              (theta, state.angles.theta), (rates, state.rates), (accels, state.accels),
+              (com, terminal.com_offset), (inertia, terminal.inertia),
+              (point, terminal.force_points["joint_proximal1"]), (f_c, CuttingLoad(f_c, 0.1).f_c)]
+    before = [array.copy() for _, array in stored]
+    inertia_center, table = terminal.inertia_center.copy(), [a.copy() for a in _body_table(given)[1:]]
+    for caller, array in stored:
+        assert not np.shares_memory(caller, array) and not array.flags.writeable
+        caller[...] = np.nan
+    for (_, array), old in zip(stored, before):
+        np.testing.assert_array_equal(array, old)
+    np.testing.assert_array_equal(terminal.inertia_center, inertia_center)
+    for built, default in zip(geometry._legs, WristGeometry()._legs):
+        np.testing.assert_array_equal(built, default)
+    dynamics._table_of.cache_clear()
+    for rebuilt, old in zip(_body_table(given)[1:], table):
+        np.testing.assert_array_equal(rebuilt, old)
 
 
 # --- body motion --------------------------------------------------------------

@@ -71,6 +71,31 @@ def test_tool_orientation_validation():
     np.testing.assert_allclose(v.v, [1, 0, 0], atol=1e-15)
     with pytest.raises(InvalidInputError):
         ToolOrientation.normalized([0.0, 0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="^cannot normalize a near-zero vector$"):
+        ToolOrientation.normalized([1e-13, 0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="^tool orientation must be finite$"):
+        ToolOrientation.normalized([math.nan, 0.0, 1.0])
+    # The plain norm of this vector overflows to inf; scaled by its largest
+    # component first, it does not.
+    np.testing.assert_allclose(ToolOrientation.normalized([1e308, 1e308, 0.0]).v,
+                               [math.sqrt(0.5), math.sqrt(0.5), 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WristGeometry(alpha=np.zeros(4)), "alpha must be a 5-vector"),
+    (lambda: WristGeometry(home_thetas=np.zeros(5)), "home_thetas must be a 4-vector"),
+    (lambda: WristGeometry(alpha=[math.inf] * 5), "alpha must be finite"),
+    (lambda: JointAngles([0.0, 1.0]), "joint angles must be a 4-vector"),
+    (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(3), np.zeros(4), 0.0), "rates must be a 4-vector"),
+    (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), np.zeros(5), 0.0), "accels must be a 4-vector"),
+    (lambda: JointState(JointAngles(np.zeros(4)), [0.0, math.nan, 0.0, 0.0], np.zeros(4), 0.0), "rates must be finite"),
+    (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), [math.inf, 0.0, 0.0, 0.0], 0.0),
+     "accels must be finite"),
+    (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), np.zeros(4), math.nan), "t must be finite"),
+])
+def test_value_type_intake_names_the_field(build, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build()
 
 
 def test_joint_angles_validation_and_wrap():
@@ -232,8 +257,10 @@ def test_profiles_branch_jump(geometry):
     orients = [vector_from_pan_tilt(math.radians(p), math.radians(3.0)) for p in (25.0, 35.0, 55.0)]
     with pytest.raises(BranchJumpError) as info:
         trajectory_joint_profiles(orients, 0.01, geometry)
-    # Both samples are named by index and time.
-    assert str(info.value) == ("joint 1 jumps 2.555 rad between samples 1 (t = 0.01 s) and 2 (t = 0.02 s);"
+    # Both samples are named by index, time and tool direction.
+    assert str(info.value) == ("joint 1 jumps 2.555 rad between"
+                               " sample 1 (t = 0.01 s, v = (0.818029, 0.57279, 0.052336))"
+                               " and sample 2 (t = 0.02 s, v = (0.57279, 0.818029, 0.052336));"
                                " the path crosses a singularity")
 
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,9 +20,15 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs;
-    # only the semicircle's torques fail, at its singular midpoint.
-    assert len(exits) == 22 and exits.pop("dynamics_semicircle") == "1\n"
+    # only the semicircle's torques fail, at its singular midpoint.  The 7
+    # error cases each end in one categorised error line.
+    assert len(exits) == 29 and exits.pop("dynamics_semicircle") == "1\n"
+    errors = [name for name in exits if name.startswith("error_")]
+    assert len(errors) == 7 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
+    for name in errors:
+        assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
+    assert (a / "error_ik_pan_only.stderr").read_text().startswith("error[invalid-input]: provide either")
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
     assert len(list(a.glob("*.csv"))) == 21
@@ -46,7 +53,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
             f"error[model-inconsistency]: sample 10 (t = {float(failed[0][1]):.6g} s, v = (")
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "91 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "112 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -59,4 +66,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "91 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "112 files, 3 differ"]

@@ -6,7 +6,9 @@
 A snapshot runs every command below in this process through
 ``sphwrist.cli.main``, from inside DIR, and writes per command NAME the
 files NAME.stdout, NAME.stderr, NAME.exit and, for commands that write one,
-NAME.csv.  The inputs are the paper's study (the benchmark's seed 0).  It
+NAME.csv.  The inputs are the paper's study (the benchmark's seed 0), then
+the fixed inputs of ``ERROR_CASES``, which each end in one error line, so
+that a comparison shows every error line a change alters.  It
 then runs the per-row Newton-Euler API (``solve_state`` and
 ``power_balance_residual`` on every row of a semicircle profile) on each
 case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
@@ -42,6 +44,18 @@ API_CASES = (
     ("api_semicircle_0.1337_load", 0.1337, ((150.0, 150.0, 150.0), 0.11)),
 )
 
+# (name, argv): bad inputs, each ending in one categorised error line and exit 1.
+ERROR_CASES = (
+    ("error_ik_nan", ["ik", "--v", "nan,0,1"]),
+    ("error_ik_huge", ["ik", "--v", "1e308,1e308,0"]),
+    ("error_ik_pan_only", ["ik", "--pan", "20"]),
+    ("error_fk_nan", ["fk", "--theta1", "nan", "--theta3", "0"]),
+    ("error_force_sweep_lever", ["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", FORCES, "--lc", "-1",
+                                 "--out", "error_force_sweep_lever.csv"]),
+    ("error_motor_check_force", ["motor-check", *GRID, "--fc", "inf", "--lc", "0.11"]),
+    ("error_traj_radius", ["traj", "--gamma", "45", "--radius", "1e-300", "--out", "error_traj_radius.csv"]),
+)
+
 
 def commands(samples=None):
     """``(name, argv)`` for every command of a snapshot; each study writes
@@ -70,7 +84,7 @@ def snapshot(directory: Path, samples=None):
     home = os.getcwd()
     os.chdir(directory)
     try:
-        for name, argv in commands(samples):
+        for name, argv in [*commands(samples), *ERROR_CASES]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
