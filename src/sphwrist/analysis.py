@@ -85,15 +85,21 @@ def _shaft_torques(profile, tau, motors):
                             for i, motor in enumerate(_motor_pair(motors))])
 
 
+def _column_peaks(x):
+    # np.max(np.abs(x), axis=0) of an (N, k) array, taken over a contiguous
+    # transpose: one pass per column, not N passes of length k.
+    return np.abs(np.ascontiguousarray(x.T)).max(axis=1)
+
+
 def _peak_record(spec, profile, tau, motors):
     shaft = _shaft_torques(profile, tau, motors)
     return PeakRecord(
         gamma=spec.gamma,
         radius=spec.radius,
-        max_rates=np.max(np.abs(profile.rates), axis=0),
-        max_accels=np.max(np.abs(profile.accels), axis=0),
-        max_torques=np.max(np.abs(shaft), axis=0),
-        max_powers=np.max(np.abs(shaft * profile.rates[:, :2]), axis=0),
+        max_rates=_column_peaks(profile.rates),
+        max_accels=_column_peaks(profile.accels),
+        max_torques=_column_peaks(shaft),
+        max_powers=_column_peaks(shaft * profile.rates[:, :2]),
     )
 
 
@@ -121,17 +127,18 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     """Peak-torque curve versus cutting-force magnitude at fixed lever arm.
 
     The three cutting-force components are set equal to each value in
-    ``fc_values``.  The joint profile and its load-free torques are computed
-    once; each force value adds only its affine cutting term.
+    ``fc_values``.  The forces and the lever are checked first; then the
+    joint profile and its load-free torques are computed once, and each
+    force value adds only its affine cutting term.
     """
     fc_values = [float(f) for f in fc_values]
     if any(f < 0.0 or not np.isfinite(f) for f in fc_values):
         raise InvalidInputError("cutting-force magnitudes must be non-negative")
+    loads = [(fc, CuttingLoad((fc, fc, fc), lc)) for fc in fc_values]
     try:
         profile = profile_for_spec(base_spec, geometry)
         load_free = _load_free_torques(profile, geometry, bodies, gravity)
-        return [(fc, _peak_record(base_spec, profile, load_free.with_load(CuttingLoad((fc, fc, fc), lc)), motors))
-                for fc in fc_values]
+        return [(fc, _peak_record(base_spec, profile, load_free.with_load(load), motors)) for fc, load in loads]
     except WristError as exc:
         raise _spec_error(base_spec, exc) from exc
 

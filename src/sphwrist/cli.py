@@ -57,6 +57,13 @@ def _parse_floats(option, text, n=None):
     return parts
 
 
+def _finite(option, value) -> float:
+    # A float option checked where the user gave it, so that the error names it.
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{option} must be finite")
+    return value
+
+
 def _spec(args, radius, gamma_deg, kind=trajectory.KIND_CIRCLE) -> trajectory.TrajectorySpec:
     return trajectory.TrajectorySpec(
         kind=kind,
@@ -90,7 +97,8 @@ def cmd_ik(args, config):
 
 
 def cmd_fk(args, config):
-    v = forward_kinematics(math.radians(args.theta1), math.radians(args.theta3), config.geometry).v
+    theta1, theta3 = _finite("--theta1", args.theta1), _finite("--theta3", args.theta3)
+    v = forward_kinematics(math.radians(theta1), math.radians(theta3), config.geometry).v
     print(f"v = {_fmt(v[0])}, {_fmt(v[1])}, {_fmt(v[2])}")
     return 0
 
@@ -111,9 +119,14 @@ def cmd_traj(args, config):
     return 0
 
 
+def _cutting_load(args) -> dynamics.CuttingLoad:
+    fc = _finite("--fc", args.fc)
+    return dynamics.CuttingLoad((fc, fc, fc), args.lc)
+
+
 def cmd_dynamics(args, config):
+    load = _cutting_load(args)
     profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
-    load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
     tau, shaft = analysis.actuator_torques(profile, config.geometry, config.bodies, config.motors,
                                            config.gravity, load)
     rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]])
@@ -161,7 +174,7 @@ def cmd_force_sweep(args, config):
 
 
 def cmd_motor_check(args, config):
-    load = dynamics.CuttingLoad((args.fc, args.fc, args.fc), args.lc)
+    load = _cutting_load(args)
     records = analysis.sweep_peaks(_grid_specs(args), config.geometry, config.bodies, config.motors, load)
     # The grid's envelope: each field's maximum over all records.
     envelope = analysis.PeakRecord(None, 0.0, *(

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, frozen_vector
 from .kinematics import (JointProfile, JointState, _frames, _profile_kinematics, _sample_label, _solve_passive,
                          _unchecked)
-from .rotation import WristGeometry, cross_rows
+from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 GRAVITY.setflags(write=False)
@@ -261,7 +261,8 @@ def _motion(rates, accels, f1, f2, axes, table: _BodyTable, com_motion=True) -> 
         r[:, b] = (R[:, b].reshape(-1, 3) @ com).reshape(n, 3)
     v = cross_rows(omega, r) if com_motion else None
     a = cross_rows(omega_dot, r) + cross_rows(omega, v) if com_motion else None
-    return WristMotion(R, omega, omega_dot, r, v, a, axes, np.linalg.norm(tool[:, 0] - tool[:, 1], axis=1))
+    gap = tool[:, 0] - tool[:, 1]
+    return WristMotion(R, omega, omega_dot, r, v, a, axes, np.sqrt(dot_rows(gap, gap)))
 
 
 def _open_loop_message(closure):
@@ -324,8 +325,8 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
     # Each moment basis: the unit vector normal to the joint axis in its plane
     # with the seed axis, then the axis cross that vector.
     axis, seed = m.joint_axes[:, _MOMENT_AXES], m.joint_axes[:, _MOMENT_SEEDS]
-    normal = seed - np.sum(seed * axis, axis=2, keepdims=True) * axis
-    length = np.sqrt(np.sum(normal * normal, axis=2))
+    normal = seed - dot_rows(seed, axis)[..., None] * axis
+    length = np.sqrt(dot_rows(normal, normal))
     aligned = length < 1e-9
     normal /= np.where(aligned, 1.0, length)[..., None]
     basis = np.stack([normal, cross_rows(axis, normal)], axis=3)
@@ -479,7 +480,7 @@ def _power_balance_rows(motion: WristMotion, table: _BodyTable, gravity, load: C
     p_ext = np.sum((table.mass[:, None] * motion.v_com * gravity).reshape(n, -1), axis=1)
     if load is not None:
         e3, e5 = motion.joint_axes[:, 2], motion.joint_axes[:, 4]
-        p_ext = p_ext + np.sum(_tip_force(load, e3, e5) * cross_rows(motion.omega[:, 0], load.lever * e5), axis=1)
+        p_ext = p_ext + dot_rows(_tip_force(load, e3, e5), cross_rows(motion.omega[:, 0], load.lever * e5))
     return ke_rate, p_ext
 
 
@@ -650,10 +651,22 @@ def _tool_axis(state: JointState, geometry: WristGeometry) -> np.ndarray:
     return _profile_kinematics(profile, geometry, slice(i, i + 1)).axes[0, 4]
 
 
+def _matvec_rows(M, v):
+    # M (N, k, 3) times v (N, 3) per row, (N, k): np.einsum("nij,nj->ni",
+    # M, v) in its bits, one pass over all rows per component.  numpy's
+    # einsum kernel sums the three products in the order 0, 2, 1 and seeds
+    # with +0.0; tests/test_kernels.py holds this form to it.
+    out = np.empty(M.shape[:2])
+    for i in range(M.shape[1]):
+        out[:, i] = M[:, i, 0] * v[:, 0] + M[:, i, 2] * v[:, 2] + M[:, i, 1] * v[:, 1] + 0.0
+    return out
+
+
 def _body_tensor_product(R, tensor, v):
     # World-frame (tensor @ v) per sample, for a symmetric tensor held
-    # constant in the body frame: R (N, 3, 3), v (N, 3).
-    return np.einsum("nij,nj->ni", R, np.einsum("nji,nj->ni", R, v) @ tensor)
+    # constant in the body frame: R (N, 3, 3), v (N, 3).  R^T v is
+    # np.einsum("nji,nj->ni", R, v) in its bits.
+    return _matvec_rows(R, np.column_stack([dot_rows(R[..., i], v) for i in range(3)]) @ tensor)
 
 
 class _LoadFreeTorques(NamedTuple):
@@ -677,7 +690,7 @@ class _LoadFreeTorques(NamedTuple):
         Without a load they are ``tau0`` itself."""
         if load is None:
             return self.tau0
-        return self.tau0 + load.lever * np.einsum("nkj,nj->nk", self.g, _tip_force(load, self.e3, self.e5))
+        return self.tau0 + load.lever * _matvec_rows(self.g, _tip_force(load, self.e3, self.e5))
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -731,14 +744,13 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
         - cross_rows(m.r_com[:, b], table.mass[b] * gravity)
         for b in range(len(BODY_NAMES)))
 
-    q_passive = np.column_stack([np.sum(e3 * terminal, axis=1), np.sum(e4 * distal, axis=1)])
-    tau = np.column_stack([np.sum(e1 * (proximal1 + terminal), axis=1),
-                           np.sum(e2 * (proximal2 + distal), axis=1)])
+    q_passive = np.column_stack([dot_rows(e3, terminal), dot_rows(e4, distal)])
+    tau = np.column_stack([dot_rows(e1, proximal1 + terminal), dot_rows(e2, proximal2 + distal)])
     n = len(profile)
     g = np.empty((n, 2, 3))
     for k, drive in enumerate(np.eye(2)):
         # The passive rates per unit rate of actuator k, by loop closure.
         rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
-        tau[:, k] += np.sum(rates * q_passive, axis=1)
+        tau[:, k] += dot_rows(rates, q_passive)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
     return _LoadFreeTorques(tau, g, e3, e5)

@@ -29,8 +29,8 @@ from .errors import (
     UnreachableOrientationError,
     frozen_vector,
 )
-from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, leg_frames, unwrap_angles,
-                       wrap_angle)
+from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, dot_rows, leg_frames,
+                       unwrap_angles, wrap_angle)
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
@@ -86,11 +86,11 @@ def _unit_directions(v) -> np.ndarray:
     v = np.array(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
-    finite = np.all(np.isfinite(v), axis=1)
-    bad = ~finite | ~(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+    # A non-finite row fails the norm test too.
+    bad = ~(np.abs(np.sqrt(dot_rows(v, v)) - 1.0) <= 1e-12)
     if bad.any():
         i = int(np.argmax(bad))
-        problem = "finite" if not finite[i] else "unit length"
+        problem = "finite" if not np.isfinite(v[i]).all() else "unit length"
         raise InvalidInputError(f"sample {i}: tool orientation must be {problem}")
     v.setflags(write=False)
     return v
@@ -304,8 +304,8 @@ def _joint_angles(v, geometry: WristGeometry, label=_index_label) -> np.ndarray:
     theta4 = np.arctan2(s4, c4)
 
     # Report the lowest failing sample; there, the first check that fails.
-    failed = np.array([np.broadcast_to(mask, ux.shape) for mask, _, _ in checks]).reshape(len(checks), -1)
-    if failed.any():
+    if any(np.any(mask) for mask, _, _ in checks):
+        failed = np.array([np.broadcast_to(mask, ux.shape) for mask, _, _ in checks]).reshape(len(checks), -1)
         i = int(np.argmax(failed.any(axis=0)))
         _, error, message = checks[int(np.argmax(failed[:, i]))]
         raise error(f"{label(i)}: {message}" if u.ndim > 1 else message)
@@ -323,8 +323,13 @@ def inverse_kinematics(orientation: ToolOrientation, geometry: WristGeometry) ->
 
 def _axis_stack(f0, f1, f2) -> np.ndarray:
     """Axes e1..e6 (n, 6, 3) from ``leg_frames`` output: the two drive axes,
-    the two elbow axes, then the two tool axes, leg 1's before leg 2's."""
-    return np.concatenate([np.broadcast_to(f0[..., 2], f1.shape[:-1]), f1[..., 2], f2[..., 2]], axis=1)
+    the two elbow axes, then the two tool axes, leg 1's before leg 2's.
+    Stored axis-major, so that each e_k is one contiguous (n, 3) block."""
+    axes = np.empty((6, len(f1), 3))
+    axes[:2] = f0[:, None, :, 2]
+    axes[2:4] = f1[..., 2].transpose(1, 0, 2)
+    axes[4:] = f2[..., 2].transpose(1, 0, 2)
+    return axes.transpose(1, 0, 2)
 
 
 class _PassiveClosure(NamedTuple):
@@ -347,12 +352,10 @@ def _passive_closure(axes) -> _PassiveClosure:
     """The passive closure terms at axes e1..e6 (n, 6, 3)."""
     e3, e4, e5 = axes[:, 2], axes[:, 3], axes[:, 4]
     b1, b2 = cross_rows(e3, e5), -cross_rows(e4, e5)
-    g11 = np.sum(b1 * b1, axis=1)
-    g12 = np.sum(b1 * b2, axis=1)
-    g22 = np.sum(b2 * b2, axis=1)
+    g11, g12, g22 = dot_rows(b1, b1), dot_rows(b1, b2), dot_rows(b2, b2)
     singular = g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
     normal = cross_rows(b1, b2)
-    return _PassiveClosure(b1, b2, singular, normal, np.where(singular, 1.0, np.sum(normal * normal, axis=1)))
+    return _PassiveClosure(b1, b2, singular, normal, np.where(singular, 1.0, dot_rows(normal, normal)))
 
 
 def _solve_passive(passive: _PassiveClosure, rhs):
@@ -361,8 +364,7 @@ def _solve_passive(passive: _PassiveClosure, rhs):
     # normal equations square the conditioning.  Minimum-norm on the singular
     # rows, which is also the correct compatible answer there.
     b1, b2, singular, n, nn = passive
-    x = np.column_stack([np.sum(cross_rows(rhs, b2) * n, axis=1),
-                         np.sum(cross_rows(b1, rhs) * n, axis=1)]) / nn[:, None]
+    x = np.column_stack([dot_rows(cross_rows(rhs, b2), n), dot_rows(cross_rows(b1, rhs), n)]) / nn[:, None]
     for i in np.flatnonzero(singular):
         x[i], *_ = np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)
     return x

@@ -62,6 +62,18 @@ def cross_rows(a, b) -> np.ndarray:
     return out
 
 
+def dot_rows(a, b) -> np.ndarray:
+    """Dot products along the last axis of two (..., k) stacks of short
+    vectors: ``np.sum(a * b, axis=-1)`` in its order and bits, one pass over
+    all rows per component instead of one short loop per row.  np.sum seeds
+    with +0.0, so a row of -0.0 products gives +0."""
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total += a[..., k] * b[..., k]
+    total += 0.0
+    return total
+
+
 def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     """Check orthonormality and det(R) = +1 entrywise within ``tol``."""
     R = np.asarray(R, dtype=float)

@@ -139,6 +139,17 @@ def test_force_sweep_rejects_negative_force(geometry, bodies, motor):
         force_sweep(circle_spec(45.0, 0.15, 51), [-5.0], 0.1, geometry, bodies, motor)
 
 
+def test_force_sweep_checks_the_lever_before_the_profile(geometry, bodies, motor, monkeypatch):
+    # A bad lever is named on its own, before any profile or torque pass.
+    def unreachable(*args):
+        raise AssertionError("profile computed before the lever check")
+
+    monkeypatch.setattr(analysis, "profile_for_spec", unreachable)
+    for lever in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="^lever must be non-negative$"):
+            force_sweep(circle_spec(45.0, 0.15, 51), [0.0, 25.0], lever, geometry, bodies, motor)
+
+
 def test_motor_feasibility_reference_worst_case(motor):
     # Worst reference no-load torques stay below the 23 Nm continuous rating.
     report = motor_feasibility(peak_record((12.94, 13.84)), motor)

@@ -530,6 +530,22 @@ def test_cli_reflected_inertia_overflow_is_one_error(tmp_path, monkeypatch, caps
     assert err == f"error[invalid-input]: output {column} is inf at row 0; the inputs overflow double precision\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("fk", "--theta1", "nan", "--theta3", "0"), "error[invalid-input]: --theta1 must be finite\n"),
+    (("fk", "--theta1", "0", "--theta3=-inf"), "error[invalid-input]: --theta3 must be finite\n"),
+    (("motor-check", "--gamma", "45", "--radius", "0.1", "--fc", "inf", "--lc", "0.11"),
+     "error[invalid-input]: --fc must be finite\n"),
+    (("dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "nan", "--out", "x.csv"),
+     "error[invalid-input]: --fc must be finite\n"),
+    (("force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,25", "--lc", "-1", "--out", "x.csv"),
+     "error[invalid-input]: lever must be non-negative\n"),
+])
+def test_cli_non_finite_option_names_the_option(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", line)
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--gamma", "45,nan", "--radius", "0.1", "--out", str(tmp_path / "x.csv"))
     assert code == 1

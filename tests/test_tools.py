@@ -31,7 +31,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_ik_pan_only.stderr").read_text().startswith("error[invalid-input]: provide either")
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
-    assert len(list(a.glob("*.csv"))) == 21
+    assert len(list(a.glob("*.csv"))) == 33
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # The per-row API on the two semicircles, with and without a load: one
     # row per sample, every number %.17g, only the midpoint failing.
@@ -52,8 +52,19 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert (a / f"{name}.stderr").read_text().startswith(
             f"error[model-inconsistency]: sample 10 (t = {float(failed[0][1]):.6g} s, v = (")
 
+    # The load-free virtual-work pass of the 12 grid specs: one row per
+    # sample, every number %.17g, so that a last-bit change shows.
+    vw = sorted(a.glob("vw_*.csv"))
+    grid = [f"vw_{g}_{r}" for g in ("30", "45", "60") for r in ("0.25", "0.15", "0.10", "0.05")]
+    assert [p.stem for p in vw] == sorted(grid)
+    for path in vw:
+        rows = list(csv.reader(path.open()))
+        assert rows[0][:3] == ["sample", "t", "theta1"] and rows[0][14:17] == ["tau0_1", "tau0_2", "g1_0"]
+        assert len(rows[0]) == 22 and len(rows) == 22 and {len(row) for row in rows} == {22}
+        assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
+
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "112 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "124 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -66,4 +77,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "112 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "124 files, 3 differ"]

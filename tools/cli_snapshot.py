@@ -14,7 +14,12 @@ then runs the per-row Newton-Euler API (``solve_state`` and
 case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
 per sample with every number as ``%.17g`` and a failing row's error line,
 and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
-The sphwrist package is the one on the import path, so setting PYTHONPATH
+Last, for each spec of ``VW_CASES``, it writes NAME.csv with the load-free
+virtual-work pass that ``sweep`` and ``force-sweep`` make, one row per
+sample with every number as ``%.17g``: the joint angles, rates and
+accelerations, the load-free torques tau0 and the load terms g.  The
+``.12g`` CSVs of the commands can hide a change in the last bits; these
+cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
 to another checkout's src snapshots that checkout.
 
 ``--compare`` lists the files that differ between two snapshot directories
@@ -43,6 +48,10 @@ API_CASES = (
     ("api_semicircle_0.1337", 0.1337, None),
     ("api_semicircle_0.1337_load", 0.1337, ((150.0, 150.0, 150.0), 0.11)),
 )
+
+# (name, cone angle in degrees, radius in m): the 12 grid specs of sweep and
+# motor-check; the force-sweep spec is the grid's (45, 0.15).
+VW_CASES = tuple((f"vw_{g}_{r}", float(g), float(r)) for g in GAMMAS for r in RADII)
 
 # (name, argv): bad inputs, each ending in one categorised error line and exit 1.
 ERROR_CASES = (
@@ -97,6 +106,8 @@ def snapshot(directory: Path, samples=None):
             Path(f"{name}.exit").write_text(code + "\n")
         for name, radius, load in API_CASES:
             api_rows(name, radius, load, samples)
+        for name, gamma, radius in VW_CASES:
+            vw_rows(name, gamma, radius, samples)
     finally:
         os.chdir(home)
 
@@ -138,6 +149,31 @@ def api_rows(name, radius, load, samples=None):
     except sphwrist.WristError as exc:
         line = f"error[{exc.category}]: {exc}\n"
     Path(f"{name}.stderr").write_text(line)
+
+
+def vw_rows(name, gamma, radius, samples=None):
+    """Write NAME.csv: the profile and load-free virtual-work pass of one circle spec."""
+    import math
+
+    import sphwrist
+    from sphwrist.analysis import profile_for_spec
+    from sphwrist.dynamics import _load_free_torques
+
+    config = sphwrist.default_config()
+    spec = sphwrist.TrajectorySpec(kind="circle-XY", radius=radius, gamma=math.radians(gamma),
+                                   tool_speed=config.tool_speed,
+                                   sample_count=config.sample_count if samples is None else samples)
+    profile = profile_for_spec(spec, config.geometry)
+    load_free = _load_free_torques(profile, config.geometry, config.bodies, config.gravity)
+    header = ["sample", "t", *(f"{name}{j}" for name in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
+              "tau0_1", "tau0_2", *(f"g{k}_{j}" for k in (1, 2) for j in range(3))]
+    columns = [profile.t[:, None], profile.theta, profile.rates, profile.accels, load_free.tau0,
+               load_free.g.reshape(len(profile), 6)]
+    with open(f"{name}.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([i, *("%.17g" % v for part in row for v in part)])
 
 
 def _float(cell):
