@@ -158,14 +158,15 @@ def vw_rows(name, gamma, radius, samples=None):
     import sphwrist
     from sphwrist.analysis import profile_for_spec
     from sphwrist.dynamics import _load_free_torques
+    from sphwrist.trajectory import KIND_CIRCLE
 
     config = sphwrist.default_config()
-    spec = sphwrist.TrajectorySpec(kind="circle-XY", radius=radius, gamma=math.radians(gamma),
+    spec = sphwrist.TrajectorySpec(kind=KIND_CIRCLE, radius=radius, gamma=math.radians(gamma),
                                    tool_speed=config.tool_speed,
                                    sample_count=config.sample_count if samples is None else samples)
     profile = profile_for_spec(spec, config.geometry)
     load_free = _load_free_torques(profile, config.geometry, config.bodies, config.gravity)
-    header = ["sample", "t", *(f"{name}{j}" for name in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
+    header = ["sample", "t", *(f"{field}{j}" for field in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
               "tau0_1", "tau0_2", *(f"g{k}_{j}" for k in (1, 2) for j in range(3))]
     columns = [profile.t[:, None], profile.theta, profile.rates, profile.accels, load_free.tau0,
                load_free.g.reshape(len(profile), 6)]
