@@ -9,11 +9,12 @@ from .dynamics import (
     CuttingLoad,
     MotorSpec,
     _load_free_torques,
+    _rotor_torque,
     reflected_motor_torque,
     virtual_work_torques,
 )
 from .errors import InvalidInputError, WristError
-from .kinematics import JointProfile, trajectory_joint_profiles
+from .kinematics import JointProfile, _sample_label, trajectory_joint_profiles
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -91,16 +92,31 @@ def _column_peaks(x):
     return np.abs(np.ascontiguousarray(x.T)).max(axis=1)
 
 
-def _peak_record(spec, profile, tau, motors):
-    shaft = _shaft_torques(profile, tau, motors)
-    return PeakRecord(
-        gamma=spec.gamma,
-        radius=spec.radius,
-        max_rates=_column_peaks(profile.rates),
-        max_accels=_column_peaks(profile.accels),
-        max_torques=_column_peaks(shaft),
-        max_powers=_column_peaks(shaft * profile.rates[:, :2]),
-    )
+def _peak_records(spec, profile, load_free, motors):
+    """The PeakRecord of ``profile`` as a function of its joint torques
+    (N, 2) and a label for their load: the kinematic peaks and the reflected
+    rotor torques are taken once per profile.  The shaft torques and powers
+    are checked for finite values through their peaks; an overflow is
+    reported at its lowest sample, by index, time and tool axis."""
+    max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
+    for peaks in (max_rates, max_accels):
+        peaks.setflags(write=False)  # shared by every record of the profile
+    rotor = np.column_stack([_rotor_torque(profile.accels[:, i], motor)
+                             for i, motor in enumerate(_motor_pair(motors))])
+
+    def record(tau, where=""):
+        shaft = tau + rotor
+        power = shaft * profile.rates[:, :2]
+        max_torques, max_powers = _column_peaks(shaft), _column_peaks(power)
+        if not (np.isfinite(max_torques).all() and np.isfinite(max_powers).all()):
+            values = np.column_stack([shaft, power])
+            i, k = np.argwhere(~np.isfinite(values))[0]
+            column = ("T1_Nm", "T2_Nm", "P1_W", "P2_W")[k]
+            raise InvalidInputError(f"{where}{_sample_label(i, profile.t[i], load_free.e5[i])}: {column}"
+                                    f" is {values[i, k]}; the inputs overflow double precision")
+        return PeakRecord(spec.gamma, spec.radius, max_rates, max_accels, max_torques, max_powers)
+
+    return record
 
 
 def _spec_error(spec, exc: WristError) -> WristError:
@@ -116,8 +132,8 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
     for spec in specs:
         try:
             profile = profile_for_spec(spec, geometry)
-            tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
-            records.append(_peak_record(spec, profile, tau, motors))
+            load_free = _load_free_torques(profile, geometry, bodies, gravity)
+            records.append(_peak_records(spec, profile, load_free, motors)(load_free.with_load(load)))
         except WristError as exc:
             raise _spec_error(spec, exc) from exc
     return records
@@ -128,8 +144,9 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
 
     The three cutting-force components are set equal to each value in
     ``fc_values``.  The forces and the lever are checked first; then the
-    joint profile and its load-free torques are computed once, and each
-    force value adds only its affine cutting term.
+    joint profile, its load-free torques, kinematic peaks and reflected
+    rotor torques are computed once, and each force value adds only its
+    affine cutting term.
     """
     fc_values = [float(f) for f in fc_values]
     if any(f < 0.0 or not np.isfinite(f) for f in fc_values):
@@ -138,7 +155,8 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     try:
         profile = profile_for_spec(base_spec, geometry)
         load_free = _load_free_torques(profile, geometry, bodies, gravity)
-        return [(fc, _peak_record(base_spec, profile, load_free.with_load(load), motors)) for fc, load in loads]
+        record = _peak_records(base_spec, profile, load_free, motors)
+        return [(fc, record(load_free.with_load(load), f"Fc = {fc:.12g} N: ")) for fc, load in loads]
     except WristError as exc:
         raise _spec_error(base_spec, exc) from exc
 

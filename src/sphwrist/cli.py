@@ -35,14 +35,96 @@ def _finite_output(header, rows) -> np.ndarray:
     return rows
 
 
+# Rows are formatted and written in blocks of this many, so that the
+# formatter's temporaries stay small whatever the length of the table.
+CSV_BLOCK = 256
+
+
+def _text_tables():
+    """The tables of ``_text_words``.  Per 4-digit group g: its ASCII
+    digits in bytes 0, 2, 4 and 6 of a little-endian 64-bit word (the odd
+    bytes are point slots), and its trailing zeros.  Per layout code
+    (X + 4) * 12 + L, of a value with decimal exponent X and last nonzero
+    mantissa digit L: the prefix word (by sign), and the digit mask and the
+    point of each of the three group words."""
+    d = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999
+    digits = np.zeros((10000, 8), dtype=np.uint8)
+    digits[:, ::2] = 48 + d.T
+    zero = d == 0
+    trailing = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0].astype(np.intp))))
+    exponent, last = np.arange(-4, 12)[:, None], np.arange(12)
+    prefix = np.array([int.from_bytes(b"-" * negative + (b"0." + b"0" * (-x - 1)) * (x < 0), "little")
+                       for negative in (0, 1) for x in range(-4, 12)], dtype="<u8").repeat(12)
+    # The digits shown are the integer part and the fraction up to L.
+    shown = np.maximum(exponent, last) + 1 - 4 * np.arange(3)[:, None, None]
+    masks = np.array([(1 << 16 * k) - 1 for k in range(5)], dtype="<u8")[np.clip(shown, 0, 4)]
+    point = np.array([ord(".") << 8 * (2 * j + 1) for j in range(4)], dtype="<u8")[exponent % 4]
+    points = np.where((exponent // 4 == np.arange(3)[:, None, None]) & (0 <= exponent) & (exponent < last), point, 0)
+    return digits.view("<u8")[:, 0], trailing, prefix, masks.reshape(3, -1), points.reshape(3, -1)
+
+
+_GROUPS, _TRAILING, _PREFIX, _MASKS, _POINTS = _text_tables()
+_POW10 = np.array([float(10 ** k) for k in range(17)])  # exact: 10**k is a double for k <= 22
+
+
+def _text_words(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
+    """The "%.12g" text of the finite values ``x`` (flat), each followed by
+    its separator, as four little-endian 64-bit words per value; the bytes
+    left 0 are not part of the text.  ``separators`` holds each separator in
+    the top byte of a word.
+
+    A value whose text is fixed notation (decimal exponent X from -4 to 11)
+    is formatted in array passes.  For E the decimal exponent of |x| by
+    log10, y = |x| * 10**(11 - E) is one correctly rounded multiply by an
+    exact power of ten; y < 2**40, so y is within 2**-14 of the exact
+    product, and rint(y) is the correctly rounded 12-digit mantissa when y
+    lies in [1e11, 1e12) and its fraction is more than 2**-11 from 1/2.
+    The words are the prefix, then three 4-digit groups with a point slot
+    after each digit.  Every other value (zero, exponent notation, a
+    near-tie, a power of ten that log10 puts in the wrong decade) is
+    formatted by Python.
+    """
+    y = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.clip(np.floor(np.log10(y)), -5, 11).astype(np.intp)
+    y *= _POW10[11 - e]
+    m = np.rint(y)
+    e += m == 1e12  # a mantissa of 1e12 carries into the next decade
+    fast = (y >= 1e11) & (y < 1e12) & (np.abs(y - m) < 0.5 - 2.0 ** -11) & (e >= -4) & (e <= 11)
+    # The three 4-digit groups of the mantissa; m < 2**40, so each step is exact.
+    m = np.where(fast & (m < 1e12), m, 1e11)
+    high = np.floor(m / 1e8)
+    m -= high * 1e8
+    middle = np.floor(m / 1e4)
+    m -= middle * 1e4
+    groups = [g.astype(np.intp) for g in (high, middle, m)]
+    t1, t2 = _TRAILING[groups[1]], _TRAILING[groups[2]]
+    last = 11 - (t2 + (t2 == 4) * (t1 + (t1 == 4) * _TRAILING[groups[0]]))
+    code = np.where(fast, (e + 4) * 12 + last, 0)
+    words = np.empty((len(x), 4), dtype="<u8")
+    words[:, 0] = _PREFIX[(x < 0) * 192 + code]
+    for i, group in enumerate(groups):
+        words[:, 1 + i] = (_GROUPS[group] & _MASKS[i][code]) | _POINTS[i][code]
+    words[:, 3] |= separators  # the slot after digit 11 never holds a point
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = b"".join(format(v, ".12g").encode().ljust(31, b"\0") for v in x[slow].tolist())
+        words.view(np.uint8)[slow, :31] = np.frombuffer(text, dtype=np.uint8).reshape(len(slow), 31)
+    return words
+
+
 def write_csv(path, header, rows):
-    # One % operation per row; "%.12g" gives the same text as _fmt.
-    row_format = ",".join(["%.12g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in _finite_output(header, rows).tolist())
+    """Write ``header`` and the finite table ``rows`` as CSV, every value
+    "%.12g"; a non-finite table raises before the file is opened."""
+    rows = _finite_output(header, rows)
+    separators = np.tile(np.array([ord(",")] * (len(header) - 1) + [ord("\n")], dtype="<u8") << 56, CSV_BLOCK)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(rows), CSV_BLOCK):
+                block = rows[start:start + CSV_BLOCK].ravel()
+                words = _text_words(block, separators[:len(block)])
+                fh.write(words.tobytes().translate(None, b"\0").decode("ascii"))
     except OSError as exc:
         raise FileIOError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -181,7 +263,6 @@ def cmd_motor_check(args, config):
         np.max([getattr(rec, field) for rec in records], axis=0)
         for field in ("max_rates", "max_accels", "max_torques", "max_powers")
     ))
-    _finite_output(["T1_Nm", "T2_Nm"], [envelope.max_torques])
     report = analysis.motor_feasibility(envelope, config.motors)
     for i, a in enumerate(report.actuators):
         print(

@@ -179,10 +179,10 @@ class CuttingLoad:
             raise InvalidInputError("lever must be non-negative")
 
 
-def _tip_force(load: CuttingLoad, e3, e5):
+def _tip_force(load: CuttingLoad, e3, e5, e3_x_e5):
     # World-frame tip force from stacked axes (n, 3); (e3, e5, e3 x e5) is
     # orthonormal only for a terminal twist of pi/2.
-    return load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * cross_rows(e3, e5)
+    return load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * e3_x_e5
 
 
 _BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center force_points")
@@ -358,8 +358,8 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
     b[..., 3:] = ((inertia @ m.omega_dot[..., None])[..., 0]
                   + cross_rows(m.omega, (inertia @ m.omega[..., None])[..., 0]) - cross_rows(m.r_com, weight))
     if load is not None:
-        e5 = m.joint_axes[:, 4]
-        f = _tip_force(load, m.joint_axes[:, 2], e5)
+        e3, e5 = m.joint_axes[:, 2], m.joint_axes[:, 4]
+        f = _tip_force(load, e3, e5, cross_rows(e3, e5))
         b[:, 0, :3] -= f
         b[:, 0, 3:] -= cross_rows(load.lever * e5, f)
     return A, b.reshape(n, N_EQUATIONS), aligned.any(axis=1)
@@ -465,8 +465,13 @@ def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
     """Output-shaft torque including the reflected rotor inertia, elementwise."""
     if not (np.all(np.isfinite(tau_joint)) and np.all(np.isfinite(joint_accel))):
         raise InvalidInputError("torque and acceleration must be finite")
+    return tau_joint + _rotor_torque(joint_accel, motor)
+
+
+def _rotor_torque(joint_accel, motor: MotorSpec):
+    # The reflected rotor inertia's share of the shaft torque, unchecked.
     # np.square overflows to inf where float ** 2 raises OverflowError.
-    return tau_joint + motor.rotor_inertia * np.square(motor.reduction_ratio) * joint_accel
+    return motor.rotor_inertia * np.square(motor.reduction_ratio) * joint_accel
 
 
 def _power_balance_rows(motion: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None):
@@ -480,7 +485,8 @@ def _power_balance_rows(motion: WristMotion, table: _BodyTable, gravity, load: C
     p_ext = np.sum((table.mass[:, None] * motion.v_com * gravity).reshape(n, -1), axis=1)
     if load is not None:
         e3, e5 = motion.joint_axes[:, 2], motion.joint_axes[:, 4]
-        p_ext = p_ext + dot_rows(_tip_force(load, e3, e5), cross_rows(motion.omega[:, 0], load.lever * e5))
+        p_ext = p_ext + dot_rows(_tip_force(load, e3, e5, cross_rows(e3, e5)),
+                                 cross_rows(motion.omega[:, 0], load.lever * e5))
     return ke_rate, p_ext
 
 
@@ -676,21 +682,23 @@ class _LoadFreeTorques(NamedTuple):
     ``tau0`` (N, 2) are the joint torques under inertia and gravity alone.
     ``g`` (N, 2, 3) holds, per actuator k, ``e5 x w_k``, with ``w_k`` the
     terminal's angular velocity per unit rate of actuator k: a world-frame
-    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``e3`` and
-    ``e5`` (N, 3) turn a ``CuttingLoad`` into that world-frame force.
+    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``e3``,
+    ``e5`` and ``e3_x_e5`` (N, 3), the same for every load, turn a
+    ``CuttingLoad`` into that world-frame force.
     """
 
     tau0: np.ndarray
     g: np.ndarray
     e3: np.ndarray
     e5: np.ndarray
+    e3_x_e5: np.ndarray
 
     def with_load(self, load: CuttingLoad | None = None) -> np.ndarray:
         """Joint torques (N, 2) under ``load``: the torques are affine in it.
         Without a load they are ``tau0`` itself."""
         if load is None:
             return self.tau0
-        return self.tau0 + load.lever * _matvec_rows(self.g, _tip_force(load, self.e3, self.e5))
+        return self.tau0 + load.lever * _matvec_rows(self.g, _tip_force(load, self.e3, self.e5, self.e3_x_e5))
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -753,4 +761,4 @@ def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
         rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
         tau[:, k] += dot_rows(rates, q_passive)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
-    return _LoadFreeTorques(tau, g, e3, e5)
+    return _LoadFreeTorques(tau, g, e3, e5, cross_rows(e3, e5))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import symmetric_rel
 from sphwrist import (
+    CuttingLoad,
     PeakRecord,
     TrajectorySpec,
     force_sweep,
@@ -94,6 +95,36 @@ def test_force_sweep_zero_force_matches_no_load(geometry, bodies, motor):
     assert fc == 0.0
     assert np.array_equal(rec.max_torques, no_load.max_torques)
     assert np.array_equal(rec.max_powers, no_load.max_powers)
+
+
+def test_force_sweep_records_match_one_sweep_per_force(geometry, bodies, motor):
+    # The kinematic peaks and rotor torques are taken once per profile; each
+    # record still equals a sweep under its own load, bit for bit.
+    spec = circle_spec(45.0, 0.15, 101)
+    curve = force_sweep(spec, [0.0, 75.0, 150.0], 0.11, geometry, bodies, motor)
+    for fc, rec in curve:
+        single = sweep_peaks([spec], geometry, bodies, motor, CuttingLoad((fc, fc, fc), 0.11))[0]
+        for field in ("max_rates", "max_accels", "max_torques", "max_powers"):
+            assert getattr(rec, field).tobytes() == getattr(single, field).tobytes()
+    # The shared kinematic peaks are read-only.
+    assert curve[0][1].max_rates is curve[1][1].max_rates and not curve[0][1].max_rates.flags.writeable
+
+
+@pytest.mark.parametrize("study, where", [
+    ("sweep", ""),
+    ("force-sweep", "Fc = 1e+300 N: "),
+])
+def test_peak_overflow_names_spec_force_and_sample(geometry, bodies, motor, study, where):
+    spec = circle_spec(45.0, 0.1, 101)
+    if study == "sweep":
+        fast = replace(spec, tool_speed=1e150)
+        run, column = lambda: sweep_peaks([spec, fast], geometry, bodies, motor), "P1_W"
+    else:
+        run, column = lambda: force_sweep(spec, [0.0, 1e300], 1e10, geometry, bodies, motor), "T1_Nm"
+    with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as info:
+        run()
+    assert str(info.value).startswith(f"spec (kind=circle-XY, gamma=45 deg, R=0.1): {where}sample 0 (t = 0 s, v = (")
+    assert str(info.value).endswith(f"): {column} is inf; the inputs overflow double precision")
 
 
 def test_force_sweep_monotone_in_force_and_lever(geometry, bodies, motor):

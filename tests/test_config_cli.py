@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sphwrist
 from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
 from sphwrist.cli import build_parser, main, write_csv
 from sphwrist.config import (config_from_text, default_config, default_config_text, load_config,
                              parse_config_text)
-from sphwrist.errors import ConfigError
+from sphwrist.errors import ConfigError, InvalidInputError
 from sphwrist.trajectory import KIND_CIRCLE
 
 
@@ -428,6 +429,52 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_text().splitlines()[1] == "-0,4.94065645841e-324,1e-300,1.7e+308,3,-12"
 
 
+def _per_value_csv(header, rows):
+    return "\n".join([",".join(header)] + [",".join(format(x, ".12g") for x in row) for row in rows]) + "\n"
+
+
+def _signed(*values):
+    # A two-column table of each value and its negative.
+    values = np.array(values, dtype=float)
+    return np.column_stack([values, -values])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=arrays(np.float64, st.tuples(st.integers(1, 600), st.integers(1, 15)),
+                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+# Near-ties and the edges of the decade, where one scaling is not enough;
+# each side of every power of ten the fixed notation reaches; the ends of
+# the fixed notation and the float range.
+@example(rows=_signed(9.999999999995, *((1e12 - 0.5) * 10.0 ** k for k in range(-17, 3))))
+@example(rows=_signed(*(np.nextafter(10.0 ** k, d) for k in range(-6, 14) for d in (0.0, np.inf))))
+@example(rows=_signed(1e-4, 9.99999999999e-5, 1e11, 999999999999.5, 2.0 ** 53))
+@example(rows=_signed(-0.0, 5e-324, 1.7976931348623157e308))
+def test_write_csv_matches_format_on_any_finite_table(tmp_path_factory, rows):
+    # Up to 600 rows, so that tables cross the writer's 256-row blocks.
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == _per_value_csv(header, rows.tolist())
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
+def test_write_csv_zero_rows_writes_the_header(tmp_path, rows):
+    path = tmp_path / "x.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_text() == "a,b,c\n"
+
+
+def test_write_csv_non_finite_table_writes_no_file(tmp_path):
+    path = tmp_path / "x.csv"
+    rows = np.ones((300, 2))
+    rows[270, 1] = -np.inf
+    with pytest.raises(InvalidInputError) as raised:
+        write_csv(path, ["a", "b"], rows)
+    assert raised.value.category == "invalid-input"
+    assert str(raised.value) == "output b is -inf at row 270; the inputs overflow double precision"
+    assert not path.exists()
+
+
 def test_cli_huge_sample_count_is_one_error(tmp_path, capsys, monkeypatch):
     # The spec rejects the count before any path is generated.
     def fail(spec):
@@ -521,13 +568,18 @@ def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
     (("motor-check", "--gamma", "45", "--radius", "0.1", "--samples", "21"), "T1_Nm"),
 ])
 def test_cli_reflected_inertia_overflow_is_one_error(tmp_path, monkeypatch, capsys, argv, column):
-    # The square of this ratio overflows; the shaft torque becomes inf.
+    # The square of this ratio overflows; the shaft torque becomes inf.  A
+    # dynamics CSV row is a sample, so the row names it; a peak names its
+    # spec and sample.
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "ratio.cfg"
     path.write_text(default_config_text().replace("motor.1.reduction_ratio = 1.0", "motor.1.reduction_ratio = 1e200"))
     code, out, err = run_cli(capsys, "--config", str(path), *argv)
     assert code == 1 and out == "" and not any(tmp_path.glob("*.csv"))
-    assert err == f"error[invalid-input]: output {column} is inf at row 0; the inputs overflow double precision\n"
+    where = (f"output {column} is inf at row 0" if argv[0] == "dynamics" else
+             "spec (kind=circle-XY, gamma=45 deg, R=0.1): sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)):"
+             f" {column} is inf")
+    assert err == f"error[invalid-input]: {where}; the inputs overflow double precision\n"
 
 
 @pytest.mark.parametrize("argv, line", [
