@@ -10,7 +10,6 @@ from .dynamics import (
     MotorSpec,
     _load_free_torques,
     _rotor_torque,
-    reflected_motor_torque,
     virtual_work_torques,
 )
 from .errors import InvalidInputError, WristError
@@ -75,15 +74,12 @@ def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GR
     """Joint torques and output-shaft torques of both actuators, each (N, 2).
 
     Joint torques by virtual work over the whole profile; the shaft torque
-    adds each motor's reflected rotor inertia.
+    adds each motor's reflected rotor inertia, unchecked as in
+    ``_peak_records``: the CSV check names a non-finite value.
     """
     tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
-    return tau, _shaft_torques(profile, tau, motors)
-
-
-def _shaft_torques(profile, tau, motors):
-    return np.column_stack([reflected_motor_torque(tau[:, i], profile.accels[:, i], motor)
-                            for i, motor in enumerate(_motor_pair(motors))])
+    return tau, np.column_stack([tau[:, i] + _rotor_torque(profile.accels[:, i], motor)
+                                 for i, motor in enumerate(_motor_pair(motors))])
 
 
 def _column_peaks(x):

@@ -19,12 +19,13 @@ Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
 axes and passive loop-closure terms are the ones the profile stage kept
 (``kinematics._profile_kinematics``), read whole or one block of rows at a
 time; only a one-state call or a profile built some other way computes
-them.  The Householder reflectors of one raw QR factorization of each
-transposed matrix give its minimum-norm solution, and nearly rank-deficient
-rows fall back to SVD least squares.  The one-state calls are the n = 1
-case.  ``solve_state`` on a row of a ``JointProfile`` solves the row's
-aligned block of ``NE_BLOCK`` rows, with each row's power-balance terms, and
-keeps it on the profile for the block's other rows and for
+them.  The solve eliminates the joint forces (a constant +-I block) and
+factors the 12 x 13 moment balances left (raw QR): their Householder
+reflectors give the minimum-norm solution, and nearly rank-deficient rows
+fall back to SVD least squares.  The one-state calls are the n = 1 case.
+``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
+block of ``NE_BLOCK`` rows, with each row's power-balance terms, and keeps
+it on the profile, laid out by row, for the block's other rows and for
 ``power_balance_residual``.  ``verify_profile`` makes the same block passes
 over a whole profile.
 
@@ -53,15 +54,15 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row goes to lstsq when the smallest diagonal entry of its R is at most
-# this fraction of the largest: the equations are then too near
-# rank-deficient for the QR solution, and lstsq's rank decision applies.  The
-# ratio is 1e-16 at the R = 0.25 m semicircle's singular midpoint, 1.7e-3 beside it.
+# A row goes to lstsq when the smallest diagonal entry of its reduced R (see
+# _solve) is at most this fraction of the largest: the equations are then too
+# near rank-deficient for the QR solution, and lstsq's rank decision applies.
+# The ratio is 1.06e-16 at the semicircles' singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
-# per row and more memory (the matrices and their raw QR reflectors hold
-# about 0.6 MB at 64 rows).
+# per row and more memory (the 24 x 25 matrices and the 13 x 12 raw QR
+# reflectors of the reduced system hold about 0.4 MB at 64 rows).
 NE_BLOCK = 64
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
@@ -392,35 +393,77 @@ class DynamicsSolution:
     power: np.ndarray
 
 
+# The moment balances' rows, the joint forces' unknowns and those left: the
+# joint moments, the torques and the planar force p.
+_MOMENT_ROWS = tuple(r for _, moments in _ROWS.values() for r in range(moments.start, moments.stop))
+_FORCE_COLUMNS = tuple(i for force, *_ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
+_REDUCED = tuple(i for i in range(N_UNKNOWNS) if i not in _FORCE_COLUMNS)
+_PLANAR = _REDUCED.index(UNKNOWN_SLICES["planar_force"].start)
+# Each joint force's point, as skew[2, 1], skew[0, 2] and skew[1, 0] of its
+# block in its carrier's moment balance.
+_POINT_ROWS = tuple(tuple(_ROWS[carrier][1].start + r for r in (2, 0, 1)) for _, carrier, _, _ in _JOINT_FORCES)
+_POINT_COLUMNS = tuple(tuple(UNKNOWN_SLICES[force].start + c for c in (1, 2, 0)) for force, *_ in _JOINT_FORCES)
+
+
 def _solve(A, b, rows):
     """Minimum-norm solutions x (n, 25) and relative residuals |Ax - b| / |b|
     (n,) of the systems in ``rows`` (n,) bool; the others are left NaN.
-    With A^T = Q R, a full-row-rank system has x = Q [y; 0], R^T y = b.  The
-    raw QR gives R and Q's 24 Householder reflectors in one (n, 24, 25)
-    array h: R^T is the lower triangle of h's first 24 columns, and
-    reflector j is I - tau_j v v^T with v = (0, ..., 0, 1, h[j, j+1:]).  So y
-    comes from a forward substitution on h, and x from the reflectors applied
-    to [y; 0] last to first (Golub & Van Loan, Matrix Computations, 5.1-5.2).
-    Where R's diagonal shows the equations nearly rank-deficient
-    (``QR_RANK_TOL``), SVD least squares gives x instead.  x is read-only:
-    a solution's vector reactions are views of it (``_solution``)."""
-    h, tau = np.linalg.qr(A.transpose(0, 2, 1), mode="raw")
+
+    The force balances give each joint force as c + p s e4 (tool revolute
+    p e4 - b_D, terminal revolute b_T + b_D - p e4, base 1 b_P1 + b_T + b_D
+    - p e4, base 2 b_P2 + p e4), leaving the moment balances M y = d over
+    ``_REDUCED`` (block elimination; Golub & Van Loan, Matrix Computations,
+    3.2).  The raw QR of M^T holds R^T in the lower triangle of h and
+    reflector j, I - tau_j v v^T, in v = (0, ..., 0, 1, h[j, j+1:]): R^T y = d
+    by forward substitution, then the reflectors applied last to first to
+    [y; 0] and e13 give a solution y_p and M's null vector u (5.1-5.2).
+    Lifted to the 25 unknowns, u is the self-stress and x = x_p - (u.x_p /
+    u.u) u.  Nearly rank-deficient rows (``QR_RANK_TOL``) take SVD least
+    squares on A; the residual is A's own, so a matrix of another form fails
+    the gate.  x is read-only: vector reactions are views of it."""
+    n = len(b)
+    per_body = b.reshape(n, len(BODY_NAMES), 6)
+    terminal, distal, proximal1, proximal2 = per_body[..., :3].swapaxes(0, 1)
+    revolute, e4 = terminal + distal, A[:, _ROWS["distal"][0], UNKNOWN_SLICES["planar_force"].start]
+    # Per joint force (n, 4, 3): its constant part c and its part per unit p, s e4.
+    constant = np.stack([revolute, -distal, proximal1 + revolute, proximal2], axis=1)
+    along_p = np.stack([-e4, e4, -e4, e4], axis=1)
+    moments = cross_rows(A[:, None, _POINT_ROWS, _POINT_COLUMNS], np.stack([constant, -along_p], axis=1))
+    # The moment balances' right-hand sides d and p's column of M, (n, 2, 4, 3).
+    reduced = np.zeros_like(moments)
+    reduced[:, 0] = per_body[..., 3:]
+    for j, (*_, ends) in enumerate(_JOINT_FORCES):
+        for body, sign in ends:
+            reduced[:, :, BODY_NAMES.index(body)] -= sign * moments[:, :, j]
+    M = A[:, _MOMENT_ROWS][:, :, _REDUCED]
+    M[:, :, _PLANAR] = reduced[:, 1].reshape(n, -1)
+    h, tau = np.linalg.qr(M.transpose(0, 2, 1), mode="raw")
     diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
     full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
     qr_rows = rows & full
-    z = np.zeros((len(b), N_UNKNOWNS))
-    r = b.copy()
+    steps = len(_MOMENT_ROWS)
+    # z[:, 0] becomes y_p and z[:, 1], from e13, u.
+    z = np.zeros((n, 2, len(_REDUCED)))
+    z[:, 1, -1] = 1.0
+    r = reduced[:, 0].reshape(n, -1)
     # Rows left out may divide by a zero pivot; their x is replaced below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(N_EQUATIONS):
-            z[:, j] = r[:, j] / h[:, j, j]
-            r[:, j + 1:] -= z[:, j, None] * h[:, j + 1:, j]
-        for j in range(N_EQUATIONS - 1, -1, -1):
-            v = h[:, j, j + 1:]
-            w = tau[:, j] * (z[:, j] + np.sum(v * z[:, j + 1:], axis=1))
-            z[:, j] -= w
-            z[:, j + 1:] -= w[:, None] * v
-    x = np.where(qr_rows[:, None], z, np.nan)
+        for j in range(steps):
+            z[:, 0, j] = r[:, j] / h[:, j, j]
+            r[:, j + 1:] -= z[:, 0, j, None] * h[:, j + 1:, j]
+        # h's row j from column j on, with 1 on the diagonal, is reflector j's v.
+        h[:, range(steps), range(steps)] = 1.0
+        tau_v = tau[..., None] * h
+        for j in range(steps - 1, -1, -1):
+            w = np.sum(h[:, j, None, j:] * z[:, :, j:], axis=2)
+            z[:, :, j:] -= w[..., None] * tau_v[:, j, None, j:]
+        lifted = np.zeros((n, 2, N_UNKNOWNS))
+        lifted[:, :, _REDUCED] = z
+        lifted[:, :, _FORCE_COLUMNS] = z[:, :, _PLANAR, None] * along_p.reshape(n, 1, -1)
+        lifted[:, 0, _FORCE_COLUMNS] += constant.reshape(n, -1)
+        x_p, u = lifted[:, 0], lifted[:, 1]
+        x = x_p - (np.sum(u * x_p, axis=1) / np.sum(u * u, axis=1))[:, None] * u
+    x = np.where(qr_rows[:, None], x, np.nan)
     for i in np.flatnonzero(rows & ~full):
         x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
     x.setflags(write=False)
@@ -434,18 +477,19 @@ def _gate_message(residual):
             "the joint state or body parameters are inconsistent with the joint model")
 
 
-# Where each reaction sits in x: a slice for a vector, an index for a scalar.
-_REACTIONS = tuple((key, sl if sl.stop - sl.start > 1 else sl.start) for key, sl in UNKNOWN_SLICES.items())
+def _row_solutions(x, residual, actuated_rates) -> list:
+    """Per row of _solve's x (n, 25), the fields of its ``_solution``: torques,
+    reactions (views of x for vectors, floats for scalars), residual, powers."""
+    tau = x[:, _TAU]
+    reactions = zip(*(list(x[:, at]) if at.stop - at.start > 1 else x[:, at.start].tolist()
+                      for at in UNKNOWN_SLICES.values()))
+    return list(zip(tau, reactions, residual.tolist(), tau * actuated_rates))
 
 
-def _solution(x, residual, actuated_rates) -> DynamicsSolution:
-    # x (25,) is a row of _solve's read-only x: the vector reactions are
-    # views of it, the scalar ones floats.
-    values = x.tolist()
-    reactions = {key: x[at] if type(at) is slice else values[at] for key, at in _REACTIONS}
-    tau = x[_TAU]
-    return _unchecked(DynamicsSolution, tau=tau, reactions=reactions, residual=float(residual),
-                      power=tau * actuated_rates)
+def _solution(tau, reactions, residual, power) -> DynamicsSolution:
+    # Torques and powers of its own, and a fresh reactions dict.
+    return _unchecked(DynamicsSolution, tau=tau.copy(), reactions=dict(zip(UNKNOWN_SLICES, reactions)),
+                      residual=residual, power=power.copy())
 
 
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
@@ -458,7 +502,7 @@ def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
     x, residual = _solve(system.matrix[None], system.rhs[None], np.ones(1, dtype=bool))
     if residual[0] >= RESIDUAL_GATE:
         raise ModelInconsistencyError(_gate_message(residual[0]))
-    return _solution(x[0], residual[0], system.actuated_rates)
+    return _solution(*_row_solutions(x, residual, system.actuated_rates)[0])
 
 
 def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
@@ -510,9 +554,10 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     cutting power must equal d(KE)/dt, with everything evaluated analytically
     from the motion terms (``_power_balance_rows``).  A motion that
     ``solve_state`` returned for a profile row reads those terms from the
-    block kept on the profile, when the block still holds the motion's arrays
-    and was solved for this gravity, these bodies and this load.  The
-    actuator power always comes from ``solution.tau`` and ``state.rates``.
+    block kept on the profile, when the motion's arrays are that block's own
+    row views and the block was solved for this gravity, these bodies and
+    this load.  The actuator power always comes from ``solution.tau`` and
+    ``state.rates``.
     """
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
@@ -520,34 +565,21 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     block = getattr(profile, "_ne_block", None)
     if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
             and block[0][3:] == (*table.params, load)
-            and all(a.base is owner for a, owner in zip(motion[:-1], block[1].owners))):
-        k = i % NE_BLOCK
-        ke_rate, p_ext = block[1].ke_rate[k], block[1].p_ext[k]
+            and all(a is b for a, b in zip(motion[:-1], block[1].motions[i % NE_BLOCK]))):
+        ke_rate, p_ext = block[1].balance[i % NE_BLOCK]
     else:
-        ke_rate, p_ext = (terms[0] for terms in _power_balance_rows(motion, table, gravity, load))
+        ke_rate, p_ext = (float(terms[0]) for terms in _power_balance_rows(motion, table, gravity, load))
     tau, rates = solution.tau, state.rates
     p_act = float(tau[0]) * float(rates[0]) + float(tau[1]) * float(rates[1])
-    return _row_balance(p_act, float(ke_rate), float(p_ext))
+    return _row_balance(p_act, ke_rate, p_ext)
 
 
-class _Rows(NamedTuple):
-    """One array pass of the oracle over n joint states (``_solve_rows``)."""
-
-    motion: WristMotion
-    owners: tuple
-    x: np.ndarray
-    residual: np.ndarray
-    errors: tuple
-    ke_rate: np.ndarray
-    p_ext: np.ndarray
-
-
-def _solve_rows(rates, accels, f1, f2, axes, table, gravity, load) -> _Rows:
-    """Read-only motion (with the arrays that own its memory), solutions x
-    (n, 25), residuals (n,), per row None or the (error class, message) that
-    the one-state calls raise for it, checked in their order, and the
-    power-balance terms of ``_power_balance_rows``, at n joint states given
-    as ``_motion`` takes them."""
+def _solve_rows(rates, accels, f1, f2, axes, table, gravity, load):
+    """Read-only motion, solutions x (n, 25), residuals (n,), per row None
+    or the (error class, message) that the one-state calls raise for it,
+    checked in their order, and the power-balance terms of
+    ``_power_balance_rows``, at n joint states given as ``_motion`` takes
+    them."""
     m = _motion(rates, accels, f1, f2, axes, table)
     A, b, aligned = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
@@ -558,11 +590,18 @@ def _solve_rows(rates, accels, f1, f2, axes, table, gravity, load) -> _Rows:
                    for o, c, al, r in zip(open_loop.tolist(), m.closure.tolist(), aligned.tolist(), residual.tolist()))
     for array in m[:-1]:
         array.setflags(write=False)
-    # joint_axes may be a view of a profile's kept axes, whose owner every
-    # block of that profile shares; the arrays _motion allocates (R, omega and
-    # the others) are this block's own, and tell it from the rest.
-    owners = tuple(a if a.base is None else a.base for a in m[:-1])
-    return _Rows(m, owners, x, residual, errors, *_power_balance_rows(m, table, gravity, load))
+    return m, x, residual, errors, *_power_balance_rows(m, table, gravity, load)
+
+
+class _KeptRows(NamedTuple):
+    """A block that ``solve_state`` solved: x, and per row the motion's (1, ...)
+    views, ``_row_solutions``, error and power-balance terms as floats."""
+
+    x: np.ndarray
+    motions: list
+    solutions: list
+    errors: tuple
+    balance: list
 
 
 def solve_state(state: JointState, geometry: WristGeometry, bodies,
@@ -587,14 +626,17 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
         else:
             span = slice(start, start + NE_BLOCK)
             rows = profile.rates[span], profile.accels[span], *_profile_kinematics(profile, geometry, span)[:3]
-        block = (key, _solve_rows(*rows, table, gravity, load))
+        m, x, residual, errors, ke_rate, p_ext = _solve_rows(*rows, table, gravity, load)
+        block = (key, _KeptRows(x, list(zip(*(list(a[:, None]) for a in m[:-1]))),
+                                _row_solutions(x, residual, rows[0][:, :2]), errors,
+                                list(zip(ke_rate.tolist(), p_ext.tolist()))))
         if profile is not None:
             # One store of an immutable tuple: concurrent callers each see a whole block.
             object.__setattr__(profile, "_ne_block", block)
-    m, _, x, residual, errors, _, _ = block[1]
-    if errors[k] is not None:
-        raise errors[k][0](errors[k][1])
-    return WristMotion(*(a[k:k + 1] for a in m[:-1]), state), _solution(x[k], residual[k], state.rates[:2])
+    kept = block[1]
+    if kept.errors[k] is not None:
+        raise kept.errors[k][0](kept.errors[k][1])
+    return WristMotion(*kept.motions[k], state), _solution(*kept.solutions[k])
 
 
 class ProfileCheck(NamedTuple):
@@ -620,12 +662,11 @@ def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
     residual, balance, errors = np.empty(n), np.empty(n), []
     for start in range(0, n, NE_BLOCK):
         rows = slice(start, start + NE_BLOCK)
-        block = _solve_rows(profile.rates[rows], profile.accels[rows], *(a[rows] for a in kinematics),
-                            table, gravity, load)
-        tau, rates = block.x[:, _TAU], profile.rates[rows]
-        residual[rows] = block.residual
-        balance[rows] = _balance(tau[:, 0] * rates[:, 0] + tau[:, 1] * rates[:, 1], block.ke_rate, block.p_ext)
-        errors += block.errors
+        _, x, residual[rows], block_errors, ke_rate, p_ext = _solve_rows(
+            profile.rates[rows], profile.accels[rows], *(a[rows] for a in kinematics), table, gravity, load)
+        tau, rates = x[:, _TAU], profile.rates[rows]
+        balance[rows] = _balance(tau[:, 0] * rates[:, 0] + tau[:, 1] * rates[:, 1], ke_rate, p_ext)
+        errors += block_errors
     balance[[e is not None for e in errors]] = np.nan
     return ProfileCheck(residual, balance, tuple(errors))
 

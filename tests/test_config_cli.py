@@ -550,7 +550,7 @@ def test_cli_reused_parser_matches_a_fresh_interpreter(tmp_path, capsys, monkeyp
      "output P1_W is inf at row 0"),
     (("traj", "--radius", "1e-300", "--gamma", "45"), "profile accels must hold finite values"),
     (("dynamics", "--radius", "0.1", "--gamma", "45", "--fc", "1e200", "--lc", "1e200"),
-     "torque and acceleration must be finite"),
+     "tau1_Nm is inf at row 0"),
 ])
 def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
     # A separate interpreter, so that numpy warnings reach stderr as they

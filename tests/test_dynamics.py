@@ -371,18 +371,64 @@ def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
     assert len(calls) == 1
 
 
+def ne_form(points, bases, drives, e4):
+    """(n, 24, 25) matrices in the form ``_assemble`` writes, from the
+    entries it fills from the state: each joint force's point (n, 4, 3) in
+    ``_JOINT_FORCES`` order, each joint moment's basis (n, 5, 3, 2) in
+    ``_JOINT_MOMENTS`` order, the drive axes (n, 2, 3) and the planar normal
+    e4 (n, 3).  The forces enter the force balances as +-I and the moment
+    balances as +-skew(point); e4 enters the distal and proximal-2 force
+    balances as +-e4."""
+    rows, s = dynamics._ROWS, UNKNOWN_SLICES
+    A = np.zeros((len(e4), N_EQUATIONS, N_UNKNOWNS))
+    for j, (force, _, _, ends) in enumerate(dynamics._JOINT_FORCES):
+        skew = np.zeros((len(e4), 3, 3))
+        skew[:, [2, 0, 1], [1, 2, 0]] = points[:, j]
+        skew[:, [1, 2, 0], [2, 0, 1]] = -points[:, j]
+        for body, sign in ends:
+            A[:, rows[body][0], s[force]] = sign * np.eye(3)
+            A[:, rows[body][1], s[force]] = sign * skew
+    for j, (moment, _, _, ends) in enumerate(dynamics._JOINT_MOMENTS):
+        for body, sign in ends:
+            A[:, rows[body][1], s[moment]] = sign * bases[:, j]
+    A[:, rows["proximal-1"][1], s["tau1"].start] = drives[:, 0]
+    A[:, rows["proximal-2"][1], s["tau2"].start] = drives[:, 1]
+    A[:, rows["distal"][0], s["planar_force"].start] = e4
+    A[:, rows["proximal-2"][0], s["planar_force"].start] = -e4
+    return A
+
+
+def ne_form_parts(A):
+    """The entries of ``ne_form`` as ``_solve`` would read them from A."""
+    rows, s = dynamics._ROWS, UNKNOWN_SLICES
+    points = np.stack([A[:, rows[carrier][1], s[force]][:, [2, 0, 1], [1, 2, 0]]
+                       for force, carrier, _, _ in dynamics._JOINT_FORCES], axis=1)
+    bases = np.stack([A[:, rows[ends[0][0]][1], s[moment]] for moment, _, _, ends in dynamics._JOINT_MOMENTS], axis=1)
+    drives = np.stack([A[:, rows["proximal-1"][1], s["tau1"].start], A[:, rows["proximal-2"][1], s["tau2"].start]],
+                      axis=1)
+    return points, bases, drives, A[:, rows["distal"][0], s["planar_force"].start]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1), picks=st.tuples(st.integers(0, 69), st.integers(0, 69)))
 def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
-    # Random full-row-rank (n, 24, 25) stacks: the raw-Householder solve gives
-    # lstsq's minimum-norm solution to 1e-12 of its largest entry.  One row
-    # repeats an equation, so its R has a zero pivot and it goes to lstsq; a
-    # row left out of ``rows`` stays NaN.
+    # Random stacks in the Newton-Euler form (``ne_form``), the domain of the
+    # reduced solve: it gives lstsq's minimum-norm solution over all 25
+    # unknowns to 1e-12 of its largest entry.  One row repeats a moment
+    # balance, so its reduced R has a zero pivot and it goes to lstsq; a row
+    # left out of ``rows`` stays NaN.
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, N_EQUATIONS, N_UNKNOWNS))
-    b = rng.standard_normal((n, N_EQUATIONS))
+    points, bases = rng.standard_normal((n, 4, 3)), rng.standard_normal((n, 5, 3, 2))
     deficient, left_out = picks[0] % n, picks[1] % n
-    A[deficient, -1] = A[deficient, 0]
+    # The terminal's first two moment balances made equal: its two force
+    # points at (a, -a, 0), whose skew blocks have two equal rows, and the
+    # same two rows in its two moment bases.
+    points[deficient, :2] = points[deficient, :2, :1] * np.array([1.0, -1.0, 0.0])
+    bases[deficient, :2, 1] = bases[deficient, :2, 0]
+    A = ne_form(points, bases, rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 3)))
+    first = dynamics._ROWS["terminal"][1].start
+    np.testing.assert_array_equal(A[deficient, first + 1], A[deficient, first])
+    b = rng.standard_normal((n, N_EQUATIONS))
     rows = np.ones(n, dtype=bool)
     if left_out != deficient:
         rows[left_out] = False
@@ -397,6 +443,47 @@ def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
         assert np.max(np.abs(x[i] - expected)) <= 1e-12 * np.max(np.abs(expected)), i
         if i != deficient:
             assert residual[i] < 1e-12
+
+
+def test_assembly_writes_the_force_block_the_solve_reduces(geometry, bodies):
+    # _solve eliminates the joint forces on the assumption that every
+    # matrix has the form of ``ne_form``, with e4 the planar normal: rebuilt
+    # from the entries it fills from the state, each matrix comes back
+    # exactly.  Both semicircles, the 12 grid circles and random reachable
+    # states, each with and without a load.
+    table = _body_table(bodies)
+    profiles = [semicircle_states(geometry, radius, 1001) for radius in (0.25, 0.1)]
+    profiles += [circle_states(geometry, gamma, radius, 1001) for gamma in (30.0, 45.0, 60.0)
+                 for radius in (0.25, 0.15, 0.1, 0.05)]
+    rng = np.random.default_rng(3)
+    states = [reachable_state(geometry, *rng.uniform(-math.pi, math.pi, 2), rng.uniform(-20.0, 20.0, 2),
+                              rng.uniform(-500.0, 500.0, 2)) for _ in range(40)]
+    for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
+        for profile in profiles:
+            motion = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
+            A, _, _ = dynamics._assemble(motion, table, GRAVITY, load)
+            parts = ne_form_parts(A)
+            np.testing.assert_array_equal(parts[3], motion.joint_axes[:, 3])
+            np.testing.assert_array_equal(ne_form(*parts), A)
+        A = np.array([assemble_system(body_motion(state, geometry, bodies), bodies, GRAVITY, load).matrix
+                      for state in states])
+        np.testing.assert_array_equal(ne_form(*ne_form_parts(A)), A)
+
+
+def test_solve_gates_a_matrix_of_another_form(geometry, bodies):
+    # The reduction reads the joint forces' ends from the force balances'
+    # constant +-I block; a matrix whose block has another form is solved
+    # wrongly, and the residual of the full matrix, which the gate reads,
+    # shows it: no torques come back.
+    state = reachable_state(geometry, 0.4, -1.1, (3.0, -2.0), (40.0, 25.0))
+    system = assemble_system(body_motion(state, geometry, bodies), bodies)
+    assert solve_wrenches(system).residual < 1e-12
+    matrix = system.matrix.copy()
+    matrix[0:3, UNKNOWN_SLICES["tool_revolute_force"]] *= 2.0
+    x, *_ = np.linalg.lstsq(matrix, system.rhs, rcond=None)
+    assert np.linalg.norm(matrix @ x - system.rhs) < 1e-12 * np.linalg.norm(system.rhs)
+    with pytest.raises(ModelInconsistencyError, match="^relative solve residual "):
+        solve_wrenches(replace(system, matrix=matrix))
 
 
 def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):

@@ -67,6 +67,8 @@ ERROR_CASES = (
                            "--out", "error_sweep_speed.csv"]),
     ("error_force_sweep_overflow", ["force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,1e300",
                                     "--lc", "1e10", "--out", "error_force_sweep_overflow.csv"]),
+    ("error_dynamics_overflow", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "1e200", "--lc", "1e200",
+                                 "--out", "error_dynamics_overflow.csv"]),
 )
 
 
