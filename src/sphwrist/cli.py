@@ -40,13 +40,14 @@ def _finite_output(header, rows) -> np.ndarray:
 CSV_BLOCK = 256
 
 
+@functools.cache
 def _text_tables():
-    """The tables of ``_text_words``.  Per 4-digit group g: its ASCII
-    digits in bytes 0, 2, 4 and 6 of a little-endian 64-bit word (the odd
-    bytes are point slots), and its trailing zeros.  Per layout code
-    (X + 4) * 12 + L, of a value with decimal exponent X and last nonzero
-    mantissa digit L: the prefix word (by sign), and the digit mask and the
-    point of each of the three group words."""
+    """The tables of ``_text_words``, built at its first call.  Per 4-digit
+    group g: its ASCII digits in bytes 0, 2, 4 and 6 of a little-endian
+    64-bit word (the odd bytes are point slots), and its trailing zeros.
+    Per layout code (X + 4) * 12 + L, of a value with decimal exponent X
+    and last nonzero mantissa digit L: the prefix word (by sign), and the
+    digit mask and the point of each of the three group words."""
     d = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999
     digits = np.zeros((10000, 8), dtype=np.uint8)
     digits[:, ::2] = 48 + d.T
@@ -63,7 +64,6 @@ def _text_tables():
     return digits.view("<u8")[:, 0], trailing, prefix, masks.reshape(3, -1), points.reshape(3, -1)
 
 
-_GROUPS, _TRAILING, _PREFIX, _MASKS, _POINTS = _text_tables()
 _POW10 = np.array([float(10 ** k) for k in range(17)])  # exact: 10**k is a double for k <= 22
 
 
@@ -84,6 +84,7 @@ def _text_words(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
     near-tie, a power of ten that log10 puts in the wrong decade) is
     formatted by Python.
     """
+    digits, trailing, prefix, masks, points = _text_tables()
     y = np.abs(x)
     with np.errstate(divide="ignore"):
         e = np.clip(np.floor(np.log10(y)), -5, 11).astype(np.intp)
@@ -98,13 +99,13 @@ def _text_words(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
     middle = np.floor(m / 1e4)
     m -= middle * 1e4
     groups = [g.astype(np.intp) for g in (high, middle, m)]
-    t1, t2 = _TRAILING[groups[1]], _TRAILING[groups[2]]
-    last = 11 - (t2 + (t2 == 4) * (t1 + (t1 == 4) * _TRAILING[groups[0]]))
+    t1, t2 = trailing[groups[1]], trailing[groups[2]]
+    last = 11 - (t2 + (t2 == 4) * (t1 + (t1 == 4) * trailing[groups[0]]))
     code = np.where(fast, (e + 4) * 12 + last, 0)
     words = np.empty((len(x), 4), dtype="<u8")
-    words[:, 0] = _PREFIX[(x < 0) * 192 + code]
+    words[:, 0] = prefix[(x < 0) * 192 + code]
     for i, group in enumerate(groups):
-        words[:, 1 + i] = (_GROUPS[group] & _MASKS[i][code]) | _POINTS[i][code]
+        words[:, 1 + i] = (digits[group] & masks[i][code]) | points[i][code]
     words[:, 3] |= separators  # the slot after digit 11 never holds a point
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -203,6 +204,8 @@ def cmd_traj(args, config):
 
 def _cutting_load(args) -> dynamics.CuttingLoad:
     fc = _finite("--fc", args.fc)
+    if fc < 0.0:
+        raise InvalidInputError("--fc must be non-negative")
     return dynamics.CuttingLoad((fc, fc, fc), args.lc)
 
 

@@ -1,5 +1,5 @@
 """Exception types with stable machine-parsable categories for the CLI, and
-the one intake check of the value types' stored vectors."""
+the intake checks of the value types' stored vectors and row arrays."""
 
 import math
 
@@ -25,6 +25,20 @@ def frozen_vector(name, value, length) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a {length}-vector")
     if not all(map(math.isfinite, v.tolist())):
         raise InvalidInputError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
+
+
+def frozen_rows(name, value, shape, label) -> np.ndarray:
+    """``value`` as a read-only float copy of ``shape``, checked to be finite:
+    the row-array twin of ``frozen_vector``.  A non-finite value is reported
+    at its lowest row, named by ``label(i)``."""
+    v = np.array(value, dtype=float)
+    if v.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {v.shape}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise InvalidInputError(f"{label(int(np.argwhere(~finite)[0][0]))}: {name} must hold finite values")
     v.setflags(write=False)
     return v
 

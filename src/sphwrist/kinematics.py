@@ -27,6 +27,7 @@ from .errors import (
     SingularConfigurationError,
     SingularOrientationError,
     UnreachableOrientationError,
+    frozen_rows,
     frozen_vector,
 )
 from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, dot_rows, leg_frames,
@@ -162,10 +163,9 @@ class JointProfile:
             yield self._row(i, t, theta, rates, accels)
 
     def _row(self, i, t, theta, rates, accels) -> JointState:
-        # An unchecked JointState.  One __dict__.update sets its five fields
-        # about 1 us faster than _unchecked's five attribute sets; the
-        # instance dict it makes (about 150 B) matters little for rows that
-        # are read and dropped.
+        # An unchecked JointState, its five fields set by one __dict__.update: 1.7 us a row against 3.0 us
+        # through _unchecked (2-vCPU VM).  _unchecked keeps per-field sets, so that one-field rows (a path's
+        # ToolOrientation) keep CPython's compact attribute storage: 80 B, where __dict__.update makes 246 B.
         state = object.__new__(JointState)
         state.__dict__.update(angles=_unchecked(JointAngles, theta=theta), rates=rates, accels=accels, t=t,
                               row=(self, i))
@@ -174,21 +174,11 @@ class JointProfile:
 
 def _profile_arrays(t, theta, rates, accels, label=_index_label) -> dict:
     """The fields of a ``JointProfile`` as read-only float copies, after its
-    shape and finiteness checks; a non-finite value is reported at its
-    lowest sample, named by ``label(i)``."""
+    shape and finiteness checks (``frozen_rows``)."""
     n = len(t)
-    arrays = {}
-    for name, values, shape in (("t", t, (n,)), ("theta", theta, (n, 4)), ("rates", rates, (n, 4)),
-                                ("accels", accels, (n, 4))):
-        values = np.array(values, dtype=float)
-        if values.shape != shape:
-            raise InvalidInputError(f"profile {name} must have shape {shape}, got {values.shape}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise InvalidInputError(f"{label(int(np.argwhere(~finite)[0][0]))}: profile {name} must hold finite values")
-        values.setflags(write=False)
-        arrays[name] = values
-    return arrays
+    return {name: frozen_rows(f"profile {name}", values, shape, label)
+            for name, values, shape in (("t", t, (n,)), ("theta", theta, (n, 4)), ("rates", rates, (n, 4)),
+                                        ("accels", accels, (n, 4)))}
 
 
 def vector_from_pan_tilt(phi1: float, phi2: float) -> ToolOrientation:
@@ -393,29 +383,6 @@ def _closure_accels_from_axes(axes, passive, rates, drive):
     return np.hstack([drive, _solve_passive(passive, rhs)])
 
 
-def closure_rates(angles: JointAngles, rate1: float, rate2: float, geometry: WristGeometry) -> np.ndarray:
-    """All four joint rates from the two actuated rates via loop closure.
-
-    Both legs must produce the same tool-axis velocity; that fixes the two
-    passive rates exactly, keeping downstream dynamics workless at the ideal
-    joints.
-    """
-    axes = _axis_stack(*leg_frames(angles.theta[None], geometry))
-    return _closure_rates_from_axes(axes, _passive_closure(axes), np.array([[rate1, rate2]], dtype=float))[0]
-
-
-def closure_accels(angles: JointAngles, rates: np.ndarray, accel1: float, accel2: float,
-                   geometry: WristGeometry) -> np.ndarray:
-    """All four joint accelerations from the two actuated ones via loop closure.
-
-    Differentiates the rate-closure identity; ``rates`` must already satisfy
-    it.
-    """
-    axes = _axis_stack(*leg_frames(angles.theta[None], geometry))
-    drive = np.array([[accel1, accel2]], dtype=float)
-    return _closure_accels_from_axes(axes, _passive_closure(axes), np.reshape(rates, (1, 4)), drive)[0]
-
-
 class _Kinematics(NamedTuple):
     """The kinematic terms of n joint states that every pass over them reads:
     both legs' frames after the first joint step ``f1`` and after the second
@@ -428,15 +395,10 @@ class _Kinematics(NamedTuple):
     passive: _PassiveClosure
 
 
-def _frames(theta, geometry: WristGeometry):
-    """The frames f1, f2 (n, 2, 3, 3) and axes e1..e6 (n, 6, 3) at joint
-    states theta (n, 4), from one ``leg_frames`` call."""
-    f0, f1, f2 = leg_frames(theta, geometry)
-    return f1, f2, _axis_stack(f0, f1, f2)
-
-
 def _kinematics_at(theta, geometry: WristGeometry) -> _Kinematics:
-    f1, f2, axes = _frames(theta, geometry)
+    """The kinematic terms at joint states theta (n, 4), from one ``leg_frames`` call."""
+    f0, f1, f2 = leg_frames(theta, geometry)
+    axes = _axis_stack(f0, f1, f2)
     return _Kinematics(f1, f2, axes, _passive_closure(axes))
 
 

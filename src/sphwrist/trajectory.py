@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
-from .kinematics import ToolOrientation, _unchecked, _unit_directions
+from .errors import InvalidSpecError, frozen_rows
+from .kinematics import ToolOrientation, _index_label, _unchecked, _unit_directions
 
 KIND_SEMICIRCLE = "semicircle-YZ"
 KIND_CIRCLE = "circle-XY"
@@ -84,13 +84,7 @@ class OrientationPath:
 
     def __post_init__(self):
         v = _unit_directions(self.v)
-        t = np.array(self.t, dtype=float)
-        if t.shape != (len(v),):
-            raise InvalidInputError(f"path times must have shape {(len(v),)}, got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise InvalidInputError(f"sample {int(np.argmax(~np.isfinite(t)))}: time must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", frozen_rows("path times", self.t, (len(v),), _index_label))
         object.__setattr__(self, "v", v)
 
     def __len__(self) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sphwrist import default_config
+from sphwrist.kinematics import _closure_accels_from_axes, _closure_rates_from_axes, _kinematics_at
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,13 @@ def random_unit_vector(rng, max_tilt=math.radians(80.0)):
     tilt = rng.uniform(-max_tilt, max_tilt)
     c = math.cos(tilt)
     return np.array([math.cos(pan) * c, math.sin(pan) * c, math.sin(tilt)])
+
+
+def closure_row(theta, drive_rates, drive_accels, geometry):
+    """All four joint rates and accelerations of one joint state (4,) from
+    its two actuated ones, by the profile stage's loop-closure kernels on
+    one row."""
+    _, _, axes, passive = _kinematics_at(np.reshape(theta, (1, 4)), geometry)
+    rates = _closure_rates_from_axes(axes, passive, np.array([drive_rates], dtype=float))
+    accels = _closure_accels_from_axes(axes, passive, rates, np.array([drive_accels], dtype=float))
+    return rates[0], accels[0]

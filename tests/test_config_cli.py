@@ -598,6 +598,18 @@ def test_cli_non_finite_option_names_the_option(tmp_path, monkeypatch, capsys, a
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "-5", "--out", "x.csv"),
+    ("motor-check", "--gamma", "45", "--radius", "0.1", "--fc", "-5"),
+])
+def test_cli_negative_force_component_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # --fc is a component magnitude here, as in force-sweep, which refuses a
+    # negative value too.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (1, "", "error[invalid-input]: --fc must be non-negative\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--gamma", "45,nan", "--radius", "0.1", "--out", str(tmp_path / "x.csv"))
     assert code == 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import closure_row
 from sphwrist import (
     GRAVITY,
     BodyParams,
@@ -44,7 +45,7 @@ from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE,
                                _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
 from sphwrist.kinematics import (_axis_stack, _closure_rates_from_axes, _joint_angles, _passive_closure,
-                                 _profile_kinematics, closure_accels, closure_rates)
+                                 _profile_kinematics)
 from sphwrist.rotation import leg_frames
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -317,9 +318,8 @@ def test_residual_gate_trips_at_exact_singularity(geometry, bodies):
 def reachable_state(geometry, t1, t3, drive_rates=(0.0, 0.0), drive_accels=(0.0, 0.0)):
     # The direction reached by a leg-1 joint pair is reachable by
     # construction; the passive rates and accelerations follow from closure.
-    angles = JointAngles(_joint_angles(forward_kinematics(t1, t3, geometry).v, geometry))
-    rates = closure_rates(angles, *drive_rates, geometry)
-    return JointState(angles, rates, closure_accels(angles, rates, *drive_accels, geometry), 0.0)
+    theta = _joint_angles(forward_kinematics(t1, t3, geometry).v, geometry)
+    return JointState(JointAngles(theta), *closure_row(theta, drive_rates, drive_accels, geometry), 0.0)
 
 
 def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
@@ -789,10 +789,8 @@ def test_virtual_work_matches_solve_state(samples, f_c, lever):
         theta = _joint_angles(v, geometry)
     except WristError:
         assume(False)
-    rates, accels = [], []
-    for th, (_, _, r1, r2, a1, a2) in zip(theta, samples):
-        rates.append(closure_rates(JointAngles(th), r1, r2, geometry))
-        accels.append(closure_accels(JointAngles(th), rates[-1], a1, a2, geometry))
+    rates, accels = zip(*(closure_row(th, (r1, r2), (a1, a2), geometry)
+                          for th, (_, _, r1, r2, a1, a2) in zip(theta, samples)))
     profile = JointProfile(0.01 * np.arange(len(samples)), theta, rates, accels)
     load = CuttingLoad(f_c, lever)
     singular = _passive_closure(_axis_stack(*leg_frames(theta, geometry))).singular

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit_vector, symmetric_rel
+from conftest import closure_row, random_unit_vector, symmetric_rel
 from sphwrist import (
     JointAngles,
     JointProfile,
@@ -28,8 +28,9 @@ from sphwrist.errors import (
     SingularOrientationError,
     UnreachableOrientationError,
     WristError,
+    frozen_rows,
 )
-from sphwrist.kinematics import _joint_angles, closure_accels, closure_rates
+from sphwrist.kinematics import _joint_angles
 
 
 def test_pan_tilt_to_vector_trivials():
@@ -336,9 +337,8 @@ def test_closure_rates_match_ik_differentiation(geometry):
     rate_ref = rate * (-th2p + 8 * thp - 8 * thm + th2m) / (12 * h)
     accel_ref = rate * rate * (-th2p + 16 * thp - 30 * th + 16 * thm - th2m) / (12 * h * h)
 
-    rates = closure_rates(JointAngles(th), rate_ref[0], rate_ref[1], geometry)
+    rates, accels = closure_row(th, rate_ref[:2], accel_ref[:2], geometry)
     np.testing.assert_allclose(rates, rate_ref, atol=1e-8)
-    accels = closure_accels(JointAngles(th), rates, accel_ref[0], accel_ref[1], geometry)
     np.testing.assert_allclose(accels, accel_ref, atol=1e-4)
 
 
@@ -367,9 +367,9 @@ def _profile(geometry, spec):
 @pytest.mark.parametrize("kind", ["circle", "semicircle"])
 def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
     # The profile runs IK and loop closure over all samples at once; each row
-    # must equal the one-sample calls.  The semicircle's midpoint (sample 500)
-    # is a closure singularity, where both closure solves take the min-norm
-    # fallback.
+    # must equal the one-sample IK, and the closure kernels on that row alone
+    # bit for bit.  The semicircle's midpoint (sample 500) is a closure
+    # singularity, where both closure solves take the min-norm fallback.
     from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE, TrajectorySpec
     if kind == "circle":
         spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=math.radians(45.0), sample_count=1001)
@@ -386,11 +386,9 @@ def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
     for i, sample in enumerate(samples):
         theta = inverse_kinematics(sample.orientation, geometry).theta
         np.testing.assert_allclose(wrap_angle(profile.theta[i] - theta), 0.0, atol=1e-12)
-        angles = JointAngles(profile.theta[i])
-        rates = closure_rates(angles, profile.rates[i, 0], profile.rates[i, 1], geometry)
-        np.testing.assert_allclose(rates, profile.rates[i], rtol=0.0, atol=1e-12)
-        accels = closure_accels(angles, rates, profile.accels[i, 0], profile.accels[i, 1], geometry)
-        np.testing.assert_allclose(accels, profile.accels[i], rtol=0.0, atol=1e-12)
+        rates, accels = closure_row(profile.theta[i], profile.rates[i, :2], profile.accels[i, :2], geometry)
+        np.testing.assert_array_equal(rates, profile.rates[i])
+        np.testing.assert_array_equal(accels, profile.accels[i])
     assert len(fallbacks) == (4 if kind == "semicircle" else 0)
 
     state = profile[500]
@@ -483,6 +481,28 @@ def test_joint_profile_validation():
     accels[2, 3] = -np.inf
     with pytest.raises(InvalidInputError, match="^sample 2: profile accels must hold finite values$"):
         JointProfile(np.zeros(6), np.zeros((6, 4)), np.zeros((6, 4)), accels)
+
+
+def test_frozen_rows_copies_checks_and_names_the_lowest_row():
+    # The row-array intake of JointProfile and OrientationPath: a read-only
+    # float copy of the given shape, which a later write to the caller's
+    # array does not reach; a non-finite value is named at its lowest row.
+    value = np.arange(12.0).reshape(4, 3)
+    rows = frozen_rows("rows", value, (4, 3), str)
+    value[0, 0] = 99.0
+    assert rows.dtype == float and rows[0, 0] == 0.0 and not np.shares_memory(rows, value)
+    with pytest.raises(ValueError):
+        rows[1, 1] = 1.0
+    assert frozen_rows("times", [0, 1, 2], (3,), str).dtype == float
+    with pytest.raises(InvalidInputError, match=r"^rows must have shape \(4, 3\), got \(3, 4\)$"):
+        frozen_rows("rows", value.T, (4, 3), str)
+    bad = np.zeros((5, 2))
+    bad[3, 0] = np.nan
+    bad[1, 1] = -np.inf
+    with pytest.raises(InvalidInputError, match="^row 1: rows must hold finite values$"):
+        frozen_rows("rows", bad, (5, 2), lambda i: f"row {i}")
+    with pytest.raises(InvalidInputError, match="^at 2: times must hold finite values$"):
+        frozen_rows("times", [0.0, 1.0, np.nan], (3,), lambda i: f"at {i}")
 
 
 @settings(max_examples=60, deadline=None)

@@ -223,7 +223,7 @@ def test_path_rejects_wrong_shapes_and_times():
             OrientationPath(np.arange(len(bad), dtype=float), bad)
     with pytest.raises(InvalidInputError, match=r"times must have shape \(4,\)"):
         OrientationPath(np.arange(5.0), v)
-    with pytest.raises(InvalidInputError, match="^sample 1: time must be finite$"):
+    with pytest.raises(InvalidInputError, match="^sample 1: path times must hold finite values$"):
         OrientationPath([0.0, math.inf, 2.0, math.nan], v)
 
 

@@ -69,6 +69,8 @@ ERROR_CASES = (
                                     "--lc", "1e10", "--out", "error_force_sweep_overflow.csv"]),
     ("error_dynamics_overflow", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "1e200", "--lc", "1e200",
                                  "--out", "error_dynamics_overflow.csv"]),
+    ("error_dynamics_negative_force", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "-5",
+                                       "--out", "error_dynamics_negative_force.csv"]),
 )
 
 
