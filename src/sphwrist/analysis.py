@@ -10,7 +10,6 @@ from .dynamics import (
     MotorSpec,
     _load_free_torques,
     _rotor_torque,
-    virtual_work_torques,
 )
 from .errors import InvalidInputError, WristError
 from .kinematics import JointProfile, _sample_label, trajectory_joint_profiles
@@ -69,39 +68,34 @@ def profile_for_spec(spec: TrajectorySpec, geometry) -> JointProfile:
     return trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
 
 
-def actuator_torques(profile: JointProfile, geometry, bodies, motors, gravity=GRAVITY,
-                     load: CuttingLoad | None = None):
-    """Joint torques and output-shaft torques of both actuators, each (N, 2).
-
-    Joint torques by virtual work over the whole profile; the shaft torque
-    adds each motor's reflected rotor inertia, unchecked as in
-    ``_peak_records``: the CSV check names a non-finite value.
-    """
-    tau = virtual_work_torques(profile, geometry, bodies, gravity, load)
-    return tau, np.column_stack([tau[:, i] + _rotor_torque(profile.accels[:, i], motor)
-                                 for i, motor in enumerate(_motor_pair(motors))])
-
-
 def _column_peaks(x):
     # np.max(np.abs(x), axis=0) of an (N, k) array, taken over a contiguous
     # transpose: one pass per column, not N passes of length k.
     return np.abs(np.ascontiguousarray(x.T)).max(axis=1)
 
 
-def _peak_records(spec, profile, load_free, motors):
-    """The PeakRecord of ``profile`` as a function of its joint torques
-    (N, 2) and a label for their load: the kinematic peaks and the reflected
-    rotor torques are taken once per profile.  The shaft torques and powers
-    are checked for finite values through their peaks; an overflow is
-    reported at its lowest sample, by index, time and tool axis."""
-    max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
-    for peaks in (max_rates, max_accels):
-        peaks.setflags(write=False)  # shared by every record of the profile
+def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
+    """The load-independent stages of one trajectory spec, run once: its
+    joint profile, load-free torques, reflected rotor torques and kinematic
+    peaks.  Returns ``(profile, torques, record)``: ``torques(load)`` gives
+    the joint and output-shaft torques (N, 2), unchecked, and ``record(load,
+    where="")`` the PeakRecord, whose shaft torques and powers are checked
+    for finite values; an overflow is named after ``where`` by its lowest
+    sample's index, time and tool axis."""
+    profile = profile_for_spec(spec, geometry)
+    load_free = _load_free_torques(profile, geometry, bodies, gravity)
     rotor = np.column_stack([_rotor_torque(profile.accels[:, i], motor)
                              for i, motor in enumerate(_motor_pair(motors))])
+    max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
+    for peaks in (max_rates, max_accels):
+        peaks.setflags(write=False)  # shared by every record of the spec
 
-    def record(tau, where=""):
-        shaft = tau + rotor
+    def torques(load: CuttingLoad | None = None):
+        tau = load_free.with_load(load)
+        return tau, tau + rotor
+
+    def record(load: CuttingLoad | None = None, where=""):
+        shaft = torques(load)[1]
         power = shaft * profile.rates[:, :2]
         max_torques, max_powers = _column_peaks(shaft), _column_peaks(power)
         if not (np.isfinite(max_torques).all() and np.isfinite(max_powers).all()):
@@ -112,7 +106,7 @@ def _peak_records(spec, profile, load_free, motors):
                                     f" is {values[i, k]}; the inputs overflow double precision")
         return PeakRecord(spec.gamma, spec.radius, max_rates, max_accels, max_torques, max_powers)
 
-    return record
+    return profile, torques, record
 
 
 def _spec_error(spec, exc: WristError) -> WristError:
@@ -127,9 +121,7 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
     records = []
     for spec in specs:
         try:
-            profile = profile_for_spec(spec, geometry)
-            load_free = _load_free_torques(profile, geometry, bodies, gravity)
-            records.append(_peak_records(spec, profile, load_free, motors)(load_free.with_load(load)))
+            records.append(spec_pass(spec, geometry, bodies, motors, gravity)[2](load))
         except WristError as exc:
             raise _spec_error(spec, exc) from exc
     return records
@@ -140,19 +132,18 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
 
     The three cutting-force components are set equal to each value in
     ``fc_values``.  The forces and the lever are checked first; then the
-    joint profile, its load-free torques, kinematic peaks and reflected
-    rotor torques are computed once, and each force value adds only its
-    affine cutting term.
+    spec's load-independent stages run once (``spec_pass``), and each force
+    value adds only its affine cutting term.
     """
     fc_values = [float(f) for f in fc_values]
-    if any(f < 0.0 or not np.isfinite(f) for f in fc_values):
+    if not all(map(np.isfinite, fc_values)):
+        raise InvalidInputError("cutting-force magnitudes must be finite")
+    if min(fc_values, default=0.0) < 0.0:
         raise InvalidInputError("cutting-force magnitudes must be non-negative")
     loads = [(fc, CuttingLoad((fc, fc, fc), lc)) for fc in fc_values]
     try:
-        profile = profile_for_spec(base_spec, geometry)
-        load_free = _load_free_torques(profile, geometry, bodies, gravity)
-        record = _peak_records(base_spec, profile, load_free, motors)
-        return [(fc, record(load_free.with_load(load), f"Fc = {fc:.12g} N: ")) for fc, load in loads]
+        record = spec_pass(base_spec, geometry, bodies, motors, gravity)[2]
+        return [(fc, record(load, f"Fc = {fc:.12g} N: ")) for fc, load in loads]
     except WristError as exc:
         raise _spec_error(base_spec, exc) from exc
 

@@ -202,18 +202,22 @@ def cmd_traj(args, config):
     return 0
 
 
-def _cutting_load(args) -> dynamics.CuttingLoad:
-    fc = _finite("--fc", args.fc)
-    if fc < 0.0:
+def _force(fc: float) -> float:
+    # One --fc value, a cutting-force component magnitude: finite, then non-negative.
+    if _finite("--fc", fc) < 0.0:
         raise InvalidInputError("--fc must be non-negative")
-    return dynamics.CuttingLoad((fc, fc, fc), args.lc)
+    return fc
+
+
+def _cutting_load(args) -> dynamics.CuttingLoad:
+    return dynamics.CuttingLoad((_force(args.fc),) * 3, args.lc)
 
 
 def cmd_dynamics(args, config):
     load = _cutting_load(args)
-    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
-    tau, shaft = analysis.actuator_torques(profile, config.geometry, config.bodies, config.motors,
-                                           config.gravity, load)
+    profile, torques, _ = analysis.spec_pass(_traj_spec(args), config.geometry, config.bodies, config.motors,
+                                             config.gravity)
+    tau, shaft = torques(load)
     rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]])
     write_csv(args.out, ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} samples to {args.out}")
@@ -239,7 +243,7 @@ def _grid_specs(args):
 
 def cmd_sweep(args, config):
     specs = _grid_specs(args)
-    records = analysis.sweep_peaks(specs, config.geometry, config.bodies, config.motors)
+    records = analysis.sweep_peaks(specs, config.geometry, config.bodies, config.motors, gravity=config.gravity)
     rows = [
         [math.degrees(rec.gamma), rec.radius, *rec.max_rates, *rec.max_accels, *rec.max_torques, *rec.max_powers]
         for rec in records
@@ -251,7 +255,8 @@ def cmd_sweep(args, config):
 
 def cmd_force_sweep(args, config):
     spec = _spec(args, args.radius, args.gamma)
-    curve = analysis.force_sweep(spec, _parse_floats("--fc", args.fc), args.lc, config.geometry, config.bodies, config.motors)
+    forces = [_force(fc) for fc in _parse_floats("--fc", args.fc)]
+    curve = analysis.force_sweep(spec, forces, args.lc, config.geometry, config.bodies, config.motors, config.gravity)
     rows = [[fc, *rec.max_torques, *rec.max_powers] for fc, rec in curve]
     write_csv(args.out, ["Fc_N", "T1_Nm", "T2_Nm", "P1_W", "P2_W"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -260,7 +265,8 @@ def cmd_force_sweep(args, config):
 
 def cmd_motor_check(args, config):
     load = _cutting_load(args)
-    records = analysis.sweep_peaks(_grid_specs(args), config.geometry, config.bodies, config.motors, load)
+    records = analysis.sweep_peaks(_grid_specs(args), config.geometry, config.bodies, config.motors, load,
+                                   config.gravity)
     # The grid's envelope: each field's maximum over all records.
     envelope = analysis.PeakRecord(None, 0.0, *(
         np.max([getattr(rec, field) for rec in records], axis=0)

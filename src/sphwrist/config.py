@@ -7,7 +7,7 @@ offending key.
 
 import functools
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +99,7 @@ def _build_body(entries: _Entries, name: str) -> BodyParams:
 def _build_motor(entries: _Entries, index: int) -> MotorSpec:
     prefix = f"motor.{index}"
     try:
-        return MotorSpec(
-            rotor_inertia=entries.scalar(f"{prefix}.rotor_inertia"),
-            reduction_ratio=entries.scalar(f"{prefix}.reduction_ratio"),
-            nominal_speed=entries.scalar(f"{prefix}.nominal_speed"),
-            max_speed=entries.scalar(f"{prefix}.max_speed"),
-            max_torque=entries.scalar(f"{prefix}.max_torque"),
-            continuous_torque=entries.scalar(f"{prefix}.continuous_torque"),
-        )
+        return MotorSpec(**{f.name: entries.scalar(f"{prefix}.{f.name}") for f in fields(MotorSpec)})
     except WristError as exc:
         # "max_speed must be at least nominal_speed": either key may hold the bad value, so both get the prefix.
         raise ConfigError(f"{prefix}.{exc}".replace(" at least ", f" at least {prefix}.")) from exc

@@ -175,7 +175,7 @@ class JointProfile:
 def _profile_arrays(t, theta, rates, accels, label=_index_label) -> dict:
     """The fields of a ``JointProfile`` as read-only float copies, after its
     shape and finiteness checks (``frozen_rows``)."""
-    n = len(t)
+    n = len(t) if np.ndim(t) else 1  # a scalar time is one sample of the wrong shape
     return {name: frozen_rows(f"profile {name}", values, shape, label)
             for name, values, shape in (("t", t, (n,)), ("theta", theta, (n, 4)), ("rates", rates, (n, 4)),
                                         ("accels", accels, (n, 4)))}

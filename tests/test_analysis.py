@@ -12,7 +12,9 @@ from sphwrist import (
     TrajectorySpec,
     force_sweep,
     motor_feasibility,
+    reflected_motor_torque,
     sweep_peaks,
+    virtual_work_torques,
 )
 from sphwrist.analysis import (
     SPEED_OK,
@@ -22,7 +24,7 @@ from sphwrist.analysis import (
     TORQUE_INFEASIBLE,
     TORQUE_INTERMITTENT,
 )
-from sphwrist import analysis
+from sphwrist import analysis, cli, dynamics
 from sphwrist.errors import InvalidInputError, ModelInconsistencyError
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -110,6 +112,53 @@ def test_force_sweep_records_match_one_sweep_per_force(geometry, bodies, motor):
     assert curve[0][1].max_rates is curve[1][1].max_rates and not curve[0][1].max_rates.flags.writeable
 
 
+def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry, bodies, motor):
+    # The pass's joint torques are virtual_work_torques and its shaft torques
+    # add reflected_motor_torque per actuator, bit for bit, with and without a
+    # load, for a motor pair and a gravity of their own.
+    spec = circle_spec(45.0, 0.15, 101)
+    motors = (motor, replace(motor, rotor_inertia=3e-4, reduction_ratio=2.5))
+    gravity = np.array([0.5, -1.0, -9.0])
+    profile, torques, _ = analysis.spec_pass(spec, geometry, bodies, motors, gravity)
+    assert profile.t.tobytes() == analysis.profile_for_spec(spec, geometry).t.tobytes()
+    for load in (None, CuttingLoad((150.0, -40.0, 75.0), 0.11)):
+        tau, shaft = torques(load)
+        expected = virtual_work_torques(profile, geometry, bodies, gravity, load)
+        assert tau.tobytes() == expected.tobytes()
+        for i, m in enumerate(motors):
+            assert shaft[:, i].tobytes() == reflected_motor_torque(expected[:, i], profile.accels[:, i], m).tobytes()
+
+
+def test_each_study_runs_the_load_free_pass_once_per_spec(geometry, bodies, motor, monkeypatch, tmp_path, capsys):
+    # Both bindings are counted, so a second route through
+    # virtual_work_torques would show as a second pass.
+    calls = []
+    load_free_torques = dynamics._load_free_torques
+
+    def counted(profile, *args):
+        calls.append(len(profile))
+        return load_free_torques(profile, *args)
+
+    for module in (analysis, dynamics):
+        monkeypatch.setattr(module, "_load_free_torques", counted)
+    forces = [0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0]
+    assert len(force_sweep(circle_spec(45.0, 0.15, 51), forces, 0.11, geometry, bodies, motor)) == 7
+    assert calls == [51]
+    specs = [circle_spec(g, r, 51) for g in (30.0, 45.0, 60.0) for r in (0.25, 0.1)]
+    calls.clear()
+    assert len(sweep_peaks(specs, geometry, bodies, motor, CuttingLoad((150.0,) * 3, 0.11))) == 6
+    assert calls == [51] * 6
+    for argv, count in (
+        (["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--out", str(tmp_path / "d.csv")], 1),
+        (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], 6),
+        (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], 6),
+    ):
+        calls.clear()
+        assert cli.main([*argv, "--samples", "51"]) == 0
+        assert calls == [51] * count
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("study, where", [
     ("sweep", ""),
     ("force-sweep", "Fc = 1e+300 N: "),
@@ -166,8 +215,11 @@ def test_spec_errors_name_gamma_in_degrees(geometry, bodies, motor):
 
 
 def test_force_sweep_rejects_negative_force(geometry, bodies, motor):
-    with pytest.raises(InvalidInputError):
-        force_sweep(circle_spec(45.0, 0.15, 51), [-5.0], 0.1, geometry, bodies, motor)
+    # A NaN or inf force is named as such, ahead of a negative one.
+    for forces, rule in (([-5.0], "non-negative"), ([0.0, math.nan], "finite"), ([0.0, math.inf], "finite"),
+                         ([-5.0, -math.inf], "finite")):
+        with pytest.raises(InvalidInputError, match=f"^cutting-force magnitudes must be {rule}$"):
+            force_sweep(circle_spec(45.0, 0.15, 51), forces, 0.1, geometry, bodies, motor)
 
 
 def test_force_sweep_checks_the_lever_before_the_profile(geometry, bodies, motor, monkeypatch):

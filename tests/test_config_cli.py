@@ -591,6 +591,10 @@ def test_cli_reflected_inertia_overflow_is_one_error(tmp_path, monkeypatch, caps
      "error[invalid-input]: --fc must be finite\n"),
     (("force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,25", "--lc", "-1", "--out", "x.csv"),
      "error[invalid-input]: lever must be non-negative\n"),
+    (("force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,nan", "--out", "x.csv"),
+     "error[invalid-input]: --fc must be finite\n"),
+    (("force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,inf", "--out", "x.csv"),
+     "error[invalid-input]: --fc must be finite\n"),
 ])
 def test_cli_non_finite_option_names_the_option(tmp_path, monkeypatch, capsys, argv, line):
     monkeypatch.chdir(tmp_path)
@@ -601,13 +605,36 @@ def test_cli_non_finite_option_names_the_option(tmp_path, monkeypatch, capsys, a
 @pytest.mark.parametrize("argv", [
     ("dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "-5", "--out", "x.csv"),
     ("motor-check", "--gamma", "45", "--radius", "0.1", "--fc", "-5"),
+    ("force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,-5", "--out", "x.csv"),
 ])
 def test_cli_negative_force_component_is_refused(tmp_path, monkeypatch, capsys, argv):
-    # --fc is a component magnitude here, as in force-sweep, which refuses a
-    # negative value too.
+    # --fc is a cutting-force component magnitude in all three commands, and
+    # each of its values is checked by one rule.
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv) == (1, "", "error[invalid-input]: --fc must be non-negative\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_studies_read_the_config_gravity(tmp_path, monkeypatch, capsys):
+    # sweep, force-sweep and motor-check take the config's gravity, as
+    # dynamics does: under each config, every study's peak shaft torques are
+    # the peaks that dynamics prints for the same spec.
+    monkeypatch.chdir(tmp_path)
+    Path("g0.cfg").write_text(default_config_text().replace("gravity = 0.0, 0.0, -9.81", "gravity = 0.0, 0.0, 0.0"))
+    spec = ("--gamma", "45", "--radius", "0.15", "--samples", "51")
+    peaks = []
+    for config in ([], ["--config", "g0.cfg"]):
+        code, out, _ = run_cli(capsys, *config, "dynamics", *spec, "--out", "d.csv")
+        assert code == 0
+        dynamics_peaks = re.findall(r"tau\d_shaft_peak_Nm = (\S+)", out)
+        assert run_cli(capsys, *config, "sweep", *spec, "--out", "s.csv")[0] == 0
+        assert Path("s.csv").read_text().splitlines()[1].split(",")[10:12] == dynamics_peaks
+        assert run_cli(capsys, *config, "force-sweep", *spec, "--fc", "0", "--out", "f.csv")[0] == 0
+        assert Path("f.csv").read_text().splitlines()[1].split(",")[1:3] == dynamics_peaks
+        code, out, _ = run_cli(capsys, *config, "motor-check", *spec)
+        assert code == 0 and re.findall(r"peak_torque_Nm = (\S+)", out) == dynamics_peaks
+        peaks.append(dynamics_peaks)
+    assert peaks[0] != peaks[1]
 
 
 def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):

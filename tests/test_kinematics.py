@@ -473,6 +473,9 @@ def test_profile_error_names_lowest_failing_sample(geometry):
 def test_joint_profile_validation():
     with pytest.raises(InvalidInputError, match=r"^profile rates must have shape \(3, 4\), got \(2, 4\)$"):
         JointProfile(np.zeros(3), np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
+    # A scalar time is a shape error, as it is for OrientationPath.
+    with pytest.raises(InvalidInputError, match=r"^profile t must have shape \(1,\), got \(\)$"):
+        JointProfile(1.0, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 4)))
     with pytest.raises(InvalidInputError, match="^sample 0: profile theta must hold finite values$"):
         JointProfile(np.zeros(3), np.full((3, 4), np.nan), np.zeros((3, 4)), np.zeros((3, 4)))
     # The lowest failing sample is named, whichever joint column it is in.

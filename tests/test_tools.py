@@ -20,11 +20,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs;
-    # only the semicircle's torques fail, at its singular midpoint.  The 11
+    # only the semicircle's torques fail, at its singular midpoint.  The 12
     # error cases each end in one categorised error line.
-    assert len(exits) == 33 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 34 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 11 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 12 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -38,6 +38,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         "error[invalid-input]: output tau1_Nm is inf at row 0; the inputs overflow double precision\n")
     assert (a / "error_dynamics_negative_force.stderr").read_text() == (
         "error[invalid-input]: --fc must be non-negative\n")
+    assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
     assert len(list(a.glob("*.csv"))) == 33
@@ -73,7 +74,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "136 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "139 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -86,4 +87,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "136 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "139 files, 3 differ"]

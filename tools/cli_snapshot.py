@@ -15,8 +15,8 @@ case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
 per sample with every number as ``%.17g`` and a failing row's error line,
 and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
 Last, for each spec of ``VW_CASES``, it writes NAME.csv with the load-free
-virtual-work pass that ``sweep`` and ``force-sweep`` make, one row per
-sample with every number as ``%.17g``: the joint angles, rates and
+virtual-work pass that ``analysis.spec_pass`` makes for every study command,
+one row per sample with every number as ``%.17g``: the joint angles, rates and
 accelerations, the load-free torques tau0 and the load terms g.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
@@ -71,6 +71,8 @@ ERROR_CASES = (
                                  "--out", "error_dynamics_overflow.csv"]),
     ("error_dynamics_negative_force", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "-5",
                                        "--out", "error_dynamics_negative_force.csv"]),
+    ("error_force_sweep_nan", ["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,nan",
+                               "--out", "error_force_sweep_nan.csv"]),
 )
 
 
