@@ -20,9 +20,10 @@ axes and passive loop-closure terms are the ones the profile stage kept
 (``kinematics._profile_kinematics``), read whole or one block of rows at a
 time; only a one-state call or a profile built some other way computes
 them.  The solve eliminates the joint forces (a constant +-I block) and
-factors the 12 x 13 moment balances left (raw QR): their Householder
-reflectors give the minimum-norm solution, and nearly rank-deficient rows
-fall back to SVD least squares.  The one-state calls are the n = 1 case.
+factors the terminal and distal moment balances (6 x 7, raw QR); the
+proximal links' unknowns follow through their orthonormal frames, and
+nearly rank-deficient rows fall back to SVD least squares.  The one-state
+calls are the n = 1 case.
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
 block of ``NE_BLOCK`` rows, with each row's power-balance terms, and keeps
 it on the profile, laid out by row, for the block's other rows and for
@@ -54,16 +55,16 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row goes to lstsq when the smallest diagonal entry of its reduced R (see
+# A row goes to lstsq when the smallest diagonal entry of its core R (see
 # _solve) is at most this fraction of the largest: the equations are then too
 # near rank-deficient for the QR solution, and lstsq's rank decision applies.
 # The ratio is 1.06e-16 at the semicircles' singular midpoint, 1.7e-3 beside it.
 QR_RANK_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
-# per row and more memory (the 24 x 25 matrices and the 13 x 12 raw QR
-# reflectors of the reduced system hold about 0.4 MB at 64 rows).
-NE_BLOCK = 64
+# per row and more memory (tracemalloc: a block pass peaks at 1.3 MB at 128
+# rows, 0.65 MB at 64; _solve's temporaries are 4.3 kB a row).
+NE_BLOCK = 128
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 AXIS_NAMES = ("e1", "e2", "e3", "e4", "e5", "e6")
@@ -399,6 +400,10 @@ _MOMENT_ROWS = tuple(r for _, moments in _ROWS.values() for r in range(moments.s
 _FORCE_COLUMNS = tuple(i for force, *_ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
 _REDUCED = tuple(i for i in range(N_UNKNOWNS) if i not in _FORCE_COLUMNS)
 _PLANAR = _REDUCED.index(UNKNOWN_SLICES["planar_force"].start)
+# Of those, each proximal link's own (base moments, torque) and the core left.
+_FRAMES = tuple(tuple(_REDUCED.index(i) for i in range(UNKNOWN_SLICES[moment].start, UNKNOWN_SLICES[tau].stop))
+                for moment, tau in (("base1_moment", "tau1"), ("base2_moment", "tau2")))
+_CORE = tuple(k for k in range(len(_REDUCED)) if not any(k in frame for frame in _FRAMES))
 # Each joint force's point, as skew[2, 1], skew[0, 2] and skew[1, 0] of its
 # block in its carrier's moment balance.
 _POINT_ROWS = tuple(tuple(_ROWS[carrier][1].start + r for r in (2, 0, 1)) for _, carrier, _, _ in _JOINT_FORCES)
@@ -413,14 +418,19 @@ def _solve(A, b, rows):
     p e4 - b_D, terminal revolute b_T + b_D - p e4, base 1 b_P1 + b_T + b_D
     - p e4, base 2 b_P2 + p e4), leaving the moment balances M y = d over
     ``_REDUCED`` (block elimination; Golub & Van Loan, Matrix Computations,
-    3.2).  The raw QR of M^T holds R^T in the lower triangle of h and
-    reflector j, I - tau_j v v^T, in v = (0, ..., 0, 1, h[j, j+1:]): R^T y = d
-    by forward substitution, then the reflectors applied last to first to
-    [y; 0] and e13 give a solution y_p and M's null vector u (5.1-5.2).
-    Lifted to the 25 unknowns, u is the self-stress and x = x_p - (u.x_p /
-    u.u) u.  Nearly rank-deficient rows (``QR_RANK_TOL``) take SVD least
-    squares on A; the residual is A's own, so a matrix of another form fails
-    the gate.  x is read-only: vector reactions are views of it."""
+    3.2).  A proximal link's unknowns (``_FRAMES``) enter only its own
+    balance b, as an orthonormal frame F = [basis, drive axis], so M is block
+    triangular.  The raw QR of the terminal and distal balances' M^T over
+    ``_CORE`` (7 x 6) holds R^T in the lower triangle of h and reflector j,
+    I - tau_j v v^T, in v = (0, ..., 0, 1, h[j, j+1:]): R^T y = d by forward
+    substitution, then the reflectors applied last to first to [y; 0] and e7
+    give the core of a solution y_p and of M's null vector u (5.1-5.2); each
+    frame's part is F^T (d_b - the core's terms), by dot_rows (no stacked
+    matmul, whose bits may depend on the block size).  Lifted to the 25
+    unknowns, u is the self-stress and x = x_p - (u.x_p / u.u) u.  Nearly
+    rank-deficient rows (``QR_RANK_TOL``) take SVD least squares on A; the
+    residual is A's own, so a matrix of another form fails the gate.  x is
+    read-only: vector reactions are views of it."""
     n = len(b)
     per_body = b.reshape(n, len(BODY_NAMES), 6)
     terminal, distal, proximal1, proximal2 = per_body[..., :3].swapaxes(0, 1)
@@ -437,15 +447,16 @@ def _solve(A, b, rows):
             reduced[:, :, BODY_NAMES.index(body)] -= sign * moments[:, :, j]
     M = A[:, _MOMENT_ROWS][:, :, _REDUCED]
     M[:, :, _PLANAR] = reduced[:, 1].reshape(n, -1)
-    h, tau = np.linalg.qr(M.transpose(0, 2, 1), mode="raw")
+    steps = len(_MOMENT_ROWS) - 3 * len(_FRAMES)  # M's first rows: terminal and distal
+    h, tau = np.linalg.qr(M[:, :steps, _CORE].transpose(0, 2, 1), mode="raw")
     diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
     full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
     qr_rows = rows & full
-    steps = len(_MOMENT_ROWS)
-    # z[:, 0] becomes y_p and z[:, 1], from e13, u.
-    z = np.zeros((n, 2, len(_REDUCED)))
+    # z[:, 0] becomes the core of y_p and z[:, 1], from e7, that of u.
+    z = np.zeros((n, 2, len(_CORE)))
     z[:, 1, -1] = 1.0
-    r = reduced[:, 0].reshape(n, -1)
+    d = reduced[:, 0].reshape(n, -1)
+    r = d[:, :steps].copy()
     # Rows left out may divide by a zero pivot; their x is replaced below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(steps):
@@ -457,9 +468,18 @@ def _solve(A, b, rows):
         for j in range(steps - 1, -1, -1):
             w = np.sum(h[:, j, None, j:] * z[:, :, j:], axis=2)
             z[:, :, j:] -= w[..., None] * tau_v[:, j, None, j:]
+        # The frames' rows, less the core's terms: d_b for y_p, 0 for u.
+        below = M[:, None, steps:]
+        rest = -dot_rows(below[..., _CORE], z[:, :, None])
+        rest[:, 0] += d[:, steps:]
+        y = np.empty((n, 2, len(_REDUCED)))
+        y[:, :, _CORE] = z
+        for k, frame in enumerate(_FRAMES):
+            at = slice(3 * k, 3 * k + 3)
+            y[:, :, frame] = dot_rows(below[:, :, at, frame].swapaxes(2, 3), rest[:, :, None, at])
         lifted = np.zeros((n, 2, N_UNKNOWNS))
-        lifted[:, :, _REDUCED] = z
-        lifted[:, :, _FORCE_COLUMNS] = z[:, :, _PLANAR, None] * along_p.reshape(n, 1, -1)
+        lifted[:, :, _REDUCED] = y
+        lifted[:, :, _FORCE_COLUMNS] = y[:, :, _PLANAR, None] * along_p.reshape(n, 1, -1)
         lifted[:, 0, _FORCE_COLUMNS] += constant.reshape(n, -1)
         x_p, u = lifted[:, 0], lifted[:, 1]
         x = x_p - (np.sum(u * x_p, axis=1) / np.sum(u * u, axis=1))[:, None] * u
