@@ -12,7 +12,7 @@ from .dynamics import (
     _rotor_torque,
 )
 from .errors import InvalidInputError, WristError
-from .kinematics import JointProfile, _sample_label, trajectory_joint_profiles
+from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -62,10 +62,11 @@ def _motor_pair(motors):
     return motors
 
 
-def profile_for_spec(spec: TrajectorySpec, geometry) -> JointProfile:
-    """Joint profile along the generated path of one trajectory spec."""
+def profile_for_spec(spec: TrajectorySpec, geometry) -> tuple[JointProfile, _Kinematics]:
+    """Joint profile along the generated path of one trajectory spec, and
+    the kinematic terms of its pass."""
     path = generate(spec)
-    return trajectory_joint_profiles(path.v, path.t[1] - path.t[0], geometry)
+    return _profile_pass(path.v, path.t[1] - path.t[0], geometry)
 
 
 def _column_peaks(x):
@@ -77,13 +78,16 @@ def _column_peaks(x):
 def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
     """The load-independent stages of one trajectory spec, run once: its
     joint profile, load-free torques, reflected rotor torques and kinematic
-    peaks.  Returns ``(profile, torques, record)``: ``torques(load)`` gives
-    the joint and output-shaft torques (N, 2), unchecked, and ``record(load,
-    where="")`` the PeakRecord, whose shaft torques and powers are checked
-    for finite values; an overflow is named after ``where`` by its lowest
-    sample's index, time and tool axis."""
-    profile = profile_for_spec(spec, geometry)
-    load_free = _load_free_torques(profile, geometry, bodies, gravity)
+    peaks.  Returns ``(profile, torques, record, finite)``: ``torques(load)``
+    gives the joint and output-shaft torques (N, 2), unchecked;
+    ``finite(header, values, where="")`` returns a table of per-sample
+    values (N, k) that is finite, and otherwise names its lowest non-finite
+    entry after ``where`` by the sample's index, time and tool axis and by
+    the column's header; ``record(load, where="")`` gives the PeakRecord,
+    its shaft torques and powers checked by ``finite``."""
+    profile, kinematics = profile_for_spec(spec, geometry)
+    tool = kinematics.axes[:, 4]
+    load_free = _load_free_torques(profile, kinematics, bodies, gravity)
     rotor = np.column_stack([_rotor_torque(profile.accels[:, i], motor)
                              for i, motor in enumerate(_motor_pair(motors))])
     max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
@@ -94,19 +98,23 @@ def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
         tau = load_free.with_load(load)
         return tau, tau + rotor
 
+    def finite(header, values, where=""):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise InvalidInputError(f"{where}{_sample_label(i, profile.t[i], tool[i])}: {header[k]}"
+                                    f" is {values[i, k]}; the inputs overflow double precision")
+        return values
+
     def record(load: CuttingLoad | None = None, where=""):
         shaft = torques(load)[1]
         power = shaft * profile.rates[:, :2]
         max_torques, max_powers = _column_peaks(shaft), _column_peaks(power)
         if not (np.isfinite(max_torques).all() and np.isfinite(max_powers).all()):
-            values = np.column_stack([shaft, power])
-            i, k = np.argwhere(~np.isfinite(values))[0]
-            column = ("T1_Nm", "T2_Nm", "P1_W", "P2_W")[k]
-            raise InvalidInputError(f"{where}{_sample_label(i, profile.t[i], load_free.e5[i])}: {column}"
-                                    f" is {values[i, k]}; the inputs overflow double precision")
+            finite(("T1_Nm", "T2_Nm", "P1_W", "P2_W"), np.column_stack([shaft, power]), where)
         return PeakRecord(spec.gamma, spec.radius, max_rates, max_accels, max_torques, max_powers)
 
-    return profile, torques, record
+    return profile, torques, record, finite
 
 
 def _spec_error(spec, exc: WristError) -> WristError:

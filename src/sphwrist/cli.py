@@ -195,7 +195,7 @@ _PROFILE_HEADER = (
 
 
 def cmd_traj(args, config):
-    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)
+    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)[0]
     rows = np.column_stack([profile.t, profile.theta, profile.rates, profile.accels])
     write_csv(args.out, _PROFILE_HEADER, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
@@ -215,11 +215,12 @@ def _cutting_load(args) -> dynamics.CuttingLoad:
 
 def cmd_dynamics(args, config):
     load = _cutting_load(args)
-    profile, torques, _ = analysis.spec_pass(_traj_spec(args), config.geometry, config.bodies, config.motors,
-                                             config.gravity)
+    profile, torques, _, finite = analysis.spec_pass(_traj_spec(args), config.geometry, config.bodies,
+                                                     config.motors, config.gravity)
     tau, shaft = torques(load)
-    rows = np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]])
-    write_csv(args.out, ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"], rows)
+    header = ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"]
+    rows = finite(header, np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]]))
+    write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
     shaft_peak = np.max(np.abs(shaft), axis=0)
     for i in range(2):

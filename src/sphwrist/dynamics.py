@@ -15,13 +15,12 @@ Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
-``_solve``, ``_power_balance_rows``).  On a profile, the link frames, joint
-axes and passive loop-closure terms are the ones the profile stage kept
-(``kinematics._profile_kinematics``), read whole or one block of rows at a
-time; only a one-state call or a profile built some other way computes
-them.  The solve eliminates the joint forces (a constant +-I block) and
-factors the terminal and distal moment balances (6 x 7, raw QR); the
-proximal links' unknowns follow through their orthonormal frames, and
+``_solve``, ``_power_balance_rows``), on the link frames, joint axes and
+passive loop-closure terms that ``kinematics._kinematics_at`` builds from
+the angles of the rows a pass solves: a whole profile, one block of its
+rows or one state.  The solve eliminates the joint forces (a constant +-I
+block) and factors the terminal and distal moment balances (6 x 7, raw QR);
+the proximal links' unknowns follow through their orthonormal frames, and
 nearly rank-deficient rows fall back to SVD least squares.  The one-state
 calls are the n = 1 case.
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
@@ -46,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, frozen_vector
-from .kinematics import (JointProfile, JointState, _kinematics_at, _profile_kinematics, _sample_label,
-                         _solve_passive, _unchecked)
+from .kinematics import (JointProfile, JointState, _Kinematics, _kinematics_at, _sample_label, _solve_passive,
+                         _unchecked)
 from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -594,13 +593,13 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     return _row_balance(p_act, ke_rate, p_ext)
 
 
-def _solve_rows(rates, accels, f1, f2, axes, table, gravity, load):
+def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     """Read-only motion, solutions x (n, 25), residuals (n,), per row None
     or the (error class, message) that the one-state calls raise for it,
     checked in their order, and the power-balance terms of
-    ``_power_balance_rows``, at n joint states given as ``_motion`` takes
-    them."""
-    m = _motion(rates, accels, f1, f2, axes, table)
+    ``_power_balance_rows``, at n joint states: angles, rates and
+    accelerations (n, 4) each."""
+    m = _motion(rates, accels, *_kinematics_at(theta, geometry)[:3], table)
     A, b, aligned = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
     x, residual = _solve(A, b, ~(open_loop | aligned))
@@ -642,13 +641,13 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     block = getattr(profile, "_ne_block", None)
     if block is None or block[0] != key:
         if profile is None:
-            rows = state.rates[None], state.accels[None], *_kinematics_at(state.angles.theta[None], geometry)[:3]
+            rows = state.angles.theta[None], state.rates[None], state.accels[None]
         else:
             span = slice(start, start + NE_BLOCK)
-            rows = profile.rates[span], profile.accels[span], *_profile_kinematics(profile, geometry, span)[:3]
-        m, x, residual, errors, ke_rate, p_ext = _solve_rows(*rows, table, gravity, load)
+            rows = profile.theta[span], profile.rates[span], profile.accels[span]
+        m, x, residual, errors, ke_rate, p_ext = _solve_rows(*rows, geometry, table, gravity, load)
         block = (key, _KeptRows(x, list(zip(*(list(a[:, None]) for a in m[:-1]))),
-                                _row_solutions(x, residual, rows[0][:, :2]), errors,
+                                _row_solutions(x, residual, rows[1][:, :2]), errors,
                                 list(zip(ke_rate.tolist(), p_ext.tolist()))))
         if profile is not None:
             # One store of an immutable tuple: concurrent callers each see a whole block.
@@ -677,13 +676,12 @@ def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
     a block on the profile."""
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
-    kinematics = _profile_kinematics(profile, geometry)[:3]
     n = len(profile)
     residual, balance, errors = np.empty(n), np.empty(n), []
     for start in range(0, n, NE_BLOCK):
         rows = slice(start, start + NE_BLOCK)
         _, x, residual[rows], block_errors, ke_rate, p_ext = _solve_rows(
-            profile.rates[rows], profile.accels[rows], *(a[rows] for a in kinematics), table, gravity, load)
+            profile.theta[rows], profile.rates[rows], profile.accels[rows], geometry, table, gravity, load)
         tau, rates = x[:, _TAU], profile.rates[rows]
         balance[rows] = _balance(tau[:, 0] * rates[:, 0] + tau[:, 1] * rates[:, 1], ke_rate, p_ext)
         errors += block_errors
@@ -775,16 +773,16 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     to do no work on the self-motion there (at rest with the tool
     horizontal, for one).
     """
-    return _load_free_torques(profile, geometry, bodies, gravity).with_load(load)
+    return _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, gravity).with_load(load)
 
 
-def _load_free_torques(profile: JointProfile, geometry: WristGeometry, bodies,
-                      gravity=GRAVITY) -> _LoadFreeTorques:
-    """The load-free pass of ``virtual_work_torques``, with the same errors;
+def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, gravity=GRAVITY) -> _LoadFreeTorques:
+    """The load-free pass of ``virtual_work_torques`` on the profile's
+    ``kinematics`` (``_kinematics_at`` of its angles), with the same errors;
     a study over many loads makes it once per profile."""
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
-    f1, f2, axes, passive = _profile_kinematics(profile, geometry)
+    f1, f2, axes, passive = kinematics
     m = _motion(profile.rates, profile.accels, f1, f2, axes, table, com_motion=False)
     e1, e2, e3, e4, e5, _ = (axes[:, k] for k in range(6))
 

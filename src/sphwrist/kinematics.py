@@ -5,12 +5,12 @@ gravity are written in).  The two actuated axes are horizontal there; the
 conversion to the leg-1 joint frame happens through
 ``WristGeometry.base_axes``.
 
-The profile stage (``trajectory_joint_profiles``) makes the one kinematic
-pass over a path: the links' frames and joint axes from one ``leg_frames``
-call, and the passive loop-closure terms with their type-II singularity
-test.  The profile keeps them, read-only and tagged with the geometry
-object, and the dynamics passes read them through ``_profile_kinematics``
-instead of building them again.
+The profile stage (``_profile_pass``) makes the one kinematic pass over a
+path: the links' frames and joint axes from one ``leg_frames`` call, and the
+passive loop-closure terms with their type-II singularity test
+(``_kinematics_at``).  It returns them next to the profile, which holds only
+its four arrays, for a caller that reads them (``analysis.spec_pass``);
+every other pass builds them from the angles of the rows it solves.
 """
 
 import math
@@ -135,11 +135,8 @@ class JointProfile:
     ``theta``/``rates``/``accels`` (N, 4).
 
     Indexing and iteration yield one ``JointState`` per sample, a read-only
-    view of its row; ``dynamics.solve_state`` keeps one solved block of rows
-    on the profile (``_ne_block``).  A profile from
-    ``trajectory_joint_profiles`` also keeps the frames, axes and passive
-    closure of its pass (``_kinematics``, tagged with the geometry object),
-    which the torque and Newton-Euler passes read (``_profile_kinematics``).
+    view of its row.  Besides its four arrays, a profile holds only the one
+    block of rows that ``dynamics.solve_state`` last solved (``_ne_block``).
     """
 
     t: np.ndarray
@@ -402,18 +399,6 @@ def _kinematics_at(theta, geometry: WristGeometry) -> _Kinematics:
     return _Kinematics(f1, f2, axes, _passive_closure(axes))
 
 
-def _profile_kinematics(profile: JointProfile, geometry: WristGeometry, rows=slice(None)) -> _Kinematics:
-    """The kinematic terms of a profile's ``rows``: views of the read-only
-    arrays that ``trajectory_joint_profiles`` keeps on the profile for its
-    ``geometry`` object, or, for any other profile or geometry object,
-    computed from the rows' angles."""
-    kept = getattr(profile, "_kinematics", None)
-    if kept is None or kept[0] is not geometry:
-        return _kinematics_at(profile.theta[rows], geometry)
-    f1, f2, axes, passive = kept[1]
-    return _Kinematics(f1[rows], f2[rows], axes[rows], _PassiveClosure(*(a[rows] for a in passive)))
-
-
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
     """Joint angles, rates, and accelerations along a sampled orientation path.
 
@@ -430,6 +415,13 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     lowest sample with the sample's time and tool direction
     (``_sample_label``).
     """
+    return _profile_pass(orientations, dt, geometry)[0]
+
+
+def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[JointProfile, _Kinematics]:
+    """``trajectory_joint_profiles``, with the same checks and errors, and
+    the kinematic terms of its pass (``_kinematics_at`` of the profile's
+    angles), which the profile does not keep."""
     if isinstance(orientations, np.ndarray):
         v = _unit_directions(orientations)
     else:
@@ -451,11 +443,8 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
 
     drive = central_difference(theta[:, :2], dt)
     drive_accel = central_difference(drive, dt)
-    f1, f2, axes, passive = kinematics = _kinematics_at(theta, geometry)
+    _, _, axes, passive = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)
     accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
     profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * dt, theta, rates, accels, label))
-    for array in (f1, f2, axes, *passive):
-        array.setflags(write=False)
-    object.__setattr__(profile, "_kinematics", (geometry, kinematics))
-    return profile
+    return profile, kinematics

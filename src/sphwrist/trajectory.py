@@ -20,10 +20,10 @@ KIND_CIRCLE = "circle-XY"
 
 DEFAULT_SAMPLE_COUNT = 1001
 DEFAULT_TOOL_SPEED = 1.0
-# A thousand times the paper's sample count.  A run holds about 1.7 kB per
-# sample at its peak (the traj command at 50,001 samples, whose profile keeps
-# its frames, axes and passive closure, about 0.5 kB per sample, while the
-# CSV is written), so this bound keeps one path under about 1.7 GB.
+# A thousand times the paper's sample count.  A run peaks at about 0.92 kB
+# per sample over its memory before the path (the traj command at 50,001
+# samples: 74.7 MB against 30.0 MB, ru_maxrss; the peak falls in the profile
+# stage), so this bound keeps one path under about 1 GB.
 MAX_SAMPLE_COUNT = 1_000_000
 
 

@@ -119,8 +119,8 @@ def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry
     spec = circle_spec(45.0, 0.15, 101)
     motors = (motor, replace(motor, rotor_inertia=3e-4, reduction_ratio=2.5))
     gravity = np.array([0.5, -1.0, -9.0])
-    profile, torques, _ = analysis.spec_pass(spec, geometry, bodies, motors, gravity)
-    assert profile.t.tobytes() == analysis.profile_for_spec(spec, geometry).t.tobytes()
+    profile, torques, *_ = analysis.spec_pass(spec, geometry, bodies, motors, gravity)
+    assert profile.t.tobytes() == analysis.profile_for_spec(spec, geometry)[0].t.tobytes()
     for load in (None, CuttingLoad((150.0, -40.0, 75.0), 0.11)):
         tau, shaft = torques(load)
         expected = virtual_work_torques(profile, geometry, bodies, gravity, load)

@@ -546,11 +546,11 @@ def test_cli_reused_parser_matches_a_fresh_interpreter(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("dynamics", "--traj", "circle", "--gamma", "45", "--radius", "0.1", "--speed", "1e150"),
-     "output P1_W is inf at row 0"),
+    pytest.param(("dynamics", "--traj", "circle", "--gamma", "45", "--radius", "0.1", "--speed", "1e150"),
+                 "sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): P1_W is inf;", id="dynamics-speed"),
     (("traj", "--radius", "1e-300", "--gamma", "45"), "profile accels must hold finite values"),
-    (("dynamics", "--radius", "0.1", "--gamma", "45", "--fc", "1e200", "--lc", "1e200"),
-     "tau1_Nm is inf at row 0"),
+    pytest.param(("dynamics", "--radius", "0.1", "--gamma", "45", "--fc", "1e200", "--lc", "1e200"),
+                 "sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;", id="dynamics-load"),
 ])
 def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
     # A separate interpreter, so that numpy warnings reach stderr as they
@@ -568,17 +568,15 @@ def test_cli_overflow_ends_in_one_error_line(tmp_path, argv, message):
     (("motor-check", "--gamma", "45", "--radius", "0.1", "--samples", "21"), "T1_Nm"),
 ])
 def test_cli_reflected_inertia_overflow_is_one_error(tmp_path, monkeypatch, capsys, argv, column):
-    # The square of this ratio overflows; the shaft torque becomes inf.  A
-    # dynamics CSV row is a sample, so the row names it; a peak names its
-    # spec and sample.
+    # The square of this ratio overflows; the shaft torque becomes inf.  The
+    # error names the sample, and for a peak the spec ahead of it.
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "ratio.cfg"
     path.write_text(default_config_text().replace("motor.1.reduction_ratio = 1.0", "motor.1.reduction_ratio = 1e200"))
     code, out, err = run_cli(capsys, "--config", str(path), *argv)
     assert code == 1 and out == "" and not any(tmp_path.glob("*.csv"))
-    where = (f"output {column} is inf at row 0" if argv[0] == "dynamics" else
-             "spec (kind=circle-XY, gamma=45 deg, R=0.1): sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)):"
-             f" {column} is inf")
+    spec = "" if argv[0] == "dynamics" else "spec (kind=circle-XY, gamma=45 deg, R=0.1): "
+    where = f"{spec}sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): {column} is inf"
     assert err == f"error[invalid-input]: {where}; the inputs overflow double precision\n"
 
 

@@ -40,12 +40,11 @@ from sphwrist import (
     verify_profile,
     virtual_work_torques,
 )
-from sphwrist import cli, dynamics, kinematics, rotation
+from sphwrist import analysis, cli, dynamics, kinematics, rotation
 from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, UNKNOWN_SLICES, _body_table,
                                _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from sphwrist.kinematics import (_axis_stack, _closure_rates_from_axes, _joint_angles, _passive_closure,
-                                 _profile_kinematics)
+from sphwrist.kinematics import _axis_stack, _closure_rates_from_axes, _joint_angles, _kinematics_at, _passive_closure
 from sphwrist.rotation import leg_frames
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -185,7 +184,7 @@ def test_motion_matches_frame_differences_at_second_order(geometry, bodies):
 
     def errors(n):
         profile = circle_states(geometry, 45.0, 0.25, n)
-        m = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
+        m = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
         dt = profile.t[1] - profile.t[0]
         w = (m.R[2:] - m.R[:-2]) / (2.0 * dt) @ np.swapaxes(m.R[1:-1], -1, -2)
         omega = np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
@@ -466,7 +465,7 @@ def test_assembly_writes_the_force_block_the_solve_reduces(geometry, bodies):
                               rng.uniform(-500.0, 500.0, 2)) for _ in range(40)]
     for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
         for profile in profiles:
-            motion = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
+            motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
             A, _, _ = dynamics._assemble(motion, table, GRAVITY, load)
             parts = ne_form_parts(A)
             np.testing.assert_array_equal(parts[3], motion.joint_axes[:, 3])
@@ -513,7 +512,7 @@ def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
     # midpoint fails it.
     profile = semicircle_states(geometry, 0.25, 1001)
     table = _body_table(bodies)
-    motion = _motion(profile.rates, profile.accels, *_profile_kinematics(profile, geometry)[:3], table)
+    motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
     A, b, aligned = dynamics._assemble(motion, table, GRAVITY, None)
     assert not aligned.any()
     _, residual = dynamics._solve(A, b, np.ones(len(b), dtype=bool))
@@ -741,7 +740,7 @@ def loaded_virtual_work_reference(profile, geometry, bodies, gravity, load):
 
 def test_cutting_load_is_one_affine_term(geometry, bodies):
     profile = circle_states(geometry, 45.0, 0.15, 301)
-    load_free = _load_free_torques(profile, geometry, bodies, GRAVITY)
+    load_free = _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, GRAVITY)
     # A force along the tool does no work: g_k . e5 is 0 up to rounding.
     along_tool = np.einsum("nkj,nj->nk", load_free.g, load_free.e5)
     assert np.all(np.abs(along_tool) <= 4.0 * np.finfo(float).eps * np.linalg.norm(load_free.g, axis=2))
@@ -1103,11 +1102,11 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_one_closure_solve_per_pass(geometry, bodies, monkeypatch):
+def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
     # The profile stage builds the leg frames once and tests the passive Gram
-    # determinant once, without the one-leg chain_frames; the load-free torque
-    # pass on its profile reads them and makes neither call.  On a bare
-    # profile, the pass makes each call once.
+    # determinant once, without the one-leg chain_frames, and so does
+    # virtual_work_torques on its own.  A study's pass over one spec makes
+    # each call once: its load-free torques read the profile stage's terms.
     calls = count_calls(monkeypatch, "leg_frames", "_passive_closure", "chain_frames")
     spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=101)
     path = generate(spec)
@@ -1116,15 +1115,16 @@ def test_one_closure_solve_per_pass(geometry, bodies, monkeypatch):
     calls.clear()
     load = CuttingLoad(np.full(3, 50.0), 0.11)
     virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
-    assert calls == []
-    virtual_work_torques(profile_rows(profile, slice(None)), geometry, bodies, GRAVITY, load)
+    assert calls == ["leg_frames", "_passive_closure"]
+    calls.clear()
+    analysis.spec_pass(spec, geometry, bodies, motor)[1](load)
     assert calls == ["leg_frames", "_passive_closure"]
 
 
 def test_one_kinematic_pass_per_profile(geometry, bodies, monkeypatch, tmp_path):
     # Each study builds the leg frames once per profile: the 12-point grid
-    # once per spec, a force sweep once, and verify_profile not beyond the
-    # profile stage.
+    # once per spec, a force sweep once.  verify_profile builds them from the
+    # angles of each block it solves.
     calls = count_calls(monkeypatch, "leg_frames")
     assert cli.main(["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.15,0.1,0.05", "--samples", "101",
                      "--out", str(tmp_path / "peaks.csv")]) == 0
@@ -1134,16 +1134,26 @@ def test_one_kinematic_pass_per_profile(geometry, bodies, monkeypatch, tmp_path)
                      "--samples", "101", "--out", str(tmp_path / "force.csv")]) == 0
     assert calls == ["leg_frames"]
     calls.clear()
-    check = verify_profile(semicircle_states(geometry, 0.25, 1001), geometry, bodies)
-    assert calls == ["leg_frames"]
+    profile = semicircle_states(geometry, 0.25, 1001)
+    calls.clear()
+    check = verify_profile(profile, geometry, bodies)
+    assert calls == ["leg_frames"] * len(range(0, 1001, NE_BLOCK))
     assert [i for i, error in enumerate(check.errors) if error is not None] == [500]
 
 
 @pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
 def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
-    # A profile that keeps its kinematics and a bare copy, which computes
-    # them per pass, give the same torques, rows, residuals and balances, bit
-    # for bit, and the same errors.
+    # The kinematic terms that the profile stage keeps from its pass and
+    # hands to the load-free torques, as a study does, give the torques of
+    # terms built again from a bare copy's angles, bit for bit.  The profile
+    # and the bare copy give the same torques, rows, residuals and balances,
+    # bit for bit, and the same errors.
+    def load_free(profile, kinematics):
+        try:
+            return [_load_free_torques(profile, kinematics, bodies, GRAVITY).with_load(load)]
+        except WristError as exc:
+            return [type(exc), str(exc)]
+
     def outputs(profile):
         try:
             tau = [virtual_work_torques(profile, geometry, bodies, GRAVITY, load)]
@@ -1152,9 +1162,13 @@ def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
         rows = [solve_fields(geometry, bodies, state, GRAVITY, load) for state in profile]
         return tau, rows, verify_profile(profile, geometry, bodies, GRAVITY, load)
 
-    for kept in (circle_states(geometry, 60.0, 0.05, 301), semicircle_states(geometry, 0.25, 1001)):
+    for spec in (TrajectorySpec(kind=KIND_CIRCLE, radius=0.05, gamma=math.radians(60.0), sample_count=301),
+                 TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001)):
+        kept, kinematics = analysis.profile_for_spec(spec, geometry)
         bare = profile_rows(kept, slice(None))
-        assert not hasattr(bare, "_kinematics")
+        handed, built = (load_free(*args) for args in ((kept, kinematics),
+                                                        (bare, _kinematics_at(bare.theta, geometry))))
+        assert all(a is b or np.array_equal(a, b) for a, b in zip(handed, built, strict=True))
         (tau, rows, check), (bare_tau, bare_rows, bare_check) = outputs(kept), outputs(bare)
         assert all(a is b or np.array_equal(a, b) for a, b in zip(tau, bare_tau, strict=True))
         for row, bare_row in zip(rows, bare_rows, strict=True):
@@ -1165,28 +1179,47 @@ def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
 
 
 def test_kept_kinematics_follow_the_geometry_object(geometry, bodies, monkeypatch):
-    # The kept arrays are read for the geometry object the profile was built
-    # with; an equal-valued copy computes them again, to the same bits.
-    # Two blocks and one row of a third, whatever the block size.
-    profile = circle_states(geometry, 45.0, 0.1, 2 * NE_BLOCK + 1)
-    f1, f2, axes, passive = _profile_kinematics(profile, geometry)
-    for array in (f1, f2, axes, *passive):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
+    # The terms the profile stage keeps are those of the geometry it was
+    # given; the torques on its profile build their own from the geometry of
+    # each call, one leg_frames call each, and an equal-valued copy gives the
+    # same bits.  Two blocks and one row of a third, whatever the block size.
+    spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=2 * NE_BLOCK + 1)
+    profile, kept = analysis.profile_for_spec(spec, geometry)
+    for built in (_kinematics_at(profile.theta, geometry), _kinematics_at(profile.theta, replace(geometry))):
+        for a, b in zip((*kept[:3], *kept.passive), (*built[:3], *built.passive), strict=True):
+            assert np.array_equal(a, b)
     calls = count_calls(monkeypatch, "leg_frames")
     tau = virtual_work_torques(profile, geometry, bodies)
-    assert calls == []
-    np.testing.assert_array_equal(virtual_work_torques(profile, replace(geometry), bodies), tau)
     assert calls == ["leg_frames"]
-    # Motions of two blocks read views of the same kept axes; the balance
-    # still tells them apart by the arrays each block owns.
+    np.testing.assert_array_equal(virtual_work_torques(profile, replace(geometry), bodies), tau)
+    assert calls == ["leg_frames"] * 2
+    # Motions of two rows of one block read views of that block's axes, and
+    # a row of another block reads arrays of its own; the balance of a row
+    # whose block is no longer kept makes its own pass.
     first, solution = solve_state(profile[0], geometry, bodies)
+    assert solve_state(profile[1], geometry, bodies)[0].joint_axes.base is first.joint_axes.base
     second, _ = solve_state(profile[NE_BLOCK], geometry, bodies)
-    assert first.joint_axes.base is second.joint_axes.base is axes.base
+    assert second.joint_axes.base is not first.joint_axes.base
     passes = balance_passes(monkeypatch)
     assert power_balance_residual(profile[0], solution, first, bodies) < 1e-12
     assert passes == [1]
+
+
+def test_kinematics_of_row_slices_are_slices_of_the_pass(geometry):
+    # The dynamics build the kinematic terms of the rows they solve (one
+    # row, a block of NE_BLOCK rows, the ragged last block); each is the same
+    # slice of the profile stage's pass over all rows, bit for bit.
+    for n, profile_of in ((1001, lambda n: semicircle_states(geometry, 0.25, n)),
+                          (2 * NE_BLOCK + 45, lambda n: circle_states(geometry, 57.0, 0.05, n))):
+        profile = profile_of(n)
+        whole = _kinematics_at(profile.theta, geometry)
+        spans = [slice(i, i + 1) for i in (0, 1, NE_BLOCK - 1, NE_BLOCK, n // 2, n - 1)]
+        spans += [slice(start, start + NE_BLOCK) for start in range(0, n, NE_BLOCK)]
+        assert spans[-1].stop > n
+        for span in spans:
+            part = _kinematics_at(profile.theta[span], geometry)
+            for a, b in zip((*part[:3], *part.passive), (*whole[:3], *whole.passive), strict=True):
+                assert np.array_equal(a, b[span]), span
 
 
 def test_body_table_from_threads(geometry, bodies):

@@ -33,9 +33,10 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     spec = "error[invalid-input]: spec (kind=circle-XY, gamma=45 deg, R=0.1): "
     assert (a / "error_sweep_speed.stderr").read_text().startswith(spec + "sample 0 (t = 0 s, v = (")
     assert (a / "error_force_sweep_overflow.stderr").read_text().startswith(spec + "Fc = 1e+300 N: sample 0 (t = 0 s")
-    # An overflowing dynamics series names its column and row.
+    # An overflowing dynamics series names its sample, without a spec, and its column.
     assert (a / "error_dynamics_overflow.stderr").read_text() == (
-        "error[invalid-input]: output tau1_Nm is inf at row 0; the inputs overflow double precision\n")
+        "error[invalid-input]: sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;"
+        " the inputs overflow double precision\n")
     assert (a / "error_dynamics_negative_force.stderr").read_text() == (
         "error[invalid-input]: --fc must be non-negative\n")
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"

@@ -174,8 +174,8 @@ def vw_rows(name, gamma, radius, samples=None):
     spec = sphwrist.TrajectorySpec(kind=KIND_CIRCLE, radius=radius, gamma=math.radians(gamma),
                                    tool_speed=config.tool_speed,
                                    sample_count=config.sample_count if samples is None else samples)
-    profile = profile_for_spec(spec, config.geometry)
-    load_free = _load_free_torques(profile, config.geometry, config.bodies, config.gravity)
+    profile, kinematics = profile_for_spec(spec, config.geometry)
+    load_free = _load_free_torques(profile, kinematics, config.bodies, config.gravity)
     header = ["sample", "t", *(f"{field}{j}" for field in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
               "tau0_1", "tau0_2", *(f"g{k}_{j}" for k in (1, 2) for j in range(3))]
     columns = [profile.t[:, None], profile.theta, profile.rates, profile.accels, load_free.tau0,
