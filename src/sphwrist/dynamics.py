@@ -24,10 +24,10 @@ the proximal links' unknowns follow through their orthonormal frames, and
 nearly rank-deficient rows fall back to SVD least squares.  The one-state
 calls are the n = 1 case.
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
-block of ``NE_BLOCK`` rows, with each row's power-balance terms, and keeps
-it on the profile, laid out by row, for the block's other rows and for
-``power_balance_residual``.  ``verify_profile`` makes the same block passes
-over a whole profile.
+block of ``NE_BLOCK`` rows and keeps it on the profile as one record per
+row (motion views, solution, error, power-balance terms), for the block's
+other rows and for ``power_balance_residual``.  ``verify_profile`` makes
+the same block passes over a whole profile.
 
 The studies take their actuator torques from ``virtual_work_torques``: the
 principle of virtual work over a whole joint profile at once, on the same
@@ -572,20 +572,20 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     Independent check on the wrench solve: actuator power plus gravity and
     cutting power must equal d(KE)/dt, with everything evaluated analytically
     from the motion terms (``_power_balance_rows``).  A motion that
-    ``solve_state`` returned for a profile row reads those terms from the
-    block kept on the profile, when the motion's arrays are that block's own
-    row views and the block was solved for this gravity, these bodies and
-    this load.  The actuator power always comes from ``solution.tau`` and
-    ``state.rates``.
+    ``solve_state`` returned for a profile row reads those terms from its
+    row's record in the block kept on the profile, when each of the motion's
+    eight arrays is that record's own view and the block was solved for this
+    gravity, these bodies and this load.  The actuator power always comes
+    from ``solution.tau`` and ``state.rates``.
     """
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
     profile, i = (motion.state.row if motion.state is not None else None) or (None, 0)
-    block = getattr(profile, "_ne_block", None)
-    if (block is not None and block[0][0] == i - i % NE_BLOCK and block[0][1] == gravity.tobytes()
-            and block[0][3:] == (*table.params, load)
-            and all(a is b for a, b in zip(motion[:-1], block[1].motions[i % NE_BLOCK]))):
-        ke_rate, p_ext = block[1].balance[i % NE_BLOCK]
+    key, rows = getattr(profile, "_ne_block", ((), ()))
+    k = i % NE_BLOCK
+    if (key[:2] == (i - k, gravity.tobytes()) and key[3:] == (*table.params, load)
+            and all(a is b for a, b in zip(motion[:-1], rows[k][0]))):
+        ke_rate, p_ext = rows[k][3]
     else:
         ke_rate, p_ext = (float(terms[0]) for terms in _power_balance_rows(motion, table, gravity, load))
     tau, rates = solution.tau, state.rates
@@ -612,26 +612,18 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     return m, x, residual, errors, *_power_balance_rows(m, table, gravity, load)
 
 
-class _KeptRows(NamedTuple):
-    """A block that ``solve_state`` solved: x, and per row the motion's (1, ...)
-    views, ``_row_solutions``, error and power-balance terms as floats."""
-
-    x: np.ndarray
-    motions: list
-    solutions: list
-    errors: tuple
-    balance: list
-
-
 def solve_state(state: JointState, geometry: WristGeometry, bodies,
                 gravity=GRAVITY, load: CuttingLoad | None = None):
     """Motion, assembly, and solve for one joint state.
 
     A state indexed from a ``JointProfile`` is solved with the rest of its
-    aligned block of ``NE_BLOCK`` rows.  The profile keeps that one block,
-    with the inputs it was solved for (geometry, bodies and load by
-    identity, gravity by value), for the block's other rows and for
-    ``power_balance_residual``.
+    aligned block of ``NE_BLOCK`` rows.  The profile keeps that one block as
+    ``(key, rows)``: the key holds the block's first row and the inputs it
+    was solved for (gravity by value; geometry, bodies and load by
+    identity), and ``rows[k]`` is row k's record, built once per block: the
+    motion's eight (1, ...) row views, the ``_row_solutions`` fields, None
+    or the (error class, message) to raise, and the power-balance terms
+    (ke_rate, p_ext) as floats, which ``power_balance_residual`` reads.
     """
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
@@ -646,16 +638,15 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
             span = slice(start, start + NE_BLOCK)
             rows = profile.theta[span], profile.rates[span], profile.accels[span]
         m, x, residual, errors, ke_rate, p_ext = _solve_rows(*rows, geometry, table, gravity, load)
-        block = (key, _KeptRows(x, list(zip(*(list(a[:, None]) for a in m[:-1]))),
-                                _row_solutions(x, residual, rows[1][:, :2]), errors,
-                                list(zip(ke_rate.tolist(), p_ext.tolist()))))
+        block = (key, list(zip(zip(*(list(a[:, None]) for a in m[:-1])), _row_solutions(x, residual, rows[1][:, :2]),
+                               errors, zip(ke_rate.tolist(), p_ext.tolist()))))
         if profile is not None:
             # One store of an immutable tuple: concurrent callers each see a whole block.
             object.__setattr__(profile, "_ne_block", block)
-    kept = block[1]
-    if kept.errors[k] is not None:
-        raise kept.errors[k][0](kept.errors[k][1])
-    return WristMotion(*kept.motions[k], state), _solution(*kept.solutions[k])
+    views, fields, error, _ = block[1][k]
+    if error is not None:
+        raise error[0](error[1])
+    return WristMotion(*views, state), _solution(*fields)
 
 
 class ProfileCheck(NamedTuple):

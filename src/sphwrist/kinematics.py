@@ -441,7 +441,7 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[Joi
         raise BranchJumpError(f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between {label(i)} and {label(i + 1)};"
                               " the path crosses a singularity")
 
-    drive = central_difference(theta[:, :2], dt)
+    drive = frozen_rows("profile rates", central_difference(theta[:, :2], dt), (len(theta), 2), label)
     drive_accel = central_difference(drive, dt)
     _, _, axes, passive = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)

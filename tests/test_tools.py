@@ -20,11 +20,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs;
-    # only the semicircle's torques fail, at its singular midpoint.  The 12
+    # only the semicircle's torques fail, at its singular midpoint.  The 13
     # error cases each end in one categorised error line.
-    assert len(exits) == 34 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 35 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 12 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 13 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -37,6 +37,10 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_dynamics_overflow.stderr").read_text() == (
         "error[invalid-input]: sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;"
         " the inputs overflow double precision\n")
+    # Drive rates that overflow in the differencing name their sample.
+    assert (a / "error_traj_rate_overflow.stderr").read_text() == (
+        "error[invalid-input]: sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)):"
+        " profile rates must hold finite values\n")
     assert (a / "error_dynamics_negative_force.stderr").read_text() == (
         "error[invalid-input]: --fc must be non-negative\n")
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
@@ -75,7 +79,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "139 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "142 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -88,4 +92,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "139 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "142 files, 3 differ"]

@@ -63,6 +63,8 @@ ERROR_CASES = (
                                  "--out", "error_force_sweep_lever.csv"]),
     ("error_motor_check_force", ["motor-check", *GRID, "--fc", "inf", "--lc", "0.11"]),
     ("error_traj_radius", ["traj", "--gamma", "45", "--radius", "1e-300", "--out", "error_traj_radius.csv"]),
+    ("error_traj_rate_overflow", ["traj", "--gamma", "60", "--radius", "1e-308", "--speed", "1.5",
+                                  "--out", "error_traj_rate_overflow.csv"]),
     ("error_sweep_speed", ["sweep", "--gamma", "45", "--radius", "0.1", "--speed", "1e150",
                            "--out", "error_sweep_speed.csv"]),
     ("error_force_sweep_overflow", ["force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,1e300",
