@@ -2,7 +2,9 @@
 
 The format is flat ``key = value`` text with dotted section names; values are
 numbers or comma-separated number lists.  Validation failures always name the
-offending key.
+offending key.  The link and motor keys are required; a geometry, gravity or
+run-default key left out takes the value in code (``WristGeometry``'s field
+defaults, ``dynamics.GRAVITY``, ``trajectory.DEFAULT_*``).
 """
 
 import functools
@@ -52,89 +54,60 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-class _Entries:
-    def __init__(self, entries):
-        self.entries = dict(entries)
-        self.used = set()
-
-    def take(self, key, length=None, default=None):
-        if key not in self.entries:
-            if default is not None:
-                return list(default)
-            raise ConfigError(f"missing required key {key!r}")
-        self.used.add(key)
-        values = self.entries[key]
-        if length is not None and len(values) != length:
-            raise ConfigError(f"key {key!r} must hold {length} value(s), got {len(values)}")
-        return values
-
-    def scalar(self, key, default=None):
-        return self.take(key, 1, None if default is None else [default])[0]
-
-    def unused(self):
-        return sorted(set(self.entries) - self.used)
-
-
-def _build_body(entries: _Entries, name: str) -> BodyParams:
-    prefix = f"body.{name}"
-    ixx, iyy, izz, ixy, ixz, iyz = entries.take(f"{prefix}.inertia", 6)
-    inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
-    points = {
-        point: entries.take(f"{prefix}.point.{point}", 3)
-        for point in FORCE_POINT_NAMES[name]
-        if f"{prefix}.point.{point}" in entries.entries
-    }
+def _build(cls, section, **values):
+    """``cls(**values)``, a value-type error prefixed with its config section."""
     try:
-        return BodyParams(
-            name=name,
-            mass=entries.scalar(f"{prefix}.mass"),
-            com_offset=entries.take(f"{prefix}.com_offset", 3),
-            inertia=inertia,
-            force_points=points,
-        )
-    except WristError as exc:
-        raise ConfigError(f"body.{exc}") from exc
-
-
-def _build_motor(entries: _Entries, index: int) -> MotorSpec:
-    prefix = f"motor.{index}"
-    try:
-        return MotorSpec(**{f.name: entries.scalar(f"{prefix}.{f.name}") for f in fields(MotorSpec)})
+        return cls(**values)
     except WristError as exc:
         # "max_speed must be at least nominal_speed": either key may hold the bad value, so both get the prefix.
-        raise ConfigError(f"{prefix}.{exc}".replace(" at least ", f" at least {prefix}.")) from exc
+        raise ConfigError(f"{section}.{exc}".replace(" at least ", f" at least {section}.")) from exc
 
 
 def config_from_text(text: str) -> Config:
-    entries = _Entries(parse_config_text(text))
-    try:
-        geometry = WristGeometry(
-            alpha=entries.take("geometry.alpha", 5),
-            home_thetas=entries.take("geometry.home_thetas", 4),
-            tool_length=entries.scalar("geometry.tool_length", WristGeometry.tool_length),
-            mount_yaw=entries.scalar("geometry.mount_yaw", WristGeometry.mount_yaw),
-        )
-    except WristError as exc:
-        raise ConfigError(f"geometry.{exc}") from exc
+    entries = parse_config_text(text)
 
-    bodies = tuple(_build_body(entries, name) for name in BODY_NAMES)
-    motors = (_build_motor(entries, 1), _build_motor(entries, 2))
-    gravity = np.asarray(entries.take("gravity", 3, GRAVITY), dtype=float)
+    def take(key, length=1, default=None):
+        # Each key is read once, out of entries: a number for length 1, else a
+        # list.  An absent key takes the default, or is required if there is none.
+        if key not in entries:
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        values = entries.pop(key)
+        if len(values) != length:
+            raise ConfigError(f"key {key!r} must hold {length} value(s), got {len(values)}")
+        return values[0] if length == 1 else values
+
+    preset = WristGeometry()
+    geometry = _build(WristGeometry, "geometry", alpha=take("geometry.alpha", 5, preset.alpha),
+                      home_thetas=take("geometry.home_thetas", 4, preset.home_thetas),
+                      tool_length=take("geometry.tool_length", 1, preset.tool_length),
+                      mount_yaw=take("geometry.mount_yaw", 1, preset.mount_yaw))
+    bodies = []
+    for name in BODY_NAMES:
+        prefix = f"body.{name}"
+        ixx, iyy, izz, ixy, ixz, iyz = take(f"{prefix}.inertia", 6)
+        inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
+        points = {point: take(f"{prefix}.point.{point}", 3)
+                  for point in FORCE_POINT_NAMES[name] if f"{prefix}.point.{point}" in entries}
+        bodies.append(_build(BodyParams, "body", name=name, mass=take(f"{prefix}.mass"),
+                             com_offset=take(f"{prefix}.com_offset", 3), inertia=inertia, force_points=points))
+    motors = tuple(_build(MotorSpec, f"motor.{i}", **{f.name: take(f"motor.{i}.{f.name}") for f in fields(MotorSpec)})
+                   for i in (1, 2))
+
+    gravity = np.array(take("gravity", 3, GRAVITY), dtype=float)
     if not np.all(np.isfinite(gravity)):
         raise ConfigError("key 'gravity' must be finite")
     gravity.setflags(write=False)
-
-    sample_count = entries.scalar("defaults.sample_count", DEFAULT_SAMPLE_COUNT)
+    sample_count = take("defaults.sample_count", 1, DEFAULT_SAMPLE_COUNT)
     if not (np.isfinite(sample_count) and sample_count == int(sample_count) and 3 <= sample_count <= MAX_SAMPLE_COUNT):
         raise ConfigError(f"key 'defaults.sample_count' must be an integer from 3 to {MAX_SAMPLE_COUNT}")
-    tool_speed = entries.scalar("defaults.tool_speed", DEFAULT_TOOL_SPEED)
+    tool_speed = take("defaults.tool_speed", 1, DEFAULT_TOOL_SPEED)
     if not (np.isfinite(tool_speed) and tool_speed > 0.0):
         raise ConfigError("key 'defaults.tool_speed' must be positive")
-
-    unused = entries.unused()
-    if unused:
-        raise ConfigError(f"unknown key(s): {', '.join(unused)}")
-    return Config(geometry, bodies, motors, gravity, int(sample_count), tool_speed)
+    if entries:
+        raise ConfigError(f"unknown key(s): {', '.join(sorted(entries))}")
+    return Config(geometry, tuple(bodies), motors, gravity, int(sample_count), tool_speed)
 
 
 def default_config_text() -> str:

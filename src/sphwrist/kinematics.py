@@ -65,7 +65,7 @@ class ToolOrientation:
 
     def __post_init__(self):
         v = frozen_vector("tool orientation", self.v, 3)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if _off_unit(v):
             raise InvalidInputError("tool orientation must be unit length")
         object.__setattr__(self, "v", v)
 
@@ -81,14 +81,19 @@ class ToolOrientation:
         return cls(u / n)
 
 
+def _off_unit(v):
+    """Which directions of a (..., 3) stack fail the one unit-length test of
+    ``ToolOrientation`` and ``_unit_directions``; a non-finite one fails it."""
+    return ~(np.abs(np.sqrt(dot_rows(v, v)) - 1.0) <= 1e-12)
+
+
 def _unit_directions(v) -> np.ndarray:
     """Read-only (N, 3) float copy of stacked tool directions, checked with
     the ``ToolOrientation`` rules; the error names the lowest failing sample."""
     v = np.array(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
-    # A non-finite row fails the norm test too.
-    bad = ~(np.abs(np.sqrt(dot_rows(v, v)) - 1.0) <= 1e-12)
+    bad = _off_unit(v)
     if bad.any():
         i = int(np.argmax(bad))
         problem = "finite" if not np.isfinite(v[i]).all() else "unit length"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -40,8 +41,9 @@ def test_default_config_contents():
 
 
 def test_code_defaults_match_default_config():
-    # WristGeometry(), the TrajectorySpec defaults and GRAVITY restate
-    # default.cfg for callers that build them without a config.
+    # default.cfg leaves the geometry, gravity and run defaults to the code, so
+    # WristGeometry(), the TrajectorySpec defaults and GRAVITY are the values
+    # of default_config() for callers that build them without a config.
     config = default_config()
     geometry = WristGeometry()
     for name in ("alpha", "home_thetas"):
@@ -68,8 +70,9 @@ def test_config_missing_key_named():
 
 
 def test_config_omitted_tool_speed_defaults_to_one():
-    text = "\n".join(line for line in default_config_text().splitlines()
-                     if not line.startswith("defaults.tool_speed"))
+    text = default_config_text() + "defaults.tool_speed = 2.5\n"
+    assert config_from_text(text).tool_speed == 2.5
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("defaults.tool_speed"))
     assert config_from_text(text).tool_speed == 1.0
 
 
@@ -81,8 +84,10 @@ def test_config_unknown_and_duplicate_keys():
     for key in ("body.terminal.point.joint_proximal", "body.distal.point.joint_base"):
         with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
             config_from_text(default_config_text() + f"\n{key} = 0.0, 0.06, 0.0\n")
+    text = default_config_text() + "\ngravity = 0, 0, -9.81\n"
+    assert np.array_equal(config_from_text(text).gravity, [0.0, 0.0, -9.81])
     with pytest.raises(ConfigError, match="duplicate"):
-        config_from_text(default_config_text() + "\ngravity = 0, 0, -9.81\n")
+        config_from_text(text + "gravity = 0, 0, -9.81\n")
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -91,7 +96,10 @@ def test_config_unknown_and_duplicate_keys():
     ("gravity = 0.0, 0.0, -9.81", "gravity = nan, 0, 0", "gravity"),
 ])
 def test_config_non_finite_values_named(tmp_path, capsys, old, new, key):
-    text = default_config_text().replace(old, new)
+    # The key is set in the text, then given the bad value.
+    text = default_config_text() + f"{old}\n"
+    config_from_text(text)
+    text = text.replace(old, new)
     with pytest.raises(ConfigError, match=key):
         config_from_text(text)
     path = tmp_path / "bad.cfg"
@@ -102,7 +110,7 @@ def test_config_non_finite_values_named(tmp_path, capsys, old, new, key):
 
 
 def test_config_sample_count_bounded():
-    text = default_config_text().replace("defaults.sample_count = 1001", "defaults.sample_count = 1e12")
+    text = default_config_text() + "defaults.sample_count = 1e12\n"
     with pytest.raises(ConfigError, match="'defaults.sample_count' must be an integer from 3 to 1000000"):
         config_from_text(text)
 
@@ -139,7 +147,7 @@ def test_config_not_a_regular_file_is_one_config_error(tmp_path, capsys, kind):
 
 
 def test_config_wrong_arity_named():
-    text = default_config_text().replace("gravity = 0.0, 0.0, -9.81", "gravity = 0.0, -9.81")
+    text = default_config_text() + "gravity = 0.0, -9.81\n"
     with pytest.raises(ConfigError, match="gravity"):
         config_from_text(text)
 
@@ -172,7 +180,63 @@ def test_default_config_is_one_shared_read_only_config(tmp_path):
     assert default_config().bodies[1].mass == 0.45
 
 
-_DEFAULT_ENTRIES = parse_config_text(default_config_text())
+# The shipped values of the keys that default.cfg leaves to the code.
+_CODE_VALUES = {
+    "geometry.alpha": [1.5707963267948966] * 5,
+    "geometry.home_thetas": [-1.5707963267948966, 1.5707963267948966, 1.5707963267948966, -1.5707963267948966],
+    "geometry.tool_length": [0.11],
+    "geometry.mount_yaw": [0.7853981633974483],
+    "gravity": [0.0, 0.0, -9.81],
+    "defaults.sample_count": [1001.0],
+    "defaults.tool_speed": [1.0],
+}
+
+
+def _config_line(key, values):
+    return f"{key} = {', '.join(map(repr, values))}\n"
+
+
+def _config_numbers(config):
+    """Every number of a config, as float lists by config key (a body's mass,
+    center of mass, inertia and inertia about the wrist center under its
+    name, a motor's six numbers under its)."""
+    numbers = {f"geometry.{name}": np.ravel(getattr(config.geometry, name)).tolist()
+               for name in ("alpha", "home_thetas", "tool_length", "mount_yaw")}
+    for body in config.bodies:
+        numbers[f"body.{body.name}"] = [body.mass, *body.com_offset.tolist(), *body.inertia.ravel().tolist(),
+                                        *body.inertia_center.ravel().tolist()]
+        numbers |= {f"body.{body.name}.point.{point}": v.tolist() for point, v in body.force_points.items()}
+    for i, motor in enumerate(config.motors, start=1):
+        numbers[f"motor.{i}"] = [getattr(motor, f.name) for f in dataclasses.fields(motor)]
+    return numbers | {"gravity": config.gravity.tolist(), "defaults.sample_count": [config.sample_count],
+                      "defaults.tool_speed": [config.tool_speed]}
+
+
+def test_config_of_link_and_motor_keys_takes_the_code_values():
+    text = "".join(f"{line}\n" for line in default_config_text().splitlines() if line.startswith(("body.", "motor.")))
+    assert parse_config_text(text) == parse_config_text(default_config_text())
+    numbers = _config_numbers(config_from_text(text))
+    assert numbers == _config_numbers(default_config())
+    assert {key: numbers[key] for key in _CODE_VALUES} == _CODE_VALUES
+    # Each of those keys, when given, overrides the code's value and nothing else.
+    overrides = {
+        "geometry.alpha": [1.5, 1.4, 1.3, 1.2, 1.1],
+        "geometry.home_thetas": [-1.0, 1.0, 1.25, -1.25],
+        "geometry.tool_length": [0.2],
+        "geometry.mount_yaw": [0.5],
+        "gravity": [0.0, -9.81, 0.0],
+        "defaults.sample_count": [501.0],
+        "defaults.tool_speed": [0.5],
+    }
+    assert overrides.keys() == _CODE_VALUES.keys()
+    for key, values in overrides.items():
+        assert _config_numbers(config_from_text(text + _config_line(key, values))) == numbers | {key: values}
+
+
+# default.cfg with the keys it leaves to the code written in at their values:
+# every key the loader reads.
+_FULL_TEXT = default_config_text() + "".join(_config_line(key, values) for key, values in _CODE_VALUES.items())
+_DEFAULT_ENTRIES = parse_config_text(_FULL_TEXT)
 # A value is the rest of its line, so drawn text holds no line break.
 _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                    blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
@@ -181,12 +245,14 @@ _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.
 
 @st.composite
 def _bad_entry(draw):
-    """A key of default.cfg and a bad value for it: one of its numbers
-    replaced by nan, an infinity, zero, a negative number or text, or the
-    wrong number of values."""
+    """A key the loader reads and a bad value for it: one of its numbers
+    replaced by nan, an infinity, zero, a negative number or text, the wrong
+    number of values, or the key left out (``None``)."""
     key = draw(st.sampled_from(sorted(_DEFAULT_ENTRIES)))
     values = [repr(v) for v in _DEFAULT_ENTRIES[key]]
-    kind = draw(st.sampled_from(["number", "text", "count"]))
+    kind = draw(st.sampled_from(["number", "text", "count", "left out"]))
+    if kind == "left out":
+        return key, None
     if kind == "count":
         drawn = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8)
         return key, [repr(v) for v in draw(drawn.filter(lambda v: len(v) != len(values)))]
@@ -205,10 +271,19 @@ def _bad_entry(draw):
 @example(entry=("body.distal.com_offset", ["-1e300", "0.055", "-0.035"]))
 # A valid number above max_speed: the error names the key that holds it.
 @example(entry=("motor.1.nominal_speed", ["700"]))
+@example(entry=("motor.1.max_torque", None))
+@example(entry=("geometry.alpha", None))
+@example(entry=("body.terminal.point.joint_distal", None))
+@example(entry=("body.distal.com_offset", ["0.0", "0.055"]))
 def test_config_bad_values_name_their_key(tmp_path_factory, entry):
+    assert len(_DEFAULT_ENTRIES) == 35
     key, values = entry
-    lines = [f"{key} = {', '.join(values)}" if line.partition("=")[0].strip() == key else line
-             for line in default_config_text().splitlines()]
+    lines = []
+    for line in _FULL_TEXT.splitlines():
+        if line.partition("=")[0].strip() != key:
+            lines.append(line)
+        elif values is not None:
+            lines.append(f"{key} = {', '.join(values)}")
     text = "\n".join(lines) + "\n"
     try:
         config = config_from_text(text)
@@ -218,6 +293,15 @@ def test_config_bad_values_name_their_key(tmp_path_factory, entry):
     except ConfigError as exc:
         rejected = str(exc)
         assert key in rejected, rejected
+    if values is None:
+        # Only the link and motor parameters are required; a point left out sits at the wrist center.
+        required = key.startswith(("body.", "motor.")) and ".point." not in key
+        assert rejected == (f"missing required key {key!r}" if required else None)
+    elif rejected is None or "non-numeric" not in rejected:
+        # The text parses, so the key holds numbers: a wrong count of them is
+        # reported as such, with the key named once.
+        length, count = len(_DEFAULT_ENTRIES[key]), len(parse_config_text(text)[key])
+        assert count == length or rejected == f"key {key!r} must hold {length} value(s), got {count}"
     path = tmp_path_factory.mktemp("fuzz") / "bad.cfg"
     path.write_text(text, encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -624,7 +708,7 @@ def test_cli_studies_read_the_config_gravity(tmp_path, monkeypatch, capsys):
     # dynamics does: under each config, every study's peak shaft torques are
     # the peaks that dynamics prints for the same spec.
     monkeypatch.chdir(tmp_path)
-    Path("g0.cfg").write_text(default_config_text().replace("gravity = 0.0, 0.0, -9.81", "gravity = 0.0, 0.0, 0.0"))
+    Path("g0.cfg").write_text(default_config_text() + "gravity = 0.0, 0.0, 0.0\n")
     spec = ("--gamma", "45", "--radius", "0.15", "--samples", "51")
     peaks = []
     for config in ([], ["--config", "g0.cfg"]):

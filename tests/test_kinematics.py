@@ -30,7 +30,7 @@ from sphwrist.errors import (
     WristError,
     frozen_rows,
 )
-from sphwrist.kinematics import _joint_angles
+from sphwrist.kinematics import _joint_angles, _unit_directions
 
 
 def test_pan_tilt_to_vector_trivials():
@@ -80,6 +80,41 @@ def test_tool_orientation_validation():
     # component first, it does not.
     np.testing.assert_allclose(ToolOrientation.normalized([1e308, 1e308, 0.0]).v,
                                [math.sqrt(0.5), math.sqrt(0.5), 0.0], atol=1e-15)
+
+
+# Two directions within rounding of the unit-length bound.  A norm taken two
+# ways (np.linalg.norm for one direction, a row sum for a stack) once gave
+# each of them opposite verdicts in the two forms.
+_NEAR_BOUND = ((-0.5368823976141649, 0.24446021714428567, 0.807462998141608),
+               (0.7768565446877871, 0.6267582445149783, 0.060564114046645606))
+
+
+def test_one_unit_length_rule_for_a_direction_and_a_stack(geometry):
+    rejected, accepted = _NEAR_BOUND
+    with pytest.raises(InvalidInputError, match="^tool orientation must be unit length$"):
+        ToolOrientation(rejected)
+    with pytest.raises(InvalidInputError, match="^sample 0: tool orientation must be unit length$"):
+        trajectory_joint_profiles(np.tile(rejected, (3, 1)), 0.1, geometry)
+    stacked = trajectory_joint_profiles(np.tile(accepted, (3, 1)), 0.1, geometry)
+    listed = trajectory_joint_profiles([ToolOrientation(accepted)] * 3, 0.1, geometry)
+    assert np.array_equal(stacked.theta, listed.theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda u: np.linalg.norm(u) > 0.1),
+       bound=st.sampled_from([1.0 - 1e-12, 1.0 + 1e-12]), offset=st.floats(-1e-15, 1e-15))
+@example(u=_NEAR_BOUND[0], bound=1.0, offset=0.0)
+@example(u=_NEAR_BOUND[1], bound=1.0, offset=0.0)
+def test_unit_length_verdict_is_the_same_in_both_forms(u, bound, offset):
+    v = np.array(u) / np.linalg.norm(u) * (bound + offset)
+    verdicts = []
+    for build in (ToolOrientation, lambda v: _unit_directions(v[None])):
+        try:
+            build(v)
+            verdicts.append(True)
+        except InvalidInputError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("build, message", [

@@ -19,12 +19,13 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
-    # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs;
-    # only the semicircle's torques fail, at its singular midpoint.  The 13
+    # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs,
+    # and one dynamics run on a config file; only the semicircle's torques
+    # fail, at its singular midpoint.  The 13 error cases and the 3 config
     # error cases each end in one categorised error line.
-    assert len(exits) == 35 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 39 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 13 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 16 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -46,7 +47,20 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
-    assert len(list(a.glob("*.csv"))) == 33
+    # A config fault is reported once, by its key, with no section prefix ahead of the key.
+    assert (a / "error_config_missing_max_torque.stderr").read_text() == (
+        "error[config-error]: missing required key 'motor.1.max_torque'\n")
+    assert (a / "error_config_com_offset_count.stderr").read_text() == (
+        "error[config-error]: key 'body.distal.com_offset' must hold 3 value(s), got 2\n")
+    assert (a / "error_config_negative_mass.stderr").read_text() == (
+        "error[config-error]: body.terminal.mass must be positive\n")
+    # A config of the link and motor parameters alone takes the rest from the code.
+    cfg_keys = {line.partition(" =")[0] for line in (a / "config_link_and_motor_only.cfg").read_text().splitlines()}
+    assert {key.split(".")[0] for key in cfg_keys} == {"body", "motor", "gravity"}
+    assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
+        "wrote 51 samples to config_link_and_motor_only.csv\n")
+    assert len(list(a.glob("*.cfg"))) == 4
+    assert len(list(a.glob("*.csv"))) == 34
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # The per-row API on the two semicircles, with and without a load: one
     # row per sample, every number %.17g, only the midpoint failing.
@@ -79,7 +93,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "142 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "159 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -92,4 +106,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "142 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "159 files, 3 differ"]

@@ -8,7 +8,9 @@ A snapshot runs every command below in this process through
 files NAME.stdout, NAME.stderr, NAME.exit and, for commands that write one,
 NAME.csv.  The inputs are the paper's study (the benchmark's seed 0), then
 the fixed inputs of ``ERROR_CASES``, which each end in one error line, so
-that a comparison shows every error line a change alters.  It
+that a comparison shows every error line a change alters.  Then, for each
+case of ``config_cases``, it writes the parameter file NAME.cfg and runs one
+command with ``--config NAME.cfg``.  It
 then runs the per-row Newton-Euler API (``solve_state`` and
 ``power_balance_residual`` on every row of a semicircle profile) on each
 case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
@@ -78,6 +80,41 @@ ERROR_CASES = (
 )
 
 
+def config_cases():
+    """``(name, lines, argv)`` for the config cases: NAME.cfg holds ``lines``.
+
+    The three error cases start from the shipped link and motor lines, with
+    every other key written out at the loaded value, so that the file is the
+    same for any tree that loads the same parameters; each changes or leaves
+    out one key.  The last case holds the link and motor lines alone, with
+    zero gravity.
+    """
+    import sphwrist
+    from sphwrist.config import default_config_text
+
+    config = sphwrist.default_config()
+    shipped = [line for line in default_config_text().splitlines() if line.startswith(("body.", "motor."))]
+    geometry = config.geometry
+    loaded = {"geometry.alpha": geometry.alpha, "geometry.home_thetas": geometry.home_thetas,
+              "geometry.tool_length": [geometry.tool_length], "geometry.mount_yaw": [geometry.mount_yaw],
+              "gravity": config.gravity, "defaults.sample_count": [config.sample_count],
+              "defaults.tool_speed": [config.tool_speed]}
+    full = shipped + [f"{key} = {', '.join(repr(float(x)) for x in values)}" for key, values in loaded.items()]
+
+    def with_key(key, value=None):
+        return [line for line in full if line.partition("=")[0].strip() != key] + (
+            [] if value is None else [f"{key} = {value}"])
+
+    fk = ["fk", "--theta1", "-80", "--theta3", "70"]
+    return [
+        ("error_config_missing_max_torque", with_key("motor.1.max_torque"), fk),
+        ("error_config_com_offset_count", with_key("body.distal.com_offset", "0.0, 0.055"), fk),
+        ("error_config_negative_mass", with_key("body.terminal.mass", "-1"), fk),
+        ("config_link_and_motor_only", shipped + ["gravity = 0, 0, 0"],
+         ["dynamics", "--gamma", "45", "--radius", "0.15", "--samples", "51", "--out", "config_link_and_motor_only.csv"]),
+    ]
+
+
 def commands(samples=None):
     """``(name, argv)`` for every command of a snapshot; each study writes
     NAME.csv, except motor-check, which writes no file."""
@@ -105,7 +142,11 @@ def snapshot(directory: Path, samples=None):
     home = os.getcwd()
     os.chdir(directory)
     try:
-        for name, argv in [*commands(samples), *ERROR_CASES]:
+        runs = [*commands(samples), *ERROR_CASES]
+        for name, lines, argv in config_cases():
+            Path(f"{name}.cfg").write_text("\n".join(lines) + "\n")
+            runs.append((name, ["--config", f"{name}.cfg", *argv]))
+        for name, argv in runs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
