@@ -1,6 +1,8 @@
 """Batch studies: peak tables, cutting-force sweeps, and motor feasibility."""
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from .dynamics import (
     _rotor_torque,
 )
 from .errors import InvalidInputError, WristError
-from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label
+from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label, _unchecked
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -75,6 +77,11 @@ def _column_peaks(x):
     return np.abs(np.ascontiguousarray(x.T)).max(axis=1)
 
 
+def _rotor_torques(accels, motors):
+    # The reflected rotor torques (N, 2) of both actuators, unchecked.
+    return np.column_stack([_rotor_torque(accels[:, i], motor) for i, motor in enumerate(_motor_pair(motors))])
+
+
 def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
     """The load-independent stages of one trajectory spec, run once: its
     joint profile, load-free torques, reflected rotor torques and kinematic
@@ -88,8 +95,7 @@ def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
     profile, kinematics = profile_for_spec(spec, geometry)
     tool = kinematics.axes[:, 4]
     load_free = _load_free_torques(profile, kinematics, bodies, gravity)
-    rotor = np.column_stack([_rotor_torque(profile.accels[:, i], motor)
-                             for i, motor in enumerate(_motor_pair(motors))])
+    rotor = _rotor_torques(profile.accels, motors)
     max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
     for peaks in (max_rates, max_accels):
         peaks.setflags(write=False)  # shared by every record of the spec
@@ -124,14 +130,90 @@ def _spec_error(spec, exc: WristError) -> WristError:
     return type(exc)(f"spec (kind={spec.kind}, gamma={gamma}, R={spec.radius}): {exc}")
 
 
+def _path_key(spec: TrajectorySpec):
+    # Specs with equal keys sample the same tool directions; their radius and
+    # tool speed set only the path rate.
+    return spec.kind, spec.gamma, spec.sample_count
+
+
+class _UnitRatePass(NamedTuple):
+    """What a spec's peaks need of its path at unit path rate: the static
+    shaft torques ``c`` (N, 2) under the study's load, the shaft torques per
+    unit rate squared ``v`` (N, 2), the drive rates (N, 2), and the peaks of
+    the four joint rates and accelerations."""
+
+    c: np.ndarray
+    v: np.ndarray
+    drive_rates: np.ndarray
+    max_rates: np.ndarray
+    max_accels: np.ndarray
+
+
+def _unit_rate_pass(spec: TrajectorySpec, geometry, bodies, motors, load, gravity) -> _UnitRatePass:
+    # One profile stage at radius 1 and tool speed 1 (dt is the path-angle
+    # step), one load-free pass on it and one on the same angles at rest.
+    # Only the moving pass's tau0 is kept while the rest pass runs, and the
+    # zero rates are a zero-stride view, so the shared pass peaks at about
+    # the memory of a spec's own pass.
+    profile, kinematics = profile_for_spec(replace(spec, radius=1.0, tool_speed=1.0), geometry)
+    moving = _load_free_torques(profile, kinematics, bodies, gravity).tau0
+    rest = np.broadcast_to(0.0, profile.rates.shape)
+    static = _load_free_torques(_unchecked(JointProfile, t=profile.t, theta=profile.theta, rates=rest, accels=rest),
+                                kinematics, bodies, gravity)
+    return _UnitRatePass(static.with_load(load), moving - static.tau0 + _rotor_torques(profile.accels, motors),
+                         np.ascontiguousarray(profile.rates[:, :2]), _column_peaks(profile.rates),
+                         _column_peaks(profile.accels))
+
+
+def _scaled_record(spec: TrajectorySpec, unit: _UnitRatePass) -> PeakRecord | None:
+    """The spec's PeakRecord from the unit-rate pass of its path, or None
+    where a scaled value is not finite.  At path rate k the rates scale by k
+    and the accelerations by k squared, so the shaft torques are c + k^2 v
+    (Hollerbach, ASME J. Dyn. Syst. Meas. Control 106(1), 1984)."""
+    k = spec.rate
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow sends the spec to its own pass
+        shaft = unit.c + (k * k) * unit.v
+        peaks = (k * unit.max_rates, (k * k) * unit.max_accels, _column_peaks(shaft),
+                 _column_peaks(shaft * (k * unit.drive_rates)))
+    if not all(np.isfinite(p).all() for p in peaks):
+        return None
+    return PeakRecord(spec.gamma, spec.radius, *peaks)
+
+
 def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None, gravity=GRAVITY):
-    """Peak records for each trajectory spec, in input order."""
+    """Peak records for each trajectory spec, in input order.
+
+    Specs on the same path (kind, cone angle and sample count) that differ
+    only in radius and tool speed share one pass at unit path rate, and each
+    scales it by its own rate (``_scaled_record``).  A spec whose path no
+    other spec shares, every spec of a path whose shared pass raises, and a
+    spec whose scaled values are not finite take their own pass
+    (``spec_pass``), which gives the record or the error, named at the
+    spec's own rate, that it always gave.
+    """
+    specs = list(specs)
+    left = Counter(map(_path_key, specs))
+    # The unit-rate pass of each path with specs still to come, or None where
+    # it raised; a path's pass is dropped at its last spec.
+    passes = {}
     records = []
     for spec in specs:
-        try:
-            records.append(spec_pass(spec, geometry, bodies, motors, gravity)[2](load))
-        except WristError as exc:
-            raise _spec_error(spec, exc) from exc
+        key = _path_key(spec)
+        left[key] -= 1
+        if left[key] and key not in passes:
+            try:
+                passes[key] = _unit_rate_pass(spec, geometry, bodies, motors, load, gravity)
+            except Exception:  # the spec's own pass raises it again, named as that pass names it
+                passes[key] = None
+        record = None if passes.get(key) is None else _scaled_record(spec, passes[key])
+        if not left[key]:
+            passes.pop(key, None)
+        if record is None:
+            try:
+                record = spec_pass(spec, geometry, bodies, motors, gravity)[2](load)
+            except WristError as exc:
+                raise _spec_error(spec, exc) from exc
+        records.append(record)
     return records
 
 

@@ -444,7 +444,7 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[Joi
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]
         raise BranchJumpError(f"joint {j + 1} jumps {jumps[i, j]:.3f} rad between {label(i)} and {label(i + 1)};"
-                              " the path crosses a singularity")
+                              " the path crosses a singularity or is sampled too coarsely")
 
     drive = frozen_rows("profile rates", central_difference(theta[:, :2], dt), (len(theta), 2), label)
     drive_accel = central_difference(drive, dt)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import symmetric_rel
 from sphwrist import (
@@ -25,7 +27,7 @@ from sphwrist.analysis import (
     TORQUE_INTERMITTENT,
 )
 from sphwrist import analysis, cli, dynamics
-from sphwrist.errors import InvalidInputError, ModelInconsistencyError
+from sphwrist.errors import BranchJumpError, InvalidInputError, ModelInconsistencyError
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -129,34 +131,96 @@ def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry
             assert shaft[:, i].tobytes() == reflected_motor_torque(expected[:, i], profile.accels[:, i], m).tobytes()
 
 
-def test_each_study_runs_the_load_free_pass_once_per_spec(geometry, bodies, motor, monkeypatch, tmp_path, capsys):
-    # Both bindings are counted, so a second route through
-    # virtual_work_torques would show as a second pass.
-    calls = []
-    load_free_torques = dynamics._load_free_torques
+def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, monkeypatch, tmp_path, capsys):
+    # force-sweep and dynamics make one profile stage and one load-free pass
+    # for their spec.  sweep_peaks, sweep and motor-check make one profile
+    # stage per cone angle, at unit path rate, and two load-free passes on its
+    # angles: the profile's own and the same angles at rest.  Both bindings of
+    # the load-free pass are counted, so a second route through
+    # virtual_work_torques would show as another pass.
+    profiles, passes = [], []
+    profile_for_spec, load_free_torques = analysis.profile_for_spec, dynamics._load_free_torques
 
-    def counted(profile, *args):
-        calls.append(len(profile))
+    def counted_profile(spec, geometry):
+        profiles.append((spec.radius, spec.tool_speed))
+        return profile_for_spec(spec, geometry)
+
+    def counted_pass(profile, *args):
+        passes.append((profile.theta, not profile.rates.any() and not profile.accels.any()))
         return load_free_torques(profile, *args)
 
+    monkeypatch.setattr(analysis, "profile_for_spec", counted_profile)
     for module in (analysis, dynamics):
-        monkeypatch.setattr(module, "_load_free_torques", counted)
+        monkeypatch.setattr(module, "_load_free_torques", counted_pass)
+
+    def counts(run):
+        # The numbers of profile stages and of load-free passes of one run, which must succeed.
+        profiles.clear()
+        passes.clear()
+        assert run()
+        assert all(len(theta) == 51 for theta, _ in passes)
+        return len(profiles), len(passes)
+
     forces = [0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0]
-    assert len(force_sweep(circle_spec(45.0, 0.15, 51), forces, 0.11, geometry, bodies, motor)) == 7
-    assert calls == [51]
+    assert counts(lambda: len(force_sweep(circle_spec(45.0, 0.15, 51), forces, 0.11, geometry, bodies, motor)) == 7) \
+        == (1, 1)
     specs = [circle_spec(g, r, 51) for g in (30.0, 45.0, 60.0) for r in (0.25, 0.1)]
-    calls.clear()
-    assert len(sweep_peaks(specs, geometry, bodies, motor, CuttingLoad((150.0,) * 3, 0.11))) == 6
-    assert calls == [51] * 6
+    assert counts(lambda: len(sweep_peaks(specs, geometry, bodies, motor, CuttingLoad((150.0,) * 3, 0.11))) == 6) \
+        == (3, 6)
+    assert profiles == [(1.0, 1.0)] * 3
+    # Each cone angle's two passes share the unit-rate profile's angles; the second is at rest.
+    assert [rest for _, rest in passes] == [False, True] * 3
+    assert all(passes[i][0] is passes[i + 1][0] for i in range(0, 6, 2))
     for argv, count in (
-        (["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--out", str(tmp_path / "d.csv")], 1),
-        (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], 6),
-        (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], 6),
+        (["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--out", str(tmp_path / "d.csv")], (1, 1)),
+        (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], (3, 6)),
+        (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], (3, 6)),
     ):
-        calls.clear()
-        assert cli.main([*argv, "--samples", "51"]) == 0
-        assert calls == [51] * count
+        assert counts(lambda: cli.main([*argv, "--samples", "51"]) == 0) == count
     capsys.readouterr()
+
+
+def _assert_records_match_their_own_pass(specs, geometry, bodies, motors, load, gravity):
+    # Each record of the grouped route against its spec's own pass, field by
+    # field, to 1e-12 relative, and exactly where the own pass gives 0.
+    records = sweep_peaks(specs, geometry, bodies, motors, load, gravity)
+    assert len(records) == len(specs)
+    for spec, record in zip(specs, records):
+        own = analysis.spec_pass(spec, geometry, bodies, motors, gravity)[2](load)
+        assert (record.gamma, record.radius) == (own.gamma, own.radius)
+        for field in ("max_rates", "max_accels", "max_torques", "max_powers"):
+            got, want = getattr(record, field), getattr(own, field)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (spec, field, got, want)
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((150.0, 150.0, 150.0), 0.11)])
+def test_grouped_sweep_matches_each_specs_own_pass_on_the_paper_grid(config, load):
+    specs = [circle_spec(g, r, 1001) for g in (30.0, 45.0, 60.0) for r in (0.25, 0.15, 0.10, 0.05)]
+    _assert_records_match_their_own_pass(specs, config.geometry, config.bodies, config.motors, load, config.gravity)
+
+
+def test_grouped_sweep_scales_from_unit_rate_not_from_a_member(config):
+    # At R = 1e300 the accelerations underflow to exactly 0; a shared pass at
+    # that spec's rate would scale the second radius from zeros.
+    specs = [circle_spec(45.0, 1e300, 11), circle_spec(45.0, 0.1, 11)]
+    _assert_records_match_their_own_pass(specs, config.geometry, config.bodies, config.motors, None, config.gravity)
+    far, near = sweep_peaks(specs, config.geometry, config.bodies, config.motors, gravity=config.gravity)
+    assert not far.max_accels.any() and near.max_accels.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(25.0, 65.0), n=st.integers(3, 3000),
+       rates=st.lists(st.tuples(st.floats(0.05, 0.25), st.floats(0.05, 5.0)), min_size=2, max_size=4),
+       load=st.none() | st.builds(lambda f, lever: CuttingLoad((f, f, f), lever), st.floats(0.0, 200.0),
+                                  st.floats(0.0, 0.2)))
+def test_grouped_sweep_matches_each_specs_own_pass(config, gamma, n, rates, load):
+    specs = [TrajectorySpec(KIND_CIRCLE, radius, speed, math.radians(gamma), n) for radius, speed in rates]
+    try:
+        # A path of few samples may step across a branch; every spec of the path raises then.
+        _assert_records_match_their_own_pass(specs, config.geometry, config.bodies, config.motors, load,
+                                             config.gravity)
+    except BranchJumpError:
+        reject()
 
 
 @pytest.mark.parametrize("study, where", [

@@ -1150,12 +1150,12 @@ def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
 
 def test_one_kinematic_pass_per_profile(geometry, bodies, monkeypatch, tmp_path):
     # Each study builds the leg frames once per profile: the 12-point grid
-    # once per spec, a force sweep once.  verify_profile builds them from the
-    # angles of each block it solves.
+    # once per cone angle, a force sweep once.  verify_profile builds them
+    # from the angles of each block it solves.
     calls = count_calls(monkeypatch, "leg_frames")
     assert cli.main(["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.15,0.1,0.05", "--samples", "101",
                      "--out", str(tmp_path / "peaks.csv")]) == 0
-    assert calls == ["leg_frames"] * 12
+    assert calls == ["leg_frames"] * 3
     calls.clear()
     assert cli.main(["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,25,50,75,100,125,150",
                      "--samples", "101", "--out", str(tmp_path / "force.csv")]) == 0

@@ -19,13 +19,13 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
-    # fk, ik, 13 traj, 3 dynamics, sweep, force-sweep and 2 motor-check runs,
-    # and one dynamics run on a config file; only the semicircle's torques
-    # fail, at its singular midpoint.  The 13 error cases and the 3 config
-    # error cases each end in one categorised error line.
-    assert len(exits) == 39 and exits.pop("dynamics_semicircle") == "1\n"
+    # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
+    # runs, and one dynamics run on a config file; only the semicircle's
+    # torques fail, at its singular midpoint.  The 15 error cases and the 3
+    # config error cases each end in one categorised error line.
+    assert len(exits) == 42 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 16 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 18 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -38,10 +38,16 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_dynamics_overflow.stderr").read_text() == (
         "error[invalid-input]: sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;"
         " the inputs overflow double precision\n")
-    # Drive rates that overflow in the differencing name their sample.
-    assert (a / "error_traj_rate_overflow.stderr").read_text() == (
-        "error[invalid-input]: sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)):"
-        " profile rates must hold finite values\n")
+    # Drive rates that overflow in the differencing name their sample; in a
+    # sweep, after the spec, also where an earlier radius of the cone angle passed.
+    rate_overflow = ("sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)):"
+                     " profile rates must hold finite values\n")
+    assert (a / "error_traj_rate_overflow.stderr").read_text() == "error[invalid-input]: " + rate_overflow
+    assert (a / "error_sweep_second_radius.stderr").read_text() == (
+        "error[invalid-input]: spec (kind=circle-XY, gamma=60 deg, R=1e-308): " + rate_overflow)
+    assert (a / "error_motor_check_second_radius.stderr").read_text() == (
+        "error[invalid-input]: spec (kind=circle-XY, gamma=45 deg, R=1e-150): sample 0 (t = 0 s,"
+        " v = (0.707107, 3.43701e-16, -0.707107)): P1_W is inf; the inputs overflow double precision\n")
     assert (a / "error_dynamics_negative_force.stderr").read_text() == (
         "error[invalid-input]: --fc must be non-negative\n")
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
@@ -60,8 +66,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
     assert len(list(a.glob("*.cfg"))) == 4
-    assert len(list(a.glob("*.csv"))) == 34
+    assert len(list(a.glob("*.csv"))) == 35
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
+    # A study that sets its own sample count keeps it.
+    mixed = list(csv.reader((a / "sweep_mixed_radii.csv").open()))
+    assert [row[1] for row in mixed[1:]] == ["1e+300", "0.1"] and mixed[1][6:10] == ["0"] * 4
     # The per-row API on the two semicircles, with and without a load: one
     # row per sample, every number %.17g, only the midpoint failing.
     for name in ("api_semicircle_0.25", "api_semicircle_0.25_load", "api_semicircle_0.1337",
@@ -93,7 +102,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "159 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "169 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -106,4 +115,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "159 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "169 files, 3 differ"]

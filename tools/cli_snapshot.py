@@ -17,9 +17,12 @@ case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
 per sample with every number as ``%.17g`` and a failing row's error line,
 and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
 Last, for each spec of ``VW_CASES``, it writes NAME.csv with the load-free
-virtual-work pass that ``analysis.spec_pass`` makes for every study command,
-one row per sample with every number as ``%.17g``: the joint angles, rates and
-accelerations, the load-free torques tau0 and the load terms g.  The
+virtual-work pass of that spec at its own rate, as ``analysis.spec_pass``
+makes it for ``dynamics`` and ``force-sweep`` (``sweep`` and ``motor-check``
+make it for a spec whose path no other spec shares, or whose scaled peaks are
+not finite), one row per sample with every number as ``%.17g``: the joint
+angles, rates and accelerations, the load-free torques tau0 and the load
+terms g.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
 to another checkout's src snapshots that checkout.
@@ -69,6 +72,12 @@ ERROR_CASES = (
                                   "--out", "error_traj_rate_overflow.csv"]),
     ("error_sweep_speed", ["sweep", "--gamma", "45", "--radius", "0.1", "--speed", "1e150",
                            "--out", "error_sweep_speed.csv"]),
+    # The second radius of a cone angle fails: in the sweep its drive rates
+    # overflow, in the motor check a power peak.
+    ("error_sweep_second_radius", ["sweep", "--gamma", "60", "--radius", "0.25,1e-308", "--speed", "1.5",
+                                   "--out", "error_sweep_second_radius.csv"]),
+    ("error_motor_check_second_radius", ["motor-check", "--gamma", "45", "--radius", "0.1,1e-150", "--fc", "150",
+                                         "--lc", "0.11"]),
     ("error_force_sweep_overflow", ["force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,1e300",
                                     "--lc", "1e10", "--out", "error_force_sweep_overflow.csv"]),
     ("error_dynamics_overflow", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "1e200", "--lc", "1e200",
@@ -117,7 +126,8 @@ def config_cases():
 
 def commands(samples=None):
     """``(name, argv)`` for every command of a snapshot; each study writes
-    NAME.csv, except motor-check, which writes no file."""
+    NAME.csv, except motor-check, which writes no file.  ``samples`` sets the
+    sample count of every study that does not set its own."""
     studies = [(f"traj_{g}_{r}", ["traj", "--gamma", g, "--radius", r]) for g in GAMMAS for r in RADII]
     studies += [
         ("traj_semicircle", ["traj", "--traj", "semicircle", "--radius", "0.25"]),
@@ -128,10 +138,14 @@ def commands(samples=None):
         ("force_sweep", ["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", FORCES, "--lc", "0.11"]),
         ("motor_check", ["motor-check", *GRID]),
         ("motor_check_load", ["motor-check", *GRID, "--fc", "150", "--lc", "0.11"]),
+        # Two radii of one cone angle whose path rates differ by 301 orders of
+        # magnitude; the first one's accelerations underflow to 0.
+        ("sweep_mixed_radii", ["sweep", "--gamma", "45", "--radius", "1e300,0.1", "--samples", "11"]),
     ]
     extra = [] if samples is None else ["--samples", str(samples)]
     return [("fk", ["fk", "--theta1", "-80", "--theta3", "70"]), ("ik", ["ik", "--pan", "20", "--tilt", "-55"])] + [
-        (name, [*argv, *extra, *([] if argv[0] == "motor-check" else ["--out", f"{name}.csv"])])
+        (name, [*argv, *([] if "--samples" in argv else extra),
+                *([] if argv[0] == "motor-check" else ["--out", f"{name}.csv"])])
         for name, argv in studies]
 
 
