@@ -14,7 +14,7 @@ from .dynamics import (
     _rotor_torque,
 )
 from .errors import InvalidInputError, WristError
-from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label, _unchecked
+from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -151,16 +151,14 @@ class _UnitRatePass(NamedTuple):
 
 def _unit_rate_pass(spec: TrajectorySpec, geometry, bodies, motors, load, gravity) -> _UnitRatePass:
     # One profile stage at radius 1 and tool speed 1 (dt is the path-angle
-    # step), one load-free pass on it and one on the same angles at rest.
-    # Only the moving pass's tau0 is kept while the rest pass runs, and the
-    # zero rates are a zero-stride view, so the shared pass peaks at about
-    # the memory of a spec's own pass.
+    # step) and one load-free pass on it.  The static torques c are that
+    # pass's projection of the gravity moments alone (``at_rest``): bit for
+    # bit a second pass on the same angles at rest, at a fraction of its cost.
     profile, kinematics = profile_for_spec(replace(spec, radius=1.0, tool_speed=1.0), geometry)
-    moving = _load_free_torques(profile, kinematics, bodies, gravity).tau0
-    rest = np.broadcast_to(0.0, profile.rates.shape)
-    static = _load_free_torques(_unchecked(JointProfile, t=profile.t, theta=profile.theta, rates=rest, accels=rest),
-                                kinematics, bodies, gravity)
-    return _UnitRatePass(static.with_load(load), moving - static.tau0 + _rotor_torques(profile.accels, motors),
+    moving = _load_free_torques(profile, kinematics, bodies, gravity)
+    rest = moving.at_rest()
+    return _UnitRatePass(moving._replace(tau0=rest).with_load(load),
+                         moving.tau0 - rest + _rotor_torques(profile.accels, motors),
                          np.ascontiguousarray(profile.rates[:, :2]), _column_peaks(profile.rates),
                          _column_peaks(profile.accels))
 

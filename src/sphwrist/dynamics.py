@@ -717,30 +717,58 @@ def _body_tensor_product(R, tensor, v):
     return _matvec_rows(R, np.column_stack([dot_rows(R[..., i], v) for i in range(3)]) @ tensor)
 
 
+def _project(moments, axes, unit_rates):
+    # The joint torques (N, 2) of the four body moments (terminal, distal,
+    # proximal-1, proximal-2): tau_k = sum_j u_kj e_j . (the moments joint j
+    # carries), with the passive rates u_k of actuator k in ``unit_rates``.
+    terminal, distal, proximal1, proximal2 = moments
+    e1, e2, e3, e4 = (axes[:, k] for k in range(4))
+    q_passive = np.column_stack([dot_rows(e3, terminal), dot_rows(e4, distal)])
+    tau = np.column_stack([dot_rows(e1, proximal1 + terminal), dot_rows(e2, proximal2 + distal)])
+    for k, rates in enumerate(unit_rates):
+        tau[:, k] += dot_rows(rates, q_passive)
+    return tau
+
+
 class _LoadFreeTorques(NamedTuple):
     """Virtual-work torques of a profile without a cutting load, plus the
-    terms that add one.
+    terms that add one and the terms of the same angles at rest.
 
     ``tau0`` (N, 2) are the joint torques under inertia and gravity alone.
     ``g`` (N, 2, 3) holds, per actuator k, ``e5 x w_k``, with ``w_k`` the
     terminal's angular velocity per unit rate of actuator k: a world-frame
-    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``e3``,
-    ``e5`` and ``e3_x_e5`` (N, 3), the same for every load, turn a
-    ``CuttingLoad`` into that world-frame force.
+    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``axes``
+    (N, 6, 3) and ``e3_x_e5`` (N, 3), the same for every load, turn a
+    ``CuttingLoad`` into that world-frame force.  ``r_com`` (N, 4, 3), the
+    link ``weights`` m_b g (4, 3) and the passive rates per unit actuator
+    rate ``unit_rates`` (two (N, 2)) are the pass's own arrays, kept for
+    ``at_rest``.
     """
 
     tau0: np.ndarray
     g: np.ndarray
-    e3: np.ndarray
-    e5: np.ndarray
+    axes: np.ndarray
     e3_x_e5: np.ndarray
+    r_com: np.ndarray
+    weights: np.ndarray
+    unit_rates: tuple
 
     def with_load(self, load: CuttingLoad | None = None) -> np.ndarray:
         """Joint torques (N, 2) under ``load``: the torques are affine in it.
         Without a load they are ``tau0`` itself."""
         if load is None:
             return self.tau0
-        return self.tau0 + load.lever * _matvec_rows(self.g, _tip_force(load, self.e3, self.e5, self.e3_x_e5))
+        tip = _tip_force(load, self.axes[:, 2], self.axes[:, 4], self.e3_x_e5)
+        return self.tau0 + load.lever * _matvec_rows(self.g, tip)
+
+    def at_rest(self) -> np.ndarray:
+        """``tau0`` of the same angles at zero rates and accelerations: the
+        projection of the gravity moments -r x m g alone.  Each inertial
+        moment of a pass at rest is +0 (every ``_body_tensor_product`` ends
+        in + 0.0, and +0 + (+-0) is +0), so this equals that pass bit for
+        bit, signed zeros included."""
+        return _project([np.subtract(0.0, cross_rows(self.r_com[:, b], w)) for b, w in enumerate(self.weights)],
+                        self.axes, self.unit_rates)
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -775,7 +803,7 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
     gravity = frozen_vector("gravity", gravity, 3)
     f1, f2, axes, passive = kinematics
     m = _motion(profile.rates, profile.accels, f1, f2, axes, table, com_motion=False)
-    e1, e2, e3, e4, e5, _ = (axes[:, k] for k in range(6))
+    e1, e2, e3, _, e5, _ = (axes[:, k] for k in range(6))
 
     open_loop = m.closure > CLOSURE_TOL
     failed = open_loop | passive.singular
@@ -788,19 +816,18 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
                 "the passive joint axes align; ideal joints cannot realize the motion at this sample")
         raise error(f"{_sample_label(i, profile.t[i], e5[i])}: {message}")
 
-    terminal, distal, proximal1, proximal2 = (
-        _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])
-        + cross_rows(m.omega[:, b], _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega[:, b]))
-        - cross_rows(m.r_com[:, b], table.mass[b] * gravity)
-        for b in range(len(BODY_NAMES)))
-
-    q_passive = np.column_stack([dot_rows(e3, terminal), dot_rows(e4, distal)])
-    tau = np.column_stack([dot_rows(e1, proximal1 + terminal), dot_rows(e2, proximal2 + distal)])
+    weights = table.mass[:, None] * gravity
+    moments = [_body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])
+               + cross_rows(m.omega[:, b], _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega[:, b]))
+               - cross_rows(m.r_com[:, b], weights[b])
+               for b in range(len(BODY_NAMES))]
     n = len(profile)
     g = np.empty((n, 2, 3))
+    unit_rates = []
     for k, drive in enumerate(np.eye(2)):
         # The passive rates per unit rate of actuator k, by loop closure.
         rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
-        tau[:, k] += dot_rows(rates, q_passive)
+        unit_rates.append(rates)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
-    return _LoadFreeTorques(tau, g, e3, e5, cross_rows(e3, e5))
+    return _LoadFreeTorques(_project(moments, axes, unit_rates), g, axes, cross_rows(e3, e5), m.r_com, weights,
+                            tuple(unit_rates))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import symmetric_rel
@@ -28,6 +28,7 @@ from sphwrist.analysis import (
 )
 from sphwrist import analysis, cli, dynamics
 from sphwrist.errors import BranchJumpError, InvalidInputError, ModelInconsistencyError
+from sphwrist.kinematics import JointProfile, _unchecked
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -134,10 +135,10 @@ def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry
 def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, monkeypatch, tmp_path, capsys):
     # force-sweep and dynamics make one profile stage and one load-free pass
     # for their spec.  sweep_peaks, sweep and motor-check make one profile
-    # stage per cone angle, at unit path rate, and two load-free passes on its
-    # angles: the profile's own and the same angles at rest.  Both bindings of
-    # the load-free pass are counted, so a second route through
-    # virtual_work_torques would show as another pass.
+    # stage per cone angle, at unit path rate, and one load-free pass on it;
+    # the torques at rest come from that pass (``_LoadFreeTorques.at_rest``).
+    # Both bindings of the load-free pass are counted, so a second route
+    # through virtual_work_torques would show as another pass.
     profiles, passes = [], []
     profile_for_spec, load_free_torques = analysis.profile_for_spec, dynamics._load_free_torques
 
@@ -146,7 +147,7 @@ def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, mon
         return profile_for_spec(spec, geometry)
 
     def counted_pass(profile, *args):
-        passes.append((profile.theta, not profile.rates.any() and not profile.accels.any()))
+        passes.append((profile.theta, profile.rates.any()))
         return load_free_torques(profile, *args)
 
     monkeypatch.setattr(analysis, "profile_for_spec", counted_profile)
@@ -166,15 +167,14 @@ def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, mon
         == (1, 1)
     specs = [circle_spec(g, r, 51) for g in (30.0, 45.0, 60.0) for r in (0.25, 0.1)]
     assert counts(lambda: len(sweep_peaks(specs, geometry, bodies, motor, CuttingLoad((150.0,) * 3, 0.11))) == 6) \
-        == (3, 6)
+        == (3, 3)
     assert profiles == [(1.0, 1.0)] * 3
-    # Each cone angle's two passes share the unit-rate profile's angles; the second is at rest.
-    assert [rest for _, rest in passes] == [False, True] * 3
-    assert all(passes[i][0] is passes[i + 1][0] for i in range(0, 6, 2))
+    # Every pass is on a moving profile; none is at rest.
+    assert all(moving for _, moving in passes)
     for argv, count in (
         (["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--out", str(tmp_path / "d.csv")], (1, 1)),
-        (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], (3, 6)),
-        (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], (3, 6)),
+        (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], (3, 3)),
+        (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], (3, 3)),
     ):
         assert counts(lambda: cli.main([*argv, "--samples", "51"]) == 0) == count
     capsys.readouterr()
@@ -221,6 +221,41 @@ def test_grouped_sweep_matches_each_specs_own_pass(config, gamma, n, rates, load
                                              config.gravity)
     except BranchJumpError:
         reject()
+
+
+_SEED0_LOAD = CuttingLoad((150.0, 150.0, 150.0), 0.11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.tuples(st.just(KIND_CIRCLE), st.floats(25.0, 65.0), st.integers(3, 3000))
+       | st.tuples(st.just(KIND_SEMICIRCLE), st.none(), st.integers(2, 1500).map(lambda k: 2 * k)),
+       gravity=st.tuples(*[st.floats(-20.0, 20.0)] * 3) | st.tuples(*[st.sampled_from([0.0, -0.0])] * 3),
+       load=st.none() | st.builds(lambda f, lever: CuttingLoad((f, f, f), lever), st.floats(0.0, 200.0),
+                                  st.floats(0.0, 0.2)))
+@example(path=(KIND_CIRCLE, 30.0, 1001), gravity=dynamics.GRAVITY, load=None)
+@example(path=(KIND_CIRCLE, 30.0, 1001), gravity=dynamics.GRAVITY, load=_SEED0_LOAD)
+@example(path=(KIND_CIRCLE, 45.0, 1001), gravity=dynamics.GRAVITY, load=None)
+@example(path=(KIND_CIRCLE, 45.0, 1001), gravity=dynamics.GRAVITY, load=_SEED0_LOAD)
+@example(path=(KIND_CIRCLE, 60.0, 1001), gravity=dynamics.GRAVITY, load=None)
+@example(path=(KIND_CIRCLE, 60.0, 1001), gravity=dynamics.GRAVITY, load=_SEED0_LOAD)
+def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, load):
+    # The shared unit-rate pass takes its static torques from its own moving
+    # pass (at_rest).  The reference is the route it replaced: the load-free
+    # pass on the same angles at zero-stride zero rates and accelerations.
+    # Equal by tobytes, signed zeros included.
+    kind, gamma, n = path
+    spec = TrajectorySpec(kind, 1.0, 1.0, None if gamma is None else math.radians(gamma), n)
+    try:
+        profile, kinematics = analysis.profile_for_spec(spec, config.geometry)
+    except BranchJumpError:  # a path of few samples may step across a branch
+        reject()
+    moving = dynamics._load_free_torques(profile, kinematics, config.bodies, gravity)
+    zero = np.broadcast_to(0.0, profile.rates.shape)
+    at_rest = _unchecked(JointProfile, t=profile.t, theta=profile.theta, rates=zero, accels=zero)
+    reference = dynamics._load_free_torques(at_rest, kinematics, config.bodies, gravity)
+    rest = moving.at_rest()
+    assert rest.tobytes() == reference.tau0.tobytes()
+    assert moving._replace(tau0=rest).with_load(load).tobytes() == reference.with_load(load).tobytes()
 
 
 @pytest.mark.parametrize("study, where", [

@@ -731,6 +731,10 @@ def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):
     assert err == "error[invalid-spec]: gamma must be finite, got nan\n"
 
 
+# kinematics._sample_label: sample <i> (t = <t> s, v = (x, y, z)).
+_SAMPLE_LABEL = re.compile(r"sample \d+ \(t = \S+ s, v = \(\S+, \S+, \S+\)\)")
+
+
 # Wide draws: tiny, huge, negative and non-finite values, plus ordinary ones.
 _WIDE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -763,6 +767,7 @@ def test_cli_any_numbers_end_in_output_or_one_error(tmp_path_factory, command, k
     err = stderr.getvalue()
     if code == 1:
         assert err.startswith("error[") and err.count("\n") == 1, err
+        assert all(_SAMPLE_LABEL.match(err, m.start()) for m in re.finditer(r"\bsample \d", err)), err
         return
     assert code == 0 and err == ""
     csv = out.read_text()
@@ -785,13 +790,16 @@ def _number_list(values):
     radii=st.lists(_WIDE | st.floats(0.02, 1.0), min_size=1, max_size=3),
     forces=st.lists(_WIDE | st.floats(0.0, 300.0), min_size=1, max_size=4),
     lever=st.none() | _WIDE | st.floats(0.0, 0.5),
+    # The path rate speed / R is what the shared pass of a cone angle scales by.
+    speed=st.none() | _WIDE | st.floats(0.05, 5.0),
 )
-@example(command="force-sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0, 1e300], lever=1e300)
-@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[1e-300, 0.1], forces=[0.0], lever=None)
-@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[0.25, 0.1], forces=[0.0], lever=None)
-@example(command="motor-check", samples=11, gammas=[45.0], radii=[1e300], forces=[1e200], lever=1e200)
+@example(command="force-sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0, 1e300], lever=1e300, speed=None)
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[1e-300, 0.1], forces=[0.0], lever=None, speed=None)
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[0.25, 0.1], forces=[0.0], lever=None, speed=None)
+@example(command="motor-check", samples=11, gammas=[45.0], radii=[1e300], forces=[1e200], lever=1e200, speed=None)
+@example(command="sweep", samples=11, gammas=[45.0], radii=[0.1, 0.2], forces=[0.0], lever=None, speed=1e150)
 def test_cli_number_lists_end_in_output_or_one_error(tmp_path_factory, command, samples, gammas, radii, forces,
-                                                     lever):
+                                                     lever, speed):
     # force-sweep takes one cone angle and radius and a list of forces;
     # sweep and motor-check take lists of cone angles and radii, and
     # motor-check one force.
@@ -809,6 +817,8 @@ def test_cli_number_lists_end_in_output_or_one_error(tmp_path_factory, command, 
         argv += ["--out", str(out)]
     if lever is not None and command != "sweep":
         argv.append(f"--lc={lever!r}")
+    if speed is not None:
+        argv.append(f"--speed={speed!r}")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -816,6 +826,8 @@ def test_cli_number_lists_end_in_output_or_one_error(tmp_path_factory, command, 
     err = stderr.getvalue()
     if code == 1:
         assert err.startswith("error[") and err.count("\n") == 1, err
+        # A per-sample error names the sample by index, time and tool direction.
+        assert all(_SAMPLE_LABEL.match(err, m.start()) for m in re.finditer(r"\bsample \d", err)), err
         return
     assert code == 0 and err == ""
     text = stdout.getvalue().replace(str(out), "")

@@ -764,7 +764,7 @@ def test_cutting_load_is_one_affine_term(geometry, bodies):
     profile = circle_states(geometry, 45.0, 0.15, 301)
     load_free = _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, GRAVITY)
     # A force along the tool does no work: g_k . e5 is 0 up to rounding.
-    along_tool = np.einsum("nkj,nj->nk", load_free.g, load_free.e5)
+    along_tool = np.einsum("nkj,nj->nk", load_free.g, load_free.axes[:, 4])
     assert np.all(np.abs(along_tool) <= 4.0 * np.finfo(float).eps * np.linalg.norm(load_free.g, axis=2))
     np.testing.assert_array_equal(load_free.with_load(CuttingLoad()), load_free.tau0)
     for fc, lc in ((50.0, 0.11), (150.0, 0.06), (-20.0, 0.3)):

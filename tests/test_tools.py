@@ -66,7 +66,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
     assert len(list(a.glob("*.cfg"))) == 4
-    assert len(list(a.glob("*.csv"))) == 35
+    assert len(list(a.glob("*.csv"))) == 44
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # A study that sets its own sample count keeps it.
     mixed = list(csv.reader((a / "sweep_mixed_radii.csv").open()))
@@ -100,9 +100,22 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert rows[0][:3] == ["sample", "t", "theta1"] and rows[0][14:17] == ["tau0_1", "tau0_2", "g1_0"]
         assert len(rows[0]) == 22 and len(rows) == 22 and {len(row) for row in rows} == {22}
         assert all(cell == "%.17g" % float(cell) for row in rows[1:] for cell in row[1:])
+    # The unit-rate pass of each grid cone angle, with and without the load,
+    # and its rate and acceleration peaks, every number %.17g.
+    unit = sorted(p.stem for p in a.glob("unit_*.csv"))
+    assert unit == sorted(f"unit_{g}{suffix}" for g in ("30", "45", "60") for suffix in ("", "_load", "_peaks"))
+    for g in ("30", "45", "60"):
+        rows = [list(csv.reader((a / f"unit_{g}{suffix}.csv").open())) for suffix in ("", "_load")]
+        for table in rows:
+            assert table[0] == ["sample", "c1", "c2", "v1", "v2", "dtheta1", "dtheta2"] and len(table) == 22
+            assert all(cell == "%.17g" % float(cell) for row in table[1:] for cell in row[1:])
+        # The load moves c alone.
+        assert [row[3:] for row in rows[0]] == [row[3:] for row in rows[1]] and rows[0] != rows[1]
+        peaks = list(csv.reader((a / f"unit_{g}_peaks.csv").open()))
+        assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "169 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "178 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -115,4 +128,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "169 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "178 files, 3 differ"]

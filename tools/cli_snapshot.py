@@ -22,7 +22,12 @@ makes it for ``dynamics`` and ``force-sweep`` (``sweep`` and ``motor-check``
 make it for a spec whose path no other spec shares, or whose scaled peaks are
 not finite), one row per sample with every number as ``%.17g``: the joint
 angles, rates and accelerations, the load-free torques tau0 and the load
-terms g.  The
+terms g.  Then, for each cone angle of ``UNIT_CASES``, with and without the
+load, it writes NAME.csv with the shared unit-rate pass of that path, as
+``sweep`` and ``motor-check`` scale it for every spec on the path: per sample
+the static shaft torques c, the shaft torques per unit rate squared v and the
+drive rates; and NAME_peaks.csv with the peaks of the four joint rates and
+accelerations, every number as ``%.17g``.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
 to another checkout's src snapshots that checkout.
@@ -57,6 +62,11 @@ API_CASES = (
 # (name, cone angle in degrees, radius in m): the 12 grid specs of sweep and
 # motor-check; the force-sweep spec is the grid's (45, 0.15).
 VW_CASES = tuple((f"vw_{g}_{r}", float(g), float(r)) for g in GAMMAS for r in RADII)
+
+# (name, cone angle in degrees, cutting force components in N and lever in m,
+# or None): the unit-rate pass of each grid cone angle, shared by its four radii.
+UNIT_CASES = tuple((f"unit_{g}{suffix}", float(g), load) for g in GAMMAS
+                   for suffix, load in (("", None), ("_load", ((150.0, 150.0, 150.0), 0.11))))
 
 # (name, argv): bad inputs, each ending in one categorised error line and exit 1.
 ERROR_CASES = (
@@ -175,6 +185,8 @@ def snapshot(directory: Path, samples=None):
             api_rows(name, radius, load, samples)
         for name, gamma, radius in VW_CASES:
             vw_rows(name, gamma, radius, samples)
+        for name, gamma, load in UNIT_CASES:
+            unit_rows(name, gamma, load, samples)
     finally:
         os.chdir(home)
 
@@ -242,6 +254,34 @@ def vw_rows(name, gamma, radius, samples=None):
         writer.writerow(header)
         for i, row in enumerate(zip(*(c.tolist() for c in columns))):
             writer.writerow([i, *("%.17g" % v for part in row for v in part)])
+
+
+def unit_rows(name, gamma, load, samples=None):
+    """Write NAME.csv and, without a load, NAME_peaks.csv: the unit-rate pass of one circle path."""
+    import math
+
+    import sphwrist
+    from sphwrist.analysis import _unit_rate_pass
+    from sphwrist.trajectory import KIND_CIRCLE
+
+    config = sphwrist.default_config()
+    # The pass runs at unit radius and tool speed, whatever the spec's.
+    spec = sphwrist.TrajectorySpec(kind=KIND_CIRCLE, radius=0.15, gamma=math.radians(gamma),
+                                   tool_speed=config.tool_speed,
+                                   sample_count=config.sample_count if samples is None else samples)
+    load = None if load is None else sphwrist.CuttingLoad(*load)
+    unit = _unit_rate_pass(spec, config.geometry, config.bodies, config.motors, load, config.gravity)
+    with open(f"{name}.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample", "c1", "c2", "v1", "v2", "dtheta1", "dtheta2"])
+        for i, row in enumerate(zip(*(c.tolist() for c in (unit.c, unit.v, unit.drive_rates)))):
+            writer.writerow([i, *("%.17g" % v for part in row for v in part)])
+    if load is None:
+        with open(f"{name}_peaks.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["peak", "joint1", "joint2", "joint3", "joint4"])
+            for field in ("max_rates", "max_accels"):
+                writer.writerow([field, *("%.17g" % v for v in getattr(unit, field).tolist())])
 
 
 def _float(cell):
