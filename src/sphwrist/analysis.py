@@ -1,7 +1,7 @@
 """Batch studies: peak tables, cutting-force sweeps, and motor feasibility."""
 
-from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +11,7 @@ from .dynamics import (
     CuttingLoad,
     MotorSpec,
     _load_free_torques,
+    _LoadFreeTorques,
     _rotor_torque,
 )
 from .errors import InvalidInputError, WristError
@@ -47,7 +48,6 @@ class ActuatorFeasibility:
     speed_class: str
     continuous_margin: float
     max_margin: float
-    speed_margin: float
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def _motor_pair(motors):
 
 
 def profile_for_spec(spec: TrajectorySpec, geometry) -> tuple[JointProfile, _Kinematics]:
-    """Joint profile along the generated path of one trajectory spec, and
-    the kinematic terms of its pass."""
+    """Joint profile along the generated path of one trajectory spec, at its
+    own rate, and the kinematic terms of its pass."""
     path = generate(spec)
     return _profile_pass(path.v, path.t[1] - path.t[0], geometry)
 
@@ -82,45 +82,83 @@ def _rotor_torques(accels, motors):
     return np.column_stack([_rotor_torque(accels[:, i], motor) for i, motor in enumerate(_motor_pair(motors))])
 
 
-def spec_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY):
-    """The load-independent stages of one trajectory spec, run once: its
-    joint profile, load-free torques, reflected rotor torques and kinematic
-    peaks.  Returns ``(profile, torques, record, finite)``: ``torques(load)``
-    gives the joint and output-shaft torques (N, 2), unchecked;
-    ``finite(header, values, where="")`` returns a table of per-sample
-    values (N, k) that is finite, and otherwise names its lowest non-finite
-    entry after ``where`` by the sample's index, time and tool axis and by
-    the column's header; ``record(load, where="")`` gives the PeakRecord,
-    its shaft torques and powers checked by ``finite``."""
-    profile, kinematics = profile_for_spec(spec, geometry)
-    tool = kinematics.axes[:, 4]
-    load_free = _load_free_torques(profile, kinematics, bodies, gravity)
-    rotor = _rotor_torques(profile.accels, motors)
-    max_rates, max_accels = _column_peaks(profile.rates), _column_peaks(profile.accels)
-    for peaks in (max_rates, max_accels):
-        peaks.setflags(write=False)  # shared by every record of the spec
+_PEAK_HEADER = (*(f"dtheta{i}_rad_s" for i in range(1, 5)), *(f"ddtheta{i}_rad_s2" for i in range(1, 5)),
+                "T1_Nm", "T2_Nm", "P1_W", "P2_W")
 
-    def torques(load: CuttingLoad | None = None):
-        tau = load_free.with_load(load)
-        return tau, tau + rotor
 
-    def finite(header, values, where=""):
+class PathPass(NamedTuple):
+    """The load-independent dynamics of one path at unit path rate.  At path
+    rate k = tool_speed / radius the rates scale by k and the accelerations
+    by k squared, so the torques are c + k^2 v (Hollerbach, ASME J. Dyn.
+    Syst. Meas. Control 106(1), 1984).  ``rest.with_load(load)`` gives the
+    static torques c (N, 2); ``v_joint`` and ``v_shaft`` (N, 2) are the joint
+    torques per unit rate squared and those plus the reflected rotor
+    torques.  ``profile`` is the unit profile, on the clock of the spec the
+    pass was made for, and ``step`` its path-angle step."""
+
+    rest: _LoadFreeTorques
+    v_joint: np.ndarray
+    v_shaft: np.ndarray
+    drive_rates: np.ndarray
+    profile: JointProfile
+    step: float
+    max_rates: np.ndarray
+    max_accels: np.ndarray
+
+    def series(self, rate, load: CuttingLoad | None = None):
+        """Joint torques, shaft torques and joint powers (joint torque times
+        joint rate), (N, 2) each, at path rate ``rate``, unchecked."""
+        c, kk = self.rest.with_load(load), rate * rate
+        tau = c + kk * self.v_joint
+        return tau, c + kk * self.v_shaft, tau * (rate * self.drive_rates)
+
+    def finite(self, rate, header, values, where=""):
+        """``values`` (N, k) at path rate ``rate`` if finite; otherwise its
+        lowest non-finite entry is named after ``where`` by the sample's
+        index, time at that rate and tool axis, and by the column's header."""
         bad = ~np.isfinite(values)
         if bad.any():
-            i, k = np.argwhere(bad)[0]
-            raise InvalidInputError(f"{where}{_sample_label(i, profile.t[i], tool[i])}: {header[k]}"
-                                    f" is {values[i, k]}; the inputs overflow double precision")
+            i, j = np.argwhere(bad)[0]
+            raise InvalidInputError(f"{where}{_sample_label(i, i * (self.step / rate), self.rest.axes[i, 4])}:"
+                                    f" {header[j]} is {values[i, j]}; the inputs overflow double precision")
         return values
 
-    def record(load: CuttingLoad | None = None, where=""):
-        shaft = torques(load)[1]
-        power = shaft * profile.rates[:, :2]
-        max_torques, max_powers = _column_peaks(shaft), _column_peaks(power)
-        if not (np.isfinite(max_torques).all() and np.isfinite(max_powers).all()):
-            finite(("T1_Nm", "T2_Nm", "P1_W", "P2_W"), np.column_stack([shaft, power]), where)
-        return PeakRecord(spec.gamma, spec.radius, max_rates, max_accels, max_torques, max_powers)
+    def records(self, spec: TrajectorySpec, loads):
+        """The spec's PeakRecord under each ``(where, load)`` of ``loads``,
+        checked by ``finite`` after ``where``; shaft torque times joint rate
+        is the power.  The records share one read-only pair of rate and
+        acceleration peaks."""
+        k = spec.rate
+        records = []
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+            max_rates, max_accels, rates = k * self.max_rates, (k * k) * self.max_accels, k * self.drive_rates
+            for peaks in (max_rates, max_accels):
+                peaks.setflags(write=False)
+            for where, load in loads:
+                shaft = self.rest.with_load(load) + (k * k) * self.v_shaft
+                peaks = (max_rates, max_accels, _column_peaks(shaft), _column_peaks(shaft * rates))
+                if not all(np.isfinite(p).all() for p in peaks):
+                    self.finite(k, _PEAK_HEADER, np.column_stack(
+                        [k * self.profile.rates, (k * k) * self.profile.accels, shaft, shaft * rates]), where)
+                records.append(PeakRecord(spec.gamma, spec.radius, *peaks))
+        return records
 
-    return profile, torques, record, finite
+
+def path_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY) -> PathPass:
+    """The spec's path at unit path rate: one profile stage at radius and
+    tool speed 1, which differences at the path-angle step, and one
+    load-free pass, whose gravity moments alone give the torques at rest
+    (``at_rest``).  The profile's times, and the times its errors name, step
+    by the path-angle step over the spec's rate: the spec's own clock."""
+    path = generate(replace(spec, radius=1.0, tool_speed=1.0))
+    step = path.t[1] - path.t[0]
+    profile, kinematics = _profile_pass(path.v, step, geometry, step / spec.rate)
+    moving = _load_free_torques(profile, kinematics, bodies, gravity)
+    rest = moving.at_rest()
+    v_joint = moving.tau0 - rest
+    return PathPass(moving._replace(tau0=rest), v_joint, v_joint + _rotor_torques(profile.accels, motors),
+                    np.ascontiguousarray(profile.rates[:, :2]), profile, step, _column_peaks(profile.rates),
+                    _column_peaks(profile.accels))
 
 
 def _spec_error(spec, exc: WristError) -> WristError:
@@ -136,82 +174,25 @@ def _path_key(spec: TrajectorySpec):
     return spec.kind, spec.gamma, spec.sample_count
 
 
-class _UnitRatePass(NamedTuple):
-    """What a spec's peaks need of its path at unit path rate: the static
-    shaft torques ``c`` (N, 2) under the study's load, the shaft torques per
-    unit rate squared ``v`` (N, 2), the drive rates (N, 2), and the peaks of
-    the four joint rates and accelerations."""
-
-    c: np.ndarray
-    v: np.ndarray
-    drive_rates: np.ndarray
-    max_rates: np.ndarray
-    max_accels: np.ndarray
-
-
-def _unit_rate_pass(spec: TrajectorySpec, geometry, bodies, motors, load, gravity) -> _UnitRatePass:
-    # One profile stage at radius 1 and tool speed 1 (dt is the path-angle
-    # step) and one load-free pass on it.  The static torques c are that
-    # pass's projection of the gravity moments alone (``at_rest``): bit for
-    # bit a second pass on the same angles at rest, at a fraction of its cost.
-    profile, kinematics = profile_for_spec(replace(spec, radius=1.0, tool_speed=1.0), geometry)
-    moving = _load_free_torques(profile, kinematics, bodies, gravity)
-    rest = moving.at_rest()
-    return _UnitRatePass(moving._replace(tau0=rest).with_load(load),
-                         moving.tau0 - rest + _rotor_torques(profile.accels, motors),
-                         np.ascontiguousarray(profile.rates[:, :2]), _column_peaks(profile.rates),
-                         _column_peaks(profile.accels))
-
-
-def _scaled_record(spec: TrajectorySpec, unit: _UnitRatePass) -> PeakRecord | None:
-    """The spec's PeakRecord from the unit-rate pass of its path, or None
-    where a scaled value is not finite.  At path rate k the rates scale by k
-    and the accelerations by k squared, so the shaft torques are c + k^2 v
-    (Hollerbach, ASME J. Dyn. Syst. Meas. Control 106(1), 1984)."""
-    k = spec.rate
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow sends the spec to its own pass
-        shaft = unit.c + (k * k) * unit.v
-        peaks = (k * unit.max_rates, (k * k) * unit.max_accels, _column_peaks(shaft),
-                 _column_peaks(shaft * (k * unit.drive_rates)))
-    if not all(np.isfinite(p).all() for p in peaks):
-        return None
-    return PeakRecord(spec.gamma, spec.radius, *peaks)
-
-
 def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None, gravity=GRAVITY):
     """Peak records for each trajectory spec, in input order.
 
-    Specs on the same path (kind, cone angle and sample count) that differ
-    only in radius and tool speed share one pass at unit path rate, and each
-    scales it by its own rate (``_scaled_record``).  A spec whose path no
-    other spec shares, every spec of a path whose shared pass raises, and a
-    spec whose scaled values are not finite take their own pass
-    (``spec_pass``), which gives the record or the error, named at the
-    spec's own rate, that it always gave.
+    Consecutive specs on the same path (kind, cone angle and sample count),
+    as a grid gives them by cone angle, share one pass at unit path rate
+    (``path_pass``), made for the first of them, and each scales it by its
+    own rate; a pass is dropped when its path's specs end.  A failing spec
+    is named ahead of its error.
     """
-    specs = list(specs)
-    left = Counter(map(_path_key, specs))
-    # The unit-rate pass of each path with specs still to come, or None where
-    # it raised; a path's pass is dropped at its last spec.
-    passes = {}
     records = []
-    for spec in specs:
-        key = _path_key(spec)
-        left[key] -= 1
-        if left[key] and key not in passes:
+    for _, path_specs in groupby(specs, _path_key):
+        unit = None
+        for spec in path_specs:
             try:
-                passes[key] = _unit_rate_pass(spec, geometry, bodies, motors, load, gravity)
-            except Exception:  # the spec's own pass raises it again, named as that pass names it
-                passes[key] = None
-        record = None if passes.get(key) is None else _scaled_record(spec, passes[key])
-        if not left[key]:
-            passes.pop(key, None)
-        if record is None:
-            try:
-                record = spec_pass(spec, geometry, bodies, motors, gravity)[2](load)
+                if unit is None:
+                    unit = path_pass(spec, geometry, bodies, motors, gravity)
+                records += unit.records(spec, [("", load)])
             except WristError as exc:
                 raise _spec_error(spec, exc) from exc
-        records.append(record)
     return records
 
 
@@ -220,20 +201,20 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
 
     The three cutting-force components are set equal to each value in
     ``fc_values``.  The forces and the lever are checked first; then the
-    spec's load-independent stages run once (``spec_pass``), and each force
-    value adds only its affine cutting term.
+    spec's path makes its one pass (``path_pass``), and each force value
+    adds only its affine cutting term.
     """
     fc_values = [float(f) for f in fc_values]
     if not all(map(np.isfinite, fc_values)):
         raise InvalidInputError("cutting-force magnitudes must be finite")
     if min(fc_values, default=0.0) < 0.0:
         raise InvalidInputError("cutting-force magnitudes must be non-negative")
-    loads = [(fc, CuttingLoad((fc, fc, fc), lc)) for fc in fc_values]
+    loads = [(f"Fc = {fc:.12g} N: ", CuttingLoad((fc, fc, fc), lc)) for fc in fc_values]
     try:
-        record = spec_pass(base_spec, geometry, bodies, motors, gravity)[2]
-        return [(fc, record(load, f"Fc = {fc:.12g} N: ")) for fc, load in loads]
+        records = path_pass(base_spec, geometry, bodies, motors, gravity).records(base_spec, loads)
     except WristError as exc:
         raise _spec_error(base_spec, exc) from exc
+    return list(zip(fc_values, records))
 
 
 def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:
@@ -262,6 +243,5 @@ def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:
             speed_class=speed_class,
             continuous_margin=motor.continuous_torque - torque,
             max_margin=motor.max_torque - torque,
-            speed_margin=motor.max_speed - shaft_speed,
         ))
     return FeasibilityReport(tuple(actuators))

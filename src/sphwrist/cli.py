@@ -215,11 +215,11 @@ def _cutting_load(args) -> dynamics.CuttingLoad:
 
 def cmd_dynamics(args, config):
     load = _cutting_load(args)
-    profile, torques, _, finite = analysis.spec_pass(_traj_spec(args), config.geometry, config.bodies,
-                                                     config.motors, config.gravity)
-    tau, shaft = torques(load)
+    spec = _traj_spec(args)
+    unit = analysis.path_pass(spec, config.geometry, config.bodies, config.motors, config.gravity)
+    tau, shaft, power = unit.series(spec.rate, load)
     header = ["t_s", "tau1_Nm", "tau2_Nm", "tau1_shaft_Nm", "tau2_shaft_Nm", "P1_W", "P2_W"]
-    rows = finite(header, np.column_stack([profile.t, tau, shaft, tau * profile.rates[:, :2]]))
+    rows = unit.finite(spec.rate, header, np.column_stack([unit.profile.t, tau, shaft, power]))
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
     shaft_peak = np.max(np.abs(shaft), axis=0)

@@ -9,7 +9,7 @@ The profile stage (``_profile_pass``) makes the one kinematic pass over a
 path: the links' frames and joint axes from one ``leg_frames`` call, and the
 passive loop-closure terms with their type-II singularity test
 (``_kinematics_at``).  It returns them next to the profile, which holds only
-its four arrays, for a caller that reads them (``analysis.spec_pass``);
+its four arrays, for a caller that reads them (``analysis.path_pass``);
 every other pass builds them from the angles of the rows it solves.
 """
 
@@ -423,10 +423,11 @@ def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) 
     return _profile_pass(orientations, dt, geometry)[0]
 
 
-def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[JointProfile, _Kinematics]:
+def _profile_pass(orientations, dt: float, geometry: WristGeometry, clock=None) -> tuple[JointProfile, _Kinematics]:
     """``trajectory_joint_profiles``, with the same checks and errors, and
     the kinematic terms of its pass (``_kinematics_at`` of the profile's
-    angles), which the profile does not keep."""
+    angles), which the profile does not keep.  ``clock`` (``dt`` if None)
+    is the step of the profile's times and of the times its errors name."""
     if isinstance(orientations, np.ndarray):
         v = _unit_directions(orientations)
     else:
@@ -436,8 +437,10 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[Joi
     if not (np.isfinite(dt) and dt > 0.0):
         raise InvalidInputError("dt must be positive")
 
+    clock = dt if clock is None else clock
+
     def label(i):
-        return _sample_label(i, i * dt, v[i])
+        return _sample_label(i, i * clock, v[i])
 
     theta = unwrap_angles(_joint_angles(v, geometry, label), axis=0)
     jumps = np.abs(np.diff(theta, axis=0))
@@ -451,5 +454,5 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry) -> tuple[Joi
     _, _, axes, passive = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)
     accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
-    profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * dt, theta, rates, accels, label))
+    profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * clock, theta, rates, accels, label))
     return profile, kinematics

@@ -27,13 +27,29 @@ from sphwrist.analysis import (
     TORQUE_INTERMITTENT,
 )
 from sphwrist import analysis, cli, dynamics
-from sphwrist.errors import BranchJumpError, InvalidInputError, ModelInconsistencyError
+from sphwrist.errors import BranchJumpError, InvalidInputError, ModelInconsistencyError, WristError
 from sphwrist.kinematics import JointProfile, _unchecked
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
 def circle_spec(gamma_deg, radius, n=301):
     return TrajectorySpec(kind=KIND_CIRCLE, radius=radius, gamma=math.radians(gamma_deg), sample_count=n)
+
+
+def own_rate_reference(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY, load=None):
+    """The own-rate route that the studies replaced by scaling their path's
+    unit-rate pass: a profile stage and a load-free pass at the spec's own
+    rate.  Its profile, joint torques and shaft torques (N, 2)."""
+    profile, kinematics = analysis.profile_for_spec(spec, geometry)
+    tau = dynamics._load_free_torques(profile, kinematics, bodies, gravity).with_load(load)
+    return profile, tau, tau + analysis._rotor_torques(profile.accels, motors)
+
+
+def own_rate_record(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY, load=None):
+    # The PeakRecord of the own-rate route: shaft torques, and shaft torque times joint rate.
+    profile, _, shaft = own_rate_reference(spec, geometry, bodies, motors, gravity, load)
+    return PeakRecord(spec.gamma, spec.radius, *(np.max(np.abs(x), axis=0) for x in (
+        profile.rates, profile.accels, shaft, shaft * profile.rates[:, :2])))
 
 
 def peak_record(torques, rates=(1.0, 1.0)):
@@ -79,10 +95,10 @@ def test_studies_pass_other_exceptions_through(geometry, bodies, motor, monkeypa
     # takes other arguments propagates as raised.
     raised = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    def fail(spec, geometry):
+    def fail(spec):
         raise raised
 
-    monkeypatch.setattr(analysis, "profile_for_spec", fail)
+    monkeypatch.setattr(analysis, "generate", fail)
     spec = circle_spec(45.0, 0.15, 51)
     with pytest.raises(UnicodeDecodeError) as info:
         if study == "sweep":
@@ -115,17 +131,15 @@ def test_force_sweep_records_match_one_sweep_per_force(geometry, bodies, motor):
     assert curve[0][1].max_rates is curve[1][1].max_rates and not curve[0][1].max_rates.flags.writeable
 
 
-def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry, bodies, motor):
-    # The pass's joint torques are virtual_work_torques and its shaft torques
-    # add reflected_motor_torque per actuator, bit for bit, with and without a
-    # load, for a motor pair and a gravity of their own.
+def test_own_rate_reference_is_virtual_work_plus_reflected_rotor_torque(geometry, bodies, motor):
+    # The reference's joint torques are virtual_work_torques and its shaft
+    # torques add reflected_motor_torque per actuator, bit for bit, with and
+    # without a load, for a motor pair and a gravity of their own.
     spec = circle_spec(45.0, 0.15, 101)
     motors = (motor, replace(motor, rotor_inertia=3e-4, reduction_ratio=2.5))
     gravity = np.array([0.5, -1.0, -9.0])
-    profile, torques, *_ = analysis.spec_pass(spec, geometry, bodies, motors, gravity)
-    assert profile.t.tobytes() == analysis.profile_for_spec(spec, geometry)[0].t.tobytes()
     for load in (None, CuttingLoad((150.0, -40.0, 75.0), 0.11)):
-        tau, shaft = torques(load)
+        profile, tau, shaft = own_rate_reference(spec, geometry, bodies, motors, gravity, load)
         expected = virtual_work_torques(profile, geometry, bodies, gravity, load)
         assert tau.tobytes() == expected.tobytes()
         for i, m in enumerate(motors):
@@ -133,24 +147,25 @@ def test_spec_pass_torques_are_virtual_work_plus_reflected_rotor_torque(geometry
 
 
 def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, monkeypatch, tmp_path, capsys):
-    # force-sweep and dynamics make one profile stage and one load-free pass
-    # for their spec.  sweep_peaks, sweep and motor-check make one profile
-    # stage per cone angle, at unit path rate, and one load-free pass on it;
-    # the torques at rest come from that pass (``_LoadFreeTorques.at_rest``).
-    # Both bindings of the load-free pass are counted, so a second route
-    # through virtual_work_torques would show as another pass.
+    # Every study that takes torques makes one profile stage per path, at
+    # unit path rate (radius and tool speed 1), and one load-free pass on
+    # it: dynamics and force-sweep one, sweep_peaks, sweep and motor-check
+    # one per cone angle.  The torques at rest come from that pass
+    # (``_LoadFreeTorques.at_rest``).  Both bindings of the load-free pass
+    # are counted, so a second route through virtual_work_torques would show
+    # as another pass.
     profiles, passes = [], []
-    profile_for_spec, load_free_torques = analysis.profile_for_spec, dynamics._load_free_torques
+    generate, load_free_torques = analysis.generate, dynamics._load_free_torques
 
-    def counted_profile(spec, geometry):
+    def counted_path(spec):
         profiles.append((spec.radius, spec.tool_speed))
-        return profile_for_spec(spec, geometry)
+        return generate(spec)
 
     def counted_pass(profile, *args):
         passes.append((profile.theta, profile.rates.any()))
         return load_free_torques(profile, *args)
 
-    monkeypatch.setattr(analysis, "profile_for_spec", counted_profile)
+    monkeypatch.setattr(analysis, "generate", counted_path)
     for module in (analysis, dynamics):
         monkeypatch.setattr(module, "_load_free_torques", counted_pass)
 
@@ -165,32 +180,47 @@ def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, mon
     forces = [0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0]
     assert counts(lambda: len(force_sweep(circle_spec(45.0, 0.15, 51), forces, 0.11, geometry, bodies, motor)) == 7) \
         == (1, 1)
+    assert profiles == [(1.0, 1.0)]
     specs = [circle_spec(g, r, 51) for g in (30.0, 45.0, 60.0) for r in (0.25, 0.1)]
     assert counts(lambda: len(sweep_peaks(specs, geometry, bodies, motor, CuttingLoad((150.0,) * 3, 0.11))) == 6) \
         == (3, 3)
     assert profiles == [(1.0, 1.0)] * 3
     # Every pass is on a moving profile; none is at rest.
     assert all(moving for _, moving in passes)
+    # A pass serves the consecutive specs of its path: ordered by radius,
+    # each spec makes its own, and every record keeps its bits.
+    by_cone = sweep_peaks(specs, geometry, bodies, motor)
+    by_radius = sorted(specs, key=lambda spec: spec.radius)
+    assert counts(lambda: len(sweep_peaks(by_radius, geometry, bodies, motor)) == 6) == (6, 6)
+    for spec, record in zip(by_radius, sweep_peaks(by_radius, geometry, bodies, motor)):
+        twin = by_cone[specs.index(spec)]
+        assert all(getattr(record, f).tobytes() == getattr(twin, f).tobytes()
+                   for f in ("max_rates", "max_accels", "max_torques", "max_powers"))
     for argv, count in (
         (["dynamics", "--gamma", "45", "--radius", "0.15", "--fc", "150", "--out", str(tmp_path / "d.csv")], (1, 1)),
         (["sweep", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--out", str(tmp_path / "s.csv")], (3, 3)),
         (["motor-check", "--gamma", "30,45,60", "--radius", "0.25,0.1", "--fc", "150"], (3, 3)),
     ):
         assert counts(lambda: cli.main([*argv, "--samples", "51"]) == 0) == count
+        assert profiles == [(1.0, 1.0)] * count[0]
     capsys.readouterr()
 
 
+def _assert_record_matches(record, own, tol=1e-12):
+    # A record against the own-rate route's, field by field, to ``tol``
+    # relative, and exactly where the own-rate route gives 0.
+    assert (record.gamma, record.radius) == (own.gamma, own.radius)
+    for field in ("max_rates", "max_accels", "max_torques", "max_powers"):
+        got, want = getattr(record, field), getattr(own, field)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want)), (record.radius, field, got, want)
+
+
 def _assert_records_match_their_own_pass(specs, geometry, bodies, motors, load, gravity):
-    # Each record of the grouped route against its spec's own pass, field by
-    # field, to 1e-12 relative, and exactly where the own pass gives 0.
+    # Each record of the grouped route against its spec's own-rate route.
     records = sweep_peaks(specs, geometry, bodies, motors, load, gravity)
     assert len(records) == len(specs)
     for spec, record in zip(specs, records):
-        own = analysis.spec_pass(spec, geometry, bodies, motors, gravity)[2](load)
-        assert (record.gamma, record.radius) == (own.gamma, own.radius)
-        for field in ("max_rates", "max_accels", "max_torques", "max_powers"):
-            got, want = getattr(record, field), getattr(own, field)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (spec, field, got, want)
+        _assert_record_matches(record, own_rate_record(spec, geometry, bodies, motors, gravity, load))
 
 
 @pytest.mark.parametrize("load", [None, CuttingLoad((150.0, 150.0, 150.0), 0.11)])
@@ -221,6 +251,43 @@ def test_grouped_sweep_matches_each_specs_own_pass(config, gamma, n, rates, load
                                              config.gravity)
     except BranchJumpError:
         reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.tuples(st.just(KIND_CIRCLE), st.floats(25.0, 65.0), st.integers(3, 3000))
+       | st.tuples(st.just(KIND_SEMICIRCLE), st.none(), st.integers(2, 1500).map(lambda k: 2 * k)),
+       rates=st.lists(st.tuples(st.floats(0.05, 0.25), st.floats(0.05, 5.0)), min_size=2, max_size=4),
+       load=st.none() | st.builds(lambda f, lever: CuttingLoad((f, f, f), lever), st.floats(0.0, 200.0),
+                                  st.floats(0.0, 0.2)))
+def test_dynamics_and_force_sweep_match_the_own_rate_route(config, path, rates, load):
+    # The dynamics series (as cmd_dynamics forms it) and the force-sweep
+    # records scale the unit-rate pass of their path.  The reference is the
+    # own-rate route they replaced: each series column to 1e-12 of its
+    # largest magnitude, each record to 1e-12 relative, the times bit for
+    # bit, and a failing path with the same error, named at the spec's time.
+    # An even-count semicircle passes within half a step of the type-II
+    # singularity at its midpoint, where the loop-closure solve amplifies
+    # the rounding in which the two routes differ: there they agree to
+    # about 1e-7 (at 2,000 to 3,000 samples), so its bound is 1e-6.
+    kind, gamma, n = path
+    tol = 1e-12 if kind == KIND_CIRCLE else 1e-6
+    args = config.geometry, config.bodies, config.motors, config.gravity
+    forces, lever = ([0.0], 0.11) if load is None else ([0.0, float(load.f_c[0])], load.lever)
+    for radius, speed in rates:
+        spec = TrajectorySpec(kind, radius, speed, None if gamma is None else math.radians(gamma), n)
+        try:
+            profile, tau, shaft = own_rate_reference(spec, *args, load)
+        except WristError as exc:
+            with pytest.raises(type(exc)) as info:
+                analysis.path_pass(spec, *args)
+            assert str(info.value) == str(exc)
+            reject()  # a path of few samples may step across a branch
+        unit = analysis.path_pass(spec, *args)
+        assert unit.profile.t.tobytes() == profile.t.tobytes()
+        for got, want in zip(unit.series(spec.rate, load), (tau, shaft, tau * profile.rates[:, :2])):
+            assert np.all(np.abs(got - want) <= tol * np.max(np.abs(want), axis=0)), (spec, got, want)
+        for fc, record in force_sweep(spec, forces, lever, *args):
+            _assert_record_matches(record, own_rate_record(spec, *args, CuttingLoad((fc, fc, fc), lever)), tol)
 
 
 _SEED0_LOAD = CuttingLoad((150.0, 150.0, 150.0), 0.11)
@@ -326,7 +393,7 @@ def test_force_sweep_checks_the_lever_before_the_profile(geometry, bodies, motor
     def unreachable(*args):
         raise AssertionError("profile computed before the lever check")
 
-    monkeypatch.setattr(analysis, "profile_for_spec", unreachable)
+    monkeypatch.setattr(analysis, "generate", unreachable)
     for lever in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="^lever must be non-negative$"):
             force_sweep(circle_spec(45.0, 0.15, 51), [0.0, 25.0], lever, geometry, bodies, motor)

@@ -637,8 +637,8 @@ def test_cli_reused_parser_matches_a_fresh_interpreter(tmp_path, capsys, monkeyp
                  "sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)): profile rates must hold finite values",
                  id="traj-rates"),
     pytest.param(("sweep", "--gamma", "60", "--radius", "1e-308", "--speed", "1.5"),
-                 "spec (kind=circle-XY, gamma=60 deg, R=1e-308): sample 69 (t = 2.89027e-309 s, v = (0.785905,"
-                 " 0.363805, -0.5)): profile rates must hold finite values", id="sweep-rates"),
+                 "spec (kind=circle-XY, gamma=60 deg, R=1e-308): sample 0 (t = 0 s, v = (0.866025, 1.89012e-16,"
+                 " -0.5)): ddtheta1_rad_s2 is inf;", id="sweep-rates"),
     pytest.param(("dynamics", "--radius", "0.1", "--gamma", "45", "--fc", "1e200", "--lc", "1e200"),
                  "sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;", id="dynamics-load"),
 ])

@@ -1132,8 +1132,10 @@ def count_calls(monkeypatch, *names):
 def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
     # The profile stage builds the leg frames once and tests the passive Gram
     # determinant once, without the one-leg chain_frames, and so does
-    # virtual_work_torques on its own.  A study's pass over one spec makes
-    # each call once: its load-free torques read the profile stage's terms.
+    # virtual_work_torques on its own.  A study's pass over one path makes
+    # each call once, and so does the own-rate route it replaced (a profile
+    # stage and a load-free pass at the spec's rate): their load-free
+    # torques read the profile stage's terms.
     calls = count_calls(monkeypatch, "leg_frames", "_passive_closure", "chain_frames")
     spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=101)
     path = generate(spec)
@@ -1144,7 +1146,10 @@ def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
     virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
     assert calls == ["leg_frames", "_passive_closure"]
     calls.clear()
-    analysis.spec_pass(spec, geometry, bodies, motor)[1](load)
+    analysis.path_pass(spec, geometry, bodies, motor).series(spec.rate, load)
+    assert calls == ["leg_frames", "_passive_closure"]
+    calls.clear()
+    dynamics._load_free_torques(*analysis.profile_for_spec(spec, geometry), bodies).with_load(load)
     assert calls == ["leg_frames", "_passive_closure"]
 
 

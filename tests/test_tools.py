@@ -21,11 +21,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
     # runs, and one dynamics run on a config file; only the semicircle's
-    # torques fail, at its singular midpoint.  The 15 error cases and the 3
+    # torques fail, at its singular midpoint.  The 16 error cases and the 3
     # config error cases each end in one categorised error line.
-    assert len(exits) == 42 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 43 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 18 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 19 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -38,13 +38,19 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_dynamics_overflow.stderr").read_text() == (
         "error[invalid-input]: sample 0 (t = 0 s, v = (0.707107, 3.43701e-16, -0.707107)): tau1_Nm is inf;"
         " the inputs overflow double precision\n")
-    # Drive rates that overflow in the differencing name their sample; in a
+    # Drive rates that overflow in the own-rate differencing of traj name
+    # their sample.  A study scales the unit-rate pass of its path instead:
+    # the first value that overflows there names its sample and column; in a
     # sweep, after the spec, also where an earlier radius of the cone angle passed.
-    rate_overflow = ("sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)):"
-                     " profile rates must hold finite values\n")
-    assert (a / "error_traj_rate_overflow.stderr").read_text() == "error[invalid-input]: " + rate_overflow
+    assert (a / "error_traj_rate_overflow.stderr").read_text() == (
+        "error[invalid-input]: sample 69 (t = 2.89027e-309 s, v = (0.785905, 0.363805, -0.5)):"
+        " profile rates must hold finite values\n")
+    first_sample = "sample 0 (t = 0 s, v = (0.866025, 1.89012e-16, -0.5)): "
     assert (a / "error_sweep_second_radius.stderr").read_text() == (
-        "error[invalid-input]: spec (kind=circle-XY, gamma=60 deg, R=1e-308): " + rate_overflow)
+        "error[invalid-input]: spec (kind=circle-XY, gamma=60 deg, R=1e-308): " + first_sample
+        + "ddtheta1_rad_s2 is inf; the inputs overflow double precision\n")
+    assert (a / "error_dynamics_rate_overflow.stderr").read_text() == (
+        "error[invalid-input]: " + first_sample + "tau1_Nm is inf; the inputs overflow double precision\n")
     assert (a / "error_motor_check_second_radius.stderr").read_text() == (
         "error[invalid-input]: spec (kind=circle-XY, gamma=45 deg, R=1e-150): sample 0 (t = 0 s,"
         " v = (0.707107, 3.43701e-16, -0.707107)): P1_W is inf; the inputs overflow double precision\n")
@@ -90,8 +96,9 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert (a / f"{name}.stderr").read_text().startswith(
             f"error[model-inconsistency]: sample 10 (t = {float(failed[0][1]):.6g} s, v = (")
 
-    # The load-free virtual-work pass of the 12 grid specs: one row per
-    # sample, every number %.17g, so that a last-bit change shows.
+    # The own-rate load-free virtual-work pass of the 12 grid specs, the
+    # tests' reference for the scaled route: one row per sample, every
+    # number %.17g, so that a last-bit change shows.
     vw = sorted(a.glob("vw_*.csv"))
     grid = [f"vw_{g}_{r}" for g in ("30", "45", "60") for r in ("0.25", "0.15", "0.10", "0.05")]
     assert [p.stem for p in vw] == sorted(grid)
@@ -115,7 +122,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "178 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "181 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -128,4 +135,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "178 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "181 files, 3 differ"]

@@ -16,18 +16,17 @@ then runs the per-row Newton-Euler API (``solve_state`` and
 case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
 per sample with every number as ``%.17g`` and a failing row's error line,
 and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
-Last, for each spec of ``VW_CASES``, it writes NAME.csv with the load-free
-virtual-work pass of that spec at its own rate, as ``analysis.spec_pass``
-makes it for ``dynamics`` and ``force-sweep`` (``sweep`` and ``motor-check``
-make it for a spec whose path no other spec shares, or whose scaled peaks are
-not finite), one row per sample with every number as ``%.17g``: the joint
-angles, rates and accelerations, the load-free torques tau0 and the load
-terms g.  Then, for each cone angle of ``UNIT_CASES``, with and without the
-load, it writes NAME.csv with the shared unit-rate pass of that path, as
-``sweep`` and ``motor-check`` scale it for every spec on the path: per sample
-the static shaft torques c, the shaft torques per unit rate squared v and the
-drive rates; and NAME_peaks.csv with the peaks of the four joint rates and
-accelerations, every number as ``%.17g``.  The
+Last, for each spec of ``VW_CASES``, it writes NAME.csv with the profile
+and the load-free virtual-work pass of that spec at its own rate, one row per
+sample with every number as ``%.17g``: the joint angles, rates and
+accelerations, the load-free torques tau0 and the load terms g.  No study
+runs this pass; it is the own-rate reference that the tests hold the
+scaled unit-rate pass to.  Then, for each cone angle of ``UNIT_CASES``,
+with and without the load, it writes NAME.csv with the unit-rate pass of
+that path (``analysis.path_pass``), as every study that takes torques scales
+it: per sample the static shaft torques c, the shaft torques per unit rate
+squared v and the drive rates; and NAME_peaks.csv with the peaks of the four
+joint rates and accelerations, every number as ``%.17g``.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
 to another checkout's src snapshots that checkout.
@@ -90,6 +89,8 @@ ERROR_CASES = (
                                          "--lc", "0.11"]),
     ("error_force_sweep_overflow", ["force-sweep", "--gamma", "45", "--radius", "0.1", "--fc", "0,1e300",
                                     "--lc", "1e10", "--out", "error_force_sweep_overflow.csv"]),
+    ("error_dynamics_rate_overflow", ["dynamics", "--gamma", "60", "--radius", "1e-308", "--speed", "1.5",
+                                      "--out", "error_dynamics_rate_overflow.csv"]),
     ("error_dynamics_overflow", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "1e200", "--lc", "1e200",
                                  "--out", "error_dynamics_overflow.csv"]),
     ("error_dynamics_negative_force", ["dynamics", "--gamma", "45", "--radius", "0.1", "--fc", "-5",
@@ -261,7 +262,7 @@ def unit_rows(name, gamma, load, samples=None):
     import math
 
     import sphwrist
-    from sphwrist.analysis import _unit_rate_pass
+    from sphwrist.analysis import path_pass
     from sphwrist.trajectory import KIND_CIRCLE
 
     config = sphwrist.default_config()
@@ -270,11 +271,12 @@ def unit_rows(name, gamma, load, samples=None):
                                    tool_speed=config.tool_speed,
                                    sample_count=config.sample_count if samples is None else samples)
     load = None if load is None else sphwrist.CuttingLoad(*load)
-    unit = _unit_rate_pass(spec, config.geometry, config.bodies, config.motors, load, config.gravity)
+    unit = path_pass(spec, config.geometry, config.bodies, config.motors, config.gravity)
     with open(f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample", "c1", "c2", "v1", "v2", "dtheta1", "dtheta2"])
-        for i, row in enumerate(zip(*(c.tolist() for c in (unit.c, unit.v, unit.drive_rates)))):
+        columns = (unit.rest.with_load(load), unit.v_shaft, unit.drive_rates)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
             writer.writerow([i, *("%.17g" % v for part in row for v in part)])
     if load is None:
         with open(f"{name}_peaks.csv", "w", newline="") as fh:
