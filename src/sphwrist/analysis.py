@@ -47,7 +47,6 @@ class ActuatorFeasibility:
     torque_class: str
     speed_class: str
     continuous_margin: float
-    max_margin: float
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,14 @@ class PathPass(NamedTuple):
     """The load-independent dynamics of one path at unit path rate.  At path
     rate k = tool_speed / radius the rates scale by k and the accelerations
     by k squared, so the torques are c + k^2 v (Hollerbach, ASME J. Dyn.
-    Syst. Meas. Control 106(1), 1984).  ``rest.with_load(load)`` gives the
-    static torques c (N, 2); ``v_joint`` and ``v_shaft`` (N, 2) are the joint
-    torques per unit rate squared and those plus the reflected rotor
-    torques.  ``profile`` is the unit profile, on the clock of the spec the
-    pass was made for, and ``step`` its path-angle step."""
+    Syst. Meas. Control 106(1), 1984).  ``torques`` is the unit-rate
+    load-free pass, whose ``rest`` under a load gives the static torques
+    c (N, 2); ``v_joint`` and ``v_shaft`` (N, 2) are the joint torques per
+    unit rate squared and those plus the reflected rotor torques.
+    ``profile`` is the unit profile, on the clock of the spec the pass was
+    made for, and ``step`` its path-angle step."""
 
-    rest: _LoadFreeTorques
+    torques: _LoadFreeTorques
     v_joint: np.ndarray
     v_shaft: np.ndarray
     drive_rates: np.ndarray
@@ -108,7 +108,7 @@ class PathPass(NamedTuple):
     def series(self, rate, load: CuttingLoad | None = None):
         """Joint torques, shaft torques and joint powers (joint torque times
         joint rate), (N, 2) each, at path rate ``rate``, unchecked."""
-        c, kk = self.rest.with_load(load), rate * rate
+        c, kk = self.torques.with_load(self.torques.rest, load), rate * rate
         tau = c + kk * self.v_joint
         return tau, c + kk * self.v_shaft, tau * (rate * self.drive_rates)
 
@@ -119,7 +119,7 @@ class PathPass(NamedTuple):
         bad = ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise InvalidInputError(f"{where}{_sample_label(i, i * (self.step / rate), self.rest.axes[i, 4])}:"
+            raise InvalidInputError(f"{where}{_sample_label(i, i * (self.step / rate), self.torques.axes[i, 4])}:"
                                     f" {header[j]} is {values[i, j]}; the inputs overflow double precision")
         return values
 
@@ -135,7 +135,7 @@ class PathPass(NamedTuple):
             for peaks in (max_rates, max_accels):
                 peaks.setflags(write=False)
             for where, load in loads:
-                shaft = self.rest.with_load(load) + (k * k) * self.v_shaft
+                shaft = self.torques.with_load(self.torques.rest, load) + (k * k) * self.v_shaft
                 peaks = (max_rates, max_accels, _column_peaks(shaft), _column_peaks(shaft * rates))
                 if not all(np.isfinite(p).all() for p in peaks):
                     self.finite(k, _PEAK_HEADER, np.column_stack(
@@ -147,16 +147,15 @@ class PathPass(NamedTuple):
 def path_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY) -> PathPass:
     """The spec's path at unit path rate: one profile stage at radius and
     tool speed 1, which differences at the path-angle step, and one
-    load-free pass, whose gravity moments alone give the torques at rest
-    (``at_rest``).  The profile's times, and the times its errors name, step
+    load-free pass, whose gravity moments alone also give the torques at
+    rest.  The profile's times, and the times its errors name, step
     by the path-angle step over the spec's rate: the spec's own clock."""
     path = generate(replace(spec, radius=1.0, tool_speed=1.0))
     step = path.t[1] - path.t[0]
     profile, kinematics = _profile_pass(path.v, step, geometry, step / spec.rate)
-    moving = _load_free_torques(profile, kinematics, bodies, gravity)
-    rest = moving.at_rest()
-    v_joint = moving.tau0 - rest
-    return PathPass(moving._replace(tau0=rest), v_joint, v_joint + _rotor_torques(profile.accels, motors),
+    torques = _load_free_torques(profile, kinematics, bodies, gravity)
+    v_joint = torques.tau0 - torques.rest
+    return PathPass(torques, v_joint, v_joint + _rotor_torques(profile.accels, motors),
                     np.ascontiguousarray(profile.rates[:, :2]), profile, step, _column_peaks(profile.rates),
                     _column_peaks(profile.accels))
 
@@ -242,6 +241,5 @@ def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:
             torque_class=torque_class,
             speed_class=speed_class,
             continuous_margin=motor.continuous_torque - torque,
-            max_margin=motor.max_torque - torque,
         ))
     return FeasibilityReport(tuple(actuators))

@@ -559,7 +559,7 @@ def _balance(p_act, ke_rate, p_ext):
 
 def _row_balance(p_act: float, ke_rate: float, p_ext: float) -> float:
     # _balance on floats, in the same operations (np.maximum keeps a NaN, which max() would drop).  It pays
-    # on the per-row path: 0.24 us a call against 2.3 us for _balance (2-vCPU VM), about 2 ms of the ~49 ms
+    # on the per-row path: 0.13 us a call against 1.4 us for _balance (2-vCPU VM), about 1.3 ms of the ~37 ms
     # semicircle-verify study.
     scale = abs(ke_rate)
     return abs(p_act + p_ext - ke_rate) / (1.0 if scale <= 1.0 else scale)
@@ -731,44 +731,36 @@ def _project(moments, axes, unit_rates):
 
 
 class _LoadFreeTorques(NamedTuple):
-    """Virtual-work torques of a profile without a cutting load, plus the
-    terms that add one and the terms of the same angles at rest.
+    """Virtual-work torques of a profile without a cutting load, the torques
+    of the same angles at rest, and the terms that add a load to either.
 
-    ``tau0`` (N, 2) are the joint torques under inertia and gravity alone.
+    ``tau0`` (N, 2) are the joint torques under inertia and gravity alone,
+    and ``rest`` (N, 2) those of the same angles at zero rates and
+    accelerations: the projection of the gravity moments -r x m g alone.
+    Each inertial moment of a pass at rest is +0 (every
+    ``_body_tensor_product`` ends in + 0.0, and +0 + (+-0) is +0), so
+    ``rest`` equals that pass's ``tau0`` bit for bit, signed zeros included.
     ``g`` (N, 2, 3) holds, per actuator k, ``e5 x w_k``, with ``w_k`` the
     terminal's angular velocity per unit rate of actuator k: a world-frame
     tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``axes``
     (N, 6, 3) and ``e3_x_e5`` (N, 3), the same for every load, turn a
-    ``CuttingLoad`` into that world-frame force.  ``r_com`` (N, 4, 3), the
-    link ``weights`` m_b g (4, 3) and the passive rates per unit actuator
-    rate ``unit_rates`` (two (N, 2)) are the pass's own arrays, kept for
-    ``at_rest``.
+    ``CuttingLoad`` into that world-frame force.
     """
 
     tau0: np.ndarray
+    rest: np.ndarray
     g: np.ndarray
     axes: np.ndarray
     e3_x_e5: np.ndarray
-    r_com: np.ndarray
-    weights: np.ndarray
-    unit_rates: tuple
 
-    def with_load(self, load: CuttingLoad | None = None) -> np.ndarray:
-        """Joint torques (N, 2) under ``load``: the torques are affine in it.
-        Without a load they are ``tau0`` itself."""
+    def with_load(self, tau: np.ndarray, load: CuttingLoad | None) -> np.ndarray:
+        """Joint torques (N, 2) ``tau`` of this pass (``tau0`` or ``rest``)
+        under ``load``: the torques are affine in it.  Without a load they
+        are ``tau`` itself."""
         if load is None:
-            return self.tau0
+            return tau
         tip = _tip_force(load, self.axes[:, 2], self.axes[:, 4], self.e3_x_e5)
-        return self.tau0 + load.lever * _matvec_rows(self.g, tip)
-
-    def at_rest(self) -> np.ndarray:
-        """``tau0`` of the same angles at zero rates and accelerations: the
-        projection of the gravity moments -r x m g alone.  Each inertial
-        moment of a pass at rest is +0 (every ``_body_tensor_product`` ends
-        in + 0.0, and +0 + (+-0) is +0), so this equals that pass bit for
-        bit, signed zeros included."""
-        return _project([np.subtract(0.0, cross_rows(self.r_com[:, b], w)) for b, w in enumerate(self.weights)],
-                        self.axes, self.unit_rates)
+        return tau + load.lever * _matvec_rows(self.g, tip)
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -792,7 +784,8 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     to do no work on the self-motion there (at rest with the tool
     horizontal, for one).
     """
-    return _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, gravity).with_load(load)
+    load_free = _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, gravity)
+    return load_free.with_load(load_free.tau0, load)
 
 
 def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, gravity=GRAVITY) -> _LoadFreeTorques:
@@ -829,5 +822,8 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
         rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
         unit_rates.append(rates)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
-    return _LoadFreeTorques(_project(moments, axes, unit_rates), g, axes, cross_rows(e3, e5), m.r_com, weights,
-                            tuple(unit_rates))
+    tau0 = _project(moments, axes, unit_rates)
+    del moments  # released before the gravity moments alone are formed again for the torques at rest
+    rest = _project([np.subtract(0.0, cross_rows(m.r_com[:, b], w)) for b, w in enumerate(weights)],
+                    axes, unit_rates)
+    return _LoadFreeTorques(tau0, rest, g, axes, cross_rows(e3, e5))

@@ -41,7 +41,8 @@ def own_rate_reference(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY,
     unit-rate pass: a profile stage and a load-free pass at the spec's own
     rate.  Its profile, joint torques and shaft torques (N, 2)."""
     profile, kinematics = analysis.profile_for_spec(spec, geometry)
-    tau = dynamics._load_free_torques(profile, kinematics, bodies, gravity).with_load(load)
+    load_free = dynamics._load_free_torques(profile, kinematics, bodies, gravity)
+    tau = load_free.with_load(load_free.tau0, load)
     return profile, tau, tau + analysis._rotor_torques(profile.accels, motors)
 
 
@@ -151,7 +152,7 @@ def test_each_study_runs_one_profile_stage_per_path(geometry, bodies, motor, mon
     # unit path rate (radius and tool speed 1), and one load-free pass on
     # it: dynamics and force-sweep one, sweep_peaks, sweep and motor-check
     # one per cone angle.  The torques at rest come from that pass
-    # (``_LoadFreeTorques.at_rest``).  Both bindings of the load-free pass
+    # (``_LoadFreeTorques.rest``).  Both bindings of the load-free pass
     # are counted, so a second route through virtual_work_torques would show
     # as another pass.
     profiles, passes = [], []
@@ -306,10 +307,11 @@ _SEED0_LOAD = CuttingLoad((150.0, 150.0, 150.0), 0.11)
 @example(path=(KIND_CIRCLE, 60.0, 1001), gravity=dynamics.GRAVITY, load=None)
 @example(path=(KIND_CIRCLE, 60.0, 1001), gravity=dynamics.GRAVITY, load=_SEED0_LOAD)
 def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, load):
-    # The shared unit-rate pass takes its static torques from its own moving
-    # pass (at_rest).  The reference is the route it replaced: the load-free
-    # pass on the same angles at zero-stride zero rates and accelerations.
-    # Equal by tobytes, signed zeros included.
+    # The load-free pass gives its static torques (rest) from its own
+    # gravity moments.  The reference is the route it replaced: the
+    # load-free pass on the same angles at zero-stride zero rates and
+    # accelerations.  Equal by tobytes, signed zeros included, and so are
+    # the reference's own rest and tau0.
     kind, gamma, n = path
     spec = TrajectorySpec(kind, 1.0, 1.0, None if gamma is None else math.radians(gamma), n)
     try:
@@ -320,9 +322,10 @@ def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, l
     zero = np.broadcast_to(0.0, profile.rates.shape)
     at_rest = _unchecked(JointProfile, t=profile.t, theta=profile.theta, rates=zero, accels=zero)
     reference = dynamics._load_free_torques(at_rest, kinematics, config.bodies, gravity)
-    rest = moving.at_rest()
-    assert rest.tobytes() == reference.tau0.tobytes()
-    assert moving._replace(tau0=rest).with_load(load).tobytes() == reference.with_load(load).tobytes()
+    assert moving.rest.tobytes() == reference.tau0.tobytes()
+    assert reference.rest.tobytes() == reference.tau0.tobytes()
+    assert (moving.with_load(moving.rest, load).tobytes()
+            == reference.with_load(reference.tau0, load).tobytes())
 
 
 @pytest.mark.parametrize("study, where", [
@@ -439,7 +442,6 @@ def test_motor_feasibility_margins(motor):
     report = motor_feasibility(peak_record((10.0, 40.0)), motor)
     assert report.actuators[0].continuous_margin == pytest.approx(13.0)
     assert report.actuators[1].continuous_margin == pytest.approx(-17.0)
-    assert report.actuators[1].max_margin == pytest.approx(34.0)
 
 
 def test_motor_pair_validation(geometry, bodies, motor):

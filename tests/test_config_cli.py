@@ -20,6 +20,7 @@ from sphwrist import GRAVITY, TrajectorySpec, WristGeometry
 from sphwrist.cli import build_parser, main, write_csv
 from sphwrist.config import (config_from_text, default_config, default_config_text, load_config,
                              parse_config_text)
+from sphwrist.dynamics import BODY_NAMES
 from sphwrist.errors import ConfigError, InvalidInputError
 from sphwrist.trajectory import KIND_CIRCLE
 
@@ -743,22 +744,59 @@ _WIDE = st.one_of(
 )
 
 
+def _wide_or(low, high):
+    return _WIDE | st.floats(low, high)
+
+
+# Wide draws mixed with the ranges of default.cfg for the link masses and
+# inertias (Ixx, Iyy, Izz, Ixy, Ixz, Iyz) and the motor ratings, by config
+# key.  An example draws some of the keys; the others keep their default.cfg
+# value.
+_WIDE_CONFIG = st.fixed_dictionaries({}, optional={
+    **{f"body.{name}.mass": st.tuples(_wide_or(0.1, 2.0))
+       for name in BODY_NAMES},
+    **{f"body.{name}.inertia": st.tuples(*[_wide_or(1e-4, 1e-2)] * 3, *[_wide_or(-1e-4, 1e-4)] * 3)
+       for name in BODY_NAMES},
+    **{f"motor.{i}.{key}": st.tuples(_wide_or(low, high)) for i in (1, 2) for key, (low, high) in {
+        "rotor_inertia": (0.0, 1e-2), "reduction_ratio": (1.0, 100.0), "nominal_speed": (50.0, 1000.0),
+        "max_speed": (50.0, 1000.0), "max_torque": (1.0, 100.0), "continuous_torque": (1.0, 100.0)}.items()},
+})
+
+
+def _config_option(directory, values):
+    # --config with default.cfg, each key of ``values`` taking its drawn values.
+    lines = []
+    for line in default_config_text().splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(_config_line(key, values[key]) if key in values else f"{line}\n")
+    path = directory / "wide.cfg"
+    path.write_text("".join(lines))
+    return ["--config", str(path)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(["traj", "dynamics"]),
     kind=st.sampled_from(["circle", "semicircle"]),
     samples=st.integers(min_value=3, max_value=41),
     values=st.fixed_dictionaries({}, optional={name: _WIDE for name in ("radius", "gamma", "speed", "fc", "lc")}),
+    config=_WIDE_CONFIG,
 )
-@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "speed": 1e150})
-@example(command="traj", kind="circle", samples=11, values={"radius": 1e-300, "gamma": 45.0})
-@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "fc": 1e200, "lc": 1e200})
-def test_cli_any_numbers_end_in_output_or_one_error(tmp_path_factory, command, kind, samples, values):
-    out = tmp_path_factory.mktemp("fuzz") / "x.csv"
+@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "speed": 1e150},
+         config={})
+@example(command="traj", kind="circle", samples=11, values={"radius": 1e-300, "gamma": 45.0}, config={})
+@example(command="dynamics", kind="circle", samples=11, values={"radius": 0.1, "gamma": 45.0, "fc": 1e200, "lc": 1e200},
+         config={})
+@example(command="dynamics", kind="circle", samples=11, values={"gamma": 45.0, "fc": 150.0, "lc": 0.11},
+         config={"motor.2.reduction_ratio": (1e200,)})
+@example(command="dynamics", kind="semicircle", samples=11, values={}, config={"body.distal.mass": (1e300,)})
+def test_cli_any_numbers_end_in_output_or_one_error(tmp_path_factory, command, kind, samples, values, config):
+    directory = tmp_path_factory.mktemp("fuzz")
+    out = directory / "x.csv"
     values = {"radius": 0.1, **values}
     if command == "traj":
         values = {k: v for k, v in values.items() if k not in ("fc", "lc")}
-    argv = [command, "--traj", kind, "--samples", str(samples), "--out", str(out)]
+    argv = [*_config_option(directory, config), command, "--traj", kind, "--samples", str(samples), "--out", str(out)]
     argv += [f"--{name}={value!r}" for name, value in values.items()]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
@@ -792,19 +830,29 @@ def _number_list(values):
     lever=st.none() | _WIDE | st.floats(0.0, 0.5),
     # The path rate speed / R is what the shared pass of a cone angle scales by.
     speed=st.none() | _WIDE | st.floats(0.05, 5.0),
+    config=_WIDE_CONFIG,
 )
-@example(command="force-sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0, 1e300], lever=1e300, speed=None)
-@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[1e-300, 0.1], forces=[0.0], lever=None, speed=None)
-@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[0.25, 0.1], forces=[0.0], lever=None, speed=None)
-@example(command="motor-check", samples=11, gammas=[45.0], radii=[1e300], forces=[1e200], lever=1e200, speed=None)
-@example(command="sweep", samples=11, gammas=[45.0], radii=[0.1, 0.2], forces=[0.0], lever=None, speed=1e150)
+@example(command="force-sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0, 1e300], lever=1e300, speed=None,
+         config={})
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[1e-300, 0.1], forces=[0.0], lever=None, speed=None,
+         config={})
+@example(command="sweep", samples=11, gammas=[45.0, 30.0], radii=[0.25, 0.1], forces=[0.0], lever=None, speed=None,
+         config={})
+@example(command="motor-check", samples=11, gammas=[45.0], radii=[1e300], forces=[1e200], lever=1e200, speed=None,
+         config={})
+@example(command="sweep", samples=11, gammas=[45.0], radii=[0.1, 0.2], forces=[0.0], lever=None, speed=1e150, config={})
+@example(command="sweep", samples=11, gammas=[45.0], radii=[0.1], forces=[0.0], lever=None, speed=None,
+         config={"motor.2.reduction_ratio": (1e200,)})
+@example(command="motor-check", samples=11, gammas=[45.0], radii=[0.1], forces=[150.0], lever=0.11, speed=None,
+         config={"body.terminal.inertia": (1e300, 1e300, 1e300, 0.0, 0.0, 0.0), "motor.1.rotor_inertia": (1e300,)})
 def test_cli_number_lists_end_in_output_or_one_error(tmp_path_factory, command, samples, gammas, radii, forces,
-                                                     lever, speed):
+                                                     lever, speed, config):
     # force-sweep takes one cone angle and radius and a list of forces;
     # sweep and motor-check take lists of cone angles and radii, and
     # motor-check one force.
-    out = tmp_path_factory.mktemp("fuzz") / "x.csv"
-    argv = [command, "--samples", str(samples)]
+    directory = tmp_path_factory.mktemp("fuzz")
+    out = directory / "x.csv"
+    argv = [*_config_option(directory, config), command, "--samples", str(samples)]
     if command == "force-sweep":
         argv += [f"--gamma={gammas[0]!r}", f"--radius={radii[0]!r}", f"--fc={_number_list(forces)}"]
         rows = len(forces)

@@ -24,8 +24,9 @@ runs this pass; it is the own-rate reference that the tests hold the
 scaled unit-rate pass to.  Then, for each cone angle of ``UNIT_CASES``,
 with and without the load, it writes NAME.csv with the unit-rate pass of
 that path (``analysis.path_pass``), as every study that takes torques scales
-it: per sample the static shaft torques c, the shaft torques per unit rate
-squared v and the drive rates; and NAME_peaks.csv with the peaks of the four
+it: per sample the static shaft torques c (the pass's torques at rest under
+the load, ``torques.with_load(torques.rest, load)``), the shaft torques per
+unit rate squared v and the drive rates; and NAME_peaks.csv with the peaks of the four
 joint rates and accelerations, every number as ``%.17g``.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
@@ -258,7 +259,8 @@ def vw_rows(name, gamma, radius, samples=None):
 
 
 def unit_rows(name, gamma, load, samples=None):
-    """Write NAME.csv and, without a load, NAME_peaks.csv: the unit-rate pass of one circle path."""
+    """Write NAME.csv and, without a load, NAME_peaks.csv: the unit-rate pass of one circle path,
+    with c from its torques at rest (``rest``) under the load."""
     import math
 
     import sphwrist
@@ -275,7 +277,7 @@ def unit_rows(name, gamma, load, samples=None):
     with open(f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample", "c1", "c2", "v1", "v2", "dtheta1", "dtheta2"])
-        columns = (unit.rest.with_load(load), unit.v_shaft, unit.drive_rates)
+        columns = (unit.torques.with_load(unit.torques.rest, load), unit.v_shaft, unit.drive_rates)
         for i, row in enumerate(zip(*(c.tolist() for c in columns))):
             writer.writerow([i, *("%.17g" % v for part in row for v in part)])
     if load is None:
