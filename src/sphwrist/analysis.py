@@ -15,7 +15,7 @@ from .dynamics import (
     _rotor_torque,
 )
 from .errors import InvalidInputError, WristError
-from .kinematics import JointProfile, _Kinematics, _profile_pass, _sample_label
+from .kinematics import JointProfile, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate
 
 TORQUE_CONTINUOUS_OK = "continuous-ok"
@@ -63,13 +63,6 @@ def _motor_pair(motors):
     return motors
 
 
-def profile_for_spec(spec: TrajectorySpec, geometry) -> tuple[JointProfile, _Kinematics]:
-    """Joint profile along the generated path of one trajectory spec, at its
-    own rate, and the kinematic terms of its pass."""
-    path = generate(spec)
-    return _profile_pass(path.v, path.t[1] - path.t[0], geometry)
-
-
 def _column_peaks(x):
     # np.max(np.abs(x), axis=0) of an (N, k) array, taken over a contiguous
     # transpose: one pass per column, not N passes of length k.
@@ -105,7 +98,7 @@ class PathPass(NamedTuple):
     max_rates: np.ndarray
     max_accels: np.ndarray
 
-    def series(self, rate, load: CuttingLoad | None = None):
+    def series(self, rate, load: CuttingLoad | None):
         """Joint torques, shaft torques and joint powers (joint torque times
         joint rate), (N, 2) each, at path rate ``rate``, unchecked."""
         c, kk = self.torques.with_load(self.torques.rest, load), rate * rate

@@ -16,7 +16,7 @@ from . import analysis, dynamics, trajectory
 from .config import default_config, load_config
 from .errors import FileIOError, InvalidInputError, WristError
 from .kinematics import (ToolOrientation, forward_kinematics, inverse_kinematics, pan_tilt_from_vector,
-                         vector_from_pan_tilt)
+                         trajectory_joint_profiles, vector_from_pan_tilt)
 
 
 def _fmt(x: float) -> str:
@@ -195,7 +195,8 @@ _PROFILE_HEADER = (
 
 
 def cmd_traj(args, config):
-    profile = analysis.profile_for_spec(_traj_spec(args), config.geometry)[0]
+    path = trajectory.generate(_traj_spec(args))
+    profile = trajectory_joint_profiles(path.v, path.t[1] - path.t[0], config.geometry)
     rows = np.column_stack([profile.t, profile.theta, profile.rates, profile.accels])
     write_csv(args.out, _PROFILE_HEADER, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
@@ -222,7 +223,7 @@ def cmd_dynamics(args, config):
     rows = unit.finite(spec.rate, header, np.column_stack([unit.profile.t, tau, shaft, power]))
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} samples to {args.out}")
-    shaft_peak = np.max(np.abs(shaft), axis=0)
+    shaft_peak = analysis._column_peaks(shaft)
     for i in range(2):
         flag = "yes" if shaft_peak[i] > config.motors[i].continuous_torque else "no"
         print(f"tau{i + 1}_shaft_peak_Nm = {_fmt(shaft_peak[i])} exceeds-continuous = {flag}")

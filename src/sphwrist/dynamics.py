@@ -29,11 +29,12 @@ row (motion views, solution, error, power-balance terms), for the block's
 other rows and for ``power_balance_residual``.  ``verify_profile`` makes
 the same block passes over a whole profile.
 
-The studies take their actuator torques from ``virtual_work_torques``: the
-principle of virtual work over a whole joint profile at once, on the same
-motion, with the velocity field of each actuator from loop closure.  It
-gives the same torques without the reactions; the Newton-Euler solve stays
-as the reactions API and as the independent check on it.
+The studies take their actuator torques from ``_load_free_torques``, the
+load-free pass of ``virtual_work_torques`` (virtual work over a whole joint
+profile, with each actuator's velocity field from loop closure), made once
+per path at unit path rate by ``analysis.path_pass`` and scaled to each
+spec's rate.  The Newton-Euler solve stays as the reactions API and as the
+independent check on them.
 """
 
 from collections import namedtuple

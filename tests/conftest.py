@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sphwrist import default_config
-from sphwrist.kinematics import _closure_accels_from_axes, _closure_rates_from_axes, _kinematics_at
+from sphwrist.kinematics import _closure_accels_from_axes, _closure_rates_from_axes, _kinematics_at, _profile_pass
+from sphwrist.trajectory import generate
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +62,13 @@ def random_unit_vector(rng, max_tilt=math.radians(80.0)):
     tilt = rng.uniform(-max_tilt, max_tilt)
     c = math.cos(tilt)
     return np.array([math.cos(pan) * c, math.sin(pan) * c, math.sin(tilt)])
+
+
+def own_rate_profile(spec, geometry):
+    """The profile stage on the spec's generated path at its own rate: the
+    joint profile and the kinematic terms of its pass."""
+    path = generate(spec)
+    return _profile_pass(path.v, path.t[1] - path.t[0], geometry)
 
 
 def closure_row(theta, drive_rates, drive_accels, geometry):

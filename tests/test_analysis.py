@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_rel
+from conftest import own_rate_profile, symmetric_rel
 from sphwrist import (
     CuttingLoad,
     PeakRecord,
@@ -40,7 +40,7 @@ def own_rate_reference(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY,
     """The own-rate route that the studies replaced by scaling their path's
     unit-rate pass: a profile stage and a load-free pass at the spec's own
     rate.  Its profile, joint torques and shaft torques (N, 2)."""
-    profile, kinematics = analysis.profile_for_spec(spec, geometry)
+    profile, kinematics = own_rate_profile(spec, geometry)
     load_free = dynamics._load_free_torques(profile, kinematics, bodies, gravity)
     tau = load_free.with_load(load_free.tau0, load)
     return profile, tau, tau + analysis._rotor_torques(profile.accels, motors)
@@ -315,7 +315,7 @@ def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, l
     kind, gamma, n = path
     spec = TrajectorySpec(kind, 1.0, 1.0, None if gamma is None else math.radians(gamma), n)
     try:
-        profile, kinematics = analysis.profile_for_spec(spec, config.geometry)
+        profile, kinematics = own_rate_profile(spec, config.geometry)
     except BranchJumpError:  # a path of few samples may step across a branch
         reject()
     moving = dynamics._load_free_torques(profile, kinematics, config.bodies, gravity)

@@ -382,6 +382,24 @@ def test_cli_traj_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_traj_runs_one_traced_profile_stage(tmp_path, monkeypatch):
+    # traj reaches the profile stage through the public
+    # trajectory_joint_profiles, so the benchmark's tracer records one
+    # kinematics.profiles span inside each cli.main span.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    argvs = [("traj", "--traj", "circle", "--gamma", "45", "--radius", "0.25", "--samples", "101"),
+             ("traj", "--traj", "semicircle", "--radius", "0.2", "--samples", "51")]
+    with spans.traced(spans.Tracer()) as tracer:
+        for i, argv in enumerate(argvs):
+            assert sphwrist.cli.main([*argv, "--out", str(tmp_path / f"{i}.csv")]) == 0
+    calls = [i for i, span in enumerate(tracer.spans) if span[0] == "cli.main"]
+    assert len(calls) == len(argvs)
+    profiles = [span[3] for span in tracer.spans if span[0] == "kinematics.profiles"]
+    assert profiles == calls
+
+
 def test_cli_dynamics_flags_continuous_torque(tmp_path, capsys):
     out_file = tmp_path / "dyn.csv"
     code, out, _ = run_cli(capsys, "dynamics", "--traj", "circle", "--gamma", "45",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_row
+from conftest import closure_row, own_rate_profile
 from sphwrist import (
     GRAVITY,
     BodyParams,
@@ -1149,7 +1149,7 @@ def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
     analysis.path_pass(spec, geometry, bodies, motor).series(spec.rate, load)
     assert calls == ["leg_frames", "_passive_closure"]
     calls.clear()
-    load_free = dynamics._load_free_torques(*analysis.profile_for_spec(spec, geometry), bodies)
+    load_free = dynamics._load_free_torques(*own_rate_profile(spec, geometry), bodies)
     load_free.with_load(load_free.tau0, load)
     assert calls == ["leg_frames", "_passive_closure"]
 
@@ -1198,7 +1198,7 @@ def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
 
     for spec in (TrajectorySpec(kind=KIND_CIRCLE, radius=0.05, gamma=math.radians(60.0), sample_count=301),
                  TrajectorySpec(kind=KIND_SEMICIRCLE, radius=0.25, sample_count=1001)):
-        kept, kinematics = analysis.profile_for_spec(spec, geometry)
+        kept, kinematics = own_rate_profile(spec, geometry)
         bare = profile_rows(kept, slice(None))
         handed, built = (load_free(*args) for args in ((kept, kinematics),
                                                         (bare, _kinematics_at(bare.theta, geometry))))
@@ -1218,7 +1218,7 @@ def test_kept_kinematics_follow_the_geometry_object(geometry, bodies, monkeypatc
     # each call, one leg_frames call each, and an equal-valued copy gives the
     # same bits.  Two blocks and one row of a third, whatever the block size.
     spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.1, gamma=math.radians(45.0), sample_count=2 * NE_BLOCK + 1)
-    profile, kept = analysis.profile_for_spec(spec, geometry)
+    profile, kept = own_rate_profile(spec, geometry)
     for built in (_kinematics_at(profile.theta, geometry), _kinematics_at(profile.theta, replace(geometry))):
         for a, b in zip((*kept[:3], *kept.passive), (*built[:3], *built.passive), strict=True):
             assert np.array_equal(a, b)

@@ -17,13 +17,15 @@ case of ``API_CASES`` and writes per case NAME the files NAME.csv, one row
 per sample with every number as ``%.17g`` and a failing row's error line,
 and NAME.stderr, the error line of ``solve_trajectory`` over the profile.
 Last, for each spec of ``VW_CASES``, it writes NAME.csv with the profile
-and the load-free virtual-work pass of that spec at its own rate, one row per
-sample with every number as ``%.17g``: the joint angles, rates and
-accelerations, the load-free torques tau0 and the load terms g.  No study
-runs this pass; it is the own-rate reference that the tests hold the
-scaled unit-rate pass to.  Then, for each cone angle of ``UNIT_CASES``,
-with and without the load, it writes NAME.csv with the unit-rate pass of
-that path (``analysis.path_pass``), as every study that takes torques scales
+and the load-free virtual-work pass of that spec at its own rate (the
+profile stage ``kinematics._profile_pass`` on the spec's generated path,
+then ``dynamics._load_free_torques``), one row per sample with every number
+as ``%.17g``: the joint angles, rates and accelerations, the load-free
+torques tau0 and the load terms g.  No study runs this pass; it is the
+own-rate reference that the tests hold the scaled unit-rate pass to.
+Then, for each cone angle of ``UNIT_CASES``, with and without the load, it
+writes NAME.csv with the unit-rate pass of that path
+(``analysis.path_pass``), as every study that takes torques scales
 it: per sample the static shaft torques c (the pass's torques at rest under
 the load, ``torques.with_load(torques.rest, load)``), the shaft torques per
 unit rate squared v and the drive rates; and NAME_peaks.csv with the peaks of the four
@@ -233,19 +235,21 @@ def api_rows(name, radius, load, samples=None):
 
 
 def vw_rows(name, gamma, radius, samples=None):
-    """Write NAME.csv: the profile and load-free virtual-work pass of one circle spec."""
+    """Write NAME.csv: the profile and load-free virtual-work pass of one circle spec, the profile
+    from ``kinematics._profile_pass`` on the spec's generated path."""
     import math
 
     import sphwrist
-    from sphwrist.analysis import profile_for_spec
     from sphwrist.dynamics import _load_free_torques
-    from sphwrist.trajectory import KIND_CIRCLE
+    from sphwrist.kinematics import _profile_pass
+    from sphwrist.trajectory import KIND_CIRCLE, generate
 
     config = sphwrist.default_config()
     spec = sphwrist.TrajectorySpec(kind=KIND_CIRCLE, radius=radius, gamma=math.radians(gamma),
                                    tool_speed=config.tool_speed,
                                    sample_count=config.sample_count if samples is None else samples)
-    profile, kinematics = profile_for_spec(spec, config.geometry)
+    path = generate(spec)
+    profile, kinematics = _profile_pass(path.v, path.t[1] - path.t[0], config.geometry)
     load_free = _load_free_torques(profile, kinematics, config.bodies, config.gravity)
     header = ["sample", "t", *(f"{field}{j}" for field in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
               "tau0_1", "tau0_2", *(f"g{k}_{j}" for k in (1, 2) for j in range(3))]
