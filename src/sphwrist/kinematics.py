@@ -1,9 +1,10 @@
 """Closed-form inverse kinematics, forward kinematics, and joint profiles.
 
 Tool orientations live in the world frame (the frame the trajectories and
-gravity are written in).  The two actuated axes are horizontal there; the
-conversion to the leg-1 joint frame happens through
-``WristGeometry.base_axes``.
+gravity are written in).  The two actuated axes are horizontal there.  Both
+directions of the kinematics read one description of the legs,
+``WristGeometry._legs`` (each leg's base frame and its two twists): forward
+kinematics chains frames from it, inverse kinematics solves each leg on it.
 
 The profile stage (``_profile_pass``) makes the one kinematic pass over a
 path: the links' frames and joint axes from one ``leg_frames`` call, and the
@@ -209,7 +210,9 @@ def _quadratic_branch(a, b, c, sign: float):
 
     Cancellation-free: the conjugate form is used whenever -b and the root
     term have opposite signs, which also keeps the branch continuous as ``a``
-    passes through zero.  Returns the angles and the two guard checks.
+    passes through zero.  At a clamped (double) root the two forms are
+    -b/(2a) and -2c/b; the one with the larger denominator is used, so that
+    neither is 0/0 up to rounding.  Returns the angles and the two guard checks.
     """
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     disc = b * b - 4.0 * a * c
@@ -221,7 +224,7 @@ def _quadratic_branch(a, b, c, sign: float):
          UnreachableOrientationError, "orientation lies outside the reachable cone"),
     ]
     s = np.sqrt(np.maximum(disc, 0.0))
-    direct = sign * b <= 0.0
+    direct = np.where(s == 0.0, np.abs(a) >= np.abs(c), sign * b <= 0.0)
     num = np.where(direct, -b + sign * s, -2.0 * sign * c)
     den = np.where(direct, 2.0 * a, s + sign * b)
     # theta = 2*atan(num/den) up to a 2*pi shift; atan2 keeps it finite when
@@ -244,63 +247,52 @@ def leg2_tool_axis(theta2: float, theta4: float, geometry: WristGeometry) -> np.
     return axes[2]
 
 
+def _leg_angles(u, cos, sin, sign: float, elbow: str):
+    """Drive and elbow angles of one leg at tool directions ``u`` (..., 3) in
+    its base frame, from the cosines and sines of its two twists, with their
+    guard checks; ``sign`` picks the cone condition's root, ``elbow`` names
+    the second joint in an error."""
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    ca, cb = cos
+    sa, sb = sin
+    # Drive angle from the cone condition: the tool axis sits at the second
+    # twist from the elbow axis.
+    qa = uz * ca + uy * sa - cb
+    qb = 2.0 * ux * sa
+    qc = uz * ca - uy * sa - cb
+    drive, checks = _quadratic_branch(qa, qb, qc, sign)
+
+    # Elbow angle from the tool components in the elbow frame.
+    c, s = np.cos(drive), np.sin(drive)
+    px = ux * c + uy * s
+    py = -ux * s * ca + uy * c * ca + uz * sa
+    sin_e, cos_e = sb * px, -sb * py
+    checks.append((np.hypot(sin_e, cos_e) < SINGULAR_GUARD, SingularConfigurationError,
+                   f"{elbow} angle is indeterminate"))
+    return drive, np.arctan2(sin_e, cos_e), checks
+
+
 def _joint_angles(v, geometry: WristGeometry, label=_index_label) -> np.ndarray:
     """Closed-form inverse kinematics of (3,) or (N, 3) world-frame tool
     directions; returns (4,) or (N, 4) joint angles on the working branch.
 
-    Solves the leg-1 pair from the cone condition about the first drive axis,
-    then the leg-2 pair from the loop-closure cone about the second drive
-    axis.  Raises if a direction is unreachable or lies on a drive axis; for
-    (N, 3) input the error names the lowest failing sample by ``label(i)``.
+    Solves each leg by ``_leg_angles`` on its base frame and twists from
+    ``WristGeometry._legs``, leg 1 (theta1, theta3) on the root of sign +1,
+    leg 2 (theta2, theta4) on the root of sign -1.  Raises if a direction is
+    unreachable or lies on a joint axis; for (N, 3) input the error names the
+    lowest failing sample by ``label(i)``.
     """
-    a0, a1, a2, a3, a4 = geometry.alpha
-    u = v @ geometry.base_axes
-    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
-    # The tool axis sits at the twist a3 from the terminal's drive axis.
-    cg = math.cos(a3)
-
-    # Leg-1 drive angle from the cone condition of the terminal's drive axis.
-    qa = uz * math.cos(a1) + uy * math.sin(a1) - cg
-    qb = 2.0 * ux * math.sin(a1)
-    qc = uz * math.cos(a1) - uy * math.sin(a1) - cg
-    theta1, checks = _quadratic_branch(qa, qb, qc, +1.0)
-
-    # Terminal angle from the tool components in the leg-1 elbow frame.
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    sa3 = math.sin(a3)
-    pd = ux * c1 + uy * s1
-    pe = -ux * s1 * math.cos(a1) + uy * c1 * math.cos(a1) + uz * math.sin(a1)
-    sin3 = sa3 * pd
-    cos3 = -sa3 * pe
-    checks.append((np.hypot(sin3, cos3) < SINGULAR_GUARD, SingularConfigurationError,
-                   "terminal angle is indeterminate"))
-    theta3 = np.arctan2(sin3, cos3)
-
-    # Leg-2 drive angle from the loop-closure cone about the second drive axis.
-    qa2 = ux * math.sin(a0) * math.cos(a2) + uy * math.sin(a2) + uz * math.cos(a0) * math.cos(a2) - math.cos(a4)
-    qb2 = 2.0 * (ux * math.cos(a0) * math.sin(a2) - uz * math.sin(a0) * math.sin(a2))
-    qc2 = ux * math.sin(a0) * math.cos(a2) - uy * math.sin(a2) + uz * math.cos(a0) * math.cos(a2) - math.cos(a4)
-    theta2, checks2 = _quadratic_branch(qa2, qb2, qc2, -1.0)
+    f0, cos, sin = geometry._legs
+    theta1, theta3, checks = _leg_angles(v @ f0[0], cos[0], sin[0], +1.0, "terminal")
+    theta2, theta4, checks2 = _leg_angles(v @ f0[1], cos[1], sin[1], -1.0, "distal")
     checks += checks2
-    checks.append((abs(math.sin(a4)) < SINGULAR_GUARD, SingularConfigurationError, "distal axis twist is degenerate"))
-
-    # Distal angle from the tool components in the leg-2 elbow frame.
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    s4 = ux * c2 * math.cos(a0) + uy * s2 - uz * c2 * math.sin(a0)
-    c4a = -ux * (math.sin(a0) * math.sin(a2) - s2 * math.cos(a0) * math.cos(a2))
-    c4b = -uy * c2 * math.cos(a2)
-    c4d = -uz * (math.cos(a0) * math.sin(a2) + s2 * math.sin(a0) * math.cos(a2))
-    c4 = c4a + c4b + c4d
-    checks.append((np.hypot(s4, c4) < SINGULAR_GUARD, SingularConfigurationError,
-                   "distal angle is indeterminate"))
-    theta4 = np.arctan2(s4, c4)
 
     # Report the lowest failing sample; there, the first check that fails.
     if any(np.any(mask) for mask, _, _ in checks):
-        failed = np.array([np.broadcast_to(mask, ux.shape) for mask, _, _ in checks]).reshape(len(checks), -1)
+        failed = np.array([np.broadcast_to(mask, v.shape[:-1]) for mask, _, _ in checks]).reshape(len(checks), -1)
         i = int(np.argmax(failed.any(axis=0)))
         _, error, message = checks[int(np.argmax(failed[:, i]))]
-        raise error(f"{label(i)}: {message}" if u.ndim > 1 else message)
+        raise error(f"{label(i)}: {message}" if v.ndim > 1 else message)
     return np.stack([theta1, theta2, theta3, theta4], axis=-1)
 
 

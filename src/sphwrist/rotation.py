@@ -108,10 +108,11 @@ def _default_home():
 class WristGeometry:
     """Joint-axis twists, home configuration, and base mounting of the wrist.
 
-    ``alpha`` holds the five inter-axis angles (base pair first, then one per
-    moving joint along the two legs).  ``mount_yaw`` is the azimuth of the
-    leg-1 drive axis in the world frame; both drive axes are horizontal and
-    orthogonal, and the tool points straight down (-Z) in the home
+    ``alpha`` holds the five twists: a0 between the two drive axes, (a1, a3)
+    leg 1's first and second joint steps, (a2, a4) leg 2's; a twist of
+    either sign is valid.  ``mount_yaw`` is the azimuth of the leg-1 drive
+    axis in the world frame; both drive axes are horizontal, orthogonal at
+    the default a0, and the tool points straight down (-Z) in the home
     configuration.
     """
 

@@ -744,6 +744,32 @@ def test_cli_studies_read_the_config_gravity(tmp_path, monkeypatch, capsys):
     assert peaks[0] != peaks[1]
 
 
+def test_cli_negative_distal_twist_closes_the_loop(tmp_path, monkeypatch, capsys):
+    # A negative distal twist is a valid geometry.  dynamics runs on it, and
+    # the angles that traj writes and ik prints put both legs on the same
+    # tool axis; a leg-2 solve blind to the twist's sign puts leg 2 on -v.
+    monkeypatch.chdir(tmp_path)
+    twists = ", ".join(repr(a) for a in [math.pi / 2] * 4 + [-math.pi / 2])
+    Path("neg.cfg").write_text(default_config_text() + f"geometry.alpha = {twists}\n")
+    geometry = load_config("neg.cfg").geometry
+
+    def assert_closes(theta1, theta2, theta3, theta4):
+        assert np.linalg.norm(sphwrist.leg2_tool_axis(theta2, theta4, geometry)
+                              - sphwrist.forward_kinematics(theta1, theta3, geometry).v) < 1e-9
+
+    spec = ("--gamma", "45", "--radius", "0.15", "--samples", "101")
+    assert run_cli(capsys, "--config", "neg.cfg", "dynamics", *spec, "--out", "d.csv")[0] == 0
+    assert run_cli(capsys, "--config", "neg.cfg", "traj", *spec, "--out", "t.csv")[0] == 0
+    lines = Path("t.csv").read_text().splitlines()
+    columns = [lines[0].split(",").index(f"theta{j}_rad") for j in range(1, 5)]
+    for line in lines[1::10]:
+        cells = line.split(",")
+        assert_closes(*(float(cells[j]) for j in columns))
+    code, out, _ = run_cli(capsys, "--config", "neg.cfg", "ik", "--pan", "20", "--tilt", "-55")
+    assert code == 0
+    assert_closes(*(math.radians(float(x)) for x in re.findall(r"theta\d_deg = (\S+)", out)))
+
+
 def test_cli_sweep_nan_gamma_says_finite(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--gamma", "45,nan", "--radius", "0.1", "--out", str(tmp_path / "x.csv"))
     assert code == 1

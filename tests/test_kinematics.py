@@ -239,6 +239,32 @@ def test_ik_fk_round_trip_or_categorised_error(alpha, directions):
         assert stacked.type is type(exc) and str(stacked.value) == f"sample {i}: {exc}"
 
 
+# A twist of either sign, bounded away from 0 and pi.
+_SIGNED_TWISTS = st.one_of(st.floats(0.3, math.pi - 0.3), st.floats(-math.pi + 0.3, -0.3))
+_ANGLES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.tuples(*[_SIGNED_TWISTS] * 5), mount_yaw=_ANGLES,
+       pairs=st.lists(st.tuples(_ANGLES, _ANGLES), min_size=1, max_size=4))
+@example(alpha=(math.pi / 2,) * 4 + (-math.pi / 2,), mount_yaw=math.pi / 4, pairs=[(-1.2, 0.9), (0.3, -2.0)])
+@example(alpha=(1.0, 2.0, 1.0, -1.0, 1.0), mount_yaw=1.0, pairs=[(0.0, 0.0)])  # leg 1's double root at 0
+def test_ik_closes_both_legs_for_twists_of_either_sign(alpha, mount_yaw, pairs):
+    # On any geometry, a direction reached by a leg-1 pair is either refused
+    # with one categorised error or solved so that both legs reproduce it.
+    # With a negative distal twist, a leg-2 solve that ignores the twist's
+    # sign lands on -v.
+    geometry = WristGeometry(alpha=alpha, mount_yaw=mount_yaw)
+    for t1, t3 in pairs:
+        v = forward_kinematics(t1, t3, geometry).v
+        try:
+            theta = _joint_angles(v, geometry)
+        except (UnreachableOrientationError, SingularConfigurationError):
+            continue
+        assert np.linalg.norm(forward_kinematics(theta[0], theta[2], geometry).v - v) < 1e-12
+        assert np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geometry) - v) < 1e-12
+
+
 def test_unreachable_orientation():
     # With the first twist reduced to 60 degrees, directions closer than 30
     # degrees to the drive axis have no elbow-axis solution (the solution

@@ -20,10 +20,10 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert run_snapshot_tool(a, "--samples", "21").returncode == 0
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
-    # runs, and one dynamics run on a config file; only the semicircle's
+    # runs, and two dynamics runs on config files; only the semicircle's
     # torques fail, at its singular midpoint.  The 16 error cases and the 3
     # config error cases each end in one categorised error line.
-    assert len(exits) == 43 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 44 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
     assert len(errors) == 19 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
@@ -71,8 +71,8 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert {key.split(".")[0] for key in cfg_keys} == {"body", "motor", "gravity"}
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
-    assert len(list(a.glob("*.cfg"))) == 4
-    assert len(list(a.glob("*.csv"))) == 44
+    assert len(list(a.glob("*.cfg"))) == 5
+    assert len(list(a.glob("*.csv"))) == 45
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # A study that sets its own sample count keeps it.
     mixed = list(csv.reader((a / "sweep_mixed_radii.csv").open()))
@@ -122,7 +122,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "181 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "186 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -135,4 +135,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "181 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "186 files, 3 differ"]

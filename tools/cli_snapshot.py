@@ -109,9 +109,13 @@ def config_cases():
     The three error cases start from the shipped link and motor lines, with
     every other key written out at the loaded value, so that the file is the
     same for any tree that loads the same parameters; each changes or leaves
-    out one key.  The last case holds the link and motor lines alone, with
-    zero gravity.
+    out one key.  The next case holds the link and motor lines alone, with
+    zero gravity.  The last one sets a negative distal twist, so that a
+    comparison shows what a change to the inverse kinematics does on a
+    geometry other than the default.
     """
+    import math
+
     import sphwrist
     from sphwrist.config import default_config_text
 
@@ -129,12 +133,16 @@ def config_cases():
             [] if value is None else [f"{key} = {value}"])
 
     fk = ["fk", "--theta1", "-80", "--theta3", "70"]
+    negative_distal_twist = ", ".join(repr(a) for a in [math.pi / 2] * 4 + [-math.pi / 2])
     return [
         ("error_config_missing_max_torque", with_key("motor.1.max_torque"), fk),
         ("error_config_com_offset_count", with_key("body.distal.com_offset", "0.0, 0.055"), fk),
         ("error_config_negative_mass", with_key("body.terminal.mass", "-1"), fk),
         ("config_link_and_motor_only", shipped + ["gravity = 0, 0, 0"],
          ["dynamics", "--gamma", "45", "--radius", "0.15", "--samples", "51", "--out", "config_link_and_motor_only.csv"]),
+        ("config_negative_distal_twist", with_key("geometry.alpha", negative_distal_twist),
+         ["dynamics", "--gamma", "45", "--radius", "0.15", "--samples", "51",
+          "--out", "config_negative_distal_twist.csv"]),
     ]
 
 
