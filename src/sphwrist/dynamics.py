@@ -37,6 +37,7 @@ spec's rate.  The Newton-Euler solve stays as the reactions API and as the
 independent check on them.
 """
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,8 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, frozen_vector
-from .kinematics import (JointProfile, JointState, _Kinematics, _kinematics_at, _sample_label, _solve_passive,
-                         _unchecked)
+from .kinematics import JointProfile, JointState, _Kinematics, _kinematics_at, _sample_label, _solve_passive
 from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -65,6 +65,8 @@ QR_RANK_TOL = 1e-8
 # per row and more memory (tracemalloc: a block pass peaks at 1.3 MB at 128
 # rows, 0.65 MB at 64; _solve's temporaries are 4.3 kB a row).
 NE_BLOCK = 128
+# A profile's block before its first solve and while its next one is solved; no key matches it.
+_NO_BLOCK = ((None, None), ())
 
 BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 AXIS_NAMES = ("e1", "e2", "e3", "e4", "e5", "e6")
@@ -499,17 +501,19 @@ def _gate_message(residual):
 
 def _row_solutions(x, residual, actuated_rates) -> list:
     """Per row of _solve's x (n, 25), the fields of its ``_solution``: torques,
-    reactions (views of x for vectors, floats for scalars), residual, powers."""
+    the reactions dict (views of x for vectors, floats for scalars), residual,
+    powers."""
     tau = x[:, _TAU]
-    reactions = zip(*(list(x[:, at]) if at.stop - at.start > 1 else x[:, at.start].tolist()
-                      for at in UNKNOWN_SLICES.values()))
+    reactions = [dict(zip(UNKNOWN_SLICES, row)) for row in zip(
+        *(list(x[:, at]) if at.stop - at.start > 1 else x[:, at.start].tolist() for at in UNKNOWN_SLICES.values()))]
     return list(zip(tau, reactions, residual.tolist(), tau * actuated_rates))
 
 
 def _solution(tau, reactions, residual, power) -> DynamicsSolution:
-    # Torques and powers of its own, and a fresh reactions dict.
-    return _unchecked(DynamicsSolution, tau=tau.copy(), reactions=dict(zip(UNKNOWN_SLICES, reactions)),
-                      residual=residual, power=power.copy())
+    # Torques, powers and a reactions dict of its own, set by one __dict__.update (as JointProfile._row).
+    solution = object.__new__(DynamicsSolution)
+    solution.__dict__.update(tau=tau.copy(), reactions=reactions.copy(), residual=residual, power=power.copy())
+    return solution
 
 
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
@@ -577,21 +581,36 @@ def power_balance_residual(state: JointState, solution: DynamicsSolution, motion
     row's record in the block kept on the profile, when each of the motion's
     eight arrays is that record's own view and the block was solved for this
     gravity, these bodies and this load.  The actuator power always comes
-    from ``solution.tau`` and ``state.rates``.
+    from ``solution.tau`` and ``state.rates``.  Gravity is checked as
+    ``solve_state`` checks it, once per kept block (``_block_gravity``).
     """
     table = _body_table(bodies)
-    gravity = frozen_vector("gravity", gravity, 3)
+    gravity, gravity_bytes = _block_gravity(gravity, getattr(motion, "state", None))
     profile, i = (motion.state.row if motion.state is not None else None) or (None, 0)
-    key, rows = getattr(profile, "_ne_block", ((), ()))
+    key, rows = getattr(profile, "_ne_block", _NO_BLOCK)
     k = i % NE_BLOCK
-    if (key[:2] == (i - k, gravity.tobytes()) and key[3:] == (*table.params, load)
-            and all(a is b for a, b in zip(motion[:-1], rows[k][0]))):
+    if (key[:2] == (i - k, gravity_bytes) and key[3:] == (*table.params, load)
+            and all(map(operator.is_, motion[:-1], rows[k][0]))):
         ke_rate, p_ext = rows[k][3]
     else:
         ke_rate, p_ext = (float(terms[0]) for terms in _power_balance_rows(motion, table, gravity, load))
     tau, rates = solution.tau, state.rates
     p_act = float(tau[0]) * float(rates[0]) + float(tau[1]) * float(rates[1])
     return _row_balance(p_act, ke_rate, p_ext)
+
+
+def _block_gravity(gravity, state):
+    """Gravity and its bytes, checked by ``frozen_vector`` unless they are
+    the bytes of the block kept on the profile of ``state``'s row: a float64
+    (3,) array of those bytes passed the check when the block was solved,
+    and is taken as it is (every use of gravity is elementwise).  Reads
+    nothing of ``state`` that can raise, so gravity's errors come first."""
+    row = getattr(state, "row", None)
+    key = getattr(row[0], "_ne_block", _NO_BLOCK)[0] if type(row) is tuple and row else _NO_BLOCK[0]
+    if type(gravity) is np.ndarray and gravity.dtype == float and gravity.shape == (3,) and gravity.tobytes() == key[1]:
+        return gravity, key[1]
+    gravity = frozen_vector("gravity", gravity, 3)
+    return gravity, gravity.tobytes()
 
 
 def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
@@ -625,24 +644,29 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     motion's eight (1, ...) row views, the ``_row_solutions`` fields, None
     or the (error class, message) to raise, and the power-balance terms
     (ke_rate, p_ext) as floats, which ``power_balance_residual`` reads.
+    Gravity's check is made once per kept block (``_block_gravity``).
     """
     table = _body_table(bodies)
-    gravity = frozen_vector("gravity", gravity, 3)
+    gravity, gravity_bytes = _block_gravity(gravity, state)
     profile, i = state.row or (None, 0)
     k, start = i % NE_BLOCK, i - i % NE_BLOCK
-    key = (start, gravity.tobytes(), geometry, *table.params, load)
-    block = getattr(profile, "_ne_block", None)
-    if block is None or block[0] != key:
+    key = (start, gravity_bytes, geometry, *table.params, load)
+    block = getattr(profile, "_ne_block", _NO_BLOCK)
+    if block[0] != key:
         if profile is None:
             rows = state.angles.theta[None], state.rates[None], state.accels[None]
         else:
+            # The kept block is let go first, here and on the profile, so that it is not held through the
+            # next block's pass (400 kB of the semicircle study's traced peak).
+            object.__setattr__(profile, "_ne_block", _NO_BLOCK)
+            block = _NO_BLOCK
             span = slice(start, start + NE_BLOCK)
             rows = profile.theta[span], profile.rates[span], profile.accels[span]
         m, x, residual, errors, ke_rate, p_ext = _solve_rows(*rows, geometry, table, gravity, load)
         block = (key, list(zip(zip(*(list(a[:, None]) for a in m[:-1])), _row_solutions(x, residual, rows[1][:, :2]),
                                errors, zip(ke_rate.tolist(), p_ext.tolist()))))
         if profile is not None:
-            # One store of an immutable tuple: concurrent callers each see a whole block.
+            # Stores of immutable tuples: concurrent callers each see a whole block or none.
             object.__setattr__(profile, "_ne_block", block)
     views, fields, error, _ = block[1][k]
     if error is not None:

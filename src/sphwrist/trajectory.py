@@ -96,7 +96,10 @@ class OrientationPath:
 
     def __iter__(self):
         for t, v in zip(self.t.tolist(), self.v):
-            yield _unchecked(TimedOrientation, t=t, orientation=_unchecked(ToolOrientation, v=v))
+            # As JointProfile._row sets its JointAngles.
+            orientation = object.__new__(ToolOrientation)
+            object.__setattr__(orientation, "v", v)
+            yield _unchecked(TimedOrientation, t=t, orientation=orientation)
 
 
 def traj_semicircle(spec: TrajectorySpec) -> OrientationPath:

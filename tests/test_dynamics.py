@@ -1002,6 +1002,100 @@ def test_gravity_is_checked_on_every_call(geometry, bodies):
         assert power_balance_residual(state, solution, motion, bodies, same) == balance
 
 
+def row_outputs(geometry, bodies, state, gravity):
+    """The bytes of every output of solve_state and of power_balance_residual
+    at one state, or the error's type and message."""
+    try:
+        motion, solution = solve_state(state, geometry, bodies, gravity)
+        balance = power_balance_residual(state, solution, motion, bodies, gravity)
+    except WristError as exc:
+        return type(exc), str(exc)
+    return [np.asarray(f).tobytes() for f in (solution.tau, solution.residual, solution.power,
+                                              *solution.reactions.values(), *motion[:-1], balance)]
+
+
+def test_gravity_is_checked_once_per_kept_block(geometry, bodies, monkeypatch):
+    # A float64 (3,) gravity with the bytes of the kept block passed the
+    # check when the block was solved, and is not checked again.  Every other
+    # gravity gets what it gets on a fresh profile: the same error, or the
+    # same bits as its float64 values.
+    profile = semicircle_states(geometry, 0.25, 65)
+    state, fresh = profile[5], semicircle_states(geometry, 0.25, 65)[5]
+    checks, solves = [], []
+    frozen_vector, solve_rows = dynamics.frozen_vector, dynamics._solve_rows
+    monkeypatch.setattr(dynamics, "frozen_vector", lambda *a: checks.append(a[0]) or frozen_vector(*a))
+    monkeypatch.setattr(dynamics, "_solve_rows", lambda *a: solves.append(len(a[0])) or solve_rows(*a))
+    motion, solution = solve_state(profile[3], geometry, bodies, GRAVITY)
+    assert checks == ["gravity"] and solves == [65]
+    checks.clear()
+    kept = row_outputs(geometry, bodies, state, GRAVITY)
+    assert checks == [] and solves == [65]
+    assert kept == row_outputs(geometry, bodies, fresh, GRAVITY.copy())
+    for bad in ([0.0, math.nan, -9.81], [0.0, 0.0, math.inf], [0.0, -9.81]):
+        with pytest.raises(InvalidInputError) as expected:
+            solve_state(semicircle_states(geometry, 0.25, 65)[5], geometry, bodies, np.array(bad))
+        for call in (lambda: solve_state(state, geometry, bodies, np.array(bad)),
+                     lambda: power_balance_residual(state, solution, motion, bodies, np.array(bad))):
+            with pytest.raises(InvalidInputError) as info:
+                call()
+            assert str(info.value) == str(expected.value)
+    single = np.array([0.0, 0.0, -9.81], dtype=np.float32)
+    for same, values in (([0, 0, -9.81], GRAVITY), (np.array([0.0, 0.0, -9.81], dtype=">f8"), GRAVITY),
+                         (single, single.astype(float))):
+        solve_state(profile[3], geometry, bodies, GRAVITY)
+        checks.clear()
+        kept = row_outputs(geometry, bodies, state, same)
+        assert checks == ["gravity"] * 2
+        assert kept == row_outputs(geometry, bodies, semicircle_states(geometry, 0.25, 65)[5], values.copy())
+    # A writable array changed in place after its block was solved: the
+    # block is solved again, as a fresh call with the new values.
+    gravity = GRAVITY.copy()
+    solve_state(profile[3], geometry, bodies, gravity)
+    gravity[:] = (0.5, -1.0, -9.0)
+    solves.clear()
+    assert row_outputs(geometry, bodies, state, gravity) == row_outputs(
+        geometry, bodies, semicircle_states(geometry, 0.25, 65)[5], np.array([0.5, -1.0, -9.0]))
+    assert solves == [65, 65]
+
+
+def test_kept_block_is_let_go_before_the_next_pass(geometry, bodies, monkeypatch):
+    # While the next block is solved the profile holds none, so that two
+    # blocks' rows are never held at once.  A row of the old block then has
+    # its block solved again, with the same bits.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    before = row_outputs(geometry, bodies, profile[3], GRAVITY)
+    held = []
+    solve_rows = dynamics._solve_rows
+    monkeypatch.setattr(dynamics, "_solve_rows", lambda *a: held.append(profile._ne_block) or solve_rows(*a))
+    solve_state(profile[200], geometry, bodies)
+    assert held == [dynamics._NO_BLOCK] and profile._ne_block[0][0] == NE_BLOCK
+    assert row_outputs(geometry, bodies, profile[3], GRAVITY) == before
+    assert len(held) == 2 and profile._ne_block[0][0] == 0
+
+
+def test_row_solutions_are_independent(geometry, bodies):
+    # Each call returns torques, powers and a reactions dict of its own:
+    # changing one solution leaves the next call on the same row as it was.
+    # The vector reactions stay read-only views of the block's solve.
+    profile = semicircle_states(geometry, 0.25, 65)
+    state = profile[5]
+    first = solve_state(state, geometry, bodies)[1]
+    tau, power, reactions = first.tau.copy(), first.power.copy(), dict(first.reactions)
+    first.tau[:] = 0.0
+    first.power[:] *= 2.0
+    del first.reactions["tau1"]
+    first.reactions["extra"] = 1.0
+    second = solve_state(state, geometry, bodies)[1]
+    assert second.tau.tobytes() == tau.tobytes() and second.power.tobytes() == power.tobytes()
+    assert list(second.reactions) == list(UNKNOWN_SLICES)
+    for key, value in second.reactions.items():
+        assert value is reactions[key]
+        if not isinstance(value, float):
+            assert not value.flags.writeable and value.base is not None
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+
+
 def test_row_balance_equals_the_array_form():
     # Power balance on one row runs on floats: the same operations as the
     # array form, with a NaN kept where np.maximum keeps it.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import closure_row, random_unit_vector, symmetric_rel
@@ -263,6 +263,24 @@ def test_ik_closes_both_legs_for_twists_of_either_sign(alpha, mount_yaw, pairs):
             continue
         assert np.linalg.norm(forward_kinematics(theta[0], theta[2], geometry).v - v) < 1e-12
         assert np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geometry) - v) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(twists=st.tuples(_SIGNED_TWISTS, _SIGNED_TWISTS), mount_yaw=_ANGLES, theta3=st.sampled_from([0.0, math.pi]))
+def test_ik_solves_the_double_root_at_pi(twists, mount_yaw, theta3):
+    # A drive at pi with the elbow straight or folded is the cone condition's
+    # double root at T = tan(theta/2) = infinity: a and b vanish up to
+    # rounding.  That direction is reachable, not outside the cone.  Leg 2 is
+    # a copy of leg 1 (same base frame and twists), so that both legs meet it.
+    a1, a3 = twists
+    geometry = WristGeometry(alpha=(0.0, a1, a1, a3, a3), mount_yaw=mount_yaw)
+    v = forward_kinematics(math.pi, theta3, geometry).v
+    # Twists of equal size put the folded tool on the drive axis, where the
+    # angle is indeterminate.
+    assume(np.linalg.norm(np.cross(v, geometry.base_axes[:, 2])) > 1e-6)
+    theta = _joint_angles(v, geometry)
+    assert np.linalg.norm(forward_kinematics(theta[0], theta[2], geometry).v - v) < 1e-9
+    assert np.linalg.norm(leg2_tool_axis(theta[1], theta[3], geometry) - v) < 1e-9
 
 
 def test_unreachable_orientation():

@@ -72,7 +72,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
     assert len(list(a.glob("*.cfg"))) == 5
-    assert len(list(a.glob("*.csv"))) == 45
+    assert len(list(a.glob("*.csv"))) == 46
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # A study that sets its own sample count keeps it.
     mixed = list(csv.reader((a / "sweep_mixed_radii.csv").open()))
@@ -95,6 +95,10 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
             assert float(row[7]) < 1e-6
         assert (a / f"{name}.stderr").read_text().startswith(
             f"error[model-inconsistency]: sample 10 (t = {float(failed[0][1]):.6g} s, v = (")
+    # Gravity passed as a list is checked on every call, with the same bits.
+    for suffix in (".csv", ".stderr"):
+        assert (a / f"api_semicircle_0.25_gravity_list{suffix}").read_bytes() == \
+            (a / f"api_semicircle_0.25{suffix}").read_bytes()
 
     # The own-rate load-free virtual-work pass of the 12 grid specs, the
     # tests' reference for the scaled route: one row per sample, every
@@ -122,7 +126,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "186 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "188 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -135,4 +139,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "186 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "188 files, 3 differ"]

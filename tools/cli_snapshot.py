@@ -53,12 +53,16 @@ GAMMAS = ("30", "45", "60")
 RADII = ("0.25", "0.15", "0.10", "0.05")
 GRID = ["--gamma", ",".join(GAMMAS), "--radius", ",".join(RADII)]
 FORCES = "0,25,50,75,100,125,150"
-# (name, semicircle radius in m, cutting force components in N and lever in m, or None).
+# (name, semicircle radius in m, cutting force components in N and lever in m, or None,
+# whether gravity is passed as a list).  The calls keep the profile's block for gravity's
+# bytes; a list is checked on every call, so the last case runs that path, with the bits
+# of the first.
 API_CASES = (
-    ("api_semicircle_0.25", 0.25, None),
-    ("api_semicircle_0.25_load", 0.25, ((150.0, 150.0, 150.0), 0.11)),
-    ("api_semicircle_0.1337", 0.1337, None),
-    ("api_semicircle_0.1337_load", 0.1337, ((150.0, 150.0, 150.0), 0.11)),
+    ("api_semicircle_0.25", 0.25, None, False),
+    ("api_semicircle_0.25_load", 0.25, ((150.0, 150.0, 150.0), 0.11), False),
+    ("api_semicircle_0.1337", 0.1337, None, False),
+    ("api_semicircle_0.1337_load", 0.1337, ((150.0, 150.0, 150.0), 0.11), False),
+    ("api_semicircle_0.25_gravity_list", 0.25, None, True),
 )
 
 # (name, cone angle in degrees, radius in m): the 12 grid specs of sweep and
@@ -193,8 +197,8 @@ def snapshot(directory: Path, samples=None):
             Path(f"{name}.stdout").write_text(out.getvalue())
             Path(f"{name}.stderr").write_text(err.getvalue())
             Path(f"{name}.exit").write_text(code + "\n")
-        for name, radius, load in API_CASES:
-            api_rows(name, radius, load, samples)
+        for name, radius, load, gravity_list in API_CASES:
+            api_rows(name, radius, load, gravity_list, samples)
         for name, gamma, radius in VW_CASES:
             vw_rows(name, gamma, radius, samples)
         for name, gamma, load in UNIT_CASES:
@@ -203,8 +207,9 @@ def snapshot(directory: Path, samples=None):
         os.chdir(home)
 
 
-def api_rows(name, radius, load, samples=None):
-    """Write NAME.csv and NAME.stderr for one semicircle of the per-row API."""
+def api_rows(name, radius, load, gravity_list=False, samples=None):
+    """Write NAME.csv and NAME.stderr for one semicircle of the per-row API,
+    with gravity as the config's array or, if ``gravity_list``, as a list."""
     import numpy as np
 
     import sphwrist
@@ -217,7 +222,7 @@ def api_rows(name, radius, load, samples=None):
     path = sphwrist.generate(spec)
     profile = sphwrist.trajectory_joint_profiles(path.v, path[1].t - path[0].t, config.geometry)
     load = None if load is None else sphwrist.CuttingLoad(*load)
-    args = config.geometry, config.bodies, config.gravity, load
+    args = config.geometry, config.bodies, config.gravity.tolist() if gravity_list else config.gravity, load
     reactions = [(key, sl.stop - sl.start) for key, sl in UNKNOWN_SLICES.items()]
     header = ["sample", "t", "tau[0]", "tau[1]", "power[0]", "power[1]", "residual", "balance",
               *(key if width == 1 else f"{key}_{j}" for key, width in reactions for j in range(width)), "error"]
