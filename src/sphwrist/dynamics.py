@@ -19,10 +19,9 @@ Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
 passive loop-closure terms that ``kinematics._kinematics_at`` builds from
 the angles of the rows a pass solves: a whole profile, one block of its
 rows or one state.  The solve eliminates the joint forces (a constant +-I
-block) and factors the terminal and distal moment balances (6 x 7, raw QR);
-the proximal links' unknowns follow through their orthonormal frames, and
-nearly rank-deficient rows fall back to SVD least squares.  The one-state
-calls are the n = 1 case.
+block) and solves the moment balances in closed form on the loop's type-II
+determinant; near-singular rows fall back to SVD least squares.  The
+one-state calls are the n = 1 case.
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
 block of ``NE_BLOCK`` rows and keeps it on the profile as one record per
 row (motion views, solution, error, power-balance terms), for the block's
@@ -41,12 +40,14 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, frozen_vector
+from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_scalar,
+                     frozen_vector)
 from .kinematics import JointProfile, JointState, _Kinematics, _kinematics_at, _sample_label, _solve_passive
 from .rotation import WristGeometry, cross_rows, dot_rows
 
@@ -55,15 +56,14 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row goes to lstsq when the smallest diagonal entry of its core R (see
-# _solve) is at most this fraction of the largest: the equations are then too
-# near rank-deficient for the QR solution, and lstsq's rank decision applies.
-# The ratio is 1.06e-16 at the semicircles' singular midpoint, 1.7e-3 beside it.
-QR_RANK_TOL = 1e-8
+# A row goes to lstsq when its type-II determinant det K (see _solve) is at
+# most this fraction of |n3| |n4| |t5a| |t5b|, too near rank-deficient for
+# the closed form: 2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it.
+TYPE_II_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
-# per row and more memory (tracemalloc: a block pass peaks at 1.3 MB at 128
-# rows, 0.65 MB at 64; _solve's temporaries are 4.3 kB a row).
+# per row and more memory (tracemalloc: a block pass peaks at 1.2 MB at 128
+# rows, 0.59 MB at 64; _solve's temporaries are 3.3 kB a row).
 NE_BLOCK = 128
 # A profile's block before its first solve and while its next one is solved; no key matches it.
 _NO_BLOCK = ((None, None), ())
@@ -119,10 +119,12 @@ class BodyParams:
     def __post_init__(self):
         if self.name not in BODY_NAMES:
             raise InvalidInputError(f"unknown body name {self.name!r}")
-        if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise InvalidInputError(f"{self.name}.mass must be positive")
+        mass = finite_scalar(f"{self.name}.mass", self.mass, 0.0, closed=False)
         com = frozen_vector(f"{self.name}.com_offset", self.com_offset, 3)
-        inertia = np.array(self.inertia, dtype=float)
+        try:
+            inertia = np.array(self.inertia, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # strings, complex numbers, ragged or huge values
+            inertia = np.empty(0)
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
             raise InvalidInputError(f"{self.name}.inertia must be a finite 3x3 tensor")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12 * max(1.0, np.max(np.abs(inertia))):
@@ -131,15 +133,13 @@ class BodyParams:
             raise InvalidInputError(f"{self.name}.inertia must be positive-definite")
         points = {k: frozen_vector(f"{self.name}.point.{k}", v, 3) for k, v in self.force_points.items()}
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error raised below
-            inertia_center = inertia + self.mass * (np.dot(com, com) * np.eye(3) - np.outer(com, com))
+            inertia_center = inertia + mass * (np.dot(com, com) * np.eye(3) - np.outer(com, com))
         if not np.all(np.isfinite(inertia_center)):
             raise InvalidInputError(f"{self.name}.com_offset gives a non-finite inertia about the wrist center")
-        inertia.setflags(write=False)
-        inertia_center.setflags(write=False)
-        object.__setattr__(self, "com_offset", com)
-        object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "inertia_center", inertia_center)
-        object.__setattr__(self, "force_points", MappingProxyType(points))
+        for array in (inertia, inertia_center):
+            array.setflags(write=False)
+        vars(self).update(mass=mass, com_offset=com, inertia=inertia, inertia_center=inertia_center,
+                          force_points=MappingProxyType(points))
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,9 @@ class MotorSpec:
     continuous_torque: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rotor_inertia) and self.rotor_inertia >= 0.0):
-            raise InvalidInputError("rotor_inertia must be non-negative")
+        object.__setattr__(self, "rotor_inertia", finite_scalar("rotor_inertia", self.rotor_inertia, 0.0))
         for name in ("reduction_ratio", "nominal_speed", "max_speed", "max_torque", "continuous_torque"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise InvalidInputError(f"{name} must be positive")
+            object.__setattr__(self, name, finite_scalar(name, getattr(self, name), 0.0, closed=False))
         if self.max_torque < self.continuous_torque:
             raise InvalidInputError("max_torque must be at least continuous_torque")
         if self.max_speed < self.nominal_speed:
@@ -179,8 +176,7 @@ class CuttingLoad:
 
     def __post_init__(self):
         object.__setattr__(self, "f_c", frozen_vector("f_c", self.f_c, 3))
-        if not (np.isfinite(self.lever) and self.lever >= 0.0):
-            raise InvalidInputError("lever must be non-negative")
+        object.__setattr__(self, "lever", finite_scalar("lever", self.lever, 0.0))
 
 
 def _tip_force(load: CuttingLoad, e3, e5, e3_x_e5):
@@ -282,20 +278,12 @@ def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMoti
     return motion._replace(state=state)
 
 
-UNKNOWN_SLICES = {
-    "terminal_revolute_force": slice(0, 3),
-    "terminal_revolute_moment": slice(3, 5),
-    "tool_revolute_force": slice(5, 8),
-    "tool_revolute_moment": slice(8, 10),
-    "base1_force": slice(10, 13),
-    "base1_moment": slice(13, 15),
-    "tau1": slice(15, 16),
-    "base2_force": slice(16, 19),
-    "base2_moment": slice(19, 21),
-    "tau2": slice(21, 22),
-    "planar_force": slice(22, 23),
-    "planar_moment": slice(23, 25),
-}
+# Each unknown's columns, from the unknowns' widths in column order.
+_WIDTHS = dict(terminal_revolute_force=3, terminal_revolute_moment=2, tool_revolute_force=3, tool_revolute_moment=2,
+               base1_force=3, base1_moment=2, tau1=1, base2_force=3, base2_moment=2, tau2=1, planar_force=1,
+               planar_moment=2)
+UNKNOWN_SLICES = {name: slice(end - width, end)
+                  for (name, width), end in zip(_WIDTHS.items(), accumulate(_WIDTHS.values()))}
 
 N_UNKNOWNS = 25
 N_EQUATIONS = 24
@@ -396,96 +384,90 @@ class DynamicsSolution:
     power: np.ndarray
 
 
-# The moment balances' rows, the joint forces' unknowns and those left: the
-# joint moments, the torques and the planar force p.
-_MOMENT_ROWS = tuple(r for _, moments in _ROWS.values() for r in range(moments.start, moments.stop))
+# The joint forces' unknowns in _JOINT_FORCES order, each one's part per
+# unit planar force p as a multiple of e4, and its point, as (row, column) of
+# skew[2, 1], skew[0, 2] and skew[1, 0] of its block in its carrier's moment balance.
 _FORCE_COLUMNS = tuple(i for force, *_ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
-_REDUCED = tuple(i for i in range(N_UNKNOWNS) if i not in _FORCE_COLUMNS)
-_PLANAR = _REDUCED.index(UNKNOWN_SLICES["planar_force"].start)
-# Of those, each proximal link's own (base moments, torque) and the core left.
-_FRAMES = tuple(tuple(_REDUCED.index(i) for i in range(UNKNOWN_SLICES[moment].start, UNKNOWN_SLICES[tau].stop))
-                for moment, tau in (("base1_moment", "tau1"), ("base2_moment", "tau2")))
-_CORE = tuple(k for k in range(len(_REDUCED)) if not any(k in frame for frame in _FRAMES))
-# Each joint force's point, as skew[2, 1], skew[0, 2] and skew[1, 0] of its
-# block in its carrier's moment balance.
-_POINT_ROWS = tuple(tuple(_ROWS[carrier][1].start + r for r in (2, 0, 1)) for _, carrier, _, _ in _JOINT_FORCES)
-_POINT_COLUMNS = tuple(tuple(UNKNOWN_SLICES[force].start + c for c in (1, 2, 0)) for force, *_ in _JOINT_FORCES)
+_ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
+_POINTS = tuple((_ROWS[carrier][1].start + r, UNKNOWN_SLICES[force].start + c)
+                for force, carrier, _, _ in _JOINT_FORCES for r, c in ((2, 1), (0, 2), (1, 0)))
+
+
+def _columns(*blocks):
+    # The columns of blocks (n, 3, k) of A, as (k, len(blocks), n, 3).
+    return np.ascontiguousarray(np.stack(blocks).transpose(3, 0, 1, 2))
 
 
 def _solve(A, b, rows):
     """Minimum-norm solutions x (n, 25) and relative residuals |Ax - b| / |b|
     (n,) of the systems in ``rows`` (n,) bool; the others are left NaN.
 
-    The force balances give each joint force as c + p s e4 (tool revolute
-    p e4 - b_D, terminal revolute b_T + b_D - p e4, base 1 b_P1 + b_T + b_D
-    - p e4, base 2 b_P2 + p e4), leaving the moment balances M y = d over
-    ``_REDUCED`` (block elimination; Golub & Van Loan, Matrix Computations,
-    3.2).  A proximal link's unknowns (``_FRAMES``) enter only its own
-    balance b, as an orthonormal frame F = [basis, drive axis], so M is block
-    triangular.  The raw QR of the terminal and distal balances' M^T over
-    ``_CORE`` (7 x 6) holds R^T in the lower triangle of h and reflector j,
-    I - tau_j v v^T, in v = (0, ..., 0, 1, h[j, j+1:]): R^T y = d by forward
-    substitution, then the reflectors applied last to first to [y; 0] and e7
-    give the core of a solution y_p and of M's null vector u (5.1-5.2); each
-    frame's part is F^T (d_b - the core's terms), by dot_rows (no stacked
-    matmul, whose bits may depend on the block size).  Lifted to the 25
-    unknowns, u is the self-stress and x = x_p - (u.x_p / u.u) u.  Nearly
-    rank-deficient rows (``QR_RANK_TOL``) take SVD least squares on A; the
-    residual is A's own, so a matrix of another form fails the gate.  x is
-    read-only: vector reactions are views of it."""
-    n = len(b)
-    per_body = b.reshape(n, len(BODY_NAMES), 6)
-    terminal, distal, proximal1, proximal2 = per_body[..., :3].swapaxes(0, 1)
-    revolute, e4 = terminal + distal, A[:, _ROWS["distal"][0], UNKNOWN_SLICES["planar_force"].start]
-    # Per joint force (n, 4, 3): its constant part c and its part per unit p, s e4.
-    constant = np.stack([revolute, -distal, proximal1 + revolute, proximal2], axis=1)
-    along_p = np.stack([-e4, e4, -e4, e4], axis=1)
-    moments = cross_rows(A[:, None, _POINT_ROWS, _POINT_COLUMNS], np.stack([constant, -along_p], axis=1))
-    # The moment balances' right-hand sides d and p's column of M, (n, 2, 4, 3).
-    reduced = np.zeros_like(moments)
-    reduced[:, 0] = per_body[..., 3:]
-    for j, (*_, ends) in enumerate(_JOINT_FORCES):
-        for body, sign in ends:
-            reduced[:, :, BODY_NAMES.index(body)] -= sign * moments[:, :, j]
-    M = A[:, _MOMENT_ROWS][:, :, _REDUCED]
-    M[:, :, _PLANAR] = reduced[:, 1].reshape(n, -1)
-    steps = len(_MOMENT_ROWS) - 3 * len(_FRAMES)  # M's first rows: terminal and distal
-    h, tau = np.linalg.qr(M[:, :steps, _CORE].transpose(0, 2, 1), mode="raw")
-    diag = np.abs(np.diagonal(h, axis1=1, axis2=2))
-    full = diag.min(axis=1) > QR_RANK_TOL * diag.max(axis=1)
-    qr_rows = rows & full
-    # z[:, 0] becomes the core of y_p and z[:, 1], from e7, that of u.
-    z = np.zeros((n, 2, len(_CORE)))
-    z[:, 1, -1] = 1.0
-    d = reduced[:, 0].reshape(n, -1)
-    r = d[:, :steps].copy()
-    # Rows left out may divide by a zero pivot; their x is replaced below.
+    In closed form on the loop's type-II determinant det K, elementwise over
+    the rows (README, "Model notes"; no stacked matmul, whose bits may depend
+    on the block size).  Rows where |det K| is at most ``TYPE_II_TOL`` |n3|
+    |n4| |t5a| |t5b| take SVD least squares on A; the residual is A's own, so
+    a matrix of another form fails the gate.  x is read-only: vector
+    reactions are views of it."""
+    n, s = len(b), UNKNOWN_SLICES
+    terminal, distal, proximal1, proximal2 = (_ROWS[name][1] for name in BODY_NAMES)
+    # b's force and moment parts per body (4, n, 3); per joint force its
+    # constant part c and, negated, its part per unit p, -s e4 (2, 4, n, 3).
+    force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
+    revolute = force_rhs[0] + force_rhs[1]
+    forces = np.stack([(revolute, -force_rhs[1], force_rhs[2] + revolute, force_rhs[3]),
+                       np.multiply.outer(-_ALONG_P, A[:, _ROWS["distal"][0], s["planar_force"].start])])
+    points = np.stack([A[:, r, c] for r, c in _POINTS]).reshape(len(_JOINT_FORCES), 3, n).swapaxes(1, 2)
+    # The moment balances' right-hand sides d and p's column a (2, 4, n, 3),
+    # less each joint force's moment on its two bodies (_JOINT_FORCES).
+    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(points, forces).swapaxes(0, 1)
+    reduced = np.stack([-revolute_moment - tool_moment, tool_moment, revolute_moment - base1_moment, -base2_moment], 1)
+    reduced[0] += moment_rhs
+    # The columns t_a, t_b (2, n, 3) of the terminal-revolute and planar bases
+    # and t5 of the tool-revolute one, and the proximal frames' (3, 2, n, 3).
+    t_a, t_b = _columns(A[:, terminal, s["terminal_revolute_moment"]], A[:, distal, s["planar_moment"]])
+    t5 = _columns(A[:, terminal, s["tool_revolute_moment"]])[:, 0]
+    frames = _columns(A[:, proximal1, s["base1_moment"].start:s["tau1"].stop],
+                      A[:, proximal2, s["base2_moment"].start:s["tau2"].stop])
+    normal = cross_rows(t_a, t_b)
+    normal_sq = dot_rows(normal, normal)
+    # [K | k] (m5, p) = q, one row per normal (2, n, 3): the distal balance holds -m5.
+    q = dot_rows(normal, reduced[:, :2])
+    K = dot_rows(normal[:, None], t5) * np.array([1.0, -1.0])[:, None, None]
+    r = np.stack([*K[0], q[1, 0], *K[1], q[1, 1]], axis=-1).reshape(n, 2, 3).swapaxes(0, 1)
+    w = cross_rows(r[0], r[1])
+    full = np.abs(w[:, 2]) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
+    # Rows left out may divide by zero; their x is replaced below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(steps):
-            z[:, 0, j] = r[:, j] / h[:, j, j]
-            r[:, j + 1:] -= z[:, 0, j, None] * h[:, j + 1:, j]
-        # h's row j from column j on, with 1 on the diagonal, is reflector j's v.
-        h[:, range(steps), range(steps)] = 1.0
-        tau_v = tau[..., None] * h
-        for j in range(steps - 1, -1, -1):
-            w = np.sum(h[:, j, None, j:] * z[:, :, j:], axis=2)
-            z[:, :, j:] -= w[..., None] * tau_v[:, j, None, j:]
-        # The frames' rows, less the core's terms: d_b for y_p, 0 for u.
-        below = M[:, None, steps:]
-        rest = -dot_rows(below[..., _CORE], z[:, :, None])
-        rest[:, 0] += d[:, steps:]
-        y = np.empty((n, 2, len(_REDUCED)))
-        y[:, :, _CORE] = z
-        for k, frame in enumerate(_FRAMES):
-            at = slice(3 * k, 3 * k + 3)
-            y[:, :, frame] = dot_rows(below[:, :, at, frame].swapaxes(2, 3), rest[:, :, None, at])
-        lifted = np.zeros((n, 2, N_UNKNOWNS))
-        lifted[:, :, _REDUCED] = y
-        lifted[:, :, _FORCE_COLUMNS] = y[:, :, _PLANAR, None] * along_p.reshape(n, 1, -1)
-        lifted[:, 0, _FORCE_COLUMNS] += constant.reshape(n, -1)
-        x_p, u = lifted[:, 0], lifted[:, 1]
-        x = x_p - (np.sum(u * x_p, axis=1) / np.sum(u * u, axis=1))[:, None] * u
-    x = np.where(qr_rows[:, None], x, np.nan)
+        # The rows' pseudo-inverse columns (r2 x w, w x r1) / w.w and each basis'
+        # dual rows (t_b x n, n x t_a) / n.n, Cramer's rule against n (2, 2, n, 3).
+        inverse = np.stack([cross_rows(r[1], w), cross_rows(w, r[0])]) / dot_rows(w, w)[:, None]
+        dual = np.stack([cross_rows(t_b, normal), cross_rows(normal, t_a)]) / normal_sq[..., None]
+        w -= np.sum(inverse * dot_rows(r, w)[..., None], axis=0)
+        # (m5, p) of x_p and of u (2, n, 3); each moment balance less their
+        # terms (2, 4, n, 3), and the joint moments that leaves.
+        core = np.stack([np.sum(inverse * q[0][..., None], axis=0), w])
+        p = core[..., 2]
+        rest = -p[:, None, :, None] * reduced[1]
+        rest[0] += reduced[0]
+        tool_terms = t5[0] * core[..., :1] + t5[1] * core[..., 1:2]
+        rest[:, 0] -= tool_terms
+        rest[:, 1] += tool_terms
+        joint = dot_rows(dual[:, None], rest[:, :2])
+        rest[:, 2:] += t_a * joint[0][..., None] + t_b * joint[1][..., None]
+        own = dot_rows(frames[:, None], rest[:, 2:])
+        # Lifted to the 25 unknowns, unknown-major (25, 2, n).
+        lifted = np.empty((N_UNKNOWNS, 2, n))
+        lifted[s["terminal_revolute_moment"]], lifted[s["planar_moment"]] = joint[:, :, 0], joint[:, :, 1]
+        lifted[s["tool_revolute_moment"]] = np.moveaxis(core[..., :2], 2, 0)
+        lifted[s["base1_moment"].start:s["tau1"].stop], lifted[s["base2_moment"].start:s["tau2"].stop] = (
+            own.transpose(2, 0, 1, 3))
+        lifted[s["planar_force"].start] = p
+        joint_forces = -p[:, None, :, None] * forces[1]
+        joint_forces[0] += forces[0]
+        lifted[_FORCE_COLUMNS, :] = joint_forces.transpose(1, 3, 0, 2).reshape(-1, 2, n)
+        dots = np.sum(lifted[:, 1, None] * lifted, axis=0)
+        x = (lifted[:, 0] - dots[0] / dots[1] * lifted[:, 1]).T
+    x = np.where((rows & full)[:, None], x, np.nan)
     for i in np.flatnonzero(rows & ~full):
         x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
     x.setflags(write=False)

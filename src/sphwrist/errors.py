@@ -1,7 +1,9 @@
 """Exception types with stable machine-parsable categories for the CLI, and
-the intake checks of the value types' stored vectors and row arrays."""
+the intake checks of the value types' stored scalars, vectors and row arrays."""
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -16,11 +18,26 @@ class InvalidInputError(WristError):
     category = "invalid-input"
 
 
+def finite_scalar(name, value, low=None, closed=True) -> float:
+    """``value`` as a float, checked to be a finite real number, not a bool,
+    and, with ``low``, at least ``low`` (``closed``) or above it: how the
+    value types take a scalar.  A value of any other kind fails the same way."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+            and (low is None or value > low or closed and value == low)):
+        bound = "finite" if low is None else ("non-negative" if closed else "positive") if low == 0 else (
+            f"{'at least' if closed else 'above'} {low:g}")
+        raise InvalidInputError(f"{name} must be {bound}")
+    return float(value)
+
+
 def frozen_vector(name, value, length) -> np.ndarray:
     """``value`` as a read-only float copy of shape (length,), checked to be
     finite: how every value type stores a vector it is given, so that no
     later write to the caller's array reaches it."""
-    v = np.array(value, dtype=float).ravel()
+    try:
+        v = np.array(value, dtype=float).ravel()
+    except (TypeError, ValueError, OverflowError):  # strings, complex numbers, ragged or huge values
+        v = np.empty(0)
     if v.shape != (length,):
         raise InvalidInputError(f"{name} must be a {length}-vector")
     if not all(map(math.isfinite, v.tolist())):

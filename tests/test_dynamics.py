@@ -19,6 +19,7 @@ from sphwrist import (
     JointAngles,
     JointProfile,
     JointState,
+    MotorSpec,
     ToolOrientation,
     TrajectorySpec,
     WristGeometry,
@@ -89,6 +90,47 @@ def test_motor_spec_validation(motor):
 def test_cutting_load_validation():
     with pytest.raises(InvalidInputError):
         CuttingLoad((1.0, 0.0, 0.0), -0.1)
+
+
+BAD_VALUES = st.one_of(st.none(), st.text(max_size=3), st.booleans(), st.complex_numbers(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), st.floats(),
+                       st.lists(st.one_of(st.floats(), st.booleans(), st.complex_numbers(), st.text(max_size=2)),
+                                max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["body", "motor", "load"]), data=st.data())
+def test_value_types_reject_bad_values_with_a_wrist_error(kind, data, motor):
+    # Any value of any field, a scalar's or a vector's, either builds the
+    # type or raises a WristError (the CLI's one error line), never a raw
+    # TypeError or ValueError; a bool is not a number.
+    fields = {"body": dict(name="terminal", mass=1.0, com_offset=np.zeros(3), inertia=np.eye(3) * 1e-3),
+              "motor": {f: getattr(motor, f) for f in MotorSpec.__dataclass_fields__},
+              "load": dict(f_c=np.ones(3), lever=0.1)}[kind]
+    names = data.draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, unique=True))
+    values = {**fields, **{name: data.draw(BAD_VALUES, label=name) for name in names}}
+    try:
+        built = {"body": BodyParams, "motor": MotorSpec, "load": CuttingLoad}[kind](**values)
+    except WristError:
+        return
+    scalars = {"body": ["mass"], "motor": list(fields), "load": ["lever"]}[kind]
+    for name in scalars:
+        assert type(getattr(built, name)) is float and math.isfinite(getattr(built, name)), name
+        assert not isinstance(values[name], bool), name
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda motor: replace(motor, rotor_inertia=None), "rotor_inertia must be non-negative"),
+    (lambda motor: CuttingLoad(lever=None), "lever must be non-negative"),
+    (lambda motor: CuttingLoad(lever=True), "lever must be non-negative"),
+    (lambda motor: BodyParams("terminal", None, np.zeros(3), np.eye(3)), "terminal.mass must be positive"),
+    (lambda motor: BodyParams("terminal", 1j, np.zeros(3), np.eye(3)), "terminal.mass must be positive"),
+    (lambda motor: CuttingLoad("abc"), "f_c must be a 3-vector"),
+    (lambda motor: BodyParams("terminal", 1.0, np.zeros(3), "x"), "terminal.inertia must be a finite 3x3 tensor"),
+])
+def test_value_types_name_a_bad_scalar_or_vector(motor, build, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        build(motor)
 
 
 def test_gravity_default_is_read_only():
@@ -322,8 +364,8 @@ def reachable_state(geometry, t1, t3, drive_rates=(0.0, 0.0), drive_accels=(0.0,
 
 
 def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
-    # The QR minimum-norm solve against the SVD least-squares solve on the
-    # same systems: the same gate decision, and the same torques and
+    # The closed-form minimum-norm solve against the SVD least-squares solve
+    # on the same systems: the same gate decision, and the same torques and
     # reactions to 1e-10 of their largest magnitude.
     rng = np.random.default_rng(7)
     cases = []
@@ -419,9 +461,9 @@ def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
     # solution by up to about cond(A) eps), and a relative residual below
     # the same bound.  Each proximal frame (its base moments' basis and drive
     # axis) is orthonormal, as the assembly writes it; everything else is
-    # random.  One row repeats a moment balance, so its reduced R has a zero
-    # pivot and it goes to lstsq (held to 1e-12); a row left out of ``rows``
-    # stays NaN.
+    # random.  One row repeats a moment balance, so its type-II determinant
+    # det K is 0 and it goes to lstsq (held to 1e-12); a row left out of
+    # ``rows`` stays NaN.
     rng = np.random.default_rng(seed)
     points, bases = rng.standard_normal((n, 4, 3)), rng.standard_normal((n, 5, 3, 2))
     frames = np.linalg.qr(rng.standard_normal((n, 2, 3, 3)))[0]
@@ -525,6 +567,56 @@ def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
     lstsq_residual = np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=1) / np.linalg.norm(b, axis=1)
     assert np.flatnonzero(residual >= RESIDUAL_GATE).tolist() == [500]
     assert np.flatnonzero(lstsq_residual >= RESIDUAL_GATE).tolist() == [500]
+
+
+def core_qr_ratio(A):
+    """Per row of A (n, 24, 25) in the form ``ne_form`` writes, the smallest
+    over the largest |diagonal entry| of the raw-QR R of the 7 x 6
+    transposed core: the terminal and distal moment balances over their two
+    revolute moment pairs, the planar moments and the planar force p, whose
+    column is theirs once the joint forces are eliminated.  p = 1 with the
+    joint forces s e4 (terminal revolute -e4, tool revolute e4, base 1 -e4,
+    base 2 e4) leaves every force balance at 0, so that column is A's
+    moment balances times that vector."""
+    s, rows = UNKNOWN_SLICES, dynamics._ROWS
+    e4 = A[:, rows["distal"][0], s["planar_force"].start]
+    unit_p = np.zeros((len(A), N_UNKNOWNS))
+    unit_p[:, s["planar_force"]] = 1.0
+    for force, sign in (("terminal_revolute_force", -1.0), ("tool_revolute_force", 1.0), ("base1_force", -1.0),
+                        ("base2_force", 1.0)):
+        unit_p[:, s[force]] = sign * e4
+    balances = [rows["terminal"][1], rows["distal"][1]]
+    force_rows = [rows[body][0] for body in rows]
+    np.testing.assert_allclose(np.concatenate([A[:, r] for r in force_rows], axis=1) @ unit_p[..., None], 0.0,
+                               atol=1e-15)
+    columns = [s["terminal_revolute_moment"], s["tool_revolute_moment"], s["planar_moment"]]
+    core = np.concatenate([np.concatenate([A[:, r, c] for c in columns], axis=2) for r in balances], axis=1)
+    p_column = np.concatenate([A[:, r] for r in balances], axis=1) @ unit_p[..., None]
+    R = np.linalg.qr(np.concatenate([core, p_column], axis=2).transpose(0, 2, 1), mode="r")
+    diagonal = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    return diagonal.min(axis=1) / diagonal.max(axis=1)
+
+
+def test_rank_decision_matches_the_core_qr(geometry, bodies):
+    # The closed form sends a row to lstsq on its type-II determinant; the
+    # raw QR of the core that it replaced sent exactly the rows whose R has
+    # a diagonal ratio of at most 1e-8.  On the R 0.25 m semicircles of odd
+    # and even sample counts and the 12 grid circles both pick the same
+    # rows: the midpoint of each odd semicircle, and no other.
+    table = _body_table(bodies)
+    cases = [(f"semicircle {n}", semicircle_states(geometry, 0.25, n)) for n in (999, 1000, 1001, 2000, 2001)]
+    cases += [(f"circle {gamma} {radius}", circle_states(geometry, gamma, radius, 1001))
+              for gamma in (30.0, 45.0, 60.0) for radius in (0.25, 0.15, 0.1, 0.05)]
+    for name, profile in cases:
+        motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
+        A, b, aligned = dynamics._assemble(motion, table, GRAVITY, None)
+        assert not aligned.any()
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            dynamics._solve(A, b, np.ones(len(b), dtype=bool))
+        sent = sorted(int(np.flatnonzero((A == call.args[0]).all(axis=(1, 2)))[0]) for call in lstsq.call_args_list)
+        assert sent == np.flatnonzero(core_qr_ratio(A) <= 1e-8).tolist(), name
+        middle = [len(profile) // 2] if len(profile) % 2 and name.startswith("semicircle") else []
+        assert sent == middle, name
 
 
 def balance_passes(monkeypatch):

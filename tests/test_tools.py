@@ -139,4 +139,5 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
-                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5", "188 files, 3 differ"]
+                                           "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5, relative 0.00436",
+                                           "188 files, 3 differ"]

@@ -36,7 +36,8 @@ to another checkout's src snapshots that checkout.
 
 ``--compare`` lists the files that differ between two snapshot directories
 or are in only one, with, for a CSV, the number of differing cells and the
-largest absolute difference per numeric column.  It exits 0 when every file
+largest absolute difference per numeric column, also relative to that
+column's largest magnitude.  It exits 0 when every file
 is byte-identical, else 1.
 """
 
@@ -315,7 +316,8 @@ def _float(cell):
 def csv_differences(a: Path, b: Path) -> str:
     """What differs between two CSV files: their shape, or per differing
     column the count of differing cells and, where both cells of every
-    differing pair are numbers, the largest absolute difference."""
+    differing pair are numbers, the largest absolute difference and that
+    difference over the column's largest magnitude in either file."""
     rows_a = list(csv.reader(io.StringIO(a.read_text())))
     rows_b = list(csv.reader(io.StringIO(b.read_text())))
     if rows_a[:1] != rows_b[:1] or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
@@ -326,7 +328,10 @@ def csv_differences(a: Path, b: Path) -> str:
         if cells:
             detail = f"{name}: {len(cells)} cells"
             if all(x is not None and y is not None for x, y in cells):
-                detail += f", max |diff| {max(abs(x - y) for x, y in cells):.3g}"
+                diff = max(abs(x - y) for x, y in cells)
+                values = [abs(v) for row in rows_a[1:] + rows_b[1:] if (v := _float(row[j])) is not None]
+                scale = max(values)
+                detail += f", max |diff| {diff:.3g}, relative {diff / scale if scale else 0.0:.3g}"
             columns.append(detail)
     return "; ".join(columns)
 
