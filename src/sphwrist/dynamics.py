@@ -15,13 +15,12 @@ Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
 
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
-``_solve``, ``_power_balance_rows``), on the link frames, joint axes and
-passive loop-closure terms that ``kinematics._kinematics_at`` builds from
-the angles of the rows a pass solves: a whole profile, one block of its
-rows or one state.  The solve eliminates the joint forces (a constant +-I
-block) and solves the moment balances in closed form on the loop's type-II
-determinant; near-singular rows fall back to SVD least squares.  The
-one-state calls are the n = 1 case.
+``_closed_form``, ``_power_balance_rows``), on the frames and axes that
+``kinematics._frames_at`` builds from the angles of the rows a pass solves.
+The solve eliminates the joint forces and solves the moment balances in
+closed form on the loop's type-II determinant, from the assembly's factors;
+the gate reads their structured residual.  Only ``assemble_system`` and the
+near-singular rows (SVD least squares) form dense matrices (``_matrix``).
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
 block of ``NE_BLOCK`` rows and keeps it on the profile as one record per
 row (motion views, solution, error, power-balance terms), for the block's
@@ -48,7 +47,8 @@ import numpy as np
 
 from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_scalar,
                      frozen_vector)
-from .kinematics import JointProfile, JointState, _Kinematics, _kinematics_at, _sample_label, _solve_passive
+from .kinematics import (JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label,
+                         _solve_passive)
 from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -56,15 +56,15 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row goes to lstsq when its type-II determinant det K (see _solve) is at
+# A row goes to lstsq when its type-II determinant det K (see _closed_form) is at
 # most this fraction of |n3| |n4| |t5a| |t5b|, too near rank-deficient for
 # the closed form: 2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it.
 TYPE_II_TOL = 1e-8
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
-# per row and more memory (tracemalloc: a block pass peaks at 1.2 MB at 128
-# rows, 0.59 MB at 64; _solve's temporaries are 3.3 kB a row).
-NE_BLOCK = 128
+# per row and more memory (tracemalloc: a block pass peaks at 1.20 MB at 256
+# rows, 0.63 MB at 128; the solve's temporaries are 3.2-3.4 kB a row).
+NE_BLOCK = 256
 # A profile's block before its first solve and while its next one is solved; no key matches it.
 _NO_BLOCK = ((None, None), ())
 
@@ -271,7 +271,7 @@ def _open_loop_message(closure):
 
 def body_motion(state: JointState, geometry: WristGeometry, bodies) -> WristMotion:
     """Angular velocity/acceleration and center-of-mass motion of every link."""
-    motion = _motion(state.rates[None], state.accels[None], *_kinematics_at(state.angles.theta[None], geometry)[:3],
+    motion = _motion(state.rates[None], state.accels[None], *_frames_at(state.angles.theta[None], geometry),
                      _body_table(bodies))
     if motion.closure[0] > CLOSURE_TOL:
         raise InconsistentStateError(_open_loop_message(motion.closure[0]))
@@ -309,10 +309,13 @@ _MOMENT_SEEDS = [AXIS_NAMES.index(seed) for _, _, seed, _ in _JOINT_MOMENTS]
 _ALIGNED_MESSAGE = "cannot build a transverse moment basis; axes are aligned"
 
 
-def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None):
-    """The (n, 24, 25) matrices and (n, 24) right-hand sides of n motions,
-    and the (n,) rows where a joint's axes align, so that its moment basis
-    cannot be built."""
+# Factored Newton-Euler systems (``_matrix`` writes their matrices): joint moment ``bases`` (n, 5, 3, 2), force
+# ``points`` (n, 4, 3), ``axes`` e1..e6, ``rhs`` (n, 24), and the rows ``aligned`` where a basis cannot be built.
+_Assembly = namedtuple("_Assembly", "bases points axes rhs aligned")
+
+
+def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None) -> _Assembly:
+    """The Newton-Euler systems of n motions, as ``_Assembly``."""
     n = len(m.closure)
     # Each moment basis: the unit vector normal to the joint axis in its plane
     # with the seed axis, then the axis cross that vector.
@@ -321,25 +324,8 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
     length = np.sqrt(dot_rows(normal, normal))
     aligned = length < 1e-9
     normal /= np.where(aligned, 1.0, length)[..., None]
-    basis = np.stack([normal, cross_rows(axis, normal)], axis=3)
+    bases = np.stack([normal, cross_rows(axis, normal)], axis=3)
     points = (m.R[:, _FORCE_CARRIERS] @ table.force_points[:, :, None])[..., 0]
-    # skew[j] @ x = points[j] x x, written entry by entry so that its zeros stay +0.
-    skew = np.zeros((n, len(_JOINT_FORCES), 3, 3))
-    skew[..., [2, 0, 1], [1, 2, 0]] = points
-    skew[..., [1, 2, 0], [2, 0, 1]] = -points
-    A = np.zeros((n, N_EQUATIONS, N_UNKNOWNS))
-    s = UNKNOWN_SLICES
-    for j, (force, _, _, ends) in enumerate(_JOINT_FORCES):
-        for body, sign in ends:
-            A[:, _ROWS[body][0], s[force]] = sign * np.eye(3)
-            A[:, _ROWS[body][1], s[force]] = sign * skew[:, j]
-    for j, (moment, _, _, ends) in enumerate(_JOINT_MOMENTS):
-        for body, sign in ends:
-            A[:, _ROWS[body][1], s[moment]] = sign * basis[:, j]
-    A[:, _ROWS["proximal-1"][1], s["tau1"].start] = m.joint_axes[:, 0]
-    A[:, _ROWS["proximal-2"][1], s["tau2"].start] = m.joint_axes[:, 1]
-    A[:, _ROWS["distal"][0], s["planar_force"].start] = m.joint_axes[:, 3]
-    A[:, _ROWS["proximal-2"][0], s["planar_force"].start] = -m.joint_axes[:, 3]
 
     # Force balances m a - m g, moment balances about the center
     # I_O w_dot + w x I_O w - r x m g, less the cutting wrench on the terminal.
@@ -354,7 +340,30 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
         f = _tip_force(load, e3, e5, cross_rows(e3, e5))
         b[:, 0, :3] -= f
         b[:, 0, 3:] -= cross_rows(load.lever * e5, f)
-    return A, b.reshape(n, N_EQUATIONS), aligned.any(axis=1)
+    return _Assembly(bases, points, m.joint_axes, b.reshape(n, N_EQUATIONS), aligned.any(axis=1))
+
+
+def _matrix(f: _Assembly):
+    """The (n, 24, 25) matrices of factored systems."""
+    n = len(f.rhs)
+    # skew[j] @ x = points[j] x x, written entry by entry so that its zeros stay +0.
+    skew = np.zeros((n, len(_JOINT_FORCES), 3, 3))
+    skew[..., [2, 0, 1], [1, 2, 0]] = f.points
+    skew[..., [1, 2, 0], [2, 0, 1]] = -f.points
+    A = np.zeros((n, N_EQUATIONS, N_UNKNOWNS))
+    s = UNKNOWN_SLICES
+    for j, (force, _, _, ends) in enumerate(_JOINT_FORCES):
+        for body, sign in ends:
+            A[:, _ROWS[body][0], s[force]] = sign * np.eye(3)
+            A[:, _ROWS[body][1], s[force]] = sign * skew[:, j]
+    for j, (moment, _, _, ends) in enumerate(_JOINT_MOMENTS):
+        for body, sign in ends:
+            A[:, _ROWS[body][1], s[moment]] = sign * f.bases[:, j]
+    A[:, _ROWS["proximal-1"][1], s["tau1"].start] = f.axes[:, 0]
+    A[:, _ROWS["proximal-2"][1], s["tau2"].start] = f.axes[:, 1]
+    A[:, _ROWS["distal"][0], s["planar_force"].start] = f.axes[:, 3]
+    A[:, _ROWS["proximal-2"][0], s["planar_force"].start] = -f.axes[:, 3]
+    return A
 
 
 def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingLoad | None = None) -> AssembledSystem:
@@ -364,10 +373,10 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     once, with opposite signs on the two bodies it couples.  The right-hand
     side carries the inertial terms, gravity, and the cutting wrench.
     """
-    A, b, aligned = _assemble(motion, _body_table(bodies), frozen_vector("gravity", gravity, 3), load)
-    if aligned[0]:
+    f = _assemble(motion, _body_table(bodies), frozen_vector("gravity", gravity, 3), load)
+    if f.aligned[0]:
         raise InconsistentStateError(_ALIGNED_MESSAGE)
-    return AssembledSystem(A[0], b[0], motion.state.rates[:2].copy())
+    return AssembledSystem(_matrix(f)[0], f.rhs[0], motion.state.rates[:2].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,50 +393,40 @@ class DynamicsSolution:
     power: np.ndarray
 
 
-# The joint forces' unknowns in _JOINT_FORCES order, each one's part per
-# unit planar force p as a multiple of e4, and its point, as (row, column) of
-# skew[2, 1], skew[0, 2] and skew[1, 0] of its block in its carrier's moment balance.
+# The joint forces' unknowns in _JOINT_FORCES order and the joint moments'
+# in _JOINT_MOMENTS order, and each joint force's part per unit planar force
+# p as a multiple of e4.
 _FORCE_COLUMNS = tuple(i for force, *_ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
+_MOMENT_COLUMNS = tuple(i for moment, *_ in _JOINT_MOMENTS for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[moment]])
 _ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
-_POINTS = tuple((_ROWS[carrier][1].start + r, UNKNOWN_SLICES[force].start + c)
-                for force, carrier, _, _ in _JOINT_FORCES for r, c in ((2, 1), (0, 2), (1, 0)))
 
 
-def _columns(*blocks):
-    # The columns of blocks (n, 3, k) of A, as (k, len(blocks), n, 3).
-    return np.ascontiguousarray(np.stack(blocks).transpose(3, 0, 1, 2))
-
-
-def _solve(A, b, rows):
-    """Minimum-norm solutions x (n, 25) and relative residuals |Ax - b| / |b|
-    (n,) of the systems in ``rows`` (n,) bool; the others are left NaN.
-
-    In closed form on the loop's type-II determinant det K, elementwise over
-    the rows (README, "Model notes"; no stacked matmul, whose bits may depend
-    on the block size).  Rows where |det K| is at most ``TYPE_II_TOL`` |n3|
-    |n4| |t5a| |t5b| take SVD least squares on A; the residual is A's own, so
-    a matrix of another form fails the gate.  x is read-only: vector
-    reactions are views of it."""
+def _closed_form(b, points, bases, drives, e4, rows, matrices):
+    """Read-only minimum-norm solutions x (n, 25) of the systems in ``rows``
+    (n,) bool, from their factors (``_Assembly``, drive axes (n, 2, 3), e4
+    (n, 3)); the others are left NaN.  In closed form on the loop's type-II
+    determinant det K, elementwise over the rows (README, "Model notes"; no
+    stacked matmul, whose bits may depend on the block size).  Rows where
+    |det K| is at most ``TYPE_II_TOL`` |n3| |n4| |t5a| |t5b| take SVD least
+    squares on their dense matrices, ``matrices(picked)`` of their indices."""
     n, s = len(b), UNKNOWN_SLICES
-    terminal, distal, proximal1, proximal2 = (_ROWS[name][1] for name in BODY_NAMES)
     # b's force and moment parts per body (4, n, 3); per joint force its
     # constant part c and, negated, its part per unit p, -s e4 (2, 4, n, 3).
     force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
     revolute = force_rhs[0] + force_rhs[1]
     forces = np.stack([(revolute, -force_rhs[1], force_rhs[2] + revolute, force_rhs[3]),
-                       np.multiply.outer(-_ALONG_P, A[:, _ROWS["distal"][0], s["planar_force"].start])])
-    points = np.stack([A[:, r, c] for r, c in _POINTS]).reshape(len(_JOINT_FORCES), 3, n).swapaxes(1, 2)
+                       np.multiply.outer(-_ALONG_P, e4)])
     # The moment balances' right-hand sides d and p's column a (2, 4, n, 3),
     # less each joint force's moment on its two bodies (_JOINT_FORCES).
-    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(points, forces).swapaxes(0, 1)
+    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(points.swapaxes(0, 1), forces).swapaxes(0, 1)
     reduced = np.stack([-revolute_moment - tool_moment, tool_moment, revolute_moment - base1_moment, -base2_moment], 1)
     reduced[0] += moment_rhs
-    # The columns t_a, t_b (2, n, 3) of the terminal-revolute and planar bases
-    # and t5 of the tool-revolute one, and the proximal frames' (3, 2, n, 3).
-    t_a, t_b = _columns(A[:, terminal, s["terminal_revolute_moment"]], A[:, distal, s["planar_moment"]])
-    t5 = _columns(A[:, terminal, s["tool_revolute_moment"]])[:, 0]
-    frames = _columns(A[:, proximal1, s["base1_moment"].start:s["tau1"].stop],
-                      A[:, proximal2, s["base2_moment"].start:s["tau2"].stop])
+    # The bases' columns (2, 5, n, 3): t_a, t_b (2, n, 3) of the terminal-revolute and planar bases, t5 of the
+    # tool-revolute one, and the proximal frames' (3, 2, n, 3), each a base basis and its drive axis.
+    columns = np.ascontiguousarray(bases.transpose(3, 1, 0, 2))
+    t_a, t_b = columns[:, ::4]
+    t5 = columns[:, 1]
+    frames = np.concatenate([columns[:, 2:4], drives.swapaxes(0, 1)[None]])
     normal = cross_rows(t_a, t_b)
     normal_sq = dot_rows(normal, normal)
     # [K | k] (m5, p) = q, one row per normal (2, n, 3): the distal balance holds -m5.
@@ -468,12 +467,44 @@ def _solve(A, b, rows):
         dots = np.sum(lifted[:, 1, None] * lifted, axis=0)
         x = (lifted[:, 0] - dots[0] / dots[1] * lifted[:, 1]).T
     x = np.where((rows & full)[:, None], x, np.nan)
-    for i in np.flatnonzero(rows & ~full):
-        x[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+    picked = np.flatnonzero(rows & ~full)
+    for i, A in zip(picked, matrices(picked) if len(picked) else ()):
+        x[i], *_ = np.linalg.lstsq(A, b[i], rcond=None)
     x.setflags(write=False)
+    return x
+
+
+def _solve(A, b, rows):
+    """``_closed_form`` on the factors read from dense systems A, and the
+    relative residuals |Ax - b| / |b| (n,) of A itself, so that a matrix of
+    another form than ``_matrix`` writes fails the gate."""
+    s = UNKNOWN_SLICES
+    x = _closed_form(
+        b, np.stack([A[:, _ROWS[body][1], s[force]][:, [2, 0, 1], [1, 2, 0]] for force, body, *_ in _JOINT_FORCES], 1),
+        np.stack([A[:, _ROWS[ends[0][0]][1], s[moment]] for moment, *_, ends in _JOINT_MOMENTS], 1),
+        np.stack([A[:, _ROWS["proximal-1"][1], s["tau1"].start], A[:, _ROWS["proximal-2"][1], s["tau2"].start]], 1),
+        A[:, _ROWS["distal"][0], s["planar_force"].start], rows, A.__getitem__)
     res = (A @ x[..., None])[..., 0] - b
     rhs_norm = np.sqrt(np.sum(b * b, axis=1))
     return x, np.sqrt(np.sum(res * res, axis=1)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
+
+
+def _residual(f: _Assembly, x):
+    """Relative residuals |A x - b| / |b| (n,) at solutions x (n, 25) of
+    factored systems, A their ``_matrix``, by a structured product: per body,
+    its joint forces and p e4, their moments about the center, its joint
+    moments and its drive torque, signed as in the joint tables."""
+    revolute, tool, base1, base2 = forces = x[:, _FORCE_COLUMNS].reshape(-1, len(_JOINT_FORCES), 3).swapaxes(0, 1)
+    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(f.points.swapaxes(0, 1), forces)
+    m3, m5, m1, m2, m4 = dot_rows(f.bases, x[:, _MOMENT_COLUMNS].reshape(-1, len(_JOINT_MOMENTS), 1, 2)).swapaxes(0, 1)
+    planar = x[:, UNKNOWN_SLICES["planar_force"].start, None] * f.axes[:, 3]
+    # A x per body and balance (8, n, 3), less b last, which puts it nearer the exact residual.
+    res = np.stack([revolute + tool, revolute_moment + tool_moment + m3 + m5, planar - tool, m4 - tool_moment - m5,
+                    base1 - revolute, base1_moment - revolute_moment - m3 + m1 + x[:, _TAU[0], None] * f.axes[:, 0],
+                    base2 - planar, base2_moment - m4 + m2 + x[:, _TAU[1], None] * f.axes[:, 1]])
+    res -= f.rhs.reshape(-1, 2 * len(BODY_NAMES), 3).swapaxes(0, 1)
+    rhs_norm = np.sqrt(np.sum(f.rhs * f.rhs, axis=1))
+    return np.sqrt(np.sum(dot_rows(res, res), axis=0)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
 
 
 def _gate_message(residual):
@@ -601,14 +632,16 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     checked in their order, and the power-balance terms of
     ``_power_balance_rows``, at n joint states: angles, rates and
     accelerations (n, 4) each."""
-    m = _motion(rates, accels, *_kinematics_at(theta, geometry)[:3], table)
-    A, b, aligned = _assemble(m, table, gravity, load)
+    m = _motion(rates, accels, *_frames_at(theta, geometry), table)
+    f = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
-    x, residual = _solve(A, b, ~(open_loop | aligned))
+    x = _closed_form(f.rhs, f.points, f.bases, f.axes[:, :2], f.axes[:, 3], ~(open_loop | f.aligned),
+                     lambda picked: _matrix(_Assembly(*(a[picked] for a in f))))
+    residual = _residual(f, x)
     errors = tuple((InconsistentStateError, _open_loop_message(c)) if o
                    else (InconsistentStateError, _ALIGNED_MESSAGE) if al
                    else (ModelInconsistencyError, _gate_message(r)) if r >= RESIDUAL_GATE else None
-                   for o, c, al, r in zip(open_loop.tolist(), m.closure.tolist(), aligned.tolist(), residual.tolist()))
+                   for o, c, al, r in zip(*(a.tolist() for a in (open_loop, m.closure, f.aligned, residual))))
     for array in m[:-1]:
         array.setflags(write=False)
     return m, x, residual, errors, *_power_balance_rows(m, table, gravity, load)
@@ -699,7 +732,7 @@ def solve_trajectory(states, geometry: WristGeometry, bodies,
         try:
             motion, solution = solve_state(state, geometry, bodies, gravity, load)
         except WristError as exc:
-            v = _kinematics_at(state.angles.theta[None], geometry).axes[0, 4]
+            v = _frames_at(state.angles.theta[None], geometry)[2][0, 4]
             raise type(exc)(f"{_sample_label(i, state.t, v)}: {exc}") from exc
         motions.append(motion)
         solutions.append(solution)

@@ -28,6 +28,7 @@ from .errors import (
     SingularConfigurationError,
     SingularOrientationError,
     UnreachableOrientationError,
+    finite_scalar,
     frozen_rows,
     frozen_vector,
 )
@@ -91,7 +92,10 @@ def _off_unit(v):
 def _unit_directions(v) -> np.ndarray:
     """Read-only (N, 3) float copy of stacked tool directions, checked with
     the ``ToolOrientation`` rules; the error names the lowest failing sample."""
-    v = np.array(v, dtype=float)
+    try:
+        v = np.array(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # strings, complex numbers, ragged or huge values
+        v = np.empty(0)
     if v.ndim != 2 or v.shape[1] != 3:
         raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
     bad = _off_unit(v)
@@ -188,8 +192,7 @@ def _profile_arrays(t, theta, rates, accels, label=_index_label) -> dict:
 
 def vector_from_pan_tilt(phi1: float, phi2: float) -> ToolOrientation:
     """Unit tool direction from pan (azimuth) and tilt (elevation) angles."""
-    if not (np.isfinite(phi1) and np.isfinite(phi2)):
-        raise InvalidInputError("pan/tilt must be finite")
+    phi1, phi2 = finite_scalar("pan/tilt", phi1), finite_scalar("pan/tilt", phi2)
     if abs(phi2) > math.pi / 2.0 + 1e-12:
         raise OutOfRangeError("tilt must satisfy |phi2| <= pi/2")
     c2 = math.cos(phi2)
@@ -237,7 +240,7 @@ def _quadratic_branch(a, b, c, sign: float):
 
 def forward_kinematics(theta1: float, theta3: float, geometry: WristGeometry) -> ToolOrientation:
     """Tool direction reached by the leg-1 pair, in the world frame."""
-    _, axes = chain_frames((theta1, theta3), geometry, "leg-1")
+    _, axes = chain_frames((finite_scalar("thetas", theta1), finite_scalar("thetas", theta3)), geometry, "leg-1")
     return ToolOrientation(axes[2] / np.linalg.norm(axes[2]))
 
 
@@ -392,19 +395,24 @@ class _Kinematics(NamedTuple):
     passive: _PassiveClosure
 
 
+def _frames_at(theta, geometry: WristGeometry):
+    """``_kinematics_at`` without the passive closure terms: all that a Newton-Euler pass reads."""
+    f0, f1, f2 = leg_frames(theta, geometry)
+    return f1, f2, _axis_stack(f0, f1, f2)
+
+
 def _kinematics_at(theta, geometry: WristGeometry) -> _Kinematics:
     """The kinematic terms at joint states theta (n, 4), from one ``leg_frames`` call."""
-    f0, f1, f2 = leg_frames(theta, geometry)
-    axes = _axis_stack(f0, f1, f2)
+    f1, f2, axes = _frames_at(theta, geometry)
     return _Kinematics(f1, f2, axes, _passive_closure(axes))
 
 
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
     """Joint angles, rates, and accelerations along a sampled orientation path.
 
-    ``orientations`` is an (N, 3) array of unit world-frame tool directions,
-    such as an ``OrientationPath``'s ``v``, checked here with the
-    ``ToolOrientation`` rules; or a sequence of ``ToolOrientation``.
+    ``orientations`` is a sequence of ``ToolOrientation`` or any (N, 3)
+    array-like of unit world-frame tool directions (such as an
+    ``OrientationPath``'s ``v``), checked with the ``ToolOrientation`` rules.
 
     Angles come from inverse kinematics over all samples, unwrapped for
     continuity.  The actuated rates and accelerations come from central
@@ -423,14 +431,13 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry, clock=None) 
     the kinematic terms of its pass (``_kinematics_at`` of the profile's
     angles), which the profile does not keep.  ``clock`` (``dt`` if None)
     is the step of the profile's times and of the times its errors name."""
-    if isinstance(orientations, np.ndarray):
-        v = _unit_directions(orientations)
-    else:
+    try:
         v = np.array([o.v for o in orientations])
+    except (AttributeError, TypeError):  # not a sequence of ToolOrientation: any (N, 3) array-like
+        v = _unit_directions(orientations)
     if len(v) < 3:
         raise InvalidInputError("need at least 3 samples to differentiate")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise InvalidInputError("dt must be positive")
+    dt = finite_scalar("dt", dt, 0.0, closed=False)
 
     clock = dt if clock is None else clock
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sphwrist import default_config
 from sphwrist.kinematics import _closure_accels_from_axes, _closure_rates_from_axes, _kinematics_at, _profile_pass
@@ -26,6 +27,15 @@ def bodies(config):
 @pytest.fixture(scope="session")
 def motor(config):
     return config.motors[0]
+
+
+# Values that no numeric field of the library takes: how the intake tests
+# draw them (None, strings, bools, complex numbers, NaN, +-inf, an int too
+# large for a float, any float, and lists of such items).
+BAD_VALUES = st.one_of(st.none(), st.text(max_size=3), st.booleans(), st.complex_numbers(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), st.floats(),
+                       st.lists(st.one_of(st.floats(), st.booleans(), st.complex_numbers(), st.text(max_size=2)),
+                                max_size=4))
 
 
 def symmetric_rel(a, b):

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_row, own_rate_profile
+from conftest import BAD_VALUES, closure_row, own_rate_profile
 from sphwrist import (
     GRAVITY,
     BodyParams,
@@ -90,12 +91,6 @@ def test_motor_spec_validation(motor):
 def test_cutting_load_validation():
     with pytest.raises(InvalidInputError):
         CuttingLoad((1.0, 0.0, 0.0), -0.1)
-
-
-BAD_VALUES = st.one_of(st.none(), st.text(max_size=3), st.booleans(), st.complex_numbers(),
-                       st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), st.floats(),
-                       st.lists(st.one_of(st.floats(), st.booleans(), st.complex_numbers(), st.text(max_size=2)),
-                                max_size=4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -503,25 +498,95 @@ def test_assembly_writes_the_force_block_the_solve_reduces(geometry, bodies):
     # through the transpose of their frame, which is orthonormal to 1e-15.
     # Both semicircles, the 12 grid circles and random reachable states,
     # each with and without a load.
+    # The matrices are _matrix's of the assembly's factors, and read back
+    # from them, each factor comes back exactly.
     table = _body_table(bodies)
-    profiles = [semicircle_states(geometry, radius, 1001) for radius in (0.25, 0.1)]
-    profiles += [circle_states(geometry, gamma, radius, 1001) for gamma in (30.0, 45.0, 60.0)
-                 for radius in (0.25, 0.15, 0.1, 0.05)]
-    rng = np.random.default_rng(3)
-    states = [reachable_state(geometry, *rng.uniform(-math.pi, math.pi, 2), rng.uniform(-20.0, 20.0, 2),
-                              rng.uniform(-500.0, 500.0, 2)) for _ in range(40)]
+    profiles, states = assembly_cases(geometry)
     for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
         for profile in profiles:
-            motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
-            A, _, _ = dynamics._assemble(motion, table, GRAVITY, load)
+            f = assembly(profile, geometry, table, load)
+            A = dynamics._matrix(f)
             parts = ne_form_parts(A)
-            np.testing.assert_array_equal(parts[3], motion.joint_axes[:, 3])
+            for part, factor in zip(parts, (f.points, f.bases, f.axes[:, :2], f.axes[:, 3])):
+                np.testing.assert_array_equal(part, factor)
             np.testing.assert_array_equal(ne_form(*parts), A)
             assert_orthonormal_frames(A)
         A = np.array([assemble_system(body_motion(state, geometry, bodies), bodies, GRAVITY, load).matrix
                       for state in states])
         np.testing.assert_array_equal(ne_form(*ne_form_parts(A)), A)
         assert_orthonormal_frames(A)
+
+
+def assembly_cases(geometry):
+    """Both semicircles, the 12 grid circles and 40 random reachable states."""
+    profiles = [semicircle_states(geometry, radius, 1001) for radius in (0.25, 0.1)]
+    profiles += [circle_states(geometry, gamma, radius, 1001) for gamma in (30.0, 45.0, 60.0)
+                 for radius in (0.25, 0.15, 0.1, 0.05)]
+    rng = np.random.default_rng(3)
+    states = [reachable_state(geometry, *rng.uniform(-math.pi, math.pi, 2), rng.uniform(-20.0, 20.0, 2),
+                              rng.uniform(-500.0, 500.0, 2)) for _ in range(40)]
+    return profiles, states
+
+
+def assembly(rows, geometry, table, load):
+    """The factored systems (``dynamics._Assembly``) of a profile's rows."""
+    motion = _motion(rows.rates, rows.accels, *kinematics._frames_at(rows.theta, geometry), table)
+    return dynamics._assemble(motion, table, GRAVITY, load)
+
+
+def block_pass(rows, geometry, table, load):
+    """The solutions x and gate residuals of the block path on a profile's rows."""
+    _, x, residual, *_ = dynamics._solve_rows(rows.theta, rows.rates, rows.accels, geometry, table, GRAVITY, load)
+    return x, residual
+
+
+def test_structured_residual_matches_the_dense_one(geometry, bodies):
+    # The gate's residual on the block path, the structured product of the
+    # factors, against |A x - b| / |b| of their matrix A, on the cases of
+    # test_assembly_writes_the_force_block_the_solve_reduces: within 1e-15,
+    # or within eps |A| |x| / |b| where that is larger.  Both residuals are
+    # rounding of that size off the exact one, and next to the semicircles'
+    # singular midpoint it exceeds 1e-15: beside it, under the load, the
+    # dense residual is itself 1.2e-15 off the exact one (longdouble).
+    table = _body_table(bodies)
+    profiles, states = assembly_cases(geometry)
+    stacked = JointProfile(np.zeros(len(states)), [s.angles.theta for s in states], [s.rates for s in states],
+                           [s.accels for s in states])
+    for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
+        for profile in [*profiles, stacked]:
+            f = assembly(profile, geometry, table, load)
+            assert not f.aligned.any()
+            A = dynamics._matrix(f)
+            x, dense = dynamics._solve(A, f.rhs, np.ones(len(profile), dtype=bool))
+            residual = dynamics._residual(f, x)
+            assert residual.tobytes() == block_pass(profile, geometry, table, load)[1].tobytes()
+            scale = np.linalg.norm((np.abs(A) @ np.abs(x)[..., None])[..., 0], axis=1) / np.linalg.norm(f.rhs, axis=1)
+            assert np.all(np.abs(residual - dense) <= np.maximum(1e-15, np.finfo(float).eps * scale))
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
+def test_block_solve_equals_the_dense_solve(geometry, bodies, load):
+    # The block path solves the factors; the dense entry reads them back
+    # from _matrix's A and runs the same closed form: the same x, bit for
+    # bit, on every row of the R 0.25 m semicircle, in 256-row blocks and
+    # alone (the singular midpoint through lstsq on the same matrix), and
+    # the same structured residual alone as in the block.
+    table = _body_table(bodies)
+    profile = semicircle_states(geometry, 0.25, 1001)
+
+    def dense_x(rows):
+        f = assembly(rows, geometry, table, load)
+        return dynamics._solve(dynamics._matrix(f), f.rhs, np.ones(len(rows), dtype=bool))[0].tobytes()
+
+    for start in range(0, len(profile), 256):
+        block = profile_rows(profile, slice(start, start + 256))
+        x, residual = block_pass(block, geometry, table, load)
+        assert x.tobytes() == dense_x(block)
+        for i in range(len(x)):
+            row = profile_rows(profile, slice(start + i, start + i + 1))
+            x_i, residual_i = block_pass(row, geometry, table, load)
+            assert x_i.tobytes() == x[i:i + 1].tobytes() == dense_x(row), start + i
+            assert residual_i.tobytes() == residual[i:i + 1].tobytes(), start + i
 
 
 def assert_orthonormal_frames(A):
@@ -558,10 +623,9 @@ def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
     # lstsq put the same rows through the gate, and only the singular
     # midpoint fails it.
     profile = semicircle_states(geometry, 0.25, 1001)
-    table = _body_table(bodies)
-    motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
-    A, b, aligned = dynamics._assemble(motion, table, GRAVITY, None)
-    assert not aligned.any()
+    f = assembly(profile, geometry, _body_table(bodies), None)
+    assert not f.aligned.any()
+    A, b = dynamics._matrix(f), f.rhs
     _, residual = dynamics._solve(A, b, np.ones(len(b), dtype=bool))
     x = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(A, b)])
     lstsq_residual = np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=1) / np.linalg.norm(b, axis=1)
@@ -602,21 +666,27 @@ def test_rank_decision_matches_the_core_qr(geometry, bodies):
     # raw QR of the core that it replaced sent exactly the rows whose R has
     # a diagonal ratio of at most 1e-8.  On the R 0.25 m semicircles of odd
     # and even sample counts and the 12 grid circles both pick the same
-    # rows: the midpoint of each odd semicircle, and no other.
+    # rows: the midpoint of each odd semicircle, and no other.  The block
+    # path forms the dense matrices of those rows only.
     table = _body_table(bodies)
     cases = [(f"semicircle {n}", semicircle_states(geometry, 0.25, n)) for n in (999, 1000, 1001, 2000, 2001)]
     cases += [(f"circle {gamma} {radius}", circle_states(geometry, gamma, radius, 1001))
               for gamma in (30.0, 45.0, 60.0) for radius in (0.25, 0.15, 0.1, 0.05)]
     for name, profile in cases:
-        motion = _motion(profile.rates, profile.accels, *_kinematics_at(profile.theta, geometry)[:3], table)
-        A, b, aligned = dynamics._assemble(motion, table, GRAVITY, None)
-        assert not aligned.any()
+        f = assembly(profile, geometry, table, None)
+        assert not f.aligned.any()
+        A, b = dynamics._matrix(f), f.rhs
         with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
             dynamics._solve(A, b, np.ones(len(b), dtype=bool))
         sent = sorted(int(np.flatnonzero((A == call.args[0]).all(axis=(1, 2)))[0]) for call in lstsq.call_args_list)
         assert sent == np.flatnonzero(core_qr_ratio(A) <= 1e-8).tolist(), name
         middle = [len(profile) // 2] if len(profile) % 2 and name.startswith("semicircle") else []
         assert sent == middle, name
+        with mock.patch.object(dynamics, "_matrix", wraps=dynamics._matrix) as matrix:
+            block_pass(profile, geometry, table, None)
+        formed = [int(np.flatnonzero((b == row).all(axis=1))[0]) for call in matrix.call_args_list
+                  for row in call.args[0].rhs]
+        assert formed == middle and matrix.call_count == len(middle), name
 
 
 def balance_passes(monkeypatch):
@@ -1005,6 +1075,23 @@ def test_profile_rows_match_standalone_states(geometry, bodies, load):
     assert profile._ne_block[0][0] == order[-1] - order[-1] % NE_BLOCK
 
 
+def test_block_pass_memory(geometry, bodies):
+    # One 256-row block pass on the R 0.25 m semicircle, traced: 1,204 kB
+    # (numpy 2, Linux x86-64).  The block path forms no dense (n, 24, 25)
+    # matrix: one would add 1.2 MB at this size.
+    profile = semicircle_states(geometry, 0.25, 1001)
+    rows = slice(0, 256)
+    args = profile.theta[rows], profile.rates[rows], profile.accels[rows], geometry, _body_table(bodies), GRAVITY, None
+    dynamics._solve_rows(*args)
+    tracemalloc.start()
+    try:
+        dynamics._solve_rows(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6
+
+
 @pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
 def test_block_size_leaves_the_bits(geometry, bodies, monkeypatch, load):
     # NE_BLOCK is a time and memory choice only: verify_profile's residual,
@@ -1012,7 +1099,7 @@ def test_block_size_leaves_the_bits(geometry, bodies, monkeypatch, load):
     # have the same bits for one row per block, for the whole profile in one
     # block and for sizes between.
     outputs = []
-    for size in (1, 64, 128, 1001):
+    for size in (1, 64, 128, 256, 1001):
         monkeypatch.setattr(dynamics, "NE_BLOCK", size)
         profile = semicircle_states(geometry, 0.25, 1001)
         check = verify_profile(profile, geometry, bodies, GRAVITY, load)
@@ -1159,7 +1246,7 @@ def test_kept_block_is_let_go_before_the_next_pass(geometry, bodies, monkeypatch
     held = []
     solve_rows = dynamics._solve_rows
     monkeypatch.setattr(dynamics, "_solve_rows", lambda *a: held.append(profile._ne_block) or solve_rows(*a))
-    solve_state(profile[200], geometry, bodies)
+    solve_state(profile[NE_BLOCK + 72], geometry, bodies)
     assert held == [dynamics._NO_BLOCK] and profile._ne_block[0][0] == NE_BLOCK
     assert row_outputs(geometry, bodies, profile[3], GRAVITY) == before
     assert len(held) == 2 and profile._ne_block[0][0] == 0

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_row, random_unit_vector, symmetric_rel
+from conftest import BAD_VALUES, closure_row, random_unit_vector, symmetric_rel
 from sphwrist import (
     JointAngles,
     JointProfile,
@@ -98,6 +99,7 @@ def test_one_unit_length_rule_for_a_direction_and_a_stack(geometry):
     stacked = trajectory_joint_profiles(np.tile(accepted, (3, 1)), 0.1, geometry)
     listed = trajectory_joint_profiles([ToolOrientation(accepted)] * 3, 0.1, geometry)
     assert np.array_equal(stacked.theta, listed.theta)
+    assert np.array_equal(stacked.theta, trajectory_joint_profiles([list(accepted)] * 3, 0.1, geometry).theta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,10 +130,36 @@ def test_unit_length_verdict_is_the_same_in_both_forms(u, bound, offset):
     (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), [math.inf, 0.0, 0.0, 0.0], 0.0),
      "accels must be finite"),
     (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), np.zeros(4), math.nan), "t must be finite"),
+    (lambda: vector_from_pan_tilt(None, 0.0), "pan/tilt must be finite"),
+    (lambda: forward_kinematics("a", 0.0, WristGeometry()), "thetas must be finite"),
+    (lambda: trajectory_joint_profiles(np.tile([0.0, 0.0, -1.0], (3, 1)), "a", WristGeometry()), "dt must be positive"),
+    (lambda: trajectory_joint_profiles([[0.0, 0.0, -1.0]] * 2 + [[0.0, 0.0, -2.0]], 0.1, WristGeometry()),
+     "sample 2: tool orientation must be unit length"),
 ])
 def test_value_type_intake_names_the_field(build, message):
-    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# A direction of size 1e200 overflows in its unit-length test, which rejects it.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(entry=st.sampled_from([vector_from_pan_tilt, forward_kinematics, trajectory_joint_profiles]), data=st.data())
+def test_kinematics_entries_reject_bad_values_with_a_wrist_error(entry, data, geometry):
+    # Any argument of the kinematics entries, drawn from bad values (for the
+    # directions also rows of them): the call returns or raises a WristError
+    # (the CLI's one error line), never a raw TypeError, ValueError or
+    # AttributeError.  A bool is not a number.
+    directions = [[0.0, 0.6, -0.8], [0.0, 0.61, -math.sqrt(1.0 - 0.61**2)], [0.0, 0.62, -math.sqrt(1.0 - 0.62**2)]]
+    good = {vector_from_pan_tilt: (0.3, -0.2), forward_kinematics: (0.4, -1.1),
+            trajectory_joint_profiles: (directions, 0.01)}[entry]
+    bad = BAD_VALUES | st.lists(st.lists(BAD_VALUES | st.floats(), min_size=3, max_size=3), min_size=3, max_size=4)
+    args = [data.draw(st.just(value) | bad, label=f"argument {k}") for k, value in enumerate(good)]
+    try:
+        entry(*args, *([] if entry is vector_from_pan_tilt else [geometry]))
+    except WristError:
+        return
+    assert entry is trajectory_joint_profiles or not any(isinstance(a, bool) for a in args)
 
 
 def test_joint_angles_validation_and_wrap():
