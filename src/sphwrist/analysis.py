@@ -1,5 +1,6 @@
 """Batch studies: peak tables, cutting-force sweeps, and motor feasibility."""
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import NamedTuple
@@ -14,7 +15,7 @@ from .dynamics import (
     _LoadFreeTorques,
     _rotor_torque,
 )
-from .errors import InvalidInputError, WristError
+from .errors import InvalidInputError, WristError, finite_array, finite_scalar
 from .kinematics import JointProfile, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate
 
@@ -55,12 +56,10 @@ class FeasibilityReport:
 
 
 def _motor_pair(motors):
-    if isinstance(motors, MotorSpec):
-        return motors, motors
-    motors = tuple(motors)
-    if len(motors) != 2:
+    pair = (motors, motors) if isinstance(motors, MotorSpec) else tuple(motors) if isinstance(motors, Iterable) else ()
+    if len(pair) != 2 or not all(isinstance(motor, MotorSpec) for motor in pair):
         raise InvalidInputError("expected one MotorSpec or a pair")
-    return motors
+    return pair
 
 
 def _column_peaks(x):
@@ -175,7 +174,7 @@ def sweep_peaks(specs, geometry, bodies, motors, load: CuttingLoad | None = None
     own rate; a pass is dropped when its path's specs end.  A failing spec
     is named ahead of its error.
     """
-    records = []
+    records, motors = [], _motor_pair(motors)
     for _, path_specs in groupby(specs, _path_key):
         unit = None
         for spec in path_specs:
@@ -192,15 +191,13 @@ def force_sweep(base_spec: TrajectorySpec, fc_values, lc: float, geometry, bodie
     """Peak-torque curve versus cutting-force magnitude at fixed lever arm.
 
     The three cutting-force components are set equal to each value in
-    ``fc_values``.  The forces and the lever are checked first; then the
-    spec's path makes its one pass (``path_pass``), and each force value
-    adds only its affine cutting term.
+    ``fc_values``.  The forces, the motors and the lever are checked first;
+    then the spec's path makes its one pass (``path_pass``), and each force
+    value adds only its affine cutting term.
     """
-    fc_values = [float(f) for f in fc_values]
-    if not all(map(np.isfinite, fc_values)):
-        raise InvalidInputError("cutting-force magnitudes must be finite")
-    if min(fc_values, default=0.0) < 0.0:
-        raise InvalidInputError("cutting-force magnitudes must be non-negative")
+    name = "cutting-force magnitudes"
+    fc_values = [finite_scalar(name, fc, 0.0) for fc in finite_array(name, fc_values).reshape(-1).tolist()]
+    motors, lc = _motor_pair(motors), finite_scalar("lever", lc, 0.0)
     loads = [(f"Fc = {fc:.12g} N: ", CuttingLoad((fc, fc, fc), lc)) for fc in fc_values]
     try:
         records = path_pass(base_spec, geometry, bodies, motors, gravity).records(base_spec, loads)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, dynamics, trajectory
 from .config import default_config, load_config
-from .errors import FileIOError, InvalidInputError, WristError
+from .errors import FileIOError, InvalidInputError, WristError, finite_scalar
 from .kinematics import (ToolOrientation, forward_kinematics, inverse_kinematics, pan_tilt_from_vector,
                          trajectory_joint_profiles, vector_from_pan_tilt)
 
@@ -140,13 +140,6 @@ def _parse_floats(option, text, n=None):
     return parts
 
 
-def _finite(option, value) -> float:
-    # A float option checked where the user gave it, so that the error names it.
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{option} must be finite")
-    return value
-
-
 def _spec(args, radius, gamma_deg, kind=trajectory.KIND_CIRCLE) -> trajectory.TrajectorySpec:
     return trajectory.TrajectorySpec(
         kind=kind,
@@ -180,7 +173,7 @@ def cmd_ik(args, config):
 
 
 def cmd_fk(args, config):
-    theta1, theta3 = _finite("--theta1", args.theta1), _finite("--theta3", args.theta3)
+    theta1, theta3 = finite_scalar("--theta1", args.theta1), finite_scalar("--theta3", args.theta3)
     v = forward_kinematics(math.radians(theta1), math.radians(theta3), config.geometry).v
     print(f"v = {_fmt(v[0])}, {_fmt(v[1])}, {_fmt(v[2])}")
     return 0
@@ -205,7 +198,7 @@ def cmd_traj(args, config):
 
 def _force(fc: float) -> float:
     # One --fc value, a cutting-force component magnitude: finite, then non-negative.
-    if _finite("--fc", fc) < 0.0:
+    if finite_scalar("--fc", fc) < 0.0:
         raise InvalidInputError("--fc must be non-negative")
     return fc
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import BODY_NAMES, FORCE_POINT_NAMES, GRAVITY, BodyParams, MotorSpec
-from .errors import ConfigError, WristError
+from .errors import ConfigError, WristError, finite_scalar
 from .rotation import WristGeometry
 from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED, MAX_SAMPLE_COUNT
 
@@ -103,8 +103,7 @@ def config_from_text(text: str) -> Config:
     if not (np.isfinite(sample_count) and sample_count == int(sample_count) and 3 <= sample_count <= MAX_SAMPLE_COUNT):
         raise ConfigError(f"key 'defaults.sample_count' must be an integer from 3 to {MAX_SAMPLE_COUNT}")
     tool_speed = take("defaults.tool_speed", 1, DEFAULT_TOOL_SPEED)
-    if not (np.isfinite(tool_speed) and tool_speed > 0.0):
-        raise ConfigError("key 'defaults.tool_speed' must be positive")
+    tool_speed = finite_scalar("key 'defaults.tool_speed'", tool_speed, 0.0, closed=False, error=ConfigError)
     if entries:
         raise ConfigError(f"unknown key(s): {', '.join(sorted(entries))}")
     return Config(geometry, tuple(bodies), motors, gravity, int(sample_count), tool_speed)

@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_scalar,
-                     frozen_vector)
+from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_array,
+                     finite_scalar, float_array, frozen_vector)
 from .kinematics import (JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label,
                          _solve_passive)
 from .rotation import WristGeometry, cross_rows, dot_rows
@@ -117,14 +117,11 @@ class BodyParams:
     force_points: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in BODY_NAMES:
+        if not (isinstance(self.name, str) and self.name in BODY_NAMES):  # an array has no truth value
             raise InvalidInputError(f"unknown body name {self.name!r}")
         mass = finite_scalar(f"{self.name}.mass", self.mass, 0.0, closed=False)
         com = frozen_vector(f"{self.name}.com_offset", self.com_offset, 3)
-        try:
-            inertia = np.array(self.inertia, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # strings, complex numbers, ragged or huge values
-            inertia = np.empty(0)
+        inertia = float_array(self.inertia)
         if inertia.shape != (3, 3) or not np.all(np.isfinite(inertia)):
             raise InvalidInputError(f"{self.name}.inertia must be a finite 3x3 tensor")
         if np.max(np.abs(inertia - inertia.T)) > 1e-12 * max(1.0, np.max(np.abs(inertia))):
@@ -544,8 +541,7 @@ def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
 
 def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
     """Output-shaft torque including the reflected rotor inertia, elementwise."""
-    if not (np.all(np.isfinite(tau_joint)) and np.all(np.isfinite(joint_accel))):
-        raise InvalidInputError("torque and acceleration must be finite")
+    tau_joint, joint_accel = (finite_array("torque and acceleration", x) for x in (tau_joint, joint_accel))
     return tau_joint + _rotor_torque(joint_accel, motor)
 
 

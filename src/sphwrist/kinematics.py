@@ -29,6 +29,7 @@ from .errors import (
     SingularOrientationError,
     UnreachableOrientationError,
     finite_scalar,
+    float_array,
     frozen_rows,
     frozen_vector,
 )
@@ -86,16 +87,14 @@ class ToolOrientation:
 def _off_unit(v):
     """Which directions of a (..., 3) stack fail the one unit-length test of
     ``ToolOrientation`` and ``_unit_directions``; a non-finite one fails it."""
-    return ~(np.abs(np.sqrt(dot_rows(v, v)) - 1.0) <= 1e-12)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, which fails the test
+        return ~(np.abs(np.sqrt(dot_rows(v, v)) - 1.0) <= 1e-12)
 
 
 def _unit_directions(v) -> np.ndarray:
     """Read-only (N, 3) float copy of stacked tool directions, checked with
     the ``ToolOrientation`` rules; the error names the lowest failing sample."""
-    try:
-        v = np.array(v, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # strings, complex numbers, ragged or huge values
-        v = np.empty(0)
+    v = float_array(v)
     if v.ndim != 2 or v.shape[1] != 3:
         raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
     bad = _off_unit(v)
@@ -135,8 +134,7 @@ class JointState:
     def __post_init__(self):
         object.__setattr__(self, "rates", frozen_vector("rates", self.rates, 4))
         object.__setattr__(self, "accels", frozen_vector("accels", self.accels, 4))
-        if not math.isfinite(self.t):
-            raise InvalidInputError("t must be finite")
+        object.__setattr__(self, "t", finite_scalar("t", self.t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +182,10 @@ class JointProfile:
 def _profile_arrays(t, theta, rates, accels, label=_index_label) -> dict:
     """The fields of a ``JointProfile`` as read-only float copies, after its
     shape and finiteness checks (``frozen_rows``)."""
-    n = len(t) if np.ndim(t) else 1  # a scalar time is one sample of the wrong shape
+    try:
+        n = len(t)
+    except TypeError:  # a scalar time is one sample of the wrong shape
+        n = 1
     return {name: frozen_rows(f"profile {name}", values, shape, label)
             for name, values, shape in (("t", t, (n,)), ("theta", theta, (n, 4)), ("rates", rates, (n, 4)),
                                         ("accels", accels, (n, 4)))}

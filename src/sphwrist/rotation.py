@@ -10,14 +10,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, frozen_vector
+from .errors import InvalidInputError, finite_array, finite_scalar, frozen_vector
 
 ROTATION_TOL = 1e-12
-
-
-def _require_finite(name, value):
-    if not np.isfinite(value).all():
-        raise InvalidInputError(f"{name} must be finite")
 
 
 def _rot_y(angle: float) -> np.ndarray:
@@ -30,10 +25,7 @@ def _rot_y(angle: float) -> np.ndarray:
 def dh_rotation(theta, alpha: float) -> np.ndarray:
     """Frame step for a zero-offset joint: rotate about Z by theta, then about
     the new X by alpha.  Broadcasts over ``theta``: shape (...) gives (..., 3, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    _require_finite("theta", theta)
-    if not math.isfinite(alpha):
-        raise InvalidInputError("alpha must be finite")
+    theta, alpha = finite_array("theta", theta), finite_scalar("alpha", alpha)
     return _dh(theta, math.cos(alpha), math.sin(alpha))
 
 
@@ -124,9 +116,8 @@ class WristGeometry:
     def __post_init__(self):
         object.__setattr__(self, "alpha", frozen_vector("alpha", self.alpha, 5))
         object.__setattr__(self, "home_thetas", frozen_vector("home_thetas", self.home_thetas, 4))
-        _require_finite("mount_yaw", self.mount_yaw)
-        if not (np.isfinite(self.tool_length) and self.tool_length > 0.0):
-            raise InvalidInputError("tool_length must be positive")
+        object.__setattr__(self, "mount_yaw", finite_scalar("mount_yaw", self.mount_yaw))
+        object.__setattr__(self, "tool_length", finite_scalar("tool_length", self.tool_length, 0.0, closed=False))
 
     @property
     def base_axes(self) -> np.ndarray:
@@ -160,10 +151,9 @@ def chain_frames(thetas, geometry: WristGeometry, leg):
     columns, each (..., 3).  Leg 1 carries the joint pair (theta1, theta3);
     leg 2 carries (theta2, theta4).
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = finite_array("thetas", thetas)
     if thetas.ndim == 0 or thetas.shape[-1] != 2:
         raise InvalidInputError("each leg carries exactly 2 joint angles")
-    _require_finite("thetas", thetas)
     k = {"1": 0, "2": 1}.get(str(leg).removeprefix("leg-"))
     if k is None:
         raise InvalidInputError(f"unknown leg {leg!r}")
@@ -178,7 +168,7 @@ def leg_frames(theta, geometry: WristGeometry):
     """Both legs' frames at N joint states ``theta`` (N, 4), as ``chain_frames``
     gives them per leg, legs stacked on axis 1: the base frames (2, 3, 3),
     then (N, 2, 3, 3) after the first and after the second joint step."""
-    _require_finite("theta", theta)
+    theta = finite_array("theta", theta)
     f0, cos, sin = geometry._legs
     f1 = f0 @ _dh(theta[:, :2], cos[:, 0], sin[:, 0])
     return f0, f1, f1 @ _dh(theta[:, 2:], cos[:, 1], sin[:, 1])
@@ -191,12 +181,9 @@ def central_difference(values, dt: float) -> np.ndarray:
     interior points, one-sided second-order stencils at the two ends; output
     shape equals input shape.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise InvalidInputError("dt must be positive")
-    v = np.asarray(values, dtype=float)
+    dt, v = finite_scalar("dt", dt, 0.0, closed=False), finite_array("values", values)
     if v.ndim == 0 or v.shape[0] < 3:
         raise InvalidInputError("need at least 3 samples")
-    _require_finite("values", v)
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, frozen_rows
+from .errors import InvalidSpecError, finite_scalar, frozen_rows
 from .kinematics import ToolOrientation, _index_label, _unchecked, _unit_directions
 
 KIND_SEMICIRCLE = "semicircle-YZ"
@@ -38,14 +38,13 @@ class TrajectorySpec:
     sample_count: int = DEFAULT_SAMPLE_COUNT
 
     def __post_init__(self):
-        if self.kind not in (KIND_SEMICIRCLE, KIND_CIRCLE):
+        if not (isinstance(self.kind, str) and self.kind in (KIND_SEMICIRCLE, KIND_CIRCLE)):
             raise InvalidSpecError(f"unknown trajectory kind {self.kind!r}")
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise InvalidSpecError("radius must be positive")
-        if not (np.isfinite(self.tool_speed) and self.tool_speed > 0.0):
-            raise InvalidSpecError("tool_speed must be positive")
+        for name in ("radius", "tool_speed"):
+            value = finite_scalar(name, getattr(self, name), 0.0, closed=False, error=InvalidSpecError)
+            object.__setattr__(self, name, value)
         # A full circle spans 2 pi of path angle; its duration must be finite.
-        if not (np.isfinite(self.rate) and self.rate > 0.0 and np.isfinite(2.0 * math.pi / self.rate)):
+        if not (math.isfinite(self.rate) and self.rate > 0.0 and math.isfinite(2.0 * math.pi / self.rate)):
             raise InvalidSpecError(f"path rate tool_speed / radius = {self.rate:.6g} rad/s"
                                    " overflows or underflows double precision")
         if not (isinstance(self.sample_count, numbers.Integral) and 3 <= self.sample_count <= MAX_SAMPLE_COUNT):
@@ -53,10 +52,11 @@ class TrajectorySpec:
         if self.kind == KIND_CIRCLE:
             if self.gamma is None:
                 raise InvalidSpecError("circle-XY requires a cone angle gamma")
-            if not np.isfinite(self.gamma):
-                raise InvalidSpecError(f"gamma must be finite, got {self.gamma}")
-            if not 0.0 < self.gamma < math.pi / 2.0:
+            gamma = finite_scalar("gamma", self.gamma, error=lambda message: InvalidSpecError(
+                f"{message}, got {self.gamma}"))
+            if not 0.0 < gamma < math.pi / 2.0:
                 raise InvalidSpecError("gamma must lie strictly between 0 and pi/2")
+            object.__setattr__(self, "gamma", gamma)
 
     @property
     def rate(self) -> float:

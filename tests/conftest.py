@@ -29,13 +29,24 @@ def motor(config):
     return config.motors[0]
 
 
+# Complex arrays whose real parts are values the library takes (a force,
+# gravity, an inertia, profile rows, tool directions): a float conversion
+# that dropped the imaginary part would accept them.
+COMPLEX_ARRAYS = (np.array([1 + 2j, 0, 0]), np.array([0, 0, -9.81 + 5j]), np.eye(3) * (1e-3 + 1j),
+                  np.full((3, 4), 1j), np.tile([0, 0, -1 + 1j], (3, 1)))
+
 # Values that no numeric field of the library takes: how the intake tests
-# draw them (None, strings, bools, complex numbers, NaN, +-inf, an int too
-# large for a float, any float, and lists of such items).
+# draw them (None, strings, bools, complex numbers and arrays, NaN, +-inf,
+# an int too large for a float, any float, and lists of such items).
 BAD_VALUES = st.one_of(st.none(), st.text(max_size=3), st.booleans(), st.complex_numbers(),
+                       st.sampled_from(COMPLEX_ARRAYS),
                        st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), st.floats(),
                        st.lists(st.one_of(st.floats(), st.booleans(), st.complex_numbers(), st.text(max_size=2)),
                                 max_size=4))
+
+
+def is_complex_array(value):
+    return isinstance(value, np.ndarray) and value.dtype.kind == "c"
 
 
 def symmetric_rel(a, b):

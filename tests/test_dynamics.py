@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_VALUES, closure_row, own_rate_profile
+from conftest import BAD_VALUES, closure_row, is_complex_array, own_rate_profile
 from sphwrist import (
     GRAVITY,
     BodyParams,
@@ -98,7 +98,8 @@ def test_cutting_load_validation():
 def test_value_types_reject_bad_values_with_a_wrist_error(kind, data, motor):
     # Any value of any field, a scalar's or a vector's, either builds the
     # type or raises a WristError (the CLI's one error line), never a raw
-    # TypeError or ValueError; a bool is not a number.
+    # TypeError or ValueError; a bool is not a number, and a complex array
+    # is refused, not cut to its real part.
     fields = {"body": dict(name="terminal", mass=1.0, com_offset=np.zeros(3), inertia=np.eye(3) * 1e-3),
               "motor": {f: getattr(motor, f) for f in MotorSpec.__dataclass_fields__},
               "load": dict(f_c=np.ones(3), lever=0.1)}[kind]
@@ -108,10 +109,19 @@ def test_value_types_reject_bad_values_with_a_wrist_error(kind, data, motor):
         built = {"body": BodyParams, "motor": MotorSpec, "load": CuttingLoad}[kind](**values)
     except WristError:
         return
+    assert not any(is_complex_array(values[name]) for name in names)
     scalars = {"body": ["mass"], "motor": list(fields), "load": ["lever"]}[kind]
     for name in scalars:
         assert type(getattr(built, name)) is float and math.isfinite(getattr(built, name)), name
         assert not isinstance(values[name], bool), name
+
+
+_INTAKE_SPEC = TrajectorySpec(kind=KIND_CIRCLE, radius=0.15, gamma=0.7, sample_count=5)
+_INTAKE_PROFILE = JointProfile(np.arange(3.0), np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
+
+
+def _intake_force_sweep(forces, motor):
+    return analysis.force_sweep(_INTAKE_SPEC, forces, 0.11, WristGeometry(), default_config().bodies, motor)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -122,10 +132,29 @@ def test_value_types_reject_bad_values_with_a_wrist_error(kind, data, motor):
     (lambda motor: BodyParams("terminal", 1j, np.zeros(3), np.eye(3)), "terminal.mass must be positive"),
     (lambda motor: CuttingLoad("abc"), "f_c must be a 3-vector"),
     (lambda motor: BodyParams("terminal", 1.0, np.zeros(3), "x"), "terminal.inertia must be a finite 3x3 tensor"),
+    # The rows below give the CLI's line, category first; a bare message is an invalid-input one.
+    (lambda motor: CuttingLoad(np.array([1 + 2j, 0, 0])), "error[invalid-input]: f_c must be a 3-vector"),
+    (lambda motor: BodyParams("terminal", 1.0, np.zeros(3), np.eye(3) * (1 + 1j)),
+     "error[invalid-input]: terminal.inertia must be a finite 3x3 tensor"),
+    (lambda motor: reflected_motor_torque("a", 0.0, motor),
+     "error[invalid-input]: torque and acceleration must be finite"),
+    (lambda motor: virtual_work_torques(_INTAKE_PROFILE, WristGeometry(), default_config().bodies,
+                                        np.array([0, 0, -9.81 + 5j])),
+     "error[invalid-input]: gravity must be a 3-vector"),
+    *((lambda motor, forces=forces: _intake_force_sweep(forces, motor),
+       "error[invalid-input]: cutting-force magnitudes must be finite") for forces in (["a"], [None], None)),
+    (lambda motor: analysis.force_sweep(_INTAKE_SPEC, [], -1.0, WristGeometry(), default_config().bodies, motor),
+     "error[invalid-input]: lever must be non-negative"),
+    *((lambda motor, motors=motors: sweep_peaks([_INTAKE_SPEC], WristGeometry(), default_config().bodies, motors),
+       "error[invalid-input]: expected one MotorSpec or a pair") for motors in (None, 3)),
 ])
+# No call warns: a complex value dropping its imaginary part (ComplexWarning is a RuntimeWarning).
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_value_types_name_a_bad_scalar_or_vector(motor, build, message):
-    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(WristError) as info:
         build(motor)
+    assert f"error[{info.value.category}]: {info.value}" == (
+        message if message.startswith("error[") else f"error[invalid-input]: {message}")
 
 
 def test_gravity_default_is_read_only():

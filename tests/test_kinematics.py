@@ -1,22 +1,30 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_VALUES, closure_row, random_unit_vector, symmetric_rel
+from conftest import BAD_VALUES, closure_row, is_complex_array, random_unit_vector, symmetric_rel
 from sphwrist import (
     JointAngles,
     JointProfile,
     JointState,
+    OrientationPath,
     ToolOrientation,
+    TrajectorySpec,
     WristGeometry,
+    central_difference,
+    chain_frames,
+    default_config,
+    dh_rotation,
+    force_sweep,
     forward_kinematics,
     inverse_kinematics,
     leg2_tool_axis,
     pan_tilt_from_vector,
+    reflected_motor_torque,
+    sweep_peaks,
     trajectory_joint_profiles,
     vector_from_pan_tilt,
     wrap_angle,
@@ -32,6 +40,7 @@ from sphwrist.errors import (
     frozen_rows,
 )
 from sphwrist.kinematics import _joint_angles, _unit_directions
+from sphwrist.trajectory import KIND_CIRCLE
 
 
 def test_pan_tilt_to_vector_trivials():
@@ -119,6 +128,11 @@ def test_unit_length_verdict_is_the_same_in_both_forms(u, bound, offset):
     assert verdicts[0] == verdicts[1]
 
 
+_STATE = (JointAngles(np.zeros(4)), np.zeros(4), np.zeros(4))
+_ROWS = np.zeros((3, 4))
+_DOWN = np.tile([0.0, 0.0, -1.0], (3, 1))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: WristGeometry(alpha=np.zeros(4)), "alpha must be a 5-vector"),
     (lambda: WristGeometry(home_thetas=np.zeros(5)), "home_thetas must be a 4-vector"),
@@ -135,21 +149,51 @@ def test_unit_length_verdict_is_the_same_in_both_forms(u, bound, offset):
     (lambda: trajectory_joint_profiles(np.tile([0.0, 0.0, -1.0], (3, 1)), "a", WristGeometry()), "dt must be positive"),
     (lambda: trajectory_joint_profiles([[0.0, 0.0, -1.0]] * 2 + [[0.0, 0.0, -2.0]], 0.1, WristGeometry()),
      "sample 2: tool orientation must be unit length"),
+    # The rows below give the CLI's line, category first; a bare message is an invalid-input one.
+    *((lambda value=value: TrajectorySpec(KIND_CIRCLE, value, gamma=0.7),
+       "error[invalid-spec]: radius must be positive") for value in (None, "a", 1j)),
+    *((lambda value=value: TrajectorySpec(KIND_CIRCLE, 0.1, value, 0.7),
+       "error[invalid-spec]: tool_speed must be positive") for value in (None, "a", 1j)),
+    (lambda: TrajectorySpec(KIND_CIRCLE, 0.1, gamma="x"), "error[invalid-spec]: gamma must be finite, got x"),
+    (lambda: TrajectorySpec(np.array([1.0, 2.0]), 0.1), "error[invalid-spec]: unknown trajectory kind array([1., 2.])"),
+    (lambda: TrajectorySpec(KIND_CIRCLE, 0.1, gamma=True), "error[invalid-spec]: gamma must be finite, got True"),
+    (lambda: WristGeometry(tool_length=None), "error[invalid-input]: tool_length must be positive"),
+    (lambda: WristGeometry(mount_yaw="a"), "error[invalid-input]: mount_yaw must be finite"),
+    (lambda: JointState(*_STATE, t="a"), "error[invalid-input]: t must be finite"),
+    (lambda: JointProfile(["a", "b", "c"], _ROWS, _ROWS, _ROWS),
+     "error[invalid-input]: profile t must hold finite values"),
+    (lambda: JointProfile([[0.0, 1.0], [2.0]], _ROWS, _ROWS, _ROWS),
+     "error[invalid-input]: profile t must hold finite values"),
+    (lambda: JointProfile(np.arange(3.0), _ROWS, _ROWS + 1j, _ROWS),
+     "error[invalid-input]: profile rates must hold finite values"),
+    (lambda: OrientationPath(["a", "b", "c"], _DOWN), "error[invalid-input]: path times must hold finite values"),
+    (lambda: OrientationPath(np.arange(3.0), _DOWN + 1j),
+     "error[invalid-input]: tool orientations must be an (N, 3) array, got shape (0,)"),
+    (lambda: dh_rotation(0.0, None), "error[invalid-input]: alpha must be finite"),
+    (lambda: dh_rotation("a", 0.0), "error[invalid-input]: theta must be finite"),
+    (lambda: chain_frames(("a", 0.0), WristGeometry(), 1), "error[invalid-input]: thetas must be finite"),
+    (lambda: central_difference(np.zeros(5), None), "error[invalid-input]: dt must be positive"),
+    (lambda: central_difference(["a"] * 3, 0.1), "error[invalid-input]: values must be finite"),
+    # A direction of size 1e200 overflows in its unit-length test, silently, and fails it.
+    (lambda: ToolOrientation([1e200, 0.0, 0.0]), "error[invalid-input]: tool orientation must be unit length"),
 ])
+# No call warns: an overflow or a complex value dropping its imaginary part (ComplexWarning is a RuntimeWarning).
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_value_type_intake_names_the_field(build, message):
-    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(WristError) as info:
         build()
+    assert f"error[{info.value.category}]: {info.value}" == (
+        message if message.startswith("error[") else f"error[invalid-input]: {message}")
 
 
-# A direction of size 1e200 overflows in its unit-length test, which rejects it.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(entry=st.sampled_from([vector_from_pan_tilt, forward_kinematics, trajectory_joint_profiles]), data=st.data())
 def test_kinematics_entries_reject_bad_values_with_a_wrist_error(entry, data, geometry):
     # Any argument of the kinematics entries, drawn from bad values (for the
     # directions also rows of them): the call returns or raises a WristError
     # (the CLI's one error line), never a raw TypeError, ValueError or
-    # AttributeError.  A bool is not a number.
+    # AttributeError.  A bool is not a number, and a complex array is not
+    # cut to its real part.
     directions = [[0.0, 0.6, -0.8], [0.0, 0.61, -math.sqrt(1.0 - 0.61**2)], [0.0, 0.62, -math.sqrt(1.0 - 0.62**2)]]
     good = {vector_from_pan_tilt: (0.3, -0.2), forward_kinematics: (0.4, -1.1),
             trajectory_joint_profiles: (directions, 0.01)}[entry]
@@ -159,7 +203,49 @@ def test_kinematics_entries_reject_bad_values_with_a_wrist_error(entry, data, ge
         entry(*args, *([] if entry is vector_from_pan_tilt else [geometry]))
     except WristError:
         return
+    assert not any(map(is_complex_array, args))
     assert entry is trajectory_joint_profiles or not any(isinstance(a, bool) for a in args)
+
+
+def _public_entries(config):
+    """Per public entry not covered by the properties above: the call, its
+    good arguments, and the indices of those that are scalars (a bool among
+    them is refused)."""
+    geometry, bodies, motors = config.geometry, config.bodies, config.motors
+    spec = TrajectorySpec(KIND_CIRCLE, 0.15, gamma=0.7, sample_count=5)
+    return {
+        "TrajectorySpec": (lambda radius, speed, gamma: TrajectorySpec(KIND_CIRCLE, radius, speed, gamma, 5),
+                           (0.15, 1.0, 0.7), (0, 1, 2)),
+        "WristGeometry": (lambda length, yaw: WristGeometry(tool_length=length, mount_yaw=yaw), (0.11, 0.5), (0, 1)),
+        "JointState": (lambda t: JointState(*_STATE, t), (0.0,), (0,)),
+        "JointProfile": (JointProfile, (np.arange(3.0), _ROWS, _ROWS, _ROWS), ()),
+        "OrientationPath": (OrientationPath, (np.arange(3.0), _DOWN), ()),
+        "dh_rotation": (dh_rotation, (0.3, 0.5), (1,)),
+        "chain_frames": (lambda thetas: chain_frames(thetas, geometry, 1), ((0.1, 0.2),), ()),
+        "central_difference": (central_difference, (np.arange(4.0), 0.1), (1,)),
+        "force_sweep": (lambda forces, lc: force_sweep(spec, forces, lc, geometry, bodies, motors), ([0.0, 10.0], 0.11),
+                        (1,)),
+        "sweep_peaks": (lambda pair: sweep_peaks([spec], geometry, bodies, pair), (motors,), ()),
+        "reflected_motor_torque": (lambda tau, accel: reflected_motor_torque(tau, accel, motors[0]), (1.0, 2.0), ()),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_public_entries(default_config()))), data=st.data())
+def test_public_entries_reject_bad_values_with_a_wrist_error(name, data, config):
+    # Any numeric argument of the public constructors and entries, drawn
+    # from bad values: the call returns or raises a WristError, never a raw
+    # TypeError or ValueError; a complex array is refused, and so is a bool
+    # where a scalar is taken.  Object arguments (geometry, bodies, specs)
+    # are not drawn: they stay duck-typed.
+    call, good, scalars = _public_entries(config)[name]
+    args = [data.draw(st.just(value) | BAD_VALUES, label=f"argument {k}") for k, value in enumerate(good)]
+    try:
+        call(*args)
+    except WristError:
+        return
+    assert not any(map(is_complex_array, args))
+    assert not any(isinstance(args[k], bool) for k in scalars)
 
 
 def test_joint_angles_validation_and_wrap():

@@ -21,11 +21,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
     # runs, and two dynamics runs on config files; only the semicircle's
-    # torques fail, at its singular midpoint.  The 16 error cases and the 3
+    # torques fail, at its singular midpoint.  The 19 error cases and the 5
     # config error cases each end in one categorised error line.
-    assert len(exits) == 44 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 49 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 19 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 24 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -57,6 +57,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_dynamics_negative_force.stderr").read_text() == (
         "error[invalid-input]: --fc must be non-negative\n")
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
+    # A spec's scalars are checked where the spec is made, under its own category.
+    for name, message in (("error_traj_gamma_nan", "gamma must be finite, got nan"),
+                          ("error_traj_radius_nan", "radius must be positive"),
+                          ("error_sweep_speed_zero", "tool_speed must be positive")):
+        assert (a / f"{name}.stderr").read_text() == f"error[invalid-spec]: {message}\n"
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
     # A config fault is reported once, by its key, with no section prefix ahead of the key.
@@ -66,12 +71,16 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         "error[config-error]: key 'body.distal.com_offset' must hold 3 value(s), got 2\n")
     assert (a / "error_config_negative_mass.stderr").read_text() == (
         "error[config-error]: body.terminal.mass must be positive\n")
+    assert (a / "error_config_zero_tool_length.stderr").read_text() == (
+        "error[config-error]: geometry.tool_length must be positive\n")
+    assert (a / "error_config_infinite_mount_yaw.stderr").read_text() == (
+        "error[config-error]: geometry.mount_yaw must be finite\n")
     # A config of the link and motor parameters alone takes the rest from the code.
     cfg_keys = {line.partition(" =")[0] for line in (a / "config_link_and_motor_only.cfg").read_text().splitlines()}
     assert {key.split(".")[0] for key in cfg_keys} == {"body", "motor", "gravity"}
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
-    assert len(list(a.glob("*.cfg"))) == 5
+    assert len(list(a.glob("*.cfg"))) == 7
     assert len(list(a.glob("*.csv"))) == 46
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # A study that sets its own sample count keeps it.
@@ -126,7 +135,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "188 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "205 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -140,4 +149,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
                                            "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5, relative 0.00436",
-                                           "188 files, 3 differ"]
+                                           "205 files, 3 differ"]

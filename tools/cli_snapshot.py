@@ -105,13 +105,17 @@ ERROR_CASES = (
                                        "--out", "error_dynamics_negative_force.csv"]),
     ("error_force_sweep_nan", ["force-sweep", "--gamma", "45", "--radius", "0.15", "--fc", "0,nan",
                                "--out", "error_force_sweep_nan.csv"]),
+    # A trajectory spec's scalars, checked where the spec is made.
+    ("error_traj_gamma_nan", ["traj", "--gamma", "nan", "--radius", "0.15", "--out", "error_traj_gamma_nan.csv"]),
+    ("error_traj_radius_nan", ["traj", "--gamma", "45", "--radius", "nan", "--out", "error_traj_radius_nan.csv"]),
+    ("error_sweep_speed_zero", ["sweep", *GRID, "--speed", "0", "--out", "error_sweep_speed_zero.csv"]),
 )
 
 
 def config_cases():
     """``(name, lines, argv)`` for the config cases: NAME.cfg holds ``lines``.
 
-    The three error cases start from the shipped link and motor lines, with
+    The five error cases start from the shipped link and motor lines, with
     every other key written out at the loaded value, so that the file is the
     same for any tree that loads the same parameters; each changes or leaves
     out one key.  The next case holds the link and motor lines alone, with
@@ -143,6 +147,8 @@ def config_cases():
         ("error_config_missing_max_torque", with_key("motor.1.max_torque"), fk),
         ("error_config_com_offset_count", with_key("body.distal.com_offset", "0.0, 0.055"), fk),
         ("error_config_negative_mass", with_key("body.terminal.mass", "-1"), fk),
+        ("error_config_zero_tool_length", with_key("geometry.tool_length", "0"), fk),
+        ("error_config_infinite_mount_yaw", with_key("geometry.mount_yaw", "inf"), fk),
         ("config_link_and_motor_only", shipped + ["gravity = 0, 0, 0"],
          ["dynamics", "--gamma", "45", "--radius", "0.15", "--samples", "51", "--out", "config_link_and_motor_only.csv"]),
         ("config_negative_distal_twist", with_key("geometry.alpha", negative_distal_twist),
