@@ -7,14 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    GRAVITY,
-    CuttingLoad,
-    MotorSpec,
-    _load_free_torques,
-    _LoadFreeTorques,
-    _rotor_torque,
-)
+from .dynamics import GRAVITY, CuttingLoad, MotorSpec, _load_free_torques, _LoadFreeTorques, _rotor_torque
 from .errors import InvalidInputError, WristError, finite_array, finite_scalar
 from .kinematics import JointProfile, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate

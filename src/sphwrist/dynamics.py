@@ -219,8 +219,8 @@ class WristMotion(NamedTuple):
     omega: np.ndarray
     omega_dot: np.ndarray
     r_com: np.ndarray
-    v_com: np.ndarray | None
-    a_com: np.ndarray | None
+    v_com: np.ndarray
+    a_com: np.ndarray
     joint_axes: np.ndarray
     closure: np.ndarray
     state: JointState | None = None
@@ -234,31 +234,36 @@ class WristMotion(NamedTuple):
         return dict(zip(AXIS_NAMES, self.joint_axes[0]))
 
 
-def _motion(rates, accels, f1, f2, axes, table: _BodyTable, com_motion=True) -> WristMotion:
+def _leg_motion(rates, accels, axes):
+    """Per leg (n, 2, 3), the drive link's w and w_dot about its fixed drive
+    axis, then the elbow-side link's, which compounds the leg's two rates."""
+    drive, elbow = axes[:, :2], axes[:, 2:4]
+    drive_rate, elbow_rate = rates[:, :2, None], rates[:, 2:, None]
+    w, w_dot = drive_rate * drive, accels[:, :2, None] * drive
+    return (w, w_dot, w + elbow_rate * elbow,
+            w_dot + accels[:, 2:, None] * elbow + drive_rate * elbow_rate * cross_rows(drive, elbow))
+
+
+def _motion(rates, accels, f1, f2, axes, table: _BodyTable) -> WristMotion:
     """Motion of every link at n joint states: ``rates`` and ``accels``
     (n, 4), at the states' frames ``f1``, ``f2`` and axes e1..e6
-    (``kinematics._Kinematics``).  Each proximal link spins about its fixed
-    drive axis; the terminal and the distal compound their leg's two joint
-    rates (the distal's spin about the planar normal comes from the leg-2
-    chain).  ``com_motion`` false leaves out ``v_com`` and ``a_com``."""
+    (``kinematics._Kinematics``), each leg's links by ``_leg_motion`` (the
+    distal's spin about the planar normal comes from the leg-2 chain)."""
     # Body order: the legs' elbow-side links (terminal, distal), then their
     # drive links (proximal-1, proximal-2).
     R = np.concatenate([f2, f1], axis=1)
-    drive, elbow, tool = axes[:, :2], axes[:, 2:4], axes[:, 4:]
-    drive_rate, elbow_rate = rates[:, :2, None], rates[:, 2:, None]
-    w, w_dot = drive_rate * drive, accels[:, :2, None] * drive
-    omega = np.concatenate([w + elbow_rate * elbow, w], axis=1)
-    omega_dot = np.concatenate([w_dot + accels[:, 2:, None] * elbow
-                                + drive_rate * elbow_rate * cross_rows(drive, elbow), w_dot], axis=1)
+    w, w_dot, elbow_w, elbow_w_dot = _leg_motion(rates, accels, axes)
+    omega = np.concatenate([elbow_w, w], axis=1)
+    omega_dot = np.concatenate([elbow_w_dot, w_dot], axis=1)
     n = len(R)
     r = np.empty((n, len(BODY_NAMES), 3))
     for b, com in enumerate(table.com):
         # One (3n, 3) @ (3,) product per link, not n 3x3 products: the same
         # bits in about half the time.
         r[:, b] = (R[:, b].reshape(-1, 3) @ com).reshape(n, 3)
-    v = cross_rows(omega, r) if com_motion else None
-    a = cross_rows(omega_dot, r) + cross_rows(omega, v) if com_motion else None
-    gap = tool[:, 0] - tool[:, 1]
+    v = cross_rows(omega, r)
+    a = cross_rows(omega_dot, r) + cross_rows(omega, v)
+    gap = axes[:, 4] - axes[:, 5]
     return WristMotion(R, omega, omega_dot, r, v, a, axes, np.sqrt(dot_rows(gap, gap)))
 
 
@@ -773,13 +778,13 @@ class _LoadFreeTorques(NamedTuple):
     ``tau0`` (N, 2) are the joint torques under inertia and gravity alone,
     and ``rest`` (N, 2) those of the same angles at zero rates and
     accelerations: the projection of the gravity moments -r x m g alone.
-    Each inertial moment of a pass at rest is +0 (every
-    ``_body_tensor_product`` ends in + 0.0, and +0 + (+-0) is +0), so
-    ``rest`` equals that pass's ``tau0`` bit for bit, signed zeros included.
-    ``g`` (N, 2, 3) holds, per actuator k, ``e5 x w_k``, with ``w_k`` the
-    terminal's angular velocity per unit rate of actuator k: a world-frame
-    tip force f at lever l adds ``l * g[:, k] . f`` to torque k.  ``axes``
-    (N, 6, 3) and ``e3_x_e5`` (N, 3), the same for every load, turn a
+    Each inertial moment of a pass at rest is +0 (each ends in + 0.0, and
+    +0 + (+-0) is +0), so ``rest`` equals that pass's ``tau0`` bit for bit,
+    signed zeros included.  ``g`` (N, 2, 3) holds, per actuator k,
+    ``e5 x w_k``, with ``w_k`` the terminal's angular velocity per unit rate
+    of actuator k: a world-frame tip force f at lever l adds
+    ``l * g[:, k] . f`` to torque k.  ``axes`` (N, 6, 3) and ``e3_x_e5``
+    (N, 3, the passive closure's b1), the same for every load, turn a
     ``CuttingLoad`` into that world-frame force.
     """
 
@@ -827,30 +832,39 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
 def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, gravity=GRAVITY) -> _LoadFreeTorques:
     """The load-free pass of ``virtual_work_torques`` on the profile's
     ``kinematics`` (``_kinematics_at`` of its angles), with the same errors;
-    a study over many loads makes it once per profile."""
+    a study over many loads makes it once per profile.  A proximal link's
+    moment reaches the torques only as e_k . M, and e_k is fixed in the world
+    and the link, so its inertial part is J_k theta_k'' e_k: J_k = a_k . I_O
+    a_k, a_k = R_k^T e_k = (0, sin a, cos a) of the leg's first twist."""
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
-    f1, f2, axes, passive = kinematics
-    m = _motion(profile.rates, profile.accels, f1, f2, axes, table, com_motion=False)
-    e1, e2, e3, _, e5, _ = (axes[:, k] for k in range(6))
+    f1, f2, axes, passive, geometry = kinematics
+    e1, e2, e3, _, e5, e6 = (axes[:, k] for k in range(6))
 
-    open_loop = m.closure > CLOSURE_TOL
+    closure = np.sqrt(dot_rows(e5 - e6, e5 - e6))
+    open_loop = closure > CLOSURE_TOL
     failed = open_loop | passive.singular
     if failed.any():
         i = int(np.argmax(failed))
         if open_loop[i]:
-            error, message = InconsistentStateError, _open_loop_message(m.closure[i])
+            error, message = InconsistentStateError, _open_loop_message(closure[i])
         else:
             error, message = ModelInconsistencyError, (
                 "the passive joint axes align; ideal joints cannot realize the motion at this sample")
         raise error(f"{_sample_label(i, profile.t[i], e5[i])}: {message}")
 
+    n, frames = len(profile), (f2[:, 0], f2[:, 1], f1[:, 0], f1[:, 1])
     weights = table.mass[:, None] * gravity
-    moments = [_body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega_dot[:, b])
-               + cross_rows(m.omega[:, b], _body_tensor_product(m.R[:, b], table.inertia_center[b], m.omega[:, b]))
-               - cross_rows(m.r_com[:, b], weights[b])
-               for b in range(len(BODY_NAMES))]
-    n = len(profile)
+    gravity_moments = [cross_rows((R.reshape(-1, 3) @ com).reshape(n, 3), w)  # the bits of _motion's r_com
+                       for R, com, w in zip(frames, table.com, weights)]
+    _, _, omega, omega_dot = _leg_motion(profile.rates, profile.accels, axes)
+    _, cos, sin = geometry._legs
+    inertial = [_body_tensor_product(frames[b], table.inertia_center[b], omega_dot[:, b])
+                + cross_rows(omega[:, b], _body_tensor_product(frames[b], table.inertia_center[b], omega[:, b]))
+                for b in range(2)]
+    for k, e in enumerate((e1, e2)):
+        a = np.array([0.0, sin[k, 0], cos[k, 0]])
+        inertial.append(float(a @ table.inertia_center[2 + k] @ a) * profile.accels[:, k, None] * e + 0.0)
     g = np.empty((n, 2, 3))
     unit_rates = []
     for k, drive in enumerate(np.eye(2)):
@@ -858,8 +872,6 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
         rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
         unit_rates.append(rates)
         g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
-    tau0 = _project(moments, axes, unit_rates)
-    del moments  # released before the gravity moments alone are formed again for the torques at rest
-    rest = _project([np.subtract(0.0, cross_rows(m.r_com[:, b], w)) for b, w in enumerate(weights)],
-                    axes, unit_rates)
-    return _LoadFreeTorques(tau0, rest, g, axes, cross_rows(e3, e5))
+    tau0 = _project([m - c for m, c in zip(inertial, gravity_moments)], axes, unit_rates)
+    rest = _project([np.subtract(0.0, c) for c in gravity_moments], axes, unit_rates)
+    return _LoadFreeTorques(tau0, rest, g, axes, passive.b1)

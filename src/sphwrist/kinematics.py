@@ -21,18 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BranchJumpError,
-    InvalidInputError,
-    OutOfRangeError,
-    SingularConfigurationError,
-    SingularOrientationError,
-    UnreachableOrientationError,
-    finite_scalar,
-    float_array,
-    frozen_rows,
-    frozen_vector,
-)
+from .errors import (BranchJumpError, InvalidInputError, OutOfRangeError, SingularConfigurationError,
+                     SingularOrientationError, UnreachableOrientationError, finite_scalar, float_array, frozen_rows,
+                     frozen_vector)
 from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, dot_rows, leg_frames,
                        unwrap_angles, wrap_angle)
 
@@ -94,7 +85,7 @@ def _off_unit(v):
 def _unit_directions(v) -> np.ndarray:
     """Read-only (N, 3) float copy of stacked tool directions, checked with
     the ``ToolOrientation`` rules; the error names the lowest failing sample."""
-    v = float_array(v)
+    v = float_array(v, "tool orientations must hold real numbers")
     if v.ndim != 2 or v.shape[1] != 3:
         raise InvalidInputError(f"tool orientations must be an (N, 3) array, got shape {v.shape}")
     bad = _off_unit(v)
@@ -388,12 +379,14 @@ class _Kinematics(NamedTuple):
     """The kinematic terms of n joint states that every pass over them reads:
     both legs' frames after the first joint step ``f1`` and after the second
     ``f2`` (n, 2, 3, 3) each, as ``leg_frames`` gives them; axes e1..e6
-    ``axes`` (n, 6, 3) (``_axis_stack``); and the ``passive`` closure terms."""
+    ``axes`` (n, 6, 3) (``_axis_stack``); the ``passive`` closure terms; and
+    the ``geometry`` they were built on."""
 
     f1: np.ndarray
     f2: np.ndarray
     axes: np.ndarray
     passive: _PassiveClosure
+    geometry: WristGeometry
 
 
 def _frames_at(theta, geometry: WristGeometry):
@@ -405,7 +398,7 @@ def _frames_at(theta, geometry: WristGeometry):
 def _kinematics_at(theta, geometry: WristGeometry) -> _Kinematics:
     """The kinematic terms at joint states theta (n, 4), from one ``leg_frames`` call."""
     f1, f2, axes = _frames_at(theta, geometry)
-    return _Kinematics(f1, f2, axes, _passive_closure(axes))
+    return _Kinematics(f1, f2, axes, _passive_closure(axes), geometry)
 
 
 def trajectory_joint_profiles(orientations, dt: float, geometry: WristGeometry) -> JointProfile:
@@ -454,7 +447,7 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry, clock=None) 
 
     drive = frozen_rows("profile rates", central_difference(theta[:, :2], dt), (len(theta), 2), label)
     drive_accel = central_difference(drive, dt)
-    _, _, axes, passive = kinematics = _kinematics_at(theta, geometry)
+    _, _, axes, passive, _ = kinematics = _kinematics_at(theta, geometry)
     rates = _closure_rates_from_axes(axes, passive, drive)
     accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
     profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * clock, theta, rates, accels, label))

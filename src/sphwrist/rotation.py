@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, finite_array, finite_scalar, frozen_vector
+from .errors import InvalidInputError, finite_array, finite_scalar, float_array, frozen_vector
 
 ROTATION_TOL = 1e-12
 
@@ -67,8 +67,9 @@ def dot_rows(a, b) -> np.ndarray:
 
 
 def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    """Check orthonormality and det(R) = +1 entrywise within ``tol``."""
-    R = np.asarray(R, dtype=float)
+    """Check orthonormality and det(R) = +1 entrywise within ``tol``; a value
+    that is not a 3x3 array of real numbers is no rotation."""
+    R = float_array(R)
     if R.shape != (3, 3):
         return False
     if not np.all(np.abs(R.T @ R - np.eye(3)) <= tol):

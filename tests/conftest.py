@@ -96,7 +96,7 @@ def closure_row(theta, drive_rates, drive_accels, geometry):
     """All four joint rates and accelerations of one joint state (4,) from
     its two actuated ones, by the profile stage's loop-closure kernels on
     one row."""
-    _, _, axes, passive = _kinematics_at(np.reshape(theta, (1, 4)), geometry)
+    _, _, axes, passive, _ = _kinematics_at(np.reshape(theta, (1, 4)), geometry)
     rates = _closure_rates_from_axes(axes, passive, np.array([drive_rates], dtype=float))
     accels = _closure_accels_from_axes(axes, passive, rates, np.array([drive_accels], dtype=float))
     return rates[0], accels[0]

@@ -968,6 +968,36 @@ def test_cutting_load_is_one_affine_term(geometry, bodies):
         assert np.all(column_rel(tau, np.array([s.tau for s in sols])) < 1e-10)
 
 
+@pytest.mark.parametrize("twists", [(1.3, 1.3), (1.8, 1.8), (1.3, 1.7), (-math.pi / 2, math.pi / 2), (2.0, 1.2)])
+def test_virtual_work_matches_the_full_moment_forms_on_other_twists(config, twists):
+    # The load-free pass takes each proximal link's inertial moment as J_k theta_k'' e_k, with
+    # J_k = a_k . I_O a_k and a_k = (0, sin a, cos a) from the leg's first twist.  On the default
+    # twists a_k is (0, 1, ~0); here it is not, the mount is turned, and every body has a full
+    # inertia tensor and an off-axis center of mass.  Each base joint's point is put on its drive
+    # axis, a_k in the link's frame, so that the Newton-Euler joints stay workless.
+    a1, a2 = twists
+    geometry = WristGeometry(alpha=[math.pi / 2, a1, a2, math.pi / 2, math.pi / 2], mount_yaw=0.3)
+    rng = np.random.default_rng(34)
+    bodies = []
+    for body, twist in zip(config.bodies, (None, None, a1, a2)):
+        spread = rng.normal(size=(3, 3)) * 0.01
+        points = dict(body.force_points)
+        if twist is not None:
+            points["joint_base"] = 0.06 * np.array([0.0, math.sin(twist), math.cos(twist)])
+        bodies.append(replace(body, inertia=spread @ spread.T + np.diag(rng.uniform(0.002, 0.01, 3)),
+                              com_offset=rng.uniform(-0.05, 0.05, 3), force_points=points))
+    assert all(np.all(np.abs(b.inertia[[0, 0, 1], [1, 2, 2]]) > 1e-6) for b in bodies)
+    # A loop of leg-1 joint pairs, reachable by construction, and its profile.
+    s = np.linspace(0.0, 2.0 * math.pi, 101)
+    directions = [forward_kinematics(t1, t3, geometry) for t1, t3 in zip(-1.2 + 0.2 * np.sin(s), 1.9 + 0.2 * np.cos(s))]
+    profile = trajectory_joint_profiles(directions, 0.01, geometry)
+    load = CuttingLoad((30.0, -20.0, 10.0), 0.11)
+    tau = virtual_work_torques(profile, geometry, bodies, GRAVITY, load)
+    assert np.all(column_rel(tau, loaded_virtual_work_reference(profile, geometry, bodies, GRAVITY, load)) <= 1e-13)
+    _, sols = solve_trajectory(profile, geometry, bodies, GRAVITY, load)
+    assert np.all(column_rel(tau, np.array([sol.tau for sol in sols])) <= 1e-10)
+
+
 @pytest.mark.parametrize("n", [101, 999, 1000, 1001, 2001])
 def test_virtual_work_rejects_what_the_gate_rejects(geometry, bodies, n):
     profile = semicircle_states(geometry, 0.25, n)
@@ -1119,6 +1149,22 @@ def test_block_pass_memory(geometry, bodies):
     finally:
         tracemalloc.stop()
     assert peak <= 1.3e6
+
+
+def test_load_free_pass_memory(geometry, bodies):
+    # One 1001-row load-free pass on a grid circle, traced: 561 kB (numpy 2, Linux x86-64), against
+    # 848 kB when each proximal link took its full moment (two body-frame tensor products and a
+    # gyroscopic cross product) and every link's motion was stacked in (n, 4, ...) arrays.
+    profile, kinematics = own_rate_profile(TrajectorySpec(kind=KIND_CIRCLE, radius=0.15, gamma=math.radians(45.0),
+                                                          sample_count=1001), geometry)
+    _load_free_torques(profile, kinematics, bodies, GRAVITY)
+    tracemalloc.start()
+    try:
+        _load_free_torques(profile, kinematics, bodies, GRAVITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7e6
 
 
 @pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])

@@ -168,7 +168,9 @@ _DOWN = np.tile([0.0, 0.0, -1.0], (3, 1))
      "error[invalid-input]: profile rates must hold finite values"),
     (lambda: OrientationPath(["a", "b", "c"], _DOWN), "error[invalid-input]: path times must hold finite values"),
     (lambda: OrientationPath(np.arange(3.0), _DOWN + 1j),
-     "error[invalid-input]: tool orientations must be an (N, 3) array, got shape (0,)"),
+     "error[invalid-input]: tool orientations must hold real numbers"),
+    (lambda: OrientationPath(np.arange(3.0), [["a", "b", "c"]] * 3),
+     "error[invalid-input]: tool orientations must hold real numbers"),
     (lambda: dh_rotation(0.0, None), "error[invalid-input]: alpha must be finite"),
     (lambda: dh_rotation("a", 0.0), "error[invalid-input]: theta must be finite"),
     (lambda: chain_frames(("a", 0.0), WristGeometry(), 1), "error[invalid-input]: thetas must be finite"),

@@ -16,6 +16,15 @@ def test_rotations_are_orthonormal():
             assert is_rotation(R, tol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_is_rotation_refuses_what_is_not_real_numbers():
+    # A complex matrix is not cut to its real part (ComplexWarning is a RuntimeWarning), and a string is no
+    # matrix: both are no rotation, with no raw ValueError.
+    assert not is_rotation(np.eye(3) * (1 + 1j))
+    assert not is_rotation("abc")
+    assert is_rotation(np.eye(3).astype(object))
+
+
 def test_dh_identity():
     np.testing.assert_allclose(dh_rotation(0.0, 0.0), np.eye(3), atol=1e-15)
 
