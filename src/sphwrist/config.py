@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import BODY_NAMES, FORCE_POINT_NAMES, GRAVITY, BodyParams, MotorSpec
+from .dynamics import BODY_NAMES, GRAVITY, BodyParams, MotorSpec
 from .errors import ConfigError, WristError, finite_scalar
 from .rotation import WristGeometry
 from .trajectory import DEFAULT_SAMPLE_COUNT, DEFAULT_TOOL_SPEED, MAX_SAMPLE_COUNT
@@ -80,7 +80,6 @@ def config_from_text(text: str) -> Config:
 
     preset = WristGeometry()
     geometry = _build(WristGeometry, "geometry", alpha=take("geometry.alpha", 5, preset.alpha),
-                      home_thetas=take("geometry.home_thetas", 4, preset.home_thetas),
                       tool_length=take("geometry.tool_length", 1, preset.tool_length),
                       mount_yaw=take("geometry.mount_yaw", 1, preset.mount_yaw))
     bodies = []
@@ -88,10 +87,8 @@ def config_from_text(text: str) -> Config:
         prefix = f"body.{name}"
         ixx, iyy, izz, ixy, ixz, iyz = take(f"{prefix}.inertia", 6)
         inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
-        points = {point: take(f"{prefix}.point.{point}", 3)
-                  for point in FORCE_POINT_NAMES[name] if f"{prefix}.point.{point}" in entries}
         bodies.append(_build(BodyParams, "body", name=name, mass=take(f"{prefix}.mass"),
-                             com_offset=take(f"{prefix}.com_offset", 3), inertia=inertia, force_points=points))
+                             com_offset=take(f"{prefix}.com_offset", 3), inertia=inertia))
     motors = tuple(_build(MotorSpec, f"motor.{i}", **{f.name: take(f"motor.{i}.{f.name}") for f in fields(MotorSpec)})
                    for i in (1, 2))
 

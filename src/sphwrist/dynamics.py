@@ -2,14 +2,16 @@
 
 Joint model: the two base joints and the first-leg elbow are frictionless
 revolutes; the terminal-distal connection is the physical revolute about the
-shared tool axis (three forces at its bearing point plus two moments
-transverse to that axis); the distal rides on the second proximal through a
-frictionless planar joint (one normal force through the wrist center plus
-two in-plane moments).  That wrench set closes every load path of the real
-mechanism while staying workless, so for loop-consistent joint states the
-24-equation system is solvable to rounding error.  It carries one internal
-self-stress (24 equations, 25 unknowns); the minimum-norm solution resolves
-it, and the actuator torques are invariant to that choice.
+shared tool axis (three forces plus two moments transverse to that axis);
+the distal rides on the second proximal through a frictionless planar joint
+(one normal force plus two in-plane moments).  Every joint axis passes
+through the wrist center, so every joint force is taken there, where it is
+workless for any geometry, and each joint wrench is its force and its moment
+about the center.  That wrench set closes every load path of the real
+mechanism, so for loop-consistent joint states the 24-equation system is
+solvable to rounding error.  It carries one internal self-stress (24
+equations, 25 unknowns) in the joint forces; the minimum-norm solution
+resolves it, and the actuator torques are invariant to that choice.
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
@@ -17,10 +19,12 @@ about that point and center-of-mass accelerations are purely rotational.
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
 ``_closed_form``, ``_power_balance_rows``), on the frames and axes that
 ``kinematics._frames_at`` builds from the angles of the rows a pass solves.
-The solve eliminates the joint forces and solves the moment balances in
-closed form on the loop's type-II determinant, from the assembly's factors;
-the gate reads their structured residual.  Only ``assemble_system`` and the
-near-singular rows (SVD least squares) form dense matrices (``_matrix``).
+The moment balances hold only the joint moments and torques, the force
+balances only the joint forces: the solve takes the first in closed form on
+the loop's type-II determinant and the second at their least norm, from the
+assembly's factors, and the gate reads their structured residual.  Only
+``assemble_system`` and the near-singular rows (SVD least squares) form
+dense matrices (``_matrix``).
 ``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
 block of ``NE_BLOCK`` rows and keeps it on the profile as one record per
 row (motion views, solution, error, power-balance terms), for the block's
@@ -40,7 +44,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -72,15 +75,14 @@ BODY_NAMES = ("terminal", "distal", "proximal-1", "proximal-2")
 AXIS_NAMES = ("e1", "e2", "e3", "e4", "e5", "e6")
 
 # The joint wrenches: action on the first body listed, reaction on the
-# second.  A force enters each body's force balance as +-I and its moment
-# balance about the center as +-skew(point), at the point named on the
-# carrying body (the center where that body names none).
+# second.  A force acts at the wrist center and enters each body's force
+# balance as +-I.
 _JOINT_FORCES = (
-    # (unknowns, carrying body, point, ((body, sign), ...))
-    ("terminal_revolute_force", "terminal", "joint_proximal1", (("terminal", 1.0), ("proximal-1", -1.0))),
-    ("tool_revolute_force", "terminal", "joint_distal", (("terminal", 1.0), ("distal", -1.0))),
-    ("base1_force", "proximal-1", "joint_base", (("proximal-1", 1.0),)),
-    ("base2_force", "proximal-2", "joint_base", (("proximal-2", 1.0),)),
+    # (unknowns, ((body, sign), ...))
+    ("terminal_revolute_force", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_force", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_force", (("proximal-1", 1.0),)),
+    ("base2_force", (("proximal-2", 1.0),)),
 )
 # A revolute joint carries the two moments transverse to its axis; the planar
 # joint the two in its plane, transverse to its normal e4.  Each basis is
@@ -94,18 +96,12 @@ _JOINT_MOMENTS = (
     ("planar_moment", "e4", "e2", (("distal", 1.0), ("proximal-2", -1.0))),
 )
 
-# The joint interaction points the assembly reads, per body; a point left
-# out sits at the wrist center.
-FORCE_POINT_NAMES = {name: tuple(point for _, carrier, point, _ in _JOINT_FORCES if carrier == name)
-                     for name in BODY_NAMES}
-
 
 @dataclass(frozen=True, eq=False)
 class BodyParams:
     """Mass, geometry, and inertia of one link, in its own body frame.
 
-    ``com_offset`` points from the wrist center to the center of mass;
-    ``force_points`` name the joint interaction points the same way.
+    ``com_offset`` points from the wrist center to the center of mass.
     ``inertia`` is taken about the center of mass; ``inertia_center``, about
     the wrist center (parallel-axis theorem), is computed once and read-only.
     """
@@ -114,7 +110,6 @@ class BodyParams:
     mass: float
     com_offset: np.ndarray
     inertia: np.ndarray
-    force_points: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name in BODY_NAMES):  # an array has no truth value
@@ -128,15 +123,13 @@ class BodyParams:
             raise InvalidInputError(f"{self.name}.inertia must be symmetric")
         if np.min(np.linalg.eigvalsh(inertia)) <= 0.0:
             raise InvalidInputError(f"{self.name}.inertia must be positive-definite")
-        points = {k: frozen_vector(f"{self.name}.point.{k}", v, 3) for k, v in self.force_points.items()}
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error raised below
             inertia_center = inertia + mass * (np.dot(com, com) * np.eye(3) - np.outer(com, com))
         if not np.all(np.isfinite(inertia_center)):
             raise InvalidInputError(f"{self.name}.com_offset gives a non-finite inertia about the wrist center")
         for array in (inertia, inertia_center):
             array.setflags(write=False)
-        vars(self).update(mass=mass, com_offset=com, inertia=inertia, inertia_center=inertia_center,
-                          force_points=MappingProxyType(points))
+        vars(self).update(mass=mass, com_offset=com, inertia=inertia, inertia_center=inertia_center)
 
 
 @dataclass(frozen=True)
@@ -182,12 +175,11 @@ def _tip_force(load: CuttingLoad, e3, e5, e3_x_e5):
     return load.f_c[0] * e3 + load.f_c[1] * e5 + load.f_c[2] * e3_x_e5
 
 
-_BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center force_points")
+_BodyTable = namedtuple("_BodyTable", "params mass com inertia inertia_center")
 
 
 def _body_table(bodies) -> _BodyTable:
-    # The links' parameters stacked in BODY_NAMES order, and each joint
-    # force's point on its carrying body (the center where it names none).
+    # The links' parameters stacked in BODY_NAMES order.
     return _table_of(tuple(bodies))
 
 
@@ -200,8 +192,7 @@ def _table_of(bodies: tuple) -> _BodyTable:
         raise InvalidInputError(f"missing body parameters for {missing}")
     params = tuple(given[n] for n in BODY_NAMES)
     return _BodyTable(params, *(np.array([getattr(p, f) for p in params])
-                                for f in ("mass", "com_offset", "inertia", "inertia_center")),
-                      np.array([given[c].force_points.get(point, np.zeros(3)) for _, c, point, _ in _JOINT_FORCES]))
+                                for f in ("mass", "com_offset", "inertia", "inertia_center")))
 
 
 # World-frame rigid-body motion of one link about the wrist center.
@@ -305,15 +296,14 @@ class AssembledSystem:
     actuated_rates: np.ndarray
 
 
-_FORCE_CARRIERS = [BODY_NAMES.index(carrier) for _, carrier, _, _ in _JOINT_FORCES]
 _MOMENT_AXES = [AXIS_NAMES.index(axis) for _, axis, _, _ in _JOINT_MOMENTS]
 _MOMENT_SEEDS = [AXIS_NAMES.index(seed) for _, _, seed, _ in _JOINT_MOMENTS]
 _ALIGNED_MESSAGE = "cannot build a transverse moment basis; axes are aligned"
 
 
-# Factored Newton-Euler systems (``_matrix`` writes their matrices): joint moment ``bases`` (n, 5, 3, 2), force
-# ``points`` (n, 4, 3), ``axes`` e1..e6, ``rhs`` (n, 24), and the rows ``aligned`` where a basis cannot be built.
-_Assembly = namedtuple("_Assembly", "bases points axes rhs aligned")
+# Factored Newton-Euler systems (``_matrix`` writes their matrices): joint moment ``bases`` (n, 5, 3, 2),
+# ``axes`` e1..e6, ``rhs`` (n, 24), and the rows ``aligned`` where a basis cannot be built.
+_Assembly = namedtuple("_Assembly", "bases axes rhs aligned")
 
 
 def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None) -> _Assembly:
@@ -327,7 +317,6 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
     aligned = length < 1e-9
     normal /= np.where(aligned, 1.0, length)[..., None]
     bases = np.stack([normal, cross_rows(axis, normal)], axis=3)
-    points = (m.R[:, _FORCE_CARRIERS] @ table.force_points[:, :, None])[..., 0]
 
     # Force balances m a - m g, moment balances about the center
     # I_O w_dot + w x I_O w - r x m g, less the cutting wrench on the terminal.
@@ -342,22 +331,16 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
         f = _tip_force(load, e3, e5, cross_rows(e3, e5))
         b[:, 0, :3] -= f
         b[:, 0, 3:] -= cross_rows(load.lever * e5, f)
-    return _Assembly(bases, points, m.joint_axes, b.reshape(n, N_EQUATIONS), aligned.any(axis=1))
+    return _Assembly(bases, m.joint_axes, b.reshape(n, N_EQUATIONS), aligned.any(axis=1))
 
 
 def _matrix(f: _Assembly):
     """The (n, 24, 25) matrices of factored systems."""
-    n = len(f.rhs)
-    # skew[j] @ x = points[j] x x, written entry by entry so that its zeros stay +0.
-    skew = np.zeros((n, len(_JOINT_FORCES), 3, 3))
-    skew[..., [2, 0, 1], [1, 2, 0]] = f.points
-    skew[..., [1, 2, 0], [2, 0, 1]] = -f.points
-    A = np.zeros((n, N_EQUATIONS, N_UNKNOWNS))
+    A = np.zeros((len(f.rhs), N_EQUATIONS, N_UNKNOWNS))
     s = UNKNOWN_SLICES
-    for j, (force, _, _, ends) in enumerate(_JOINT_FORCES):
+    for force, ends in _JOINT_FORCES:
         for body, sign in ends:
             A[:, _ROWS[body][0], s[force]] = sign * np.eye(3)
-            A[:, _ROWS[body][1], s[force]] = sign * skew[:, j]
     for j, (moment, _, _, ends) in enumerate(_JOINT_MOMENTS):
         for body, sign in ends:
             A[:, _ROWS[body][1], s[moment]] = sign * f.bases[:, j]
@@ -396,33 +379,26 @@ class DynamicsSolution:
 
 
 # The joint forces' unknowns in _JOINT_FORCES order and the joint moments'
-# in _JOINT_MOMENTS order, and each joint force's part per unit planar force
-# p as a multiple of e4.
-_FORCE_COLUMNS = tuple(i for force, *_ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
+# in _JOINT_MOMENTS order, and each joint force's part s_j per unit planar
+# force p as a multiple of e4.
+_FORCE_COLUMNS = tuple(i for force, _ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
 _MOMENT_COLUMNS = tuple(i for moment, *_ in _JOINT_MOMENTS for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[moment]])
 _ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
-def _closed_form(b, points, bases, drives, e4, rows, matrices):
+def _closed_form(b, bases, drives, e4, rows, matrices):
     """Read-only minimum-norm solutions x (n, 25) of the systems in ``rows``
     (n,) bool, from their factors (``_Assembly``, drive axes (n, 2, 3), e4
-    (n, 3)); the others are left NaN.  In closed form on the loop's type-II
-    determinant det K, elementwise over the rows (README, "Model notes"; no
-    stacked matmul, whose bits may depend on the block size).  Rows where
-    |det K| is at most ``TYPE_II_TOL`` |n3| |n4| |t5a| |t5b| take SVD least
-    squares on their dense matrices, ``matrices(picked)`` of their indices."""
+    (n, 3)); the others are left NaN.  The moment balances fix the joint
+    moments and torques on the loop's type-II determinant det K, and the
+    force balances the joint forces and p at their least norm, in closed
+    form, elementwise over the rows (README, "Model notes"; no stacked
+    matmul, whose bits may depend on the block size).  Rows where |det K| is
+    at most ``TYPE_II_TOL`` |n3| |n4| |t5a| |t5b| take SVD least squares on
+    their dense matrices, ``matrices(picked)`` of their indices."""
     n, s = len(b), UNKNOWN_SLICES
-    # b's force and moment parts per body (4, n, 3); per joint force its
-    # constant part c and, negated, its part per unit p, -s e4 (2, 4, n, 3).
+    # b's force and moment parts per body (4, n, 3).
     force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
-    revolute = force_rhs[0] + force_rhs[1]
-    forces = np.stack([(revolute, -force_rhs[1], force_rhs[2] + revolute, force_rhs[3]),
-                       np.multiply.outer(-_ALONG_P, e4)])
-    # The moment balances' right-hand sides d and p's column a (2, 4, n, 3),
-    # less each joint force's moment on its two bodies (_JOINT_FORCES).
-    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(points.swapaxes(0, 1), forces).swapaxes(0, 1)
-    reduced = np.stack([-revolute_moment - tool_moment, tool_moment, revolute_moment - base1_moment, -base2_moment], 1)
-    reduced[0] += moment_rhs
     # The bases' columns (2, 5, n, 3): t_a, t_b (2, n, 3) of the terminal-revolute and planar bases, t5 of the
     # tool-revolute one, and the proximal frames' (3, 2, n, 3), each a base basis and its drive axis.
     columns = np.ascontiguousarray(bases.transpose(3, 1, 0, 2))
@@ -431,44 +407,37 @@ def _closed_form(b, points, bases, drives, e4, rows, matrices):
     frames = np.concatenate([columns[:, 2:4], drives.swapaxes(0, 1)[None]])
     normal = cross_rows(t_a, t_b)
     normal_sq = dot_rows(normal, normal)
-    # [K | k] (m5, p) = q, one row per normal (2, n, 3): the distal balance holds -m5.
-    q = dot_rows(normal, reduced[:, :2])
+    # K m5 = q, one row per normal (n3, n4): the terminal balance holds m5, the distal one -m5.
+    q = dot_rows(normal, moment_rhs[:2])
     K = dot_rows(normal[:, None], t5) * np.array([1.0, -1.0])[:, None, None]
-    r = np.stack([*K[0], q[1, 0], *K[1], q[1, 1]], axis=-1).reshape(n, 2, 3).swapaxes(0, 1)
-    w = cross_rows(r[0], r[1])
-    full = np.abs(w[:, 2]) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
+    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+    full = np.abs(det) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
     # Rows left out may divide by zero; their x is replaced below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The rows' pseudo-inverse columns (r2 x w, w x r1) / w.w and each basis'
-        # dual rows (t_b x n, n x t_a) / n.n, Cramer's rule against n (2, 2, n, 3).
-        inverse = np.stack([cross_rows(r[1], w), cross_rows(w, r[0])]) / dot_rows(w, w)[:, None]
+        m5 = np.stack([K[1, 1] * q[0] - K[0, 1] * q[1], K[0, 0] * q[1] - K[1, 0] * q[0]]) / det
+        # Each basis' dual rows (t_b x n, n x t_a) / n.n, Cramer's rule against n (2, 2, n, 3), give m3 and m4
+        # (2, 2, n); each proximal frame's transpose its base moments and torque (3, 2, n).
         dual = np.stack([cross_rows(t_b, normal), cross_rows(normal, t_a)]) / normal_sq[..., None]
-        w -= np.sum(inverse * dot_rows(r, w)[..., None], axis=0)
-        # (m5, p) of x_p and of u (2, n, 3); each moment balance less their
-        # terms (2, 4, n, 3), and the joint moments that leaves.
-        core = np.stack([np.sum(inverse * q[0][..., None], axis=0), w])
-        p = core[..., 2]
-        rest = -p[:, None, :, None] * reduced[1]
-        rest[0] += reduced[0]
-        tool_terms = t5[0] * core[..., :1] + t5[1] * core[..., 1:2]
-        rest[:, 0] -= tool_terms
-        rest[:, 1] += tool_terms
-        joint = dot_rows(dual[:, None], rest[:, :2])
-        rest[:, 2:] += t_a * joint[0][..., None] + t_b * joint[1][..., None]
-        own = dot_rows(frames[:, None], rest[:, 2:])
-        # Lifted to the 25 unknowns, unknown-major (25, 2, n).
-        lifted = np.empty((N_UNKNOWNS, 2, n))
-        lifted[s["terminal_revolute_moment"]], lifted[s["planar_moment"]] = joint[:, :, 0], joint[:, :, 1]
-        lifted[s["tool_revolute_moment"]] = np.moveaxis(core[..., :2], 2, 0)
-        lifted[s["base1_moment"].start:s["tau1"].stop], lifted[s["base2_moment"].start:s["tau2"].stop] = (
-            own.transpose(2, 0, 1, 3))
-        lifted[s["planar_force"].start] = p
-        joint_forces = -p[:, None, :, None] * forces[1]
-        joint_forces[0] += forces[0]
-        lifted[_FORCE_COLUMNS, :] = joint_forces.transpose(1, 3, 0, 2).reshape(-1, 2, n)
-        dots = np.sum(lifted[:, 1, None] * lifted, axis=0)
-        x = (lifted[:, 0] - dots[0] / dots[1] * lifted[:, 1]).T
-    x = np.where((rows & full)[:, None], x, np.nan)
+        tool_terms = t5[0] * m5[0][..., None] + t5[1] * m5[1][..., None]
+        moment_rhs[0] -= tool_terms
+        moment_rhs[1] += tool_terms
+        joint = dot_rows(dual, moment_rhs[:2])
+        moment_rhs[2:] += t_a * joint[0][..., None] + t_b * joint[1][..., None]
+        own = dot_rows(frames, moment_rhs[2:])
+        # Each joint force is c_j + p s_j e4 (s = _ALONG_P), c (4, n, 3) from the force balances; the least
+        # norm of the forces and p gives p = -sum_j s_j (e4 . c_j) / (4 e4 . e4 + 1).
+        revolute = force_rhs[0] + force_rhs[1]
+        c = np.stack([revolute, -force_rhs[1], force_rhs[2] + revolute, force_rhs[3]])
+        p = -np.sum(_ALONG_P[:, None] * dot_rows(e4, c), axis=0) / (4.0 * dot_rows(e4, e4) + 1.0)
+        forces = c + _ALONG_P[:, None, None] * (p[:, None] * e4)
+    # The 25 unknowns, unknown-major (25, n).
+    x = np.empty((N_UNKNOWNS, n))
+    x[s["terminal_revolute_moment"]], x[s["planar_moment"]] = joint[:, 0], joint[:, 1]
+    x[s["tool_revolute_moment"]] = m5
+    x[s["base1_moment"].start:s["tau1"].stop], x[s["base2_moment"].start:s["tau2"].stop] = own.swapaxes(0, 1)
+    x[s["planar_force"].start] = p
+    x[_FORCE_COLUMNS, :] = forces.transpose(0, 2, 1).reshape(-1, n)
+    x = np.where((rows & full)[:, None], x.T, np.nan)
     picked = np.flatnonzero(rows & ~full)
     for i, A in zip(picked, matrices(picked) if len(picked) else ()):
         x[i], *_ = np.linalg.lstsq(A, b[i], rcond=None)
@@ -482,8 +451,7 @@ def _solve(A, b, rows):
     another form than ``_matrix`` writes fails the gate."""
     s = UNKNOWN_SLICES
     x = _closed_form(
-        b, np.stack([A[:, _ROWS[body][1], s[force]][:, [2, 0, 1], [1, 2, 0]] for force, body, *_ in _JOINT_FORCES], 1),
-        np.stack([A[:, _ROWS[ends[0][0]][1], s[moment]] for moment, *_, ends in _JOINT_MOMENTS], 1),
+        b, np.stack([A[:, _ROWS[ends[0][0]][1], s[moment]] for moment, *_, ends in _JOINT_MOMENTS], 1),
         np.stack([A[:, _ROWS["proximal-1"][1], s["tau1"].start], A[:, _ROWS["proximal-2"][1], s["tau2"].start]], 1),
         A[:, _ROWS["distal"][0], s["planar_force"].start], rows, A.__getitem__)
     res = (A @ x[..., None])[..., 0] - b
@@ -494,16 +462,15 @@ def _solve(A, b, rows):
 def _residual(f: _Assembly, x):
     """Relative residuals |A x - b| / |b| (n,) at solutions x (n, 25) of
     factored systems, A their ``_matrix``, by a structured product: per body,
-    its joint forces and p e4, their moments about the center, its joint
-    moments and its drive torque, signed as in the joint tables."""
-    revolute, tool, base1, base2 = forces = x[:, _FORCE_COLUMNS].reshape(-1, len(_JOINT_FORCES), 3).swapaxes(0, 1)
-    revolute_moment, tool_moment, base1_moment, base2_moment = cross_rows(f.points.swapaxes(0, 1), forces)
+    its joint forces and p e4, then its joint moments and its drive torque,
+    signed as in the joint tables."""
+    revolute, tool, base1, base2 = x[:, _FORCE_COLUMNS].reshape(-1, len(_JOINT_FORCES), 3).swapaxes(0, 1)
     m3, m5, m1, m2, m4 = dot_rows(f.bases, x[:, _MOMENT_COLUMNS].reshape(-1, len(_JOINT_MOMENTS), 1, 2)).swapaxes(0, 1)
     planar = x[:, UNKNOWN_SLICES["planar_force"].start, None] * f.axes[:, 3]
     # A x per body and balance (8, n, 3), less b last, which puts it nearer the exact residual.
-    res = np.stack([revolute + tool, revolute_moment + tool_moment + m3 + m5, planar - tool, m4 - tool_moment - m5,
-                    base1 - revolute, base1_moment - revolute_moment - m3 + m1 + x[:, _TAU[0], None] * f.axes[:, 0],
-                    base2 - planar, base2_moment - m4 + m2 + x[:, _TAU[1], None] * f.axes[:, 1]])
+    res = np.stack([revolute + tool, m3 + m5, planar - tool, m4 - m5, base1 - revolute,
+                    m1 - m3 + x[:, _TAU[0], None] * f.axes[:, 0], base2 - planar,
+                    m2 - m4 + x[:, _TAU[1], None] * f.axes[:, 1]])
     res -= f.rhs.reshape(-1, 2 * len(BODY_NAMES), 3).swapaxes(0, 1)
     rhs_norm = np.sqrt(np.sum(f.rhs * f.rhs, axis=1))
     return np.sqrt(np.sum(dot_rows(res, res), axis=0)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
@@ -636,7 +603,7 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     m = _motion(rates, accels, *_frames_at(theta, geometry), table)
     f = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
-    x = _closed_form(f.rhs, f.points, f.bases, f.axes[:, :2], f.axes[:, 3], ~(open_loop | f.aligned),
+    x = _closed_form(f.rhs, f.bases, f.axes[:, :2], f.axes[:, 3], ~(open_loop | f.aligned),
                      lambda picked: _matrix(_Assembly(*(a[picked] for a in f))))
     residual = _residual(f, x)
     errors = tuple((InconsistentStateError, _open_loop_message(c)) if o

@@ -80,11 +80,13 @@ def test_config_omitted_tool_speed_defaults_to_one():
 def test_config_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="mystery"):
         config_from_text(default_config_text() + "\nmystery.key = 1.0\n")
-    # Only the points the assembly reads are accepted, so a misspelled or
-    # misplaced point cannot silently sit at the wrist center.
-    for key in ("body.terminal.point.joint_proximal", "body.distal.point.joint_base"):
-        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
-            config_from_text(default_config_text() + f"\n{key} = 0.0, 0.06, 0.0\n")
+    # Every joint force acts at the wrist center, so a joint point is no key,
+    # and neither is the home configuration, which nothing reads.
+    for key, value in (("body.terminal.point.joint_distal", "0.0, 0.0, -0.07"),
+                       ("body.proximal-1.point.joint_base", "0.0, 0.06, 0.0"),
+                       ("geometry.home_thetas", "-1.0, 1.0, 1.0, -1.0")):
+        with pytest.raises(ConfigError, match=f"^unknown key\\(s\\): {re.escape(key)}$"):
+            config_from_text(default_config_text() + f"\n{key} = {value}\n")
     text = default_config_text() + "\ngravity = 0, 0, -9.81\n"
     assert np.array_equal(config_from_text(text).gravity, [0.0, 0.0, -9.81])
     with pytest.raises(ConfigError, match="duplicate"):
@@ -166,11 +168,9 @@ def test_default_config_is_one_shared_read_only_config(tmp_path):
     assert isinstance(config.bodies, tuple)
     with pytest.raises(ValueError):
         config.gravity[2] = 0.0
-    with pytest.raises(TypeError):
-        config.bodies[0].force_points["joint_distal"] = np.zeros(3)
     arrays = [config.gravity, config.geometry.alpha, config.geometry.home_thetas]
     for body in config.bodies:
-        arrays += [body.com_offset, body.inertia, body.inertia_center, *body.force_points.values()]
+        arrays += [body.com_offset, body.inertia, body.inertia_center]
     assert not any(a.flags.writeable for a in arrays)
     # load_config reads its file again on every call.
     path = tmp_path / "params.cfg"
@@ -184,7 +184,6 @@ def test_default_config_is_one_shared_read_only_config(tmp_path):
 # The shipped values of the keys that default.cfg leaves to the code.
 _CODE_VALUES = {
     "geometry.alpha": [1.5707963267948966] * 5,
-    "geometry.home_thetas": [-1.5707963267948966, 1.5707963267948966, 1.5707963267948966, -1.5707963267948966],
     "geometry.tool_length": [0.11],
     "geometry.mount_yaw": [0.7853981633974483],
     "gravity": [0.0, 0.0, -9.81],
@@ -202,11 +201,10 @@ def _config_numbers(config):
     center of mass, inertia and inertia about the wrist center under its
     name, a motor's six numbers under its)."""
     numbers = {f"geometry.{name}": np.ravel(getattr(config.geometry, name)).tolist()
-               for name in ("alpha", "home_thetas", "tool_length", "mount_yaw")}
+               for name in ("alpha", "tool_length", "mount_yaw")}
     for body in config.bodies:
         numbers[f"body.{body.name}"] = [body.mass, *body.com_offset.tolist(), *body.inertia.ravel().tolist(),
                                         *body.inertia_center.ravel().tolist()]
-        numbers |= {f"body.{body.name}.point.{point}": v.tolist() for point, v in body.force_points.items()}
     for i, motor in enumerate(config.motors, start=1):
         numbers[f"motor.{i}"] = [getattr(motor, f.name) for f in dataclasses.fields(motor)]
     return numbers | {"gravity": config.gravity.tolist(), "defaults.sample_count": [config.sample_count],
@@ -222,7 +220,6 @@ def test_config_of_link_and_motor_keys_takes_the_code_values():
     # Each of those keys, when given, overrides the code's value and nothing else.
     overrides = {
         "geometry.alpha": [1.5, 1.4, 1.3, 1.2, 1.1],
-        "geometry.home_thetas": [-1.0, 1.0, 1.25, -1.25],
         "geometry.tool_length": [0.2],
         "geometry.mount_yaw": [0.5],
         "gravity": [0.0, -9.81, 0.0],
@@ -267,17 +264,17 @@ def _bad_entry(draw):
 @example(entry=("body.terminal.mass", ["-0.0"]))
 @example(entry=("motor.2.continuous_torque", ["inf"]))
 @example(entry=("geometry.alpha", ["nan"] * 5))
-@example(entry=("body.terminal.point.joint_distal", ["0.0", "#", "-0.07"]))
+@example(entry=("body.terminal.com_offset", ["0.0", "#", "0.05"]))
 @example(entry=("gravity", []))
 @example(entry=("body.distal.com_offset", ["-1e300", "0.055", "-0.035"]))
 # A valid number above max_speed: the error names the key that holds it.
 @example(entry=("motor.1.nominal_speed", ["700"]))
 @example(entry=("motor.1.max_torque", None))
 @example(entry=("geometry.alpha", None))
-@example(entry=("body.terminal.point.joint_distal", None))
+@example(entry=("body.terminal.com_offset", None))
 @example(entry=("body.distal.com_offset", ["0.0", "0.055"]))
 def test_config_bad_values_name_their_key(tmp_path_factory, entry):
-    assert len(_DEFAULT_ENTRIES) == 35
+    assert len(_DEFAULT_ENTRIES) == 30
     key, values = entry
     lines = []
     for line in _FULL_TEXT.splitlines():
@@ -295,8 +292,8 @@ def test_config_bad_values_name_their_key(tmp_path_factory, entry):
         rejected = str(exc)
         assert key in rejected, rejected
     if values is None:
-        # Only the link and motor parameters are required; a point left out sits at the wrist center.
-        required = key.startswith(("body.", "motor.")) and ".point." not in key
+        # Only the link and motor parameters are required.
+        required = key.startswith(("body.", "motor."))
         assert rejected == (f"missing required key {key!r}" if required else None)
     elif rejected is None or "non-numeric" not in rejected:
         # The text parses, so the key holds numbers: a wrong count of them is

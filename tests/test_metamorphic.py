@@ -1,20 +1,24 @@
 """Metamorphic relations over the whole pipeline: path, profile and torques.
 
 Each relation compares the pipeline with itself under a change of its input
-(the path run backwards, gravity scaled, the tool speed changed), so it needs
-no reference values and holds whatever the torque formulation is.
+(the path run backwards, gravity scaled, the tool speed changed, lengths
+restated in millimetres), so it needs no reference values and holds whatever
+the torque formulation is.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from sphwrist import (JointProfile, TrajectorySpec, default_config, generate, trajectory_joint_profiles,
-                      virtual_work_torques)
+from conftest import closure_row
+from sphwrist import (CuttingLoad, JointAngles, JointProfile, JointState, TrajectorySpec, default_config,
+                      forward_kinematics, generate, solve_state, trajectory_joint_profiles, virtual_work_torques)
 from sphwrist.errors import BranchJumpError
+from sphwrist.kinematics import _joint_angles
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 CONFIG = default_config()
@@ -97,3 +101,30 @@ def test_torques_split_into_a_static_part_and_one_quadratic_in_speed(spec, gravi
     peak = max(np.abs(tau).max(), np.abs(static).max())
     s = spec.tool_speed
     assert np.abs(tau - (static + s * s * (_torques(unit, gravity) - static))).max() <= 1e-12 * peak
+
+
+def test_reactions_scale_with_the_unit_of_length():
+    # The same wrist with every length in millimetres: centers of mass x 1e3,
+    # inertias x 1e6, gravity x 1e3, the cutting force and its lever x 1e3.
+    # Angles, rates and accelerations do not change, so every joint force
+    # and p scale by 1e3 and every joint moment and torque by 1e6, on a
+    # regular loaded row of a circle and at the type-II singular state at
+    # rest (theta1 = 0, theta3 = 1 rad) that the gate accepts, where the
+    # minimum-norm pick of the torques must not depend on the unit either.
+    geometry = CONFIG.geometry
+    bodies_mm = tuple(replace(body, com_offset=body.com_offset * 1e3, inertia=body.inertia * 1e6)
+                      for body in CONFIG.bodies)
+    load = CuttingLoad((150.0, -80.0, 40.0), 0.11)
+    load_mm = CuttingLoad(load.f_c * 1e3, load.lever * 1e3)
+    circle = generate(TrajectorySpec(KIND_CIRCLE, 0.15, gamma=math.radians(45.0), sample_count=301))
+    theta = _joint_angles(forward_kinematics(0.0, 1.0, geometry).v, geometry)
+    at_rest = JointState(JointAngles(theta), *closure_row(theta, (0.0, 0.0), (0.0, 0.0), geometry), 0.0)
+    for state, loads in ((_profile(circle.v, circle.t)[37], (load, load_mm)), (at_rest, (None, None))):
+        _, metres = solve_state(state, geometry, CONFIG.bodies, CONFIG.gravity, loads[0])
+        _, millimetres = solve_state(state, geometry, bodies_mm, CONFIG.gravity * 1e3, loads[1])
+        for forces, scale in ((True, 1e3), (False, 1e6)):
+            names = [name for name in metres.reactions if name.endswith("force") == forces]
+            m, mm = (np.concatenate([np.atleast_1d(solution.reactions[name]) for name in names])
+                     for solution in (metres, millimetres))
+            assert np.max(np.abs(mm / scale - m)) <= 1e-12 * np.max(np.abs(m)), names
+        assert np.max(np.abs(millimetres.tau / 1e6 - metres.tau)) <= 1e-12 * np.max(np.abs(metres.tau))

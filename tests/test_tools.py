@@ -21,11 +21,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
     # runs, and two dynamics runs on config files; only the semicircle's
-    # torques fail, at its singular midpoint.  The 19 error cases and the 5
+    # torques fail, at its singular midpoint.  The 19 error cases and the 6
     # config error cases each end in one categorised error line.
-    assert len(exits) == 49 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 50 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 24 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 25 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -75,12 +75,15 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         "error[config-error]: geometry.tool_length must be positive\n")
     assert (a / "error_config_infinite_mount_yaw.stderr").read_text() == (
         "error[config-error]: geometry.mount_yaw must be finite\n")
+    # A joint force point, a key of an earlier joint model, is an unknown key.
+    assert (a / "error_config_force_point.stderr").read_text() == (
+        "error[config-error]: unknown key(s): body.terminal.point.joint_distal\n")
     # A config of the link and motor parameters alone takes the rest from the code.
     cfg_keys = {line.partition(" =")[0] for line in (a / "config_link_and_motor_only.cfg").read_text().splitlines()}
     assert {key.split(".")[0] for key in cfg_keys} == {"body", "motor", "gravity"}
     assert (a / "config_link_and_motor_only.stdout").read_text().startswith(
         "wrote 51 samples to config_link_and_motor_only.csv\n")
-    assert len(list(a.glob("*.cfg"))) == 7
+    assert len(list(a.glob("*.cfg"))) == 8
     assert len(list(a.glob("*.csv"))) == 46
     assert (a / "traj_30_0.25.stdout").read_text() == "wrote 21 samples to traj_30_0.25.csv\n"
     # A study that sets its own sample count keeps it.
@@ -135,7 +138,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "205 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "209 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -149,4 +152,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
                                            "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5, relative 0.00436",
-                                           "205 files, 3 differ"]
+                                           "209 files, 3 differ"]

@@ -115,11 +115,12 @@ ERROR_CASES = (
 def config_cases():
     """``(name, lines, argv)`` for the config cases: NAME.cfg holds ``lines``.
 
-    The five error cases start from the shipped link and motor lines, with
+    The six error cases start from the shipped link and motor lines, with
     every other key written out at the loaded value, so that the file is the
-    same for any tree that loads the same parameters; each changes or leaves
-    out one key.  The next case holds the link and motor lines alone, with
-    zero gravity.  The last one sets a negative distal twist, so that a
+    same for any tree that loads the same parameters; each changes, leaves
+    out or adds one key (a joint force point, which is no key: every joint
+    force acts at the wrist center).  The next case holds the link and motor
+    lines alone, with zero gravity.  The last one sets a negative distal twist, so that a
     comparison shows what a change to the inverse kinematics does on a
     geometry other than the default.
     """
@@ -131,10 +132,9 @@ def config_cases():
     config = sphwrist.default_config()
     shipped = [line for line in default_config_text().splitlines() if line.startswith(("body.", "motor."))]
     geometry = config.geometry
-    loaded = {"geometry.alpha": geometry.alpha, "geometry.home_thetas": geometry.home_thetas,
-              "geometry.tool_length": [geometry.tool_length], "geometry.mount_yaw": [geometry.mount_yaw],
-              "gravity": config.gravity, "defaults.sample_count": [config.sample_count],
-              "defaults.tool_speed": [config.tool_speed]}
+    loaded = {"geometry.alpha": geometry.alpha, "geometry.tool_length": [geometry.tool_length],
+              "geometry.mount_yaw": [geometry.mount_yaw], "gravity": config.gravity,
+              "defaults.sample_count": [config.sample_count], "defaults.tool_speed": [config.tool_speed]}
     full = shipped + [f"{key} = {', '.join(repr(float(x)) for x in values)}" for key, values in loaded.items()]
 
     def with_key(key, value=None):
@@ -149,6 +149,7 @@ def config_cases():
         ("error_config_negative_mass", with_key("body.terminal.mass", "-1"), fk),
         ("error_config_zero_tool_length", with_key("geometry.tool_length", "0"), fk),
         ("error_config_infinite_mount_yaw", with_key("geometry.mount_yaw", "inf"), fk),
+        ("error_config_force_point", with_key("body.terminal.point.joint_distal", "0.0, 0.0, -0.07"), fk),
         ("config_link_and_motor_only", shipped + ["gravity = 0, 0, 0"],
          ["dynamics", "--gamma", "45", "--radius", "0.15", "--samples", "51", "--out", "config_link_and_motor_only.csv"]),
         ("config_negative_distal_twist", with_key("geometry.alpha", negative_distal_twist),
