@@ -7,11 +7,13 @@ the distal rides on the second proximal through a frictionless planar joint
 (one normal force plus two in-plane moments).  Every joint axis passes
 through the wrist center, so every joint force is taken there, where it is
 workless for any geometry, and each joint wrench is its force and its moment
-about the center.  That wrench set closes every load path of the real
-mechanism, so for loop-consistent joint states the 24-equation system is
-solvable to rounding error.  It carries one internal self-stress (24
-equations, 25 unknowns) in the joint forces; the minimum-norm solution
-resolves it, and the actuator torques are invariant to that choice.
+about the center, its moment's two unknowns being coordinates on two columns
+of a link frame normal to the joint axis (``_assemble``).  That wrench set
+closes every load path of the real mechanism, so for loop-consistent joint
+states the 24-equation system is solvable to rounding error.  It carries
+one internal self-stress (24 equations, 25 unknowns) in the joint forces;
+the minimum-norm solution resolves it, and away from type-II singularities
+the actuator torques are invariant to that choice.
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
@@ -19,17 +21,16 @@ about that point and center-of-mass accelerations are purely rotational.
 Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
 ``_closed_form``, ``_power_balance_rows``), on the frames and axes that
 ``kinematics._frames_at`` builds from the angles of the rows a pass solves.
-The moment balances hold only the joint moments and torques, the force
-balances only the joint forces: the solve takes the first in closed form on
-the loop's type-II determinant and the second at their least norm, from the
-assembly's factors, and the gate reads their structured residual.  Only
-``assemble_system`` and the near-singular rows (SVD least squares) form
-dense matrices (``_matrix``).
-``solve_state`` on a row of a ``JointProfile`` solves the row's aligned
-block of ``NE_BLOCK`` rows and keeps it on the profile as one record per
-row (motion views, solution, error, power-balance terms), for the block's
-other rows and for ``power_balance_residual``.  ``verify_profile`` makes
-the same block passes over a whole profile.
+``_closed_form`` solves the moment balances on the loop's type-II
+determinant and the force balances at their least norm, from the assembly's
+factors, and the gate reads their structured residual.  Only
+``solve_wrenches`` (on ``assemble_system``'s matrix) and the rows next to a
+type-II singularity form dense matrices (``_matrix``), for SVD least squares.
+``solve_state`` on a row of a ``JointProfile`` solves the row's block of
+``NE_BLOCK`` rows and keeps it on the profile as one record per row (motion
+views, solution, error, power-balance terms), for the block's other rows
+and for ``power_balance_residual``.  ``verify_profile`` makes the same
+block passes over a whole profile.
 
 The studies take their actuator torques from ``_load_free_torques``, the
 load-free pass of ``virtual_work_torques`` (virtual work over a whole joint
@@ -85,15 +86,15 @@ _JOINT_FORCES = (
     ("base2_force", (("proximal-2", 1.0),)),
 )
 # A revolute joint carries the two moments transverse to its axis; the planar
-# joint the two in its plane, transverse to its normal e4.  Each basis is
-# built from the joint axis and a seed axis (see ``_assemble``).
+# joint the two in its plane, transverse to its normal e4.  Each pair is in
+# the coordinates of two columns of a link frame (see ``_assemble``).
 _JOINT_MOMENTS = (
-    # (unknowns, joint axis, seed axis, ((body, sign), ...))
-    ("terminal_revolute_moment", "e3", "e5", (("terminal", 1.0), ("proximal-1", -1.0))),
-    ("tool_revolute_moment", "e5", "e3", (("terminal", 1.0), ("distal", -1.0))),
-    ("base1_moment", "e1", "e3", (("proximal-1", 1.0),)),
-    ("base2_moment", "e2", "e4", (("proximal-2", 1.0),)),
-    ("planar_moment", "e4", "e2", (("distal", 1.0), ("proximal-2", -1.0))),
+    # (unknowns, ((body, sign), ...))
+    ("terminal_revolute_moment", (("terminal", 1.0), ("proximal-1", -1.0))),
+    ("tool_revolute_moment", (("terminal", 1.0), ("distal", -1.0))),
+    ("base1_moment", (("proximal-1", 1.0),)),
+    ("base2_moment", (("proximal-2", 1.0),)),
+    ("planar_moment", (("distal", 1.0), ("proximal-2", -1.0))),
 )
 
 
@@ -296,27 +297,20 @@ class AssembledSystem:
     actuated_rates: np.ndarray
 
 
-_MOMENT_AXES = [AXIS_NAMES.index(axis) for _, axis, _, _ in _JOINT_MOMENTS]
-_MOMENT_SEEDS = [AXIS_NAMES.index(seed) for _, _, seed, _ in _JOINT_MOMENTS]
-_ALIGNED_MESSAGE = "cannot build a transverse moment basis; axes are aligned"
-
-
 # Factored Newton-Euler systems (``_matrix`` writes their matrices): joint moment ``bases`` (n, 5, 3, 2),
-# ``axes`` e1..e6, ``rhs`` (n, 24), and the rows ``aligned`` where a basis cannot be built.
-_Assembly = namedtuple("_Assembly", "bases axes rhs aligned")
+# ``axes`` e1..e6 and ``rhs`` (n, 24).
+_Assembly = namedtuple("_Assembly", "bases axes rhs")
 
 
 def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | None) -> _Assembly:
     """The Newton-Euler systems of n motions, as ``_Assembly``."""
     n = len(m.closure)
-    # Each moment basis: the unit vector normal to the joint axis in its plane
-    # with the seed axis, then the axis cross that vector.
-    axis, seed = m.joint_axes[:, _MOMENT_AXES], m.joint_axes[:, _MOMENT_SEEDS]
-    normal = seed - dot_rows(seed, axis)[..., None] * axis
-    length = np.sqrt(dot_rows(normal, normal))
-    aligned = length < 1e-9
-    normal /= np.where(aligned, 1.0, length)[..., None]
-    bases = np.stack([normal, cross_rows(axis, normal)], axis=3)
+    # Each moment basis, in _JOINT_MOMENTS order: the x and y columns of a frame whose z column is the joint
+    # axis (e3 proximal-1's, e5 the terminal's, e4 proximal-2's), and for base k the x column x_k of
+    # proximal-k's frame, the common normal of e_k and the elbow axis, with e_k x x_k.
+    drive_x = m.R[:, 2:, :, 0]
+    base = np.stack([drive_x, cross_rows(m.joint_axes[:, :2], drive_x)], axis=3)
+    bases = np.stack([m.R[:, 2, :, :2], m.R[:, 0, :, :2], base[:, 0], base[:, 1], m.R[:, 3, :, :2]], axis=1)
 
     # Force balances m a - m g, moment balances about the center
     # I_O w_dot + w x I_O w - r x m g, less the cutting wrench on the terminal.
@@ -331,7 +325,7 @@ def _assemble(m: WristMotion, table: _BodyTable, gravity, load: CuttingLoad | No
         f = _tip_force(load, e3, e5, cross_rows(e3, e5))
         b[:, 0, :3] -= f
         b[:, 0, 3:] -= cross_rows(load.lever * e5, f)
-    return _Assembly(bases, m.joint_axes, b.reshape(n, N_EQUATIONS), aligned.any(axis=1))
+    return _Assembly(bases, m.joint_axes, b.reshape(n, N_EQUATIONS))
 
 
 def _matrix(f: _Assembly):
@@ -341,7 +335,7 @@ def _matrix(f: _Assembly):
     for force, ends in _JOINT_FORCES:
         for body, sign in ends:
             A[:, _ROWS[body][0], s[force]] = sign * np.eye(3)
-    for j, (moment, _, _, ends) in enumerate(_JOINT_MOMENTS):
+    for j, (moment, ends) in enumerate(_JOINT_MOMENTS):
         for body, sign in ends:
             A[:, _ROWS[body][1], s[moment]] = sign * f.bases[:, j]
     A[:, _ROWS["proximal-1"][1], s["tau1"].start] = f.axes[:, 0]
@@ -359,8 +353,6 @@ def assemble_system(motion: WristMotion, bodies, gravity=GRAVITY, load: CuttingL
     side carries the inertial terms, gravity, and the cutting wrench.
     """
     f = _assemble(motion, _body_table(bodies), frozen_vector("gravity", gravity, 3), load)
-    if f.aligned[0]:
-        raise InconsistentStateError(_ALIGNED_MESSAGE)
     return AssembledSystem(_matrix(f)[0], f.rhs[0], motion.state.rates[:2].copy())
 
 
@@ -382,29 +374,28 @@ class DynamicsSolution:
 # in _JOINT_MOMENTS order, and each joint force's part s_j per unit planar
 # force p as a multiple of e4.
 _FORCE_COLUMNS = tuple(i for force, _ in _JOINT_FORCES for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[force]])
-_MOMENT_COLUMNS = tuple(i for moment, *_ in _JOINT_MOMENTS for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[moment]])
+_MOMENT_COLUMNS = tuple(i for moment, _ in _JOINT_MOMENTS for i in range(N_UNKNOWNS)[UNKNOWN_SLICES[moment]])
 _ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
-def _closed_form(b, bases, drives, e4, rows, matrices):
-    """Read-only minimum-norm solutions x (n, 25) of the systems in ``rows``
-    (n,) bool, from their factors (``_Assembly``, drive axes (n, 2, 3), e4
-    (n, 3)); the others are left NaN.  The moment balances fix the joint
-    moments and torques on the loop's type-II determinant det K, and the
-    force balances the joint forces and p at their least norm, in closed
-    form, elementwise over the rows (README, "Model notes"; no stacked
-    matmul, whose bits may depend on the block size).  Rows where |det K| is
-    at most ``TYPE_II_TOL`` |n3| |n4| |t5a| |t5b| take SVD least squares on
-    their dense matrices, ``matrices(picked)`` of their indices."""
-    n, s = len(b), UNKNOWN_SLICES
+def _closed_form(f: _Assembly, rows):
+    """Read-only minimum-norm solutions x (n, 25) of the factored systems
+    ``f`` in ``rows`` (n,) bool; the others are left NaN.  The moment
+    balances fix the joint moments and torques on the loop's type-II
+    determinant det K, and the force balances the joint forces and p at
+    their least norm, in closed form, elementwise over the rows (README,
+    "Model notes"; no stacked matmul, whose bits may depend on the block
+    size).  Rows where |det K| is at most ``TYPE_II_TOL`` |n3| |n4| |t5a|
+    |t5b| take SVD least squares on their ``_matrix``."""
+    b, n, s = f.rhs, len(f.rhs), UNKNOWN_SLICES
     # b's force and moment parts per body (4, n, 3).
     force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
     # The bases' columns (2, 5, n, 3): t_a, t_b (2, n, 3) of the terminal-revolute and planar bases, t5 of the
     # tool-revolute one, and the proximal frames' (3, 2, n, 3), each a base basis and its drive axis.
-    columns = np.ascontiguousarray(bases.transpose(3, 1, 0, 2))
+    columns = np.ascontiguousarray(f.bases.transpose(3, 1, 0, 2))
     t_a, t_b = columns[:, ::4]
     t5 = columns[:, 1]
-    frames = np.concatenate([columns[:, 2:4], drives.swapaxes(0, 1)[None]])
+    frames = np.concatenate([columns[:, 2:4], f.axes[:, :2].swapaxes(0, 1)[None]])
     normal = cross_rows(t_a, t_b)
     normal_sq = dot_rows(normal, normal)
     # K m5 = q, one row per normal (n3, n4): the terminal balance holds m5, the distal one -m5.
@@ -428,6 +419,7 @@ def _closed_form(b, bases, drives, e4, rows, matrices):
         # norm of the forces and p gives p = -sum_j s_j (e4 . c_j) / (4 e4 . e4 + 1).
         revolute = force_rhs[0] + force_rhs[1]
         c = np.stack([revolute, -force_rhs[1], force_rhs[2] + revolute, force_rhs[3]])
+        e4 = f.axes[:, 3]
         p = -np.sum(_ALONG_P[:, None] * dot_rows(e4, c), axis=0) / (4.0 * dot_rows(e4, e4) + 1.0)
         forces = c + _ALONG_P[:, None, None] * (p[:, None] * e4)
     # The 25 unknowns, unknown-major (25, n).
@@ -439,24 +431,10 @@ def _closed_form(b, bases, drives, e4, rows, matrices):
     x[_FORCE_COLUMNS, :] = forces.transpose(0, 2, 1).reshape(-1, n)
     x = np.where((rows & full)[:, None], x.T, np.nan)
     picked = np.flatnonzero(rows & ~full)
-    for i, A in zip(picked, matrices(picked) if len(picked) else ()):
+    for i, A in zip(picked, _matrix(_Assembly(*(a[picked] for a in f))) if len(picked) else ()):
         x[i], *_ = np.linalg.lstsq(A, b[i], rcond=None)
     x.setflags(write=False)
     return x
-
-
-def _solve(A, b, rows):
-    """``_closed_form`` on the factors read from dense systems A, and the
-    relative residuals |Ax - b| / |b| (n,) of A itself, so that a matrix of
-    another form than ``_matrix`` writes fails the gate."""
-    s = UNKNOWN_SLICES
-    x = _closed_form(
-        b, np.stack([A[:, _ROWS[ends[0][0]][1], s[moment]] for moment, *_, ends in _JOINT_MOMENTS], 1),
-        np.stack([A[:, _ROWS["proximal-1"][1], s["tau1"].start], A[:, _ROWS["proximal-2"][1], s["tau2"].start]], 1),
-        A[:, _ROWS["distal"][0], s["planar_force"].start], rows, A.__getitem__)
-    res = (A @ x[..., None])[..., 0] - b
-    rhs_norm = np.sqrt(np.sum(b * b, axis=1))
-    return x, np.sqrt(np.sum(res * res, axis=1)) / np.where(rhs_norm > 0.0, rhs_norm, 1.0)
 
 
 def _residual(f: _Assembly, x):
@@ -482,7 +460,7 @@ def _gate_message(residual):
 
 
 def _row_solutions(x, residual, actuated_rates) -> list:
-    """Per row of _solve's x (n, 25), the fields of its ``_solution``: torques,
+    """Per row of solutions x (n, 25), the fields of its ``_solution``: torques,
     the reactions dict (views of x for vectors, floats for scalars), residual,
     powers."""
     tau = x[:, _TAU]
@@ -499,16 +477,22 @@ def _solution(tau, reactions, residual, power) -> DynamicsSolution:
 
 
 def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
-    """Minimum-norm solve with a hard consistency gate.
+    """Minimum-norm solve (SVD least squares) of the system's matrix with a
+    hard consistency gate.
 
-    The relative residual of the solution (see ``_solve``) must stay below
-    ``RESIDUAL_GATE``.  The actuator torques are unique; the self-stress
-    component of the reactions is fixed by the minimum-norm choice.
+    The relative residual |A x - b| / |b| must stay below ``RESIDUAL_GATE``.
+    The self-stress component of the reactions is fixed by the minimum-norm
+    choice.  The actuator torques are unique except at a type-II singular
+    state that the gate accepts (at rest with the tool horizontal, say),
+    where they are one pick of a one-parameter family, not determined.
     """
-    x, residual = _solve(system.matrix[None], system.rhs[None], np.ones(1, dtype=bool))
-    if residual[0] >= RESIDUAL_GATE:
-        raise ModelInconsistencyError(_gate_message(residual[0]))
-    return _solution(*_row_solutions(x, residual, system.actuated_rates)[0])
+    A, b = system.matrix, system.rhs
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    x.setflags(write=False)
+    residual = np.linalg.norm(A @ x - b) / (np.linalg.norm(b) or 1.0)
+    if residual >= RESIDUAL_GATE:
+        raise ModelInconsistencyError(_gate_message(residual))
+    return _solution(*_row_solutions(x[None], np.array([residual]), system.actuated_rates)[0])
 
 
 def reflected_motor_torque(tau_joint, joint_accel, motor: MotorSpec):
@@ -603,13 +587,11 @@ def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     m = _motion(rates, accels, *_frames_at(theta, geometry), table)
     f = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
-    x = _closed_form(f.rhs, f.bases, f.axes[:, :2], f.axes[:, 3], ~(open_loop | f.aligned),
-                     lambda picked: _matrix(_Assembly(*(a[picked] for a in f))))
+    x = _closed_form(f, ~open_loop)
     residual = _residual(f, x)
     errors = tuple((InconsistentStateError, _open_loop_message(c)) if o
-                   else (InconsistentStateError, _ALIGNED_MESSAGE) if al
                    else (ModelInconsistencyError, _gate_message(r)) if r >= RESIDUAL_GATE else None
-                   for o, c, al, r in zip(*(a.tolist() for a in (open_loop, m.closure, f.aligned, residual))))
+                   for o, c, r in zip(*(a.tolist() for a in (open_loop, m.closure, residual))))
     for array in m[:-1]:
         array.setflags(write=False)
     return m, x, residual, errors, *_power_balance_rows(m, table, gravity, load)
@@ -620,14 +602,16 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     """Motion, assembly, and solve for one joint state.
 
     A state indexed from a ``JointProfile`` is solved with the rest of its
-    aligned block of ``NE_BLOCK`` rows.  The profile keeps that one block as
-    ``(key, rows)``: the key holds the block's first row and the inputs it
-    was solved for (gravity by value; geometry, bodies and load by
-    identity), and ``rows[k]`` is row k's record, built once per block: the
-    motion's eight (1, ...) row views, the ``_row_solutions`` fields, None
-    or the (error class, message) to raise, and the power-balance terms
-    (ke_rate, p_ext) as floats, which ``power_balance_residual`` reads.
-    Gravity's check is made once per kept block (``_block_gravity``).
+    block of ``NE_BLOCK`` rows (from a multiple of ``NE_BLOCK``).  The
+    profile keeps that one block as ``(key, rows)``: the key holds the
+    block's first row and the inputs it was solved for (gravity by value;
+    geometry, bodies and load by identity), and ``rows[k]`` is row k's
+    record, built once per block: the motion's eight (1, ...) row views,
+    the ``_row_solutions`` fields, None or the (error class, message) to
+    raise, and the power-balance terms (ke_rate, p_ext) as floats, which
+    ``power_balance_residual`` reads.  Gravity's check is made once per kept
+    block (``_block_gravity``).  As in ``solve_wrenches``, the torques of a
+    type-II singular state that the gate accepts are not determined.
     """
     table = _body_table(bodies)
     gravity, gravity_bytes = _block_gravity(gravity, state)
@@ -671,7 +655,7 @@ class ProfileCheck(NamedTuple):
 def verify_profile(profile: JointProfile, geometry: WristGeometry, bodies,
                    gravity=GRAVITY, load: CuttingLoad | None = None) -> ProfileCheck:
     """``solve_state`` and ``power_balance_residual`` on every row of a
-    profile, in the same aligned blocks of ``NE_BLOCK`` rows, without keeping
+    profile, in the same blocks of ``NE_BLOCK`` rows, without keeping
     a block on the profile."""
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)

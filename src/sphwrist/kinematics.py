@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (BranchJumpError, InvalidInputError, OutOfRangeError, SingularConfigurationError,
                      SingularOrientationError, UnreachableOrientationError, finite_scalar, float_array, frozen_rows,
                      frozen_vector)
-from .rotation import (WristGeometry, central_difference, chain_frames, cross_rows, dot_rows, leg_frames,
-                       unwrap_angles, wrap_angle)
+from .rotation import (WristGeometry, _wrap, central_difference, chain_frames, cross_rows, dot_rows, leg_frames,
+                       wrap_angle)
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
@@ -226,8 +226,8 @@ def _quadratic_branch(a, b, c, sign: float):
     num = np.where(direct, -b + sign * s, -2.0 * sign * c)
     den = np.where(direct, 2.0 * a, s + sign * b)
     # theta = 2*atan(num/den) up to a 2*pi shift; atan2 keeps it finite when
-    # den crosses zero, wrap_angle restores the principal value.
-    return wrap_angle(2.0 * np.arctan2(num, den)), checks
+    # den crosses zero, _wrap restores the principal value.
+    return _wrap(2.0 * np.arctan2(num, den)), checks
 
 
 def forward_kinematics(theta1: float, theta3: float, geometry: WristGeometry) -> ToolOrientation:
@@ -438,7 +438,7 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry, clock=None) 
     def label(i):
         return _sample_label(i, i * clock, v[i])
 
-    theta = unwrap_angles(_joint_angles(v, geometry, label), axis=0)
+    theta = np.unwrap(_joint_angles(v, geometry, label), axis=0)
     jumps = np.abs(np.diff(theta, axis=0))
     if np.any(jumps > math.pi / 2.0):
         i, j = np.argwhere(jumps > math.pi / 2.0)[0]

@@ -79,14 +79,21 @@ def is_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> bool:
 
 def wrap_angle(theta):
     """Reduce angle(s) to the principal interval (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
-    wrapped = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+    wrapped = _wrap(finite_array("theta", theta))
     return float(wrapped) if wrapped.ndim == 0 else wrapped
+
+
+def _wrap(theta):
+    # wrap_angle on a finite float array, unchecked.
+    return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
 
 
 def unwrap_angles(angles, axis: int = 0) -> np.ndarray:
     """Remove 2*pi jumps so consecutive samples differ by at most pi."""
-    return np.unwrap(np.asarray(angles, dtype=float), axis=axis)
+    angles = finite_array("angles", angles)
+    if angles.ndim == 0:
+        raise InvalidInputError("angles must be an array, not a scalar")
+    return np.unwrap(angles, axis=axis)
 
 
 def _default_alpha():

@@ -387,9 +387,9 @@ def reachable_state(geometry, t1, t3, drive_rates=(0.0, 0.0), drive_accels=(0.0,
 
 
 def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
-    # The closed-form minimum-norm solve against the SVD least-squares solve
-    # on the same systems: the same gate decision, and the same torques and
-    # reactions to 1e-10 of their largest magnitude.
+    # The closed-form minimum-norm solve (solve_state) against the SVD
+    # least-squares solve of the assembled systems: the same gate decision,
+    # and the same torques and reactions to 1e-10 of their largest magnitude.
     rng = np.random.default_rng(7)
     cases = []
     for k in range(120):
@@ -408,7 +408,7 @@ def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
         x, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
         residual = np.linalg.norm(system.matrix @ x - system.rhs) / np.linalg.norm(system.rhs)
         try:
-            solution = solve_wrenches(system)
+            _, solution = solve_state(state, geometry, bodies, GRAVITY, load)
         except ModelInconsistencyError:
             assert residual >= RESIDUAL_GATE
             accepted.append(False)
@@ -430,7 +430,7 @@ def test_solve_matches_lstsq(geometry, bodies, monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     for state, _ in cases[120:123]:
         try:
-            solve_state(state, geometry, bodies)
+            solve_state(standalone(state), geometry, bodies)
         except ModelInconsistencyError:
             pass
     assert len(calls) == 1
@@ -448,7 +448,7 @@ def ne_form(bases, drives, e4):
     for force, ends in dynamics._JOINT_FORCES:
         for body, sign in ends:
             A[:, rows[body][0], s[force]] = sign * np.eye(3)
-    for j, (moment, _, _, ends) in enumerate(dynamics._JOINT_MOMENTS):
+    for j, (moment, ends) in enumerate(dynamics._JOINT_MOMENTS):
         for body, sign in ends:
             A[:, rows[body][1], s[moment]] = sign * bases[:, j]
     A[:, rows["proximal-1"][1], s["tau1"].start] = drives[:, 0]
@@ -458,13 +458,9 @@ def ne_form(bases, drives, e4):
     return A
 
 
-def ne_form_parts(A):
-    """The entries of ``ne_form`` as ``_solve`` would read them from A."""
-    rows, s = dynamics._ROWS, UNKNOWN_SLICES
-    bases = np.stack([A[:, rows[ends[0][0]][1], s[moment]] for moment, _, _, ends in dynamics._JOINT_MOMENTS], axis=1)
-    drives = np.stack([A[:, rows["proximal-1"][1], s["tau1"].start], A[:, rows["proximal-2"][1], s["tau2"].start]],
-                      axis=1)
-    return bases, drives, A[:, rows["distal"][0], s["planar_force"].start]
+def dense_residual(A, b, x):
+    """|A x - b| / |b| per row of stacked systems A (n, 24, 25), b (n, 24), x (n, 25)."""
+    return np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=1) / np.linalg.norm(b, axis=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,7 +468,7 @@ def ne_form_parts(A):
 @example(n=40, seed=38008, picks=(0, 0))  # row 19: cond(A) 2.1e3, the solves 7.8e-14 apart
 def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
     # Random stacks in the Newton-Euler form (``ne_form``), the domain of the
-    # reduced solve: it gives lstsq's minimum-norm solution over all 25
+    # closed form: it gives lstsq's minimum-norm solution over all 25
     # unknowns to 1e-12 of its largest entry, or cond(A) eps where that is
     # larger (both solves are backward stable, so each is off the exact
     # solution by up to about cond(A) eps), and a relative residual below
@@ -489,15 +485,20 @@ def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
     # The terminal's first two moment balances made equal: the same two rows
     # in its two moment bases.
     bases[deficient, :2, 1] = bases[deficient, :2, 0]
-    A = ne_form(bases, frames[..., 2], rng.standard_normal((n, 3)))
+    # Axes e1..e6: the drive axes, then random ones; the solve reads only e4 of those.
+    axes = np.concatenate([frames[..., 2], rng.standard_normal((n, 4, 3))], axis=1)
+    A = ne_form(bases, axes[:, :2], axes[:, 3])
     first = dynamics._ROWS["terminal"][1].start
     np.testing.assert_array_equal(A[deficient, first + 1], A[deficient, first])
     b = rng.standard_normal((n, N_EQUATIONS))
+    f = dynamics._Assembly(bases, axes, b)
+    np.testing.assert_array_equal(dynamics._matrix(f), A)
     rows = np.ones(n, dtype=bool)
     if left_out != deficient:
         rows[left_out] = False
     with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-        x, residual = dynamics._solve(A, b, rows)
+        x = dynamics._closed_form(f, rows)
+    residual = dynamics._residual(f, x)
     assert lstsq.call_count == 1
     for i in range(n):
         if not rows[i]:
@@ -511,31 +512,27 @@ def test_raw_solve_matches_lstsq_minimum_norm(n, seed, picks):
 
 
 def test_assembly_writes_the_force_block_the_solve_reduces(geometry, bodies):
-    # _solve splits A into its force and moment blocks on the assumption
-    # that every matrix has the form of ``ne_form``, with e4 the planar
-    # normal and every joint force at the wrist center: rebuilt
-    # from the entries it fills from the state, each matrix comes back
-    # exactly.  It then back-substitutes each proximal link's unknowns
-    # through the transpose of their frame, which is orthonormal to 1e-15.
-    # Both semicircles, the 12 grid circles and random reachable states,
-    # each with and without a load.
-    # The matrices are _matrix's of the assembly's factors, and read back
-    # from them, each factor comes back exactly.
+    # The closed form splits A into its force and moment blocks on the
+    # assumption that every matrix has the form of ``ne_form``, with e4 the
+    # planar normal and every joint force at the wrist center, and
+    # back-substitutes each proximal link's unknowns through the transpose
+    # of their frame: _matrix's A of the assembly's factors, and each
+    # assemble_system matrix, is ``ne_form`` of those factors, and each
+    # joint moment's basis is orthonormal and normal to its joint axis to
+    # 1e-15 (``assert_orthonormal_frames``).  Both semicircles, the 12 grid
+    # circles and random reachable states, each with and without a load.
     table = _body_table(bodies)
     profiles, states = assembly_cases(geometry)
     for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
         for profile in profiles:
             f = assembly(profile, geometry, table, load)
-            A = dynamics._matrix(f)
-            parts = ne_form_parts(A)
-            for part, factor in zip(parts, (f.bases, f.axes[:, :2], f.axes[:, 3])):
-                np.testing.assert_array_equal(part, factor)
-            np.testing.assert_array_equal(ne_form(*parts), A)
-            assert_orthonormal_frames(A)
+            np.testing.assert_array_equal(dynamics._matrix(f), ne_form(f.bases, f.axes[:, :2], f.axes[:, 3]))
+            assert_orthonormal_frames(f)
+        f = assembly(stacked_profile(states), geometry, table, load)
         A = np.array([assemble_system(body_motion(state, geometry, bodies), bodies, GRAVITY, load).matrix
                       for state in states])
-        np.testing.assert_array_equal(ne_form(*ne_form_parts(A)), A)
-        assert_orthonormal_frames(A)
+        np.testing.assert_array_equal(A, ne_form(f.bases, f.axes[:, :2], f.axes[:, 3]))
+        assert_orthonormal_frames(f)
 
 
 def assembly_cases(geometry):
@@ -547,6 +544,12 @@ def assembly_cases(geometry):
     states = [reachable_state(geometry, *rng.uniform(-math.pi, math.pi, 2), rng.uniform(-20.0, 20.0, 2),
                               rng.uniform(-500.0, 500.0, 2)) for _ in range(40)]
     return profiles, states
+
+
+def stacked_profile(states):
+    """The joint states as the rows of one profile."""
+    return JointProfile(np.zeros(len(states)), [s.angles.theta for s in states], [s.rates for s in states],
+                        [s.accels for s in states])
 
 
 def assembly(rows, geometry, table, load):
@@ -571,61 +574,73 @@ def test_structured_residual_matches_the_dense_one(geometry, bodies):
     # dense residual is itself 1.2e-15 off the exact one (longdouble).
     table = _body_table(bodies)
     profiles, states = assembly_cases(geometry)
-    stacked = JointProfile(np.zeros(len(states)), [s.angles.theta for s in states], [s.rates for s in states],
-                           [s.accels for s in states])
     for load in (None, CuttingLoad((150.0, -80.0, 40.0), 0.11)):
-        for profile in [*profiles, stacked]:
+        for profile in [*profiles, stacked_profile(states)]:
             f = assembly(profile, geometry, table, load)
-            assert not f.aligned.any()
             A = dynamics._matrix(f)
-            x, dense = dynamics._solve(A, f.rhs, np.ones(len(profile), dtype=bool))
+            x = dynamics._closed_form(f, np.ones(len(profile), dtype=bool))
+            dense = dense_residual(A, f.rhs, x)
             residual = dynamics._residual(f, x)
             assert residual.tobytes() == block_pass(profile, geometry, table, load)[1].tobytes()
             scale = np.linalg.norm((np.abs(A) @ np.abs(x)[..., None])[..., 0], axis=1) / np.linalg.norm(f.rhs, axis=1)
             assert np.all(np.abs(residual - dense) <= np.maximum(1e-15, np.finfo(float).eps * scale))
 
 
-@pytest.mark.parametrize("load", [None, CuttingLoad((100.0, 100.0, 100.0), 0.11)])
-def test_block_solve_equals_the_dense_solve(geometry, bodies, load):
-    # The block path solves the factors; the dense entry reads them back
-    # from _matrix's A and runs the same closed form: the same x, bit for
-    # bit, on every row of the R 0.25 m semicircle, in 256-row blocks and
-    # alone (the singular midpoint through lstsq on the same matrix), and
-    # the same structured residual alone as in the block.
-    table = _body_table(bodies)
-    profile = semicircle_states(geometry, 0.25, 1001)
-
-    def dense_x(rows):
-        f = assembly(rows, geometry, table, load)
-        return dynamics._solve(dynamics._matrix(f), f.rhs, np.ones(len(rows), dtype=bool))[0].tobytes()
-
-    for start in range(0, len(profile), 256):
-        block = profile_rows(profile, slice(start, start + 256))
-        x, residual = block_pass(block, geometry, table, load)
-        assert x.tobytes() == dense_x(block)
-        for i in range(len(x)):
-            row = profile_rows(profile, slice(start + i, start + i + 1))
-            x_i, residual_i = block_pass(row, geometry, table, load)
-            assert x_i.tobytes() == x[i:i + 1].tobytes() == dense_x(row), start + i
-            assert residual_i.tobytes() == residual[i:i + 1].tobytes(), start + i
+# Each joint moment's axis among e1..e6, in _JOINT_MOMENTS order.
+_MOMENT_AXIS = (2, 4, 0, 1, 3)
 
 
-def assert_orthonormal_frames(A):
-    """Each proximal link's frame in A (n, 24, 25), the columns of its base
-    moments and drive torque in its moment balance: |F^T F - I| <= 1e-15."""
-    s = UNKNOWN_SLICES
-    for body, moment, tau in (("proximal-1", "base1_moment", "tau1"), ("proximal-2", "base2_moment", "tau2")):
-        frame = A[:, dynamics._ROWS[body][1], s[moment].start:s[tau].stop]
-        assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(3))) <= 1e-15, body
+def assert_orthonormal_frames(f):
+    """Each joint moment's basis in the factored systems f with its joint
+    axis as a third column, [t_a, t_b, e] (n, 3, 3): |F^T F - I| <= 1e-15,
+    so the basis is orthonormal and normal to its axis.  For a base joint
+    that is the proximal link's frame in its moment balance."""
+    for j, k in enumerate(_MOMENT_AXIS):
+        frame = np.concatenate([f.bases[:, j], f.axes[:, k, :, None]], axis=2)
+        assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(3))) <= 1e-15, dynamics._JOINT_MOMENTS[j][0]
 
 
-def test_solve_gates_a_matrix_of_another_form(geometry, bodies):
-    # The reduction reads the joint forces' ends from the force balances'
-    # constant +-I block, and the back-substitution takes each proximal
-    # frame's inverse to be its transpose; a matrix whose block or frame has
-    # another form (one of them scaled by 2) is solved wrongly, and the
-    # residual of the full matrix, which the gate reads, shows it: no torques
-    # come back.
+def solution_x(solution):
+    """The 25 unknowns of a ``DynamicsSolution``, in column order."""
+    return np.concatenate([np.atleast_1d(value) for value in solution.reactions.values()])
+
+
+@pytest.mark.parametrize("load", [None, CuttingLoad((150.0, -80.0, 40.0), 0.11)])
+def test_dense_solve_holds_the_block_solve(geometry, bodies, load):
+    # solve_wrenches, SVD least squares on the assembled matrix, against
+    # solve_state's closed form, on every row of the R 0.25 m semicircle
+    # and the random states of ``assembly_cases``: the same gate decision
+    # (only the singular midpoint fails), and x to 1e-12 of its largest
+    # entry.  Where both take lstsq, on the same matrix, they agree bit for
+    # bit: at the singular state at rest (theta1 = 0, theta3 = 1 rad), which
+    # the gate accepts without the load, and where the torques are the
+    # minimum-norm pick of a one-parameter family.
+    _, states = assembly_cases(geometry)
+    cases = [*semicircle_states(geometry, 0.25, 1001), *states]
+    failed = []
+    for i, state in enumerate(cases):
+        system = assemble_system(body_motion(standalone(state), geometry, bodies), bodies, GRAVITY, load)
+        try:
+            _, solution = solve_state(state, geometry, bodies, GRAVITY, load)
+        except ModelInconsistencyError:
+            with pytest.raises(ModelInconsistencyError, match="^relative solve residual "):
+                solve_wrenches(system)
+            failed.append(i)
+            continue
+        x, dense = solution_x(solution), solution_x(solve_wrenches(system))
+        assert np.max(np.abs(dense - x)) <= 1e-12 * np.max(np.abs(x)), i
+    assert failed == [500]
+    if load is None:
+        state = reachable_state(geometry, 0.0, 1.0)
+        _, solution = solve_state(state, geometry, bodies)
+        dense = solve_wrenches(assemble_system(body_motion(state, geometry, bodies), bodies))
+        assert solution_x(dense).tobytes() == solution_x(solution).tobytes()
+
+
+def test_solve_takes_a_matrix_of_another_form(geometry, bodies):
+    # solve_wrenches solves the matrix it is given, whatever its form: a
+    # force block or a proximal frame scaled by 2 is solved as lstsq solves
+    # it, to 1e-12 of the largest entry, and passes the gate.
     state = reachable_state(geometry, 0.4, -1.1, (3.0, -2.0), (40.0, 25.0))
     system = assemble_system(body_motion(state, geometry, bodies), bodies)
     assert solve_wrenches(system).residual < 1e-12
@@ -635,23 +650,49 @@ def test_solve_gates_a_matrix_of_another_form(geometry, bodies):
         matrix[rows, columns] *= 2.0
         x, *_ = np.linalg.lstsq(matrix, system.rhs, rcond=None)
         assert np.linalg.norm(matrix @ x - system.rhs) < 1e-12 * np.linalg.norm(system.rhs)
-        with pytest.raises(ModelInconsistencyError, match="^relative solve residual "):
-            solve_wrenches(replace(system, matrix=matrix))
+        solution = solve_wrenches(replace(system, matrix=matrix))
+        assert solution.residual < 1e-12
+        assert np.max(np.abs(solution_x(solution) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("alpha3", [0.0, math.pi])
+def test_elbow_twist_that_aligns_the_leg_is_refused(bodies, alpha3):
+    # With alpha3 in {0, pi} the terminal revolute's axis e3 and the tool
+    # axis e5 are one line, and the loop is type-II singular at every state.
+    # The frame bases stay orthonormal, so the assembly builds; a closed-loop
+    # state at rest under gravity then fails the gate as model-inconsistency
+    # in solve_state, verify_profile and solve_wrenches alike.
+    geometry = WristGeometry(alpha=[math.pi / 2, math.pi / 2, math.pi / 2, alpha3, math.pi / 2])
+    v = forward_kinematics(0.3, -0.7, geometry).v
+    f0, cos, sin = geometry._legs
+    theta2, theta4, _ = kinematics._leg_angles(v @ f0[1], cos[1], sin[1], -1.0, "distal")
+    theta = np.array([0.3, theta2, -0.7, theta4])
+    state = static_state(theta)
+    motion = body_motion(state, geometry, bodies)
+    assert motion.closure[0] <= 1e-12
+    assert_orthonormal_frames(dynamics._assemble(motion, _body_table(bodies), GRAVITY, None))
+    message = "^relative solve residual "
+    with pytest.raises(ModelInconsistencyError, match=message):
+        solve_state(state, geometry, bodies)
+    with pytest.raises(ModelInconsistencyError, match=message):
+        solve_wrenches(assemble_system(motion, bodies))
+    profile = JointProfile(np.arange(3.0), [theta] * 3, np.zeros((3, 4)), np.zeros((3, 4)))
+    errors = verify_profile(profile, geometry, bodies).errors
+    assert [(error, re.match(message, text) is not None) for error, text in errors] == [
+        (ModelInconsistencyError, True)] * 3
 
 
 def test_raw_solve_gate_parity_on_the_semicircle(geometry, bodies):
-    # Every row of the R = 0.25 m semicircle in one stack: the raw solve and
-    # lstsq put the same rows through the gate, and only the singular
+    # Every row of the R = 0.25 m semicircle in one stack: the closed form
+    # and lstsq put the same rows through the gate, and only the singular
     # midpoint fails it.
     profile = semicircle_states(geometry, 0.25, 1001)
     f = assembly(profile, geometry, _body_table(bodies), None)
-    assert not f.aligned.any()
     A, b = dynamics._matrix(f), f.rhs
-    _, residual = dynamics._solve(A, b, np.ones(len(b), dtype=bool))
+    residual = dense_residual(A, b, dynamics._closed_form(f, np.ones(len(b), dtype=bool)))
     x = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(A, b)])
-    lstsq_residual = np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=1) / np.linalg.norm(b, axis=1)
     assert np.flatnonzero(residual >= RESIDUAL_GATE).tolist() == [500]
-    assert np.flatnonzero(lstsq_residual >= RESIDUAL_GATE).tolist() == [500]
+    assert np.flatnonzero(dense_residual(A, b, x) >= RESIDUAL_GATE).tolist() == [500]
 
 
 def core_qr_ratio(A):
@@ -695,10 +736,9 @@ def test_rank_decision_matches_the_core_qr(geometry, bodies):
               for gamma in (30.0, 45.0, 60.0) for radius in (0.25, 0.15, 0.1, 0.05)]
     for name, profile in cases:
         f = assembly(profile, geometry, table, None)
-        assert not f.aligned.any()
         A, b = dynamics._matrix(f), f.rhs
         with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
-            dynamics._solve(A, b, np.ones(len(b), dtype=bool))
+            dynamics._closed_form(f, np.ones(len(b), dtype=bool))
         sent = sorted(int(np.flatnonzero((A == call.args[0]).all(axis=(1, 2)))[0]) for call in lstsq.call_args_list)
         assert sent == np.flatnonzero(core_qr_ratio(A) <= 1e-8).tolist(), name
         middle = [len(profile) // 2] if len(profile) % 2 and name.startswith("semicircle") else []

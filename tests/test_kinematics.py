@@ -26,6 +26,7 @@ from sphwrist import (
     reflected_motor_torque,
     sweep_peaks,
     trajectory_joint_profiles,
+    unwrap_angles,
     vector_from_pan_tilt,
     wrap_angle,
 )
@@ -229,6 +230,8 @@ def _public_entries(config):
                         (1,)),
         "sweep_peaks": (lambda pair: sweep_peaks([spec], geometry, bodies, pair), (motors,), ()),
         "reflected_motor_torque": (lambda tau, accel: reflected_motor_torque(tau, accel, motors[0]), (1.0, 2.0), ()),
+        "wrap_angle": (wrap_angle, (0.5,), ()),
+        "unwrap_angles": (unwrap_angles, (np.arange(3.0),), ()),
     }
 
 

@@ -183,6 +183,22 @@ def test_unwrap_never_jumps_more_than_pi():
     np.testing.assert_allclose(np.diff(unwrapped), np.diff(smooth), atol=1e-12)
 
 
+@pytest.mark.parametrize("call, value, message", [
+    (wrap_angle, "a", "theta must be finite"),
+    (wrap_angle, 1j, "theta must be finite"),
+    (wrap_angle, None, "theta must be finite"),
+    (wrap_angle, [0.5, None], "theta must be finite"),
+    (wrap_angle, math.inf, "theta must be finite"),
+    (unwrap_angles, "a", "angles must be finite"),
+    (unwrap_angles, [[1.0, 2.0], [3.0]], "angles must be finite"),
+    (unwrap_angles, [0.5, math.nan], "angles must be finite"),
+    (unwrap_angles, 0.5, "angles must be an array, not a scalar"),
+])
+def test_wrap_and_unwrap_refuse_what_is_not_real_numbers(call, value, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call(value)
+
+
 def test_cross_rows_equals_numpy_bit_for_bit():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-5, 5, (50, 1)), rng.normal(size=(50, 3))
