@@ -12,8 +12,8 @@ of a link frame normal to the joint axis (``_assemble``).  That wrench set
 closes every load path of the real mechanism, so for loop-consistent joint
 states the 24-equation system is solvable to rounding error.  It carries
 one internal self-stress (24 equations, 25 unknowns) in the joint forces;
-the minimum-norm solution resolves it, and away from type-II singularities
-the actuator torques are invariant to that choice.
+the minimum-norm solution resolves it, and the actuator torques are
+invariant to that choice.
 
 Every body rotates about the fixed wrist center: Euler equations are taken
 about that point and center-of-mass accelerations are purely rotational.
@@ -23,9 +23,9 @@ Everything runs over stacks of n joint states (``_motion``, ``_assemble``,
 ``kinematics._frames_at`` builds from the angles of the rows a pass solves.
 ``_closed_form`` solves the moment balances on the loop's type-II
 determinant and the force balances at their least norm, from the assembly's
-factors, and the gate reads their structured residual.  Only
-``solve_wrenches`` (on ``assemble_system``'s matrix) and the rows next to a
-type-II singularity form dense matrices (``_matrix``), for SVD least squares.
+factors, and the gate reads their structured residual; a row too near a
+type-II singularity is refused (``TYPE_II_MESSAGE``).  Only
+``assemble_system`` forms dense matrices (``_matrix``), for SVD least squares.
 ``solve_state`` on a row of a ``JointProfile`` solves the row's block of
 ``NE_BLOCK`` rows and keeps it on the profile as one record per row (motion
 views, solution, error, power-balance terms), for the block's other rows
@@ -60,10 +60,11 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row goes to lstsq when its type-II determinant det K (see _closed_form) is at
-# most this fraction of |n3| |n4| |t5a| |t5b|, too near rank-deficient for
-# the closed form: 2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it.
+# A row is refused when its type-II determinant det K (see _closed_form) is at most this fraction of
+# |n3| |n4| |t5a| |t5b| (2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it).  That ratio is
+# the root of the passive Gram ratio that virtual work refuses at 1e-12, with the same text (below).
 TYPE_II_TOL = 1e-8
+TYPE_II_MESSAGE = "the passive joint axes align; ideal joints cannot realize the motion at this sample"
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
 # per row and more memory (tracemalloc: a block pass peaks at 1.20 MB at 256
@@ -380,13 +381,13 @@ _ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 def _closed_form(f: _Assembly, rows):
     """Read-only minimum-norm solutions x (n, 25) of the factored systems
-    ``f`` in ``rows`` (n,) bool; the others are left NaN.  The moment
-    balances fix the joint moments and torques on the loop's type-II
-    determinant det K, and the force balances the joint forces and p at
-    their least norm, in closed form, elementwise over the rows (README,
-    "Model notes"; no stacked matmul, whose bits may depend on the block
-    size).  Rows where |det K| is at most ``TYPE_II_TOL`` |n3| |n4| |t5a|
-    |t5b| take SVD least squares on their ``_matrix``."""
+    ``f`` in ``rows`` (n,) bool, and the rows (n,) it solved; the others are
+    left NaN, among them those where |det K| is at most ``TYPE_II_TOL``
+    |n3| |n4| |t5a| |t5b|.  The moment balances fix the joint moments and
+    torques on the loop's type-II determinant det K, and the force balances
+    the joint forces and p at their least norm, in closed form, elementwise
+    over the rows (README, "Model notes"; no stacked matmul, whose bits may
+    depend on the block size)."""
     b, n, s = f.rhs, len(f.rhs), UNKNOWN_SLICES
     # b's force and moment parts per body (4, n, 3).
     force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
@@ -403,7 +404,7 @@ def _closed_form(f: _Assembly, rows):
     K = dot_rows(normal[:, None], t5) * np.array([1.0, -1.0])[:, None, None]
     det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     full = np.abs(det) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
-    # Rows left out may divide by zero; their x is replaced below.
+    # Rows left out may divide by zero; their x is NaN below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m5 = np.stack([K[1, 1] * q[0] - K[0, 1] * q[1], K[0, 0] * q[1] - K[1, 0] * q[0]]) / det
         # Each basis' dual rows (t_b x n, n x t_a) / n.n, Cramer's rule against n (2, 2, n, 3), give m3 and m4
@@ -429,12 +430,10 @@ def _closed_form(f: _Assembly, rows):
     x[s["base1_moment"].start:s["tau1"].stop], x[s["base2_moment"].start:s["tau2"].stop] = own.swapaxes(0, 1)
     x[s["planar_force"].start] = p
     x[_FORCE_COLUMNS, :] = forces.transpose(0, 2, 1).reshape(-1, n)
-    x = np.where((rows & full)[:, None], x.T, np.nan)
-    picked = np.flatnonzero(rows & ~full)
-    for i, A in zip(picked, _matrix(_Assembly(*(a[picked] for a in f))) if len(picked) else ()):
-        x[i], *_ = np.linalg.lstsq(A, b[i], rcond=None)
+    solved = rows & full
+    x = np.where(solved[:, None], x.T, np.nan)
     x.setflags(write=False)
-    return x
+    return x, solved
 
 
 def _residual(f: _Assembly, x):
@@ -480,14 +479,16 @@ def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
     """Minimum-norm solve (SVD least squares) of the system's matrix with a
     hard consistency gate.
 
-    The relative residual |A x - b| / |b| must stay below ``RESIDUAL_GATE``.
+    A matrix of rank below 24 (a type-II singular state) is refused as
+    model-inconsistency, with the text of ``TYPE_II_MESSAGE``; then the
+    relative residual |A x - b| / |b| must stay below ``RESIDUAL_GATE``.
     The self-stress component of the reactions is fixed by the minimum-norm
-    choice.  The actuator torques are unique except at a type-II singular
-    state that the gate accepts (at rest with the tool horizontal, say),
-    where they are one pick of a one-parameter family, not determined.
+    choice.
     """
     A, b = system.matrix, system.rhs
-    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < N_EQUATIONS:
+        raise ModelInconsistencyError(TYPE_II_MESSAGE)
     x.setflags(write=False)
     residual = np.linalg.norm(A @ x - b) / (np.linalg.norm(b) or 1.0)
     if residual >= RESIDUAL_GATE:
@@ -581,17 +582,19 @@ def _block_gravity(gravity, state):
 def _solve_rows(theta, rates, accels, geometry, table, gravity, load):
     """Read-only motion, solutions x (n, 25), residuals (n,), per row None
     or the (error class, message) that the one-state calls raise for it,
-    checked in their order, and the power-balance terms of
+    checked in their order (an open loop, a row ``_closed_form`` does not
+    solve, the gate), and the power-balance terms of
     ``_power_balance_rows``, at n joint states: angles, rates and
     accelerations (n, 4) each."""
     m = _motion(rates, accels, *_frames_at(theta, geometry), table)
     f = _assemble(m, table, gravity, load)
     open_loop = m.closure > CLOSURE_TOL
-    x = _closed_form(f, ~open_loop)
+    x, solved = _closed_form(f, ~open_loop)
     residual = _residual(f, x)
     errors = tuple((InconsistentStateError, _open_loop_message(c)) if o
+                   else (ModelInconsistencyError, TYPE_II_MESSAGE) if not s
                    else (ModelInconsistencyError, _gate_message(r)) if r >= RESIDUAL_GATE else None
-                   for o, c, r in zip(*(a.tolist() for a in (open_loop, m.closure, residual))))
+                   for o, s, c, r in zip(*(a.tolist() for a in (open_loop, solved, m.closure, residual))))
     for array in m[:-1]:
         array.setflags(write=False)
     return m, x, residual, errors, *_power_balance_rows(m, table, gravity, load)
@@ -610,8 +613,8 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
     the ``_row_solutions`` fields, None or the (error class, message) to
     raise, and the power-balance terms (ke_rate, p_ext) as floats, which
     ``power_balance_residual`` reads.  Gravity's check is made once per kept
-    block (``_block_gravity``).  As in ``solve_wrenches``, the torques of a
-    type-II singular state that the gate accepts are not determined.
+    block (``_block_gravity``).  A state too near a type-II singularity for
+    its torques to be determined is refused (``TYPE_II_MESSAGE``).
     """
     table = _body_table(bodies)
     gravity, gravity_bytes = _block_gravity(gravity, state)
@@ -643,9 +646,10 @@ def solve_state(state: JointState, geometry: WristGeometry, bodies,
 
 class ProfileCheck(NamedTuple):
     """The Newton-Euler oracle over every row of a profile: relative solve
-    ``residual`` (N,), ``balance`` (N,) as ``power_balance_residual`` gives
-    it (NaN where the row fails), and per row None or the (error class,
-    message) that ``solve_state`` raises for it."""
+    ``residual`` (N,) (NaN on a row refused before the gate), ``balance``
+    (N,) as ``power_balance_residual`` gives it (NaN where the row fails),
+    and per row None or the (error class, message) that ``solve_state``
+    raises for it."""
 
     residual: np.ndarray
     balance: np.ndarray
@@ -771,10 +775,9 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
 
     Raises for the lowest failing sample, named by index and time: legs that
     do not close the loop (inconsistent-state), or passive axes that align,
-    where ideal joints cannot realize a general motion (model-inconsistency).
-    The Newton-Euler gate rejects such a sample too, unless its loads happen
-    to do no work on the self-motion there (at rest with the tool
-    horizontal, for one).
+    where ideal joints cannot realize a general motion (model-inconsistency,
+    ``TYPE_II_MESSAGE``).  The Newton-Euler solve refuses a subset of those
+    samples with the same text, on its own type-II determinant.
     """
     load_free = _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, gravity)
     return load_free.with_load(load_free.tau0, load)
@@ -797,11 +800,8 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
     failed = open_loop | passive.singular
     if failed.any():
         i = int(np.argmax(failed))
-        if open_loop[i]:
-            error, message = InconsistentStateError, _open_loop_message(closure[i])
-        else:
-            error, message = ModelInconsistencyError, (
-                "the passive joint axes align; ideal joints cannot realize the motion at this sample")
+        error, message = ((InconsistentStateError, _open_loop_message(closure[i])) if open_loop[i]
+                          else (ModelInconsistencyError, TYPE_II_MESSAGE))
         raise error(f"{_sample_label(i, profile.t[i], e5[i])}: {message}")
 
     n, frames = len(profile), (f2[:, 0], f2[:, 1], f1[:, 0], f1[:, 1])

@@ -41,7 +41,7 @@ def float_array(value, message=None) -> np.ndarray:
     complex array is refused, not cut to its real part."""
     try:
         v = np.asarray(value)
-        if v.dtype.kind != "c":
+        if v.dtype.kind not in "cUS" and (v.dtype != object or all(isinstance(x, numbers.Real) for x in v.flat)):
             return v.astype(float)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -49,12 +49,12 @@ class TrajectorySpec:
                                    " overflows or underflows double precision")
         if not (isinstance(self.sample_count, numbers.Integral) and 3 <= self.sample_count <= MAX_SAMPLE_COUNT):
             raise InvalidSpecError(f"sample_count must be an integer from 3 to {MAX_SAMPLE_COUNT}")
-        if self.kind == KIND_CIRCLE:
-            if self.gamma is None:
-                raise InvalidSpecError("circle-XY requires a cone angle gamma")
+        if self.kind == KIND_CIRCLE and self.gamma is None:
+            raise InvalidSpecError("circle-XY requires a cone angle gamma")
+        if self.gamma is not None:
             gamma = finite_scalar("gamma", self.gamma, error=lambda message: InvalidSpecError(
                 f"{message}, got {self.gamma}"))
-            if not 0.0 < gamma < math.pi / 2.0:
+            if self.kind == KIND_CIRCLE and not 0.0 < gamma < math.pi / 2.0:
                 raise InvalidSpecError("gamma must lie strictly between 0 and pi/2")
             object.__setattr__(self, "gamma", gamma)
 

@@ -41,7 +41,7 @@ from sphwrist.errors import (
     frozen_rows,
 )
 from sphwrist.kinematics import _joint_angles, _unit_directions
-from sphwrist.trajectory import KIND_CIRCLE
+from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
 def test_pan_tilt_to_vector_trivials():
@@ -229,6 +229,10 @@ def _public_entries(config):
         "force_sweep": (lambda forces, lc: force_sweep(spec, forces, lc, geometry, bodies, motors), ([0.0, 10.0], 0.11),
                         (1,)),
         "sweep_peaks": (lambda pair: sweep_peaks([spec], geometry, bodies, pair), (motors,), ()),
+        # A semicircle takes no cone angle, but one that is given is checked; its midpoint is singular.
+        "sweep_peaks semicircle": (lambda gamma: sweep_peaks([TrajectorySpec(KIND_SEMICIRCLE, 0.25, gamma=gamma,
+                                                                            sample_count=5)], geometry, bodies, motors),
+                                   (0.3,), (0,)),
         "reflected_motor_torque": (lambda tau, accel: reflected_motor_torque(tau, accel, motors[0]), (1.0, 2.0), ()),
         "wrap_angle": (wrap_angle, (0.5,), ()),
         "unwrap_angles": (unwrap_angles, (np.arange(3.0),), ()),
@@ -240,9 +244,10 @@ def _public_entries(config):
 def test_public_entries_reject_bad_values_with_a_wrist_error(name, data, config):
     # Any numeric argument of the public constructors and entries, drawn
     # from bad values: the call returns or raises a WristError, never a raw
-    # TypeError or ValueError; a complex array is refused, and so is a bool
-    # where a scalar is taken.  Object arguments (geometry, bodies, specs)
-    # are not drawn: they stay duck-typed.
+    # TypeError or ValueError; a complex array, a string, None and a list
+    # that holds a string are refused, and so is a bool where a scalar is
+    # taken.  Object arguments (geometry, bodies, specs) are not drawn: they
+    # stay duck-typed.
     call, good, scalars = _public_entries(config)[name]
     args = [data.draw(st.just(value) | BAD_VALUES, label=f"argument {k}") for k, value in enumerate(good)]
     try:
@@ -251,6 +256,8 @@ def test_public_entries_reject_bad_values_with_a_wrist_error(name, data, config)
         return
     assert not any(map(is_complex_array, args))
     assert not any(isinstance(args[k], bool) for k in scalars)
+    assert not any(value is None or isinstance(value, str)
+                   or isinstance(value, list) and any(isinstance(x, str) for x in value) for value in args)
 
 
 def test_joint_angles_validation_and_wrap():

@@ -7,6 +7,7 @@ the torque formulation is.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import closure_row
 from sphwrist import (CuttingLoad, JointAngles, JointProfile, JointState, TrajectorySpec, default_config,
                       forward_kinematics, generate, solve_state, trajectory_joint_profiles, virtual_work_torques)
-from sphwrist.errors import BranchJumpError
+from sphwrist.dynamics import TYPE_II_MESSAGE
+from sphwrist.errors import BranchJumpError, ModelInconsistencyError
 from sphwrist.kinematics import _joint_angles
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -108,9 +110,9 @@ def test_reactions_scale_with_the_unit_of_length():
     # inertias x 1e6, gravity x 1e3, the cutting force and its lever x 1e3.
     # Angles, rates and accelerations do not change, so every joint force
     # and p scale by 1e3 and every joint moment and torque by 1e6, on a
-    # regular loaded row of a circle and at the type-II singular state at
-    # rest (theta1 = 0, theta3 = 1 rad) that the gate accepts, where the
-    # minimum-norm pick of the torques must not depend on the unit either.
+    # regular loaded row of a circle.  The type-II singular state at rest
+    # (theta1 = 0, theta3 = 1 rad), where the torques are not determined, is
+    # refused in either unit.
     geometry = CONFIG.geometry
     bodies_mm = tuple(replace(body, com_offset=body.com_offset * 1e3, inertia=body.inertia * 1e6)
                       for body in CONFIG.bodies)
@@ -119,12 +121,15 @@ def test_reactions_scale_with_the_unit_of_length():
     circle = generate(TrajectorySpec(KIND_CIRCLE, 0.15, gamma=math.radians(45.0), sample_count=301))
     theta = _joint_angles(forward_kinematics(0.0, 1.0, geometry).v, geometry)
     at_rest = JointState(JointAngles(theta), *closure_row(theta, (0.0, 0.0), (0.0, 0.0), geometry), 0.0)
-    for state, loads in ((_profile(circle.v, circle.t)[37], (load, load_mm)), (at_rest, (None, None))):
-        _, metres = solve_state(state, geometry, CONFIG.bodies, CONFIG.gravity, loads[0])
-        _, millimetres = solve_state(state, geometry, bodies_mm, CONFIG.gravity * 1e3, loads[1])
-        for forces, scale in ((True, 1e3), (False, 1e6)):
-            names = [name for name in metres.reactions if name.endswith("force") == forces]
-            m, mm = (np.concatenate([np.atleast_1d(solution.reactions[name]) for name in names])
-                     for solution in (metres, millimetres))
-            assert np.max(np.abs(mm / scale - m)) <= 1e-12 * np.max(np.abs(m)), names
-        assert np.max(np.abs(millimetres.tau / 1e6 - metres.tau)) <= 1e-12 * np.max(np.abs(metres.tau))
+    state = _profile(circle.v, circle.t)[37]
+    _, metres = solve_state(state, geometry, CONFIG.bodies, CONFIG.gravity, load)
+    _, millimetres = solve_state(state, geometry, bodies_mm, CONFIG.gravity * 1e3, load_mm)
+    for forces, scale in ((True, 1e3), (False, 1e6)):
+        names = [name for name in metres.reactions if name.endswith("force") == forces]
+        m, mm = (np.concatenate([np.atleast_1d(solution.reactions[name]) for name in names])
+                 for solution in (metres, millimetres))
+        assert np.max(np.abs(mm / scale - m)) <= 1e-12 * np.max(np.abs(m)), names
+    assert np.max(np.abs(millimetres.tau / 1e6 - metres.tau)) <= 1e-12 * np.max(np.abs(metres.tau))
+    for bodies, gravity in ((CONFIG.bodies, CONFIG.gravity), (bodies_mm, CONFIG.gravity * 1e3)):
+        with pytest.raises(ModelInconsistencyError, match=f"^{re.escape(TYPE_II_MESSAGE)}$"):
+            solve_state(at_rest, geometry, bodies, gravity)

@@ -21,11 +21,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
     # runs, and two dynamics runs on config files; only the semicircle's
-    # torques fail, at its singular midpoint.  The 19 error cases and the 6
+    # torques fail, at its singular midpoint.  The 20 error cases and the 6
     # config error cases each end in one categorised error line.
-    assert len(exits) == 50 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 51 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 25 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 26 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -59,6 +59,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert (a / "error_force_sweep_nan.stderr").read_text() == "error[invalid-input]: --fc must be finite\n"
     # A spec's scalars are checked where the spec is made, under its own category.
     for name, message in (("error_traj_gamma_nan", "gamma must be finite, got nan"),
+                          ("error_dynamics_semicircle_gamma_nan", "gamma must be finite, got nan"),
                           ("error_traj_radius_nan", "radius must be positive"),
                           ("error_sweep_speed_zero", "tool_speed must be positive")):
         assert (a / f"{name}.stderr").read_text() == f"error[invalid-spec]: {message}\n"
@@ -90,7 +91,8 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     mixed = list(csv.reader((a / "sweep_mixed_radii.csv").open()))
     assert [row[1] for row in mixed[1:]] == ["1e+300", "0.1"] and mixed[1][6:10] == ["0"] * 4
     # The per-row API on the two semicircles, with and without a load: one
-    # row per sample, every number %.17g, only the midpoint failing.
+    # row per sample, every number %.17g, only the midpoint failing, refused
+    # as type-II singular.
     for name in ("api_semicircle_0.25", "api_semicircle_0.25_load", "api_semicircle_0.1337",
                  "api_semicircle_0.1337_load"):
         rows = list(csv.reader((a / f"{name}.csv").open()))
@@ -100,7 +102,8 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in rows] == [str(i) for i in range(21)]
         failed = [row for row in rows if row[-1]]
         assert [row[0] for row in failed] == ["10"]
-        assert failed[0][-1].startswith("error[model-inconsistency]: relative solve residual ")
+        assert failed[0][-1] == ("error[model-inconsistency]: the passive joint axes align;"
+                                 " ideal joints cannot realize the motion at this sample")
         assert set(failed[0][2:-1]) == {""}
         for row in rows[:10]:
             assert all(repr(float(cell)) == repr(float("%.17g" % float(cell))) for cell in row[1:-1])
@@ -138,7 +141,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "209 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "212 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -146,10 +149,10 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     cells[-1] = repr(float(cells[-1]) + 0.5)
     lines[3] = ",".join(cells)
     (b / "sweep.csv").write_text("\n".join(lines) + "\n")
-    error = (b / "api_semicircle_0.25.csv").read_text().replace("relative solve residual", "relative solver residual")
+    error = (b / "api_semicircle_0.25.csv").read_text().replace("joint axes align;", "joint axes aligned;")
     (b / "api_semicircle_0.25.csv").write_text(error)
     changed = run_snapshot_tool("--compare", a, b)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
                                            "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5, relative 0.00436",
-                                           "209 files, 3 differ"]
+                                           "212 files, 3 differ"]
