@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import GRAVITY, CuttingLoad, MotorSpec, _load_free_torques, _LoadFreeTorques, _rotor_torque
-from .errors import InvalidInputError, WristError, finite_array, finite_scalar
+from .errors import InvalidInputError, ModelInconsistencyError, WristError, finite_array, finite_scalar, float_array
 from .kinematics import JointProfile, _profile_pass, _sample_label
 from .trajectory import TrajectorySpec, generate
 
@@ -134,11 +134,23 @@ def path_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY) -
     tool speed 1, which differences at the path-angle step, and one
     load-free pass, whose gravity moments alone also give the torques at
     rest.  The profile's times, and the times its errors name, step
-    by the path-angle step over the spec's rate: the spec's own clock."""
+    by the path-angle step over the spec's rate: the spec's own clock.
+
+    After the load-free pass's own checks, a path whose type-II determinant
+    (``kinematics._PassiveClosure``) changes sign or vanishes between two
+    samples is refused (model-inconsistency), naming both: it crosses a
+    type-II singularity there, where the torques grow without bound."""
     path = generate(replace(spec, radius=1.0, tool_speed=1.0))
     step = path.t[1] - path.t[0]
     profile, kinematics = _profile_pass(path.v, step, geometry, step / spec.rate)
     torques = _load_free_torques(profile, kinematics, bodies, gravity)
+    sign = np.sign(kinematics.passive.det)
+    crossed = sign[:-1] * sign[1:] <= 0.0
+    if crossed.any():
+        i = int(np.argmax(crossed))
+        a, b = (_sample_label(j, profile.t[j], kinematics.axes[j, 4]) for j in (i, i + 1))
+        raise ModelInconsistencyError(f"the path crosses a type-II singularity between {a} and {b},"
+                                      " where the passive joint axes align; the torques grow without bound there")
     v_joint = torques.tau0 - torques.rest
     return PathPass(torques, v_joint, v_joint + _rotor_torques(profile.accels, motors),
                     np.ascontiguousarray(profile.rates[:, :2]), profile, step, _column_peaks(profile.rates),
@@ -203,7 +215,14 @@ def motor_feasibility(peaks: PeakRecord, motors) -> FeasibilityReport:
     """Classify each actuator's peak torque and shaft speed against its motor.
 
     ``motors`` is one MotorSpec for both actuators or a pair, one per actuator.
+    Each peak field of ``peaks`` must hold finite, non-negative values of its
+    shape, (4,) for the joint rates and accelerations and (2,) for the
+    torques and powers.
     """
+    for name, size in (("max_rates", 4), ("max_accels", 4), ("max_torques", 2), ("max_powers", 2)):
+        values = float_array(getattr(peaks, name))
+        if values.shape != (size,) or not (np.isfinite(values).all() and (values >= 0.0).all()):
+            raise InvalidInputError(f"peaks.{name} must be {size} finite non-negative values")
     actuators = []
     for i, motor in enumerate(_motor_pair(motors)):
         torque = float(peaks.max_torques[i])

@@ -51,8 +51,7 @@ import numpy as np
 
 from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_array,
                      finite_scalar, float_array, frozen_vector)
-from .kinematics import (JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label,
-                         _solve_passive)
+from .kinematics import JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label
 from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -379,6 +378,23 @@ _MOMENT_COLUMNS = tuple(i for moment, _ in _JOINT_MOMENTS for i in range(N_UNKNO
 _ALONG_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
+def _type_ii_terms(columns):
+    """The type-II terms of the moment bases' columns (2, 5, n, 3): the
+    normals n3, n4 = t_a x t_b (2, n, 3) of the terminal-revolute and planar
+    bases and their squared norms (2, n); K (2, 2, n), with K m5 = q one row
+    per normal for the tool-revolute moment m5 on its basis' columns t5
+    (the terminal balance holds m5, the distal one -m5); det K (n,); and the
+    rows (n,) where |det K| > ``TYPE_II_TOL`` |n3| |n4| |t5a| |t5b|."""
+    t_a, t_b = columns[:, ::4]
+    t5 = columns[:, 1]
+    normal = cross_rows(t_a, t_b)
+    normal_sq = dot_rows(normal, normal)
+    K = dot_rows(normal[:, None], t5) * np.array([1.0, -1.0])[:, None, None]
+    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+    full = np.abs(det) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
+    return normal, normal_sq, K, det, full
+
+
 def _closed_form(f: _Assembly, rows):
     """Read-only minimum-norm solutions x (n, 25) of the factored systems
     ``f`` in ``rows`` (n,) bool, and the rows (n,) it solved; the others are
@@ -391,19 +407,13 @@ def _closed_form(f: _Assembly, rows):
     b, n, s = f.rhs, len(f.rhs), UNKNOWN_SLICES
     # b's force and moment parts per body (4, n, 3).
     force_rhs, moment_rhs = np.moveaxis(b.reshape(n, len(BODY_NAMES), 2, 3), 0, 2).copy().swapaxes(0, 1)
-    # The bases' columns (2, 5, n, 3): t_a, t_b (2, n, 3) of the terminal-revolute and planar bases, t5 of the
-    # tool-revolute one, and the proximal frames' (3, 2, n, 3), each a base basis and its drive axis.
+    # The bases' columns (2, 5, n, 3), and the proximal frames' (3, 2, n, 3), each a base basis and its drive axis.
     columns = np.ascontiguousarray(f.bases.transpose(3, 1, 0, 2))
     t_a, t_b = columns[:, ::4]
     t5 = columns[:, 1]
     frames = np.concatenate([columns[:, 2:4], f.axes[:, :2].swapaxes(0, 1)[None]])
-    normal = cross_rows(t_a, t_b)
-    normal_sq = dot_rows(normal, normal)
-    # K m5 = q, one row per normal (n3, n4): the terminal balance holds m5, the distal one -m5.
+    normal, normal_sq, K, det, full = _type_ii_terms(columns)
     q = dot_rows(normal, moment_rhs[:2])
-    K = dot_rows(normal[:, None], t5) * np.array([1.0, -1.0])[:, None, None]
-    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
-    full = np.abs(det) > TYPE_II_TOL * np.sqrt(np.prod(normal_sq, axis=0) * np.prod(dot_rows(t5, t5), axis=0))
     # Rows left out may divide by zero; their x is NaN below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m5 = np.stack([K[1, 1] * q[0] - K[0, 1] * q[1], K[0, 0] * q[1] - K[1, 0] * q[0]]) / det
@@ -479,16 +489,19 @@ def solve_wrenches(system: AssembledSystem) -> DynamicsSolution:
     """Minimum-norm solve (SVD least squares) of the system's matrix with a
     hard consistency gate.
 
-    A matrix of rank below 24 (a type-II singular state) is refused as
-    model-inconsistency, with the text of ``TYPE_II_MESSAGE``; then the
-    relative residual |A x - b| / |b| must stay below ``RESIDUAL_GATE``.
-    The self-stress component of the reactions is fixed by the minimum-norm
-    choice.
+    A matrix too near a type-II singular state is refused as
+    model-inconsistency, with the text of ``TYPE_II_MESSAGE``, by the rule
+    of the block solve (``_type_ii_terms``) on the moment bases the matrix
+    holds; then the relative residual |A x - b| / |b| must stay below
+    ``RESIDUAL_GATE``.  The self-stress component of the reactions is fixed
+    by the minimum-norm choice.
     """
     A, b = system.matrix, system.rhs
-    x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < N_EQUATIONS:
+    # Each joint moment's basis (5, 3, 2), where _matrix writes it on its first body's moment rows, as columns.
+    bases = np.array([A[_ROWS[ends[0][0]][1], UNKNOWN_SLICES[moment]] for moment, ends in _JOINT_MOMENTS])
+    if not _type_ii_terms(bases[None].transpose(3, 1, 0, 2))[-1][0]:
         raise ModelInconsistencyError(TYPE_II_MESSAGE)
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
     x.setflags(write=False)
     residual = np.linalg.norm(A @ x - b) / (np.linalg.norm(b) or 1.0)
     if residual >= RESIDUAL_GATE:
@@ -793,7 +806,7 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
     table = _body_table(bodies)
     gravity = frozen_vector("gravity", gravity, 3)
     f1, f2, axes, passive, geometry = kinematics
-    e1, e2, e3, _, e5, e6 = (axes[:, k] for k in range(6))
+    e1, e2, _, _, e5, e6 = (axes[:, k] for k in range(6))
 
     closure = np.sqrt(dot_rows(e5 - e6, e5 - e6))
     open_loop = closure > CLOSURE_TOL
@@ -816,13 +829,11 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
     for k, e in enumerate((e1, e2)):
         a = np.array([0.0, sin[k, 0], cos[k, 0]])
         inertial.append(float(a @ table.inertia_center[2 + k] @ a) * profile.accels[:, k, None] * e + 0.0)
+    # g_k = e5 x w_k with w_k = e1 + u_13 e3 and u_23 e3 per unit rate of actuator k, and e5 x e3 = -b1.
+    unit_rates = passive.unit_rates
     g = np.empty((n, 2, 3))
-    unit_rates = []
-    for k, drive in enumerate(np.eye(2)):
-        # The passive rates per unit rate of actuator k, by loop closure.
-        rates = _solve_passive(passive, cross_rows(drive[1] * e2 - drive[0] * e1, e5))
-        unit_rates.append(rates)
-        g[:, k] = cross_rows(e5, drive[0] * e1 + rates[:, :1] * e3)
+    g[:, 0] = cross_rows(e5, e1) - unit_rates[0, :, :1] * passive.b1
+    g[:, 1] = -unit_rates[1, :, :1] * passive.b1
     tau0 = _project([m - c for m, c in zip(inertial, gravity_moments)], axes, unit_rates)
     rest = _project([np.subtract(0.0, c) for c in gravity_moments], axes, unit_rates)
     return _LoadFreeTorques(tau0, rest, g, axes, passive.b1)

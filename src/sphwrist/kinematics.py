@@ -12,6 +12,13 @@ passive loop-closure terms with their type-II singularity test
 (``_kinematics_at``).  It returns them next to the profile, which holds only
 its four arrays, for a caller that reads them (``analysis.path_pass``);
 every other pass builds them from the angles of the rows it solves.
+
+Loop closure is solved in closed form on the type-II determinant
+D = e3 . (e4 x e5) (``_passive_closure``): the passive rates per unit rate
+of each actuator are triple products over D, and the passive rates and
+accelerations of a profile follow from them and from dot products of the
+axes (``_closure_motion``), with no linear solve but on the singular rows.
+D changes sign where a path crosses a type-II singularity.
 """
 
 import math
@@ -315,64 +322,88 @@ def _axis_stack(f0, f1, f2) -> np.ndarray:
 
 
 class _PassiveClosure(NamedTuple):
-    """Loop closure's passive columns ``b1``, ``b2`` (n, 3) at n joint states:
-    the tool-axis velocity per unit rate of the terminal joint and, negated,
-    of the distal joint, for closure to solve [b1, b2] x = rhs.  Their
-    ``normal`` b1 x b2 (n, 3) and its squared norm ``normal_sq`` (n,), 1 on
-    the ``singular`` rows (n,), where the Gram determinant of b1, b2 vanishes
-    (a type-II singularity: the passive axes align, and the actuated rates do
-    not fix the passive ones)."""
+    """Loop closure's passive terms at n joint states.  Both legs turn the
+    tool axis e5 alike, so the passive rates x = (theta3', theta4') solve
+    [b1, b2] x = r, with b1 = e3 x e5, b2 = -e4 x e5 and, for the actuated
+    rates, r = (theta2' e2 - theta1' e1) x e5.  The columns and every such r
+    are normal to e5, so x = -(r . e4, r . e3) / D on the type-II
+    determinant D = e3 . (e4 x e5) = -(b1 x b2) . e5 (Gosselin & Angeles,
+    IEEE TRA 6(3), 1990).  Holds ``b1`` (n, 3), which the tip force reads;
+    D as ``det`` (n,), whose sign changes where a path crosses a type-II
+    singularity; the ``singular`` rows (n,), where D^2 <= 1e-12 max(b1 . b1,
+    b2 . b2)^2 (the passive axes align, and the actuated rates do not fix
+    the passive ones); and ``unit_rates`` (2, n, 2), the passive rates per
+    unit rate of each actuator, minimum-norm least squares on the singular
+    rows."""
 
     b1: np.ndarray
-    b2: np.ndarray
+    det: np.ndarray
     singular: np.ndarray
-    normal: np.ndarray
-    normal_sq: np.ndarray
+    unit_rates: np.ndarray
 
 
 def _passive_closure(axes) -> _PassiveClosure:
     """The passive closure terms at axes e1..e6 (n, 6, 3)."""
-    e3, e4, e5 = axes[:, 2], axes[:, 3], axes[:, 4]
-    b1, b2 = cross_rows(e3, e5), -cross_rows(e4, e5)
-    g11, g12, g22 = dot_rows(b1, b1), dot_rows(b1, b2), dot_rows(b2, b2)
-    singular = g11 * g22 - g12 * g12 <= 1e-12 * np.maximum(g11, g22) ** 2
-    normal = cross_rows(b1, b2)
-    return _PassiveClosure(b1, b2, singular, normal, np.where(singular, 1.0, dot_rows(normal, normal)))
-
-
-def _solve_passive(passive: _PassiveClosure, rhs):
-    # Row-wise solve of [b1, b2] x = rhs by Cramer's rule against the normal
-    # n = b1 x b2, which keeps full accuracy next to a singularity, where the
-    # normal equations square the conditioning.  Minimum-norm on the singular
-    # rows, which is also the correct compatible answer there.
-    b1, b2, singular, n, nn = passive
-    x = np.column_stack([dot_rows(cross_rows(rhs, b2), n), dot_rows(cross_rows(b1, rhs), n)]) / nn[:, None]
-    for i in np.flatnonzero(singular):
-        x[i], *_ = np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)
-    return x
-
-
-def _closure_rates_from_axes(axes, passive, drive):
-    e1, e2, e5 = axes[:, 0], axes[:, 1], axes[:, 4]
-    rate1, rate2 = drive[:, :1], drive[:, 1:]
-    rhs = cross_rows(rate2 * e2 - rate1 * e1, e5)
-    return np.hstack([drive, _solve_passive(passive, rhs)])
-
-
-def _closure_accels_from_axes(axes, passive, rates, drive):
     e1, e2, e3, e4, e5 = (axes[:, k] for k in range(5))
-    d1, d2, d3, d4 = (rates[:, k:k + 1] for k in range(4))
-    accel1, accel2 = drive[:, :1], drive[:, 1:]
-    v_dot = cross_rows(d1 * e1 + d3 * e3, e5)
-    e3_dot = d1 * cross_rows(e1, e3)
-    e4_dot = d2 * cross_rows(e2, e4)
-    rhs = (
-        accel2 * cross_rows(e2, e5) - accel1 * cross_rows(e1, e5)
-        + d2 * cross_rows(e2, v_dot) - d1 * cross_rows(e1, v_dot)
-        - d3 * (cross_rows(e3_dot, e5) + cross_rows(e3, v_dot))
-        + d4 * (cross_rows(e4_dot, e5) + cross_rows(e4, v_dot))
-    )
-    return np.hstack([drive, _solve_passive(passive, rhs)])
+    b1, normal = cross_rows(e3, e5), cross_rows(e4, e5)
+    det = dot_rows(e3, normal)
+    scale = np.maximum(dot_rows(b1, b1), dot_rows(normal, normal))
+    singular = det * det <= 1e-12 * scale * scale
+    # x = -(r . e4, r . e3) / D at r = -e1 x e5 and r = e2 x e5, each a triple product over e4 x e5 or b1:
+    # u1 = -(e1 . (e4 x e5), e1 . b1) / D and u2 = (e2 . (e4 x e5), e2 . b1) / D.
+    unit_rates = np.empty((2, len(det), 2))
+    unit_rates[0, :, 0], unit_rates[0, :, 1] = dot_rows(e1, normal), dot_rows(e1, b1)
+    unit_rates[1, :, 0], unit_rates[1, :, 1] = dot_rows(e2, normal), dot_rows(e2, b1)
+    unit_rates /= np.where(singular, 1.0, det)[:, None] * np.array([[[-1.0]], [[1.0]]])
+    for i in np.flatnonzero(singular):
+        unit_rates[:, i] = _singular_row(axes[i], b1[i], np.column_stack([cross_rows(e5[i], e1[i]),
+                                                                          cross_rows(e2[i], e5[i])])).T
+    return _PassiveClosure(b1, det, singular, unit_rates)
+
+
+def _singular_row(axes, b1, rhs):
+    # [b1, b2] x = rhs (3, k) at one singular row, axes (6, 3), by minimum-norm least squares.
+    return np.linalg.lstsq(np.column_stack([b1, cross_rows(axes[4], axes[3])]), rhs, rcond=None)[0]
+
+
+def _closure_motion(axes, passive: _PassiveClosure, drive_rates, drive_accels):
+    """All four joint rates and accelerations (n, 4) at n joint states from
+    the actuated ones (n, 2), by loop closure on the ``passive`` terms.  The
+    passive rates are theta1' u1 + theta2' u2 on the unit rates u_k, and the
+    passive accelerations theta1'' u1 + theta2'' u2 - (c . e4, c . e3) / D,
+    c the velocity-product part of the right-hand side:
+    c = -(w1 - w2) x (w1 x e5) - theta1' theta3' (e1 x e3) x e5
+    + theta2' theta4' (e2 x e4) x e5, with w1 = theta1' e1 + theta3' e3 and
+    w2 = theta2' e2 + theta4' e4 each leg's angular velocity.  Each double
+    cross product is expanded into dot products of the unit axes."""
+    b1, det, singular, unit_rates = passive
+    e1, e2, e3, e4, e5 = (axes[:, k] for k in range(5))
+    n = len(det)
+    rates, accels = np.empty((n, 4)), np.empty((n, 4))
+    rates[:, :2], accels[:, :2] = drive_rates, drive_accels
+    d1, d2 = drive_rates[:, 0], drive_rates[:, 1]
+    (u13, u14), (u23, u24) = unit_rates.transpose(0, 2, 1)
+    rates[:, 2], rates[:, 3] = d1 * u13 + d2 * u23, d1 * u14 + d2 * u24
+    d3, d4 = rates[:, 2], rates[:, 3]
+    a12, a13, a14, a15 = (dot_rows(e1, e) for e in (e2, e3, e4, e5))
+    a23, a24, a25 = (dot_rows(e2, e) for e in (e3, e4, e5))
+    a34, a35, a45 = dot_rows(e3, e4), dot_rows(e3, e5), dot_rows(e4, e5)
+    # (w1 - w2) . e5, w1 . e4, w1 . e3 and (w1 - w2) . w1.
+    relative_5 = d1 * a15 + d3 * a35 - d2 * a25 - d4 * a45
+    w1_4, w1_3 = d1 * a14 + d3 * a34, d1 * a13 + d3
+    relative_w1 = d1 * (d1 + d3 * a13) + d3 * w1_3 - d2 * (d1 * a12 + d3 * a23) - d4 * w1_4
+    p13, p24 = d1 * d3, d2 * d4
+    c4 = a45 * relative_w1 - w1_4 * relative_5 - p13 * (a34 * a15 - a14 * a35) + p24 * (a25 - a24 * a45)
+    c3 = a35 * relative_w1 - w1_3 * relative_5 - p13 * (a15 - a13 * a35) + p24 * (a34 * a25 - a23 * a45)
+    d = -np.where(singular, 1.0, det)
+    accels[:, 2] = drive_accels[:, 0] * u13 + drive_accels[:, 1] * u23 + c4 / d
+    accels[:, 3] = drive_accels[:, 0] * u14 + drive_accels[:, 1] * u24 + c3 / d
+    for i in np.flatnonzero(singular):
+        # c itself, for the least-squares solve of the row.
+        c = (relative_w1[i] * e5[i] - relative_5[i] * (d1[i] * e1[i] + d3[i] * e3[i])
+             + p13[i] * (a35[i] * e1[i] - a15[i] * e3[i]) + p24[i] * (a25[i] * e4[i] - a45[i] * e2[i]))
+        accels[i, 2:] = drive_accels[i] @ unit_rates[:, i] + _singular_row(axes[i], b1[i], c)
+    return rates, accels
 
 
 class _Kinematics(NamedTuple):
@@ -448,7 +479,6 @@ def _profile_pass(orientations, dt: float, geometry: WristGeometry, clock=None) 
     drive = frozen_rows("profile rates", central_difference(theta[:, :2], dt), (len(theta), 2), label)
     drive_accel = central_difference(drive, dt)
     _, _, axes, passive, _ = kinematics = _kinematics_at(theta, geometry)
-    rates = _closure_rates_from_axes(axes, passive, drive)
-    accels = _closure_accels_from_axes(axes, passive, rates, drive_accel)
+    rates, accels = _closure_motion(axes, passive, drive, drive_accel)
     profile = _unchecked(JointProfile, **_profile_arrays(np.arange(len(theta)) * clock, theta, rates, accels, label))
     return profile, kinematics

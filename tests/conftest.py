@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sphwrist import default_config
-from sphwrist.kinematics import _closure_accels_from_axes, _closure_rates_from_axes, _kinematics_at, _profile_pass
+from sphwrist.kinematics import _closure_motion, _kinematics_at, _profile_pass
 from sphwrist.trajectory import generate
 
 
@@ -94,9 +94,8 @@ def own_rate_profile(spec, geometry):
 
 def closure_row(theta, drive_rates, drive_accels, geometry):
     """All four joint rates and accelerations of one joint state (4,) from
-    its two actuated ones, by the profile stage's loop-closure kernels on
-    one row."""
+    its two actuated ones, by the profile stage's loop closure on one row."""
     _, _, axes, passive, _ = _kinematics_at(np.reshape(theta, (1, 4)), geometry)
-    rates = _closure_rates_from_axes(axes, passive, np.array([drive_rates], dtype=float))
-    accels = _closure_accels_from_axes(axes, passive, rates, np.array([drive_accels], dtype=float))
+    rates, accels = _closure_motion(axes, passive, np.array([drive_rates], dtype=float),
+                                    np.array([drive_accels], dtype=float))
     return rates[0], accels[0]

@@ -28,7 +28,7 @@ from sphwrist.analysis import (
 )
 from sphwrist import analysis, cli, dynamics
 from sphwrist.errors import BranchJumpError, InvalidInputError, ModelInconsistencyError, WristError
-from sphwrist.kinematics import JointProfile, _unchecked
+from sphwrist.kinematics import JointProfile, _sample_label, _unchecked
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -44,6 +44,23 @@ def own_rate_reference(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY,
     load_free = dynamics._load_free_torques(profile, kinematics, bodies, gravity)
     tau = load_free.with_load(load_free.tau0, load)
     return profile, tau, tau + analysis._rotor_torques(profile.accels, motors)
+
+
+def own_rate_crossing(spec, geometry):
+    """The text that the studies refuse the spec's path with where it crosses
+    a type-II singularity, or None: from the own-rate profile stage's closure
+    columns b1 = e3 x e5 and b2 = -e4 x e5, the first two samples between
+    which -(b1 x b2) . e5 changes sign or vanishes, each named at the spec's
+    time."""
+    profile, kinematics = own_rate_profile(spec, geometry)
+    e3, e4, e5 = (kinematics.axes[:, k] for k in (2, 3, 4))
+    measure = -np.sum(np.cross(np.cross(e3, e5), -np.cross(e4, e5)) * e5, axis=1)
+    crossed = np.flatnonzero(np.sign(measure[:-1]) * np.sign(measure[1:]) <= 0.0)
+    if not len(crossed):
+        return None
+    a, b = (_sample_label(i, profile.t[i], e5[i]) for i in (crossed[0], crossed[0] + 1))
+    return (f"the path crosses a type-II singularity between {a} and {b}, where the passive joint axes align;"
+            " the torques grow without bound there")
 
 
 def own_rate_record(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY, load=None):
@@ -280,13 +297,12 @@ def test_dynamics_and_force_sweep_match_the_own_rate_route(config, path, rates, 
     # rounding c + k^2 v is on that scale, each record as
     # _assert_record_matches holds it, the
     # times bit for bit, and a failing path with the same error, named at
-    # the spec's time.
-    # An even-count semicircle passes within half a step of the type-II
-    # singularity at its midpoint, where the loop-closure solve amplifies
-    # the rounding in which the two routes differ: there they agree to
-    # about 1e-7 (at 2,000 to 3,000 samples), so its bound is 1e-6.
+    # the spec's time.  A path that the reference's own closure terms show
+    # crossing a type-II singularity between two samples is refused by both
+    # studies with the text of own_rate_crossing (after the spec in a force
+    # sweep): every even-count semicircle, whose midpoint lies half a step
+    # from its nearest samples, and no circle.
     kind, gamma, n = path
-    tol = 1e-12 if kind == KIND_CIRCLE else 1e-6
     args = config.geometry, config.bodies, config.motors, config.gravity
     forces, lever = ([0.0], 0.11) if load is None else ([0.0, float(load.f_c[0])], load.lever)
     for radius, speed in rates:
@@ -298,12 +314,53 @@ def test_dynamics_and_force_sweep_match_the_own_rate_route(config, path, rates, 
                 analysis.path_pass(spec, *args)
             assert str(info.value) == str(exc)
             reject()  # a path of few samples may step across a branch
+        crossing = own_rate_crossing(spec, config.geometry)
+        assert (crossing is not None) == (kind == KIND_SEMICIRCLE)
+        if crossing is not None:
+            with pytest.raises(ModelInconsistencyError) as info:
+                analysis.path_pass(spec, *args)
+            assert str(info.value) == crossing
+            with pytest.raises(ModelInconsistencyError) as info:
+                force_sweep(spec, forces, lever, *args)
+            assert str(info.value) == str(analysis._spec_error(spec, ModelInconsistencyError(crossing)))
+            continue
         unit = analysis.path_pass(spec, *args)
         assert unit.profile.t.tobytes() == profile.t.tobytes()
         for got, want in zip(unit.series(spec.rate, load), (tau, shaft, tau * profile.rates[:, :2])):
-            assert np.all(np.abs(got - want) <= tol * np.max(np.abs(want))), (spec, got, want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want))), (spec, got, want)
         for fc, record in force_sweep(spec, forces, lever, *args):
-            _assert_record_matches(record, own_rate_record(spec, *args, CuttingLoad((fc, fc, fc), lever)), tol)
+            _assert_record_matches(record, own_rate_record(spec, *args, CuttingLoad((fc, fc, fc), lever)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.tuples(st.just(KIND_CIRCLE), st.floats(25.0, 65.0), st.integers(3, 3000))
+       | st.tuples(st.just(KIND_SEMICIRCLE), st.none(), st.integers(3, 3000)))
+@example(path=(KIND_SEMICIRCLE, None, 1000))
+@example(path=(KIND_SEMICIRCLE, None, 1001))
+def test_path_pass_refuses_exactly_the_paths_that_cross_a_type_ii_singularity(config, path):
+    # path_pass raises exactly where the own-rate reference's -(b1 x b2) . e5
+    # changes sign or vanishes between two samples: on every semicircle and
+    # on no circle.  An even-count semicircle is refused with the text of
+    # own_rate_crossing, an odd-count one first at its singular midpoint,
+    # with the load-free pass's text.
+    kind, gamma, n = path
+    spec = TrajectorySpec(kind, 0.25, 1.0, None if gamma is None else math.radians(gamma), n)
+    args = config.geometry, config.bodies, config.motors, config.gravity
+    try:
+        crossing = own_rate_crossing(spec, config.geometry)
+    except BranchJumpError:  # a path of few samples may step across a branch
+        reject()
+    assert (crossing is not None) == (kind == KIND_SEMICIRCLE)
+    if crossing is None:
+        analysis.path_pass(spec, *args)
+        return
+    with pytest.raises(ModelInconsistencyError) as info:
+        analysis.path_pass(spec, *args)
+    if n % 2:
+        profile, kinematics = own_rate_profile(spec, config.geometry)
+        i = n // 2
+        crossing = f"{_sample_label(i, profile.t[i], kinematics.axes[i, 4])}: {dynamics.TYPE_II_MESSAGE}"
+    assert str(info.value) == crossing
 
 
 _SEED0_LOAD = CuttingLoad((150.0, 150.0, 150.0), 0.11)
@@ -451,6 +508,23 @@ def test_motor_feasibility_monotone(motor):
         rank = order[motor_feasibility(peak_record((torque, torque)), motor).actuators[0].torque_class]
         assert rank >= previous
         previous = rank
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_torques", np.array([np.nan, 1.0])),
+    ("max_torques", np.array([1.0])),
+    ("max_torques", np.array([1.0, -1.0])),
+    ("max_powers", np.array([np.inf, 0.0])),
+    ("max_rates", np.ones(2)),
+    ("max_accels", np.ones((2, 2))),
+])
+def test_motor_feasibility_checks_its_peaks(motor, field, value):
+    # A NaN peak used to classify as infeasible / over-max with a NaN margin, and a one-element torque
+    # pair raised a raw IndexError; each field is checked for its shape, finite and non-negative values.
+    size = 4 if field in ("max_rates", "max_accels") else 2
+    record = replace(peak_record((1.0, 1.0)), **{field: value})
+    with pytest.raises(InvalidInputError, match=f"^peaks.{field} must be {size} finite non-negative values$"):
+        motor_feasibility(record, motor)
 
 
 def test_motor_feasibility_margins(motor):

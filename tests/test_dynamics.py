@@ -46,7 +46,7 @@ from sphwrist import analysis, cli, dynamics, kinematics, rotation
 from sphwrist.dynamics import (N_EQUATIONS, N_UNKNOWNS, NE_BLOCK, RESIDUAL_GATE, TYPE_II_MESSAGE, UNKNOWN_SLICES,
                                _body_table, _load_free_torques, _motion)
 from sphwrist.errors import InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError
-from sphwrist.kinematics import _axis_stack, _closure_rates_from_axes, _joint_angles, _kinematics_at, _passive_closure
+from sphwrist.kinematics import _axis_stack, _joint_angles, _kinematics_at, _passive_closure
 from sphwrist.rotation import leg_frames
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
@@ -669,6 +669,32 @@ def test_every_entry_refuses_the_singular_state_at_rest(geometry, bodies):
         virtual_work_torques(profile, geometry, bodies)
 
 
+def test_solve_wrenches_refuses_by_the_block_solves_rule(geometry, bodies):
+    # At rest at pan 1 rad, tilting toward the horizon: solve_wrenches
+    # refuses exactly the states that solve_state refuses, on the det K
+    # ratio of the moment bases its matrix holds, and elsewhere returns the
+    # same torques.  At tilt -1e-13 lstsq's own rank cutoff still solves the
+    # matrix (rank 24), which gave (0.00156, -0.22529) N m against the
+    # determined (0.0023, -0.2219) N m of the tilts that are solved.
+    refused = []
+    for tilt in (-1e-5, -1e-7, -1e-9, -1e-11, -1e-13):
+        state = static_state(_joint_angles(kinematics.vector_from_pan_tilt(1.0, tilt).v, geometry))
+        system = assemble_system(body_motion(state, geometry, bodies), bodies)
+        try:
+            _, solution = solve_state(state, geometry, bodies)
+        except ModelInconsistencyError as exc:
+            assert str(exc) == TYPE_II_MESSAGE
+            with pytest.raises(ModelInconsistencyError, match=f"^{re.escape(TYPE_II_MESSAGE)}$"):
+                solve_wrenches(system)
+            refused.append(tilt)
+            continue
+        # Both solves round at the conditioning 1/|tilt| of the moment block.
+        np.testing.assert_allclose(solve_wrenches(system).tau, solution.tau, rtol=0.0, atol=1e-14 / abs(tilt))
+        np.testing.assert_allclose(solution.tau, (0.0023, -0.2219), atol=1e-4)
+    assert refused == [-1e-9, -1e-11, -1e-13]
+    assert np.linalg.matrix_rank(system.matrix) == N_EQUATIONS
+
+
 def test_solve_takes_a_matrix_of_another_form(geometry, bodies):
     # solve_wrenches solves the matrix it is given, whatever its form: a
     # force block or a proximal frame scaled by 2 is solved as lstsq solves
@@ -1016,9 +1042,11 @@ def loaded_virtual_work_reference(profile, geometry, bodies, gravity, load):
     q_passive = np.column_stack([np.sum(e3 * moment["terminal"], axis=1), np.sum(e4 * moment["distal"], axis=1)])
     tau = np.column_stack([np.sum(e1 * (moment["proximal-1"] + moment["terminal"]), axis=1),
                            np.sum(e2 * (moment["proximal-2"] + moment["distal"]), axis=1)])
-    for k, drive in enumerate(np.eye(2)):
-        passive = _closure_rates_from_axes(axes, _passive_closure(axes), np.tile(drive, (len(th), 1)))[:, 2:]
-        tau[:, k] += np.sum(passive * q_passive, axis=1)
+    # The passive rates per unit rate of each actuator, from the closure e3 x e5 x3 - e4 x e5 x4 = r by
+    # stacked pseudo-inverses, r = -e1 x e5 for actuator 1 and e2 x e5 for actuator 2.
+    closure = np.linalg.pinv(np.stack([np.cross(e3, e5), -np.cross(e4, e5)], axis=2))
+    for k, r in enumerate((-np.cross(e1, e5), np.cross(e2, e5))):
+        tau[:, k] += np.sum((closure @ r[..., None])[..., 0] * q_passive, axis=1)
     return tau
 
 
@@ -1554,8 +1582,9 @@ def count_calls(monkeypatch, *names):
 
 
 def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
-    # The profile stage builds the leg frames once and tests the passive Gram
-    # determinant once, without the one-leg chain_frames, and so does
+    # The profile stage builds the leg frames once and forms the passive
+    # closure terms (type-II determinant, unit rates) once, without the
+    # one-leg chain_frames, and so does
     # virtual_work_torques on its own.  A study's pass over one path makes
     # each call once, and so does the own-rate route it replaced (a profile
     # stage and a load-free pass at the spec's rate): their load-free
@@ -1666,7 +1695,8 @@ def test_kept_kinematics_follow_the_geometry_object(geometry, bodies, monkeypatc
 def test_kinematics_of_row_slices_are_slices_of_the_pass(geometry):
     # The dynamics build the kinematic terms of the rows they solve (one
     # row, a block of NE_BLOCK rows, the ragged last block); each is the same
-    # slice of the profile stage's pass over all rows, bit for bit.
+    # slice of the profile stage's pass over all rows, bit for bit (rows are
+    # the first axis of every term but the unit rates, whose second they are).
     for n, profile_of in ((1001, lambda n: semicircle_states(geometry, 0.25, n)),
                           (2 * NE_BLOCK + 45, lambda n: circle_states(geometry, 57.0, 0.05, n))):
         profile = profile_of(n)
@@ -1677,7 +1707,7 @@ def test_kinematics_of_row_slices_are_slices_of_the_pass(geometry):
         for span in spans:
             part = _kinematics_at(profile.theta[span], geometry)
             for a, b in zip((*part[:3], *part.passive), (*whole[:3], *whole.passive), strict=True):
-                assert np.array_equal(a, b[span]), span
+                assert np.array_equal(a, b[:, span] if b is whole.passive.unit_rates else b[span]), span
 
 
 def test_body_table_from_threads(geometry, bodies):

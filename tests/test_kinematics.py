@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_VALUES, closure_row, is_complex_array, random_unit_vector, symmetric_rel
+from conftest import BAD_VALUES, closure_row, is_complex_array, own_rate_profile, random_unit_vector, symmetric_rel
 from sphwrist import (
     JointAngles,
     JointProfile,
     JointState,
     OrientationPath,
+    PeakRecord,
     ToolOrientation,
     TrajectorySpec,
     WristGeometry,
@@ -22,6 +23,7 @@ from sphwrist import (
     forward_kinematics,
     inverse_kinematics,
     leg2_tool_axis,
+    motor_feasibility,
     pan_tilt_from_vector,
     reflected_motor_torque,
     sweep_peaks,
@@ -40,7 +42,7 @@ from sphwrist.errors import (
     WristError,
     frozen_rows,
 )
-from sphwrist.kinematics import _joint_angles, _unit_directions
+from sphwrist.kinematics import _closure_motion, _joint_angles, _kinematics_at, _unit_directions
 from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE
 
 
@@ -234,6 +236,8 @@ def _public_entries(config):
                                                                             sample_count=5)], geometry, bodies, motors),
                                    (0.3,), (0,)),
         "reflected_motor_torque": (lambda tau, accel: reflected_motor_torque(tau, accel, motors[0]), (1.0, 2.0), ()),
+        "motor_feasibility": (lambda *peaks: motor_feasibility(PeakRecord(None, 0.15, *peaks), motors),
+                              (np.ones(4), np.ones(4), np.ones(2), np.ones(2)), ()),
         "wrap_angle": (wrap_angle, (0.5,), ()),
         "unwrap_angles": (unwrap_angles, (np.arange(3.0),), ()),
     }
@@ -572,9 +576,10 @@ def _profile(geometry, spec):
 @pytest.mark.parametrize("kind", ["circle", "semicircle"])
 def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
     # The profile runs IK and loop closure over all samples at once; each row
-    # must equal the one-sample IK, and the closure kernels on that row alone
+    # must equal the one-sample IK, and the loop closure on that row alone
     # bit for bit.  The semicircle's midpoint (sample 500) is a closure
-    # singularity, where both closure solves take the min-norm fallback.
+    # singularity, where the unit rates and the accelerations' velocity
+    # term each take the min-norm fallback.
     from sphwrist.trajectory import KIND_CIRCLE, KIND_SEMICIRCLE, TrajectorySpec
     if kind == "circle":
         spec = TrajectorySpec(kind=KIND_CIRCLE, radius=0.25, gamma=math.radians(45.0), sample_count=1001)
@@ -601,6 +606,83 @@ def test_profile_rows_match_single_sample_calls(geometry, monkeypatch, kind):
     assert state.t == profile.t[500]
     np.testing.assert_array_equal(state.angles.theta, profile.theta[500])
     assert [s.t for s in profile] == list(profile.t)
+
+
+def assert_closure_is_the_least_squares_solve(theta, drive_rates, drive_accels, geometry):
+    """The closed-form loop closure of joint states theta (n, 4) against a
+    per-row least-squares solve of [b1, b2] x = rhs, b1 = e3 x e5 and
+    b2 = -e4 x e5: the unit rates (rhs -e1 x e5 and e2 x e5), the passive
+    rates (rhs (theta2' e2 - theta1' e1) x e5) and, at the passive rates the
+    closure returns, the passive accelerations (rhs the closure's time
+    derivative).  Each is held to 1e-13 of its peak where |s| >= 0.1,
+    s = D / max(b1 . b1, b2 . b2), and to 1e-13 (0.1 / s)^2 nearer the
+    singularity.  The singular mask is the Gram-ratio test, and
+    D = -(b1 x b2) . e5."""
+    _, _, axes, passive, _ = _kinematics_at(theta, geometry)
+    rates, accels = _closure_motion(axes, passive, drive_rates, drive_accels)
+    e1, e2, e3, e4, e5 = (axes[:, k] for k in range(5))
+    b1, b2 = np.cross(e3, e5), -np.cross(e4, e5)
+    g11, g12, g22 = (np.sum(a * b, axis=1) for a, b in ((b1, b1), (b1, b2), (b2, b2)))
+    scale = np.maximum(g11, g22)
+    assert np.array_equal(passive.singular, g11 * g22 - g12 * g12 <= 1e-12 * scale**2)
+    det = -np.sum(np.cross(b1, b2) * e5, axis=1)
+    assert np.all(np.abs(passive.det - det) <= 1e-15)
+
+    def solve(rhs):
+        return np.array([np.linalg.lstsq(np.column_stack([b1[i], b2[i]]), rhs[i], rcond=None)[0]
+                         for i in range(len(rhs))])
+
+    (d1, d2), (a1, a2) = drive_rates.T[:, :, None], drive_accels.T[:, :, None]
+    unit = [solve(-np.cross(e1, e5)), solve(np.cross(e2, e5))]
+    passive_rates = solve(np.cross(d2 * e2 - d1 * e1, e5))
+    d3, d4 = rates[:, 2:].T[:, :, None]
+    v_dot = np.cross(d1 * e1 + d3 * e3, e5)
+    rhs = (a2 * np.cross(e2, e5) - a1 * np.cross(e1, e5) + d2 * np.cross(e2, v_dot) - d1 * np.cross(e1, v_dot)
+           - d3 * (d1 * np.cross(np.cross(e1, e3), e5) + np.cross(e3, v_dot))
+           + d4 * (d2 * np.cross(np.cross(e2, e4), e5) + np.cross(e4, v_dot)))
+    bound = 1e-13 * np.maximum(1.0, 0.01 * scale**2 / np.maximum(det * det, 1e-300))[:, None]
+    for got, want in ((passive.unit_rates[0], unit[0]), (passive.unit_rates[1], unit[1]),
+                      (rates[:, 2:], passive_rates), (accels[:, 2:], solve(rhs))):
+        assert np.all(np.abs(got - want) <= bound * np.max(np.abs(want))), np.max(np.abs(got - want))
+    assert np.array_equal(rates[:, :2], drive_rates) and np.array_equal(accels[:, :2], drive_accels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.tuples(st.just(KIND_CIRCLE), st.floats(25.0, 65.0), st.integers(3, 3000))
+       | st.tuples(st.just(KIND_SEMICIRCLE), st.none(), st.integers(2, 1500).map(lambda k: 2 * k)))
+@example(path=(KIND_SEMICIRCLE, None, 2000))
+def test_closure_on_drawn_paths_is_the_least_squares_solve(geometry, path):
+    # The profile stage's angles and actuated rates of drawn circles and
+    # even-count semicircles, which pass within half a step of the type-II
+    # singularity at their midpoint.
+    kind, gamma, n = path
+    try:
+        spec = TrajectorySpec(kind, 0.25, 1.0, None if gamma is None else math.radians(gamma), n)
+        profile, _ = own_rate_profile(spec, geometry)
+    except BranchJumpError:  # a path of few samples may step across a branch
+        reject()
+    assert_closure_is_the_least_squares_solve(profile.theta, profile.rates[:, :2], profile.accels[:, :2], geometry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.lists(st.floats(0.5, 2.6) | st.floats(-2.6, -0.5), min_size=5, max_size=5),
+       drive=st.lists(st.tuples(*[st.floats(-math.pi, math.pi)] * 2, *[st.floats(-5.0, 5.0)] * 2,
+                                *[st.floats(-50.0, 50.0)] * 2), min_size=1, max_size=20))
+def test_closure_on_any_twists_is_the_least_squares_solve(alpha, drive):
+    # Random states of wrists with drawn twists, where the axes' cross terms
+    # that vanish at the default right-angle twists (e1 . e3, e3 . e5,
+    # e4 . e5, ...) all take part; leg 2's angles come from inverse
+    # kinematics at leg 1's tool direction.
+    geometry = WristGeometry(alpha=alpha)
+    rows = []
+    for theta1, theta3, *motion in drive:
+        try:
+            rows.append([*_joint_angles(forward_kinematics(theta1, theta3, geometry).v, geometry), *motion])
+        except WristError:  # the direction lies on a drive axis
+            continue
+    assume(rows)
+    rows = np.array(rows)
+    assert_closure_is_the_least_squares_solve(rows[:, :4], rows[:, 4:6], rows[:, 6:], geometry)
 
 
 def test_profile_rows_are_read_only_views(geometry):

@@ -21,11 +21,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     exits = {p.stem: p.read_text() for p in a.glob("*.exit")}
     # fk, ik, 13 traj, 3 dynamics, 2 sweep, force-sweep and 2 motor-check
     # runs, and two dynamics runs on config files; only the semicircle's
-    # torques fail, at its singular midpoint.  The 20 error cases and the 6
+    # torques fail, at its singular midpoint.  The 21 error cases and the 6
     # config error cases each end in one categorised error line.
-    assert len(exits) == 51 and exits.pop("dynamics_semicircle") == "1\n"
+    assert len(exits) == 52 and exits.pop("dynamics_semicircle") == "1\n"
     errors = [name for name in exits if name.startswith("error_")]
-    assert len(errors) == 26 and {exits.pop(name) for name in errors} == {"1\n"}
+    assert len(errors) == 27 and {exits.pop(name) for name in errors} == {"1\n"}
     assert set(exits.values()) == {"0\n"}
     for name in errors:
         assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", (a / f"{name}.stderr").read_text())
@@ -65,6 +65,11 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert (a / f"{name}.stderr").read_text() == f"error[invalid-spec]: {message}\n"
     assert (a / "dynamics_semicircle.stderr").read_text().startswith(
         "error[model-inconsistency]: sample 10 (t = 0.261799 s, v = (")
+    # An even-count semicircle crosses the type-II singularity between its two middle samples.
+    crossing = (a / "error_dynamics_semicircle_even.stderr").read_text()
+    assert crossing.startswith("error[model-inconsistency]: the path crosses a type-II singularity between sample 499"
+                               " (t = 0.261537 s, v = (") and " and sample 500 (t = 0.262061 s, v = (" in crossing
+    assert crossing.endswith("; the torques grow without bound there\n")
     # A config fault is reported once, by its key, with no section prefix ahead of the key.
     assert (a / "error_config_missing_max_torque.stderr").read_text() == (
         "error[config-error]: missing required key 'motor.1.max_torque'\n")
@@ -141,7 +146,7 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
         assert [row[0] for row in peaks] == ["peak", "max_rates", "max_accels"] and {len(r) for r in peaks} == {5}
 
     same = run_snapshot_tool("--compare", a, a)
-    assert (same.returncode, same.stdout) == (0, "212 files, 0 differ\n")
+    assert (same.returncode, same.stdout) == (0, "215 files, 0 differ\n")
     shutil.copytree(a, b)
     (b / "fk.stdout").unlink()
     lines = (b / "sweep.csv").read_text().splitlines()
@@ -155,4 +160,4 @@ def test_cli_snapshot_writes_and_compares(tmp_path):
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"only in {a}: fk.stdout", "differs: api_semicircle_0.25.csv: error: 1 cells",
                                            "differs: sweep.csv: P2_W: 1 cells, max |diff| 0.5, relative 0.00436",
-                                           "212 files, 3 differ"]
+                                           "215 files, 3 differ"]

@@ -109,6 +109,9 @@ ERROR_CASES = (
     ("error_traj_gamma_nan", ["traj", "--gamma", "nan", "--radius", "0.15", "--out", "error_traj_gamma_nan.csv"]),
     ("error_traj_radius_nan", ["traj", "--gamma", "45", "--radius", "nan", "--out", "error_traj_radius_nan.csv"]),
     ("error_sweep_speed_zero", ["sweep", *GRID, "--speed", "0", "--out", "error_sweep_speed_zero.csv"]),
+    # An even-count semicircle steps over the type-II singularity at its midpoint, between samples 499 and 500.
+    ("error_dynamics_semicircle_even", ["dynamics", "--traj", "semicircle", "--radius", "0.25", "--samples", "1000",
+                                        "--out", "error_dynamics_semicircle_even.csv"]),
     # A semicircle takes no cone angle, but one that is given is checked.
     ("error_dynamics_semicircle_gamma_nan", ["dynamics", "--traj", "semicircle", "--gamma", "nan", "--radius", "0.25",
                                              "--out", "error_dynamics_semicircle_gamma_nan.csv"]),
