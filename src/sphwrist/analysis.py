@@ -75,14 +75,13 @@ class PathPass(NamedTuple):
     rate k = tool_speed / radius the rates scale by k and the accelerations
     by k squared, so the torques are c + k^2 v (Hollerbach, ASME J. Dyn.
     Syst. Meas. Control 106(1), 1984).  ``torques`` is the unit-rate
-    load-free pass, whose ``rest`` under a load gives the static torques
-    c (N, 2); ``v_joint`` and ``v_shaft`` (N, 2) are the joint torques per
-    unit rate squared and those plus the reflected rotor torques.
+    load-free pass: its ``static`` under a load gives c (N, 2) and its
+    ``inertial`` v, the joint torques per unit rate squared; ``v_shaft``
+    (N, 2) is v plus the reflected rotor torques.
     ``profile`` is the unit profile, on the clock of the spec the pass was
     made for, and ``step`` its path-angle step."""
 
     torques: _LoadFreeTorques
-    v_joint: np.ndarray
     v_shaft: np.ndarray
     drive_rates: np.ndarray
     profile: JointProfile
@@ -93,8 +92,8 @@ class PathPass(NamedTuple):
     def series(self, rate, load: CuttingLoad | None):
         """Joint torques, shaft torques and joint powers (joint torque times
         joint rate), (N, 2) each, at path rate ``rate``, unchecked."""
-        c, kk = self.torques.with_load(self.torques.rest, load), rate * rate
-        tau = c + kk * self.v_joint
+        c, kk = self.torques.static(load), rate * rate
+        tau = c + kk * self.torques.inertial
         return tau, c + kk * self.v_shaft, tau * (rate * self.drive_rates)
 
     def finite(self, rate, header, values, where=""):
@@ -120,7 +119,7 @@ class PathPass(NamedTuple):
             for peaks in (max_rates, max_accels):
                 peaks.setflags(write=False)
             for where, load in loads:
-                shaft = self.torques.with_load(self.torques.rest, load) + (k * k) * self.v_shaft
+                shaft = self.torques.static(load) + (k * k) * self.v_shaft
                 peaks = (max_rates, max_accels, _column_peaks(shaft), _column_peaks(shaft * rates))
                 if not all(np.isfinite(p).all() for p in peaks):
                     self.finite(k, _PEAK_HEADER, np.column_stack(
@@ -132,9 +131,8 @@ class PathPass(NamedTuple):
 def path_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY) -> PathPass:
     """The spec's path at unit path rate: one profile stage at radius and
     tool speed 1, which differences at the path-angle step, and one
-    load-free pass, whose gravity moments alone also give the torques at
-    rest.  The profile's times, and the times its errors name, step
-    by the path-angle step over the spec's rate: the spec's own clock.
+    load-free pass.  The profile's times, and the times its errors name,
+    step by the path-angle step over the spec's rate: the spec's own clock.
 
     After the load-free pass's own checks, a path whose type-II determinant
     (``kinematics._PassiveClosure``) changes sign or vanishes between two
@@ -151,8 +149,7 @@ def path_pass(spec: TrajectorySpec, geometry, bodies, motors, gravity=GRAVITY) -
         a, b = (_sample_label(j, profile.t[j], kinematics.axes[j, 4]) for j in (i, i + 1))
         raise ModelInconsistencyError(f"the path crosses a type-II singularity between {a} and {b},"
                                       " where the passive joint axes align; the torques grow without bound there")
-    v_joint = torques.tau0 - torques.rest
-    return PathPass(torques, v_joint, v_joint + _rotor_torques(profile.accels, motors),
+    return PathPass(torques, torques.inertial + _rotor_torques(profile.accels, motors),
                     np.ascontiguousarray(profile.rates[:, :2]), profile, step, _column_peaks(profile.rates),
                     _column_peaks(profile.accels))
 

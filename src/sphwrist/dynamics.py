@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import (InconsistentStateError, InvalidInputError, ModelInconsistencyError, WristError, finite_array,
                      finite_scalar, float_array, frozen_vector)
-from .kinematics import JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label
+from .kinematics import TYPE_II_TOL, JointProfile, JointState, _frames_at, _Kinematics, _kinematics_at, _sample_label
 from .rotation import WristGeometry, cross_rows, dot_rows
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -59,10 +59,8 @@ GRAVITY.setflags(write=False)
 
 RESIDUAL_GATE = 1e-8
 CLOSURE_TOL = 1e-6
-# A row is refused when its type-II determinant det K (see _closed_form) is at most this fraction of
-# |n3| |n4| |t5a| |t5b| (2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it).  That ratio is
-# the root of the passive Gram ratio that virtual work refuses at 1e-12, with the same text (below).
-TYPE_II_TOL = 1e-8
+# A row is refused, with virtual work's text, when its type-II determinant det K (see _closed_form) is at most
+# TYPE_II_TOL of |n3| |n4| |t5a| |t5b| (2.6e-16 at the semicircles' singular midpoint, 4.2e-3 beside it).
 TYPE_II_MESSAGE = "the passive joint axes align; ideal joints cannot realize the motion at this sample"
 # Rows of a profile that solve_state solves together and keeps on the
 # profile, with their power-balance terms: a larger block costs less time
@@ -740,15 +738,14 @@ def _project(moments, axes, unit_rates):
 
 
 class _LoadFreeTorques(NamedTuple):
-    """Virtual-work torques of a profile without a cutting load, the torques
-    of the same angles at rest, and the terms that add a load to either.
+    """The two linear parts of a profile's virtual-work torques without a
+    cutting load, and the terms that add a load.
 
-    ``tau0`` (N, 2) are the joint torques under inertia and gravity alone,
-    and ``rest`` (N, 2) those of the same angles at zero rates and
-    accelerations: the projection of the gravity moments -r x m g alone.
-    Each inertial moment of a pass at rest is +0 (each ends in + 0.0, and
-    +0 + (+-0) is +0), so ``rest`` equals that pass's ``tau0`` bit for bit,
-    signed zeros included.  ``g`` (N, 2, 3) holds, per actuator k,
+    ``inertial`` (N, 2) are the joint torques of the inertial moments alone,
+    I_O w_dot + w x I_O w, and ``rest`` (N, 2) those of the gravity moments
+    -r x m g alone: the torques of the same angles at rest.  The torques
+    under gravity are their sum; at path rate k a unit-rate pass scales
+    ``inertial`` by k squared.  ``g`` (N, 2, 3) holds, per actuator k,
     ``e5 x w_k``, with ``w_k`` the terminal's angular velocity per unit rate
     of actuator k: a world-frame tip force f at lever l adds
     ``l * g[:, k] . f`` to torque k.  ``axes`` (N, 6, 3) and ``e3_x_e5``
@@ -756,20 +753,19 @@ class _LoadFreeTorques(NamedTuple):
     ``CuttingLoad`` into that world-frame force.
     """
 
-    tau0: np.ndarray
+    inertial: np.ndarray
     rest: np.ndarray
     g: np.ndarray
     axes: np.ndarray
     e3_x_e5: np.ndarray
 
-    def with_load(self, tau: np.ndarray, load: CuttingLoad | None) -> np.ndarray:
-        """Joint torques (N, 2) ``tau`` of this pass (``tau0`` or ``rest``)
-        under ``load``: the torques are affine in it.  Without a load they
-        are ``tau`` itself."""
+    def static(self, load: CuttingLoad | None) -> np.ndarray:
+        """The static torques (N, 2) under ``load``: ``rest`` plus the load
+        term, in which they are affine, or ``rest`` itself without a load."""
         if load is None:
-            return tau
+            return self.rest
         tip = _tip_force(load, self.axes[:, 2], self.axes[:, 4], self.e3_x_e5)
-        return tau + load.lever * _matvec_rows(self.g, tip)
+        return self.rest + load.lever * _matvec_rows(self.g, tip)
 
 
 def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
@@ -784,16 +780,16 @@ def virtual_work_torques(profile: JointProfile, geometry: WristGeometry, bodies,
     unit-rate u_kj: tau_k = sum_j u_kj e_j . (sum of M_b over the bodies j
     carries).  The torques equal those of the Newton-Euler solve, without
     its reactions.  The cutting moment l e5 x f is linear in the tip force,
-    so it is added last (``_LoadFreeTorques.with_load``).
+    so it is added last (``_LoadFreeTorques.static``).
 
     Raises for the lowest failing sample, named by index and time: legs that
     do not close the loop (inconsistent-state), or passive axes that align,
     where ideal joints cannot realize a general motion (model-inconsistency,
-    ``TYPE_II_MESSAGE``).  The Newton-Euler solve refuses a subset of those
-    samples with the same text, on its own type-II determinant.
+    ``TYPE_II_MESSAGE``).  The Newton-Euler solve refuses the same samples
+    with the same text, on its own type-II determinant at ``TYPE_II_TOL``.
     """
     load_free = _load_free_torques(profile, _kinematics_at(profile.theta, geometry), bodies, gravity)
-    return load_free.with_load(load_free.tau0, load)
+    return load_free.inertial + load_free.static(load)
 
 
 def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, gravity=GRAVITY) -> _LoadFreeTorques:
@@ -828,12 +824,11 @@ def _load_free_torques(profile: JointProfile, kinematics: _Kinematics, bodies, g
                 for b in range(2)]
     for k, e in enumerate((e1, e2)):
         a = np.array([0.0, sin[k, 0], cos[k, 0]])
-        inertial.append(float(a @ table.inertia_center[2 + k] @ a) * profile.accels[:, k, None] * e + 0.0)
+        inertial.append(float(a @ table.inertia_center[2 + k] @ a) * profile.accels[:, k, None] * e)
     # g_k = e5 x w_k with w_k = e1 + u_13 e3 and u_23 e3 per unit rate of actuator k, and e5 x e3 = -b1.
     unit_rates = passive.unit_rates
     g = np.empty((n, 2, 3))
     g[:, 0] = cross_rows(e5, e1) - unit_rates[0, :, :1] * passive.b1
     g[:, 1] = -unit_rates[1, :, :1] * passive.b1
-    tau0 = _project([m - c for m, c in zip(inertial, gravity_moments)], axes, unit_rates)
     rest = _project([np.subtract(0.0, c) for c in gravity_moments], axes, unit_rates)
-    return _LoadFreeTorques(tau0, rest, g, axes, passive.b1)
+    return _LoadFreeTorques(_project(inertial, axes, unit_rates), rest, g, axes, passive.b1)

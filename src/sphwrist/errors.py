@@ -61,11 +61,13 @@ def finite_array(name, value) -> np.ndarray:
 
 def frozen_vector(name, value, length) -> np.ndarray:
     """``value`` as a read-only float copy of shape (length,), checked to be
-    finite: how every value type stores a vector it is given, so that no
-    later write to the caller's array reaches it."""
-    v = float_array(value).ravel()
-    if v.shape != (length,):
+    finite: how every value type stores a vector it is given (a row or a
+    column of values, not two axes longer than 1), so that no later write
+    to the caller's array reaches it."""
+    v = float_array(value)
+    if v.size != length or length not in v.shape:
         raise InvalidInputError(f"{name} must be a {length}-vector")
+    v = v.reshape(length)
     if not all(map(math.isfinite, v.tolist())):
         raise InvalidInputError(f"{name} must be finite")
     v.setflags(write=False)

@@ -36,6 +36,9 @@ from .rotation import (WristGeometry, _wrap, central_difference, chain_frames, c
 
 SINGULAR_GUARD = 1e-12
 ORIENTATION_GUARD = 1e-9
+# Every torque path's type-II threshold, each on its own measure: |D| / max(b1 . b1, b2 . b2) of the closure
+# (``_PassiveClosure``) and Newton-Euler's det K ratio (``dynamics._type_ii_terms``), equal on this geometry.
+TYPE_II_TOL = 1e-6
 
 
 def _unchecked(cls, **fields):
@@ -330,9 +333,9 @@ class _PassiveClosure(NamedTuple):
     determinant D = e3 . (e4 x e5) = -(b1 x b2) . e5 (Gosselin & Angeles,
     IEEE TRA 6(3), 1990).  Holds ``b1`` (n, 3), which the tip force reads;
     D as ``det`` (n,), whose sign changes where a path crosses a type-II
-    singularity; the ``singular`` rows (n,), where D^2 <= 1e-12 max(b1 . b1,
-    b2 . b2)^2 (the passive axes align, and the actuated rates do not fix
-    the passive ones); and ``unit_rates`` (2, n, 2), the passive rates per
+    singularity; the ``singular`` rows (n,), where |D| <= ``TYPE_II_TOL``
+    max(b1 . b1, b2 . b2) (the passive axes align, and the actuated rates
+    do not fix the passive ones); and ``unit_rates`` (2, n, 2), the passive rates per
     unit rate of each actuator, minimum-norm least squares on the singular
     rows."""
 
@@ -348,7 +351,7 @@ def _passive_closure(axes) -> _PassiveClosure:
     b1, normal = cross_rows(e3, e5), cross_rows(e4, e5)
     det = dot_rows(e3, normal)
     scale = np.maximum(dot_rows(b1, b1), dot_rows(normal, normal))
-    singular = det * det <= 1e-12 * scale * scale
+    singular = det * det <= TYPE_II_TOL * TYPE_II_TOL * scale * scale
     # x = -(r . e4, r . e3) / D at r = -e1 x e5 and r = e2 x e5, each a triple product over e4 x e5 or b1:
     # u1 = -(e1 . (e4 x e5), e1 . b1) / D and u2 = (e2 . (e4 x e5), e2 . b1) / D.
     unit_rates = np.empty((2, len(det), 2))

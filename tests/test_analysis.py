@@ -42,7 +42,7 @@ def own_rate_reference(spec, geometry, bodies, motors, gravity=dynamics.GRAVITY,
     rate.  Its profile, joint torques and shaft torques (N, 2)."""
     profile, kinematics = own_rate_profile(spec, geometry)
     load_free = dynamics._load_free_torques(profile, kinematics, bodies, gravity)
-    tau = load_free.with_load(load_free.tau0, load)
+    tau = load_free.inertial + load_free.static(load)
     return profile, tau, tau + analysis._rotor_torques(profile.accels, motors)
 
 
@@ -382,8 +382,9 @@ def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, l
     # The load-free pass gives its static torques (rest) from its own
     # gravity moments.  The reference is the route it replaced: the
     # load-free pass on the same angles at zero-stride zero rates and
-    # accelerations.  Equal by tobytes, signed zeros included, and so are
-    # the reference's own rest and tau0.
+    # accelerations, whose inertial part is +0 everywhere.  The two give
+    # the same static torques by tobytes, signed zeros included, with and
+    # without the load.
     kind, gamma, n = path
     spec = TrajectorySpec(kind, 1.0, 1.0, None if gamma is None else math.radians(gamma), n)
     try:
@@ -394,10 +395,31 @@ def test_torques_at_rest_are_the_load_free_pass_at_rest(config, path, gravity, l
     zero = np.broadcast_to(0.0, profile.rates.shape)
     at_rest = _unchecked(JointProfile, t=profile.t, theta=profile.theta, rates=zero, accels=zero)
     reference = dynamics._load_free_torques(at_rest, kinematics, config.bodies, gravity)
-    assert moving.rest.tobytes() == reference.tau0.tobytes()
-    assert reference.rest.tobytes() == reference.tau0.tobytes()
-    assert (moving.with_load(moving.rest, load).tobytes()
-            == reference.with_load(reference.tau0, load).tobytes())
+    assert reference.inertial.tobytes() == np.zeros_like(reference.inertial).tobytes()
+    assert moving.rest.tobytes() == reference.rest.tobytes()
+    assert moving.static(load).tobytes() == reference.static(load).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(25.0, 65.0), n=st.integers(3, 3001), gravity=st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+@example(gamma=45.0, n=1001, gravity=(0.0, 0.0, -9.81))
+def test_torques_per_unit_rate_squared_do_not_depend_on_gravity(config, gamma, n, gravity):
+    # v, the joint and shaft torques per unit rate squared, is the
+    # projection of the inertial moments alone: the same bits under no
+    # gravity, the default, twice the default and a drawn gravity vector.
+    # Virtual work under no gravity gives v itself.
+    spec = circle_spec(gamma, 0.15, n)
+    try:
+        passes = [analysis.path_pass(spec, config.geometry, config.bodies, config.motors, g)
+                  for g in (np.zeros(3), dynamics.GRAVITY, 2.0 * dynamics.GRAVITY, np.array(gravity))]
+    except BranchJumpError:  # a path of few samples may step across a branch
+        reject()
+    for unit in passes[1:]:
+        assert unit.torques.inertial.tobytes() == passes[0].torques.inertial.tobytes()
+        assert unit.v_shaft.tobytes() == passes[0].v_shaft.tobytes()
+    np.testing.assert_array_equal(
+        virtual_work_torques(passes[0].profile, config.geometry, config.bodies, np.zeros(3)),
+        passes[0].torques.inertial)
 
 
 @pytest.mark.parametrize("study, where", [

@@ -691,8 +691,36 @@ def test_solve_wrenches_refuses_by_the_block_solves_rule(geometry, bodies):
         # Both solves round at the conditioning 1/|tilt| of the moment block.
         np.testing.assert_allclose(solve_wrenches(system).tau, solution.tau, rtol=0.0, atol=1e-14 / abs(tilt))
         np.testing.assert_allclose(solution.tau, (0.0023, -0.2219), atol=1e-4)
-    assert refused == [-1e-9, -1e-11, -1e-13]
+    assert refused == [-1e-7, -1e-9, -1e-11, -1e-13]
     assert np.linalg.matrix_rank(system.matrix) == N_EQUATIONS
+
+
+def test_every_torque_path_refuses_the_same_states_near_the_horizon(geometry, bodies):
+    # Moving states near the horizon, where the passive axes align: solve_state,
+    # solve_wrenches on the assembled system and the passive closure's singular
+    # mask refuse the same states, each on its own measure (det K from the
+    # Newton-Euler bases, D from the closure's columns), with one threshold.
+    rng = np.random.default_rng(39)
+    refused = []
+    for _ in range(400):
+        tilt = -(10.0 ** rng.uniform(-13.0, -4.0))
+        theta = _joint_angles(kinematics.vector_from_pan_tilt(rng.uniform(-math.pi, math.pi), tilt).v, geometry)
+        rates, accels = closure_row(theta, rng.uniform(-5.0, 5.0, 2), rng.uniform(-50.0, 50.0, 2), geometry)
+        state = JointState(JointAngles(theta), rates, accels, 0.0)
+        verdicts = []
+        for solve in (lambda: solve_state(state, geometry, bodies),
+                      lambda: solve_wrenches(assemble_system(body_motion(state, geometry, bodies), bodies))):
+            try:
+                solve()
+                verdicts.append(False)
+            except ModelInconsistencyError as exc:
+                assert str(exc) == TYPE_II_MESSAGE, tilt
+                verdicts.append(True)
+        singular = bool(_kinematics_at(theta[None], geometry).passive.singular[0])
+        assert verdicts == [singular, singular], tilt
+        refused.append(singular)
+    # The draws reach both sides of the threshold.
+    assert 0 < sum(refused) < len(refused)
 
 
 def test_solve_takes_a_matrix_of_another_form(geometry, bodies):
@@ -1056,10 +1084,10 @@ def test_cutting_load_is_one_affine_term(geometry, bodies):
     # A force along the tool does no work: g_k . e5 is 0 up to rounding.
     along_tool = np.einsum("nkj,nj->nk", load_free.g, load_free.axes[:, 4])
     assert np.all(np.abs(along_tool) <= 4.0 * np.finfo(float).eps * np.linalg.norm(load_free.g, axis=2))
-    np.testing.assert_array_equal(load_free.with_load(load_free.tau0, CuttingLoad()), load_free.tau0)
+    np.testing.assert_array_equal(load_free.static(CuttingLoad()), load_free.rest)
     for fc, lc in ((50.0, 0.11), (150.0, 0.06), (-20.0, 0.3)):
         load = CuttingLoad((fc, fc, fc), lc)
-        tau = load_free.with_load(load_free.tau0, load)
+        tau = load_free.inertial + load_free.static(load)
         np.testing.assert_array_equal(tau, virtual_work_torques(profile, geometry, bodies, GRAVITY, load))
         reference = loaded_virtual_work_reference(profile, geometry, bodies, GRAVITY, load)
         assert np.all(column_rel(tau, reference) < 1e-10)
@@ -1603,7 +1631,7 @@ def test_one_closure_solve_per_pass(geometry, bodies, motor, monkeypatch):
     assert calls == ["leg_frames", "_passive_closure"]
     calls.clear()
     load_free = dynamics._load_free_torques(*own_rate_profile(spec, geometry), bodies)
-    load_free.with_load(load_free.tau0, load)
+    load_free.static(load)
     assert calls == ["leg_frames", "_passive_closure"]
 
 
@@ -1637,7 +1665,7 @@ def test_kept_kinematics_give_the_same_bits(geometry, bodies, load):
     def load_free(profile, kinematics):
         try:
             torques = _load_free_torques(profile, kinematics, bodies, GRAVITY)
-            return [torques.with_load(torques.tau0, load)]
+            return [torques.inertial, torques.static(load)]
         except WristError as exc:
             return [type(exc), str(exc)]
 

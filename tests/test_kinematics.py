@@ -143,6 +143,12 @@ _DOWN = np.tile([0.0, 0.0, -1.0], (3, 1))
     (lambda: JointAngles([0.0, 1.0]), "joint angles must be a 4-vector"),
     (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(3), np.zeros(4), 0.0), "rates must be a 4-vector"),
     (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), np.zeros(5), 0.0), "accels must be a 4-vector"),
+    # Four values on two axes longer than 1 are not a 4-vector; a row or a column of them is.
+    (lambda: JointAngles(np.zeros((2, 2))), "joint angles must be a 4-vector"),
+    (lambda: JointState(JointAngles(np.zeros(4)), np.zeros((2, 2)), np.zeros((1, 4)), 0.0), "rates must be a 4-vector"),
+    (lambda: JointState(JointAngles(np.zeros((4, 1))), np.zeros(4), np.zeros((2, 2)), 0.0),
+     "accels must be a 4-vector"),
+    (lambda: WristGeometry(home_thetas=np.zeros((2, 2))), "home_thetas must be a 4-vector"),
     (lambda: JointState(JointAngles(np.zeros(4)), [0.0, math.nan, 0.0, 0.0], np.zeros(4), 0.0), "rates must be finite"),
     (lambda: JointState(JointAngles(np.zeros(4)), np.zeros(4), [math.inf, 0.0, 0.0, 0.0], 0.0),
      "accels must be finite"),

@@ -21,14 +21,16 @@ and the load-free virtual-work pass of that spec at its own rate (the
 profile stage ``kinematics._profile_pass`` on the spec's generated path,
 then ``dynamics._load_free_torques``), one row per sample with every number
 as ``%.17g``: the joint angles, rates and accelerations, the load-free
-torques tau0 and the load terms g.  No study runs this pass; it is the
-own-rate reference that the tests hold the scaled unit-rate pass to.
+torques tau0 (the pass's inertial part plus its static part ``rest``) and
+the load terms g.  No study runs this pass; it is the own-rate reference
+that the tests hold the scaled unit-rate pass to.
 Then, for each cone angle of ``UNIT_CASES``, with and without the load, it
 writes NAME.csv with the unit-rate pass of that path
 (``analysis.path_pass``), as every study that takes torques scales
-it: per sample the static shaft torques c (the pass's torques at rest under
-the load, ``torques.with_load(torques.rest, load)``), the shaft torques per
-unit rate squared v and the drive rates; and NAME_peaks.csv with the peaks of the four
+it: per sample the static shaft torques c (the pass's static part under
+the load, ``torques.static(load)``), the shaft torques per unit rate
+squared v (its inertial part plus the reflected rotor torques) and the
+drive rates; and NAME_peaks.csv with the peaks of the four
 joint rates and accelerations, every number as ``%.17g``.  The
 ``.12g`` CSVs of the commands can hide a change in the last bits; these
 cannot.  The sphwrist package is the one on the import path, so setting PYTHONPATH
@@ -280,7 +282,7 @@ def vw_rows(name, gamma, radius, samples=None):
     load_free = _load_free_torques(profile, kinematics, config.bodies, config.gravity)
     header = ["sample", "t", *(f"{field}{j}" for field in ("theta", "dtheta", "ddtheta") for j in range(1, 5)),
               "tau0_1", "tau0_2", *(f"g{k}_{j}" for k in (1, 2) for j in range(3))]
-    columns = [profile.t[:, None], profile.theta, profile.rates, profile.accels, load_free.tau0,
+    columns = [profile.t[:, None], profile.theta, profile.rates, profile.accels, load_free.inertial + load_free.rest,
                load_free.g.reshape(len(profile), 6)]
     with open(f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -291,7 +293,7 @@ def vw_rows(name, gamma, radius, samples=None):
 
 def unit_rows(name, gamma, load, samples=None):
     """Write NAME.csv and, without a load, NAME_peaks.csv: the unit-rate pass of one circle path,
-    with c from its torques at rest (``rest``) under the load."""
+    with c from its static part under the load."""
     import math
 
     import sphwrist
@@ -308,7 +310,7 @@ def unit_rows(name, gamma, load, samples=None):
     with open(f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample", "c1", "c2", "v1", "v2", "dtheta1", "dtheta2"])
-        columns = (unit.torques.with_load(unit.torques.rest, load), unit.v_shaft, unit.drive_rates)
+        columns = (unit.torques.static(load), unit.v_shaft, unit.drive_rates)
         for i, row in enumerate(zip(*(c.tolist() for c in columns))):
             writer.writerow([i, *("%.17g" % v for part in row for v in part)])
     if load is None:
